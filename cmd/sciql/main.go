@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sciql [-d dir] [-e "statements"] [-grid] [-threads n] [-encodings=false]
-//	      [-join-order syntactic|greedy|dp] [file.sql ...]
+//	      [file.sql ...]
 //
 // With -d the database persists to the directory on exit. With -e (or SQL
 // files as arguments) statements run non-interactively. Inside the shell:
@@ -34,16 +34,10 @@ func main() {
 	threads := flag.Int("threads", 0, "kernel worker threads (0: GOMAXPROCS)")
 	encodings := flag.Bool("encodings", true,
 		"compress column segments per 64K slab (RLE/dict/FOR/delta) at checkpoints")
-	joinOrder := flag.String("join-order", "greedy",
-		"multi-way join ordering: syntactic, greedy or dp")
 	flag.Parse()
 
 	sciql.SetThreads(*threads)
 	sciql.SetEncodingsEnabled(*encodings)
-	if err := sciql.SetJoinOrder(*joinOrder); err != nil {
-		fmt.Fprintln(os.Stderr, "sciql:", err)
-		os.Exit(2)
-	}
 
 	var (
 		db  *sciql.DB

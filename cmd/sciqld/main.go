@@ -7,9 +7,9 @@
 // Usage:
 //
 //	sciqld [-addr :8642] [-db dir] [-threads n] [-max-sessions n]
-//	       [-wal-checkpoint-bytes n] [-commit-queue n] [-query-timeout d]
-//	       [-drain-timeout d] [-shutdown-timeout d] [-read-only]
-//	       [-replica-of host:port] [-encodings=false]
+//	       [-wal-checkpoint-bytes n] [-query-timeout d] [-drain-timeout d]
+//	       [-shutdown-timeout d] [-read-only] [-replica-of host:port]
+//	       [-encodings=false]
 //
 // SIGTERM/SIGINT drain gracefully: new statements are refused (HTTP
 // 503, text "!error: server is shutting down") while in-flight ones
@@ -59,24 +59,16 @@ func main() {
 		"how long shutdown waits for in-flight statements before cancelling them")
 	shutdownTimeout := flag.Duration("shutdown-timeout", server.DefaultShutdownTimeout,
 		"how long a forced close waits for in-flight HTTP requests")
-	commitQueue := flag.Int("commit-queue", 0,
-		"group commit: max commit batches coalesced into one WAL fsync (0: default 256, negative: serialized one-fsync-per-commit)")
 	readOnly := flag.Bool("read-only", false,
 		"serve the database without ever writing it (writes refused, no checkpoints)")
 	replicaOf := flag.String("replica-of", "",
 		"primary address to replicate from; serves reads, refuses writes until promoted")
 	encodings := flag.Bool("encodings", true,
 		"compress column segments per 64K slab (RLE/dict/FOR/delta) at checkpoints")
-	joinOrder := flag.String("join-order", "greedy",
-		"multi-way join ordering: syntactic, greedy or dp")
 	flag.Parse()
 
 	sciql.SetThreads(*threads)
 	sciql.SetEncodingsEnabled(*encodings)
-	if err := sciql.SetJoinOrder(*joinOrder); err != nil {
-		fmt.Fprintln(os.Stderr, "sciqld:", err)
-		os.Exit(2)
-	}
 
 	var (
 		db     *sciql.DB
@@ -96,7 +88,7 @@ func main() {
 	case *dir != "":
 		// The threshold is passed into Open so it also governs whether a
 		// large recovered log is folded during startup.
-		opts := core.OpenOptions{CheckpointBytes: *ckptBytes, CommitQueue: *commitQueue}
+		opts := core.OpenOptions{CheckpointBytes: *ckptBytes}
 		if *readOnly {
 			opts.ReadOnly = "-read-only flag"
 		}

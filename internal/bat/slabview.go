@@ -19,16 +19,12 @@ import (
 // The package also keeps a process-wide "bytes touched" counter: each
 // accessor charges the physical bytes a scan of that slab reads (plain
 // size when borrowing, encoded payload size when decoding or walking runs
-// or codes). Benchmarks reset and read it to report bytes_touched/op —
-// the compression win that ns/op alone understates on memory-bound scans.
+// or codes). Tests reset and read it to pin the compression win that
+// timings alone understate on memory-bound scans.
 
 var touchedBytes atomic.Int64
 
 func addTouched(n int64) { touchedBytes.Add(n) }
-
-// TouchedBytes returns the cumulative physical bytes charged by column
-// accessors since process start (or the last Reset).
-func TouchedBytes() int64 { return touchedBytes.Load() }
 
 // ResetTouchedBytes zeroes the counter and returns the prior value.
 func ResetTouchedBytes() int64 { return touchedBytes.Swap(0) }

@@ -178,3 +178,32 @@ func TestCancelLatencyAt10M(t *testing.T) {
 		t.Fatal("cancelled query never returned")
 	}
 }
+
+// benchCancelLatency times only cancel()→return: each iteration starts
+// the join and gives it a head start with the timer stopped, so ns/op is
+// the abort latency itself.
+func benchCancelLatency(b *testing.B, rows int) {
+	db := bigJoinDB(b, rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, err := db.QueryContext(ctx, bigJoinQuery)
+			errc <- err
+		}()
+		time.Sleep(50 * time.Millisecond) // well inside the join kernels
+		b.StartTimer()
+		cancel()
+		err := <-errc
+		b.StopTimer()
+		if !errors.Is(err, context.Canceled) {
+			b.Fatalf("err = %v, want context.Canceled", err)
+		}
+		b.StartTimer()
+	}
+}
+
+func BenchmarkCancelLatency1M(b *testing.B)  { benchCancelLatency(b, 1_000_000) }
+func BenchmarkCancelLatency10M(b *testing.B) { benchCancelLatency(b, 10_000_000) }

@@ -36,16 +36,16 @@ import (
 // a double-apply. checkpointOnLoop therefore flushes the queue to the
 // outgoing log, under db.mu where the queue cannot grow, before folding.
 
-// errCommitQueueClosed is returned to a writer that raced Close: the
+// errCommitLoopStopped is returned to a writer that raced Close: the
 // loop is gone, so the batch cannot be made durable.
-var errCommitQueueClosed = errors.New("database closed: commit queue stopped")
+var errCommitLoopStopped = errors.New("database closed: commit queue stopped")
 
-// DefaultCommitQueue is the default maximum number of commit batches
-// coalesced into one WAL fsync. The queue itself is unbounded (each
-// writer has at most one request in flight, so it is naturally bounded
-// by the number of concurrent sessions); the cap only bounds how much
-// one group can defer the next group's waiters.
-const DefaultCommitQueue = 256
+// DefaultCommitGroup is the maximum number of commit batches coalesced
+// into one WAL fsync. The queue itself is unbounded (each writer has at
+// most one request in flight, so it is naturally bounded by the number
+// of concurrent sessions); the cap only bounds how much one group can
+// defer the next group's waiters.
+const DefaultCommitGroup = 256
 
 // commitReq is one unit of work for the commit loop: either a commit
 // batch to append+fsync, or (ckpt) a checkpoint barrier from Save.
@@ -68,15 +68,11 @@ type commitQueue struct {
 	gate   chan struct{} // test hook: loop parks on it before draining
 }
 
-func newCommitQueue() *commitQueue {
-	return &commitQueue{notify: make(chan struct{}, 1)}
-}
-
 func (q *commitQueue) enqueue(r *commitReq) error {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return errCommitQueueClosed
+		return errCommitLoopStopped
 	}
 	q.reqs = append(q.reqs, r)
 	q.mu.Unlock()
@@ -149,12 +145,13 @@ func (q *commitQueue) gateCh() chan struct{} {
 
 // startCommitLoopLocked starts the group-commit pipeline for a writable,
 // directory-backed database. Called under db.mu (or before the DB is
-// shared) from OpenDB and Promote; no-op when group commit is disabled.
+// shared) from OpenDB and Promote; no-op for in-memory databases and when
+// the loop already runs.
 func (db *DB) startCommitLoopLocked() {
-	if db.commitGroup <= 0 || db.dir == "" || db.commitQ != nil {
+	if db.dir == "" || db.commitQ != nil {
 		return
 	}
-	db.commitQ = newCommitQueue()
+	db.commitQ = &commitQueue{notify: make(chan struct{}, 1)}
 	db.commitDone = make(chan struct{})
 	go db.commitLoop(db.commitQ)
 }
@@ -315,10 +312,11 @@ func (db *DB) enqueueCommitLocked() (*commitReq, error) {
 }
 
 // commitBoundaryLocked is the autocommit durability+publication
-// boundary shared by execStmtCtx and the bulk-load path: group mode
-// enqueues the batch (the caller waits on the returned request after
-// unlocking); serialized mode appends+fsyncs inline and may trigger an
-// inline checkpoint, exactly the pre-group-commit behaviour.
+// boundary shared by execStmtCtx and the bulk-load path: with the commit
+// loop running it enqueues the batch (the caller waits on the returned
+// request after unlocking); without one — an in-memory database, which
+// has no log, or a loop Close already stopped — it flushes the log
+// inline and may trigger an inline checkpoint.
 func (db *DB) commitBoundaryLocked() (*commitReq, error) {
 	if db.commitQ != nil {
 		req, err := db.enqueueCommitLocked()

@@ -244,9 +244,7 @@ func (db *DB) insertArray(s *ast.Insert, a *catalog.Array) (*Result, error) {
 			return nil, err
 		}
 	}
-	db.noteModifyArray(a)
-
-	// First pass: collect coordinates, growing unbounded dimensions.
+	// First pass: collect coordinates.
 	coordsPerRow := make([][]int64, len(rows))
 	for ri, row := range rows {
 		coords := make([]int64, len(a.Shape))
@@ -266,21 +264,14 @@ func (db *DB) insertArray(s *ast.Insert, a *catalog.Array) (*Result, error) {
 		}
 		coordsPerRow[ri] = coords
 	}
-	oldShape := append(shape.Shape{}, a.Shape...)
-	if err := db.growArray(a, coordsPerRow); err != nil {
+	// Second pass, still without mutating: grow unbounded dimensions on
+	// paper, then resolve positions and cast values against the grown
+	// shape, so a bad cell fails the statement before the array is
+	// reshaped or any cell overwritten.
+	newShape, err := grownShape(a, coordsPerRow)
+	if err != nil {
 		return nil, err
 	}
-	grew := !shapesEqual(oldShape, a.Shape)
-	// logGrowth records an applied growth even when the statement then
-	// fails: recovery must reproduce the reshape that already happened.
-	logGrowth := func() {
-		if db.durable() && grew {
-			db.logRecord(encArrayCells(recArrayCells, a.Name, a.Shape, nil, nil, nil))
-		}
-	}
-
-	// Second pass: resolve positions and cast values without mutating, so
-	// a bad cell fails the statement before any overwrite.
 	var attrIdx []int
 	for _, tg := range targets {
 		if !tg.isDim {
@@ -292,9 +283,8 @@ func (db *DB) insertArray(s *ast.Insert, a *catalog.Array) (*Result, error) {
 		flat []types.Value // row-major, len(attrIdx) values per cell
 	)
 	for ri, row := range rows {
-		p, ok := a.Shape.Pos(coordsPerRow[ri])
+		p, ok := newShape.Pos(coordsPerRow[ri])
 		if !ok {
-			logGrowth()
 			return nil, fmt.Errorf("cell %v is outside the dimension ranges of array %q", coordsPerRow[ri], a.Name)
 		}
 		for ti, tg := range targets {
@@ -303,7 +293,6 @@ func (db *DB) insertArray(s *ast.Insert, a *catalog.Array) (*Result, error) {
 			}
 			v, err := row[ti].Cast(a.Attrs[tg.idx].Type.Kind)
 			if err != nil {
-				logGrowth()
 				return nil, fmt.Errorf("attribute %q: %v", a.Attrs[tg.idx].Name, err)
 			}
 			flat = append(flat, v)
@@ -311,18 +300,23 @@ func (db *DB) insertArray(s *ast.Insert, a *catalog.Array) (*Result, error) {
 		idxs = append(idxs, p)
 	}
 
-	// Third pass: overwrite cells. Cell overwrites are in-place, so any
-	// attribute column shared with a published snapshot is cloned first
-	// (copy-on-write); concurrent readers keep their frozen version.
+	// Third pass: reshape, then overwrite cells. Cell overwrites are
+	// in-place, so any attribute column shared with a published snapshot
+	// is cloned first (copy-on-write); concurrent readers keep their
+	// frozen version.
+	db.noteModifyArray(a)
+	grew := !shapesEqual(a.Shape, newShape)
+	if grew {
+		if err := reshapeArrayTo(a, newShape); err != nil {
+			return nil, err
+		}
+	}
 	for _, ai := range attrIdx {
 		a.AttrBats[ai] = a.AttrBats[ai].Writable()
 	}
 	for j, idx := range idxs {
 		for k, ai := range attrIdx {
 			if err := a.AttrBats[ai].Replace(idx, flat[j*len(attrIdx)+k]); err != nil {
-				// Unreachable after phase-2 casts, but keep the invariant:
-				// an applied growth is logged even when the statement fails.
-				logGrowth()
 				return nil, err
 			}
 		}
@@ -333,19 +327,17 @@ func (db *DB) insertArray(s *ast.Insert, a *catalog.Array) (*Result, error) {
 	return &Result{Affected: len(idxs), Text: fmt.Sprintf("%d cells updated", len(idxs))}, nil
 }
 
-// growArray expands unbounded dimensions to cover the inserted
-// coordinates, filling fresh cells with attribute defaults.
-func (db *DB) growArray(a *catalog.Array, coords [][]int64) error {
-	if len(coords) == 0 {
-		return nil
-	}
+// grownShape returns the shape of a after expanding its unbounded
+// dimensions to cover the inserted coordinates (a.Shape itself when
+// nothing grows). Pure: the caller reshapes once the statement is known
+// to succeed, filling fresh cells with attribute defaults.
+func grownShape(a *catalog.Array, coords [][]int64) (shape.Shape, error) {
 	newShape := append(shape.Shape{}, a.Shape...)
-	changed := false
 	for k := range a.Shape {
 		if !a.Unbounded[k] {
 			continue
 		}
-		d := newShape[k]
+		d := &newShape[k]
 		for _, c := range coords {
 			v := c[k]
 			if d.N() == 0 {
@@ -354,7 +346,7 @@ func (db *DB) growArray(a *catalog.Array, coords [][]int64) error {
 			}
 			// Keep the grid: the coordinate must be reachable by the step.
 			if ((v-d.Start)%d.Step+d.Step)%d.Step != 0 {
-				return fmt.Errorf("coordinate %d is off the step grid of dimension %q", v, d.Name)
+				return nil, fmt.Errorf("coordinate %d is off the step grid of dimension %q", v, d.Name)
 			}
 			if d.Step > 0 {
 				if v < d.Start {
@@ -372,15 +364,8 @@ func (db *DB) growArray(a *catalog.Array, coords [][]int64) error {
 				}
 			}
 		}
-		if d != newShape[k] {
-			newShape[k] = d
-			changed = true
-		}
 	}
-	if !changed {
-		return nil
-	}
-	return reshapeArrayTo(a, newShape)
+	return newShape, nil
 }
 
 // update implements UPDATE for tables and arrays. Dimensions act as bound
@@ -425,10 +410,11 @@ func arrayCols(a *catalog.Array) []*bat.BAT {
 	return out
 }
 
-// tableUpdatePlan is the staged effect of a durable table UPDATE: the
-// rows to touch, the SET target columns, and the fully cast replacement
-// values (row-major, len(cols) per row). Planning is pure — it reads the
-// table without mutating it — so the optimistic path can plan against a
+// tableUpdatePlan is the staged effect of a table UPDATE: the rows to
+// touch, the SET target columns, and the fully cast replacement values
+// (row-major, len(cols) per row). Planning is pure — it reads the table
+// without mutating it — so a statement that fails applies nothing, in
+// memory and on disk alike, and the optimistic path can plan against a
 // frozen snapshot and apply against the live table once validated.
 type tableUpdatePlan struct {
 	cols []int
@@ -523,54 +509,11 @@ func (db *DB) applyTableUpdatePlan(t *catalog.Table, p *tableUpdatePlan) (*Resul
 }
 
 func (db *DB) updateTable(s *ast.Update, t *catalog.Table) (*Result, error) {
-	if db.durable() {
-		// Durable: plan (pure) then apply, so a failed statement applies
-		// nothing — the WAL record must match the applied effect exactly.
-		p, err := planTableUpdate(db.cat, t, s)
-		if err != nil {
-			return nil, err
-		}
-		return db.applyTableUpdatePlan(t, p)
-	}
-	// In-memory: cast and apply in one pass, no capture buffers.
-	// Deliberate trade-off: a cast error mid-statement leaves earlier
-	// rows updated (the engine's historical semantics), in exchange
-	// for zero capture overhead on the hot path.
-	b := rel.NewBinder(db.cat)
-	sc := tableScope(t)
-	n := t.PhysRows()
-	mask, err := dmlMask(b, sc, t.Bats, n, s.Where)
+	p, err := planTableUpdate(db.cat, t, s)
 	if err != nil {
 		return nil, err
 	}
-	ops, err := bindTableSets(b, sc, t, n, s)
-	if err != nil {
-		return nil, err
-	}
-	db.noteModifyTable(t)
-	// Copy-on-write: the SET targets are overwritten in place, so clone
-	// any column shared with a published snapshot before mutating it.
-	for _, op := range ops {
-		t.Bats[op.col] = t.Bats[op.col].Writable()
-	}
-	affected := 0
-	mt := maskTrue(mask)
-	for i := 0; i < n; i++ {
-		if t.Deleted.Get(i) || !mt(i) {
-			continue
-		}
-		for _, op := range ops {
-			cv, err := op.vals.Get(i).Cast(t.Columns[op.col].Type.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %v", t.Columns[op.col].Name, err)
-			}
-			if err := t.Bats[op.col].Replace(i, cv); err != nil {
-				return nil, err
-			}
-		}
-		affected++
-	}
-	return &Result{Affected: affected, Text: fmt.Sprintf("%d rows updated", affected)}, nil
+	return db.applyTableUpdatePlan(t, p)
 }
 
 // arrayUpdatePlan is tableUpdatePlan for arrays: the cells to touch, the
@@ -666,51 +609,11 @@ func (db *DB) applyArrayUpdatePlan(a *catalog.Array, p *arrayUpdatePlan) (*Resul
 }
 
 func (db *DB) updateArray(s *ast.Update, a *catalog.Array) (*Result, error) {
-	if db.durable() {
-		// Durable: plan (pure) then apply (see updateTable).
-		p, err := planArrayUpdate(db.cat, a, s)
-		if err != nil {
-			return nil, err
-		}
-		return db.applyArrayUpdatePlan(a, p)
-	}
-	// In-memory: cast and apply in one pass, no capture buffers (see
-	// updateTable for the failed-statement semantics trade-off).
-	b := rel.NewBinder(db.cat)
-	sc := arrayScope(a)
-	cols := arrayCols(a)
-	n := a.Cells()
-	mask, err := dmlMask(b, sc, cols, n, s.Where)
+	p, err := planArrayUpdate(db.cat, a, s)
 	if err != nil {
 		return nil, err
 	}
-	ops, err := bindArraySets(b, sc, a, cols, n, s)
-	if err != nil {
-		return nil, err
-	}
-	db.noteModifyArray(a)
-	// Copy-on-write for the overwritten attribute columns (see updateTable).
-	for _, op := range ops {
-		a.AttrBats[op.attr] = a.AttrBats[op.attr].Writable()
-	}
-	affected := 0
-	mt := maskTrue(mask)
-	for i := 0; i < n; i++ {
-		if !mt(i) {
-			continue
-		}
-		for _, op := range ops {
-			cv, err := op.vals.Get(i).Cast(a.Attrs[op.attr].Type.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("attribute %q: %v", a.Attrs[op.attr].Name, err)
-			}
-			if err := a.AttrBats[op.attr].Replace(i, cv); err != nil {
-				return nil, err
-			}
-		}
-		affected++
-	}
-	return &Result{Affected: affected, Text: fmt.Sprintf("%d cells updated", affected)}, nil
+	return db.applyArrayUpdatePlan(a, p)
 }
 
 // dmlMask evaluates a WHERE clause to a boolean column (nil = all rows).

@@ -93,11 +93,13 @@ type DB struct {
 	replica  bool
 
 	// Group commit state (commit.go): commitQ is the queue between
-	// committers and the loop goroutine (nil = serialized commits),
-	// commitGroup the max batches coalesced per fsync, commitDone the
-	// loop's exit signal. pendingCommit/pendingMsg thread a commit
-	// request from a nested boundary (txnStmt's COMMIT, which runs under
-	// mu) out to execStmtCtx, which waits on it after unlocking.
+	// committers and the loop goroutine (nil = inline commits: in-memory,
+	// read-only and replica databases, or a stopped loop), commitGroup
+	// the max batches coalesced per fsync (DefaultCommitGroup; tests
+	// shrink it), commitDone the loop's exit signal.
+	// pendingCommit/pendingMsg thread a commit request from a nested
+	// boundary (txnStmt's COMMIT, which runs under mu) out to
+	// execStmtCtx, which waits on it after unlocking.
 	// commits/syncsRetired are the CommitStats accounting.
 	commitQ       *commitQueue
 	commitGroup   int
@@ -172,13 +174,6 @@ type OpenOptions struct {
 	// read-only to SQL, checkpoints disabled, mutated only through
 	// ApplyReplicated/InstallSnapshot until Promote.
 	Replica bool
-	// CommitQueue configures group commit for directory-backed writable
-	// databases: the maximum number of commit batches coalesced into one
-	// WAL fsync. 0 means DefaultCommitQueue (group commit is on by
-	// default); negative disables the pipeline entirely, restoring the
-	// serialized one-fsync-per-commit path (the N-writer benchmark's
-	// baseline).
-	CommitQueue int
 }
 
 // OpenDB is the fully general open: directory plus options. The plain
@@ -192,16 +187,9 @@ func OpenDB(dir string, o OpenOptions) (*DB, error) {
 	if o.Replica && readOnly == "" {
 		readOnly = replicaReadOnlyReason
 	}
-	group := o.CommitQueue
-	if group == 0 {
-		group = DefaultCommitQueue
-	}
-	if group < 0 {
-		group = 0 // serialized commits
-	}
 	db := &DB{cat: catalog.New(), dir: dir, dirty: map[string]struct{}{}, pcache: newParseCache(),
 		ckptDirty: map[string]bool{}, ckptBytes: o.CheckpointBytes, fs: fsys,
-		readOnly: readOnly, replica: o.Replica, commitGroup: group}
+		readOnly: readOnly, replica: o.Replica, commitGroup: DefaultCommitGroup}
 	db.session = &Session{db: db}
 	if err := db.checkBootstrapMarker(); err != nil {
 		return nil, err
@@ -395,7 +383,7 @@ func (db *DB) ExecStmt(stmt ast.Statement) (*Result, error) {
 }
 
 // parse resolves a query text to parsed statements through the cache,
-// keyed by text plus the join-order mode (see parseCache).
+// keyed by text plus the join order mode (see parseCache).
 func (db *DB) parse(query string) ([]ast.Statement, error) {
 	key := cacheKey(query)
 	if stmts, ok := db.pcache.get(key); ok {

@@ -259,34 +259,3 @@ func TestGroupCommitBackgroundCheckpoint(t *testing.T) {
 		t.Fatalf("row count after reopen = %d, want 200", got)
 	}
 }
-
-// TestSerializedModeStillWorks: CommitQueue < 0 restores the inline
-// one-fsync-per-commit path end to end.
-func TestSerializedModeStillWorks(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenDB(dir, OpenOptions{CommitQueue: -1})
-	if err != nil {
-		t.Fatalf("OpenDB: %v", err)
-	}
-	if db.commitQ != nil {
-		t.Fatal("serialized mode must not start a commit loop")
-	}
-	db.MustQuery(`CREATE TABLE t (a INT)`)
-	db.MustQuery(`INSERT INTO t VALUES (1), (2)`)
-	commits, syncs := db.CommitStats()
-	if commits == 0 || syncs < commits {
-		t.Fatalf("serialized commits=%d syncs=%d, want one fsync per commit", commits, syncs)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	db2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer db2.Close()
-	r := db2.MustQuery(`SELECT COUNT(*) FROM t`)
-	if got := r.Cols[0].Ints()[0]; got != 2 {
-		t.Fatalf("row count = %d, want 2", got)
-	}
-}

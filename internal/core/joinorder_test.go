@@ -11,18 +11,17 @@ import (
 	"repro/internal/rel"
 )
 
-// The equivalence gate of the join-ordering pass: every query must return
-// the same row set in syntactic, greedy and DP mode — with statistics on
-// or off, serial or forced-parallel. The pass only ever changes the shape
+// The equivalence gate of the join ordering pass: every query must return
+// the same row set in syntactic and greedy mode — with statistics on or
+// off, serial or forced-parallel. The pass only ever changes the shape
 // of the join tree, so any divergence here is a key/residual remapping
 // bug.
 
 // joinOrderModes in comparison order: syntactic is the never-reordered
-// reference the other two must match.
+// reference greedy must match.
 var joinOrderModes = []rel.JoinOrderMode{
 	rel.JoinOrderSyntactic,
 	rel.JoinOrderGreedy,
-	rel.JoinOrderDP,
 }
 
 // buildJoinOrderDB creates the workload shapes the ordering pass must
@@ -243,10 +242,9 @@ func TestJoinOrderEmptyShortCircuit(t *testing.T) {
 	}
 }
 
-// TestJoinOrderDPFallbackWideJoin exercises the DP cap: an 11-relation
-// join exceeds dpMaxRels, so DP mode must fall back to greedy and still
-// return correct rows.
-func TestJoinOrderDPFallbackWideJoin(t *testing.T) {
+// TestJoinOrderGreedyWideJoin covers join trees of more than ten leaves:
+// an 11-relation self-join must return the same count in every mode.
+func TestJoinOrderGreedyWideJoin(t *testing.T) {
 	db := buildJoinOrderDB(t)
 	var from, where []string
 	for i := 1; i <= 11; i++ {

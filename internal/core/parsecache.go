@@ -22,7 +22,7 @@ const parseCacheSize = 256
 // The cache key (see cacheKey) is, exhaustively:
 //
 //   - the raw SQL text, and
-//   - the join-order mode (rel.JoinOrdering), so a mode switch between
+//   - the join order mode (rel.JoinOrdering), so a mode switch between
 //     executions of the same text can never replay a plan decided under
 //     the other mode if plan state ever attaches to cached entries.
 //

@@ -21,9 +21,9 @@ func TestParseCacheHitsRepeatedStatements(t *testing.T) {
 		t.Fatalf("cache has %d entries, want 1", got)
 	}
 	if _, ok := db.pcache.get(cacheKey(q)); !ok {
-		t.Fatalf("expected %q to be cached under the current join-order mode", q)
+		t.Fatalf("expected %q to be cached under the current join order mode", q)
 	}
-	// The key includes the join-order mode: the raw text alone must miss.
+	// The key includes the join order mode: the raw text alone must miss.
 	if _, ok := db.pcache.get(q); ok {
 		t.Fatalf("raw query text should not be a cache key")
 	}

@@ -219,8 +219,7 @@ func (db *DB) WALSize() int64 {
 }
 
 // CheckpointBytes returns the bytes of BAT segment data written by
-// checkpoints so far — the measure BenchmarkCommitSmallWrite compares
-// against WAL append bytes.
+// checkpoints so far.
 func (db *DB) CheckpointBytes() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -89,6 +89,44 @@ func TestCloseFlushesCheckpoint(t *testing.T) {
 	}
 }
 
+// TestWALSmallCommitWritesDelta pins the write amplification of a
+// durable commit: a single-row INSERT into a 1M-row table appends one
+// small WAL record, at least 10x fewer bytes than the table's segment
+// files, which a commit that folded the table would rewrite.
+func TestWALSmallCommitWritesDelta(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetWALCheckpointBytes(0) // no fold may hide the append
+	db.MustQuery(`CREATE ARRAY big (i INT DIMENSION[0:1:1000000], v INT DEFAULT 0)`)
+	db.MustQuery(`CREATE TABLE t (a INT)`)
+	db.MustQuery(`INSERT INTO t SELECT i * 7919 % 1000003 FROM big`)
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "bats", "t.*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files for t: %v", err)
+	}
+	var segBytes int64
+	for _, p := range segs {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segBytes += fi.Size()
+	}
+	before := db.WALSize()
+	db.MustQuery(`INSERT INTO t VALUES (1)`)
+	walBytes := db.WALSize() - before
+	if walBytes <= 0 || segBytes < 10*walBytes {
+		t.Fatalf("single-row commit wrote %d WAL bytes against %d segment bytes, want >= 10x fewer", walBytes, segBytes)
+	}
+}
+
 // TestRollbackDoesNotPersist is the counterpart: rolled-back work must
 // not hit the disk.
 func TestRollbackDoesNotPersist(t *testing.T) {

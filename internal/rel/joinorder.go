@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"strings"
@@ -21,11 +20,8 @@ import (
 // inner-join tree into its base relations and join predicates, estimates
 // per-relation post-filter cardinalities from row counts and the PR-5
 // column statistics (min/max bounds, key flags, NULL counts), and rebuilds
-// the tree in a cheaper order — either greedily (smallest relation first,
-// then repeatedly the join with the smallest estimated output) or with a
-// Selinger-style left-deep dynamic program over relation subsets under a
-// simple cost model (hash-build = inner rows, probe = outer rows, both
-// discounted when the step can merge-join, plus the materialised output).
+// the tree greedily: smallest relation first, then repeatedly the join
+// with the smallest estimated output.
 //
 // The rewrite preserves join semantics exactly: only inner (equi and
 // cross) joins reorder — LEFT OUTER joins are opaque leaves, so nothing
@@ -37,8 +33,9 @@ import (
 // so it costs nothing at runtime, and BaseCols maps through it, so the
 // PR-5 merge-join and candidate decisions still fire on the rebuilt tree.
 
-// JoinOrderMode selects the join-ordering strategy. The zero value is
-// greedy, the default.
+// JoinOrderMode selects the join ordering strategy. The zero value is
+// greedy, the production mode; syntactic order is the reference the
+// equivalence tests compare against.
 type JoinOrderMode int32
 
 const (
@@ -47,49 +44,25 @@ const (
 	JoinOrderGreedy JoinOrderMode = iota
 	// JoinOrderSyntactic keeps the FROM-list order (the pass is disabled).
 	JoinOrderSyntactic
-	// JoinOrderDP runs a Selinger-style left-deep dynamic program,
-	// falling back to greedy above dpMaxRels relations.
-	JoinOrderDP
 )
-
-// dpMaxRels caps the DP subset enumeration (2^n states); larger join
-// trees fall back to the greedy ordering.
-const dpMaxRels = 10
 
 var joinOrderMode atomic.Int32 // JoinOrderMode; zero value = greedy
 
-// SetJoinOrdering sets the process-wide join-ordering mode and returns
+// SetJoinOrdering sets the process-wide join ordering mode and returns
 // the previous one.
 func SetJoinOrdering(m JoinOrderMode) JoinOrderMode {
 	return JoinOrderMode(joinOrderMode.Swap(int32(m)))
 }
 
-// JoinOrdering returns the current join-ordering mode.
+// JoinOrdering returns the current join ordering mode.
 func JoinOrdering() JoinOrderMode { return JoinOrderMode(joinOrderMode.Load()) }
 
-// ParseJoinOrderMode parses a -join-order flag value.
-func ParseJoinOrderMode(s string) (JoinOrderMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "syntactic":
-		return JoinOrderSyntactic, nil
-	case "greedy":
-		return JoinOrderGreedy, nil
-	case "dp":
-		return JoinOrderDP, nil
-	}
-	return JoinOrderGreedy, fmt.Errorf("unknown join-order mode %q (want syntactic, greedy or dp)", s)
-}
-
-// String renders the mode as its flag value.
+// String names the mode.
 func (m JoinOrderMode) String() string {
-	switch m {
-	case JoinOrderSyntactic:
+	if m == JoinOrderSyntactic {
 		return "syntactic"
-	case JoinOrderDP:
-		return "dp"
-	default:
-		return "greedy"
 	}
+	return "greedy"
 }
 
 // JoinEst is the ordering pass's annotation on a rebuilt Join node,
@@ -167,7 +140,6 @@ type jpred struct {
 	lkey, rkey   Expr
 	lrels, rrels uint64
 	ndv          float64 // max key NDV across both sides (selectivity divisor)
-	merge        bool    // both keys are sorted NULL-free base columns
 	applied      bool
 }
 
@@ -401,26 +373,11 @@ func keyNDV(key Expr, input Node) float64 {
 	return math.Max(1, rows/10)
 }
 
-// mergeKey reports whether a global-ordinal key expression is a bare base
-// column that is sorted and NULL-free (the merge-join precondition).
-func (g *jgraph) mergeKey(key Expr) bool {
-	c, ok := key.(*Col)
-	if !ok || !gdk.StatsEnabled() {
-		return false
-	}
-	if i := g.leafOf(c.Idx); i >= 0 {
-		l := &g.leaves[i]
-		base := baseCol(BaseCols(l.node), c.Idx-l.off)
-		return base != nil && base.Sorted && !base.HasNulls()
-	}
-	return false
-}
-
 // maskRows estimates the cardinality of joining a set of leaves: the
 // product of their post-filter rows divided by each contained equi
 // predicate's max-NDV (the classic uniform/containment assumption). The
-// estimate depends only on the set, not the order, which keeps the greedy
-// and DP searches consistent with each other.
+// estimate depends only on the set, not the order, so every prefix of an
+// order and the rebuilt join annotations agree on it.
 func (g *jgraph) maskRows(mask uint64) float64 {
 	rows := 1.0
 	for i := range g.leaves {
@@ -453,8 +410,8 @@ func (g *jgraph) connected(mask uint64, r int) bool {
 // --------------------------------------------------------------- ordering
 
 // reorderTree flattens the inner-join tree rooted at j and rebuilds it in
-// the order the current mode picks. ok is false when the tree has fewer
-// than three relations (nothing to reorder) or cannot be represented.
+// greedy order. ok is false when the tree has fewer than three relations
+// (nothing to reorder) or cannot be represented.
 func reorderTree(j *Join) (Node, bool) {
 	g := &jgraph{}
 	if !g.flatten(j, 0) || len(g.leaves) < 3 {
@@ -487,17 +444,8 @@ func reorderTree(j *Join) (Node, bool) {
 	for i := range g.preds {
 		p := &g.preds[i]
 		p.ndv = math.Max(g.keyNDVGlobal(p.lkey, p.lrels), g.keyNDVGlobal(p.rkey, p.rrels))
-		p.merge = g.mergeKey(p.lkey) && g.mergeKey(p.rkey)
 	}
-
-	mode := JoinOrdering()
-	var order []int
-	if mode == JoinOrderDP && len(g.leaves) <= dpMaxRels {
-		order = g.orderDP()
-	} else {
-		order = g.orderGreedy()
-	}
-	return g.rebuild(order, mode, j.Schema()), true
+	return g.rebuild(g.orderGreedy(), j.Schema()), true
 }
 
 // keyNDVGlobal estimates a global-ordinal key's NDV by locating its owning
@@ -556,94 +504,13 @@ func (g *jgraph) orderGreedy() []int {
 	return order
 }
 
-// orderDP is a Selinger-style dynamic program over left-deep join orders:
-// cost[mask] is the cheapest order producing the relation set mask, where
-// one step costs hash-build (inner rows) plus probe (outer rows) — halved
-// when the step can merge-join — plus the materialised output. The subset
-// enumeration is exponential by design; reorderTree caps it at dpMaxRels
-// relations and falls back to greedy above.
-func (g *jgraph) orderDP() []int {
-	n := len(g.leaves)
-	size := 1 << uint(n)
-	cost := make([]float64, size)
-	last := make([]int8, size) // last relation joined into the set
-	rows := make([]float64, size)
-	for m := range cost {
-		cost[m] = math.Inf(1)
-		last[m] = -1
-		rows[m] = -1
-	}
-	maskRows := func(m int) float64 {
-		if rows[m] < 0 {
-			rows[m] = g.maskRows(uint64(m))
-		}
-		return rows[m]
-	}
-	for i := 0; i < n; i++ {
-		cost[1<<uint(i)] = 0
-		last[1<<uint(i)] = int8(i)
-	}
-	for m := 1; m < size; m++ {
-		if bits.OnesCount(uint(m)) < 2 {
-			continue
-		}
-		for r := 0; r < n; r++ {
-			bit := 1 << uint(r)
-			if m&bit == 0 {
-				continue
-			}
-			prev := m &^ bit
-			if math.IsInf(cost[prev], 1) {
-				continue
-			}
-			scan := maskRows(prev) + g.leaves[r].rows
-			if g.stepMerges(uint64(prev), r) {
-				scan /= 2
-			}
-			c := cost[prev] + scan + maskRows(m)
-			if c < cost[m] {
-				cost[m] = c
-				last[m] = int8(r)
-			}
-		}
-	}
-	order := make([]int, 0, n)
-	for m := size - 1; m != 0; {
-		r := int(last[m])
-		order = append(order, r)
-		m &^= 1 << uint(r)
-	}
-	// The last-chain reconstructs the order back to front.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
-}
-
-// stepMerges reports whether joining leaf r into the set mask is a
-// single-predicate join over sorted NULL-free base keys — the shape the
-// merge-join kernel accepts.
-func (g *jgraph) stepMerges(mask uint64, r int) bool {
-	bit := uint64(1) << uint(r)
-	count, merge := 0, false
-	for i := range g.preds {
-		p := &g.preds[i]
-		cover := p.lrels | p.rrels
-		if cover&bit != 0 && cover&mask != 0 && cover&^(mask|bit) == 0 {
-			count++
-			merge = p.merge
-		}
-	}
-	return count == 1 && merge
-}
-
 // ---------------------------------------------------------------- rebuild
 
 // rebuild constructs the left-deep join tree for the chosen order,
 // remapping every key and residual through the new column layout, and
 // restores the original schema order with a zero-cost column permutation
 // when the order changed.
-func (g *jgraph) rebuild(order []int, mode JoinOrderMode, origSchema []ColInfo) Node {
+func (g *jgraph) rebuild(order []int, origSchema []ColInfo) Node {
 	first := &g.leaves[order[0]]
 	build := first.node
 	mask := uint64(1) << uint(order[0])
@@ -720,7 +587,7 @@ func (g *jgraph) rebuild(order []int, mode JoinOrderMode, origSchema []ColInfo) 
 	for i, r := range order {
 		labels[i] = leafLabel(g.leaves[r].node)
 	}
-	top.Order = fmt.Sprintf("%s: %s", mode, strings.Join(labels, ", "))
+	top.Order = "greedy: " + strings.Join(labels, ", ")
 	// Restore the original column order when the permutation changed it.
 	identity := true
 	for i, p := range colmap {

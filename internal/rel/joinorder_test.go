@@ -4,30 +4,6 @@ import (
 	"testing"
 )
 
-func TestParseJoinOrderMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want JoinOrderMode
-	}{
-		{"syntactic", JoinOrderSyntactic},
-		{"greedy", JoinOrderGreedy},
-		{"dp", JoinOrderDP},
-		{" DP ", JoinOrderDP},
-		{"Greedy", JoinOrderGreedy},
-	} {
-		got, err := ParseJoinOrderMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseJoinOrderMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		if rt, err := ParseJoinOrderMode(got.String()); err != nil || rt != got {
-			t.Errorf("mode %v does not round-trip through String()", got)
-		}
-	}
-	if _, err := ParseJoinOrderMode("optimal"); err == nil {
-		t.Error("ParseJoinOrderMode should reject unknown modes")
-	}
-}
-
 func TestJoinOrderDefaultIsGreedy(t *testing.T) {
 	if JoinOrderMode(0) != JoinOrderGreedy {
 		t.Error("the zero mode must be greedy (the default)")
@@ -88,53 +64,6 @@ func TestGreedyPrefersConnectedOverCross(t *testing.T) {
 		}
 		mask |= 1 << uint(r)
 	}
-}
-
-func TestDPOrdersChainFromSelectiveEnd(t *testing.T) {
-	// Chain 0—1—2 with a tiny middle: both searches should join through
-	// the middle first rather than pay the 100x100 end-to-end cross.
-	g := &jgraph{
-		leaves: []jleaf{{rows: 100}, {rows: 1}, {rows: 100}},
-		preds: []jpred{
-			{lrels: 1 << 0, rrels: 1 << 1, ndv: 100},
-			{lrels: 1 << 1, rrels: 1 << 2, ndv: 100},
-		},
-	}
-	order := g.orderDP()
-	checkPermutation(t, order, 3)
-	if order[2] == 1 {
-		t.Fatalf("DP left the selective middle leaf for last: %v", order)
-	}
-}
-
-func TestDPMatchesGreedyOnStar(t *testing.T) {
-	// A clean star with unique dimension keys: both searches must produce
-	// the same total cardinality profile (the fact joins once per dim),
-	// and DP must never be worse than greedy under its own cost model.
-	g := starGraph(1e6, 1000, 5, 40)
-	greedy := g.orderGreedy()
-	dp := g.orderDP()
-	checkPermutation(t, greedy, 4)
-	checkPermutation(t, dp, 4)
-	if cost := g.orderCost(dp); cost > g.orderCost(greedy) {
-		t.Fatalf("DP order %v costs %v, greedy order %v costs %v — DP must be optimal",
-			dp, cost, greedy, g.orderCost(greedy))
-	}
-}
-
-// orderCost replays the DP cost model over an explicit order (test helper).
-func (g *jgraph) orderCost(order []int) float64 {
-	mask := uint64(1) << uint(order[0])
-	total := 0.0
-	for _, r := range order[1:] {
-		scan := g.maskRows(mask) + g.leaves[r].rows
-		if g.stepMerges(mask, r) {
-			scan /= 2
-		}
-		mask |= 1 << uint(r)
-		total += scan + g.maskRows(mask)
-	}
-	return total
 }
 
 func TestEstRowsEmptyCandSelect(t *testing.T) {

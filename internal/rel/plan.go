@@ -129,7 +129,7 @@ type Join struct {
 	RKeys     []Expr
 	Residual  Expr
 
-	// Est and Order are set by the join-ordering pass (joinorder.go): the
+	// Est and Order are set by the join ordering pass (joinorder.go): the
 	// estimated output cardinality and join algorithm for this node, and —
 	// on the top join of a reordered tree — the chosen relation order.
 	// Annotations only; the generator ignores them.

@@ -34,7 +34,6 @@ import (
 	"repro/internal/bat"
 	"repro/internal/core"
 	"repro/internal/par"
-	"repro/internal/rel"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -92,23 +91,3 @@ func SetEncodingsEnabled(on bool) bool { return bat.SetEncodingsEnabled(on) }
 
 // EncodingsEnabled reports whether automatic slab encoding is active.
 func EncodingsEnabled() bool { return bat.EncodingsEnabled() }
-
-// SetJoinOrder selects the multi-way join-ordering strategy process-wide:
-// "syntactic" keeps the FROM-list order, "greedy" (the default) starts
-// from the smallest estimated relation and repeatedly joins the relation
-// with the smallest estimated output, and "dp" runs a Selinger-style
-// dynamic program over relation subsets (falling back to greedy above 10
-// relations). Results are identical in every mode — only the join order,
-// and therefore the intermediate result sizes, change. EXPLAIN shows the
-// chosen order and per-join cardinality estimates.
-func SetJoinOrder(mode string) error {
-	m, err := rel.ParseJoinOrderMode(mode)
-	if err != nil {
-		return err
-	}
-	rel.SetJoinOrdering(m)
-	return nil
-}
-
-// JoinOrder reports the current join-ordering mode.
-func JoinOrder() string { return rel.JoinOrdering().String() }
