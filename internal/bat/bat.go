@@ -11,6 +11,7 @@ package bat
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/types"
 )
@@ -439,6 +440,116 @@ func (b *BAT) Replace(i int, v types.Value) error {
 	}
 	b.noteReplace(v)
 	return nil
+}
+
+// ReplaceAt is Replace in bulk: row i of src overwrites row pos[i] of b.
+// Later rows win on duplicate positions, NULL source rows punch holes and
+// a negative position skips its source row. src must store b's kind (int
+// and oid share storage; a void src reads as oid). Every position is
+// checked before anything is written, and the properties change exactly
+// as under the equivalent Replace calls: writing any value drops the
+// order and key claims and widens the bounds to cover it; writing only
+// NULLs keeps the order claims.
+func (b *BAT) ReplaceAt(pos []int, src *BAT) error {
+	if len(pos) != src.Len() {
+		return fmt.Errorf("bat: %d positions for %d source rows", len(pos), src.Len())
+	}
+	if !sameStorage(b.kind, src.ValueKind()) {
+		return fmt.Errorf("bat: cannot store %s in %s BAT", src.ValueKind(), b.kind)
+	}
+	for _, p := range pos {
+		if p >= b.count {
+			return fmt.Errorf("bat: index %d out of range [0,%d)", p, b.count)
+		}
+	}
+	src = src.Materialize()
+	b.ensurePlain()
+	srcNulls := src.nulls
+	if !srcNulls.Any() {
+		srcNulls = nil
+	} else if b.nulls == nil {
+		b.nulls = NewBitmap(b.count)
+	}
+	var wrote, nulled bool
+	switch b.kind {
+	case types.KindInt, types.KindOID:
+		vals := src.DecodedInts()
+		wrote, nulled = scatter(b.ints, vals, pos, srcNulls, b.nulls)
+		if wrote && b.hasMM {
+			for i, p := range pos {
+				if p >= 0 && !srcNulls.Get(i) {
+					b.minI, b.maxI = min(b.minI, vals[i]), max(b.maxI, vals[i])
+				}
+			}
+		}
+	case types.KindFloat:
+		vals := src.DecodedFloats()
+		wrote, nulled = scatter(b.floats, vals, pos, srcNulls, b.nulls)
+		if wrote && b.hasMM {
+			for i, p := range pos {
+				if p < 0 || srcNulls.Get(i) {
+					continue
+				}
+				if math.IsNaN(vals[i]) {
+					b.hasMM = false
+					break
+				}
+				b.minF, b.maxF = min(b.minF, vals[i]), max(b.maxF, vals[i])
+			}
+		}
+	case types.KindBool:
+		wrote, nulled = scatter(b.bools, src.DecodedBools(), pos, srcNulls, b.nulls)
+	case types.KindStr:
+		wrote, nulled = scatter(b.strs, src.DecodedStrs(), pos, srcNulls, b.nulls)
+	}
+	if nulled {
+		b.Key = false
+		b.dropZonemap()
+	}
+	if wrote {
+		b.dropZonemap()
+		b.Sorted, b.SortedDesc, b.Key = false, false, false
+	}
+	return nil
+}
+
+// scatter is ReplaceAt's typed loop: dst[pos[i]] = src[i], NULL source
+// rows setting the dstNulls bit instead (dstNulls is non-nil whenever
+// srcNulls is). It reports whether any value and any NULL was written.
+func scatter[T any](dst, src []T, pos []int, srcNulls, dstNulls *Bitmap) (wrote, nulled bool) {
+	if srcNulls == nil && dstNulls == nil {
+		for i, p := range pos {
+			if p >= 0 {
+				dst[p] = src[i]
+				wrote = true
+			}
+		}
+		return wrote, false
+	}
+	for i, p := range pos {
+		switch {
+		case p < 0:
+		case srcNulls.Get(i):
+			dstNulls.Set(p, true)
+			nulled = true
+		default:
+			dst[p] = src[i]
+			if dstNulls != nil {
+				dstNulls.Set(p, false)
+			}
+			wrote = true
+		}
+	}
+	return wrote, nulled
+}
+
+// sameStorage reports whether values of kind v can be stored in a BAT of
+// kind k without conversion.
+func sameStorage(k, v types.Kind) bool {
+	if k == types.KindOID || k == types.KindInt {
+		return v == types.KindOID || v == types.KindInt
+	}
+	return k == v
 }
 
 // Freeze returns a reader-safe frozen copy of the BAT for snapshot

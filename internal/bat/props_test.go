@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -134,6 +135,90 @@ func TestPropsSoundUnderRandomMutation(t *testing.T) {
 			}
 			checkSound(t, step, b)
 		}
+	}
+}
+
+// TestReplaceAtMatchesReplace: a bulk scatter leaves exactly the values,
+// NULL mask and property claims that Replace row by row leaves —
+// duplicates, skipped rows, NULL sources and NaN included.
+func TestReplaceAtMatchesReplace(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		kind := []types.Kind{types.KindInt, types.KindOID, types.KindFloat, types.KindBool, types.KindStr}[seed%5]
+		val := func() types.Value {
+			switch kind {
+			case types.KindInt:
+				return types.Int(rng.Int63n(100) - 50)
+			case types.KindOID:
+				return types.Oid(types.OID(rng.Int63n(100)))
+			case types.KindFloat:
+				if rng.Intn(30) == 0 {
+					return types.Float(math.NaN())
+				}
+				return types.Float(float64(rng.Int63n(100)) / 4)
+			case types.KindBool:
+				return types.Bool(rng.Intn(2) == 0)
+			}
+			return types.Str(string(rune('a' + rng.Intn(26))))
+		}
+		n := 1 + rng.Intn(40)
+		dst := New(kind, n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(6) == 0 {
+				dst.AppendNull()
+			} else if err := dst.Append(val()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src := New(kind, 0)
+		pos := make([]int, rng.Intn(30))
+		for i := range pos {
+			pos[i] = rng.Intn(n+2) - 2 // some skipped, many duplicates
+			if rng.Intn(4) == 0 {
+				src.AppendNull()
+			} else if err := src.Append(val()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, got := dst.Clone(), dst.Clone()
+		for i, p := range pos {
+			if p >= 0 {
+				if err := want.Replace(p, src.Get(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := got.ReplaceAt(pos, src); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i := 0; i < n; i++ {
+			g, w := got.Get(i), want.Get(i)
+			if g.IsNull() != w.IsNull() || (!g.IsNull() && g.String() != w.String()) {
+				t.Fatalf("seed %d: row %d is %v, Replace gives %v", seed, i, g, w)
+			}
+		}
+		if got.Sorted != want.Sorted || got.SortedDesc != want.SortedDesc || got.Key != want.Key || got.hasMM != want.hasMM {
+			t.Fatalf("seed %d: claims Sorted/SortedDesc/Key/bounds %v %v %v %v, Replace gives %v %v %v %v", seed,
+				got.Sorted, got.SortedDesc, got.Key, got.hasMM, want.Sorted, want.SortedDesc, want.Key, want.hasMM)
+		}
+		if got.hasMM && (got.minI != want.minI || got.maxI != want.maxI || got.minF != want.minF || got.maxF != want.maxF) {
+			t.Fatalf("seed %d: bounds differ from Replace's", seed)
+		}
+	}
+}
+
+// TestReplaceAtRefusesBeforeWriting: a position past the end or a source
+// of another kind fails the scatter with the target untouched.
+func TestReplaceAtRefusesBeforeWriting(t *testing.T) {
+	b := FromInts([]int64{1, 2, 3})
+	if err := b.ReplaceAt([]int{0, 3}, FromInts([]int64{9, 9})); err == nil {
+		t.Fatal("position 3 of 3 rows accepted")
+	}
+	if err := b.ReplaceAt([]int{0}, FromStrings([]string{"x"})); err == nil {
+		t.Fatal("string source accepted into an int column")
+	}
+	if got := []int64{b.Get(0).Int64(), b.Get(1).Int64(), b.Get(2).Int64()}; got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("refused scatter wrote: %v", got)
 	}
 }
 

@@ -53,7 +53,26 @@ func TestQueryContextBackgroundUnaffected(t *testing.T) {
 // runtime, and absolutely under 50ms even on a loaded CI machine.
 func TestCancelMidJoin(t *testing.T) {
 	db := bigJoinDB(t, 1_000_000)
+	cancelMidJoin(t, db, bigJoinQuery)
+}
 
+// TestCancelInsertSelect: the query side of an INSERT ... SELECT runs
+// under the statement's context too, so cancelling it mid-join returns
+// within the same bound and writes nothing.
+func TestCancelInsertSelect(t *testing.T) {
+	db := bigJoinDB(t, 1_000_000)
+	db.MustQuery(`CREATE TABLE t (n INT)`)
+	cancelMidJoin(t, db, `INSERT INTO t SELECT COUNT(*) FROM l JOIN r ON l.a = r.a`)
+	if got := db.MustQuery(`SELECT COUNT(*) FROM t`).Value(0, 0).String(); got != "0" {
+		t.Fatalf("cancelled INSERT left %s rows in its target", got)
+	}
+}
+
+// cancelMidJoin runs stmt, whose work is the bigJoinQuery join, cancels
+// it a quarter of the way into the join's uncancelled runtime, and
+// requires context.Canceled back within 50ms.
+func cancelMidJoin(t *testing.T, db *DB, stmt string) {
+	t.Helper()
 	// Baseline: the uncancelled join takes long enough that an instant
 	// return below proves cancellation (not completion).
 	t0 := time.Now()
@@ -67,7 +86,7 @@ func TestCancelMidJoin(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		_, err := db.QueryContext(ctx, bigJoinQuery)
+		_, err := db.QueryContext(ctx, stmt)
 		errc <- err
 	}()
 	<-started

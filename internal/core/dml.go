@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/bat"
 	"repro/internal/catalog"
+	"repro/internal/gdk"
 	"repro/internal/mal"
 	"repro/internal/rel"
 	"repro/internal/shape"
@@ -35,36 +38,29 @@ func insertSource(cat *catalog.Catalog, s *ast.Insert, wantCols int) ([][]types.
 	return rows, nil
 }
 
-// runSelectRaw executes the query side of an INSERT without array coercion
-// (positions matter, not the coerced shape).
-func (db *DB) runSelectRaw(sel *ast.Select) (*Result, error) {
+// runSelectRaw executes the query side of an INSERT under the statement's
+// context, without array coercion (positions matter, not the coerced
+// shape).
+func (db *DB) runSelectRaw(ctx context.Context, sel *ast.Select) (*Result, error) {
 	prog, err := compileSelect(db.cat, sel)
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := mal.Run(prog)
+	mctx, err := mal.RunCtx(ctx, prog)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Names: prog.ResultNames, Kinds: prog.ResultKinds, Dims: prog.ResultDims}
-	for _, v := range prog.ResultVars {
-		b, ok := ctx.Vars[v].(*bat.BAT)
-		if !ok {
-			return nil, fmt.Errorf("result variable is not a column")
-		}
-		res.Cols = append(res.Cols, b)
-	}
-	return res, nil
+	return rawResult(prog, mctx)
 }
 
 // insert implements INSERT INTO for both tables (append) and arrays
 // (overwrite cells at the given positions, §2).
-func (db *DB) insert(s *ast.Insert) (*Result, error) {
+func (db *DB) insert(ctx context.Context, s *ast.Insert) (*Result, error) {
 	if t, ok := db.cat.Table(s.Table); ok {
-		return db.insertTable(s, t)
+		return db.insertTable(ctx, s, t)
 	}
 	if a, ok := db.cat.Array(s.Table); ok {
-		return db.insertArray(s, a)
+		return db.insertArray(ctx, s, a)
 	}
 	return nil, fmt.Errorf("at %s: no such table or array: %q", s.Pos, s.Table)
 }
@@ -156,7 +152,7 @@ func (db *DB) applyTableInsert(t *catalog.Table, full [][]types.Value) (*Result,
 	return &Result{Affected: len(full), Text: fmt.Sprintf("%d rows inserted", len(full))}, nil
 }
 
-func (db *DB) insertTable(s *ast.Insert, t *catalog.Table) (*Result, error) {
+func (db *DB) insertTable(ctx context.Context, s *ast.Insert, t *catalog.Table) (*Result, error) {
 	if s.Query == nil {
 		full, err := stageTableInsert(db.cat, t, s)
 		if err != nil {
@@ -168,7 +164,7 @@ func (db *DB) insertTable(s *ast.Insert, t *catalog.Table) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, qerr := db.runSelectRaw(s.Query)
+	res, qerr := db.runSelectRaw(ctx, s.Query)
 	if qerr != nil {
 		return nil, qerr
 	}
@@ -186,28 +182,33 @@ func (db *DB) insertTable(s *ast.Insert, t *catalog.Table) (*Result, error) {
 	return db.applyTableInsert(t, full)
 }
 
-func (db *DB) insertArray(s *ast.Insert, a *catalog.Array) (*Result, error) {
-	// Column mapping: dims and attrs in declaration order unless listed.
-	type target struct {
-		isDim bool
-		idx   int
-	}
-	var targets []target
+// arrayTarget is one source column of an array INSERT: a dimension or an
+// attribute of the target array, by ordinal.
+type arrayTarget struct {
+	isDim bool
+	idx   int
+}
+
+// arrayTargets resolves the source columns of an array INSERT: dimensions
+// then attributes in declaration order unless listed; every dimension
+// must be provided.
+func arrayTargets(a *catalog.Array, s *ast.Insert) ([]arrayTarget, error) {
+	var targets []arrayTarget
 	if len(s.Columns) == 0 {
 		for k := range a.Shape {
-			targets = append(targets, target{true, k})
+			targets = append(targets, arrayTarget{true, k})
 		}
 		for i := range a.Attrs {
-			targets = append(targets, target{false, i})
+			targets = append(targets, arrayTarget{false, i})
 		}
 	} else {
 		for _, name := range s.Columns {
 			if k, ok := a.DimIndex(name); ok {
-				targets = append(targets, target{true, k})
+				targets = append(targets, arrayTarget{true, k})
 				continue
 			}
 			if i, ok := a.AttrIndex(name); ok {
-				targets = append(targets, target{false, i})
+				targets = append(targets, arrayTarget{false, i})
 				continue
 			}
 			return nil, fmt.Errorf("at %s: array %q has no column %q", s.Pos, a.Name, name)
@@ -224,144 +225,249 @@ func (db *DB) insertArray(s *ast.Insert, a *catalog.Array) (*Result, error) {
 			return nil, fmt.Errorf("at %s: INSERT into array %q must provide dimension %q", s.Pos, a.Name, a.Shape[k].Name)
 		}
 	}
-	var rows [][]types.Value
+	return targets, nil
+}
+
+// valuesColumns casts the literal rows of an array INSERT ... VALUES once
+// into one typed column per target: dimensions to integer coordinates
+// (Value.AsInt, NULLs kept for the coordinate check to refuse),
+// attributes to the attribute kind.
+func valuesColumns(a *catalog.Array, targets []arrayTarget, rows [][]types.Value) ([]*bat.BAT, error) {
+	cols := make([]*bat.BAT, len(targets))
+	for ti, tg := range targets {
+		kind := types.KindInt
+		if !tg.isDim {
+			kind = a.Attrs[tg.idx].Type.Kind
+		}
+		col := bat.New(kind, len(rows))
+		for _, row := range rows {
+			v := row[ti]
+			switch {
+			case v.IsNull():
+			case tg.isDim:
+				iv, err := v.AsInt()
+				if err != nil {
+					return nil, fmt.Errorf("dimension %q: %v", a.Shape[tg.idx].Name, err)
+				}
+				v = types.Int(iv)
+			default:
+				cv, err := v.Cast(kind)
+				if err != nil {
+					return nil, fmt.Errorf("attribute %q: %v", a.Attrs[tg.idx].Name, err)
+				}
+				v = cv
+			}
+			if err := col.Append(v); err != nil {
+				return nil, err
+			}
+		}
+		cols[ti] = col
+	}
+	return cols, nil
+}
+
+// arrayWrite is the columnar effect of an array INSERT: the (possibly
+// grown) shape, the target cell of every source row, and per written
+// attribute one column cast to its kind, aligned with pos.
+type arrayWrite struct {
+	shape shape.Shape
+	pos   []int
+	attrs []int
+	vals  []*bat.BAT
+}
+
+// stageArrayInsert validates an array INSERT's source columns and turns
+// them into its write set without touching the array: coordinates
+// (NULL or non-integer fails), growth of unbounded dimensions (off-grid
+// fails), cell positions in the grown shape (outside fails), attribute
+// casts (a failed cast fails), in that order.
+func stageArrayInsert(a *catalog.Array, targets []arrayTarget, cols []*bat.BAT) (*arrayWrite, error) {
+	coords := make([][]int64, len(a.Shape))
+	for ti, tg := range targets {
+		if tg.isDim {
+			c, err := coordInts(cols[ti], a.Shape[tg.idx].Name)
+			if err != nil {
+				return nil, err
+			}
+			coords[tg.idx] = c
+		}
+	}
+	sh, err := grownShape(a, coords)
+	if err != nil {
+		return nil, err
+	}
+	w := &arrayWrite{shape: sh}
+	var outside int
+	if w.pos, outside = gdk.CellPos(sh, coords); outside > 0 {
+		i := slices.Index(w.pos, -1)
+		cell := make([]int64, len(coords))
+		for k := range coords {
+			cell[k] = coords[k][i]
+		}
+		return nil, fmt.Errorf("cell %v is outside the dimension ranges of array %q", cell, a.Name)
+	}
+	for ti, tg := range targets {
+		if tg.isDim {
+			continue
+		}
+		col := cols[ti]
+		if kind := a.Attrs[tg.idx].Type.Kind; col.ValueKind() != kind {
+			if col, err = gdk.CastBAT(gdk.B(col), kind, nil); err != nil {
+				return nil, fmt.Errorf("attribute %q: %v", a.Attrs[tg.idx].Name, err)
+			}
+		}
+		w.attrs = append(w.attrs, tg.idx)
+		w.vals = append(w.vals, col)
+	}
+	return w, nil
+}
+
+// coordInts reads one source column of an array INSERT as integer
+// coordinates, with Value.AsInt semantics: integers as they are, floats
+// truncated toward zero; a NULL or a value with no integer reading fails.
+func coordInts(col *bat.BAT, dim string) ([]int64, error) {
+	nullErr := func() error { return fmt.Errorf("NULL value for dimension %q", dim) }
+	switch col.Kind() {
+	case types.KindInt, types.KindOID, types.KindVoid:
+		if col.HasNulls() {
+			return nil, nullErr()
+		}
+		return col.Materialize().DecodedInts(), nil
+	case types.KindFloat:
+		fs := col.DecodedFloats()
+		out := make([]int64, len(fs))
+		for i, f := range fs {
+			if col.IsNull(i) {
+				return nil, nullErr()
+			}
+			v, err := types.Float(f).AsInt()
+			if err != nil {
+				return nil, fmt.Errorf("dimension %q: %v", dim, err)
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+	// No bool or string value reads as an integer, so the first row decides.
+	if col.Len() == 0 {
+		return nil, nil
+	}
+	if col.IsNull(0) {
+		return nil, nullErr()
+	}
+	_, err := col.Get(0).AsInt()
+	return nil, fmt.Errorf("dimension %q: %v", dim, err)
+}
+
+// insertArray overwrites the cells an INSERT's rows address (§2): its
+// source — the query's result columns, or the literal rows cast once into
+// columns — becomes a columnar write set, validated whole before the
+// array changes.
+func (db *DB) insertArray(ctx context.Context, s *ast.Insert, a *catalog.Array) (*Result, error) {
+	targets, err := arrayTargets(a, s)
+	if err != nil {
+		return nil, err
+	}
+	var cols []*bat.BAT
 	if s.Query != nil {
-		res, err := db.runSelectRaw(s.Query)
+		res, err := db.runSelectRaw(ctx, s.Query)
 		if err != nil {
 			return nil, err
 		}
 		if res.NumCols() != len(targets) {
 			return nil, fmt.Errorf("INSERT expects %d columns, query produces %d", len(targets), res.NumCols())
 		}
-		rows = make([][]types.Value, res.NumRows())
-		for i := range rows {
-			rows[i] = res.Row(i)
-		}
+		cols = res.Cols
 	} else {
-		var err error
-		rows, err = insertSource(db.cat, s, len(targets))
+		rows, err := insertSource(db.cat, s, len(targets))
 		if err != nil {
 			return nil, err
 		}
-	}
-	// First pass: collect coordinates.
-	coordsPerRow := make([][]int64, len(rows))
-	for ri, row := range rows {
-		coords := make([]int64, len(a.Shape))
-		for ti, tg := range targets {
-			if !tg.isDim {
-				continue
-			}
-			v := row[ti]
-			if v.IsNull() {
-				return nil, fmt.Errorf("NULL value for dimension %q", a.Shape[tg.idx].Name)
-			}
-			iv, err := v.AsInt()
-			if err != nil {
-				return nil, fmt.Errorf("dimension %q: %v", a.Shape[tg.idx].Name, err)
-			}
-			coords[tg.idx] = iv
-		}
-		coordsPerRow[ri] = coords
-	}
-	// Second pass, still without mutating: grow unbounded dimensions on
-	// paper, then resolve positions and cast values against the grown
-	// shape, so a bad cell fails the statement before the array is
-	// reshaped or any cell overwritten.
-	newShape, err := grownShape(a, coordsPerRow)
-	if err != nil {
-		return nil, err
-	}
-	var attrIdx []int
-	for _, tg := range targets {
-		if !tg.isDim {
-			attrIdx = append(attrIdx, tg.idx)
-		}
-	}
-	var (
-		idxs []int
-		flat []types.Value // row-major, len(attrIdx) values per cell
-	)
-	for ri, row := range rows {
-		p, ok := newShape.Pos(coordsPerRow[ri])
-		if !ok {
-			return nil, fmt.Errorf("cell %v is outside the dimension ranges of array %q", coordsPerRow[ri], a.Name)
-		}
-		for ti, tg := range targets {
-			if tg.isDim {
-				continue
-			}
-			v, err := row[ti].Cast(a.Attrs[tg.idx].Type.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("attribute %q: %v", a.Attrs[tg.idx].Name, err)
-			}
-			flat = append(flat, v)
-		}
-		idxs = append(idxs, p)
-	}
-
-	// Third pass: reshape, then overwrite cells. Cell overwrites are
-	// in-place, so any attribute column shared with a published snapshot
-	// is cloned first (copy-on-write); concurrent readers keep their
-	// frozen version.
-	db.noteModifyArray(a)
-	grew := !shapesEqual(a.Shape, newShape)
-	if grew {
-		if err := reshapeArrayTo(a, newShape); err != nil {
+		if cols, err = valuesColumns(a, targets, rows); err != nil {
 			return nil, err
 		}
 	}
-	for _, ai := range attrIdx {
-		a.AttrBats[ai] = a.AttrBats[ai].Writable()
+	w, err := stageArrayInsert(a, targets, cols)
+	if err != nil {
+		return nil, err
 	}
-	for j, idx := range idxs {
-		for k, ai := range attrIdx {
-			if err := a.AttrBats[ai].Replace(idx, flat[j*len(attrIdx)+k]); err != nil {
-				return nil, err
+	return db.applyArrayWrite(a, w)
+}
+
+// applyArrayWrite reshapes the array to the write set's shape, then
+// scatters each attribute column into its cells and logs the effect.
+// Cell overwrites are in-place, so any attribute column shared with a
+// published snapshot is cloned first (copy-on-write); concurrent readers
+// keep their frozen version.
+func (db *DB) applyArrayWrite(a *catalog.Array, w *arrayWrite) (*Result, error) {
+	db.noteModifyArray(a)
+	grew := !shapesEqual(a.Shape, w.shape)
+	if grew {
+		if err := reshapeArrayTo(a, w.shape); err != nil {
+			return nil, err
+		}
+	}
+	// A source column may be one of the target columns itself (INSERT INTO
+	// a SELECT ... FROM a): scatter from a copy, so every row is read as
+	// it was before the statement wrote anything.
+	for k, src := range w.vals {
+		for _, ai := range w.attrs {
+			if src == a.AttrBats[ai] {
+				w.vals[k] = src.Clone()
+				break
 			}
 		}
 	}
-	if db.durable() && (grew || len(idxs) > 0) {
-		db.logRecord(encArrayCells(recArrayCells, a.Name, a.Shape, attrIdx, idxs, flat))
+	for k, ai := range w.attrs {
+		a.AttrBats[ai] = a.AttrBats[ai].Writable()
+		if err := a.AttrBats[ai].ReplaceAt(w.pos, w.vals[k]); err != nil {
+			return nil, err
+		}
 	}
-	return &Result{Affected: len(idxs), Text: fmt.Sprintf("%d cells updated", len(idxs))}, nil
+	if db.durable() && (grew || len(w.pos) > 0) {
+		db.logRecord(encArrayCells(recArrayCells, a.Name, a.Shape, w.attrs, w.pos,
+			func(cell, k int) types.Value { return w.vals[k].Get(cell) }))
+	}
+	return &Result{Affected: len(w.pos), Text: fmt.Sprintf("%d cells updated", len(w.pos))}, nil
 }
 
 // grownShape returns the shape of a after expanding its unbounded
-// dimensions to cover the inserted coordinates (a.Shape itself when
-// nothing grows). Pure: the caller reshapes once the statement is known
-// to succeed, filling fresh cells with attribute defaults.
+// dimensions to cover the inserted coordinates, one column per dimension
+// (a.Shape itself when nothing grows). Pure: the caller reshapes once the
+// statement is known to succeed, filling fresh cells with attribute
+// defaults.
 func grownShape(a *catalog.Array, coords [][]int64) (shape.Shape, error) {
 	newShape := append(shape.Shape{}, a.Shape...)
 	for k := range a.Shape {
-		if !a.Unbounded[k] {
+		c := coords[k]
+		if !a.Unbounded[k] || len(c) == 0 {
 			continue
 		}
 		d := &newShape[k]
-		for _, c := range coords {
-			v := c[k]
-			if d.N() == 0 {
-				d.Start, d.Stop = v, v+d.Step
-				continue
-			}
+		if d.N() == 0 {
+			d.Start, d.Stop = c[0], c[0]+d.Step
+		}
+		lo, hi := c[0], c[0]
+		for _, v := range c {
 			// Keep the grid: the coordinate must be reachable by the step.
 			if ((v-d.Start)%d.Step+d.Step)%d.Step != 0 {
 				return nil, fmt.Errorf("coordinate %d is off the step grid of dimension %q", v, d.Name)
 			}
-			if d.Step > 0 {
-				if v < d.Start {
-					d.Start = v
-				}
-				if v >= d.Stop {
-					d.Stop = v + d.Step
-				}
-			} else {
-				if v > d.Start {
-					d.Start = v
-				}
-				if v <= d.Stop {
-					d.Stop = v + d.Step
-				}
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		if d.Step > 0 {
+			if lo < d.Start {
+				d.Start = lo
+			}
+			if hi >= d.Stop {
+				d.Stop = hi + d.Step
+			}
+		} else {
+			if hi > d.Start {
+				d.Start = hi
+			}
+			if lo <= d.Stop {
+				d.Stop = lo + d.Step
 			}
 		}
 	}
@@ -603,7 +709,8 @@ func (db *DB) applyArrayUpdatePlan(a *catalog.Array, p *arrayUpdatePlan) (*Resul
 		}
 	}
 	if db.durable() && len(p.idxs) > 0 {
-		db.logRecord(encArrayCells(recArrayUpdate, a.Name, nil, p.attrs, p.idxs, p.flat))
+		db.logRecord(encArrayCells(recArrayUpdate, a.Name, nil, p.attrs, p.idxs,
+			func(cell, k int) types.Value { return p.flat[cell*len(p.attrs)+k] }))
 	}
 	return &Result{Affected: len(p.idxs), Text: fmt.Sprintf("%d cells updated", len(p.idxs))}, nil
 }

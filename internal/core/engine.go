@@ -524,7 +524,18 @@ func (db *DB) execRead(ctx context.Context, cat *catalog.Catalog, stmt ast.State
 func (db *DB) execLocked(ctx context.Context, s *Session, stmt ast.Statement) (*Result, error) {
 	switch st := stmt.(type) {
 	case *ast.Select:
-		return db.runSelect(ctx, db.cat, st)
+		// A read inside the session's own transaction runs against the
+		// live catalog and may hand back the catalog's own columns:
+		// freeze them, so the transaction's later writes copy them
+		// instead of changing this result under its holder.
+		r, err := db.runSelect(ctx, db.cat, st)
+		if err != nil {
+			return nil, err
+		}
+		for i, c := range r.Cols {
+			r.Cols[i] = c.Freeze()
+		}
+		return r, nil
 	case *ast.CreateTable:
 		db.pcache.purge() // DDL invalidates cached statements
 		return db.createTable(st)
@@ -538,7 +549,7 @@ func (db *DB) execLocked(ctx context.Context, s *Session, stmt ast.Statement) (*
 		db.pcache.purge()
 		return db.alterDimension(st)
 	case *ast.Insert:
-		return db.insert(st)
+		return db.insert(ctx, st)
 	case *ast.Update:
 		return db.update(st)
 	case *ast.Delete:

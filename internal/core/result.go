@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bat"
@@ -62,6 +63,16 @@ func (r *Result) Row(i int) []types.Value {
 // assembleResult converts an executed MAL program into a Result, applying
 // SciQL table→array coercion when the projection has dimensional items.
 func assembleResult(prog *mal.Program, ctx *mal.Ctx) (*Result, error) {
+	res, err := rawResult(prog, ctx)
+	if err != nil || !slices.Contains(res.Dims, true) {
+		return res, err
+	}
+	return coerceToArray(res, prog.ShapeHint)
+}
+
+// rawResult collects an executed program's result columns as they are,
+// before any array coercion.
+func rawResult(prog *mal.Program, ctx *mal.Ctx) (*Result, error) {
 	res := &Result{
 		Names: prog.ResultNames,
 		Kinds: prog.ResultKinds,
@@ -74,23 +85,20 @@ func assembleResult(prog *mal.Program, ctx *mal.Ctx) (*Result, error) {
 		}
 		res.Cols = append(res.Cols, b)
 	}
-	hasDims := false
-	for _, d := range res.Dims {
-		if d {
-			hasDims = true
-		}
-	}
-	if !hasDims {
-		return res, nil
-	}
-	return coerceToArray(res, prog.ShapeHint)
+	return res, nil
 }
 
 // coerceToArray builds an array result: dimension bounds come from the
 // preserved shape hint when available, otherwise they are derived from the
 // dimension columns (§2: "an unbounded array with actual size derived from
 // the dimension column expressions"). Cells not present in the rows stay
-// NULL; duplicate positions keep the last row.
+// NULL; duplicate positions keep the last row; rows outside the hinted
+// shape, a NULL coordinate included, are dropped.
+//
+// When the rows already are the cells in order (every Scenario 2 raster
+// query and the Life step over a whole array) the columns are the result
+// as they stand; otherwise each attribute is scattered once into a column
+// of holes.
 func coerceToArray(r *Result, hint shape.Shape) (*Result, error) {
 	var dimIdx, attrIdx []int
 	for i, d := range r.Dims {
@@ -100,104 +108,111 @@ func coerceToArray(r *Result, hint shape.Shape) (*Result, error) {
 			attrIdx = append(attrIdx, i)
 		}
 	}
-	n := r.NumRows()
-	// Derive the shape.
-	var sh shape.Shape
-	if hint != nil && len(hint) == len(dimIdx) {
-		sh = hint
-	} else {
+	hinted := hint != nil && len(hint) == len(dimIdx)
+	sh := hint
+	if !hinted {
 		sh = make(shape.Shape, len(dimIdx))
-		for k, ci := range dimIdx {
-			col := r.Cols[ci]
-			if col.ValueKind() != types.KindInt && col.ValueKind() != types.KindOID {
-				return nil, fmt.Errorf("dimension column %q must be integer, got %s", r.Names[ci], col.ValueKind())
+	}
+	coords := make([][]int64, len(dimIdx))
+	nulls := false
+	for k, ci := range dimIdx {
+		col := r.Cols[ci]
+		switch col.Kind() {
+		case types.KindInt, types.KindOID, types.KindVoid:
+		default:
+			return nil, fmt.Errorf("dimension column %q must be integer, got %s", r.Names[ci], col.ValueKind())
+		}
+		if col.HasNulls() {
+			if !hinted {
+				return nil, fmt.Errorf("NULL value in dimension column %q", r.Names[ci])
 			}
-			var lo, hi int64
-			seen := false
-			for i := 0; i < n; i++ {
-				if col.IsNull(i) {
-					return nil, fmt.Errorf("NULL value in dimension column %q", r.Names[ci])
+			nulls = true
+		}
+		coords[k] = col.Materialize().DecodedInts()
+		if !hinted {
+			sh[k] = spanDim(r.Names[ci], coords[k])
+		}
+	}
+	identity := !nulls && gdk.CellsInOrder(sh, coords)
+	var pos []int
+	if !identity {
+		pos, _ = gdk.CellPos(sh, coords)
+		for _, ci := range dimIdx {
+			for i := 0; nulls && i < len(pos); i++ {
+				if r.Cols[ci].IsNull(i) {
+					pos[i] = -1
 				}
-				v := col.Get(i).Int64()
-				if !seen {
-					lo, hi, seen = v, v, true
-				} else {
-					if v < lo {
-						lo = v
-					}
-					if v > hi {
-						hi = v
-					}
-				}
 			}
-			if !seen {
-				lo, hi = 0, -1 // empty array
-			}
-			step := inferStep(col, lo)
-			sh[k] = shape.Dim{Name: r.Names[ci], Start: lo, Step: step, Stop: hi + step}
 		}
 	}
 
 	out := &Result{IsArray: true, Shape: sh}
-	cells := sh.Cells()
-	// Dimension columns in series layout.
-	dims, err := gdk.DimBATs(sh)
-	if err != nil {
-		return nil, err
+	// Dimension columns in series layout; rows that are the cells in order
+	// carry the series already (an empty result included).
+	var series []*bat.BAT
+	if !identity {
+		var err error
+		if series, err = gdk.DimBATs(sh); err != nil {
+			return nil, err
+		}
 	}
 	for k, ci := range dimIdx {
+		col := r.Cols[ci]
+		switch {
+		case !identity:
+			col = series[k]
+		case col.Kind() != types.KindInt:
+			col = bat.FromInts(coords[k])
+		}
 		out.Names = append(out.Names, r.Names[ci])
 		out.Kinds = append(out.Kinds, types.KindInt)
 		out.Dims = append(out.Dims, true)
-		out.Cols = append(out.Cols, dims[k])
+		out.Cols = append(out.Cols, col)
 	}
-	// Attribute columns: scatter rows into cells.
-	coords := make([]int64, len(dimIdx))
 	for _, ci := range attrIdx {
-		col := r.Cols[ci]
-		cell, err := bat.Filler(cells, types.NullUnknown(), col.ValueKind())
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			for k, di := range dimIdx {
-				coords[k] = r.Cols[di].Get(i).Int64()
+		cell := r.Cols[ci].Materialize()
+		if !identity {
+			var err error
+			if cell, err = bat.Filler(sh.Cells(), types.NullUnknown(), r.Cols[ci].ValueKind()); err != nil {
+				return nil, err
 			}
-			p, ok := sh.Pos(coords)
-			if !ok {
-				// Rows outside the hinted shape are dropped (they fall outside
-				// the array's dimension ranges).
-				continue
-			}
-			if col.IsNull(i) {
-				cell.SetNull(p, true)
-			} else if err := cell.Replace(p, col.Get(i)); err != nil {
+			if err := cell.ReplaceAt(pos, r.Cols[ci]); err != nil {
 				return nil, err
 			}
 		}
 		out.Names = append(out.Names, r.Names[ci])
-		out.Kinds = append(out.Kinds, col.ValueKind())
+		out.Kinds = append(out.Kinds, cell.ValueKind())
 		out.Dims = append(out.Dims, false)
 		out.Cols = append(out.Cols, cell)
 	}
 	return out, nil
 }
 
-// inferStep derives a dimension step from the column values: the GCD of
-// all offsets from the minimum (1 when indeterminate).
-func inferStep(col *bat.BAT, lo int64) int64 {
-	g := int64(0)
-	for i := 0; i < col.Len(); i++ {
-		d := col.Get(i).Int64() - lo
+// spanDim derives an unhinted result dimension from its coordinates in
+// one pass: the range [lo, hi] on the step grid their offsets share (the
+// GCD of the offsets from any one of them equals the GCD of the offsets
+// from the minimum; 1 when indeterminate). No coordinates span the empty
+// range [0:1:0].
+func spanDim(name string, c []int64) shape.Dim {
+	if len(c) == 0 {
+		return shape.Dim{Name: name, Start: 0, Step: 1, Stop: 0}
+	}
+	lo, hi, g := c[0], c[0], int64(0)
+	for _, v := range c {
+		lo, hi = min(lo, v), max(hi, v)
+		if g == 1 {
+			continue // no step is finer
+		}
+		d := v - c[0]
 		if d < 0 {
 			d = -d
 		}
 		g = gcd(g, d)
 	}
 	if g == 0 {
-		return 1
+		g = 1
 	}
-	return g
+	return shape.Dim{Name: name, Start: lo, Step: g, Stop: hi + g}
 }
 
 func gcd(a, b int64) int64 {

@@ -363,7 +363,11 @@ func encPositions(op byte, name string, idxs []int) []byte {
 	return e.b
 }
 
-func encArrayCells(op byte, name string, sh shape.Shape, attrs []int, idxs []int, flat []types.Value) []byte {
+// encArrayCells encodes array cell overwrites: per cell its position,
+// then val(cell, k) for each written attribute k, the values already cast
+// to the attribute kinds. UPDATE hands in its flat buffer, INSERT its
+// typed columns.
+func encArrayCells(op byte, name string, sh shape.Shape, attrs []int, idxs []int, val func(cell, k int) types.Value) []byte {
 	e := newRecEnc(op)
 	e.str(name)
 	if op == recArrayCells {
@@ -374,11 +378,10 @@ func encArrayCells(op byte, name string, sh shape.Shape, attrs []int, idxs []int
 		e.u64(uint64(a))
 	}
 	e.u64(uint64(len(idxs)))
-	k := len(attrs)
 	for j, idx := range idxs {
 		e.u64(uint64(idx))
-		for _, v := range flat[j*k : (j+1)*k] {
-			e.val(v)
+		for k := range attrs {
+			e.val(val(j, k))
 		}
 	}
 	return e.b

@@ -24,6 +24,75 @@ func DimBATs(sh shape.Shape) ([]*bat.BAT, error) {
 	return out, nil
 }
 
+// CellPos is the inverse of array.series: it maps aligned coordinate
+// columns, one per dimension of sh, to flat row-major cell positions,
+// pos[i] = Σ_k index_k(coords[k][i]) × stride_k. A row with a coordinate
+// off its dimension's range or step grid gets position -1; outside counts
+// those rows.
+func CellPos(sh shape.Shape, coords [][]int64) (pos []int, outside int) {
+	n := 0
+	if len(coords) > 0 {
+		n = len(coords[0])
+	}
+	pos = make([]int, n)
+	strides := sh.Strides()
+	for k, d := range sh {
+		c, cnt, stride := coords[k], int64(d.N()), strides[k]
+		for i, v := range c {
+			if pos[i] < 0 {
+				continue
+			}
+			if cnt == 0 { // an empty dimension (a zero step included) holds no cell
+				pos[i], outside = -1, outside+1
+				continue
+			}
+			off := v - d.Start
+			if d.Step != 1 {
+				if off%d.Step != 0 {
+					pos[i], outside = -1, outside+1
+					continue
+				}
+				off /= d.Step
+			}
+			if off < 0 || off >= cnt {
+				pos[i], outside = -1, outside+1
+				continue
+			}
+			pos[i] += int(off) * stride
+		}
+	}
+	return pos, outside
+}
+
+// CellsInOrder reports whether the coordinate columns are exactly the
+// cells of sh in row-major order — the columns array.series would build —
+// so that CellPos would return 0, 1, ..., sh.Cells()-1. It allocates
+// nothing.
+func CellsInOrder(sh shape.Shape, coords [][]int64) bool {
+	cells := sh.Cells()
+	for k, d := range sh {
+		c := coords[k]
+		if len(c) != cells {
+			return false
+		}
+		n, m := sh.Reps(k)
+		i := 0
+		for g := 0; g < m; g++ {
+			v := d.Start
+			for j := d.N(); j > 0; j-- {
+				for _, x := range c[i : i+n] {
+					if x != v {
+						return false
+					}
+				}
+				i += n
+				v += d.Step
+			}
+		}
+	}
+	return true
+}
+
 // CellFetch implements relative cell addressing (`A[x-1][y]` in SciQL, §4
 // EdgeDetection): given an attribute column laid out in row-major shape
 // order and one coordinate column per dimension, it returns, for each row,
@@ -54,31 +123,28 @@ func CellFetch(attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) (*bat.BAT, erro
 			return nil, fmt.Errorf("gdk: cellfetch coordinate %d must be integer, got %s", k, c.Kind())
 		}
 	}
-	out := bat.New(attr.ValueKind(), n)
-	pos := make([]int64, len(sh))
-	for i := 0; i < n; i++ {
-		null := false
-		for k := range coords {
-			if coords[k].IsNull(i) {
-				null = true
-				break
-			}
-			pos[k] = coordInts[k][i]
+	// Gather through the cell positions; rows addressing no cell get a
+	// NULL index, which the projection turns into a NULL value.
+	pos, _ := CellPos(sh, coordInts)
+	idx := make([]int64, n)
+	var holes *bat.Bitmap
+	for i, p := range pos {
+		null := p < 0
+		for k := 0; !null && k < len(coords); k++ {
+			null = coords[k].IsNull(i)
 		}
 		if null {
-			out.AppendNull()
+			if holes == nil {
+				holes = bat.NewBitmap(n)
+			}
+			holes.Set(i, true)
 			continue
 		}
-		p, ok := sh.Pos(pos)
-		if !ok || attr.IsNull(p) {
-			out.AppendNull()
-			continue
-		}
-		if err := out.Append(attr.Get(p)); err != nil {
-			return nil, err
-		}
+		idx[i] = int64(p)
 	}
-	return out, nil
+	ib := bat.FromOIDs(idx)
+	ib.SetNullMask(holes)
+	return Project(ib, attr)
 }
 
 // TileRange is the relative extent of a tile along one dimension, in

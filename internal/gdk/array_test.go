@@ -303,6 +303,71 @@ func TestDimBATsMatchSeries(t *testing.T) {
 	}
 }
 
+// TestCellPosMatchesShapePos: the columnar position kernel agrees with
+// Shape.Pos row by row on random shapes (negative and non-unit steps, an
+// empty dimension) and coordinates inside, outside and off the grid; the
+// series of a shape are exactly its cells in order.
+func TestCellPosMatchesShapePos(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sh := make(shape.Shape, 1+rng.Intn(3))
+		for k := range sh {
+			step := int64(1 + rng.Intn(3))
+			if rng.Intn(3) == 0 {
+				step = -step
+			}
+			start := int64(rng.Intn(9) - 4)
+			sh[k] = shape.Dim{Name: "d", Start: start, Step: step, Stop: start + step*int64(rng.Intn(5))}
+		}
+		n := rng.Intn(50)
+		coords := make([][]int64, len(sh))
+		for k := range coords {
+			coords[k] = make([]int64, n)
+			for i := range coords[k] {
+				coords[k][i] = int64(rng.Intn(25) - 12)
+			}
+		}
+		pos, outside := CellPos(sh, coords)
+		wantOutside := 0
+		row := make([]int64, len(sh))
+		for i := 0; i < n; i++ {
+			for k := range sh {
+				row[k] = coords[k][i]
+			}
+			want, ok := sh.Pos(row)
+			if !ok {
+				want = -1
+				wantOutside++
+			}
+			if pos[i] != want {
+				t.Fatalf("seed %d: %v in %v at %d, Shape.Pos says %d", seed, row, sh, pos[i], want)
+			}
+		}
+		if outside != wantOutside {
+			t.Fatalf("seed %d: %d rows outside, Shape.Pos says %d", seed, outside, wantOutside)
+		}
+
+		dims, err := DimBATs(sh)
+		if err != nil {
+			continue // an empty dimension beside another has no series
+		}
+		series := make([][]int64, len(sh))
+		for k, d := range dims {
+			series[k] = d.DecodedInts()
+		}
+		if !CellsInOrder(sh, series) {
+			t.Fatalf("seed %d: the series of %v are not its cells in order", seed, sh)
+		}
+		if cells := sh.Cells(); cells > 1 {
+			series[0] = append([]int64(nil), series[0]...)
+			series[0][0], series[0][cells-1] = series[0][cells-1], series[0][0]
+			if series[0][0] != series[0][cells-1] && CellsInOrder(sh, series) {
+				t.Fatalf("seed %d: swapped rows still read as in order", seed)
+			}
+		}
+	}
+}
+
 func TestTileMinMax(t *testing.T) {
 	sh := shape.Shape{{Name: "x", Start: 0, Step: 1, Stop: 4}}
 	v := bat.FromInts([]int64{3, 1, 4, 1})

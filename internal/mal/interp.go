@@ -76,18 +76,6 @@ func (c *Ctx) rowCount(args []Arg) (int, error) {
 	return 0, fmt.Errorf("mal: instruction has no columnar argument to derive a row count")
 }
 
-// Run executes a program and returns the final variable store.
-func Run(p *Program) (*Ctx, error) {
-	ctx := &Ctx{Vars: make([]any, p.NVars)}
-	for i := range p.Instrs {
-		runHook(&p.Instrs[i])
-		if err := ctx.exec(&p.Instrs[i]); err != nil {
-			return nil, fmt.Errorf("%s.%s: %v", p.Instrs[i].Module, p.Instrs[i].Fn, err)
-		}
-	}
-	return ctx, nil
-}
-
 func (c *Ctx) exec(in *Instr) error {
 	switch in.Module + "." + in.Fn {
 	case "sql.tablecand":

@@ -1,6 +1,7 @@
 package mal
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func compileQuery(t *testing.T, cat *catalog.Catalog, q string) *Program {
 func runQuery(t *testing.T, cat *catalog.Catalog, q string) (*Program, *Ctx) {
 	t.Helper()
 	prog := compileQuery(t, cat, q)
-	ctx, err := Run(prog)
+	ctx, err := RunCtx(context.Background(), prog)
 	if err != nil {
 		t.Fatalf("%s: run: %v", q, err)
 	}
@@ -195,7 +196,7 @@ func TestInterpErrors(t *testing.T) {
 	p := &Program{}
 	v := p.Emit("nosuch", "op")
 	_ = v
-	if _, err := Run(p); err == nil {
+	if _, err := RunCtx(context.Background(), p); err == nil {
 		t.Error("unknown instruction must error")
 	}
 }
@@ -207,7 +208,7 @@ func TestSlabInPlan(t *testing.T) {
 	if !strings.Contains(text, "array.slab") {
 		t.Errorf("slab pushdown missing from MAL:\n%s", text)
 	}
-	ctx, err := Run(prog)
+	ctx, err := RunCtx(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

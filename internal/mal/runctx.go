@@ -43,15 +43,18 @@ func runHook(in *Instr) {
 // (a kernel cut short mid-plan returns truncated BATs) is always
 // discarded rather than returned.
 func RunCtx(ctx context.Context, p *Program) (*Ctx, error) {
-	if ctx == nil || ctx.Done() == nil {
-		// Not cancellable (Background/TODO): skip the Job registry.
-		return Run(p)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	job := par.NewJob()
-	par.AttachJob(job)
-	defer par.DetachJob()
-	stop := context.AfterFunc(ctx, job.Cancel)
-	defer stop()
+	// A context that can never be cancelled (Background/TODO) skips the
+	// Job registry.
+	if ctx.Done() != nil {
+		job := par.NewJob()
+		par.AttachJob(job)
+		defer par.DetachJob()
+		stop := context.AfterFunc(ctx, job.Cancel)
+		defer stop()
+	}
 
 	c := &Ctx{Vars: make([]any, p.NVars)}
 	for i := range p.Instrs {
