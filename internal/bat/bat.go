@@ -513,6 +513,29 @@ func (b *BAT) ReplaceAt(pos []int, src *BAT) error {
 	return nil
 }
 
+// SetNullAt is SetNull(p, true) in bulk: every row in pos becomes NULL.
+// Every position is checked before anything changes, and the properties
+// change exactly as under the equivalent SetNull calls.
+func (b *BAT) SetNullAt(pos []int) error {
+	for _, p := range pos {
+		if p < 0 || p >= b.count {
+			return fmt.Errorf("bat: index %d out of range [0,%d)", p, b.count)
+		}
+	}
+	if len(pos) == 0 {
+		return nil
+	}
+	b.Key = false
+	b.dropZonemap()
+	if b.nulls == nil {
+		b.nulls = NewBitmap(b.count)
+	}
+	for _, p := range pos {
+		b.nulls.Set(p, true)
+	}
+	return nil
+}
+
 // scatter is ReplaceAt's typed loop: dst[pos[i]] = src[i], NULL source
 // rows setting the dstNulls bit instead (dstNulls is non-nil whenever
 // srcNulls is). It reports whether any value and any NULL was written.

@@ -2,6 +2,7 @@ package bat
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -262,6 +263,43 @@ func TestBitmap(t *testing.T) {
 	var nilBm *Bitmap
 	if nilBm.Get(3) || nilBm.Any() || nilBm.Count() != 0 || nilBm.Clone() != nil {
 		t.Error("nil bitmap misbehaves")
+	}
+}
+
+// TestAppendNullAmortised: a NULL-carrying append loop grows the mask
+// geometrically, so 10 000 AppendNull calls cost O(log n) allocations,
+// not one reallocation per 64 rows.
+func TestAppendNullAmortised(t *testing.T) {
+	const n = 10000
+	allocs := testing.AllocsPerRun(5, func() {
+		b := New(types.KindInt, 0)
+		for i := 0; i < n; i++ {
+			b.AppendNull()
+		}
+	})
+	if limit := float64(4 * bits.Len(n)); allocs > limit {
+		t.Fatalf("%d AppendNull calls made %.0f allocations, want at most %.0f", n, allocs, limit)
+	}
+}
+
+// TestBitmapRegrowClears: bits a shrinking Resize cut off stay cleared
+// when the bitmap grows back into the same capacity.
+func TestBitmapRegrowClears(t *testing.T) {
+	bm := NewBitmap(0)
+	for i := 0; i < 200; i++ {
+		bm.Append(true)
+	}
+	bm.Resize(10)
+	bm.Resize(200)
+	if got := bm.Count(); got != 10 {
+		t.Fatalf("after shrink to 10 and regrow to 200, %d bits set, want 10", got)
+	}
+	bm.Resize(5)
+	bm.Set(150, false)
+	for i := 5; i < 151; i++ {
+		if bm.Get(i) {
+			t.Fatalf("bit %d reappeared after a shrink and a regrow by Set", i)
+		}
 	}
 }
 

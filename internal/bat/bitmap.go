@@ -49,14 +49,20 @@ func (b *Bitmap) Set(i int, v bool) {
 // Append appends one bit.
 func (b *Bitmap) Append(v bool) { b.Set(b.n, v) }
 
+// grow extends the bitmap to n bits, reallocating only when the words
+// outgrow their capacity (by half again, so appends amortise). Words
+// reused from the spare capacity are zeroed: a shrinking Resize leaves
+// its old bits there.
 func (b *Bitmap) grow(n int) {
 	need := (n + 63) / 64
-	if need > len(b.words) {
-		words := make([]uint64, need+need/2)
+	if need > cap(b.words) {
+		words := make([]uint64, need, need+need/2)
 		copy(words, b.words)
-		b.words = words[:need]
+		b.words = words
 	} else {
+		old := len(b.words)
 		b.words = b.words[:need]
+		clear(b.words[min(old, need):])
 	}
 	b.n = n
 }

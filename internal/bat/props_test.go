@@ -222,6 +222,50 @@ func TestReplaceAtRefusesBeforeWriting(t *testing.T) {
 	}
 }
 
+// TestSetNullAtMatchesSetNull: a bulk hole punch leaves the values, NULL
+// mask and property claims that SetNull row by row leaves, and an
+// out-of-range position fails it with the column untouched.
+func TestSetNullAtMatchesSetNull(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(200)
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(i)
+		}
+		base := FromInts(vals)
+		base.Sorted, base.Key = true, true
+		var pos []int
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				pos = append(pos, i)
+			}
+		}
+		want, got := base.Clone(), base.Clone()
+		for _, p := range pos {
+			want.SetNull(p, true)
+		}
+		if err := got.SetNullAt(pos); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i := 0; i < n; i++ {
+			if got.IsNull(i) != want.IsNull(i) || got.Get(i).String() != want.Get(i).String() {
+				t.Fatalf("seed %d: row %d is %v, SetNull gives %v", seed, i, got.Get(i), want.Get(i))
+			}
+		}
+		if got.Sorted != want.Sorted || got.SortedDesc != want.SortedDesc || got.Key != want.Key || got.hasMM != want.hasMM {
+			t.Fatalf("seed %d: claims differ from SetNull's", seed)
+		}
+	}
+	b := FromInts([]int64{1, 2, 3})
+	if err := b.SetNullAt([]int{0, 3}); err == nil {
+		t.Fatal("position 3 of 3 rows accepted")
+	}
+	if b.HasNulls() {
+		t.Fatal("refused hole punch wrote a NULL")
+	}
+}
+
 // TestPropsIncrementalAppend pins the append maintenance: an ordered load
 // keeps its claims, one out-of-order value drops exactly the right ones.
 func TestPropsIncrementalAppend(t *testing.T) {

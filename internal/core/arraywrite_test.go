@@ -523,7 +523,7 @@ func checkArraySelect(t *testing.T, db *DB, q string) string {
 	sel := mustParseOne(t, q).(*ast.Select)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	prog, err := compileSelect(db.cat, sel)
+	prog, err := compile(db.cat, sel)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}

@@ -108,6 +108,93 @@ func cancelMidJoin(t *testing.T, db *DB, stmt string) {
 	}
 }
 
+// heavyPred is a residual predicate of sixteen whole-column kernels over
+// the integer column c that matches about one row in 133 331.
+func heavyPred(c string) string {
+	return fmt.Sprintf(`(%[1]s * 7 + 3) %% 11 + (%[1]s * 13 + 5) %% 17 + (%[1]s * 19 + 7) %% 23 + (%[1]s * 29 + 11) %% 31 = 0`, c)
+}
+
+// TestCancelUpdate: an UPDATE's selection and SET values run as a MAL
+// program under the statement's context, so cancelling it mid-kernel
+// over a 2^20-cell array returns within the query bound, with the array
+// and the log untouched.
+func TestCancelUpdate(t *testing.T) {
+	forEachBacking(t, func(t *testing.T, db *DB, _ func() *DB) {
+		db.MustQuery(`CREATE ARRAY big (i INT DIMENSION[0:1:1048576], v INT DEFAULT 0)`)
+		interruptWrite(t, db, context.Canceled,
+			`UPDATE big SET v = i WHERE `+heavyPred("i"),
+			`SELECT COUNT(*) FROM big WHERE `+heavyPred("i"),
+			`SELECT COUNT(v), SUM(v) FROM big`)
+	})
+}
+
+// TestDeadlineDelete: a DELETE over a 1M-row table whose deadline expires
+// mid-kernel returns DeadlineExceeded within the bound, with the rows and
+// the log untouched.
+func TestDeadlineDelete(t *testing.T) {
+	forEachBacking(t, func(t *testing.T, db *DB, _ func() *DB) {
+		db.MustQuery(`CREATE ARRAY seq (i INT DIMENSION[0:1:1000000], v INT DEFAULT 0)`)
+		db.MustQuery(`CREATE TABLE t (a INT)`)
+		// Eight INSERTs of 125 000 rows each keep the load's row buffers small.
+		for lo := 0; lo < 1_000_000; lo += 125_000 {
+			db.MustQuery(fmt.Sprintf(`INSERT INTO t SELECT i FROM seq WHERE i >= %d AND i < %d`, lo, lo+125_000))
+		}
+		interruptWrite(t, db, context.DeadlineExceeded,
+			`DELETE FROM t WHERE `+heavyPred("a"),
+			`SELECT COUNT(*) FROM t WHERE `+heavyPred("a"),
+			`SELECT COUNT(*), SUM(a) FROM t`)
+	})
+}
+
+// interruptWrite runs the write stmt, whose work is the query work's,
+// and interrupts it a quarter of the way into the query's uninterrupted
+// runtime: by cancelling (want context.Canceled) or by a deadline (want
+// context.DeadlineExceeded). The error must come back within 50ms, and
+// probe's answer and the WAL size must be what they were.
+func interruptWrite(t *testing.T, db *DB, want error, stmt, work, probe string) {
+	t.Helper()
+	t0 := time.Now()
+	db.MustQuery(work)
+	full := time.Since(t0)
+	before, walBefore := db.MustQuery(probe).String(), db.WALSize()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	if want == context.DeadlineExceeded {
+		ctx, cancel = context.WithTimeout(context.Background(), full/4)
+	}
+	defer cancel()
+	tc := time.Now().Add(full / 4)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := db.QueryContext(ctx, stmt)
+		errc <- err
+	}()
+	if want == context.Canceled {
+		time.Sleep(full / 4)
+		tc = time.Now()
+		cancel()
+	}
+	select {
+	case err := <-errc:
+		lat := time.Since(tc)
+		if !errors.Is(err, want) {
+			t.Fatalf("err = %v, want %v", err, want)
+		}
+		if lat > 50*time.Millisecond {
+			t.Fatalf("interrupt latency %v, want < 50ms (full work: %v)", lat, full)
+		}
+		t.Logf("interrupt latency %v (full work %v)", lat, full)
+	case <-time.After(10 * time.Second):
+		t.Fatal("interrupted write never returned")
+	}
+	if got := db.WALSize(); got != walBefore {
+		t.Fatalf("interrupted write grew the WAL from %d to %d bytes", walBefore, got)
+	}
+	if got := db.MustQuery(probe).String(); got != before {
+		t.Fatalf("interrupted write changed the data:\n%s\nwant:\n%s", got, before)
+	}
+}
+
 func TestDeadlineExceededMidQuery(t *testing.T) {
 	db := bigJoinDB(t, 300_000)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)

@@ -8,6 +8,7 @@ package core
 // equals a serial replay of the winners.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -194,7 +195,7 @@ func TestOptimisticStaleSnapshotDropCreate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	st, err := prepareOptimistic(db.view.Load(), stmt)
+	st, err := prepareOptimistic(context.Background(), db.view.Load(), stmt)
 	if err != nil || st == nil {
 		t.Fatalf("prepare = (%v, %v), want a staged write", st, err)
 	}

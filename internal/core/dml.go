@@ -42,7 +42,7 @@ func insertSource(cat *catalog.Catalog, s *ast.Insert, wantCols int) ([][]types.
 // context, without array coercion (positions matter, not the coerced
 // shape).
 func (db *DB) runSelectRaw(ctx context.Context, sel *ast.Select) (*Result, error) {
-	prog, err := compileSelect(db.cat, sel)
+	prog, err := compile(db.cat, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -425,8 +425,7 @@ func (db *DB) applyArrayWrite(a *catalog.Array, w *arrayWrite) (*Result, error) 
 		}
 	}
 	if db.durable() && (grew || len(w.pos) > 0) {
-		db.logRecord(encArrayCells(recArrayCells, a.Name, a.Shape, w.attrs, w.pos,
-			func(cell, k int) types.Value { return w.vals[k].Get(cell) }))
+		db.logRecord(encArrayCells(recArrayCells, a.Name, a.Shape, w.attrs, w.pos, w.vals))
 	}
 	return &Result{Affected: len(w.pos), Text: fmt.Sprintf("%d cells updated", len(w.pos))}, nil
 }
@@ -474,369 +473,172 @@ func grownShape(a *catalog.Array, coords [][]int64) (shape.Shape, error) {
 	return newShape, nil
 }
 
-// update implements UPDATE for tables and arrays. Dimensions act as bound
-// variables in expressions (§2) but cannot be assigned.
-func (db *DB) update(s *ast.Update) (*Result, error) {
-	if t, ok := db.cat.Table(s.Table); ok {
-		return db.updateTable(s, t)
-	}
-	if a, ok := db.cat.Array(s.Table); ok {
-		return db.updateArray(s, a)
-	}
-	return nil, fmt.Errorf("at %s: no such table or array: %q", s.Pos, s.Table)
+// writePlan is the staged effect of an UPDATE or DELETE: the bound write,
+// the base positions of the rows or cells it writes (the write program's
+// candidate list, ascending), and per SET target its values aligned with
+// pos and cast to the target's kind. Planning reads the catalog without
+// mutating it, so a statement that fails applies nothing, in memory and
+// on disk alike, and the optimistic path can plan against a published
+// snapshot and apply to the live object once validated.
+type writePlan struct {
+	w    *rel.Write
+	pos  *bat.BAT
+	vals []*bat.BAT
 }
 
-func tableScope(t *catalog.Table) *rel.Scope {
-	cols := make([]rel.ColInfo, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = rel.ColInfo{Qual: t.Name, Name: c.Name, Kind: c.Type.Kind}
+// planWrite binds an UPDATE or DELETE against cat and runs its MAL
+// program under ctx: the ordinary scan and selection yield the positions,
+// the SET values evaluate over the selected rows only. A value of another
+// kind than its target is cast here, so a failed cast fails the statement
+// before anything is written.
+func planWrite(ctx context.Context, cat *catalog.Catalog, stmt ast.Statement) (*writePlan, error) {
+	prog, err := compile(cat, stmt)
+	if err != nil {
+		return nil, err
 	}
-	return rel.NewScope(cols)
+	mctx, err := mal.RunCtx(ctx, prog)
+	if err != nil {
+		return nil, err
+	}
+	res, err := rawResult(prog, mctx)
+	if err != nil {
+		return nil, err
+	}
+	w := prog.Write
+	p := &writePlan{w: w, pos: res.Cols[0]}
+	what := "attribute"
+	if w.T != nil {
+		what = "column"
+	}
+	src := rel.BaseCols(w.Child)
+	for k, col := range res.Cols[1:] {
+		switch kind := w.TargetKind(k); {
+		case col.ValueKind() != kind:
+			if col, err = gdk.CastBAT(gdk.B(col), kind, nil); err != nil {
+				return nil, fmt.Errorf("%s %q: %v", what, w.TargetName(k), err)
+			}
+		case slices.Contains(src, col) || slices.Contains(p.vals, col):
+			// A value column that is a stored column (SET a = b) or
+			// another target's value may replace its target outright:
+			// copy it, so no two slots ever share one BAT.
+			col = col.Clone()
+		}
+		p.vals = append(p.vals, col)
+	}
+	return p, nil
 }
 
-func arrayScope(a *catalog.Array) *rel.Scope {
-	cols := make([]rel.ColInfo, 0, len(a.Shape)+len(a.Attrs))
-	for k, d := range a.Shape {
-		cols = append(cols, rel.ColInfo{Qual: a.Name, Name: d.Name, Kind: types.KindInt, IsDim: true, Array: a, DimIdx: k})
+// positions returns a candidate list's positions.
+func positions(cand *bat.BAT) []int {
+	out := make([]int, cand.Len())
+	if cand.Kind() == types.KindVoid {
+		for i := range out {
+			out[i] = int(cand.Seqbase()) + i
+		}
+		return out
 	}
-	for _, c := range a.Attrs {
-		cols = append(cols, rel.ColInfo{Qual: a.Name, Name: c.Name, Kind: c.Type.Kind})
+	for i, p := range cand.DecodedInts() {
+		out[i] = int(p)
 	}
-	sc := rel.NewScope(cols)
-	sc.Arrays[a.Name] = a
-	return sc
-}
-
-// arrayCols returns the aligned physical columns of an array scope:
-// dimension BATs then attribute BATs.
-func arrayCols(a *catalog.Array) []*bat.BAT {
-	out := make([]*bat.BAT, 0, len(a.DimBats)+len(a.AttrBats))
-	out = append(out, a.DimBats...)
-	out = append(out, a.AttrBats...)
 	return out
 }
 
-// tableUpdatePlan is the staged effect of a table UPDATE: the rows to
-// touch, the SET target columns, and the fully cast replacement values
-// (row-major, len(cols) per row). Planning is pure — it reads the table
-// without mutating it — so a statement that fails applies nothing, in
-// memory and on disk alike, and the optimistic path can plan against a
-// frozen snapshot and apply against the live table once validated.
-type tableUpdatePlan struct {
-	cols []int
-	idxs []int
-	flat []types.Value
-}
-
-func planTableUpdate(cat *catalog.Catalog, t *catalog.Table, s *ast.Update) (*tableUpdatePlan, error) {
-	b := rel.NewBinder(cat)
-	sc := tableScope(t)
-	n := t.PhysRows()
-	mask, err := dmlMask(b, sc, t.Bats, n, s.Where)
-	if err != nil {
-		return nil, err
+// overwrite writes each value column of p into its target among cols at
+// p's positions. When the positions are every row in order, the value
+// column becomes the target outright: no copy-on-write clone, no scatter.
+// Otherwise the target is made writable (cloned when a published
+// snapshot shares it) and the values are scattered into it.
+func overwrite(cols []*bat.BAT, p *writePlan, pos []int) error {
+	if len(pos) == 0 {
+		return nil
 	}
-	// Evaluate all SET expressions against the pre-update state.
-	ops, err := bindTableSets(b, sc, t, n, s)
-	if err != nil {
-		return nil, err
-	}
-	// Cast every affected row into a flat buffer, so a cast failure
-	// aborts before any overwrite and the WAL record matches the applied
-	// effect exactly.
-	p := &tableUpdatePlan{cols: make([]int, len(ops))}
-	for k, op := range ops {
-		p.cols[k] = op.col
-	}
-	mt := maskTrue(mask)
-	for i := 0; i < n; i++ {
-		if t.Deleted.Get(i) || !mt(i) {
+	every := p.pos.Kind() == types.KindVoid && p.pos.Seqbase() == 0 && len(pos) == cols[0].Len()
+	for k, s := range p.w.Sets {
+		if every {
+			cols[s.Col] = p.vals[k]
 			continue
 		}
-		for _, op := range ops {
-			cv, err := op.vals.Get(i).Cast(t.Columns[op.col].Type.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %v", t.Columns[op.col].Name, err)
-			}
-			p.flat = append(p.flat, cv)
+		cols[s.Col] = cols[s.Col].Writable()
+		if err := cols[s.Col].ReplaceAt(pos, p.vals[k]); err != nil {
+			return err
 		}
-		p.idxs = append(p.idxs, i)
 	}
-	return p, nil
+	return nil
 }
 
-// tableSetOp is one bound SET clause of a table UPDATE: the target
-// column and its values evaluated against the pre-update state.
-type tableSetOp struct {
-	col  int
-	vals *bat.BAT
-}
-
-func bindTableSets(b *rel.Binder, sc *rel.Scope, t *catalog.Table, n int, s *ast.Update) ([]tableSetOp, error) {
-	ops := make([]tableSetOp, 0, len(s.Sets))
-	for _, as := range s.Sets {
-		ci, ok := t.ColumnIndex(as.Col)
-		if !ok {
-			return nil, fmt.Errorf("at %s: table %q has no column %q", s.Pos, t.Name, as.Col)
-		}
-		e, err := b.BindScalar(sc, as.Expr)
-		if err != nil {
-			return nil, err
-		}
-		vals, err := evalVecBAT(t.Bats, n, e)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, tableSetOp{ci, vals})
+// setCols lists the SET target ordinals of a write.
+func setCols(w *rel.Write) []int {
+	out := make([]int, len(w.Sets))
+	for k, s := range w.Sets {
+		out[k] = s.Col
 	}
-	return ops, nil
+	return out
 }
 
-// applyTableUpdate applies a staged update under the writer lock:
-// copy-on-write the SET target columns (they are overwritten in place,
-// so any column shared with a published snapshot is cloned first),
-// overwrite, log.
-func (db *DB) applyTableUpdatePlan(t *catalog.Table, p *tableUpdatePlan) (*Result, error) {
+// applyTableWritePlan applies a staged UPDATE or DELETE to the live table
+// under the writer lock and logs the effect. A DELETE only sets bits in
+// the deletion mask.
+func (db *DB) applyTableWritePlan(t *catalog.Table, p *writePlan) (*Result, error) {
+	pos := positions(p.pos)
+	if p.w.Delete {
+		db.noteDeleteTable(t)
+		if t.Deleted == nil {
+			t.Deleted = bat.NewBitmap(t.PhysRows())
+		}
+		for _, i := range pos {
+			t.Deleted.Set(i, true)
+		}
+		if db.durable() && len(pos) > 0 {
+			db.logRecord(encPositions(recTableDelete, t.Name, pos))
+		}
+		return &Result{Affected: len(pos), Text: fmt.Sprintf("%d rows deleted", len(pos))}, nil
+	}
 	db.noteModifyTable(t)
-	for _, c := range p.cols {
-		t.Bats[c] = t.Bats[c].Writable()
-	}
-	for j, idx := range p.idxs {
-		for k, c := range p.cols {
-			if err := t.Bats[c].Replace(idx, p.flat[j*len(p.cols)+k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if db.durable() && len(p.idxs) > 0 {
-		db.logRecord(encTableUpdate(t.Name, p.cols, p.idxs, p.flat))
-	}
-	return &Result{Affected: len(p.idxs), Text: fmt.Sprintf("%d rows updated", len(p.idxs))}, nil
-}
-
-func (db *DB) updateTable(s *ast.Update, t *catalog.Table) (*Result, error) {
-	p, err := planTableUpdate(db.cat, t, s)
-	if err != nil {
+	if err := overwrite(t.Bats, p, pos); err != nil {
 		return nil, err
 	}
-	return db.applyTableUpdatePlan(t, p)
+	if db.durable() && len(pos) > 0 {
+		db.logRecord(encTableUpdate(t.Name, setCols(p.w), pos, p.vals))
+	}
+	return &Result{Affected: len(pos), Text: fmt.Sprintf("%d rows updated", len(pos))}, nil
 }
 
-// arrayUpdatePlan is tableUpdatePlan for arrays: the cells to touch, the
-// SET target attributes, and the fully cast replacement values.
-type arrayUpdatePlan struct {
-	attrs []int
-	idxs  []int
-	flat  []types.Value
-}
-
-func planArrayUpdate(cat *catalog.Catalog, a *catalog.Array, s *ast.Update) (*arrayUpdatePlan, error) {
-	b := rel.NewBinder(cat)
-	sc := arrayScope(a)
-	cols := arrayCols(a)
-	n := a.Cells()
-	mask, err := dmlMask(b, sc, cols, n, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	ops, err := bindArraySets(b, sc, a, cols, n, s)
-	if err != nil {
-		return nil, err
-	}
-	// Cast first into a flat buffer (see planTableUpdate).
-	p := &arrayUpdatePlan{attrs: make([]int, len(ops))}
-	for k, op := range ops {
-		p.attrs[k] = op.attr
-	}
-	mt := maskTrue(mask)
-	for i := 0; i < n; i++ {
-		if !mt(i) {
-			continue
-		}
-		for _, op := range ops {
-			cv, err := op.vals.Get(i).Cast(a.Attrs[op.attr].Type.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("attribute %q: %v", a.Attrs[op.attr].Name, err)
-			}
-			p.flat = append(p.flat, cv)
-		}
-		p.idxs = append(p.idxs, i)
-	}
-	return p, nil
-}
-
-// arraySetOp is one bound SET clause of an array UPDATE.
-type arraySetOp struct {
-	attr int
-	vals *bat.BAT
-}
-
-func bindArraySets(b *rel.Binder, sc *rel.Scope, a *catalog.Array, cols []*bat.BAT, n int, s *ast.Update) ([]arraySetOp, error) {
-	ops := make([]arraySetOp, 0, len(s.Sets))
-	for _, as := range s.Sets {
-		if _, isDim := a.DimIndex(as.Col); isDim {
-			return nil, fmt.Errorf("at %s: cannot assign to dimension %q", s.Pos, as.Col)
-		}
-		ai, ok := a.AttrIndex(as.Col)
-		if !ok {
-			return nil, fmt.Errorf("at %s: array %q has no attribute %q", s.Pos, a.Name, as.Col)
-		}
-		e, err := b.BindScalar(sc, as.Expr)
-		if err != nil {
-			return nil, err
-		}
-		vals, err := evalVecBAT(cols, n, e)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, arraySetOp{ai, vals})
-	}
-	return ops, nil
-}
-
-// applyArrayUpdate applies a staged array update under the writer lock:
-// copy-on-write the overwritten attribute columns, overwrite, log.
-func (db *DB) applyArrayUpdatePlan(a *catalog.Array, p *arrayUpdatePlan) (*Result, error) {
+// applyArrayWritePlan applies a staged UPDATE or DELETE to the live array
+// under the writer lock and logs the effect. A DELETE punches NULL holes
+// in every attribute (§2: "the DELETE statement creates holes") in place:
+// Freeze deep-clones null masks, so the flips never reach a published
+// snapshot.
+func (db *DB) applyArrayWritePlan(a *catalog.Array, p *writePlan) (*Result, error) {
+	pos := positions(p.pos)
 	db.noteModifyArray(a)
-	for _, ai := range p.attrs {
-		a.AttrBats[ai] = a.AttrBats[ai].Writable()
-	}
-	for j, idx := range p.idxs {
-		for k, ai := range p.attrs {
-			if err := a.AttrBats[ai].Replace(idx, p.flat[j*len(p.attrs)+k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if db.durable() && len(p.idxs) > 0 {
-		db.logRecord(encArrayCells(recArrayUpdate, a.Name, nil, p.attrs, p.idxs,
-			func(cell, k int) types.Value { return p.flat[cell*len(p.attrs)+k] }))
-	}
-	return &Result{Affected: len(p.idxs), Text: fmt.Sprintf("%d cells updated", len(p.idxs))}, nil
-}
-
-func (db *DB) updateArray(s *ast.Update, a *catalog.Array) (*Result, error) {
-	p, err := planArrayUpdate(db.cat, a, s)
-	if err != nil {
-		return nil, err
-	}
-	return db.applyArrayUpdatePlan(a, p)
-}
-
-// dmlMask evaluates a WHERE clause to a boolean column (nil = all rows).
-func dmlMask(b *rel.Binder, sc *rel.Scope, cols []*bat.BAT, n int, where ast.Expr) (*bat.BAT, error) {
-	if where == nil {
-		return nil, nil
-	}
-	e, err := b.BindScalar(sc, where)
-	if err != nil {
-		return nil, err
-	}
-	if e.Kind() != types.KindBool && e.Kind() != types.KindVoid {
-		return nil, fmt.Errorf("WHERE must be boolean, got %s", e.Kind())
-	}
-	return evalVecBAT(cols, n, e)
-}
-
-// maskTrue compiles the WHERE-mask row test: the mask payload is decoded
-// once, not per row.
-func maskTrue(mask *bat.BAT) func(int) bool {
-	if mask == nil {
-		return func(int) bool { return true }
-	}
-	vals := mask.DecodedBools()
-	if !mask.HasNulls() {
-		return func(i int) bool { return vals[i] }
-	}
-	return func(i int) bool { return !mask.IsNull(i) && vals[i] }
-}
-
-// planTableDelete stages the row positions a table DELETE will mark
-// (pure: already-deleted rows and mask misses are filtered out).
-func planTableDelete(cat *catalog.Catalog, t *catalog.Table, s *ast.Delete) ([]int, error) {
-	b := rel.NewBinder(cat)
-	n := t.PhysRows()
-	mask, err := dmlMask(b, tableScope(t), t.Bats, n, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	var idxs []int
-	mt := maskTrue(mask)
-	for i := 0; i < n; i++ {
-		if t.Deleted.Get(i) || !mt(i) {
-			continue
-		}
-		idxs = append(idxs, i)
-	}
-	return idxs, nil
-}
-
-// applyTableDelete marks the staged rows deleted under the writer lock.
-func (db *DB) applyTableDeletePlan(t *catalog.Table, idxs []int) (*Result, error) {
-	db.noteDeleteTable(t)
-	if t.Deleted == nil {
-		t.Deleted = bat.NewBitmap(t.PhysRows())
-	}
-	for _, i := range idxs {
-		t.Deleted.Set(i, true)
-	}
-	if db.durable() && len(idxs) > 0 {
-		db.logRecord(encPositions(recTableDelete, t.Name, idxs))
-	}
-	return &Result{Affected: len(idxs), Text: fmt.Sprintf("%d rows deleted", len(idxs))}, nil
-}
-
-// planArrayDelete stages the cell positions an array DELETE will null.
-func planArrayDelete(cat *catalog.Catalog, a *catalog.Array, s *ast.Delete) ([]int, error) {
-	b := rel.NewBinder(cat)
-	n := a.Cells()
-	mask, err := dmlMask(b, arrayScope(a), arrayCols(a), n, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	var idxs []int
-	mt := maskTrue(mask)
-	for i := 0; i < n; i++ {
-		if !mt(i) {
-			continue
-		}
-		idxs = append(idxs, i)
-	}
-	return idxs, nil
-}
-
-// applyArrayDelete punches NULL holes at the staged cells under the
-// writer lock. No copy-on-write is needed: Freeze deep-clones null
-// masks, so in-place null flips never reach a published snapshot.
-func (db *DB) applyArrayDeletePlan(a *catalog.Array, idxs []int) (*Result, error) {
-	db.noteModifyArray(a)
-	for _, i := range idxs {
+	if p.w.Delete {
 		for _, ab := range a.AttrBats {
-			ab.SetNull(i, true)
+			if err := ab.SetNullAt(pos); err != nil {
+				return nil, err
+			}
 		}
+		if db.durable() && len(pos) > 0 {
+			db.logRecord(encPositions(recArrayDelete, a.Name, pos))
+		}
+		return &Result{Affected: len(pos), Text: fmt.Sprintf("%d cells deleted", len(pos))}, nil
 	}
-	if db.durable() && len(idxs) > 0 {
-		db.logRecord(encPositions(recArrayDelete, a.Name, idxs))
+	if err := overwrite(a.AttrBats, p, pos); err != nil {
+		return nil, err
 	}
-	return &Result{Affected: len(idxs), Text: fmt.Sprintf("%d cells deleted", len(idxs))}, nil
+	if db.durable() && len(pos) > 0 {
+		db.logRecord(encArrayCells(recArrayUpdate, a.Name, nil, setCols(p.w), pos, p.vals))
+	}
+	return &Result{Affected: len(pos), Text: fmt.Sprintf("%d cells updated", len(pos))}, nil
 }
 
-// deleteStmt implements DELETE: tables mark rows deleted; arrays punch
-// NULL holes in every attribute (§2: "the DELETE statement creates holes").
-func (db *DB) deleteStmt(s *ast.Delete) (*Result, error) {
-	if t, ok := db.cat.Table(s.Table); ok {
-		idxs, err := planTableDelete(db.cat, t, s)
-		if err != nil {
-			return nil, err
-		}
-		return db.applyTableDeletePlan(t, idxs)
+// write implements UPDATE and DELETE against the live catalog.
+func (db *DB) write(ctx context.Context, stmt ast.Statement) (*Result, error) {
+	p, err := planWrite(ctx, db.cat, stmt)
+	if err != nil {
+		return nil, err
 	}
-	if a, ok := db.cat.Array(s.Table); ok {
-		idxs, err := planArrayDelete(db.cat, a, s)
-		if err != nil {
-			return nil, err
-		}
-		return db.applyArrayDeletePlan(a, idxs)
+	if p.w.T != nil {
+		return db.applyTableWritePlan(p.w.T, p)
 	}
-	return nil, fmt.Errorf("at %s: no such table or array: %q", s.Pos, s.Table)
+	return db.applyArrayWritePlan(p.w.A, p)
 }

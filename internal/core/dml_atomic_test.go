@@ -79,6 +79,26 @@ func TestUpdateCastFailureAppliesNothing(t *testing.T) {
 	})
 }
 
+// TestUpdateSelectedCastFailureAppliesNothing: when the cast of the
+// second SET target fails on a row the WHERE clause selected, the first
+// target is not written either, for rows before and after that row.
+func TestUpdateSelectedCastFailureAppliesNothing(t *testing.T) {
+	t.Run("table", func(t *testing.T) {
+		forEachBacking(t, func(t *testing.T, db *DB, reopen func() *DB) {
+			db.MustQuery(`CREATE TABLE t (i INT, s VARCHAR)`)
+			db.MustQuery(`INSERT INTO t VALUES (1, '5'), (2, '6'), (3, 'x'), (4, '7')`)
+			expectNoEffect(t, db, reopen, `UPDATE t SET s = 'changed', i = s WHERE i >= 2`, `SELECT i, s FROM t`)
+		})
+	})
+	t.Run("array", func(t *testing.T) {
+		forEachBacking(t, func(t *testing.T, db *DB, reopen func() *DB) {
+			db.MustQuery(`CREATE ARRAY a (x INT DIMENSION[0:1:4], i INT DEFAULT 0, s VARCHAR)`)
+			db.MustQuery(`INSERT INTO a VALUES (0, 1, '5'), (1, 2, '6'), (2, 3, 'x'), (3, 4, '7')`)
+			expectNoEffect(t, db, reopen, `UPDATE a SET s = 'changed', i = s WHERE x >= 1`, `SELECT [x], i, s FROM a`)
+		})
+	})
+}
+
 // TestFailedArrayInsertDoesNotGrow: an INSERT whose cell fails to cast
 // must not grow the unbounded dimension it addresses.
 func TestFailedArrayInsertDoesNotGrow(t *testing.T) {

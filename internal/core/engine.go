@@ -439,7 +439,7 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 		// only for first-committer-wins validation + apply + enqueue.
 		// ok=false (ineligible shape, open transaction, conflict storm,
 		// prepare error) falls through to the serialized path below.
-		if r, req, ok, oerr := db.execOptimistic(stmt); ok {
+		if r, req, ok, oerr := db.execOptimistic(ctx, stmt); ok {
 			if req != nil {
 				if werr := <-req.done; werr != nil && oerr == nil {
 					oerr = werr
@@ -550,10 +550,8 @@ func (db *DB) execLocked(ctx context.Context, s *Session, stmt ast.Statement) (*
 		return db.alterDimension(st)
 	case *ast.Insert:
 		return db.insert(ctx, st)
-	case *ast.Update:
-		return db.update(st)
-	case *ast.Delete:
-		return db.deleteStmt(st)
+	case *ast.Update, *ast.Delete:
+		return db.write(ctx, st)
 	case *ast.Txn:
 		return db.txnStmt(s, st)
 	case *ast.Explain:
@@ -566,7 +564,7 @@ func (db *DB) execLocked(ctx context.Context, s *Session, stmt ast.Statement) (*
 // runSelect binds, optimizes, compiles and interprets a SELECT against the
 // given catalog (live for writers/transactions, a snapshot for readers).
 func (db *DB) runSelect(ctx context.Context, cat *catalog.Catalog, sel *ast.Select) (*Result, error) {
-	prog, err := compileSelect(cat, sel)
+	prog, err := compile(cat, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -577,29 +575,46 @@ func (db *DB) runSelect(ctx context.Context, cat *catalog.Catalog, sel *ast.Sele
 	return assembleResult(prog, mctx)
 }
 
-// compileSelect runs the full front-end pipeline of Fig. 2.
-func compileSelect(cat *catalog.Catalog, sel *ast.Select) (*mal.Program, error) {
+// bindPlan binds a SELECT, UPDATE or DELETE against cat into its
+// optimized logical plan.
+func bindPlan(cat *catalog.Catalog, stmt ast.Statement) (rel.Node, error) {
 	b := rel.NewBinder(cat)
-	plan, err := b.BindSelect(sel)
+	var (
+		plan rel.Node
+		err  error
+	)
+	switch s := stmt.(type) {
+	case *ast.Select:
+		plan, err = b.BindSelect(s)
+	case *ast.Update:
+		plan, err = b.BindUpdate(s)
+	case *ast.Delete:
+		plan, err = b.BindDelete(s)
+	default:
+		return nil, fmt.Errorf("EXPLAIN/PLAN supports SELECT, UPDATE and DELETE statements")
+	}
 	if err != nil {
 		return nil, err
 	}
-	plan = rel.Optimize(plan)
+	return rel.Optimize(plan), nil
+}
+
+// compile runs the full front-end pipeline of Fig. 2.
+func compile(cat *catalog.Catalog, stmt ast.Statement) (*mal.Program, error) {
+	plan, err := bindPlan(cat, stmt)
+	if err != nil {
+		return nil, err
+	}
 	return mal.Compile(plan)
 }
 
-// explain renders the logical plan (EXPLAIN) or the MAL program (PLAN).
+// explain renders the logical plan (EXPLAIN) or the MAL program (PLAN);
+// nothing runs.
 func (db *DB) explain(cat *catalog.Catalog, e *ast.Explain) (*Result, error) {
-	sel, ok := e.Stmt.(*ast.Select)
-	if !ok {
-		return nil, fmt.Errorf("EXPLAIN/PLAN supports SELECT statements")
-	}
-	b := rel.NewBinder(cat)
-	plan, err := b.BindSelect(sel)
+	plan, err := bindPlan(cat, e.Stmt)
 	if err != nil {
 		return nil, err
 	}
-	plan = rel.Optimize(plan)
 	if !e.MAL {
 		return textResult(rel.Explain(plan)), nil
 	}

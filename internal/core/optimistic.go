@@ -4,10 +4,10 @@ package core
 // of the concurrent write path (commit.go is the group-fsync half).
 //
 // A mutating statement used to spend its whole life under the writer
-// lock: bind, evaluate the WHERE mask and SET expressions, cast every
-// value, then mutate. For non-conflicting writers that serialises work
-// that is pure — planning reads the catalog without touching it. The
-// optimistic path moves the pure part off the lock:
+// lock: bind, run the write program (the WHERE selection and the SET
+// values), cast every value, then mutate. For non-conflicting writers
+// that serialises work that is pure — planning reads the catalog without
+// touching it. The optimistic path moves the pure part off the lock:
 //
 //  1. prepare — plan the statement against the last *published* snapshot
 //     (the same immutable catalog readers use), producing a staged
@@ -32,6 +32,7 @@ package core
 // stay on the serialized path.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -73,7 +74,7 @@ type stagedWrite struct {
 // erroring, because the serialized path recomputes against the live
 // catalog and reports the authoritative error (a stale snapshot could
 // misreport, e.g. for a table created after the snapshot was taken).
-func prepareOptimistic(snap *catalog.Catalog, stmt ast.Statement) (*stagedWrite, error) {
+func prepareOptimistic(ctx context.Context, snap *catalog.Catalog, stmt ast.Statement) (*stagedWrite, error) {
 	switch s := stmt.(type) {
 	case *ast.Insert:
 		if s.Query != nil {
@@ -95,60 +96,49 @@ func prepareOptimistic(snap *catalog.Catalog, stmt ast.Statement) (*stagedWrite,
 			applyT: func(db *DB, lt *catalog.Table) (*Result, error) {
 				return db.applyTableInsert(lt, full)
 			}}, nil
-	case *ast.Update:
-		if t, ok := snap.Table(s.Table); ok {
-			p, err := planTableUpdate(snap, t, s)
-			if err != nil {
-				return nil, err
+	case *ast.Update, *ast.Delete:
+		name := writeTarget(s)
+		if _, ok := snap.Table(name); !ok {
+			if _, ok := snap.Array(name); !ok {
+				return nil, nil
 			}
+		}
+		// The same write program the serialized path runs, compiled
+		// against the snapshot.
+		p, err := planWrite(ctx, snap, s)
+		if err != nil {
+			return nil, err
+		}
+		if t := p.w.T; t != nil {
 			return &stagedWrite{name: t.Name, isTable: true, mod: t.Mod,
 				applyT: func(db *DB, lt *catalog.Table) (*Result, error) {
-					return db.applyTableUpdatePlan(lt, p)
+					return db.applyTableWritePlan(lt, p)
 				}}, nil
 		}
-		if a, ok := snap.Array(s.Table); ok {
-			p, err := planArrayUpdate(snap, a, s)
-			if err != nil {
-				return nil, err
-			}
-			return &stagedWrite{name: a.Name, mod: a.Mod,
-				applyA: func(db *DB, la *catalog.Array) (*Result, error) {
-					return db.applyArrayUpdatePlan(la, p)
-				}}, nil
-		}
-		return nil, nil
-	case *ast.Delete:
-		if t, ok := snap.Table(s.Table); ok {
-			idxs, err := planTableDelete(snap, t, s)
-			if err != nil {
-				return nil, err
-			}
-			return &stagedWrite{name: t.Name, isTable: true, mod: t.Mod,
-				applyT: func(db *DB, lt *catalog.Table) (*Result, error) {
-					return db.applyTableDeletePlan(lt, idxs)
-				}}, nil
-		}
-		if a, ok := snap.Array(s.Table); ok {
-			idxs, err := planArrayDelete(snap, a, s)
-			if err != nil {
-				return nil, err
-			}
-			return &stagedWrite{name: a.Name, mod: a.Mod,
-				applyA: func(db *DB, la *catalog.Array) (*Result, error) {
-					return db.applyArrayDeletePlan(la, idxs)
-				}}, nil
-		}
-		return nil, nil
+		a := p.w.A
+		return &stagedWrite{name: a.Name, mod: a.Mod,
+			applyA: func(db *DB, la *catalog.Array) (*Result, error) {
+				return db.applyArrayWritePlan(la, p)
+			}}, nil
 	}
 	return nil, nil
+}
+
+// writeTarget names the object an UPDATE or DELETE writes.
+func writeTarget(stmt ast.Statement) string {
+	if u, ok := stmt.(*ast.Update); ok {
+		return u.Table
+	}
+	return stmt.(*ast.Delete).Table
 }
 
 // execOptimistic runs one autocommit DML statement through the
 // optimistic path. ok=false means the caller must run the serialized
 // path: ineligible statement, prepare error (the serialized path
 // reports the authoritative message), engine state change, or a
-// conflict storm that exhausted the retries.
-func (db *DB) execOptimistic(stmt ast.Statement) (*Result, *commitReq, bool, error) {
+// conflict storm that exhausted the retries. A prepare cut short by ctx
+// reports ctx's error without taking the writer lock.
+func (db *DB) execOptimistic(ctx context.Context, stmt ast.Statement) (*Result, *commitReq, bool, error) {
 	for attempt := 0; attempt < optimisticRetries; attempt++ {
 		db.mu.RLock()
 		ready := db.commitQ != nil && db.txn == nil
@@ -157,7 +147,10 @@ func (db *DB) execOptimistic(stmt ast.Statement) (*Result, *commitReq, bool, err
 		if !ready {
 			return nil, nil, false, nil
 		}
-		st, err := prepareOptimistic(snap, stmt)
+		st, err := prepareOptimistic(ctx, snap, stmt)
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, nil, true, cerr
+		}
 		if st == nil || err != nil {
 			return nil, nil, false, nil
 		}
@@ -233,7 +226,7 @@ func (s *Session) ExecOptimistic(query string) (*Result, error) {
 	if !ready {
 		return nil, fmt.Errorf("optimistic execution needs group commit enabled and no open transaction")
 	}
-	st, err := prepareOptimistic(snap, stmts[0])
+	st, err := prepareOptimistic(context.Background(), snap, stmts[0])
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,60 @@ SELECT [x], [y], v, f, s, ok FROM b;
 SELECT [t], v FROM u;
 `
 
+// walPinDMLScript covers the UPDATE and DELETE records of tables and
+// arrays: casts float to int and int to float, SET NULL, a swap, WHERE
+// clauses that are NULL on some rows, an UPDATE that selects nothing,
+// UPDATEs after a table DELETE (deleted rows are skipped), multi-attribute
+// and unfiltered array UPDATEs, SET v = v, and array DELETEs through a
+// dimension slab and through an attribute predicate, over every
+// attribute kind.
+var walPinDMLScript = []string{
+	`CREATE TABLE t (i INT, f DOUBLE, s VARCHAR, ok BOOLEAN, a INT, b INT)`,
+	`INSERT INTO t VALUES (1, 1.5, 'x', true, 10, 20), (2, NULL, 'y', false, 11, 21), (3, 3.25, NULL, NULL, 12, NULL), (4, -2.75, 'w', true, NULL, 23), (5, 0.5, 'v', false, 14, 24)`,
+	`UPDATE t SET i = f * 3`,
+	`UPDATE t SET f = i, s = s || '!', ok = NOT ok WHERE a > 10`,
+	`UPDATE t SET a = b, b = a`,
+	`UPDATE t SET s = NULL WHERE ok`,
+	`DELETE FROM t WHERE b = 11`,
+	`UPDATE t SET a = a + 100, f = 0.25`,
+	`UPDATE t SET i = 7 WHERE f > 100`,
+	`DELETE FROM t WHERE i IS NULL`,
+	`UPDATE t SET b = b * 2 WHERE a > 0`,
+	`CREATE ARRAY g (x INT DIMENSION[0:1:4], y INT DIMENSION[3:-1:-1], v INT DEFAULT 1, f DOUBLE, s VARCHAR DEFAULT 'd', ok BOOLEAN)`,
+	`UPDATE g SET v = x * 10 + y`,
+	`UPDATE g SET f = v / 4, s = CAST(v AS VARCHAR), ok = v % 3 = 0 WHERE x >= 1`,
+	`UPDATE g SET v = v`,
+	`UPDATE g SET f = NULL WHERE y = 2`,
+	`UPDATE g SET v = f * 1.5 WHERE f > 2`,
+	`DELETE FROM g WHERE x = 3`,
+	`DELETE FROM g WHERE v < 5`,
+	`UPDATE g SET v = COALESCE(v, -1), ok = ok IS NULL`,
+	`UPDATE g SET s = s || '?' WHERE ok`,
+	`UPDATE g SET f = v, v = f WHERE x < 2`,
+}
+
+// walPinDMLSHA256 is the SHA-256 of wal.log after walPinDMLScript,
+// recorded when UPDATE and DELETE still evaluated into boxed values.
+const walPinDMLSHA256 = "3ec160d02bbc4018080c779555ff0af048df5a6af2c2325e449924ef39f7afe9"
+
+const walPinDMLProbe = `
+SELECT i, f, s, ok, a, b FROM t;
+SELECT COUNT(*) FROM t;
+SELECT [x], [y], v, f, s, ok FROM g;
+`
+
 func TestWALBytesPinned(t *testing.T) {
+	checkWALPin(t, walPinScript, walPinSHA256, walPinProbe)
+}
+
+func TestWALBytesPinnedDML(t *testing.T) {
+	checkWALPin(t, walPinDMLScript, walPinDMLSHA256, walPinDMLProbe)
+}
+
+// checkWALPin runs script on a fresh directory-backed database, compares
+// the SHA-256 of its wal.log with want, and requires a replay of that log
+// alone to answer probe exactly like the live database.
+func checkWALPin(t *testing.T, script []string, want, probeScript string) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "db")
 	db, err := OpenWith(dir, 0) // no checkpoint: every record stays in the log
@@ -55,7 +108,7 @@ func TestWALBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	for _, stmt := range walPinScript {
+	for _, stmt := range script {
 		if _, err := db.Exec(stmt); err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
@@ -65,14 +118,14 @@ func TestWALBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != walPinSHA256 {
-		t.Errorf("wal.log SHA-256 = %s (%d bytes), want %s", got, len(data), walPinSHA256)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("wal.log SHA-256 = %s (%d bytes), want %s", got, len(data), want)
 	}
 
 	// Replaying the log alone (the directory as a crash leaves it) must
 	// reproduce the live state.
 	probe := func(db *DB) string {
-		return testutil.RenderScript(walPinProbe, func(stmt string) (string, error) {
+		return testutil.RenderScript(probeScript, func(stmt string) (string, error) {
 			results, err := db.Exec(stmt)
 			var sb strings.Builder
 			for _, r := range results {

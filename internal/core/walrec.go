@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bat"
 	"repro/internal/catalog"
@@ -330,26 +331,82 @@ func encTableAppend(name string, ncols int, rows [][]types.Value) []byte {
 	return e.b
 }
 
-// Captured row/cell mutations travel as a flat buffer: positions in
-// idxs, the new values (already cast to the column kinds) row-major in
-// flat — len(flat) = len(idxs) * len(cols). The flat layout keeps the
-// capture path allocation-free per row.
+// encCol is a value column as the encoder reads it: the kind and the
+// typed storage, decoded once.
+type encCol struct {
+	kind   types.Kind
+	nulls  *bat.Bitmap
+	ints   []int64
+	floats []float64
+	bools  []bool
+	strs   []string
+}
 
-func encTableUpdate(name string, cols []int, idxs []int, flat []types.Value) []byte {
+func newEncCol(b *bat.BAT) encCol {
+	c := encCol{kind: b.ValueKind(), nulls: b.NullMask()}
+	switch c.kind {
+	case types.KindInt, types.KindOID:
+		c.ints = b.Materialize().DecodedInts()
+	case types.KindFloat:
+		c.floats = b.DecodedFloats()
+	case types.KindBool:
+		c.bools = b.DecodedBools()
+	case types.KindStr:
+		c.strs = b.DecodedStrs()
+	}
+	return c
+}
+
+// cells appends, per position j, the position and then row j of every
+// value column: the new values of the rows or cells a write touched,
+// already cast to their targets' kinds. Each value is exactly what
+// val(col.Get(j)) appends, without boxing it.
+func (e *recEnc) cells(pos []int, vals []*bat.BAT) {
+	cols := make([]encCol, len(vals))
+	for k, v := range vals {
+		cols[k] = newEncCol(v)
+	}
+	// Grow once for the common sizes — a position of up to three bytes, a
+	// tag and up to three bytes per value — instead of doubling.
+	b := slices.Grow(e.b, len(pos)*(3+4*len(vals)))
+	b = binary.AppendUvarint(b, uint64(len(pos)))
+	for j, p := range pos {
+		b = binary.AppendUvarint(b, uint64(p))
+		for c := range cols {
+			col := &cols[c]
+			if col.nulls.Get(j) {
+				b = append(b, byte(col.kind)|0x80)
+				continue
+			}
+			b = append(b, byte(col.kind))
+			switch col.kind {
+			case types.KindInt, types.KindOID:
+				b = binary.AppendVarint(b, col.ints[j])
+			case types.KindFloat:
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(col.floats[j]))
+			case types.KindBool:
+				if col.bools[j] {
+					b = append(b, 1)
+				} else {
+					b = append(b, 0)
+				}
+			case types.KindStr:
+				b = binary.AppendUvarint(b, uint64(len(col.strs[j])))
+				b = append(b, col.strs[j]...)
+			}
+		}
+	}
+	e.b = b
+}
+
+func encTableUpdate(name string, cols []int, pos []int, vals []*bat.BAT) []byte {
 	e := newRecEnc(recTableUpdate)
 	e.str(name)
 	e.u64(uint64(len(cols)))
 	for _, c := range cols {
 		e.u64(uint64(c))
 	}
-	e.u64(uint64(len(idxs)))
-	k := len(cols)
-	for j, idx := range idxs {
-		e.u64(uint64(idx))
-		for _, v := range flat[j*k : (j+1)*k] {
-			e.val(v)
-		}
-	}
+	e.cells(pos, vals)
 	return e.b
 }
 
@@ -364,10 +421,9 @@ func encPositions(op byte, name string, idxs []int) []byte {
 }
 
 // encArrayCells encodes array cell overwrites: per cell its position,
-// then val(cell, k) for each written attribute k, the values already cast
-// to the attribute kinds. UPDATE hands in its flat buffer, INSERT its
-// typed columns.
-func encArrayCells(op byte, name string, sh shape.Shape, attrs []int, idxs []int, val func(cell, k int) types.Value) []byte {
+// then its value in each written attribute's column. INSERT records
+// (recArrayCells) lead with the array's possibly grown shape.
+func encArrayCells(op byte, name string, sh shape.Shape, attrs []int, pos []int, vals []*bat.BAT) []byte {
 	e := newRecEnc(op)
 	e.str(name)
 	if op == recArrayCells {
@@ -377,13 +433,7 @@ func encArrayCells(op byte, name string, sh shape.Shape, attrs []int, idxs []int
 	for _, a := range attrs {
 		e.u64(uint64(a))
 	}
-	e.u64(uint64(len(idxs)))
-	for j, idx := range idxs {
-		e.u64(uint64(idx))
-		for k := range attrs {
-			e.val(val(j, k))
-		}
-	}
+	e.cells(pos, vals)
 	return e.b
 }
 

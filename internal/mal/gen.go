@@ -32,8 +32,11 @@ func Compile(n rel.Node) (*Program, error) {
 		p.ResultDims = append(p.ResultDims, c.IsDim)
 		p.ResultKinds = append(p.ResultKinds, c.Kind)
 	}
-	if proj, ok := n.(*rel.Project); ok {
-		p.ShapeHint = proj.ShapeHint
+	switch x := n.(type) {
+	case *rel.Project:
+		p.ShapeHint = x.ShapeHint
+	case *rel.Write:
+		p.Write = x
 	}
 	return p, nil
 }
@@ -253,6 +256,29 @@ func (g *gen) node(n rel.Node) (cenv, error) {
 		out := make([]int, len(lenv.cols))
 		for i := range lenv.cols {
 			out[i] = g.p.Emit("bat", "concat", V(lenv.cols[i]), V(renv.cols[i]), X(schema[i].Kind))
+		}
+		return denseEnv(out), nil
+
+	case *rel.Write:
+		env, err := g.node(x.Child)
+		if err != nil {
+			return cenv{}, err
+		}
+		// The selection's candidate list is the written rows' base
+		// positions; an unfiltered array scan has none, so it writes
+		// every cell. SET values evaluate in candidate space: only the
+		// written rows are computed.
+		pos := env.cand
+		if pos < 0 {
+			pos = g.p.Emit("bat", "mirror", V(env.cols[0]))
+		}
+		out := []int{pos}
+		for _, s := range x.Sets {
+			arg, err := g.expr(&env, s.Val)
+			if err != nil {
+				return cenv{}, err
+			}
+			out = append(out, g.mat(&env, arg, s.Val.Kind()))
 		}
 		return denseEnv(out), nil
 

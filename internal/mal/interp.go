@@ -422,6 +422,15 @@ func (c *Ctx) exec(in *Instr) error {
 		c.Vars[in.Rets[0]] = b.Slice(int(lo), int(hi))
 		return nil
 
+	case "bat.mirror":
+		// The dense position range of a column: every row, in order.
+		b, err := c.batVar(in.Args[0])
+		if err != nil {
+			return err
+		}
+		c.Vars[in.Rets[0]] = bat.NewVoid(0, b.Len())
+		return nil
+
 	case "bat.concat":
 		l, err := c.batVar(in.Args[0])
 		if err != nil {

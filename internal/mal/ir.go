@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/gdk"
+	"repro/internal/rel"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -140,6 +141,10 @@ type Program struct {
 	ResultKinds []types.Kind
 	// ShapeHint is the preserved array shape for array-valued results.
 	ShapeHint shape.Shape
+	// Write is the UPDATE or DELETE the program feeds, nil for queries:
+	// its results are then the written rows' base positions followed by
+	// one value column per SET target.
+	Write *rel.Write
 }
 
 // NewVar allocates a fresh variable.
@@ -184,7 +189,15 @@ func (p *Program) String() string {
 		}
 		parts[i] = fmt.Sprintf("X_%d as %q", v, name)
 	}
-	fmt.Fprintf(&sb, "    sql.resultSet(%s);\n", strings.Join(parts, ", "))
+	switch {
+	case p.Write == nil:
+		fmt.Fprintf(&sb, "    sql.resultSet(%s);\n", strings.Join(parts, ", "))
+	case p.Write.Delete:
+		fmt.Fprintf(&sb, "    sql.delete(\"sys.%s\", X_%d);\n", p.Write.Name(), p.ResultVars[0])
+	default:
+		parts[0] = fmt.Sprintf("X_%d", p.ResultVars[0])
+		fmt.Fprintf(&sb, "    sql.update(\"sys.%s\", %s);\n", p.Write.Name(), strings.Join(parts, ", "))
+	}
 	sb.WriteString("end user.main;\n")
 	return sb.String()
 }

@@ -78,6 +78,9 @@ func rewrite(n Node) Node {
 		x.L = rewrite(x.L)
 		x.R = rewrite(x.R)
 		return x
+	case *Write:
+		x.Child = rewrite(x.Child)
+		return x
 	default:
 		return n
 	}

@@ -354,6 +354,17 @@ func explain(sb *strings.Builder, n Node, depth int) {
 		fmt.Fprintf(sb, "%sunion all\n", ind)
 		explain(sb, x.L, depth+1)
 		explain(sb, x.R, depth+1)
+	case *Write:
+		if x.Delete {
+			fmt.Fprintf(sb, "%sdelete from %s\n", ind, x.Name())
+		} else {
+			sets := make([]string, len(x.Sets))
+			for k, s := range x.Sets {
+				sets[k] = x.TargetName(k) + " = " + s.Val.String()
+			}
+			fmt.Fprintf(sb, "%supdate %s set %s\n", ind, x.Name(), strings.Join(sets, ", "))
+		}
+		explain(sb, x.Child, depth+1)
 	default:
 		fmt.Fprintf(sb, "%s?%T\n", ind, n)
 	}
