@@ -584,3 +584,28 @@ func TestCandidateExecutionEndToEnd(t *testing.T) {
 	expectRows(t, db, `SELECT id FROM ev WHERE id - grp > 490 AND id > 400`,
 		[]string{"497", "498", "499"})
 }
+
+// TestOrderByNaN pins the place of NaN in an ORDER BY: after every number
+// ascending and before them descending, with NULL first ascending and last
+// descending, and equal keys (the two NaNs, -0.0 and 0.0) in input order. One NaN must
+// not disorder the other rows, with or without LIMIT.
+func TestOrderByNaN(t *testing.T) {
+	db := New()
+	for _, q := range []string{
+		`CREATE TABLE t (id INT, f DOUBLE)`,
+		`INSERT INTO t VALUES (1, 1.0), (2, CAST('NaN' AS DOUBLE)), (3, NULL), (4, -2.0),
+			(5, 3.5), (6, CAST('NaN' AS DOUBLE)), (7, 0.5), (8, -0.0), (9, 0.0)`,
+	} {
+		if _, err := db.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	asc := []string{"3|null", "4|-2", "8|-0", "9|0", "7|0.5", "1|1", "5|3.5", "2|NaN", "6|NaN"}
+	desc := []string{"2|NaN", "6|NaN", "5|3.5", "1|1", "7|0.5", "8|-0", "9|0", "4|-2", "3|null"}
+	expectRows(t, db, `SELECT id, f FROM t ORDER BY f`, asc)
+	expectRows(t, db, `SELECT id, f FROM t ORDER BY f DESC`, desc)
+	expectRows(t, db, `SELECT id, f FROM t ORDER BY f LIMIT 3`, asc[:3])
+	expectRows(t, db, `SELECT id, f FROM t ORDER BY f DESC LIMIT 3`, desc[:3])
+	expectRows(t, db, `SELECT id, f FROM t ORDER BY f LIMIT 3 OFFSET 6`, asc[6:9])
+	expectRows(t, db, `SELECT id, f FROM t ORDER BY f DESC LIMIT 2 OFFSET 1`, desc[1:3])
+}

@@ -95,10 +95,9 @@ func SubAggr(agg AggKind, vals, gids *bat.BAT, ngroups int, cand *bat.BAT) (*bat
 	gs := gidSlice(gids)
 
 	// Sorted group ids (the product of run-detected grouping) cluster each
-	// group into one contiguous run: accumulate per run in a register and
-	// store once, instead of chunked ngroups-sized partials merged after.
-	// Per-group accumulation order equals the serial baseline's, so the
-	// results are bit-identical.
+	// group into one contiguous run: counts and min/max accumulate per run
+	// and store once, instead of chunked ngroups-sized partials merged
+	// after. The results are bit-identical to the generic paths'.
 	sortedRuns := StatsEnabled() && gids.Sorted && !gids.HasNulls() && n > 0
 
 	switch agg {
@@ -132,24 +131,8 @@ func SubAggr(agg AggKind, vals, gids *bat.BAT, ngroups int, cand *bat.BAT) (*bat
 		}
 		switch agg {
 		case AggSum, AggAvg:
-			plan := aggrPlan(n, ngroups)
-			sumsP := make([][]int64, plan.Chunks())
-			countsP := make([][]int64, plan.Chunks())
-			plan.Run(func(c, lo, hi int) {
-				sums := make([]int64, ngroups)
-				counts := make([]int64, ngroups)
-				for i := lo; i < hi; i++ {
-					if vals.IsNull(i) {
-						continue
-					}
-					g := gs[i]
-					sums[g] += ints[i]
-					counts[g]++
-				}
-				sumsP[c], countsP[c] = sums, counts
-			})
-			sums := mergeAdd(sumsP, ngroups)
-			counts := mergeAdd(countsP, ngroups)
+			// Integer addition associates: any chunking gives the same sums.
+			sums, counts := groupSums(aggrPlan(n, ngroups), ints, vals, gs, ngroups)
 			if agg == AggSum {
 				out := bat.FromInts(sums)
 				markEmpty(out, counts)
@@ -193,24 +176,7 @@ func SubAggr(agg AggKind, vals, gids *bat.BAT, ngroups int, cand *bat.BAT) (*bat
 		fs := vals.DecodedFloats()
 		switch agg {
 		case AggSum, AggAvg:
-			plan := aggrPlan(n, ngroups)
-			sumsP := make([][]float64, plan.Chunks())
-			countsP := make([][]int64, plan.Chunks())
-			plan.Run(func(c, lo, hi int) {
-				sums := make([]float64, ngroups)
-				counts := make([]int64, ngroups)
-				for i := lo; i < hi; i++ {
-					if vals.IsNull(i) {
-						continue
-					}
-					g := gs[i]
-					sums[g] += fs[i]
-					counts[g]++
-				}
-				sumsP[c], countsP[c] = sums, counts
-			})
-			sums := mergeAdd(sumsP, ngroups)
-			counts := mergeAdd(countsP, ngroups)
+			sums, counts := groupSums(par.Blocks(n, sumBlockRows), fs, vals, gs, ngroups)
 			if agg == AggAvg {
 				for g := range sums {
 					if counts[g] > 0 {
@@ -272,6 +238,64 @@ func SubAggr(agg AggKind, vals, gids *bat.BAT, ngroups int, cand *bat.BAT) (*bat
 	return nil, fmt.Errorf("gdk: aggregate %s not defined on %s", agg, vals.ValueKind())
 }
 
+// sumBlockRows is the block size of the canonical float summation order.
+const sumBlockRows = 1 << 16
+
+// groupSums returns per-group sums and non-NULL counts. Each chunk of plan
+// folds its rows left to right into private partials, and each group adds
+// its chunk partials in ascending chunk order, every accumulator starting
+// at zero. Float sums take fixed sumBlockRows-row blocks as chunks
+// (par.Blocks), which makes this the one canonical float summation order:
+// a function of the data alone, not of the thread count, the morsel
+// threshold or the statistics. When the partials would dwarf the input
+// (many groups), one serial pass gives the same sums: it flushes a group's
+// partial into its total when the group first shows up in a later chunk
+// (a chunk without the group would add a zero partial, which changes
+// nothing).
+func groupSums[T int64 | float64](plan par.Plan, xs []T, vals *bat.BAT, gs []int64, ngroups int) ([]T, []int64) {
+	var nulls *bat.Bitmap
+	if vals.HasNulls() {
+		nulls = vals.NullMask()
+	}
+	if plan.Chunks() == 1 || ngroups*plan.Chunks() <= 4*len(gs) {
+		sumsP := make([][]T, plan.Chunks())
+		countsP := make([][]int64, plan.Chunks())
+		plan.Run(func(c, lo, hi int) {
+			sums := make([]T, ngroups)
+			counts := make([]int64, ngroups)
+			for i := lo; i < hi; i++ {
+				if nulls != nil && nulls.Get(i) {
+					continue
+				}
+				g := gs[i]
+				sums[g] += xs[i]
+				counts[g]++
+			}
+			sumsP[c], countsP[c] = sums, counts
+		})
+		return mergeAdd(sumsP, ngroups), mergeAdd(countsP, ngroups)
+	}
+	sums, part := make([]T, ngroups), make([]T, ngroups)
+	counts := make([]int64, ngroups)
+	last := make([]int32, ngroups) // chunk of part[g] + 1; 0 = none yet
+	for i := range gs {
+		if nulls != nil && nulls.Get(i) {
+			continue
+		}
+		g, c := gs[i], int32(i/plan.Size)+1
+		if last[g] != c {
+			sums[g] += part[g]
+			part[g], last[g] = 0, c
+		}
+		part[g] += xs[i]
+		counts[g]++
+	}
+	for g := range sums {
+		sums[g] += part[g]
+	}
+	return sums, counts
+}
+
 // runCounts counts rows (all rows when vals is nil, non-NULL rows
 // otherwise) per group over sorted group ids: one run-detecting pass.
 func runCounts(gs []int64, ngroups int, vals *bat.BAT) *bat.BAT {
@@ -298,11 +322,10 @@ func runCounts(gs []int64, ngroups int, vals *bat.BAT) *bat.BAT {
 	return bat.FromInts(counts)
 }
 
-// runAggr computes sum/avg/min/max over sorted group ids by run
-// accumulation (ok = false for kinds the generic paths keep, e.g. string
-// min/max).
+// runAggr computes aggregates over sorted group ids by run accumulation
+// (ok = false where the generic paths serve: sums over decoded columns,
+// string min/max).
 func runAggr(agg AggKind, vals *bat.BAT, gs []int64, ngroups int) (*bat.BAT, bool) {
-	n := len(gs)
 	switch vals.ValueKind() {
 	case types.KindInt, types.KindOID:
 		// RLE-encoded input accumulates whole (value-run x group-run)
@@ -312,44 +335,13 @@ func runAggr(agg AggKind, vals *bat.BAT, gs []int64, ngroups int) (*bat.BAT, boo
 				return out, true
 			}
 		}
-		var ints []int64
-		if vals.Kind() == types.KindVoid {
-			ints = vals.Materialize().DecodedInts()
-		} else {
-			ints = vals.DecodedInts()
-		}
-		switch agg {
-		case AggSum, AggAvg:
-			sums := make([]int64, ngroups)
-			counts := make([]int64, ngroups)
-			for i := 0; i < n; {
-				g := gs[i]
-				var s, c int64
-				for ; i < n && gs[i] == g; i++ {
-					if vals.IsNull(i) {
-						continue
-					}
-					s += ints[i]
-					c++
-				}
-				sums[g] += s
-				counts[g] += c
+		if agg == AggMin || agg == AggMax {
+			var ints []int64
+			if vals.Kind() == types.KindVoid {
+				ints = vals.Materialize().DecodedInts()
+			} else {
+				ints = vals.DecodedInts()
 			}
-			if agg == AggSum {
-				out := bat.FromInts(sums)
-				markEmpty(out, counts)
-				return out, true
-			}
-			avgs := make([]float64, ngroups)
-			for g := range avgs {
-				if counts[g] > 0 {
-					avgs[g] = float64(sums[g]) / float64(counts[g])
-				}
-			}
-			out := bat.FromFloats(avgs)
-			markEmpty(out, counts)
-			return out, true
-		case AggMin, AggMax:
 			best := make([]int64, ngroups)
 			seen := make([]bool, ngroups)
 			runMinMax(agg, ints, vals, gs, best, seen)
@@ -358,39 +350,10 @@ func runAggr(agg AggKind, vals *bat.BAT, gs []int64, ngroups int) (*bat.BAT, boo
 			return out, true
 		}
 	case types.KindFloat:
-		fs := vals.DecodedFloats()
-		switch agg {
-		case AggSum, AggAvg:
-			sums := make([]float64, ngroups)
-			counts := make([]int64, ngroups)
-			for i := 0; i < n; {
-				g := gs[i]
-				var s float64
-				var c int64
-				for ; i < n && gs[i] == g; i++ {
-					if vals.IsNull(i) {
-						continue
-					}
-					s += fs[i]
-					c++
-				}
-				sums[g] += s
-				counts[g] += c
-			}
-			if agg == AggAvg {
-				for g := range sums {
-					if counts[g] > 0 {
-						sums[g] /= float64(counts[g])
-					}
-				}
-			}
-			out := bat.FromFloats(sums)
-			markEmpty(out, counts)
-			return out, true
-		case AggMin, AggMax:
+		if agg == AggMin || agg == AggMax {
 			best := make([]float64, ngroups)
 			seen := make([]bool, ngroups)
-			runMinMax(agg, fs, vals, gs, best, seen)
+			runMinMax(agg, vals.DecodedFloats(), vals, gs, best, seen)
 			out := bat.FromFloats(best)
 			markUnseen(out, seen)
 			return out, true
@@ -483,20 +446,4 @@ func markUnseen(out *bat.BAT, seen []bool) {
 			out.SetNull(g, true)
 		}
 	}
-}
-
-// TotalAggr computes an ungrouped aggregate over the whole column.
-func TotalAggr(agg AggKind, vals *bat.BAT) (types.Value, error) {
-	n := 0
-	if vals != nil {
-		n = vals.Len()
-	}
-	// A single group containing every row.
-	zero := make([]int64, n)
-	g := bat.FromOIDs(zero)
-	out, err := SubAggr(agg, vals, g, 1, nil)
-	if err != nil {
-		return types.Value{}, err
-	}
-	return out.Get(0), nil
 }

@@ -1,6 +1,7 @@
 package gdk
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bat"
@@ -8,8 +9,9 @@ import (
 )
 
 // Kernel micro-benchmarks for the two statistics paths no workload of
-// `go run ./benchmark` isolates: the zonemap skip-scan and the sorted
-// merge join, each beside the baseline it replaces (statistics off). They
+// `go run ./benchmark` isolates — the zonemap skip-scan and the sorted
+// merge join, each beside the baseline it replaces (statistics off) — and
+// for the typed group and sort kernels at table-analytics' size. They
 // report numbers only; nothing here gates.
 
 // benchRows is the input size of the kernel benchmarks: 16 zonemap slabs.
@@ -91,6 +93,58 @@ func BenchmarkMergeJoin(b *testing.B) {
 		_, _, err := HashJoin([]*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
 		return err
 	})
+}
+
+// tableRows is the obs table of the table-analytics workload: 2^19 rows.
+const tableRows = 1 << 19
+
+// BenchmarkGroupIntKey: GROUP BY over 2^19 rows of a random int key with
+// 1000 distinct values (table-analytics' GROUP BY station).
+func BenchmarkGroupIntKey(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, tableRows)
+	for i := range vals {
+		vals[i] = rng.Int63n(1000)
+	}
+	key := bat.FromInts(vals)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Group([]*bat.BAT{key}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// normalFloats is a 2^19-row column of normally distributed temperatures.
+func normalFloats() *bat.BAT {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, tableRows)
+	for i := range vals {
+		vals[i] = 15 + 10*rng.NormFloat64()
+	}
+	return bat.FromFloats(vals)
+}
+
+// BenchmarkOrderIdxFloat: full stable ORDER BY temp over 2^19 floats.
+func BenchmarkOrderIdxFloat(b *testing.B) {
+	key := normalFloats()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := OrderIdx([]*bat.BAT{key}, []SortSpec{{}}, -1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOrderTopN: ORDER BY temp DESC LIMIT 10 over 2^19 floats.
+func BenchmarkOrderTopN(b *testing.B) {
+	key := normalFloats()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := OrderIdx([]*bat.BAT{key}, []SortSpec{{Desc: true}}, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestZonemapSelectAllocs pins the skip-scan's allocation bound: the

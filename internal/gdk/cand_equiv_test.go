@@ -386,13 +386,8 @@ func TestParEquivGroupAggrCand(t *testing.T) {
 				return out
 			}, func(sr, pr *bat.BAT) {
 				al := fmt.Sprintf("%s aggr %s", label, agg)
-				if agg == AggSum || agg == AggAvg {
-					batsClose(t, al, sr, pr)
-					batsClose(t, al+" vs dense", want, sr)
-				} else {
-					batsEqual(t, al, sr, pr)
-					batsEqual(t, al+" vs dense", want, sr)
-				}
+				batsEqual(t, al, sr, pr)
+				batsEqual(t, al+" vs dense", want, sr)
 			})
 		}
 	}

@@ -623,14 +623,25 @@ func TestSubAggrEmptyGroup(t *testing.T) {
 	}
 }
 
+// TestTotalAggr runs an ungrouped aggregate the way a global aggregate
+// compiles: one group spanning every row (array.fillerlike + aggr.sub).
 func TestTotalAggr(t *testing.T) {
-	vals := bat.FromFloats([]float64{1.5, 2.5})
-	v, err := TotalAggr(AggAvg, vals)
-	if err != nil || v.Float64() != 2 {
-		t.Errorf("avg: %v %v", v, err)
+	total := func(agg AggKind, vals *bat.BAT) types.Value {
+		t.Helper()
+		gids, err := bat.Filler(vals.Len(), types.Oid(0), types.KindOID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := SubAggr(agg, vals, gids, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Get(0)
 	}
-	mx, _ := TotalAggr(AggMax, bat.FromStrings([]string{"a", "c", "b"}))
-	if mx.StrVal() != "c" {
+	if v := total(AggAvg, bat.FromFloats([]float64{1.5, 2.5})); v.Float64() != 2 {
+		t.Errorf("avg: %v", v)
+	}
+	if mx := total(AggMax, bat.FromStrings([]string{"a", "c", "b"})); mx.StrVal() != "c" {
 		t.Errorf("max str: %v", mx)
 	}
 }
@@ -639,7 +650,7 @@ func TestTotalAggr(t *testing.T) {
 
 func TestOrderIdx(t *testing.T) {
 	col := bat.FromInts([]int64{3, 1, 2})
-	idx, err := OrderIdx([]*bat.BAT{col}, []SortSpec{{}})
+	idx, err := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +660,7 @@ func TestOrderIdx(t *testing.T) {
 			t.Errorf("idx[%d] = %d, want %d", i, idx.OidAt(i), w)
 		}
 	}
-	desc, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{Desc: true}})
+	desc, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{Desc: true}}, -1)
 	if desc.OidAt(0) != 0 {
 		t.Errorf("desc first = %d", desc.OidAt(0))
 	}
@@ -658,7 +669,7 @@ func TestOrderIdx(t *testing.T) {
 func TestOrderIdxStableMultiKey(t *testing.T) {
 	k1 := bat.FromInts([]int64{1, 1, 0, 0})
 	k2 := bat.FromStrings([]string{"b", "a", "b", "a"})
-	idx, err := OrderIdx([]*bat.BAT{k1, k2}, []SortSpec{{}, {}})
+	idx, err := OrderIdx([]*bat.BAT{k1, k2}, []SortSpec{{}, {}}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,23 +686,34 @@ func TestOrderNullsFirst(t *testing.T) {
 	col.AppendInt(5)
 	col.AppendNull()
 	col.AppendInt(1)
-	idx, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{}})
+	idx, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, -1)
 	if idx.OidAt(0) != 1 {
 		t.Errorf("nulls must sort first, got idx %v", idx.Ints())
 	}
 }
 
+// TestFirstN checks LIMIT/OFFSET over an order: a bounded OrderIdx
+// (offset + count rows) sliced at the offset, as algebra.sort + bat.slice
+// run it, equals the full order's slice.
 func TestFirstN(t *testing.T) {
-	idx := bat.FromOIDs([]int64{0, 1, 2, 3, 4})
-	got := FirstN(idx, 1, 2)
-	if got.Len() != 2 || got.OidAt(0) != 1 {
-		t.Errorf("firstn: %v", got.Ints())
+	col := bat.FromInts([]int64{4, 0, 3, 1, 2})
+	full, err := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, -1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FirstN(idx, 10, 5).Len() != 0 {
-		t.Error("offset beyond end should be empty")
+	top, err := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, 1+2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FirstN(idx, 0, -1).Len() != 5 {
-		t.Error("negative count means unlimited")
+	got := top.Slice(1, 3)
+	if got.Len() != 2 || got.OidAt(0) != full.OidAt(1) || got.OidAt(1) != full.OidAt(2) {
+		t.Errorf("firstn: %v, want %v", got.Ints(), full.Ints()[1:3])
+	}
+	if top, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, 10+5); top.Len() != 5 {
+		t.Errorf("a bound beyond the end keeps every row, got %d", top.Len())
+	}
+	if top, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, 0); top.Len() != 0 {
+		t.Error("bound 0 should be empty")
 	}
 }
 

@@ -73,32 +73,30 @@ func Group(keys []*bat.BAT, cand *bat.BAT) (*GroupResult, error) {
 			return res, nil
 		}
 	}
+	k := newRowKeys(keys)
 	gids := make([]int64, n)
 	plan := par.NewPlan(n)
 	if !plan.Parallel() {
-		extents := groupRange(keys, 0, n, gids)
-		return groupResult(gids, extents), nil
+		return groupResult(gids, groupRange(k, 0, n, gids).extents), nil
 	}
 
-	// Phase 1: group each partition locally. localExtents[c] holds absolute
+	// Phase 1: group each partition locally. locals[c] holds absolute
 	// first-row positions of the partition's groups in first-occurrence
 	// order; gids temporarily holds partition-local ids.
-	localExtents := make([][]int64, plan.Chunks())
+	locals := make([]*groupTable, plan.Chunks())
 	plan.Run(func(c, lo, hi int) {
-		localExtents[c] = groupRange(keys, lo, hi, gids)
+		locals[c] = groupRange(k, lo, hi, gids)
 	})
 
 	// Phase 2: merge partitions in order. Each local group's representative
 	// row is looked up in the global table; processing partitions in row
 	// order makes global ids dense in first-occurrence order.
-	table := make(map[uint64][]int32)
-	var extents []int64
+	global := newGroupTable(len(locals[0].extents))
 	remaps := make([][]int64, plan.Chunks())
-	rh := newRowHasher(keys)
-	for c := range localExtents {
-		remap := make([]int64, len(localExtents[c]))
-		for g, first := range localExtents[c] {
-			remap[g] = mergeGroup(rh, keys, first, table, &extents)
+	for c, lt := range locals {
+		remap := make([]int64, len(lt.extents))
+		for g, first := range lt.extents {
+			remap[g] = global.find(k, int(first), lt.hashes[g])
 		}
 		remaps[c] = remap
 	}
@@ -110,7 +108,7 @@ func Group(keys []*bat.BAT, cand *bat.BAT) (*GroupResult, error) {
 			gids[i] = remap[gids[i]]
 		}
 	})
-	return groupResult(gids, extents), nil
+	return groupResult(gids, global.extents), nil
 }
 
 func groupResult(gids, extents []int64) *GroupResult {
@@ -158,73 +156,69 @@ func groupSortedRuns(key *bat.BAT) (*GroupResult, bool) {
 	return res, true
 }
 
-// groupRange groups rows [lo,hi) against a fresh local table, writing local
-// group ids (dense from 0 in first-occurrence order) into gids[lo:hi] and
-// returning the groups' absolute first-row positions.
-func groupRange(keys []*bat.BAT, lo, hi int, gids []int64) []int64 {
-	table := make(map[uint64][]int32, hi-lo)
-	extents := make([]int64, 0)
-	rh := newRowHasher(keys)
-	for i := lo; i < hi; i++ {
-		h, ok := rh.row(i)
-		if !ok {
-			// Row contains NULL key(s): all-NULL-pattern rows must still group
-			// by their exact NULL pattern + non-NULL values.
-			h = rh.nullPattern(i)
-		}
-		found := int64(-1)
-		for _, g := range table[h] {
-			first := int(extents[g])
-			if groupRowsEqual(keys, i, first) {
-				found = int64(g)
-				break
-			}
-		}
-		if found < 0 {
-			found = int64(len(extents))
-			extents = append(extents, int64(i))
-			table[h] = append(table[h], int32(found))
-		}
-		gids[i] = found
-	}
-	return extents
+// groupTable assigns dense group ids in first-occurrence order by open
+// addressing: slots hold group id + 1 (0 = empty) and are probed linearly
+// from the top bits of the row hash. It starts small and doubles as groups
+// arrive, so its size follows the group count, not the row count.
+type groupTable struct {
+	slots   []int32
+	shift   uint     // 64 - log2(len(slots))
+	hashes  []uint64 // per group: its row hash
+	extents []int64  // per group: its first row
 }
 
-// mergeGroup folds one local group (represented by its first row) into the
-// global table, returning its global id.
-func mergeGroup(rh rowHasher, keys []*bat.BAT, first int64, table map[uint64][]int32, extents *[]int64) int64 {
-	i := int(first)
-	h, ok := rh.row(i)
-	if !ok {
-		h = rh.nullPattern(i)
-	}
-	for _, g := range (table)[h] {
-		if groupRowsEqual(keys, i, int((*extents)[g])) {
+// newGroupTable sizes a table for about the given number of distinct rows
+// (a hint; the table grows as needed).
+func newGroupTable(hint int) *groupTable {
+	b := tableBits(2 * min(hint, 1024))
+	return &groupTable{slots: make([]int32, 1<<b), shift: 64 - b}
+}
+
+// find returns the group of row i (hash h), opening a new group when no
+// earlier group's first row equals it.
+func (t *groupTable) find(k *rowKeys, i int, h uint64) int64 {
+	mask := len(t.slots) - 1
+	s := int(h >> t.shift)
+	for ; t.slots[s] != 0; s = (s + 1) & mask {
+		g := t.slots[s] - 1
+		if t.hashes[g] == h && k.eq(i, k, int(t.extents[g])) {
 			return int64(g)
 		}
 	}
-	gid := int64(len(*extents))
-	*extents = append(*extents, first)
-	table[h] = append(table[h], int32(gid))
-	return gid
+	g := len(t.extents)
+	t.extents = append(t.extents, int64(i))
+	t.hashes = append(t.hashes, h)
+	if 2*len(t.extents) > len(t.slots) {
+		t.grow()
+	} else {
+		t.slots[s] = int32(g + 1)
+	}
+	return int64(g)
 }
 
-// groupRowsEqual compares two rows with GROUP BY semantics (NULL equals
-// NULL, NULL differs from every value).
-func groupRowsEqual(keys []*bat.BAT, i, j int) bool {
-	for _, k := range keys {
-		in, jn := k.IsNull(i), k.IsNull(j)
-		if in != jn {
-			return false
+// grow doubles the slot array and reinserts every group.
+func (t *groupTable) grow() {
+	t.shift--
+	t.slots = make([]int32, 2*len(t.slots))
+	mask := len(t.slots) - 1
+	for g, h := range t.hashes {
+		s := int(h >> t.shift)
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
 		}
-		if in {
-			continue
-		}
-		if !k.Get(i).Equal(k.Get(j)) {
-			return false
-		}
+		t.slots[s] = int32(g + 1)
 	}
-	return true
+}
+
+// groupRange groups rows [lo,hi) against a fresh local table, writing local
+// group ids (dense from 0 in first-occurrence order) into gids[lo:hi]. The
+// table's extents are the groups' absolute first-row positions.
+func groupRange(k *rowKeys, lo, hi int, gids []int64) *groupTable {
+	t := newGroupTable(hi - lo)
+	for i := lo; i < hi; i++ {
+		gids[i] = t.find(k, i, k.hash(i))
+	}
+	return t
 }
 
 // Unique returns the positions of the first occurrence of each distinct row

@@ -1,151 +1,218 @@
 package gdk
 
 import (
+	"hash/maphash"
 	"math"
+	"math/bits"
 
 	"repro/internal/bat"
 	"repro/internal/par"
 	"repro/internal/types"
 )
 
-// Row hashing for the hash join, grouping and DISTINCT kernels.
+// Row keys for the hash join, grouping and DISTINCT kernels.
 //
-// The hash is an inlined FNV-1a over the typed column slices: no hash.Hash
-// interface, no per-row buffer, zero allocations on the hot path. Numeric
-// values feed the mix eight bytes at a time through an unrolled round, so a
-// probe over int keys costs a handful of multiplies per row.
+// A kernel call resolves its key columns once to typed slices (one
+// slab-layer charge per column, and a single decode for encoded columns),
+// so the per-row loops — which run millions of times inside joins and
+// grouping — hash and compare rows without boxing a value. A row hashes
+// one 64-bit word per column (the integer itself, a float's raw bits, a
+// string's maphash) through a multiplicative mix; tables index on the top
+// bits of the result. Hashes live only inside one kernel call and are
+// never persisted.
+
+// hashMul is the multiplicative (Fibonacci) hashing constant: 2^64/phi.
+const hashMul uint64 = 0x9E3779B97F4A7C15
+
+// nullWord is the word a NULL key contributes to a row hash.
+const nullWord uint64 = 0x6A09E667F3BCC909
+
+var strSeed = maphash.MakeSeed()
+
+// keyClass groups storage kinds that share one typed representation.
+type keyClass uint8
 
 const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
+	keyOther keyClass = iota
+	keyInt            // int, oid and void: int64 values
+	keyFloat
+	keyStr
+	keyBool
 )
 
-// mix64 folds one 64-bit value into the running FNV-1a state byte-wise
-// (little-endian), exactly like hashing the value's 8 bytes.
-func mix64(h, v uint64) uint64 {
-	h = (h ^ (v & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 8) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 16) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 24) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 32) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 40) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 48) & 0xFF)) * fnvPrime
-	h = (h ^ (v >> 56)) * fnvPrime
-	return h
+// keyCol is one key column resolved to its typed slice.
+type keyCol struct {
+	class keyClass
+	ints  []int64 // keyInt; nil for a void column, whose row i is base+i
+	base  int64
+	flts  []float64
+	strs  []string
+	bools []bool
+	nulls *bat.BAT // the column itself when it holds a NULL, else nil
 }
 
-// mixByte folds a single byte into the state.
-func mixByte(h uint64, b byte) uint64 {
-	return (h ^ uint64(b)) * fnvPrime
+func newKeyCol(c *bat.BAT) keyCol {
+	k := keyCol{}
+	if c.HasNulls() {
+		k.nulls = c
+	}
+	switch c.Kind() {
+	case types.KindInt, types.KindOID:
+		k.class, k.ints = keyInt, c.DecodedInts()
+	case types.KindVoid:
+		k.class, k.base = keyInt, int64(c.Seqbase())
+	case types.KindFloat:
+		k.class, k.flts = keyFloat, c.DecodedFloats()
+	case types.KindStr:
+		k.class, k.strs = keyStr, c.DecodedStrs()
+	case types.KindBool:
+		k.class, k.bools = keyBool, c.DecodedBools()
+	}
+	return k
 }
 
-// mixString folds a string's bytes into the state without conversion
-// allocations (indexing a string yields bytes directly).
-func mixString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
+func (c *keyCol) isNull(i int) bool { return c.nulls != nil && c.nulls.IsNull(i) }
+
+func (c *keyCol) int(i int) int64 {
+	if c.ints != nil {
+		return c.ints[i]
+	}
+	return c.base + int64(i)
+}
+
+// word is the hash input of row i.
+func (c *keyCol) word(i int) uint64 {
+	if c.isNull(i) {
+		return nullWord
+	}
+	switch c.class {
+	case keyInt:
+		return uint64(c.int(i))
+	case keyFloat:
+		return math.Float64bits(c.flts[i])
+	case keyStr:
+		return maphash.String(strSeed, c.strs[i])
+	case keyBool:
+		if c.bools[i] {
+			return 1
+		}
+	}
+	return 0
+}
+
+// eqAt compares non-NULL row i of c with non-NULL row j of o. Floats are
+// equal when they compare equal and share their bits, so -0.0 and 0.0
+// differ and NaN equals nothing. An int key meets a float key only where
+// the raw words agree and the values compare equal.
+func (c *keyCol) eqAt(i int, o *keyCol, j int) bool {
+	if c.class != o.class {
+		num := func(k keyClass) bool { return k == keyInt || k == keyFloat }
+		return num(c.class) && num(o.class) && c.word(i) == o.word(j) && c.float(i) == o.float(j)
+	}
+	switch c.class {
+	case keyInt:
+		return c.int(i) == o.int(j)
+	case keyFloat:
+		x, y := c.flts[i], o.flts[j]
+		return x == y && math.Float64bits(x) == math.Float64bits(y)
+	case keyStr:
+		return c.strs[i] == o.strs[j]
+	case keyBool:
+		return c.bools[i] == o.bools[j]
+	}
+	return true
+}
+
+func (c *keyCol) float(i int) float64 {
+	if c.class == keyFloat {
+		return c.flts[i]
+	}
+	return float64(c.int(i))
+}
+
+// rowKeys is a list of aligned key columns resolved for one kernel call.
+// It is read-only after construction and safe to share across workers.
+type rowKeys struct {
+	cols  []keyCol
+	nulls bool    // some column holds a NULL
+	ints  []int64 // the values of a lone NULL-free int key: the fast path
+}
+
+func newRowKeys(cols []*bat.BAT) *rowKeys {
+	k := &rowKeys{cols: make([]keyCol, len(cols))}
+	for c, b := range cols {
+		k.cols[c] = newKeyCol(b)
+		k.nulls = k.nulls || k.cols[c].nulls != nil
+	}
+	if len(cols) == 1 && !k.nulls {
+		k.ints = k.cols[0].ints
+	}
+	return k
+}
+
+// hash hashes row i; equal rows (NULL equal to NULL) hash alike.
+func (k *rowKeys) hash(i int) uint64 {
+	if k.ints != nil {
+		return uint64(k.ints[i]) * hashMul
+	}
+	var h uint64
+	for c := range k.cols {
+		h = (bits.RotateLeft64(h, 27) ^ k.cols[c].word(i)) * hashMul
 	}
 	return h
 }
 
-// rowHasher hashes rows of a fixed key-column list. Construction resolves
-// each column to its decoded typed view once (one slab-layer charge per
-// column, and a single decode for encoded columns), so the per-row loops —
-// which run millions of times inside joins and grouping — touch only flat
-// slices. A rowHasher is read-only after construction and safe to share
-// across workers.
-type rowHasher struct {
-	cols  []*bat.BAT
-	isStr []bool
-	mix   []func(h uint64, i int) uint64
+// hasNull reports whether row i holds a NULL key (such rows never join).
+func (k *rowKeys) hasNull(i int) bool {
+	if !k.nulls {
+		return false
+	}
+	for c := range k.cols {
+		if k.cols[c].isNull(i) {
+			return true
+		}
+	}
+	return false
 }
 
-func newRowHasher(cols []*bat.BAT) rowHasher {
-	rh := rowHasher{
-		cols:  cols,
-		isStr: make([]bool, len(cols)),
-		mix:   make([]func(uint64, int) uint64, len(cols)),
+// eq compares row i of k with row j of o (aligned key lists) with GROUP BY
+// semantics: NULL equals NULL and differs from every value.
+func (k *rowKeys) eq(i int, o *rowKeys, j int) bool {
+	if k.ints != nil && o.ints != nil {
+		return k.ints[i] == o.ints[j]
 	}
-	for k, c := range cols {
-		switch c.Kind() {
-		case types.KindInt, types.KindOID:
-			vals := c.DecodedInts()
-			rh.mix[k] = func(h uint64, i int) uint64 { return mix64(h, uint64(vals[i])) }
-		case types.KindVoid:
-			base := uint64(c.Seqbase())
-			rh.mix[k] = func(h uint64, i int) uint64 { return mix64(h, base+uint64(i)) }
-		case types.KindFloat:
-			// Normalise so that int-valued floats hash like ints when joined
-			// against integer columns (keys are pre-promoted by the compiler,
-			// so this only defends against mixed use at the kernel level).
-			vals := c.DecodedFloats()
-			rh.mix[k] = func(h uint64, i int) uint64 { return mix64(h, math.Float64bits(vals[i])) }
-		case types.KindBool:
-			vals := c.DecodedBools()
-			rh.mix[k] = func(h uint64, i int) uint64 {
-				if vals[i] {
-					return mixByte(h, 1)
-				}
-				return mixByte(h, 0)
+	for c := range k.cols {
+		a, b := &k.cols[c], &o.cols[c]
+		an, bn := a.isNull(i), b.isNull(j)
+		if an || bn {
+			if an != bn {
+				return false
 			}
-		case types.KindStr:
-			rh.isStr[k] = true
-			vals := c.DecodedStrs()
-			rh.mix[k] = func(h uint64, i int) uint64 { return mixString(h, vals[i]) }
-		default:
-			rh.mix[k] = func(h uint64, i int) uint64 { return h }
-		}
-	}
-	return rh
-}
-
-// row hashes row i, returning ok=false for rows containing any NULL (the
-// callers treat those as non-matching).
-func (rh rowHasher) row(i int) (uint64, bool) {
-	h := fnvOffset
-	for k, c := range rh.cols {
-		if c.IsNull(i) {
-			return 0, false
-		}
-		h = rh.mix[k](h, i)
-		if rh.isStr[k] {
-			h = mixByte(h, 0)
-		}
-	}
-	return h, true
-}
-
-// nullPattern hashes a row that contains NULLs with GROUP BY semantics:
-// NULL contributes a marker byte, non-NULL values contribute their typed
-// bytes followed by a separator, so (1, NULL) and (NULL, 1) hash apart.
-func (rh rowHasher) nullPattern(i int) uint64 {
-	h := fnvOffset
-	for k, c := range rh.cols {
-		if c.IsNull(i) {
-			h = mixByte(h, 0xFF)
 			continue
 		}
-		h = rh.mix[k](h, i)
-		h = mixByte(h, 0xFE)
+		if !a.eqAt(i, b, j) {
+			return false
+		}
 	}
-	return h
+	return true
 }
 
-// hashRow hashes row i of every key column (one-shot convenience; loops
-// build a rowHasher once instead).
-func hashRow(cols []*bat.BAT, i int) (uint64, bool) { return newRowHasher(cols).row(i) }
+// tableBits returns the log2 size of a power-of-two table with at least
+// n slots (minimum 16).
+func tableBits(n int) uint {
+	b := uint(4)
+	for 1<<b < n {
+		b++
+	}
+	return b
+}
 
-// nullPatternHash is the one-shot form of rowHasher.nullPattern.
-func nullPatternHash(keys []*bat.BAT, i int) uint64 { return newRowHasher(keys).nullPattern(i) }
-
-// hashRows computes rowHasher.row for rows [0,n) of cols into hs, with ok
-// bits in valid, splitting the work across the pool. Both slices must be
-// length n.
-func hashRows(cols []*bat.BAT, n int, hs []uint64, valid []bool) {
-	rh := newRowHasher(cols)
+// hashRows hashes rows [0,n) of k into hs and marks the NULL-free ones in
+// valid, splitting the work across the pool. Both slices must be length n.
+func hashRows(k *rowKeys, n int, hs []uint64, valid []bool) {
 	par.Do(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			hs[i], valid[i] = rh.row(i)
+			hs[i], valid[i] = k.hash(i), !k.hasNull(i)
 		}
 	})
 }

@@ -2,23 +2,11 @@ package gdk
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bat"
 	"repro/internal/par"
 	"repro/internal/types"
 )
-
-// rowsEqual compares row li of ls with row ri of rs column-wise (non-NULL
-// rows only; callers exclude NULLs).
-func rowsEqual(ls []*bat.BAT, li int, rs []*bat.BAT, ri int) bool {
-	for k := range ls {
-		if !ls[k].Get(li).Equal(rs[k].Get(ri)) {
-			return false
-		}
-	}
-	return true
-}
 
 // HashJoin computes the inner equi-join of two aligned column groups on the
 // given key columns. It returns two position lists (left and right), one
@@ -80,7 +68,7 @@ func hashJoinDense(lkeys, rkeys []*bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
 		return nil, nil, err
 	}
 	// Re-sort pairs by left position for deterministic output.
-	return sortPairsByLeft(l, r)
+	return sortPairsByLeft(l, r, nl)
 }
 
 // mergeJoinEligible reports whether the single-key merge join applies:
@@ -176,46 +164,44 @@ func mergeRuns[T int64 | string](nl, nr int, lat, rat func(int) T) (lout, rout [
 	return lout, rout
 }
 
-// hashTable is a chained-bucket table over flat arrays: buckets[h&mask]
+// hashTable is a chained-bucket table over flat arrays: buckets[h>>shift]
 // holds the 1-based row index of its chain head, next[i] the 1-based
 // index of the row after i in the same bucket, and 0 means "end". The
 // zero value of both arrays is already a valid empty table, so the only
 // allocations are demand-zero flat slices — unlike a row-count-sized Go
 // map, whose eager bucket array is an uncancellable multi-hundred-MB
 // stall at 10M rows. Chains keep ascending row order, so probing yields
-// pairs in the same order the map-based table produced.
+// pairs in ascending build position.
 type hashTable struct {
-	mask    uint64
+	keys    *rowKeys
+	shift   uint
 	buckets []int32
 	next    []int32
-	hs      []uint64 // per-row hash: cheap chain filter before rowsEqual
-	ok      []bool   // non-NULL rows (the only ones inserted)
+	hs      []uint64 // per-row hash: cheap chain filter before eq
+	ok      []bool   // NULL-free rows (the only ones inserted)
 }
 
 // first returns the 1-based chain head for hash h (0 if empty).
-func (t *hashTable) first(h uint64) int32 { return t.buckets[h&t.mask] }
+func (t *hashTable) first(h uint64) int32 { return t.buckets[h>>t.shift] }
 
 // buildHashTable hashes every row of keys (in parallel) and chains the
-// non-NULL ones into the bucket table. The insertion loop is the join's
+// NULL-free ones into the bucket table. The insertion loop is the join's
 // long serial segment, so it polls the goroutine's cancellation job
 // every few thousand rows and bails with a partial table — callers must
 // check the job before using the result.
 func buildHashTable(keys []*bat.BAT) *hashTable {
 	n := keys[0].Len()
-	t := &hashTable{hs: make([]uint64, n), ok: make([]bool, n)}
-	hashRows(keys, n, t.hs, t.ok)
+	t := &hashTable{keys: newRowKeys(keys), hs: make([]uint64, n), ok: make([]bool, n)}
+	hashRows(t.keys, n, t.hs, t.ok)
 	job := par.CurrentJob()
 	if job.Canceled() {
-		t.buckets = make([]int32, 1)
+		t.shift, t.buckets = 64, make([]int32, 1) // an empty table
 		return t
 	}
-	nb := 16
-	for nb < n {
-		nb <<= 1
-	}
-	t.mask = uint64(nb - 1)
-	t.buckets = make([]int32, nb)
-	t.next = make([]int32, n)
+	// Four buckets per row: a probe that misses mostly lands on an empty
+	// bucket instead of walking a chain.
+	b := tableBits(4 * n)
+	t.shift, t.buckets, t.next = 64-b, make([]int32, 1<<b), make([]int32, n)
 	// Insert in descending row order: each prepend leaves the chain
 	// reading ascending, matching the probe-output order contract.
 	for i := n - 1; i >= 0; i-- {
@@ -223,12 +209,28 @@ func buildHashTable(keys []*bat.BAT) *hashTable {
 			break
 		}
 		if t.ok[i] {
-			b := t.hs[i] & t.mask
+			b := t.hs[i] >> t.shift
 			t.next[i] = t.buckets[b]
 			t.buckets[b] = int32(i) + 1
 		}
 	}
 	return t
+}
+
+// probe appends to out every build row equal to row i of the probe keys
+// k, in ascending build position. NULL-keyed probe rows match nothing.
+func (t *hashTable) probe(k *rowKeys, i int, out []int64) []int64 {
+	if k.hasNull(i) {
+		return out
+	}
+	h := k.hash(i)
+	for j := t.first(h); j != 0; j = t.next[j-1] {
+		ri := int(j - 1)
+		if t.hs[ri] == h && k.eq(i, t.keys, ri) {
+			out = append(out, int64(ri))
+		}
+	}
+	return out
 }
 
 func hashJoinBuildRight(lkeys, rkeys []*bat.BAT) (*bat.BAT, *bat.BAT, error) {
@@ -243,20 +245,14 @@ func hashJoinBuildRight(lkeys, rkeys []*bat.BAT) (*bat.BAT, *bat.BAT, error) {
 	plan := par.NewPlan(nl)
 	louts := make([][]int64, plan.Chunks())
 	routs := make([][]int64, plan.Chunks())
-	rh := newRowHasher(lkeys)
+	k := newRowKeys(lkeys)
 	plan.Run(func(c, lo, hi int) {
 		var lout, rout []int64
 		for i := lo; i < hi; i++ {
-			h, ok := rh.row(i)
-			if !ok {
-				continue
-			}
-			for j := table.first(h); j != 0; j = table.next[j-1] {
-				ri := int(j - 1)
-				if table.hs[ri] == h && rowsEqual(lkeys, i, rkeys, ri) {
-					lout = append(lout, int64(i))
-					rout = append(rout, int64(ri))
-				}
+			from := len(rout)
+			rout = table.probe(k, i, rout)
+			for range rout[from:] {
+				lout = append(lout, int64(i))
 			}
 		}
 		louts[c], routs[c] = lout, rout
@@ -291,27 +287,27 @@ func concatInt64(parts [][]int64) []int64 {
 	return out
 }
 
-func sortPairsByLeft(l, r *bat.BAT) (*bat.BAT, *bat.BAT, error) {
+// sortPairsByLeft reorders join pairs that arrive ordered by right
+// position into (left, right) order, where every left position is below
+// nl: a stable counting sort on the left position, O(pairs + nl).
+func sortPairsByLeft(l, r *bat.BAT, nl int) (*bat.BAT, *bat.BAT, error) {
 	if par.CurrentJob().Canceled() {
 		return nil, nil, par.ErrCanceled
 	}
-	n := l.Len()
-	type pair struct{ l, r int64 }
-	pairs := make([]pair, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = pair{int64(l.OidAt(i)), int64(r.OidAt(i))}
+	ls, rs := l.DecodedInts(), r.DecodedInts()
+	start := make([]int64, nl+1)
+	for _, v := range ls {
+		start[v+1]++
 	}
-	// Stable order by left then right for determinism.
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].l != pairs[j].l {
-			return pairs[i].l < pairs[j].l
-		}
-		return pairs[i].r < pairs[j].r
-	})
-	lo := make([]int64, n)
-	ro := make([]int64, n)
-	for i, p := range pairs {
-		lo[i], ro[i] = p.l, p.r
+	for i := 1; i <= nl; i++ {
+		start[i] += start[i-1]
+	}
+	lo := make([]int64, len(ls))
+	ro := make([]int64, len(ls))
+	for p, v := range ls {
+		q := start[v]
+		start[v]++
+		lo[q], ro[q] = v, rs[p]
 	}
 	lb, rb := bat.FromOIDs(lo), bat.FromOIDs(ro)
 	lb.Sorted = true
@@ -355,24 +351,18 @@ func leftJoinDense(lkeys, rkeys []*bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
 	louts := make([][]int64, plan.Chunks())
 	routs := make([][]int64, plan.Chunks())
 	rnulls := make([][]bool, plan.Chunks())
-	rh := newRowHasher(lkeys)
+	k := newRowKeys(lkeys)
 	plan.Run(func(c, lo, hi int) {
 		var lout, rout []int64
 		var rnull []bool
 		for i := lo; i < hi; i++ {
-			matched := false
-			if h, ok := rh.row(i); ok {
-				for j := table.first(h); j != 0; j = table.next[j-1] {
-					ri := int(j - 1)
-					if table.hs[ri] == h && rowsEqual(lkeys, i, rkeys, ri) {
-						lout = append(lout, int64(i))
-						rout = append(rout, int64(ri))
-						rnull = append(rnull, false)
-						matched = true
-					}
-				}
+			from := len(rout)
+			rout = table.probe(k, i, rout)
+			for range rout[from:] {
+				lout = append(lout, int64(i))
+				rnull = append(rnull, false)
 			}
-			if !matched {
+			if len(rout) == from {
 				lout = append(lout, int64(i))
 				rout = append(rout, 0)
 				rnull = append(rnull, true)

@@ -2,7 +2,6 @@ package gdk
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -14,9 +13,8 @@ import (
 
 // The property under test: for every kernel, the morsel-parallel execution
 // produces a BAT identical to the serial one — same values, same null
-// bitmap — at sizes straddling the parallel cutoff. Float aggregates are
-// the one sanctioned exception: chunked summation reassociates float
-// addition, so sums compare with a relative epsilon.
+// bitmap — at sizes straddling the parallel cutoff. Float sums included:
+// their summation order does not depend on the thread count.
 
 // equivSizes straddle the forced cutoff (equivCutoff): below it kernels
 // stay serial, at and above it they engage the pool.
@@ -98,29 +96,6 @@ func batsEqual(t *testing.T, label string, a, b *bat.BAT) {
 		}
 		if !a.Get(i).Equal(b.Get(i)) {
 			t.Fatalf("%s: row %d value %v vs %v", label, i, a.Get(i), b.Get(i))
-		}
-	}
-}
-
-// batsClose is batsEqual with a relative epsilon for float rows
-// (reassociated float sums).
-func batsClose(t *testing.T, label string, a, b *bat.BAT) {
-	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("%s: len %d vs %d", label, a.Len(), b.Len())
-	}
-	for i := 0; i < a.Len(); i++ {
-		an, bn := a.IsNull(i), b.IsNull(i)
-		if an != bn {
-			t.Fatalf("%s: row %d null mismatch %v vs %v", label, i, an, bn)
-		}
-		if an {
-			continue
-		}
-		x, _ := a.Get(i).AsFloat()
-		y, _ := b.Get(i).AsFloat()
-		if diff := math.Abs(x - y); diff > 1e-9*(1+math.Abs(x)) {
-			t.Fatalf("%s: row %d value %v vs %v", label, i, x, y)
 		}
 	}
 }
@@ -350,12 +325,7 @@ func TestParEquivGroupAggr(t *testing.T) {
 				}
 				return out
 			}, func(s, p *bat.BAT) {
-				label := fmt.Sprintf("subaggr float %s n=%d", agg, n)
-				if agg == AggSum || agg == AggAvg {
-					batsClose(t, label, s, p)
-				} else {
-					batsEqual(t, label, s, p)
-				}
+				batsEqual(t, fmt.Sprintf("subaggr float %s n=%d", agg, n), s, p)
 			})
 		}
 	}
@@ -413,15 +383,15 @@ func TestParEquivTileSAT(t *testing.T) {
 }
 
 // TestParEquivHashZeroAlloc pins the zero-allocation property of the row
-// hasher's hot path: once the rowHasher is built (one construction per
-// kernel call), hashing a row must not allocate.
+// keys' hot path: once the rowKeys are built (one construction per kernel
+// call), hashing and comparing rows must not allocate.
 func TestParEquivHashZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cols := []*bat.BAT{mkInts(rng, 1024), mkFloats(rng, 1024)}
-	rh := newRowHasher(cols)
+	k := newRowKeys([]*bat.BAT{mkInts(rng, 1024), mkFloats(rng, 1024), mkStrs(rng, 1024)})
 	allocs := testing.AllocsPerRun(1000, func() {
-		rh.row(512)
-		rh.nullPattern(512)
+		k.hash(512)
+		k.hasNull(512)
+		k.eq(512, k, 100)
 	})
 	if allocs != 0 {
 		t.Fatalf("row hashing allocates %.1f per run, want 0", allocs)

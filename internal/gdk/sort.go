@@ -1,8 +1,11 @@
 package gdk
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/bat"
 )
@@ -14,8 +17,16 @@ type SortSpec struct {
 
 // OrderIdx returns a stable order index (oid BAT) that sorts the aligned
 // key columns according to specs. NULLs sort first on ascending keys and
-// last on descending keys (MonetDB convention: NULL is the smallest value).
-func OrderIdx(keys []*bat.BAT, specs []SortSpec) (*bat.BAT, error) {
+// last on descending keys (MonetDB convention: NULL is the smallest
+// value); NaN sorts after every number ascending and before them
+// descending. -0.0 and 0.0 compare equal. Rows with equal keys keep their
+// input order.
+//
+// A limit >= 0 asks for only the first limit entries of that order (ORDER
+// BY ... LIMIT): a bounded heap keeps the best limit rows under the same
+// total order — keys, then position — so the result is exactly the
+// full order's prefix.
+func OrderIdx(keys []*bat.BAT, specs []SortSpec, limit int) (*bat.BAT, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("gdk: sort needs at least one key")
 	}
@@ -28,39 +39,230 @@ func OrderIdx(keys []*bat.BAT, specs []SortSpec) (*bat.BAT, error) {
 			return nil, fmt.Errorf("gdk: sort keys not aligned")
 		}
 	}
-	idx := make([]int64, n)
-	for i := range idx {
-		idx[i] = int64(i)
+	if limit < 0 || limit > n {
+		limit = n
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := int(idx[a]), int(idx[b])
-		for k, key := range keys {
-			c := key.Get(ia).Compare(key.Get(ib))
-			if c == 0 {
-				continue
+	sks := make([]sortKey, len(keys))
+	for i, k := range keys {
+		sks[i] = sortKey{col: newKeyCol(k), desc: specs[i].Desc}
+	}
+	if len(sks) == 1 && sks[0].col.class != keyStr {
+		return bat.FromOIDs(sks[0].order(n, limit)), nil
+	}
+	top := topK[int64]{k: limit, h: make([]int64, 0, limit), cmp: func(a, b int64) int {
+		for k := range sks {
+			if c := sks[k].cmp(int(a), int(b)); c != 0 {
+				return c
 			}
-			if specs[k].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
-	})
-	return bat.FromOIDs(idx), nil
+		return cmp.Compare(a, b)
+	}}
+	for i := 0; i < n; i++ {
+		top.offer(int64(i))
+	}
+	return bat.FromOIDs(top.sorted()), nil
 }
 
-// FirstN truncates an order/position index to at most n entries starting at
-// offset (LIMIT/OFFSET).
-func FirstN(idx *bat.BAT, offset, n int) *bat.BAT {
-	if offset < 0 {
-		offset = 0
+// topK keeps the k smallest items offered under cmp, a total order. The
+// first k items are kept as they come; from the next one on they form a
+// max-heap, and each later item either loses to its root or replaces it.
+// With k equal to the number of items offered it is a plain sort.
+type topK[T any] struct {
+	k      int
+	cmp    func(a, b T) int
+	h      []T
+	heaped bool
+}
+
+func (t *topK[T]) offer(x T) {
+	if len(t.h) < t.k {
+		t.h = append(t.h, x)
+		return
 	}
-	if offset > idx.Len() {
-		offset = idx.Len()
+	if t.k == 0 {
+		return
 	}
-	end := idx.Len()
-	if n >= 0 && offset+n < end {
-		end = offset + n
+	if !t.heaped {
+		for p := t.k/2 - 1; p >= 0; p-- {
+			t.down(p)
+		}
+		t.heaped = true
 	}
-	return idx.Slice(offset, end)
+	if t.cmp(x, t.h[0]) < 0 {
+		t.h[0] = x
+		t.down(0)
+	}
+}
+
+// down restores the max-heap below position p.
+func (t *topK[T]) down(p int) {
+	h := t.h
+	for {
+		c := 2*p + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && t.cmp(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if t.cmp(h[p], h[c]) >= 0 {
+			return
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
+}
+
+// sorted returns the kept items in order.
+func (t *topK[T]) sorted() []T {
+	slices.SortFunc(t.h, t.cmp)
+	return t.h
+}
+
+// sortKey is one ORDER BY column resolved to its typed slice, with one
+// comparator per kind: strings compare directly, fixed-width kinds (int,
+// oid, void, float, bool) through an order-preserving word.
+type sortKey struct {
+	col  keyCol
+	desc bool
+}
+
+// word maps non-NULL row i to a word whose unsigned order is the key's
+// order, complemented for a descending key.
+func (k *sortKey) word(i int) uint64 {
+	var w uint64
+	switch k.col.class {
+	case keyInt:
+		w = uint64(k.col.int(i)) ^ 1<<63
+	case keyFloat:
+		w = floatWord(k.col.flts[i])
+	case keyBool:
+		if k.col.bools[i] {
+			w = 1
+		}
+	}
+	if k.desc {
+		w = ^w
+	}
+	return w
+}
+
+// floatWord maps a float to a word whose unsigned order is the numeric
+// order, with -0.0 equal to 0.0 and every NaN above +Inf.
+func floatWord(f float64) uint64 {
+	if f != f {
+		return math.MaxUint64
+	}
+	b := math.Float64bits(f + 0) // -0.0 + 0 is +0.0
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// cmp orders rows a and b on this key alone.
+func (k *sortKey) cmp(a, b int) int {
+	if k.col.nulls != nil {
+		an, bn := k.col.isNull(a), k.col.isNull(b)
+		if an || bn {
+			if an == bn {
+				return 0
+			}
+			c := 1
+			if an {
+				c = -1
+			}
+			if k.desc {
+				c = -c
+			}
+			return c
+		}
+	}
+	if k.col.class == keyStr {
+		c := strings.Compare(k.col.strs[a], k.col.strs[b])
+		if k.desc {
+			c = -c
+		}
+		return c
+	}
+	return cmp.Compare(k.word(a), k.word(b))
+}
+
+// order returns the first limit rows of the order of n rows of one
+// fixed-width key. NULL rows, in position order, go first (ascending) or
+// last (descending); the other rows are (word, position) pairs. A full
+// order puts the pairs in order with a stable LSD radix sort, so equal
+// words keep ascending positions without a comparison; a shorter limit
+// keeps the best pairs in a bounded heap.
+func (k *sortKey) order(n, limit int) []int64 {
+	var nulls []int64
+	top := topK[wordPos]{k: limit, h: make([]wordPos, 0, limit), cmp: func(a, b wordPos) int {
+		if c := cmp.Compare(a.w, b.w); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.p, b.p)
+	}}
+	for i := 0; i < n; i++ {
+		if k.col.isNull(i) {
+			if len(nulls) < limit {
+				nulls = append(nulls, int64(i))
+			}
+			continue
+		}
+		w := k.word(i)
+		if top.heaped && w >= top.h[0].w {
+			continue // loses to the root: a later row loses ties too
+		}
+		top.offer(wordPos{w, int64(i)})
+	}
+	pairs := top.h
+	if limit == n {
+		radixSort(pairs)
+	} else {
+		pairs = top.sorted()
+	}
+	idx := make([]int64, 0, len(nulls)+len(pairs))
+	if !k.desc {
+		idx = append(idx, nulls...)
+	}
+	for _, p := range pairs {
+		idx = append(idx, p.p)
+	}
+	if k.desc {
+		idx = append(idx, nulls...)
+	}
+	return idx[:limit]
+}
+
+// wordPos is one row of a fixed-width sort key: its order word and its
+// position.
+type wordPos struct {
+	w uint64
+	p int64
+}
+
+// radixSort sorts pairs by word, stably, one byte per pass from the least
+// significant; a byte every word shares costs no pass.
+func radixSort(pairs []wordPos) {
+	var counts [8][256]int
+	for _, p := range pairs {
+		for d := range counts {
+			counts[d][byte(p.w>>(8*d))]++
+		}
+	}
+	src, dst := pairs, make([]wordPos, len(pairs))
+	for d := range counts {
+		c := &counts[d]
+		if len(src) == 0 || c[byte(src[0].w>>(8*d))] == len(src) {
+			continue
+		}
+		pos := 0
+		for b := range c {
+			c[b], pos = pos, pos+c[b]
+		}
+		for _, p := range src {
+			b := byte(p.w >> (8 * d))
+			dst[c[b]] = p
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(pairs, src)
 }

@@ -188,26 +188,17 @@ func (g *gen) node(n rel.Node) (cenv, error) {
 		return g.tileAgg(x)
 
 	case *rel.Sort:
-		env, err := g.node(x.Child)
-		if err != nil {
-			return cenv{}, err
-		}
-		keys := make([]Arg, 0, len(x.Keys)+1)
-		for _, k := range x.Keys {
-			arg, err := g.expr(&env, k)
-			if err != nil {
-				return cenv{}, err
-			}
-			keys = append(keys, V(g.mat(&env, arg, k.Kind())))
-		}
-		keys = append(keys, X(append([]bool{}, x.Desc...)))
-		idx := g.p.Emit("algebra", "sort", keys...)
-		// The order index addresses candidate space; compose it with the
-		// candidate list so output columns project straight from base.
-		return g.projectAll(env, g.mapToBase(idx, env))
+		return g.sort(x, -1)
 
 	case *rel.Limit:
-		env, err := g.node(x.Child)
+		var env cenv
+		var err error
+		if s, ok := x.Child.(*rel.Sort); ok && x.Count >= 0 {
+			// Top-N: the sort only has to order the rows the slice keeps.
+			env, err = g.sort(s, x.Offset+x.Count)
+		} else {
+			env, err = g.node(x.Child)
+		}
 		if err != nil {
 			return cenv{}, err
 		}
@@ -451,6 +442,31 @@ func colKeys(keys []rel.Expr) bool {
 		}
 	}
 	return true
+}
+
+// sort compiles an ORDER BY. A bound >= 0 (the LIMIT's offset + count)
+// lets algebra.sort keep only the first bound rows of the order.
+func (g *gen) sort(x *rel.Sort, bound int64) (cenv, error) {
+	env, err := g.node(x.Child)
+	if err != nil {
+		return cenv{}, err
+	}
+	args := make([]Arg, 0, len(x.Keys)+2)
+	for _, k := range x.Keys {
+		arg, err := g.expr(&env, k)
+		if err != nil {
+			return cenv{}, err
+		}
+		args = append(args, V(g.mat(&env, arg, k.Kind())))
+	}
+	args = append(args, X(append([]bool{}, x.Desc...)))
+	if bound >= 0 {
+		args = append(args, K(types.Int(bound)))
+	}
+	idx := g.p.Emit("algebra", "sort", args...)
+	// The order index addresses candidate space; compose it with the
+	// candidate list so output columns project straight from base.
+	return g.projectAll(env, g.mapToBase(idx, env))
 }
 
 func (g *gen) groupAgg(x *rel.GroupAgg) (cenv, error) {

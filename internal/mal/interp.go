@@ -374,9 +374,18 @@ func (c *Ctx) exec(in *Instr) error {
 		return nil
 
 	case "algebra.sort":
-		descs := in.Args[len(in.Args)-1].Aux.([]bool)
-		keys := make([]*bat.BAT, 0, len(in.Args)-1)
-		for _, a := range in.Args[:len(in.Args)-1] {
+		// Args: key columns, the per-key DESC flags, then an optional bound.
+		args, limit := in.Args, -1
+		if last := args[len(args)-1]; !last.IsVar() && last.Aux == nil {
+			b, err := c.scalarInt(last)
+			if err != nil {
+				return err
+			}
+			args, limit = args[:len(args)-1], int(b)
+		}
+		descs := args[len(args)-1].Aux.([]bool)
+		keys := make([]*bat.BAT, 0, len(args)-1)
+		for _, a := range args[:len(args)-1] {
 			b, err := c.batVar(a)
 			if err != nil {
 				return err
@@ -387,7 +396,7 @@ func (c *Ctx) exec(in *Instr) error {
 		for i, d := range descs {
 			specs[i] = gdk.SortSpec{Desc: d}
 		}
-		idx, err := gdk.OrderIdx(keys, specs)
+		idx, err := gdk.OrderIdx(keys, specs, limit)
 		if err != nil {
 			return err
 		}

@@ -133,6 +133,19 @@ func NewPlan(n int) Plan {
 	return Plan{N: n, Size: size, chunk: c, width: w}
 }
 
+// Blocks partitions n rows into fixed chunks of size rows (the last may be
+// shorter, size a multiple of 64) whatever the thread count, for kernels
+// whose result depends on where chunk boundaries fall. The chunks run on
+// the pool when n reaches the morsel threshold.
+func Blocks(n, size int) Plan {
+	c := max(1, (n+size-1)/size)
+	w := 1
+	if n >= MorselThreshold() {
+		w = min(Threads(), c)
+	}
+	return Plan{N: n, Size: size, chunk: c, width: w}
+}
+
 // Serial returns a one-chunk plan over n rows, for kernels that veto
 // parallelism themselves (e.g. when per-worker state would dwarf the input).
 func Serial(n int) Plan { return Plan{N: n, Size: n, chunk: 1, width: 1} }
