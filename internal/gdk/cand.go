@@ -77,9 +77,10 @@ func restrictCols(cols []*bat.BAT, cand *bat.BAT) ([]*bat.BAT, error) {
 
 // mapCand composes a position list computed in candidate space back into
 // base positions: out[i] = cand[idx[i]]. NULL index entries (outer joins)
-// stay NULL. A nil candidate list is the identity.
+// stay NULL. A nil candidate list, and a dense one from position 0 (an
+// unfiltered table), is the identity.
 func mapCand(idx, cand *bat.BAT) (*bat.BAT, error) {
-	if cand == nil {
+	if cand == nil || cand.Kind() == types.KindVoid && cand.Seqbase() == 0 {
 		return idx, nil
 	}
 	out, err := Project(idx, cand)

@@ -2,6 +2,7 @@ package gdk
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bat"
 	"repro/internal/par"
@@ -198,9 +199,7 @@ func buildHashTable(keys []*bat.BAT) *hashTable {
 		t.shift, t.buckets = 64, make([]int32, 1) // an empty table
 		return t
 	}
-	// Four buckets per row: a probe that misses mostly lands on an empty
-	// bucket instead of walking a chain.
-	b := tableBits(4 * n)
+	b := tableBits(n)
 	t.shift, t.buckets, t.next = 64-b, make([]int32, 1<<b), make([]int32, n)
 	// Insert in descending row order: each prepend leaves the chain
 	// reading ascending, matching the probe-output order contract.
@@ -263,12 +262,18 @@ func hashJoinBuildRight(lkeys, rkeys []*bat.BAT) (*bat.BAT, *bat.BAT, error) {
 		return nil, nil, par.ErrCanceled
 	}
 	lb, rb := bat.FromOIDs(concatInt64(louts)), bat.FromOIDs(concatInt64(routs))
+	if par.CurrentJob().Canceled() {
+		return nil, nil, par.ErrCanceled
+	}
 	lb.Sorted = true
 	return lb, rb, nil
 }
 
 // concatInt64 joins per-chunk buffers in chunk order; a single chunk is
-// returned as-is without copying.
+// returned as-is without copying. The copy runs by morsels of the output,
+// so a large join's pair list copies on the pool and a cancelled job
+// stops it within a morsel (or skips the allocation), leaving a partial
+// result — callers must check the job before using it.
 func concatInt64(parts [][]int64) []int64 {
 	if len(parts) == 1 {
 		if parts[0] == nil {
@@ -276,14 +281,21 @@ func concatInt64(parts [][]int64) []int64 {
 		}
 		return parts[0]
 	}
+	if par.CurrentJob().Canceled() {
+		return []int64{}
+	}
+	ends := make([]int, len(parts)) // ends[c]: output row after part c
 	total := 0
-	for _, p := range parts {
+	for c, p := range parts {
 		total += len(p)
+		ends[c] = total
 	}
-	out := make([]int64, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
+	out := make([]int64, total)
+	par.Do(total, func(lo, hi int) {
+		for c, _ := slices.BinarySearch(ends, lo+1); lo < hi; c++ {
+			lo += copy(out[lo:hi], parts[c][lo-(ends[c]-len(parts[c])):])
+		}
+	})
 	return out
 }
 
@@ -377,6 +389,9 @@ func leftJoinDense(lkeys, rkeys []*bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
 	lout := bat.FromOIDs(concatInt64(louts))
 	lout.Sorted = true
 	rvals := concatInt64(routs)
+	if par.CurrentJob().Canceled() {
+		return nil, nil, par.ErrCanceled
+	}
 	rout := bat.FromOIDs(rvals)
 	var mask *bat.Bitmap
 	pos := 0

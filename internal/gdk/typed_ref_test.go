@@ -54,6 +54,13 @@ func refCol(t *testing.T, rng *rand.Rand, kind string, n int) *bat.BAT {
 			v[i] = fl[rng.Intn(len(fl))]
 		}
 		b = bat.FromFloats(v)
+	case "intfloat":
+		fl := []float64{-4, -1, math.Copysign(0, -1), 0, 1, 2, 7, 0.5, math.NaN(), 1 << 40}
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = fl[rng.Intn(len(fl))]
+		}
+		b = bat.FromFloats(v)
 	case "str":
 		words := []string{"", "a", "ab", "b", "ba", "\x00"}
 		v := make([]string, n)
@@ -132,15 +139,21 @@ func refGroup(cols []*bat.BAT, rows []int) (gids, extents []int64) {
 	return gids, extents
 }
 
-// refEq is the join's key equality on two boxed values.
+// refEq is the join's key equality on two boxed values: Value.Equal, and
+// for numbers also equal raw words (an integer itself, a float's bits).
+// Between two floats that keeps -0.0 and 0.0 apart; between an integer
+// and a float only 0 and +0.0 meet.
 func refEq(a, b types.Value) bool {
-	if a.IsNull() || b.IsNull() {
+	if a.IsNull() || b.IsNull() || !a.Equal(b) {
 		return false
 	}
-	if a.Kind() == types.KindFloat && b.Kind() == types.KindFloat {
-		return a.Equal(b) && math.Float64bits(a.Float64()) == math.Float64bits(b.Float64())
+	word := func(v types.Value) uint64 {
+		if v.Kind() == types.KindFloat {
+			return math.Float64bits(v.Float64())
+		}
+		return uint64(v.Int64())
 	}
-	return a.Equal(b)
+	return !a.Kind().Numeric() || !b.Kind().Numeric() || word(a) == word(b)
 }
 
 // refJoin is the nested-loop equi-join over the listed rows, in (left,
@@ -244,13 +257,17 @@ func refCols(t *testing.T, rng *rand.Rand, kinds []string, n int) []*bat.BAT {
 	return cols
 }
 
-// refCand draws no candidate list or a random ascending oid list over n
-// rows, and returns the rows it lists.
+// refCand draws a list of every row (none, or dense from 0 as an
+// unfiltered table's) or a random ascending oid list over n rows, and
+// returns the rows it lists.
 func refCand(rng *rand.Rand, n int, use bool) (*bat.BAT, []int) {
 	rows := make([]int, 0, n)
 	if !use {
 		for i := 0; i < n; i++ {
 			rows = append(rows, i)
+		}
+		if rng.Intn(2) == 0 {
+			return bat.NewVoid(0, n), rows
 		}
 		return nil, rows
 	}
@@ -306,17 +323,35 @@ func TestTypedGroupMatchesReference(t *testing.T) {
 	})
 }
 
+// refMixedKeyLists pairs integer-class key lists on one side with float
+// keys holding 0.0, -0.0, NaN and integral values on the other, both ways
+// round, alone and beside a second key of one kind.
+func refMixedKeyLists() [][2][]string {
+	var lists [][2][]string
+	for _, k := range []string{"int", "oid", "void", "const", "rle"} {
+		lists = append(lists,
+			[2][]string{{k}, {"intfloat"}},
+			[2][]string{{"intfloat"}, {k}},
+			[2][]string{{k, "bool"}, {"intfloat", "bool"}})
+	}
+	return lists
+}
+
 func TestTypedJoinMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(282))
 	refWidths(t, func(width string) {
 		for _, sz := range [][2]int{{0, 5}, {5, 0}, {1, 1}, {40, 9}, {9, 40}, {700, 60}, {60, 700}} {
+			var sides [][2][]string
 			for _, kinds := range refKeyLists(rng) {
-				l := refCols(t, rng, kinds, sz[0])
-				r := refCols(t, rng, kinds, sz[1])
+				sides = append(sides, [2][]string{kinds, kinds})
+			}
+			for _, lr := range append(sides, refMixedKeyLists()...) {
+				l := refCols(t, rng, lr[0], sz[0])
+				r := refCols(t, rng, lr[1], sz[1])
 				for _, useCand := range []bool{false, true} {
 					lc, lrows := refCand(rng, sz[0], useCand)
 					rc, rrows := refCand(rng, sz[1], useCand)
-					label := fmt.Sprintf("%s %dx%d keys=%v cand=%v", width, sz[0], sz[1], kinds, useCand)
+					label := fmt.Sprintf("%s %dx%d keys=%v cand=%v", width, sz[0], sz[1], lr, useCand)
 
 					wl, wr, _ := refJoin(l, r, lrows, rrows, false)
 					li, ri, err := HashJoin(l, r, lc, rc)
