@@ -209,6 +209,39 @@ func TestScalarFunctions(t *testing.T) {
 	}
 }
 
+// CAST(double AS INT) accepts exactly [-2^63, 2^63): 2^63 itself used to
+// wrap to -2^63, because math.MaxInt64 rounds up to 2^63 as a float64.
+// Constants cast at bind time, columns in the cast kernel; both must agree.
+func TestCastIntegerBounds(t *testing.T) {
+	db := New()
+	// -2^63 is the one in range; then 2^63, the next double below -2^63,
+	// and NaN.
+	lits := []string{`-9223372036854775808.0`, `9223372036854775808.0`, `-9223372036854777856.0`, `CAST('NaN' AS DOUBLE)`}
+	db.MustQuery(`CREATE TABLE f (id INT, v DOUBLE)`)
+	for i, lit := range lits {
+		db.MustQuery(fmt.Sprintf(`INSERT INTO f VALUES (%d, %s)`, i, lit))
+	}
+	for i, lit := range lits {
+		for _, q := range []string{
+			fmt.Sprintf(`SELECT CAST(%s AS INT)`, lit),
+			fmt.Sprintf(`SELECT CAST(v AS INT) FROM f WHERE id = %d`, i),
+		} {
+			res, err := db.Query(q)
+			if i == 0 {
+				if err != nil {
+					t.Errorf("%s: %v", q, err)
+				} else if got := rowStr(res, 0); got != "-9223372036854775808" {
+					t.Errorf("%s = %s, want -9223372036854775808", q, got)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "out of integer range") {
+				t.Errorf("%s: err = %v, want out of integer range", q, err)
+			}
+		}
+	}
+}
+
 func TestLike(t *testing.T) {
 	db := setupSales(t)
 	expectRows(t, db, `SELECT name FROM items WHERE name LIKE '%rry' ORDER BY name`,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -205,20 +206,19 @@ func TileSize(sh shape.Shape, tile []TileRange) int {
 // and holes (NULLs) are ignored; anchors whose tile holds no non-NULL cell
 // yield NULL (count yields 0). The result is aligned with the array cells.
 //
-// The implementation enumerates the tile's relative offsets and accumulates
-// one shifted copy of the attribute per offset — O(cells × tile size) with
-// fully vectorised inner loops.
+// The implementation enumerates the tile's relative offsets and, for each
+// row of anchors, adds the row's shifted run of the attribute per offset —
+// O(cells × tile size) in slice loops, morsel-parallel over the anchors.
 func TileAgg(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*bat.BAT, error) {
 	if len(tile) != len(sh) {
 		return nil, fmt.Errorf("gdk: tile spec has %d dimensions, array has %d", len(tile), len(sh))
 	}
+	if len(sh) == 0 {
+		return nil, fmt.Errorf("gdk: tiling needs at least one dimension")
+	}
 	cells := sh.Cells()
 	if attr.Len() != cells {
 		return nil, fmt.Errorf("gdk: attribute column has %d cells, shape has %d", attr.Len(), cells)
-	}
-	dims := make([]int, len(sh))
-	for k, d := range sh {
-		dims[k] = d.N()
 	}
 	offsetSets := make([][]int, len(sh))
 	for k, t := range tile {
@@ -230,9 +230,9 @@ func TileAgg(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*bat
 	}
 	switch agg {
 	case AggSum, AggAvg, AggCount, AggCountAll:
-		return tileAccumulate(agg, attr, dims, offsetSets)
+		return tileAccumulate(agg, attr, sh, offsetSets)
 	case AggMin, AggMax:
-		return tileMinMax(agg, attr, dims, offsetSets)
+		return tileMinMax(agg, attr, sh, offsetSets)
 	default:
 		return nil, fmt.Errorf("gdk: tiling does not support aggregate %q", agg)
 	}
@@ -249,70 +249,82 @@ func emptyTileResult(agg AggKind, k types.Kind, cells int) (*bat.BAT, error) {
 	return bat.Filler(cells, types.NullUnknown(), rk)
 }
 
-// forEachShiftedRegion visits, for one relative index-offset tuple, every
-// anchor position p whose shifted position p' = p + offset stays in bounds.
-// It calls fn(p, p') for each such pair, iterating in row-major order with
-// precomputed strides (no per-cell coordinate decoding).
-func forEachShiftedRegion(dims []int, offs []int, fn func(p, q int)) {
+// rowSpans calls fn once for every run [p0, p1) of the flat cell range
+// [from, to) that lies in one row of the innermost dimension. Before each
+// call idx holds the coordinates, in index units, of p0. Only from is
+// decoded with div/mod; later rows advance idx like an odometer.
+func rowSpans(dims []int, from, to int, idx []int, fn func(p0, p1 int)) {
+	if from >= to {
+		return
+	}
 	k := len(dims)
-	// Valid anchor index range per dimension: i in [lo_k, hi_k) such that
-	// i + off_k in [0, dims_k).
-	lo := make([]int, k)
-	hi := make([]int, k)
-	for d := 0; d < k; d++ {
-		lo[d] = 0
-		if offs[d] < 0 {
-			lo[d] = -offs[d]
-		}
-		hi[d] = dims[d]
-		if m := dims[d] - offs[d]; m < hi[d] {
-			hi[d] = m
-		}
-		if lo[d] >= hi[d] {
-			return
-		}
-	}
-	strides := make([]int, k)
-	acc := 1
+	rest := from
 	for d := k - 1; d >= 0; d-- {
-		strides[d] = acc
-		acc *= dims[d]
+		idx[d] = rest % dims[d]
+		rest /= dims[d]
 	}
-	shift := 0
-	for d := 0; d < k; d++ {
-		shift += offs[d] * strides[d]
-	}
-	// Row-major nested iteration over the anchor hyper-rectangle.
-	idx := make([]int, k)
-	for d := range idx {
-		idx[d] = lo[d]
-	}
-	for {
-		p := 0
-		for d := 0; d < k; d++ {
-			p += idx[d] * strides[d]
-		}
-		// Innermost dimension runs contiguously; hoist it.
-		last := k - 1
-		base := p - idx[last]*strides[last]
-		for i := lo[last]; i < hi[last]; i++ {
-			q := base + i
-			fn(q, q+shift)
-		}
-		// Advance the outer dimensions.
-		d := k - 2
-		for d >= 0 {
-			idx[d]++
-			if idx[d] < hi[d] {
+	for p0 := from; p0 < to; {
+		p1 := min(to, p0+dims[k-1]-idx[k-1])
+		fn(p0, p1)
+		p0 = p1
+		idx[k-1] = 0
+		for d := k - 2; d >= 0; d-- {
+			if idx[d]++; idx[d] < dims[d] {
 				break
 			}
-			idx[d] = lo[d]
-			d--
-		}
-		if d < 0 {
-			break
+			idx[d] = 0
 		}
 	}
+}
+
+// shiftedRun returns the sub-run [a, b) of the row run [p0, p1) whose cells
+// p, shifted by the index offsets offs, stay inside the array; idx holds
+// the coordinates of p0. An empty run has a >= b.
+func shiftedRun(dims, offs, idx []int, p0, p1 int) (a, b int) {
+	last := len(dims) - 1
+	for d := 0; d < last; d++ {
+		if t := idx[d] + offs[d]; t < 0 || t >= dims[d] {
+			return p0, p0
+		}
+	}
+	i0 := idx[last]
+	lo := max(i0, -offs[last])
+	hi := min(i0+p1-p0, dims[last]-offs[last])
+	return p0 + lo - i0, p0 + hi - i0
+}
+
+// tileRuns runs fn(a, b, shift) for every anchor run [a, b) and every tile
+// offset whose shifted cells a+shift .. b-1+shift lie in the array. Anchors
+// split into morsels that run in parallel; within a morsel each row visits
+// the offsets in forEachOffsetTuple order, so every anchor sees them in
+// that order whatever the thread count.
+func tileRuns(sh shape.Shape, offsetSets [][]int, fn func(a, b, shift int)) {
+	k := len(sh)
+	dims := make([]int, k)
+	for d, dim := range sh {
+		dims[d] = dim.N()
+	}
+	strides := sh.Strides()
+	var tuples [][]int
+	var shifts []int
+	forEachOffsetTuple(offsetSets, func(offs []int) {
+		shift := 0
+		for d, o := range offs {
+			shift += o * strides[d]
+		}
+		tuples = append(tuples, append([]int(nil), offs...))
+		shifts = append(shifts, shift)
+	})
+	par.Do(strides[0]*dims[0], func(from, to int) {
+		idx := make([]int, k)
+		rowSpans(dims, from, to, idx, func(p0, p1 int) {
+			for t, offs := range tuples {
+				if a, b := shiftedRun(dims, offs, idx, p0, p1); a < b {
+					fn(a, b, shifts[t])
+				}
+			}
+		})
+	})
 }
 
 // forEachOffsetTuple enumerates the cartesian product of per-dimension
@@ -341,67 +353,60 @@ func forEachOffsetTuple(sets [][]int, fn func(offs []int)) {
 	}
 }
 
-func tileAccumulate(agg AggKind, attr *bat.BAT, dims []int, offsetSets [][]int) (*bat.BAT, error) {
+func tileAccumulate(agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) (*bat.BAT, error) {
 	cells := attr.Len()
 	counts := make([]int64, cells)
+	nulls := attr.NullMask()
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
-		var src []int64
-		if attr.Kind() == types.KindVoid {
-			src = attr.Materialize().DecodedInts()
-		} else {
-			src = attr.DecodedInts()
-		}
 		sums := make([]int64, cells)
-		hasNulls := attr.HasNulls()
-		forEachOffsetTuple(offsetSets, func(offs []int) {
-			if hasNulls {
-				forEachShiftedRegion(dims, offs, func(p, q int) {
-					if !attr.IsNull(q) {
-						sums[p] += src[q]
-						counts[p]++
-					}
-				})
-			} else {
-				forEachShiftedRegion(dims, offs, func(p, q int) {
-					sums[p] += src[q]
-					counts[p]++
-				})
-			}
-		})
+		tileRuns(sh, offsetSets, accumulateRun(intVals(attr), nulls, sums, counts))
 		return finishAccumulate(agg, sums, nil, counts)
 	case types.KindFloat:
-		src := attr.DecodedFloats()
 		sums := make([]float64, cells)
-		hasNulls := attr.HasNulls()
-		forEachOffsetTuple(offsetSets, func(offs []int) {
-			if hasNulls {
-				forEachShiftedRegion(dims, offs, func(p, q int) {
-					if !attr.IsNull(q) {
-						sums[p] += src[q]
-						counts[p]++
-					}
-				})
-			} else {
-				forEachShiftedRegion(dims, offs, func(p, q int) {
-					sums[p] += src[q]
-					counts[p]++
-				})
-			}
-		})
+		tileRuns(sh, offsetSets, accumulateRun(attr.DecodedFloats(), nulls, sums, counts))
 		return finishAccumulate(agg, nil, sums, counts)
 	default:
 		if agg == AggCount || agg == AggCountAll {
-			forEachOffsetTuple(offsetSets, func(offs []int) {
-				forEachShiftedRegion(dims, offs, func(p, q int) {
-					if !attr.IsNull(q) {
+			tileRuns(sh, offsetSets, func(a, b, shift int) {
+				for p := a; p < b; p++ {
+					if !nulls.Get(p + shift) {
 						counts[p]++
 					}
-				})
+				}
 			})
 			return bat.FromInts(counts), nil
 		}
 		return nil, fmt.Errorf("gdk: tiling aggregate %s not defined on %s", agg, attr.ValueKind())
+	}
+}
+
+// intVals is the attribute as int64 values (a void column materialised).
+func intVals(attr *bat.BAT) []int64 {
+	if attr.Kind() == types.KindVoid {
+		return attr.Materialize().DecodedInts()
+	}
+	return attr.DecodedInts()
+}
+
+// accumulateRun adds the shifted run of src into sums and counts, skipping
+// holes.
+func accumulateRun[T int64 | float64](src []T, nulls *bat.Bitmap, sums []T, counts []int64) func(a, b, shift int) {
+	return func(a, b, shift int) {
+		dst, cnt, vals := sums[a:b], counts[a:b], src[a+shift:b+shift]
+		if nulls == nil {
+			for j, v := range vals {
+				dst[j] += v
+				cnt[j]++
+			}
+			return
+		}
+		for j, v := range vals {
+			if !nulls.Get(a + shift + j) {
+				dst[j] += v
+				cnt[j]++
+			}
+		}
 	}
 }
 
@@ -411,105 +416,231 @@ func tileAccumulate(agg AggKind, attr *bat.BAT, dims []int, offsetSets [][]int) 
 // holes are ignored per the paper's semantics.
 func finishAccumulate(agg AggKind, isums []int64, fsums []float64, counts []int64) (*bat.BAT, error) {
 	n := len(counts)
+	var out *bat.BAT
 	switch agg {
 	case AggCount, AggCountAll:
 		return bat.FromInts(counts), nil
 	case AggSum:
 		if isums != nil {
-			out := bat.FromInts(isums)
-			for i, c := range counts {
-				if c == 0 {
-					out.SetNull(i, true)
-				}
-			}
-			return out, nil
+			out = bat.FromInts(isums)
+		} else {
+			out = bat.FromFloats(fsums)
 		}
-		out := bat.FromFloats(fsums)
-		for i, c := range counts {
-			if c == 0 {
-				out.SetNull(i, true)
-			}
-		}
-		return out, nil
 	case AggAvg:
 		avgs := make([]float64, n)
-		for i := range avgs {
-			if counts[i] == 0 {
-				continue
+		par.Do(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if counts[i] == 0 {
+					continue
+				}
+				if isums != nil {
+					avgs[i] = float64(isums[i]) / float64(counts[i])
+				} else {
+					avgs[i] = fsums[i] / float64(counts[i])
+				}
 			}
-			if isums != nil {
-				avgs[i] = float64(isums[i]) / float64(counts[i])
-			} else {
-				avgs[i] = fsums[i] / float64(counts[i])
-			}
-		}
-		out := bat.FromFloats(avgs)
-		for i, c := range counts {
-			if c == 0 {
-				out.SetNull(i, true)
-			}
-		}
-		return out, nil
+		})
+		out = bat.FromFloats(avgs)
+	default:
+		return nil, fmt.Errorf("gdk: unexpected accumulate aggregate %s", agg)
 	}
-	return nil, fmt.Errorf("gdk: unexpected accumulate aggregate %s", agg)
+	return withNulls(out, emptyAnchors(counts)), nil
 }
 
-func tileMinMax(agg AggKind, attr *bat.BAT, dims []int, offsetSets [][]int) (*bat.BAT, error) {
+// emptyAnchors marks the anchors whose tile held no non-NULL cell.
+func emptyAnchors(counts []int64) *bat.Bitmap {
+	mask := bat.NewBitmap(len(counts))
+	par.Do(len(counts), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if counts[i] == 0 {
+				mask.Set(i, true)
+			}
+		}
+	})
+	return mask
+}
+
+func tileMinMax(agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) (*bat.BAT, error) {
 	cells := attr.Len()
 	seen := make([]bool, cells)
+	nulls := attr.NullMask()
+	var out *bat.BAT
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
-		var src []int64
-		if attr.Kind() == types.KindVoid {
-			src = attr.Materialize().DecodedInts()
-		} else {
-			src = attr.DecodedInts()
-		}
 		best := make([]int64, cells)
-		forEachOffsetTuple(offsetSets, func(offs []int) {
-			forEachShiftedRegion(dims, offs, func(p, q int) {
-				if attr.IsNull(q) {
-					return
-				}
-				v := src[q]
-				if !seen[p] || (agg == AggMin && v < best[p]) || (agg == AggMax && v > best[p]) {
-					best[p] = v
-					seen[p] = true
-				}
-			})
-		})
-		out := bat.FromInts(best)
-		for i, s := range seen {
-			if !s {
-				out.SetNull(i, true)
-			}
-		}
-		return out, nil
+		tileRuns(sh, offsetSets, minMaxRun(intVals(attr), nulls, best, seen, agg == AggMin))
+		out = bat.FromInts(best)
 	case types.KindFloat:
-		src := attr.DecodedFloats()
 		best := make([]float64, cells)
-		forEachOffsetTuple(offsetSets, func(offs []int) {
-			forEachShiftedRegion(dims, offs, func(p, q int) {
-				if attr.IsNull(q) {
-					return
-				}
-				v := src[q]
-				if !seen[p] || (agg == AggMin && v < best[p]) || (agg == AggMax && v > best[p]) {
-					best[p] = v
-					seen[p] = true
-				}
-			})
-		})
-		out := bat.FromFloats(best)
-		for i, s := range seen {
-			if !s {
-				out.SetNull(i, true)
-			}
-		}
-		return out, nil
+		tileRuns(sh, offsetSets, minMaxRun(attr.DecodedFloats(), nulls, best, seen, agg == AggMin))
+		out = bat.FromFloats(best)
 	default:
 		return nil, fmt.Errorf("gdk: tiling aggregate %s not defined on %s", agg, attr.ValueKind())
 	}
+	mask := bat.NewBitmap(cells)
+	for i, s := range seen {
+		if !s {
+			mask.Set(i, true)
+		}
+	}
+	return withNulls(out, mask), nil
+}
+
+// minMaxRun folds the shifted run of src into best, skipping holes; seen
+// marks the anchors that have a value.
+func minMaxRun[T int64 | float64](src []T, nulls *bat.Bitmap, best []T, seen []bool, isMin bool) func(a, b, shift int) {
+	return func(a, b, shift int) {
+		dst, got, vals := best[a:b], seen[a:b], src[a+shift:b+shift]
+		for j, v := range vals {
+			if nulls.Get(a + shift + j) {
+				continue
+			}
+			if !got[j] || (isMin && v < dst[j]) || (!isMin && v > dst[j]) {
+				dst[j] = v
+				got[j] = true
+			}
+		}
+	}
+}
+
+// Shift implements relative cell addressing by constant offsets
+// (`A[x-1][y]`, §4 EdgeDetection): row i holds the attribute of the cell
+// whose coordinates are those of cell cand[i] (cell i without a candidate
+// list) plus offs, in coordinate units. A cell shifted off the array or off
+// a dimension's step grid yields NULL. It is CellFetch over the coordinate
+// columns dim+offs without building them: the read is attr[p+shift] for
+// one flattened stride shift.
+func Shift(attr *bat.BAT, sh shape.Shape, offs []int, cand *bat.BAT) (*bat.BAT, error) {
+	if len(offs) != len(sh) {
+		return nil, fmt.Errorf("gdk: shift needs %d offsets, got %d", len(sh), len(offs))
+	}
+	cells := sh.Cells()
+	if attr.Len() != cells {
+		return nil, fmt.Errorf("gdk: attribute column has %d cells, shape has %d", attr.Len(), cells)
+	}
+	n := cells
+	if cand != nil {
+		n = cand.Len()
+	}
+	dims := make([]int, len(sh))
+	for d, dim := range sh {
+		dims[d] = dim.N()
+	}
+	strides := sh.Strides()
+	delta := make([]int, len(sh))
+	shift := 0
+	for d, dim := range sh {
+		// An offset off the step grid or beyond the extent moves every
+		// cell off the array.
+		delta[d] = dims[d]
+		if o := int64(offs[d]); dim.Step != 0 && o%dim.Step == 0 {
+			if q := o / dim.Step; q > -int64(dims[d]) && q < int64(dims[d]) {
+				delta[d] = int(q)
+			}
+		}
+		shift += delta[d] * strides[d]
+	}
+	holes := attr.NullMask()
+	var out *bat.BAT
+	var nulls *bat.Bitmap
+	var err error
+	switch attr.ValueKind() {
+	case types.KindInt, types.KindOID:
+		var v []int64
+		v, nulls, err = shiftRows(intVals(attr), holes, dims, strides, delta, shift, cand, n)
+		out = bat.FromIntsOfKind(v, attr.ValueKind())
+	case types.KindFloat:
+		var v []float64
+		v, nulls, err = shiftRows(attr.DecodedFloats(), holes, dims, strides, delta, shift, cand, n)
+		out = bat.FromFloats(v)
+	case types.KindBool:
+		var v []bool
+		v, nulls, err = shiftRows(attr.DecodedBools(), holes, dims, strides, delta, shift, cand, n)
+		out = bat.FromBools(v)
+	case types.KindStr:
+		var v []string
+		v, nulls, err = shiftRows(attr.DecodedStrs(), holes, dims, strides, delta, shift, cand, n)
+		out = bat.FromStrings(v)
+	default:
+		return nil, fmt.Errorf("gdk: cannot shift %s column", attr.ValueKind())
+	}
+	if err != nil {
+		return nil, err
+	}
+	out.CopyBoundsFrom(attr)
+	return withNulls(out, nulls), nil
+}
+
+// shiftRows gathers vals[p+shift] for the n cells p of the candidate list
+// (all cells when cand is nil), NULL where p shifted by the index offsets
+// delta leaves the array or attr holds a hole. A dense run of cells is
+// walked row by row with no per-cell coordinate decoding; an explicit oid
+// list decodes the shifted dimensions of each row.
+func shiftRows[T any](vals []T, holes *bat.Bitmap, dims, strides, delta []int, shift int, cand *bat.BAT, n int) ([]T, *bat.Bitmap, error) {
+	out := make([]T, n)
+	nulls := bat.NewBitmap(n)
+	cells := len(vals)
+	if cand == nil || cand.Kind() == types.KindVoid {
+		base := 0
+		if cand != nil {
+			base = int(cand.Seqbase())
+			if base < 0 || base+n > cells {
+				return nil, nil, fmt.Errorf("gdk: shift candidates [%d,%d) outside [0,%d)", base, base+n, cells)
+			}
+		}
+		par.Do(n, func(lo, hi int) {
+			idx := make([]int, len(dims))
+			rowSpans(dims, base+lo, base+hi, idx, func(p0, p1 int) {
+				a, b := shiftedRun(dims, delta, idx, p0, p1)
+				a = min(a, p1)
+				b = max(b, a)
+				for p := p0; p < a; p++ {
+					nulls.Set(p-base, true)
+				}
+				for p := b; p < p1; p++ {
+					nulls.Set(p-base, true)
+				}
+				if a == b {
+					return
+				}
+				copy(out[a-base:b-base], vals[a+shift:b+shift])
+				if holes != nil {
+					for p := a; p < b; p++ {
+						if holes.Get(p + shift) {
+							nulls.Set(p-base, true)
+						}
+					}
+				}
+			})
+		})
+		return out, nulls, nil
+	}
+	pos := cand.DecodedInts()
+	err := par.DoErr(n, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			p := int(pos[i])
+			if p < 0 || p >= cells {
+				return fmt.Errorf("gdk: shift candidate %d out of range [0,%d)", p, cells)
+			}
+			inside := true
+			for d, dl := range delta {
+				if dl == 0 {
+					continue
+				}
+				if t := (p/strides[d])%dims[d] + dl; t < 0 || t >= dims[d] {
+					inside = false
+					break
+				}
+			}
+			if !inside || holes.Get(p+shift) {
+				nulls.Set(i, true)
+				continue
+			}
+			out[i] = vals[p+shift]
+		}
+		return nil
+	})
+	return out, nulls, err
 }
 
 // Reshape maps an attribute column from one array shape to another

@@ -2,6 +2,7 @@ package gdk
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bat"
 	"repro/internal/par"
@@ -54,138 +55,186 @@ func TileAggSAT(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*
 		}
 	}
 
-	useFloat := attr.ValueKind() == types.KindFloat
-	var fvals []float64
-	var ivals []int64
-	switch attr.ValueKind() {
-	case types.KindFloat:
-		fvals = attr.DecodedFloats()
-	case types.KindInt, types.KindOID:
-		if attr.Kind() == types.KindVoid {
-			ivals = attr.Materialize().DecodedInts()
-		} else {
-			ivals = attr.DecodedInts()
-		}
-	default:
-		if agg != AggCount && agg != AggCountAll {
-			return nil, fmt.Errorf("gdk: SAT tiling aggregate %s not defined on %s", agg, attr.ValueKind())
-		}
+	g := newSATGeom(dims, sh.Strides(), lo, hi)
+	holes := attr.NullMask()
+	var counts []int64
+	if holes == nil {
+		// No holes: a box holds as many values as it has cells.
+		counts = make([]int64, cells)
+		g.rows(func(p0, p1, i0, area int, _ []int) {
+			for j, w := range g.width[i0 : i0+p1-p0] {
+				counts[p0+j] = int64(area * w)
+			}
+		})
+	} else {
+		ones := make([]int64, cells)
+		par.Do(cells, func(from, to int) {
+			for p := from; p < to; p++ {
+				if !holes.Get(p) {
+					ones[p] = 1
+				}
+			}
+		})
+		counts = boxSums(g, ones, nil)
 	}
+	switch {
+	case agg == AggCount || agg == AggCountAll:
+		return bat.FromInts(counts), nil
+	case attr.ValueKind() == types.KindFloat:
+		return finishAccumulate(agg, nil, boxSums(g, attr.DecodedFloats(), holes), counts)
+	case attr.ValueKind() == types.KindInt || attr.ValueKind() == types.KindOID:
+		return finishAccumulate(agg, boxSums(g, intVals(attr), holes), nil, counts)
+	}
+	return nil, fmt.Errorf("gdk: SAT tiling aggregate %s not defined on %s", agg, attr.ValueKind())
+}
 
-	// Build prefix tables: psumI/psumF for values (nulls contribute 0) and
-	// pcount for non-null cells. The prefix runs one dimension at a time.
-	var psumF []float64
-	var psumI []int64
-	pcount := make([]int64, cells)
-	if useFloat {
-		psumF = make([]float64, cells)
-	} else if ivals != nil {
-		psumI = make([]int64, cells)
+// satGeom is the index geometry of a SAT query: the array's extents and
+// row-major strides, and the tile as an inclusive index box [lo, hi]
+// relative to its anchor. Clipping the box in the innermost dimension
+// depends only on the anchor's innermost index i, so it is tabulated once:
+// the box covers innermost indices lastLo[i]+1 .. lastHi[i] and width[i]
+// of them; a corner index of -1 lies before the array (or the box is
+// empty) and contributes nothing.
+type satGeom struct {
+	dims, strides, lo, hi []int
+	lastLo, lastHi, width []int
+}
+
+func newSATGeom(dims, strides, lo, hi []int) satGeom {
+	k := len(dims)
+	g := satGeom{dims: dims, strides: strides, lo: lo, hi: hi}
+	n := dims[k-1]
+	g.lastLo, g.lastHi, g.width = make([]int, n), make([]int, n), make([]int, n)
+	for i := range n {
+		l, h := max(0, i+lo[k-1]), min(n-1, i+hi[k-1])
+		g.lastLo[i], g.lastHi[i] = l-1, h
+		if l > h {
+			g.lastLo[i], g.lastHi[i] = -1, -1
+			continue
+		}
+		g.width[i] = h - l + 1
 	}
+	return g
+}
+
+// rows walks the anchors morsel-parallel, one innermost row run [p0, p1)
+// at a time, skipping runs whose box is empty in an outer dimension. fn
+// gets the innermost index i0 of p0, the volume of the clipped box over
+// the outer dimensions, and for each of the 2^k inclusion-exclusion
+// corners m the flat offset its outer coordinates contribute (bit d of m
+// set: lo_d-1, else hi_d), or -1 when that corner lies before the array.
+func (g satGeom) rows(fn func(p0, p1, i0, area int, base []int)) {
+	k := len(g.dims)
+	last := k - 1
+	par.Do(g.strides[0]*g.dims[0], func(from, to int) {
+		idx := make([]int, k)
+		loC := make([]int, last)
+		hiC := make([]int, last)
+		base := make([]int, 1<<k)
+		rowSpans(g.dims, from, to, idx, func(p0, p1 int) {
+			area := 1
+			for d := range last {
+				loC[d] = max(0, idx[d]+g.lo[d])
+				hiC[d] = min(g.dims[d]-1, idx[d]+g.hi[d])
+				if loC[d] > hiC[d] {
+					return
+				}
+				area *= hiC[d] - loC[d] + 1
+			}
+			for m := range base {
+				base[m] = 0
+				for d := range last {
+					c := hiC[d]
+					if m&(1<<d) != 0 {
+						c = loC[d] - 1
+					}
+					if c < 0 {
+						base[m] = -1
+						break
+					}
+					base[m] += c * g.strides[d]
+				}
+			}
+			fn(p0, p1, idx[last], area, base)
+		})
+	})
+}
+
+// boxSums returns, for every anchor, the sum of vals (holes count as 0)
+// over its clipped box. It builds the summed-area table one dimension at a
+// time, dimension 0 first, adding each row of the dimension into the next
+// as whole slices; then every anchor adds and subtracts the table at its
+// 2^k corners in mask order. The order of every floating-point addition is
+// that of the cell-at-a-time formulation, so float results do not depend
+// on the walk or on the thread count.
+func boxSums[T int64 | float64](g satGeom, vals []T, holes *bat.Bitmap) []T {
+	cells := len(vals)
+	sat := make([]T, cells)
 	par.Do(cells, func(from, to int) {
-		for p := from; p < to; p++ {
-			if !attr.IsNull(p) {
-				pcount[p] = 1
-				if useFloat {
-					psumF[p] = fvals[p]
-				} else if ivals != nil {
-					psumI[p] = ivals[p]
+		copy(sat[from:to], vals[from:to])
+		if holes != nil {
+			for p := from; p < to; p++ {
+				if holes.Get(p) {
+					sat[p] = 0
 				}
 			}
 		}
 	})
-	strides := make([]int, k)
-	acc := 1
-	for d := k - 1; d >= 0; d-- {
-		strides[d] = acc
-		acc *= dims[d]
+	for d, n := range g.dims {
+		stride := g.strides[d]
+		if stride == 1 {
+			// The innermost dimension: a running sum along each row.
+			for block := 0; block < cells; block += n {
+				row := sat[block : block+n]
+				for i := 1; i < n; i++ {
+					row[i] += row[i-1]
+				}
+			}
+			continue
+		}
+		for block := 0; block < cells; block += n * stride {
+			for i := 1; i < n; i++ {
+				row := sat[block+i*stride : block+(i+1)*stride]
+				prev := sat[block+(i-1)*stride : block+i*stride]
+				for j := range row {
+					row[j] += prev[j]
+				}
+			}
+		}
 	}
-	for d := 0; d < k; d++ {
-		// prefix along dimension d: P[i] += P[i - stride_d] for i_d > 0.
-		stride := strides[d]
-		for p := 0; p < cells; p++ {
-			id := (p / stride) % dims[d]
-			if id == 0 {
+	k := len(g.dims)
+	lastBit := 1 << (k - 1)
+	neg := make([]bool, 1<<k)
+	for m := range neg {
+		neg[m] = bits.OnesCount(uint(m))%2 == 1
+	}
+	out := make([]T, cells)
+	g.rows(func(p0, p1, i0, _ int, base []int) {
+		dst := out[p0:p1]
+		for m, b := range base {
+			if b < 0 {
 				continue
 			}
-			pcount[p] += pcount[p-stride]
-			if useFloat {
-				psumF[p] += psumF[p-stride]
-			} else if psumI != nil {
-				psumI[p] += psumI[p-stride]
+			corner := g.lastHi[i0 : i0+len(dst)]
+			if m&lastBit != 0 {
+				corner = g.lastLo[i0 : i0+len(dst)]
 			}
-		}
-	}
-
-	// Box queries: every output cell evaluates the inclusion-exclusion sum
-	// of the prefix table at the clipped box around its coordinates. Cells
-	// are independent, so they run morsel-parallel on the shared pool, each
-	// chunk with its own coordinate scratch.
-	counts := make([]int64, cells)
-	var sumsF []float64
-	var sumsI []int64
-	if useFloat {
-		sumsF = make([]float64, cells)
-	} else if psumI != nil {
-		sumsI = make([]int64, cells)
-	}
-	par.Do(cells, func(from, to int) {
-		idx := make([]int, k)
-		loC := make([]int, k)
-		hiC := make([]int, k)
-		corner := make([]int, k)
-	cellLoop:
-		for p := from; p < to; p++ {
-			// Decompose the flat position into per-dimension coordinates and
-			// clip the box; empty boxes contribute nothing.
-			for dd := 0; dd < k; dd++ {
-				idx[dd] = (p / strides[dd]) % dims[dd]
-				loC[dd] = idx[dd] + lo[dd]
-				hiC[dd] = idx[dd] + hi[dd]
-				if loC[dd] < 0 {
-					loC[dd] = 0
-				}
-				if hiC[dd] > dims[dd]-1 {
-					hiC[dd] = dims[dd] - 1
-				}
-				if loC[dd] > hiC[dd] {
-					continue cellLoop
-				}
-			}
-			// Inclusion-exclusion over 2^k corners.
-			for mask := 0; mask < (1 << k); mask++ {
-				sign := int64(1)
-				valid := true
-				for dd := 0; dd < k; dd++ {
-					if mask&(1<<dd) != 0 {
-						corner[dd] = loC[dd] - 1
-						sign = -sign
-						if corner[dd] < 0 {
-							valid = false
-							break
-						}
-					} else {
-						corner[dd] = hiC[dd]
+			if neg[m] {
+				for j, c := range corner {
+					if c >= 0 {
+						dst[j] -= sat[b+c]
 					}
 				}
-				if !valid {
-					continue
-				}
-				q := 0
-				for dd := 0; dd < k; dd++ {
-					q += corner[dd] * strides[dd]
-				}
-				counts[p] += sign * pcount[q]
-				if useFloat {
-					sumsF[p] += float64(sign) * psumF[q]
-				} else if sumsI != nil {
-					sumsI[p] += sign * psumI[q]
+			} else {
+				for j, c := range corner {
+					if c >= 0 {
+						dst[j] += sat[b+c]
+					}
 				}
 			}
 		}
 	})
-
-	return finishAccumulate(agg, sumsI, sumsF, counts)
+	return out
 }
 
 // SATProfitable is the heuristic the optimizer uses to pick the SAT kernel:

@@ -73,70 +73,6 @@ func TestTileAggFig1e(t *testing.T) {
 	check(3, 1, types.Null(types.KindFloat)) // all holes -> null
 }
 
-func TestTileAggSATMatchesGeneric(t *testing.T) {
-	// Property: the SAT kernel agrees with the generic kernel on random
-	// arrays, shapes and tiles for sum/avg/count.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nx := rng.Intn(6) + 1
-		ny := rng.Intn(6) + 1
-		sh := shape.Shape{
-			{Name: "x", Start: int64(rng.Intn(5) - 2), Step: int64(rng.Intn(2) + 1), Stop: 0},
-			{Name: "y", Start: int64(rng.Intn(5) - 2), Step: 1, Stop: 0},
-		}
-		sh[0].Stop = sh[0].Start + int64(nx)*sh[0].Step
-		sh[1].Stop = sh[1].Start + int64(ny)*sh[1].Step
-		v := bat.New(types.KindInt, sh.Cells())
-		for p := 0; p < sh.Cells(); p++ {
-			if rng.Intn(4) == 0 {
-				v.AppendNull()
-			} else {
-				v.AppendInt(int64(rng.Intn(20) - 10))
-			}
-		}
-		tile := []TileRange{
-			{Lo: int64(rng.Intn(3) - 1), Hi: int64(rng.Intn(4))},
-			{Lo: int64(rng.Intn(3) - 1), Hi: int64(rng.Intn(4))},
-		}
-		tile[0].Hi += tile[0].Lo
-		tile[1].Hi += tile[1].Lo
-		for _, agg := range []AggKind{AggSum, AggAvg, AggCount} {
-			a, err1 := TileAgg(agg, v, sh, tile)
-			b, err2 := TileAggSAT(agg, v, sh, tile)
-			if (err1 == nil) != (err2 == nil) {
-				return false
-			}
-			if err1 != nil {
-				continue
-			}
-			if a.Len() != b.Len() {
-				return false
-			}
-			for i := 0; i < a.Len(); i++ {
-				av, bv := a.Get(i), b.Get(i)
-				if av.IsNull() != bv.IsNull() {
-					return false
-				}
-				if av.IsNull() {
-					continue
-				}
-				if av.Kind() == types.KindFloat {
-					d := av.Float64() - bv.Float64()
-					if d < -1e-9 || d > 1e-9 {
-						return false
-					}
-				} else if av.Int64() != bv.Int64() {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTileIdentity(t *testing.T) {
 	// Property: a 1x1 tile [x:x+1][y:y+1] with SUM reproduces the array.
 	sh := fig1cShape()

@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/shape"
 	"repro/internal/types"
 )
 
 // Kernel micro-benchmarks for the two statistics paths no workload of
 // `go run ./benchmark` isolates — the zonemap skip-scan and the sorted
-// merge join, each beside the baseline it replaces (statistics off) — and
-// for the typed group and sort kernels at table-analytics' size. They
+// merge join, each beside the baseline it replaces (statistics off) — for
+// the typed group and sort kernels at table-analytics' size, and for the
+// array kernels of image-read's smooth, reduce and edge queries. They
 // report numbers only; nothing here gates.
 
 // benchRows is the input size of the kernel benchmarks: 16 zonemap slabs.
@@ -142,6 +144,68 @@ func BenchmarkOrderTopN(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := OrderIdx([]*bat.BAT{key}, []SortSpec{{Desc: true}}, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// image256 is the image-read workload's array: 256x256 intensities.
+func image256() (*bat.BAT, shape.Shape) {
+	sh := shape.Shape{{Name: "x", Start: 0, Step: 1, Stop: 256}, {Name: "y", Start: 0, Step: 1, Stop: 256}}
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, sh.Cells())
+	for i := range vals {
+		vals[i] = rng.Int63n(256)
+	}
+	return bat.FromInts(vals), sh
+}
+
+// BenchmarkTileAggSAT256: the smooth query's 3x3 AVG over 256x256.
+func BenchmarkTileAggSAT256(b *testing.B) {
+	v, sh := image256()
+	tile := []TileRange{{Lo: -1, Hi: 2}, {Lo: -1, Hi: 2}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := TileAggSAT(AggAvg, v, sh, tile); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTileAgg2x2: the reduce query's 2x2 AVG over 256x256.
+func BenchmarkTileAgg2x2(b *testing.B) {
+	v, sh := image256()
+	tile := []TileRange{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 2}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := TileAgg(AggAvg, v, sh, tile); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShift256: the edge query's img[x-1][y].v over 256x256.
+func BenchmarkShift256(b *testing.B) {
+	v, sh := image256()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Shift(v, sh, []int{-1, 0}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCastFloatInt64K: CAST(AVG(v) AS INT) over 64K tile averages.
+func BenchmarkCastFloatInt64K(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 1<<16)
+	for i := range vals {
+		vals[i] = rng.Float64() * 255
+	}
+	x := bat.FromFloats(vals)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := CastBAT(B(x), types.KindInt, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

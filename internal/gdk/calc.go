@@ -3,6 +3,7 @@ package gdk
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/bat"
@@ -455,9 +456,10 @@ func IsNull(x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 
 // IfThenElse picks a[i] where cond[i] is true, b[i] where cond[i] is false
 // or NULL — the semantics a CASE WHEN chain needs (an unknown condition
-// falls through to the next branch). It stays serial: the per-row cast of
-// only the picked branch cannot be pre-materialised without changing which
-// cast errors surface.
+// falls through to the next branch). Both branches convert to their common
+// kind first; that widening (oid or int to int or double, an untyped NULL
+// to anything) cannot fail, so converting whole branches surfaces no error
+// a row-by-row pick would not.
 func IfThenElse(cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if a.Len() != cond.Len() || b.Len() != cond.Len() {
 		return nil, fmt.Errorf("gdk: ifthenelse operand length mismatch")
@@ -474,39 +476,56 @@ func IfThenElse(cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gdk: ifthenelse branches: %v", err)
 	}
-	if k == types.KindVoid {
+	switch k {
+	case types.KindVoid:
 		// Both branches are untyped NULLs.
-		out := bat.New(types.KindInt, n)
-		for i := 0; i < n; i++ {
-			out.AppendNull()
-		}
-		return out, nil
+		return bat.Filler(n, types.NullUnknown(), types.KindInt)
+	case types.KindInt, types.KindOID:
+		return pickRows(cb, cn, a.ints, b.ints, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) })
+	case types.KindFloat:
+		return pickRows(cb, cn, a.floats, b.floats, bat.FromFloats)
+	case types.KindBool:
+		return pickRows(cb, cn, a.boolsv, b.boolsv, bat.FromBools)
+	case types.KindStr:
+		return pickRows(cb, cn, a.strsv, b.strsv, bat.FromStrings)
 	}
-	out := bat.New(k, n)
-	pick := func(o Opnd, i int) error {
-		if o.b != nil {
-			v, err := o.b.Get(i).Cast(k)
-			if err != nil {
-				return err
+	return nil, fmt.Errorf("gdk: ifthenelse on %s values", k)
+}
+
+// pickRows is IfThenElse over one typed slice per branch: row i comes from
+// a where cb[i] is true and not NULL, from b otherwise, and is NULL when
+// the picked branch is. mk wraps the picked values in a column.
+func pickRows[T any](cb []bool, cn *bat.Bitmap, a, b func() ([]T, *bat.Bitmap, error), mk func([]T) *bat.BAT) (*bat.BAT, error) {
+	av, an, err := a()
+	if err != nil {
+		return nil, err
+	}
+	bv, bn, err := b()
+	if err != nil {
+		return nil, err
+	}
+	n := len(cb)
+	out := make([]T, n)
+	var nulls *bat.Bitmap
+	if an != nil || bn != nil {
+		nulls = bat.NewBitmap(n)
+	}
+	par.Do(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if cb[i] && !cn.Get(i) {
+				out[i] = av[i]
+				if an.Get(i) {
+					nulls.Set(i, true)
+				}
+			} else {
+				out[i] = bv[i]
+				if bn.Get(i) {
+					nulls.Set(i, true)
+				}
 			}
-			return out.Append(v)
 		}
-		v, err := o.v.Cast(k)
-		if err != nil {
-			return err
-		}
-		return out.Append(v)
-	}
-	for i := 0; i < n; i++ {
-		src := b
-		if !cn.Get(i) && cb[i] {
-			src = a
-		}
-		if err := pick(src, i); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	})
+	return withNulls(mk(out), nulls), nil
 }
 
 // UnaryNum evaluates a numeric unary function: "-", "abs", "sqrt",
@@ -641,29 +660,104 @@ func Power(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	return withNulls(bat.FromFloats(out), nulls), nil
 }
 
-// CastBAT converts every row of the operand to kind k.
+// CastBAT converts every row of the operand to kind k with the rules and
+// error texts of types.Value.Cast. NULL rows stay NULL; a failing row is
+// reported as the lowest one, whatever the thread count, because each
+// morsel stops at its first failure and par keeps the lowest morsel's.
 func CastBAT(x Opnd, k types.Kind, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(cand, &x); err != nil {
 		return nil, err
 	}
 	n := x.Len()
-	out := bat.New(k, n)
-	for i := 0; i < n; i++ {
-		var v types.Value
-		if x.b != nil {
-			v = x.b.Get(i)
-		} else {
-			v = x.v
+	if x.b == nil {
+		// A scalar converts once; an empty operand converts nothing.
+		if n == 0 {
+			return bat.New(k, 0), nil
 		}
-		cv, err := v.Cast(k)
+		cv, err := x.v.Cast(k)
 		if err != nil {
 			return nil, err
 		}
-		if err := out.Append(cv); err != nil {
-			return nil, err
-		}
+		return bat.Filler(n, cv, k)
 	}
-	return out, nil
+	if x.b.NullCount() == n {
+		// NULL casts to NULL under every rule, even a missing one.
+		return bat.Filler(n, types.NullUnknown(), k)
+	}
+	switch k {
+	case types.KindInt:
+		return castRows(x, k, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) },
+			same[int64], types.FloatToInt, boolNum[int64], types.ParseInt)
+	case types.KindOID:
+		toOID := types.IntToOID
+		if x.Kind() == types.KindOID {
+			toOID = same[int64]
+		}
+		return castRows(x, k, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) }, toOID, nil, nil, nil)
+	case types.KindFloat:
+		return castRows(x, k, bat.FromFloats, func(i int64) (float64, error) { return float64(i), nil }, same[float64], boolNum[float64], types.ParseFloat)
+	case types.KindBool:
+		return castRows(x, k, bat.FromBools, func(i int64) (bool, error) { return i != 0, nil }, func(f float64) (bool, error) { return f != 0, nil }, same[bool], types.ParseBool)
+	case types.KindStr:
+		return castRows(x, k, bat.FromStrings, func(i int64) (string, error) { return strconv.FormatInt(i, 10), nil },
+			func(f float64) (string, error) { return types.FormatFloat(f), nil },
+			func(b bool) (string, error) { return strconv.FormatBool(b), nil }, same[string])
+	}
+	return nil, fmt.Errorf("unsupported cast from %s to %s", x.Kind(), k)
+}
+
+// castRows converts a column operand with the rule for its kind: fromInt
+// for int and oid, fromFloat, fromBool, fromStr; a nil rule is a kind pair
+// Value.Cast has no rule for. mk wraps the converted values in a column,
+// which keeps the source's NULL rows.
+func castRows[T any](x Opnd, k types.Kind, mk func([]T) *bat.BAT, fromInt func(int64) (T, error), fromFloat func(float64) (T, error), fromBool func(bool) (T, error), fromStr func(string) (T, error)) (*bat.BAT, error) {
+	switch from := x.Kind(); {
+	case (from == types.KindInt || from == types.KindOID) && fromInt != nil:
+		src, nulls, _ := x.ints()
+		return castVec(src, nulls, mk, fromInt)
+	case from == types.KindFloat && fromFloat != nil:
+		src, nulls, _ := x.floats()
+		return castVec(src, nulls, mk, fromFloat)
+	case from == types.KindBool && fromBool != nil:
+		src, nulls, _ := x.boolsv()
+		return castVec(src, nulls, mk, fromBool)
+	case from == types.KindStr && fromStr != nil:
+		src, nulls, _ := x.strsv()
+		return castVec(src, nulls, mk, fromStr)
+	default:
+		return nil, fmt.Errorf("unsupported cast from %s to %s", from, k)
+	}
+}
+
+// castVec converts the non-NULL rows of src with conv, morsel-parallel.
+func castVec[S, T any](src []S, nulls *bat.Bitmap, mk func([]T) *bat.BAT, conv func(S) (T, error)) (*bat.BAT, error) {
+	out := make([]T, len(src))
+	err := par.DoErr(len(src), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if nulls.Get(i) {
+				continue
+			}
+			v, err := conv(src[i])
+			if err != nil {
+				return err
+			}
+			out[i] = v
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return withNulls(mk(out), nulls.Clone()), nil
+}
+
+func same[T any](v T) (T, error) { return v, nil }
+
+func boolNum[T int64 | float64](b bool) (T, error) {
+	if b {
+		return 1, nil
+	}
+	return 0, nil
 }
 
 // Concat string-concatenates two operands ("||").

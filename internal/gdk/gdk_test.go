@@ -1,11 +1,13 @@
 package gdk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -260,6 +262,138 @@ func TestCastBATKernel(t *testing.T) {
 	}
 	if got.Ints()[0] != 1 || !got.IsNull(1) {
 		t.Errorf("cast: %v null=%v", got.Ints(), got.IsNull(1))
+	}
+}
+
+// castSources is one column per source kind, NULLs included, with values
+// that every cast rule treats differently (unparseable strings, negative
+// ints for oid, fractions and out-of-range floats for int).
+func castSources() []*bat.BAT {
+	mk := func(k types.Kind, vals ...types.Value) *bat.BAT {
+		b := bat.New(k, len(vals))
+		for _, v := range vals {
+			if err := b.Append(v); err != nil {
+				panic(err)
+			}
+		}
+		return b
+	}
+	null := types.NullUnknown()
+	return []*bat.BAT{
+		mk(types.KindInt, types.Int(3), null, types.Int(-2), types.Int(0)),
+		mk(types.KindOID, types.Oid(7), null, types.Oid(0), types.Oid(12)),
+		mk(types.KindFloat, types.Float(2.75), null, types.Float(-0.5), types.Float(1e300)),
+		mk(types.KindBool, types.Bool(true), null, types.Bool(false), types.Bool(true)),
+		mk(types.KindStr, types.Str(" 42 "), null, types.Str("1.5"), types.Str("t"), types.Str("x")),
+		mk(types.KindStr, types.Str("7"), null, types.Str("-3"), types.Str("0")),
+		mk(types.KindFloat, null, null, null, null),
+		bat.NewVoid(5, 4),
+	}
+}
+
+// The typed cast kernel follows types.Value.Cast row by row: the same
+// values, and the error of the first failing row.
+func TestCastBATMatchesValueCast(t *testing.T) {
+	for _, src := range castSources() {
+		for _, k := range []types.Kind{types.KindInt, types.KindOID, types.KindFloat, types.KindBool, types.KindStr} {
+			var wantErr error
+			want := make([]types.Value, src.Len())
+			for i := range want {
+				if want[i], wantErr = src.Get(i).Cast(k); wantErr != nil {
+					break
+				}
+			}
+			got, err := CastBAT(B(src), k, nil)
+			if wantErr != nil || err != nil {
+				if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+					t.Errorf("%s column %v to %s: err = %v, want %v", src.ValueKind(), src, k, err, wantErr)
+				}
+				continue
+			}
+			if got.Kind() != k {
+				t.Errorf("%s to %s: result kind %s", src.ValueKind(), k, got.Kind())
+			}
+			for i, w := range want {
+				if g := got.Get(i); !g.Equal(w) || g.IsNull() != w.IsNull() {
+					t.Errorf("%s to %s: row %d = %v, want %v", src.ValueKind(), k, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// IfThenElse picks row by row and casts the picked value to the branches'
+// common kind; a NULL condition picks ELSE.
+func TestIfThenElseMatchesRowPick(t *testing.T) {
+	cond := bat.New(types.KindBool, 4)
+	for _, v := range []types.Value{types.Bool(true), types.Bool(false), types.NullUnknown(), types.Bool(true)} {
+		_ = cond.Append(v)
+	}
+	cols := castSources()
+	branches := []Opnd{C(types.Int(9), 4), C(types.Float(0.5), 4), C(types.NullUnknown(), 4), C(types.Str("s"), 4), C(types.Bool(true), 4)}
+	for _, c := range cols {
+		branches = append(branches, B(c.Slice(0, 4)))
+	}
+	at := func(o Opnd, i int) types.Value {
+		if o.IsConst() {
+			return o.ConstValue()
+		}
+		return o.BAT().Get(i)
+	}
+	for _, a := range branches {
+		for _, b := range branches {
+			k, err := types.CommonKind(a.Kind(), b.Kind())
+			got, gerr := IfThenElse(B(cond), a, b, nil)
+			if err != nil {
+				if gerr == nil {
+					t.Errorf("%s/%s branches: no error", a.Kind(), b.Kind())
+				}
+				continue
+			}
+			if gerr != nil {
+				t.Fatalf("%s/%s branches: %v", a.Kind(), b.Kind(), gerr)
+			}
+			if k != types.KindVoid && got.ValueKind() != k {
+				t.Errorf("%s/%s branches: result kind %s, want %s", a.Kind(), b.Kind(), got.ValueKind(), k)
+			}
+			for i := 0; i < 4; i++ {
+				src := b
+				if cond.Get(i).Equal(types.Bool(true)) {
+					src = a
+				}
+				w, err := at(src, i).Cast(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g := got.Get(i); !g.Equal(w) || g.IsNull() != w.IsNull() {
+					t.Errorf("%s/%s branches: row %d = %v, want %v", a.Kind(), b.Kind(), i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// A column with out-of-range values in several morsels reports the lowest
+// failing row at every thread count.
+func TestCastBATLowestFailingRow(t *testing.T) {
+	defer par.SetThreads(par.SetThreads(0))
+	defer par.SetMorselThreshold(par.SetMorselThreshold(64))
+	vals := make([]float64, 40000)
+	for i := range vals {
+		vals[i] = float64(i) / 3
+	}
+	vals[9000], vals[21000], vals[37000] = 1e19, math.NaN(), -2e19
+	x := bat.FromFloats(vals)
+	x.SetNull(5000, true)
+	vals[5000] = 5e19 // a NULL row is never converted
+	for _, threads := range []int{1, 2, 8} {
+		par.SetThreads(threads)
+		for run := 0; run < 20; run++ {
+			_, err := CastBAT(B(x), types.KindInt, nil)
+			if err == nil || err.Error() != "float 1e+19 out of integer range" {
+				t.Fatalf("threads %d: err = %v, want the row 9000 error", threads, err)
+			}
+		}
 	}
 }
 

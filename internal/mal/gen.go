@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/catalog"
 	"repro/internal/gdk"
 	"repro/internal/rel"
 	"repro/internal/types"
@@ -48,18 +49,21 @@ type gen struct {
 // cenv is one operator's output environment: base-aligned column variables
 // plus an optional candidate-list variable (cand < 0 = all rows, columns
 // dense). proj memoises per-column candidate-space projections so each
-// referenced column materialises at most once per candidate list.
+// referenced column materialises at most once per candidate list. arr is
+// set while the base rows are the cells of an array scan, whose dimension
+// columns lead cols.
 type cenv struct {
 	cols []int
 	cand int
 	proj map[int]int
+	arr  *catalog.Array
 }
 
 func denseEnv(cols []int) cenv { return cenv{cols: cols, cand: -1} }
 
 // narrow returns the environment restricted by a fresh candidate variable;
 // projections memoised against the old list are dropped.
-func (e cenv) narrow(cand int) cenv { return cenv{cols: e.cols, cand: cand} }
+func (e cenv) narrow(cand int) cenv { return cenv{cols: e.cols, cand: cand, arr: e.arr} }
 
 // candArg renders the environment's candidate list as an instruction
 // argument (nil constant when all rows are visible).
@@ -292,9 +296,9 @@ func (g *gen) scanArray(x *rel.ScanArray) (cenv, error) {
 		// on without materialising any column.
 		cand := g.p.Emit("array", "slab", X(x.A),
 			X(append([]int{}, x.SlabLo...)), X(append([]int{}, x.SlabHi...)))
-		return cenv{cols: cols, cand: cand}, nil
+		return cenv{cols: cols, cand: cand, arr: x.A}, nil
 	}
-	return denseEnv(cols), nil
+	return cenv{cols: cols, cand: -1, arr: x.A}, nil
 }
 
 // applySteps lowers a candidate-selection chain: every step replaces the
@@ -740,6 +744,13 @@ func (g *gen) expr(env *cenv, e rel.Expr) (Arg, error) {
 		return V(g.p.Emit("batcalc", "substring", s, from, forE)), nil
 	case *rel.CellFetch:
 		attr := g.p.Emit("array", "bindattr", X(x.A), K(types.Int(int64(x.AttrIdx))))
+		if offs, ok := shiftOffsets(env, x); ok {
+			args := []Arg{V(attr), X(x.A.Shape), X(offs)}
+			if env.cand >= 0 {
+				args = append(args, V(env.cand))
+			}
+			return V(g.p.Emit("array", "shift", args...)), nil
+		}
 		args := []Arg{V(attr), X(x.A.Shape)}
 		for _, c := range x.Coords {
 			a, err := g.expr(env, c)
@@ -752,6 +763,53 @@ func (g *gen) expr(env *cenv, e rel.Expr) (Arg, error) {
 	default:
 		return Arg{}, fmt.Errorf("mal: cannot compile expression %T", e)
 	}
+}
+
+// shiftOffsets recognises a cell fetch from the array being scanned whose
+// every coordinate is the scan's own dimension plus or minus an integer
+// constant (`A[x-1][y]`), returning the constants. Offsets stay below
+// 2^31 in magnitude: then dim ± c cannot wrap around int64 onto another
+// cell of any array that fits in memory, so the shifted read and the
+// coordinate arithmetic of array.cellfetch agree.
+func shiftOffsets(env *cenv, x *rel.CellFetch) ([]int, bool) {
+	if env.arr != x.A {
+		return nil, false
+	}
+	offs := make([]int, len(x.Coords))
+	for d, c := range x.Coords {
+		dim, off, ok := dimPlusConst(c)
+		if !ok || dim != d || off > math.MaxInt32 || off < -math.MaxInt32 {
+			return nil, false
+		}
+		offs[d] = int(off)
+	}
+	return offs, true
+}
+
+// dimPlusConst matches col, col + c, c + col and col - c for a column
+// ordinal col and a non-NULL integer constant c.
+func dimPlusConst(e rel.Expr) (col int, off int64, ok bool) {
+	switch x := e.(type) {
+	case *rel.Col:
+		return x.Idx, 0, true
+	case *rel.Bin:
+		l, isCol := x.L.(*rel.Col)
+		c, isConst := x.R.(*rel.Const)
+		if x.Op == "+" && !isCol {
+			l, isCol = x.R.(*rel.Col)
+			c, isConst = x.L.(*rel.Const)
+		}
+		if !isCol || !isConst || c.Val.Kind() != types.KindInt || c.Val.IsNull() {
+			return 0, 0, false
+		}
+		switch x.Op {
+		case "+":
+			return l.Idx, c.Val.Int64(), true
+		case "-":
+			return l.Idx, -c.Val.Int64(), true
+		}
+	}
+	return 0, 0, false
 }
 
 // mat materialises a constant argument into a candidate-length column

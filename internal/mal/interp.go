@@ -206,6 +206,26 @@ func (c *Ctx) exec(in *Instr) error {
 		c.Vars[in.Rets[0]] = out
 		return nil
 
+	case "array.shift":
+		attr, err := c.batVar(in.Args[0])
+		if err != nil {
+			return err
+		}
+		sh := in.Args[1].Aux.(shape.Shape)
+		offs := in.Args[2].Aux.([]int)
+		var cand *bat.BAT
+		if len(in.Args) > 3 {
+			if cand, err = c.batVar(in.Args[3]); err != nil {
+				return err
+			}
+		}
+		out, err := gdk.Shift(attr, sh, offs, cand)
+		if err != nil {
+			return err
+		}
+		c.Vars[in.Rets[0]] = out
+		return nil
+
 	case "array.tileagg", "array.tileaggsat":
 		vals, err := c.batVar(in.Args[0])
 		if err != nil {

@@ -320,7 +320,9 @@ func Do(n int, fn func(lo, hi int)) {
 	NewPlan(n).Run(func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// DoErr is Do with error propagation (first error wins).
+// DoErr is Do with error propagation. The error of the lowest failing
+// morsel wins, so a kernel whose morsels stop at their first failing row
+// reports the lowest failing row, as a serial run would.
 func DoErr(n int, fn func(lo, hi int) error) error {
 	return NewPlan(n).RunErr(func(_, lo, hi int) error { return fn(lo, hi) })
 }

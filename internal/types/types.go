@@ -190,13 +190,60 @@ func (v Value) AsInt() (int64, error) {
 	case KindInt, KindOID:
 		return v.i, nil
 	case KindFloat:
-		if math.IsNaN(v.f) || v.f > math.MaxInt64 || v.f < math.MinInt64 {
-			return 0, fmt.Errorf("float %v out of integer range", v.f)
-		}
-		return int64(v.f), nil
+		return FloatToInt(v.f)
 	default:
 		return 0, fmt.Errorf("cannot convert %s to int", v.kind)
 	}
+}
+
+// FloatToInt truncates f toward zero. NaN and values outside [-2^63, 2^63)
+// are out of integer range; the upper bound is written as a power of two
+// because math.MaxInt64 rounds up to 2^63 as a float64, which would let
+// 2^63 itself through and wrap.
+func FloatToInt(f float64) (int64, error) {
+	if math.IsNaN(f) || f >= 0x1p63 || f < -0x1p63 {
+		return 0, fmt.Errorf("float %v out of integer range", f)
+	}
+	return int64(f), nil
+}
+
+// ParseInt is CAST(string AS integer): a base-10 integer, surrounding
+// spaces ignored.
+func ParseInt(s string) (int64, error) {
+	i, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("cannot cast %q to integer", s)
+	}
+	return i, nil
+}
+
+// ParseFloat is CAST(string AS double), surrounding spaces ignored.
+func ParseFloat(s string) (float64, error) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return 0, fmt.Errorf("cannot cast %q to double", s)
+	}
+	return f, nil
+}
+
+// ParseBool is CAST(string AS boolean): true/t/1 and false/f/0 in any
+// case, surrounding spaces ignored.
+func ParseBool(s string) (bool, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "true", "t", "1":
+		return true, nil
+	case "false", "f", "0":
+		return false, nil
+	}
+	return false, fmt.Errorf("cannot cast %q to boolean", s)
+}
+
+// IntToOID is CAST(integer AS oid): negative values name no row.
+func IntToOID(i int64) (int64, error) {
+	if i < 0 {
+		return 0, fmt.Errorf("negative value %d cannot be an oid", i)
+	}
+	return i, nil
 }
 
 // Equal reports deep equality (NULL equals NULL here; SQL comparison
@@ -291,7 +338,7 @@ func (v Value) Cast(k Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			i, err := v.AsInt()
+			i, err := FloatToInt(v.f)
 			if err != nil {
 				return Value{}, err
 			}
@@ -304,9 +351,9 @@ func (v Value) Cast(k Kind) (Value, error) {
 			}
 			return Int(0), nil
 		case KindStr:
-			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+			i, err := ParseInt(v.s)
 			if err != nil {
-				return Value{}, fmt.Errorf("cannot cast %q to integer", v.s)
+				return Value{}, err
 			}
 			return Int(i), nil
 		}
@@ -320,9 +367,9 @@ func (v Value) Cast(k Kind) (Value, error) {
 			}
 			return Float(0), nil
 		case KindStr:
-			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+			f, err := ParseFloat(v.s)
 			if err != nil {
-				return Value{}, fmt.Errorf("cannot cast %q to double", v.s)
+				return Value{}, err
 			}
 			return Float(f), nil
 		}
@@ -333,23 +380,22 @@ func (v Value) Cast(k Kind) (Value, error) {
 		case KindFloat:
 			return Bool(v.f != 0), nil
 		case KindStr:
-			switch strings.ToLower(strings.TrimSpace(v.s)) {
-			case "true", "t", "1":
-				return Bool(true), nil
-			case "false", "f", "0":
-				return Bool(false), nil
+			b, err := ParseBool(v.s)
+			if err != nil {
+				return Value{}, err
 			}
-			return Value{}, fmt.Errorf("cannot cast %q to boolean", v.s)
+			return Bool(b), nil
 		}
 	case KindStr:
 		return Str(v.String()), nil
 	case KindOID:
 		switch v.kind {
 		case KindInt:
-			if v.i < 0 {
-				return Value{}, fmt.Errorf("negative value %d cannot be an oid", v.i)
+			i, err := IntToOID(v.i)
+			if err != nil {
+				return Value{}, err
 			}
-			return Oid(OID(v.i)), nil
+			return Oid(OID(i)), nil
 		}
 	}
 	return Value{}, fmt.Errorf("unsupported cast from %s to %s", v.kind, k)
