@@ -95,15 +95,13 @@ func fillBulk[T any](dst []T, x T, job *par.Job) error {
 //
 // The constant payload is written with bulk slice fills rather than
 // per-element appends; the resulting storage and property claims are
-// identical to cnt Append calls on a fresh BAT.
-func Filler(cnt int, v types.Value, kind types.Kind) (*BAT, error) {
+// identical to cnt Append calls on a fresh BAT. A filler aligned to a large
+// intermediate (COUNT over a wide join) is a long serial fill, so it polls
+// the query's job (nil: none) between chunks.
+func Filler(job *par.Job, cnt int, v types.Value, kind types.Kind) (*BAT, error) {
 	if cnt < 0 {
 		return nil, fmt.Errorf("array.filler: negative count %d", cnt)
 	}
-	// A filler aligned to a large intermediate (COUNT over a wide join)
-	// is a long serial fill, so it polls the goroutine's cancellation job
-	// between chunks.
-	job := par.CurrentJob()
 	b := New(kind, cnt)
 	if kind == types.KindVoid {
 		return nil, fmt.Errorf("array.filler: unsupported kind %s", kind)

@@ -98,7 +98,7 @@ func TestSeriesFig3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Filler(16, types.Int(0), types.KindInt)
+	v, err := Filler(nil, 16, types.Int(0), types.KindInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestSeriesProperty(t *testing.T) {
 }
 
 func TestFillerNull(t *testing.T) {
-	b, err := Filler(4, types.NullUnknown(), types.KindFloat)
+	b, err := Filler(nil, 4, types.NullUnknown(), types.KindFloat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,7 +362,7 @@ func NewArray(name string, sh shape.Shape, attrs []Column, unbounded []bool) (*A
 		if !col.HasDef {
 			def = types.NullUnknown()
 		}
-		b, err := bat.Filler(cells, def, col.Type.Kind)
+		b, err := bat.Filler(nil, cells, def, col.Type.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("attribute %q: %v", col.Name, err)
 		}

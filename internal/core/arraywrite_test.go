@@ -216,7 +216,7 @@ func oracleCoerce(r *Result, hint shape.Shape) (*Result, error) {
 	coords := make([]int64, len(dimIdx))
 	for _, ci := range attrIdx {
 		col := r.Cols[ci]
-		cell, err := bat.Filler(sh.Cells(), types.NullUnknown(), col.ValueKind())
+		cell, err := bat.Filler(nil, sh.Cells(), types.NullUnknown(), col.ValueKind())
 		if err != nil {
 			return nil, err
 		}

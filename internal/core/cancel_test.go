@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/mal"
-	"repro/internal/par"
 )
 
 // bigJoinDB builds an in-memory database with two n-row tables sharing a
@@ -53,7 +52,7 @@ func TestQueryContextBackgroundUnaffected(t *testing.T) {
 // runtime, and absolutely under 50ms even on a loaded CI machine.
 func TestCancelMidJoin(t *testing.T) {
 	db := bigJoinDB(t, 1_000_000)
-	cancelMidJoin(t, db, bigJoinQuery)
+	cancelMidway(t, db, bigJoinQuery, bigJoinQuery)
 }
 
 // TestCancelInsertSelect: the query side of an INSERT ... SELECT runs
@@ -62,22 +61,30 @@ func TestCancelMidJoin(t *testing.T) {
 func TestCancelInsertSelect(t *testing.T) {
 	db := bigJoinDB(t, 1_000_000)
 	db.MustQuery(`CREATE TABLE t (n INT)`)
-	cancelMidJoin(t, db, `INSERT INTO t SELECT COUNT(*) FROM l JOIN r ON l.a = r.a`)
+	cancelMidway(t, db, bigJoinQuery, `INSERT INTO t SELECT COUNT(*) FROM l JOIN r ON l.a = r.a`)
 	if got := db.MustQuery(`SELECT COUNT(*) FROM t`).Value(0, 0).String(); got != "0" {
 		t.Fatalf("cancelled INSERT left %s rows in its target", got)
 	}
 }
 
-// cancelMidJoin runs stmt, whose work is the bigJoinQuery join, cancels
-// it a quarter of the way into the join's uncancelled runtime, and
-// requires context.Canceled back within 50ms.
-func cancelMidJoin(t *testing.T, db *DB, stmt string) {
+// TestCancelOrderBy: a sort polls the job too, so cancelling a 4M-row
+// ORDER BY midway returns within the same bound.
+func TestCancelOrderBy(t *testing.T) {
+	db := bigJoinDB(t, 4_000_000)
+	const q = `SELECT a FROM l ORDER BY a DESC`
+	cancelMidway(t, db, q, q)
+}
+
+// cancelMidway runs stmt, whose work is the query work, cancels it a
+// quarter of the way into work's uncancelled runtime, and requires
+// context.Canceled back within 50ms.
+func cancelMidway(t *testing.T, db *DB, work, stmt string) {
 	t.Helper()
-	// Baseline: the uncancelled join takes long enough that an instant
+	// Baseline: the uncancelled work takes long enough that an instant
 	// return below proves cancellation (not completion).
 	t0 := time.Now()
-	if _, err := db.Query(bigJoinQuery); err != nil {
-		t.Fatalf("baseline join: %v", err)
+	if _, err := db.Query(work); err != nil {
+		t.Fatalf("baseline: %v", err)
 	}
 	full := time.Since(t0)
 
@@ -90,7 +97,7 @@ func cancelMidJoin(t *testing.T, db *DB, stmt string) {
 		errc <- err
 	}()
 	<-started
-	time.Sleep(full / 4) // let the join get well into its kernels
+	time.Sleep(full / 4) // let the work get well into its kernels
 	tc := time.Now()
 	cancel()
 	select {
@@ -100,9 +107,9 @@ func cancelMidJoin(t *testing.T, db *DB, stmt string) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		if lat > 50*time.Millisecond {
-			t.Fatalf("cancellation latency %v, want < 50ms (full join: %v)", lat, full)
+			t.Fatalf("cancellation latency %v, want < 50ms (full work: %v)", lat, full)
 		}
-		t.Logf("cancel latency %v (full join %v)", lat, full)
+		t.Logf("cancel latency %v (full work %v)", lat, full)
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled query never returned")
 	}
@@ -233,16 +240,13 @@ func TestCancelBetweenStatements(t *testing.T) {
 }
 
 // TestCancelDoesNotPoison: after a cancelled query the session and the
-// engine keep working, and no Job leaks into later queries.
+// engine keep working.
 func TestCancelDoesNotPoison(t *testing.T) {
 	db := bigJoinDB(t, 200_000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := db.QueryContext(ctx, bigJoinQuery); err == nil {
 		t.Fatal("expected error from cancelled query")
-	}
-	if par.CurrentJob() != nil {
-		t.Fatal("cancelled query leaked a par.Job on the calling goroutine")
 	}
 	r, err := db.Query(`SELECT COUNT(*) FROM l`)
 	if err != nil {
@@ -313,3 +317,40 @@ func benchCancelLatency(b *testing.B, rows int) {
 
 func BenchmarkCancelLatency1M(b *testing.B)  { benchCancelLatency(b, 1_000_000) }
 func BenchmarkCancelLatency10M(b *testing.B) { benchCancelLatency(b, 10_000_000) }
+
+// TestCancellableContextSamePlan: a query whose context can be cancelled
+// runs the same plans as one whose context cannot. It gets the same bytes
+// back and makes the same allocations (within 10%), for a grouped
+// aggregate and a filtered count over 2^19 rows.
+func TestCancellableContextSamePlan(t *testing.T) {
+	db := New()
+	db.MustQuery(fmt.Sprintf(`CREATE ARRAY seq (i INT DIMENSION[0:1:%d], v INT DEFAULT 0)`, 1<<19))
+	db.MustQuery(`CREATE TABLE t (g INT, v DOUBLE)`)
+	db.MustQuery(`INSERT INTO t SELECT i % 64, CAST((i * 7919) % 100003 AS DOUBLE) / 7 FROM seq`)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, q := range []string{
+		`SELECT g, SUM(v), MIN(v) FROM t GROUP BY g`,
+		`SELECT COUNT(*) FROM t WHERE v < 5000 AND g > 3`,
+	} {
+		var out [2]string
+		var allocs [2]float64
+		for i, ctx := range []context.Context{context.Background(), live} {
+			run := func() {
+				r, err := db.QueryContext(ctx, q)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				out[i] = r.String()
+			}
+			allocs[i] = testing.AllocsPerRun(3, run)
+		}
+		if out[0] != out[1] {
+			t.Errorf("%s: a cancellable context changed the result:\n%s\nwant:\n%s", q, out[1], out[0])
+		}
+		if d := allocs[1] - allocs[0]; d > allocs[0]/10 || -d > allocs[0]/10 {
+			t.Errorf("%s: %.0f allocations with a cancellable context, %.0f without", q, allocs[1], allocs[0])
+		}
+		t.Logf("%s: %.0f allocations with a cancellable context, %.0f without", q, allocs[1], allocs[0])
+	}
+}

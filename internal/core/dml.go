@@ -312,7 +312,7 @@ func stageArrayInsert(a *catalog.Array, targets []arrayTarget, cols []*bat.BAT) 
 		}
 		col := cols[ti]
 		if kind := a.Attrs[tg.idx].Type.Kind; col.ValueKind() != kind {
-			if col, err = gdk.CastBAT(gdk.B(col), kind, nil); err != nil {
+			if col, err = gdk.CastBAT(nil, gdk.B(col), kind, nil); err != nil {
 				return nil, fmt.Errorf("attribute %q: %v", a.Attrs[tg.idx].Name, err)
 			}
 		}
@@ -514,7 +514,7 @@ func planWrite(ctx context.Context, cat *catalog.Catalog, stmt ast.Statement) (*
 	for k, col := range res.Cols[1:] {
 		switch kind := w.TargetKind(k); {
 		case col.ValueKind() != kind:
-			if col, err = gdk.CastBAT(gdk.B(col), kind, nil); err != nil {
+			if col, err = gdk.CastBAT(nil, gdk.B(col), kind, nil); err != nil {
 				return nil, fmt.Errorf("%s %q: %v", what, w.TargetName(k), err)
 			}
 		case slices.Contains(src, col) || slices.Contains(p.vals, col):

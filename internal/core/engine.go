@@ -119,7 +119,7 @@ type DB struct {
 
 	session *Session // default session used by the DB-level Exec/Query
 
-	pcache *parseCache // bounded LRU of parsed statements, purged on DDL
+	pcache *parseCache // bounded LRU of parsed statements
 }
 
 // DefaultCheckpointBytes is the WAL size past which a commit triggers an
@@ -382,18 +382,16 @@ func (db *DB) ExecStmt(stmt ast.Statement) (*Result, error) {
 	return db.execStmt(db.session, stmt)
 }
 
-// parse resolves a query text to parsed statements through the cache,
-// keyed by text plus the join order mode (see parseCache).
+// parse resolves a query text to parsed statements through the cache.
 func (db *DB) parse(query string) ([]ast.Statement, error) {
-	key := cacheKey(query)
-	if stmts, ok := db.pcache.get(key); ok {
+	if stmts, ok := db.pcache.get(query); ok {
 		return stmts, nil
 	}
 	stmts, err := parser.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	db.pcache.put(key, stmts)
+	db.pcache.put(query, stmts)
 	return stmts, nil
 }
 
@@ -537,16 +535,12 @@ func (db *DB) execLocked(ctx context.Context, s *Session, stmt ast.Statement) (*
 		}
 		return r, nil
 	case *ast.CreateTable:
-		db.pcache.purge() // DDL invalidates cached statements
 		return db.createTable(st)
 	case *ast.CreateArray:
-		db.pcache.purge()
 		return db.createArray(st)
 	case *ast.Drop:
-		db.pcache.purge()
 		return db.drop(st)
 	case *ast.AlterDimension:
-		db.pcache.purge()
 		return db.alterDimension(st)
 	case *ast.Insert:
 		return db.insert(ctx, st)

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/rel"
 	"repro/internal/sql/ast"
 )
 
@@ -14,24 +13,11 @@ import (
 // parser entirely.
 const parseCacheSize = 256
 
-// parseCache is a bounded LRU from a cache key to parsed statements.
-// Parsing is catalog-independent, so entries stay valid across DML; the
-// engine still purges on DDL out of caution, since DDL is rare and a stale
-// AST bug would be miserable to chase.
-//
-// The cache key (see cacheKey) is, exhaustively:
-//
-//   - the raw SQL text, and
-//   - the join order mode (rel.JoinOrdering), so a mode switch between
-//     executions of the same text can never replay a plan decided under
-//     the other mode if plan state ever attaches to cached entries.
-//
-// Deliberately NOT part of the key: the kernel thread count
-// (par.Threads) and the slab-encoding toggle (bat.EncodingsEnabled) —
-// both are pure execution-time switches consulted after binding, and only
-// parsed ASTs are cached, so entries stay correct across changes to
-// either. If you add a process-wide flag that changes what compilation
-// produces from a cached AST before execution, add it to cacheKey.
+// parseCache is a bounded LRU from a query text to its parsed statements.
+// Parsing depends on the text alone, not on the catalog or any execution
+// setting, and only parsed ASTs are cached, so entries stay valid across
+// DML and DDL: a cached statement is bound against the catalog of each
+// execution afresh.
 //
 // Cached ASTs are shared across executions: the binder and compiler treat
 // the AST as read-only (they build fresh rel/MAL nodes), which is what
@@ -52,13 +38,6 @@ func newParseCache() *parseCache {
 		items: make(map[string]*list.Element, parseCacheSize),
 		order: list.New(),
 	}
-}
-
-// cacheKey builds the cache key for a query text: every component that
-// affects what a cached entry means (see the type comment for the
-// rationale per component).
-func cacheKey(query string) string {
-	return rel.JoinOrdering().String() + "\x00" + query
 }
 
 // get returns the cached statements for query, marking the entry as
@@ -93,7 +72,7 @@ func (c *parseCache) put(query string, stmts []ast.Statement) {
 	c.items[query] = c.order.PushFront(&parseEntry{key: query, stmts: stmts})
 }
 
-// purge drops every entry (DDL invalidation).
+// purge drops every entry (a replica re-bootstrapping its catalog).
 func (c *parseCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

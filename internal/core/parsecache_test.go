@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -20,41 +21,39 @@ func TestParseCacheHitsRepeatedStatements(t *testing.T) {
 	if got := db.pcache.len(); got != 1 {
 		t.Fatalf("cache has %d entries, want 1", got)
 	}
-	if _, ok := db.pcache.get(cacheKey(q)); !ok {
-		t.Fatalf("expected %q to be cached under the current join order mode", q)
-	}
-	// The key includes the join order mode: the raw text alone must miss.
-	if _, ok := db.pcache.get(q); ok {
-		t.Fatalf("raw query text should not be a cache key")
+	if _, ok := db.pcache.get(q); !ok {
+		t.Fatalf("expected %q to be cached under its text", q)
 	}
 }
 
-func TestParseCachePurgedOnDDL(t *testing.T) {
+// TestParseCacheRebindsAfterDDL: DDL leaves the cache alone, and a cached
+// statement binds against the catalog of each execution: after the table
+// it names is dropped and created again with other columns, the same text
+// reads the new table.
+func TestParseCacheRebindsAfterDDL(t *testing.T) {
 	db := New()
-	if _, err := db.Exec(`CREATE TABLE t (a INT)`); err != nil {
-		t.Fatal(err)
+	db.MustQuery(`CREATE TABLE t (a INT, b VARCHAR)`)
+	db.MustQuery(`INSERT INTO t VALUES (1, 'x')`)
+	q := `SELECT * FROM t`
+	if got := db.MustQuery(q).String(); !strings.Contains(got, "x") {
+		t.Fatalf("before DDL: %s", got)
 	}
-	if _, err := db.Query(`SELECT a FROM t`); err != nil {
-		t.Fatal(err)
+	db.MustQuery(`DROP TABLE t`)
+	db.MustQuery(`CREATE TABLE t (c DOUBLE)`)
+	db.MustQuery(`INSERT INTO t VALUES (2.5), (3.5)`)
+	if _, ok := db.pcache.get(q); !ok {
+		t.Fatal("DDL dropped the cached statement")
 	}
-	if db.pcache.len() == 0 {
-		t.Fatal("expected cached SELECT before DDL")
+	r := db.MustQuery(q)
+	if r.NumCols() != 1 || r.NumRows() != 2 || r.Value(1, 0).String() != "3.5" {
+		t.Fatalf("after DROP + CREATE: %s", r)
 	}
-	if _, err := db.Exec(`CREATE TABLE u (b INT)`); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.pcache.len(); got != 0 {
-		t.Fatalf("cache has %d entries after DDL, want 0", got)
-	}
-	// Dropping an object must also invalidate.
-	if _, err := db.Query(`SELECT a FROM t`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(`DROP TABLE u`); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.pcache.len(); got != 0 {
-		t.Fatalf("cache has %d entries after DROP, want 0", got)
+	// The same name as an array: the cached text now reads its cells.
+	db.MustQuery(`DROP TABLE t`)
+	db.MustQuery(`CREATE ARRAY t (x INT DIMENSION[0:1:3], v INT DEFAULT 7)`)
+	r = db.MustQuery(q)
+	if r.NumCols() != 2 || r.NumRows() != 3 || r.Value(2, 1).String() != "7" {
+		t.Fatalf("after DROP + CREATE ARRAY: %s", r)
 	}
 }
 

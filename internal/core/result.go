@@ -173,7 +173,7 @@ func coerceToArray(r *Result, hint shape.Shape) (*Result, error) {
 		cell := r.Cols[ci].Materialize()
 		if !identity {
 			var err error
-			if cell, err = bat.Filler(sh.Cells(), types.NullUnknown(), r.Cols[ci].ValueKind()); err != nil {
+			if cell, err = bat.Filler(nil, sh.Cells(), types.NullUnknown(), r.Cols[ci].ValueKind()); err != nil {
 				return nil, err
 			}
 			if err := cell.ReplaceAt(pos, r.Cols[ci]); err != nil {

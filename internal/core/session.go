@@ -66,15 +66,14 @@ func (s *Session) Query(query string) (*Result, error) {
 // QueryContext is Query under a context (see ExecContext for the
 // cancellation semantics).
 func (s *Session) QueryContext(ctx context.Context, query string) (*Result, error) {
-	key := cacheKey(query)
-	if stmts, ok := s.db.pcache.get(key); ok && len(stmts) == 1 {
+	if stmts, ok := s.db.pcache.get(query); ok && len(stmts) == 1 {
 		return s.db.execStmtCtx(ctx, s, stmts[0])
 	}
 	stmt, err := parser.ParseOne(query)
 	if err != nil {
 		return nil, err
 	}
-	s.db.pcache.put(key, []ast.Statement{stmt})
+	s.db.pcache.put(query, []ast.Statement{stmt})
 	return s.db.execStmtCtx(ctx, s, stmt)
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -641,4 +642,44 @@ func TestOrderByNaN(t *testing.T) {
 	expectRows(t, db, `SELECT id, f FROM t ORDER BY f DESC LIMIT 3`, desc[:3])
 	expectRows(t, db, `SELECT id, f FROM t ORDER BY f LIMIT 3 OFFSET 6`, asc[6:9])
 	expectRows(t, db, `SELECT id, f FROM t ORDER BY f DESC LIMIT 2 OFFSET 1`, desc[1:3])
+}
+
+// TestMinMaxFollowOrderBy: a float MIN is the first non-NULL row of ORDER
+// BY v and MAX the last, NaN included (it sorts above every number), for
+// the grouped and the global aggregate at every thread count.
+func TestMinMaxFollowOrderBy(t *testing.T) {
+	db := New()
+	for _, q := range []string{
+		`CREATE ARRAY seq (i INT DIMENSION[0:1:20000], v INT DEFAULT 0)`,
+		`CREATE TABLE m (g INT, v DOUBLE)`,
+		`INSERT INTO m SELECT i % 3, CAST((i * 7919) % 1009 AS DOUBLE) / 4 FROM seq`,
+		`INSERT INTO m VALUES (0, CAST('NaN' AS DOUBLE)), (1, NULL), (3, CAST('NaN' AS DOUBLE)), (3, NULL), (4, NULL)`,
+		`INSERT INTO m SELECT i % 3, CAST(i % 977 AS DOUBLE) - 500 FROM seq`,
+		`INSERT INTO m VALUES (3, CAST('NaN' AS DOUBLE))`,
+	} {
+		db.MustQuery(q)
+	}
+	defer par.SetThreads(par.SetThreads(0))
+	defer par.SetMorselThreshold(par.SetMorselThreshold(64))
+	for _, threads := range []int{1, 2, 8} {
+		par.SetThreads(threads)
+		got := allRows(db.MustQuery(`SELECT g, MIN(v), MAX(v) FROM m GROUP BY g ORDER BY g`))
+		var want []string
+		for g := 0; g <= 4; g++ {
+			ordered := allRows(db.MustQuery(fmt.Sprintf(`SELECT v FROM m WHERE g = %d AND v IS NOT NULL ORDER BY v`, g)))
+			if len(ordered) == 0 {
+				want = append(want, fmt.Sprintf("%d|null|null", g))
+				continue
+			}
+			want = append(want, fmt.Sprintf("%d|%s|%s", g, ordered[0], ordered[len(ordered)-1]))
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("threads %d: grouped MIN/MAX %v, want %v", threads, got, want)
+		}
+		ordered := allRows(db.MustQuery(`SELECT v FROM m WHERE v IS NOT NULL ORDER BY v`))
+		global := allRows(db.MustQuery(`SELECT MIN(v), MAX(v) FROM m`))
+		if w := ordered[0] + "|" + ordered[len(ordered)-1]; global[0] != w {
+			t.Errorf("threads %d: MIN/MAX %s, want %s", threads, global[0], w)
+		}
+	}
 }

@@ -674,7 +674,7 @@ func reshapeArrayTo(a *catalog.Array, newShape shape.Shape) error {
 		if !col.HasDef {
 			def = types.NullUnknown()
 		}
-		nb, err := gdk.Reshape(a.AttrBats[i], a.Shape, newShape, def)
+		nb, err := gdk.Reshape(nil, a.AttrBats[i], a.Shape, newShape, def)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package gdk
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/bat"
@@ -50,10 +51,10 @@ func AggResultKind(agg AggKind, k types.Kind) (types.Kind, error) {
 // private ngroups-sized partial state, so the plan stays serial when the
 // partial states would dwarf the input (many tiny groups, e.g. per-cell
 // structural grouping) — there the merge would cost more than the scan.
-func aggrPlan(n, ngroups int) par.Plan {
-	plan := par.NewPlan(n)
+func aggrPlan(job *par.Job, n, ngroups int) par.Plan {
+	plan := par.NewPlan(job, n)
 	if plan.Parallel() && ngroups*plan.Chunks() > 4*n {
-		return par.Serial(n)
+		return par.Serial(job, n)
 	}
 	return plan
 }
@@ -81,10 +82,10 @@ func gidSlice(gids *bat.BAT) []int64 {
 // Above the morsel threshold, each worker accumulates morsel-local partial
 // aggregates which are merged group-wise at the end (when the group count
 // permits, see aggrPlan).
-func SubAggr(agg AggKind, vals, gids *bat.BAT, ngroups int, cand *bat.BAT) (*bat.BAT, error) {
+func SubAggr(job *par.Job, agg AggKind, vals, gids *bat.BAT, ngroups int, cand *bat.BAT) (*bat.BAT, error) {
 	if cand != nil && vals != nil {
 		var err error
-		if vals, err = Project(cand, vals); err != nil {
+		if vals, err = Project(job, cand, vals); err != nil {
 			return nil, err
 		}
 	}
@@ -95,44 +96,46 @@ func SubAggr(agg AggKind, vals, gids *bat.BAT, ngroups int, cand *bat.BAT) (*bat
 	gs := gidSlice(gids)
 
 	// Sorted group ids (the product of run-detected grouping) cluster each
-	// group into one contiguous run: counts and min/max accumulate per run
-	// and store once, instead of chunked ngroups-sized partials merged
-	// after. The results are bit-identical to the generic paths'.
+	// group into one contiguous run: counts, and the aggregates of an
+	// encoded int column, accumulate per run and store once, instead of
+	// chunked ngroups-sized partials merged after. The results are
+	// bit-identical to the generic paths'.
 	sortedRuns := StatsEnabled() && gids.Sorted && !gids.HasNulls() && n > 0
 
 	switch agg {
-	case AggCountAll:
-		if sortedRuns {
-			return runCounts(gs, ngroups, nil), nil
+	case AggCountAll, AggCount:
+		if agg == AggCountAll {
+			vals = nil
 		}
-		counts := countPartials(n, ngroups, gs, nil)
-		return bat.FromInts(counts), nil
-	case AggCount:
 		if sortedRuns {
 			return runCounts(gs, ngroups, vals), nil
 		}
-		counts := countPartials(n, ngroups, gs, vals)
+		counts, err := countPartials(job, n, ngroups, gs, vals)
+		if err != nil {
+			return nil, err
+		}
 		return bat.FromInts(counts), nil
 	}
 
-	if sortedRuns {
-		if out, ok := runAggr(agg, vals, gs, ngroups); ok {
+	// RLE-encoded int input accumulates whole (value-run x group-run)
+	// intersections without decoding (see enc_aggr.go).
+	if sortedRuns && vals.Kind() != types.KindVoid && vals.Encoded() && !vals.HasNulls() &&
+		(vals.ValueKind() == types.KindInt || vals.ValueKind() == types.KindOID) {
+		if out, ok := encIntRunAggr(agg, vals, gs, ngroups); ok {
 			return out, nil
 		}
 	}
 
 	switch vals.ValueKind() {
 	case types.KindInt, types.KindOID:
-		var ints []int64
-		if vals.Kind() == types.KindVoid {
-			ints = vals.Materialize().DecodedInts()
-		} else {
-			ints = vals.DecodedInts()
-		}
+		ints := intVals(vals)
 		switch agg {
 		case AggSum, AggAvg:
 			// Integer addition associates: any chunking gives the same sums.
-			sums, counts := groupSums(aggrPlan(n, ngroups), ints, vals, gs, ngroups)
+			sums, counts, err := groupSums(aggrPlan(job, n, ngroups), ints, vals, gs, ngroups)
+			if err != nil {
+				return nil, err
+			}
 			if agg == AggSum {
 				out := bat.FromInts(sums)
 				markEmpty(out, counts)
@@ -148,35 +151,16 @@ func SubAggr(agg AggKind, vals, gids *bat.BAT, ngroups int, cand *bat.BAT) (*bat
 			markEmpty(out, counts)
 			return out, nil
 		case AggMin, AggMax:
-			plan := aggrPlan(n, ngroups)
-			bestP := make([][]int64, plan.Chunks())
-			seenP := make([][]bool, plan.Chunks())
-			plan.Run(func(c, lo, hi int) {
-				best := make([]int64, ngroups)
-				seen := make([]bool, ngroups)
-				for i := lo; i < hi; i++ {
-					if vals.IsNull(i) {
-						continue
-					}
-					g := gs[i]
-					v := ints[i]
-					if !seen[g] || (agg == AggMin && v < best[g]) || (agg == AggMax && v > best[g]) {
-						best[g] = v
-						seen[g] = true
-					}
-				}
-				bestP[c], seenP[c] = best, seen
-			})
-			best, seen := mergeMinMax(agg, bestP, seenP, ngroups)
-			out := bat.FromInts(best)
-			markUnseen(out, seen)
-			return out, nil
+			return minMaxGroups(aggrPlan(job, n, ngroups), agg, ints, vals, gs, ngroups, bat.FromInts)
 		}
 	case types.KindFloat:
 		fs := vals.DecodedFloats()
 		switch agg {
 		case AggSum, AggAvg:
-			sums, counts := groupSums(par.Blocks(n, sumBlockRows), fs, vals, gs, ngroups)
+			sums, counts, err := groupSums(par.Blocks(job, n, sumBlockRows), fs, vals, gs, ngroups)
+			if err != nil {
+				return nil, err
+			}
 			if agg == AggAvg {
 				for g := range sums {
 					if counts[g] > 0 {
@@ -188,54 +172,78 @@ func SubAggr(agg AggKind, vals, gids *bat.BAT, ngroups int, cand *bat.BAT) (*bat
 			markEmpty(out, counts)
 			return out, nil
 		case AggMin, AggMax:
-			plan := aggrPlan(n, ngroups)
-			bestP := make([][]float64, plan.Chunks())
-			seenP := make([][]bool, plan.Chunks())
-			plan.Run(func(c, lo, hi int) {
-				best := make([]float64, ngroups)
-				seen := make([]bool, ngroups)
-				for i := lo; i < hi; i++ {
-					if vals.IsNull(i) {
-						continue
-					}
-					g := gs[i]
-					v := fs[i]
-					if !seen[g] || (agg == AggMin && v < best[g]) || (agg == AggMax && v > best[g]) {
-						best[g] = v
-						seen[g] = true
-					}
-				}
-				bestP[c], seenP[c] = best, seen
-			})
-			best, seen := mergeMinMax(agg, bestP, seenP, ngroups)
-			out := bat.FromFloats(best)
-			markUnseen(out, seen)
-			return out, nil
+			return minMaxGroups(aggrPlan(job, n, ngroups), agg, fs, vals, gs, ngroups, bat.FromFloats)
 		}
 	case types.KindStr:
 		if agg == AggMin || agg == AggMax {
-			// String min/max stays serial: comparisons dominate and the
-			// partial-merge gain is marginal for the workloads we serve.
-			best := make([]string, ngroups)
-			seen := make([]bool, ngroups)
-			ss := vals.DecodedStrs()
-			for i := 0; i < n; i++ {
-				if vals.IsNull(i) {
-					continue
-				}
-				g := gs[i]
-				v := ss[i]
-				if !seen[g] || (agg == AggMin && v < best[g]) || (agg == AggMax && v > best[g]) {
-					best[g] = v
-					seen[g] = true
-				}
-			}
-			out := bat.FromStrings(best)
-			markUnseen(out, seen)
-			return out, nil
+			return minMaxGroups(aggrPlan(job, n, ngroups), agg, vals.DecodedStrs(), vals, gs, ngroups, bat.FromStrings)
 		}
 	}
 	return nil, fmt.Errorf("gdk: aggregate %s not defined on %s", agg, vals.ValueKind())
+}
+
+// minMaxGroups computes a grouped MIN or MAX: each chunk of plan folds its
+// rows into private per-group partials (see beats), which merge in
+// ascending chunk order. mk wraps the per-group values in a column.
+func minMaxGroups[T cmp.Ordered](plan par.Plan, agg AggKind, xs []T, vals *bat.BAT, gs []int64, ngroups int, mk func([]T) *bat.BAT) (*bat.BAT, error) {
+	isMin, job := agg == AggMin, plan.Job()
+	bestP := make([][]T, plan.Chunks())
+	seenP := make([][]bool, plan.Chunks())
+	err := plan.RunErr(func(c, lo, hi int) error {
+		best := make([]T, ngroups)
+		seen := make([]bool, ngroups)
+		pollBlocks(job, lo, hi, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if vals.IsNull(i) {
+					continue
+				}
+				if g, v := gs[i], xs[i]; !seen[g] || beats(isMin, v, best[g]) {
+					best[g], seen[g] = v, true
+				}
+			}
+		})
+		bestP[c], seenP[c] = best, seen
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	best, seen := bestP[0], seenP[0]
+	for c := 1; c < len(bestP); c++ {
+		for g := 0; g < ngroups; g++ {
+			if v := bestP[c][g]; seenP[c][g] && (!seen[g] || beats(isMin, v, best[g])) {
+				best[g], seen[g] = v, true
+			}
+		}
+	}
+	out := mk(best)
+	markUnseen(out, seen)
+	return out, nil
+}
+
+// pollBlocks runs fn over [lo, hi) in 4096-row blocks and checks job
+// before each, so the row loop inside fn stays free of the check. It
+// reports false, leaving the rest undone, once job is cancelled.
+func pollBlocks(job *par.Job, lo, hi int, fn func(lo, hi int)) bool {
+	for ; lo < hi; lo += 1 << 12 {
+		if job.Canceled() {
+			return false
+		}
+		fn(lo, min(lo+1<<12, hi))
+	}
+	return true
+}
+
+// beats reports whether v replaces best as a MIN (isMin) or a MAX under
+// ORDER BY's total order, in which NaN sorts above every number: MIN
+// skips NaN unless every value is NaN, and MAX is NaN when any value is.
+// Ties keep best, the earlier row, so the fold gives the same answer
+// whatever the chunking.
+func beats[T cmp.Ordered](isMin bool, v, best T) bool {
+	if isMin {
+		return v < best || (best != best && v == v)
+	}
+	return v > best || (v != v && best == best)
 }
 
 // sumBlockRows is the block size of the canonical float summation order.
@@ -252,48 +260,59 @@ const sumBlockRows = 1 << 16
 // partial into its total when the group first shows up in a later chunk
 // (a chunk without the group would add a zero partial, which changes
 // nothing).
-func groupSums[T int64 | float64](plan par.Plan, xs []T, vals *bat.BAT, gs []int64, ngroups int) ([]T, []int64) {
+func groupSums[T int64 | float64](plan par.Plan, xs []T, vals *bat.BAT, gs []int64, ngroups int) ([]T, []int64, error) {
 	var nulls *bat.Bitmap
 	if vals.HasNulls() {
 		nulls = vals.NullMask()
 	}
+	job := plan.Job()
 	if plan.Chunks() == 1 || ngroups*plan.Chunks() <= 4*len(gs) {
 		sumsP := make([][]T, plan.Chunks())
 		countsP := make([][]int64, plan.Chunks())
-		plan.Run(func(c, lo, hi int) {
+		err := plan.RunErr(func(c, lo, hi int) error {
 			sums := make([]T, ngroups)
 			counts := make([]int64, ngroups)
-			for i := lo; i < hi; i++ {
-				if nulls != nil && nulls.Get(i) {
-					continue
+			pollBlocks(job, lo, hi, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					if nulls != nil && nulls.Get(i) {
+						continue
+					}
+					g := gs[i]
+					sums[g] += xs[i]
+					counts[g]++
 				}
-				g := gs[i]
-				sums[g] += xs[i]
-				counts[g]++
-			}
+			})
 			sumsP[c], countsP[c] = sums, counts
+			return nil
 		})
-		return mergeAdd(sumsP, ngroups), mergeAdd(countsP, ngroups)
+		if err != nil {
+			return nil, nil, err
+		}
+		return mergeAdd(sumsP, ngroups), mergeAdd(countsP, ngroups), nil
 	}
 	sums, part := make([]T, ngroups), make([]T, ngroups)
 	counts := make([]int64, ngroups)
 	last := make([]int32, ngroups) // chunk of part[g] + 1; 0 = none yet
-	for i := range gs {
-		if nulls != nil && nulls.Get(i) {
-			continue
+	if !pollBlocks(job, 0, len(gs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if nulls != nil && nulls.Get(i) {
+				continue
+			}
+			g, c := gs[i], int32(i/plan.Size)+1
+			if last[g] != c {
+				sums[g] += part[g]
+				part[g], last[g] = 0, c
+			}
+			part[g] += xs[i]
+			counts[g]++
 		}
-		g, c := gs[i], int32(i/plan.Size)+1
-		if last[g] != c {
-			sums[g] += part[g]
-			part[g], last[g] = 0, c
-		}
-		part[g] += xs[i]
-		counts[g]++
+	}) {
+		return nil, nil, par.ErrCanceled
 	}
 	for g := range sums {
 		sums[g] += part[g]
 	}
-	return sums, counts
+	return sums, counts, nil
 }
 
 // runCounts counts rows (all rows when vals is nil, non-NULL rows
@@ -322,83 +341,33 @@ func runCounts(gs []int64, ngroups int, vals *bat.BAT) *bat.BAT {
 	return bat.FromInts(counts)
 }
 
-// runAggr computes aggregates over sorted group ids by run accumulation
-// (ok = false where the generic paths serve: sums over decoded columns,
-// string min/max).
-func runAggr(agg AggKind, vals *bat.BAT, gs []int64, ngroups int) (*bat.BAT, bool) {
-	switch vals.ValueKind() {
-	case types.KindInt, types.KindOID:
-		// RLE-encoded input accumulates whole (value-run x group-run)
-		// intersections without decoding (see enc_aggr.go).
-		if vals.Kind() != types.KindVoid && vals.Encoded() && !vals.HasNulls() {
-			if out, ok := encIntRunAggr(agg, vals, gs, ngroups); ok {
-				return out, true
-			}
-		}
-		if agg == AggMin || agg == AggMax {
-			var ints []int64
-			if vals.Kind() == types.KindVoid {
-				ints = vals.Materialize().DecodedInts()
-			} else {
-				ints = vals.DecodedInts()
-			}
-			best := make([]int64, ngroups)
-			seen := make([]bool, ngroups)
-			runMinMax(agg, ints, vals, gs, best, seen)
-			out := bat.FromInts(best)
-			markUnseen(out, seen)
-			return out, true
-		}
-	case types.KindFloat:
-		if agg == AggMin || agg == AggMax {
-			best := make([]float64, ngroups)
-			seen := make([]bool, ngroups)
-			runMinMax(agg, vals.DecodedFloats(), vals, gs, best, seen)
-			out := bat.FromFloats(best)
-			markUnseen(out, seen)
-			return out, true
-		}
-	}
-	return nil, false
-}
-
-// runMinMax folds min/max per run into best/seen.
-func runMinMax[T int64 | float64](agg AggKind, xs []T, vals *bat.BAT, gs []int64, best []T, seen []bool) {
-	n := len(gs)
-	for i := 0; i < n; i++ {
-		if vals.IsNull(i) {
-			continue
-		}
-		g := gs[i]
-		v := xs[i]
-		if !seen[g] || (agg == AggMin && v < best[g]) || (agg == AggMax && v > best[g]) {
-			best[g] = v
-			seen[g] = true
-		}
-	}
-}
-
 // countPartials counts rows (all rows when vals is nil, non-NULL rows
 // otherwise) per group with chunk-local partials.
-func countPartials(n, ngroups int, gs []int64, vals *bat.BAT) []int64 {
-	plan := aggrPlan(n, ngroups)
+func countPartials(job *par.Job, n, ngroups int, gs []int64, vals *bat.BAT) ([]int64, error) {
+	plan := aggrPlan(job, n, ngroups)
 	parts := make([][]int64, plan.Chunks())
-	plan.Run(func(c, lo, hi int) {
+	err := plan.RunErr(func(c, lo, hi int) error {
 		counts := make([]int64, ngroups)
-		if vals == nil {
-			for i := lo; i < hi; i++ {
-				counts[gs[i]]++
+		pollBlocks(job, lo, hi, func(lo, hi int) {
+			if vals == nil {
+				for _, g := range gs[lo:hi] {
+					counts[g]++
+				}
+				return
 			}
-		} else {
 			for i := lo; i < hi; i++ {
 				if !vals.IsNull(i) {
 					counts[gs[i]]++
 				}
 			}
-		}
+		})
 		parts[c] = counts
+		return nil
 	})
-	return mergeAdd(parts, ngroups)
+	if err != nil {
+		return nil, err
+	}
+	return mergeAdd(parts, ngroups), nil
 }
 
 // mergeAdd sums chunk partials element-wise into the first partial.
@@ -410,24 +379,6 @@ func mergeAdd[T int64 | float64](parts [][]T, ngroups int) []T {
 		}
 	}
 	return out
-}
-
-// mergeMinMax folds chunk-local best/seen partials into the first pair.
-func mergeMinMax[T int64 | float64](agg AggKind, bestP [][]T, seenP [][]bool, ngroups int) ([]T, []bool) {
-	best, seen := bestP[0], seenP[0]
-	for c := 1; c < len(bestP); c++ {
-		for g := 0; g < ngroups; g++ {
-			if !seenP[c][g] {
-				continue
-			}
-			v := bestP[c][g]
-			if !seen[g] || (agg == AggMin && v < best[g]) || (agg == AggMax && v > best[g]) {
-				best[g] = v
-				seen[g] = true
-			}
-		}
-	}
-	return best, seen
 }
 
 // markEmpty nulls groups with no non-NULL input rows.

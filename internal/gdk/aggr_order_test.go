@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/bat"
 	"repro/internal/par"
+	"repro/internal/shape"
 	"repro/internal/types"
 )
 
@@ -96,13 +98,13 @@ func TestFloatSumIndependentOfWidth(t *testing.T) {
 			m = cand.Len()
 		}
 		inputs := map[string]*GroupResult{}
-		gids, err := bat.Filler(m, types.Oid(0), types.KindOID)
+		gids, err := bat.Filler(nil, m, types.Oid(0), types.KindOID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		inputs["global"] = &GroupResult{GIDs: gids, N: 1}
 		for kname, key := range keys {
-			res, err := Group([]*bat.BAT{key}, cand)
+			res, err := Group(nil, []*bat.BAT{key}, cand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +112,7 @@ func TestFloatSumIndependentOfWidth(t *testing.T) {
 		}
 		cvals := vals
 		if cand != nil {
-			if cvals, err = Project(cand, vals); err != nil {
+			if cvals, err = Project(nil, cand, vals); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -121,7 +123,7 @@ func TestFloatSumIndependentOfWidth(t *testing.T) {
 					par.SetThreads(c.threads)
 					par.SetMorselThreshold(c.cutoff)
 					SetStatsEnabled(c.stats)
-					out, err := SubAggr(agg, vals, g.GIDs, g.N, cand)
+					out, err := SubAggr(nil, agg, vals, g.GIDs, g.N, cand)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -152,6 +154,82 @@ func checkCanonical(t *testing.T, label string, out *bat.BAT, agg AggKind, sums 
 		}
 		if math.Float64bits(got[g]) != math.Float64bits(s) {
 			t.Fatalf("%s: group %d is %v, want %v", label, g, got[g], s)
+		}
+	}
+}
+
+// TestFloatMinMaxNaNIndependentOfWidth: float MIN and MAX follow ORDER
+// BY's total order, in which NaN sorts above every number. MIN skips NaN
+// unless a group holds nothing else, MAX is NaN when a group holds one,
+// whatever the thread count or where the chunk boundaries fall (a chunk
+// whose first value is NaN must not keep NaN as its MIN).
+func TestFloatMinMaxNaNIndependentOfWidth(t *testing.T) {
+	const n = 1 << 14
+	nan := math.NaN()
+	fs := make([]float64, n)
+	gs := make([]int64, n)
+	for i := range fs {
+		fs[i], gs[i] = float64(i%97)+10, 1
+	}
+	// Group 0: 5, NaN, 1 at rows 0, 8192 and 8194 (8192 starts a chunk).
+	fs[0], fs[8192], fs[8194] = 5, nan, 1
+	gs[0], gs[8192], gs[8194] = 0, 0, 0
+	// Group 1 also holds a NaN; group 2 holds nothing but NaN.
+	fs[100] = nan
+	for _, i := range []int{3, 4096, 12288} {
+		fs[i], gs[i] = nan, 2
+	}
+	vals := bat.FromFloats(fs)
+	unsorted := bat.FromOIDs(gs)
+	sortedIDs := append([]int64(nil), gs...)
+	slices.Sort(sortedIDs)
+	sorted := bat.FromOIDs(sortedIDs)
+	sorted.Sorted = true
+	sortedVals := make([]float64, 0, n) // vals reordered to match sorted
+	for g := int64(0); g < 3; g++ {
+		for i, gi := range gs {
+			if gi == g {
+				sortedVals = append(sortedVals, fs[i])
+			}
+		}
+	}
+	want := map[AggKind][]float64{AggMin: {1, 10, nan}, AggMax: {nan, nan, nan}}
+
+	defer par.SetThreads(par.SetThreads(0))
+	defer par.SetMorselThreshold(par.SetMorselThreshold(64))
+	for _, threads := range []int{1, 2, 8} {
+		par.SetThreads(threads)
+		for name, in := range map[string][2]*bat.BAT{"unsorted": {vals, unsorted}, "sorted": {bat.FromFloats(sortedVals), sorted}} {
+			for agg, w := range want {
+				out, err := SubAggr(nil, agg, in[0], in[1], 3, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for g, x := range out.DecodedFloats() {
+					if x != w[g] && !(math.IsNaN(x) && math.IsNaN(w[g])) {
+						t.Errorf("threads %d, %s gids: %s of group %d = %v, want %v", threads, name, agg, g, x, w[g])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTileMinMaxNaN: tiles follow the same rule as grouped MIN and MAX.
+func TestTileMinMaxNaN(t *testing.T) {
+	nan := math.NaN()
+	sh := shape.Shape{{Name: "x", Start: 0, Step: 1, Stop: 4}}
+	v := bat.FromFloats([]float64{nan, 5, nan, nan})
+	want := map[AggKind][]float64{AggMin: {5, 5, 5, nan}, AggMax: {nan, nan, nan, nan}}
+	for agg, w := range want {
+		out, err := TileAgg(nil, agg, v, sh, []TileRange{{Lo: -1, Hi: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range out.DecodedFloats() {
+			if x != w[i] && !(math.IsNaN(x) && math.IsNaN(w[i])) {
+				t.Errorf("%s of tile %d = %v, want %v", agg, i, x, w[i])
+			}
 		}
 	}
 }

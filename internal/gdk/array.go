@@ -99,7 +99,7 @@ func CellsInOrder(sh shape.Shape, coords [][]int64) bool {
 // order and one coordinate column per dimension, it returns, for each row,
 // the attribute value at the addressed cell. Coordinates that fall outside
 // the array ranges (or off-step, or NULL) yield NULL.
-func CellFetch(attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) (*bat.BAT, error) {
+func CellFetch(job *par.Job, attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) (*bat.BAT, error) {
 	if len(coords) != len(sh) {
 		return nil, fmt.Errorf("gdk: cellfetch needs %d coordinate columns, got %d", len(sh), len(coords))
 	}
@@ -145,7 +145,7 @@ func CellFetch(attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) (*bat.BAT, erro
 	}
 	ib := bat.FromOIDs(idx)
 	ib.SetNullMask(holes)
-	return Project(ib, attr)
+	return Project(job, ib, attr)
 }
 
 // TileRange is the relative extent of a tile along one dimension, in
@@ -209,7 +209,7 @@ func TileSize(sh shape.Shape, tile []TileRange) int {
 // The implementation enumerates the tile's relative offsets and, for each
 // row of anchors, adds the row's shifted run of the attribute per offset —
 // O(cells × tile size) in slice loops, morsel-parallel over the anchors.
-func TileAgg(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*bat.BAT, error) {
+func TileAgg(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*bat.BAT, error) {
 	if len(tile) != len(sh) {
 		return nil, fmt.Errorf("gdk: tile spec has %d dimensions, array has %d", len(tile), len(sh))
 	}
@@ -225,20 +225,20 @@ func TileAgg(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*bat
 		offsetSets[k] = t.offsets(sh[k].Step)
 		if len(offsetSets[k]) == 0 {
 			// Empty tile: every anchor aggregates nothing.
-			return emptyTileResult(agg, attr.ValueKind(), cells)
+			return emptyTileResult(job, agg, attr.ValueKind(), cells)
 		}
 	}
 	switch agg {
 	case AggSum, AggAvg, AggCount, AggCountAll:
-		return tileAccumulate(agg, attr, sh, offsetSets)
+		return tileAccumulate(job, agg, attr, sh, offsetSets)
 	case AggMin, AggMax:
-		return tileMinMax(agg, attr, sh, offsetSets)
+		return tileMinMax(job, agg, attr, sh, offsetSets)
 	default:
 		return nil, fmt.Errorf("gdk: tiling does not support aggregate %q", agg)
 	}
 }
 
-func emptyTileResult(agg AggKind, k types.Kind, cells int) (*bat.BAT, error) {
+func emptyTileResult(job *par.Job, agg AggKind, k types.Kind, cells int) (*bat.BAT, error) {
 	if agg == AggCount || agg == AggCountAll {
 		return bat.FromInts(make([]int64, cells)), nil
 	}
@@ -246,7 +246,7 @@ func emptyTileResult(agg AggKind, k types.Kind, cells int) (*bat.BAT, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bat.Filler(cells, types.NullUnknown(), rk)
+	return bat.Filler(job, cells, types.NullUnknown(), rk)
 }
 
 // rowSpans calls fn once for every run [p0, p1) of the flat cell range
@@ -298,7 +298,7 @@ func shiftedRun(dims, offs, idx []int, p0, p1 int) (a, b int) {
 // split into morsels that run in parallel; within a morsel each row visits
 // the offsets in forEachOffsetTuple order, so every anchor sees them in
 // that order whatever the thread count.
-func tileRuns(sh shape.Shape, offsetSets [][]int, fn func(a, b, shift int)) {
+func tileRuns(job *par.Job, sh shape.Shape, offsetSets [][]int, fn func(a, b, shift int)) {
 	k := len(sh)
 	dims := make([]int, k)
 	for d, dim := range sh {
@@ -315,7 +315,7 @@ func tileRuns(sh shape.Shape, offsetSets [][]int, fn func(a, b, shift int)) {
 		tuples = append(tuples, append([]int(nil), offs...))
 		shifts = append(shifts, shift)
 	})
-	par.Do(strides[0]*dims[0], func(from, to int) {
+	par.Do(job, strides[0]*dims[0], func(from, to int) {
 		idx := make([]int, k)
 		rowSpans(dims, from, to, idx, func(p0, p1 int) {
 			for t, offs := range tuples {
@@ -353,22 +353,22 @@ func forEachOffsetTuple(sets [][]int, fn func(offs []int)) {
 	}
 }
 
-func tileAccumulate(agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) (*bat.BAT, error) {
+func tileAccumulate(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) (*bat.BAT, error) {
 	cells := attr.Len()
 	counts := make([]int64, cells)
 	nulls := attr.NullMask()
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
 		sums := make([]int64, cells)
-		tileRuns(sh, offsetSets, accumulateRun(intVals(attr), nulls, sums, counts))
-		return finishAccumulate(agg, sums, nil, counts)
+		tileRuns(job, sh, offsetSets, accumulateRun(intVals(attr), nulls, sums, counts))
+		return finishAccumulate(job, agg, sums, nil, counts)
 	case types.KindFloat:
 		sums := make([]float64, cells)
-		tileRuns(sh, offsetSets, accumulateRun(attr.DecodedFloats(), nulls, sums, counts))
-		return finishAccumulate(agg, nil, sums, counts)
+		tileRuns(job, sh, offsetSets, accumulateRun(attr.DecodedFloats(), nulls, sums, counts))
+		return finishAccumulate(job, agg, nil, sums, counts)
 	default:
 		if agg == AggCount || agg == AggCountAll {
-			tileRuns(sh, offsetSets, func(a, b, shift int) {
+			tileRuns(job, sh, offsetSets, func(a, b, shift int) {
 				for p := a; p < b; p++ {
 					if !nulls.Get(p + shift) {
 						counts[p]++
@@ -414,7 +414,7 @@ func accumulateRun[T int64 | float64](src []T, nulls *bat.Bitmap, sums []T, coun
 // Note: for COUNT the tile counts only non-NULL cells — COUNT(*) over a
 // tile equals COUNT(attr) because out-of-bounds cells are not rows and
 // holes are ignored per the paper's semantics.
-func finishAccumulate(agg AggKind, isums []int64, fsums []float64, counts []int64) (*bat.BAT, error) {
+func finishAccumulate(job *par.Job, agg AggKind, isums []int64, fsums []float64, counts []int64) (*bat.BAT, error) {
 	n := len(counts)
 	var out *bat.BAT
 	switch agg {
@@ -428,7 +428,7 @@ func finishAccumulate(agg AggKind, isums []int64, fsums []float64, counts []int6
 		}
 	case AggAvg:
 		avgs := make([]float64, n)
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if counts[i] == 0 {
 					continue
@@ -444,13 +444,13 @@ func finishAccumulate(agg AggKind, isums []int64, fsums []float64, counts []int6
 	default:
 		return nil, fmt.Errorf("gdk: unexpected accumulate aggregate %s", agg)
 	}
-	return withNulls(out, emptyAnchors(counts)), nil
+	return withNulls(out, emptyAnchors(job, counts)), nil
 }
 
 // emptyAnchors marks the anchors whose tile held no non-NULL cell.
-func emptyAnchors(counts []int64) *bat.Bitmap {
+func emptyAnchors(job *par.Job, counts []int64) *bat.Bitmap {
 	mask := bat.NewBitmap(len(counts))
-	par.Do(len(counts), func(lo, hi int) {
+	par.Do(job, len(counts), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if counts[i] == 0 {
 				mask.Set(i, true)
@@ -460,7 +460,7 @@ func emptyAnchors(counts []int64) *bat.Bitmap {
 	return mask
 }
 
-func tileMinMax(agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) (*bat.BAT, error) {
+func tileMinMax(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) (*bat.BAT, error) {
 	cells := attr.Len()
 	seen := make([]bool, cells)
 	nulls := attr.NullMask()
@@ -468,11 +468,11 @@ func tileMinMax(agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) 
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
 		best := make([]int64, cells)
-		tileRuns(sh, offsetSets, minMaxRun(intVals(attr), nulls, best, seen, agg == AggMin))
+		tileRuns(job, sh, offsetSets, minMaxRun(intVals(attr), nulls, best, seen, agg == AggMin))
 		out = bat.FromInts(best)
 	case types.KindFloat:
 		best := make([]float64, cells)
-		tileRuns(sh, offsetSets, minMaxRun(attr.DecodedFloats(), nulls, best, seen, agg == AggMin))
+		tileRuns(job, sh, offsetSets, minMaxRun(attr.DecodedFloats(), nulls, best, seen, agg == AggMin))
 		out = bat.FromFloats(best)
 	default:
 		return nil, fmt.Errorf("gdk: tiling aggregate %s not defined on %s", agg, attr.ValueKind())
@@ -486,8 +486,8 @@ func tileMinMax(agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) 
 	return withNulls(out, mask), nil
 }
 
-// minMaxRun folds the shifted run of src into best, skipping holes; seen
-// marks the anchors that have a value.
+// minMaxRun folds the shifted run of src into best under SubAggr's rule
+// (see beats), skipping holes; seen marks the anchors that have a value.
 func minMaxRun[T int64 | float64](src []T, nulls *bat.Bitmap, best []T, seen []bool, isMin bool) func(a, b, shift int) {
 	return func(a, b, shift int) {
 		dst, got, vals := best[a:b], seen[a:b], src[a+shift:b+shift]
@@ -495,7 +495,7 @@ func minMaxRun[T int64 | float64](src []T, nulls *bat.Bitmap, best []T, seen []b
 			if nulls.Get(a + shift + j) {
 				continue
 			}
-			if !got[j] || (isMin && v < dst[j]) || (!isMin && v > dst[j]) {
+			if !got[j] || beats(isMin, v, dst[j]) {
 				dst[j] = v
 				got[j] = true
 			}
@@ -510,7 +510,7 @@ func minMaxRun[T int64 | float64](src []T, nulls *bat.Bitmap, best []T, seen []b
 // a dimension's step grid yields NULL. It is CellFetch over the coordinate
 // columns dim+offs without building them: the read is attr[p+shift] for
 // one flattened stride shift.
-func Shift(attr *bat.BAT, sh shape.Shape, offs []int, cand *bat.BAT) (*bat.BAT, error) {
+func Shift(job *par.Job, attr *bat.BAT, sh shape.Shape, offs []int, cand *bat.BAT) (*bat.BAT, error) {
 	if len(offs) != len(sh) {
 		return nil, fmt.Errorf("gdk: shift needs %d offsets, got %d", len(sh), len(offs))
 	}
@@ -547,19 +547,19 @@ func Shift(attr *bat.BAT, sh shape.Shape, offs []int, cand *bat.BAT) (*bat.BAT, 
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
 		var v []int64
-		v, nulls, err = shiftRows(intVals(attr), holes, dims, strides, delta, shift, cand, n)
+		v, nulls, err = shiftRows(job, intVals(attr), holes, dims, strides, delta, shift, cand, n)
 		out = bat.FromIntsOfKind(v, attr.ValueKind())
 	case types.KindFloat:
 		var v []float64
-		v, nulls, err = shiftRows(attr.DecodedFloats(), holes, dims, strides, delta, shift, cand, n)
+		v, nulls, err = shiftRows(job, attr.DecodedFloats(), holes, dims, strides, delta, shift, cand, n)
 		out = bat.FromFloats(v)
 	case types.KindBool:
 		var v []bool
-		v, nulls, err = shiftRows(attr.DecodedBools(), holes, dims, strides, delta, shift, cand, n)
+		v, nulls, err = shiftRows(job, attr.DecodedBools(), holes, dims, strides, delta, shift, cand, n)
 		out = bat.FromBools(v)
 	case types.KindStr:
 		var v []string
-		v, nulls, err = shiftRows(attr.DecodedStrs(), holes, dims, strides, delta, shift, cand, n)
+		v, nulls, err = shiftRows(job, attr.DecodedStrs(), holes, dims, strides, delta, shift, cand, n)
 		out = bat.FromStrings(v)
 	default:
 		return nil, fmt.Errorf("gdk: cannot shift %s column", attr.ValueKind())
@@ -576,7 +576,7 @@ func Shift(attr *bat.BAT, sh shape.Shape, offs []int, cand *bat.BAT) (*bat.BAT, 
 // delta leaves the array or attr holds a hole. A dense run of cells is
 // walked row by row with no per-cell coordinate decoding; an explicit oid
 // list decodes the shifted dimensions of each row.
-func shiftRows[T any](vals []T, holes *bat.Bitmap, dims, strides, delta []int, shift int, cand *bat.BAT, n int) ([]T, *bat.Bitmap, error) {
+func shiftRows[T any](job *par.Job, vals []T, holes *bat.Bitmap, dims, strides, delta []int, shift int, cand *bat.BAT, n int) ([]T, *bat.Bitmap, error) {
 	out := make([]T, n)
 	nulls := bat.NewBitmap(n)
 	cells := len(vals)
@@ -588,7 +588,7 @@ func shiftRows[T any](vals []T, holes *bat.Bitmap, dims, strides, delta []int, s
 				return nil, nil, fmt.Errorf("gdk: shift candidates [%d,%d) outside [0,%d)", base, base+n, cells)
 			}
 		}
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			idx := make([]int, len(dims))
 			rowSpans(dims, base+lo, base+hi, idx, func(p0, p1 int) {
 				a, b := shiftedRun(dims, delta, idx, p0, p1)
@@ -616,7 +616,7 @@ func shiftRows[T any](vals []T, holes *bat.Bitmap, dims, strides, delta []int, s
 		return out, nulls, nil
 	}
 	pos := cand.DecodedInts()
-	err := par.DoErr(n, func(lo, hi int) error {
+	err := par.DoErr(job, n, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			p := int(pos[i])
 			if p < 0 || p >= cells {
@@ -646,11 +646,11 @@ func shiftRows[T any](vals []T, holes *bat.Bitmap, dims, strides, delta []int, s
 // Reshape maps an attribute column from one array shape to another
 // (ALTER ARRAY ... ALTER DIMENSION ... SET RANGE, Fig. 1(f)): cells present
 // in both shapes keep their value, new cells receive the default.
-func Reshape(attr *bat.BAT, from, to shape.Shape, def types.Value) (*bat.BAT, error) {
+func Reshape(job *par.Job, attr *bat.BAT, from, to shape.Shape, def types.Value) (*bat.BAT, error) {
 	if len(from) != len(to) {
 		return nil, fmt.Errorf("gdk: reshape dimensionality mismatch")
 	}
-	out, err := bat.Filler(to.Cells(), def, attr.ValueKind())
+	out, err := bat.Filler(job, to.Cells(), def, attr.ValueKind())
 	if err != nil {
 		return nil, err
 	}

@@ -239,12 +239,12 @@ func TestArrayRefTiles(t *testing.T) {
 			want := a.refTile(agg, tile)
 			var serial [2]*bat.BAT
 			atThreads(func(parallel bool) {
-				got, err := TileAgg(agg, a.vals, a.sh, tile)
+				got, err := TileAgg(nil, agg, a.vals, a.sh, tile)
 				if err != nil {
 					t.Fatalf("seed %d: TileAgg %s: %v", seed, agg, err)
 				}
 				checkCells(t, seed, "TileAgg "+string(agg), got, want)
-				sat, err := TileAggSAT(agg, a.vals, a.sh, tile)
+				sat, err := TileAggSAT(nil, agg, a.vals, a.sh, tile)
 				switch {
 				case err != nil && (agg == AggMin || agg == AggMax || strings.Contains(err.Error(), "not contiguous")):
 				case err != nil:
@@ -308,7 +308,7 @@ func TestArrayRefShift(t *testing.T) {
 		want := a.refFetch(rows, offs)
 		var serial *bat.BAT
 		atThreads(func(parallel bool) {
-			got, err := Shift(a.vals, a.sh, offs, cand)
+			got, err := Shift(nil, a.vals, a.sh, offs, cand)
 			if err != nil {
 				t.Fatalf("seed %d: Shift: %v", seed, err)
 			}
@@ -358,7 +358,7 @@ func TestArrayRefCellFetch(t *testing.T) {
 			}
 		}
 		atThreads(func(bool) {
-			got, err := CellFetch(a.vals, a.sh, cols)
+			got, err := CellFetch(nil, a.vals, a.sh, cols)
 			if err != nil {
 				t.Fatalf("seed %d: CellFetch: %v", seed, err)
 			}

@@ -20,7 +20,7 @@ import (
 // stepped dimension make the covered index set non-contiguous only if the
 // range excludes the grid entirely, which offsets() already handles; here
 // the only restriction is the aggregate kind and value type).
-func TileAggSAT(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*bat.BAT, error) {
+func TileAggSAT(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*bat.BAT, error) {
 	if agg != AggSum && agg != AggAvg && agg != AggCount && agg != AggCountAll {
 		return nil, fmt.Errorf("gdk: SAT tiling supports sum/avg/count only, got %s", agg)
 	}
@@ -45,7 +45,7 @@ func TileAggSAT(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*
 	for d, t := range tile {
 		offs := t.offsets(sh[d].Step)
 		if len(offs) == 0 {
-			return emptyTileResult(agg, attr.ValueKind(), cells)
+			return emptyTileResult(job, agg, attr.ValueKind(), cells)
 		}
 		// offsets() yields an increasing, dense run of index offsets.
 		lo[d] = offs[0]
@@ -55,7 +55,7 @@ func TileAggSAT(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*
 		}
 	}
 
-	g := newSATGeom(dims, sh.Strides(), lo, hi)
+	g := newSATGeom(job, dims, sh.Strides(), lo, hi)
 	holes := attr.NullMask()
 	var counts []int64
 	if holes == nil {
@@ -68,7 +68,7 @@ func TileAggSAT(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*
 		})
 	} else {
 		ones := make([]int64, cells)
-		par.Do(cells, func(from, to int) {
+		par.Do(job, cells, func(from, to int) {
 			for p := from; p < to; p++ {
 				if !holes.Get(p) {
 					ones[p] = 1
@@ -81,9 +81,9 @@ func TileAggSAT(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*
 	case agg == AggCount || agg == AggCountAll:
 		return bat.FromInts(counts), nil
 	case attr.ValueKind() == types.KindFloat:
-		return finishAccumulate(agg, nil, boxSums(g, attr.DecodedFloats(), holes), counts)
+		return finishAccumulate(job, agg, nil, boxSums(g, attr.DecodedFloats(), holes), counts)
 	case attr.ValueKind() == types.KindInt || attr.ValueKind() == types.KindOID:
-		return finishAccumulate(agg, boxSums(g, intVals(attr), holes), nil, counts)
+		return finishAccumulate(job, agg, boxSums(g, intVals(attr), holes), nil, counts)
 	}
 	return nil, fmt.Errorf("gdk: SAT tiling aggregate %s not defined on %s", agg, attr.ValueKind())
 }
@@ -96,13 +96,14 @@ func TileAggSAT(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*
 // of them; a corner index of -1 lies before the array (or the box is
 // empty) and contributes nothing.
 type satGeom struct {
+	job                   *par.Job
 	dims, strides, lo, hi []int
 	lastLo, lastHi, width []int
 }
 
-func newSATGeom(dims, strides, lo, hi []int) satGeom {
+func newSATGeom(job *par.Job, dims, strides, lo, hi []int) satGeom {
 	k := len(dims)
-	g := satGeom{dims: dims, strides: strides, lo: lo, hi: hi}
+	g := satGeom{job: job, dims: dims, strides: strides, lo: lo, hi: hi}
 	n := dims[k-1]
 	g.lastLo, g.lastHi, g.width = make([]int, n), make([]int, n), make([]int, n)
 	for i := range n {
@@ -126,7 +127,7 @@ func newSATGeom(dims, strides, lo, hi []int) satGeom {
 func (g satGeom) rows(fn func(p0, p1, i0, area int, base []int)) {
 	k := len(g.dims)
 	last := k - 1
-	par.Do(g.strides[0]*g.dims[0], func(from, to int) {
+	par.Do(g.job, g.strides[0]*g.dims[0], func(from, to int) {
 		idx := make([]int, k)
 		loC := make([]int, last)
 		hiC := make([]int, last)
@@ -170,7 +171,7 @@ func (g satGeom) rows(fn func(p0, p1, i0, area int, base []int)) {
 func boxSums[T int64 | float64](g satGeom, vals []T, holes *bat.Bitmap) []T {
 	cells := len(vals)
 	sat := make([]T, cells)
-	par.Do(cells, func(from, to int) {
+	par.Do(g.job, cells, func(from, to int) {
 		copy(sat[from:to], vals[from:to])
 		if holes != nil {
 			for p := from; p < to; p++ {

@@ -45,7 +45,7 @@ func TestTileAggFig1e(t *testing.T) {
 	sh := fig1cShape()
 	v := fig1cAttr(t)
 	tile := []TileRange{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 2}}
-	got, err := TileAgg(AggAvg, v, sh, tile)
+	got, err := TileAgg(nil, AggAvg, v, sh, tile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestTileIdentity(t *testing.T) {
 	// Property: a 1x1 tile [x:x+1][y:y+1] with SUM reproduces the array.
 	sh := fig1cShape()
 	v := fig1cAttr(t)
-	got, err := TileAgg(AggSum, v, sh, []TileRange{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}})
+	got, err := TileAgg(nil, AggSum, v, sh, []TileRange{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTilePartitionSumInvariant(t *testing.T) {
 			v.AppendInt(x)
 			total += x
 		}
-		sums, err := TileAgg(AggSum, v, sh, []TileRange{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 2}})
+		sums, err := TileAgg(nil, AggSum, v, sh, []TileRange{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 2}})
 		if err != nil {
 			return false
 		}
@@ -141,7 +141,7 @@ func TestCellFetch(t *testing.T) {
 		xs.AppendInt(coords[0] - 1)
 		ys.AppendInt(coords[1])
 	}
-	got, err := CellFetch(v, sh, []*bat.BAT{xs, ys})
+	got, err := CellFetch(nil, v, sh, []*bat.BAT{xs, ys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCellFetchOffStep(t *testing.T) {
 	sh := shape.Shape{{Name: "x", Start: 0, Step: 2, Stop: 8}}
 	v := bat.FromInts([]int64{10, 20, 30, 40})
 	xs := bat.FromInts([]int64{0, 1, 2, 3})
-	got, err := CellFetch(v, sh, []*bat.BAT{xs})
+	got, err := CellFetch(nil, v, sh, []*bat.BAT{xs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestReshapeFig1f(t *testing.T) {
 		{Name: "y", Start: -1, Step: 1, Stop: 5},
 	}
 	v := fig1cAttr(t)
-	got, err := Reshape(v, from, to, types.Int(0))
+	got, err := Reshape(nil, v, from, to, types.Int(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestReshapeShrink(t *testing.T) {
 	from := shape.Shape{{Name: "x", Start: 0, Step: 1, Stop: 4}}
 	to := shape.Shape{{Name: "x", Start: 1, Step: 1, Stop: 3}}
 	v := bat.FromInts([]int64{10, 11, 12, 13})
-	got, err := Reshape(v, from, to, types.Int(0))
+	got, err := Reshape(nil, v, from, to, types.Int(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +307,11 @@ func TestCellPosMatchesShapePos(t *testing.T) {
 func TestTileMinMax(t *testing.T) {
 	sh := shape.Shape{{Name: "x", Start: 0, Step: 1, Stop: 4}}
 	v := bat.FromInts([]int64{3, 1, 4, 1})
-	mn, err := TileAgg(AggMin, v, sh, []TileRange{{Lo: -1, Hi: 2}})
+	mn, err := TileAgg(nil, AggMin, v, sh, []TileRange{{Lo: -1, Hi: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mx, err := TileAgg(AggMax, v, sh, []TileRange{{Lo: -1, Hi: 2}})
+	mx, err := TileAgg(nil, AggMax, v, sh, []TileRange{{Lo: -1, Hi: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestTileAgg3D(t *testing.T) {
 	for p := 0; p < 27; p++ {
 		v.AppendInt(1)
 	}
-	got, err := TileAgg(AggSum, v, sh, []TileRange{{Lo: 0, Hi: 3}, {Lo: 0, Hi: 3}, {Lo: 0, Hi: 3}})
+	got, err := TileAgg(nil, AggSum, v, sh, []TileRange{{Lo: 0, Hi: 3}, {Lo: 0, Hi: 3}, {Lo: 0, Hi: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestTileAgg3D(t *testing.T) {
 		t.Errorf("corner sum = %v, want 1", got.Get(p1))
 	}
 	// 3-D SAT agrees.
-	sat, err := TileAggSAT(AggSum, v, sh, []TileRange{{Lo: 0, Hi: 3}, {Lo: 0, Hi: 3}, {Lo: 0, Hi: 3}})
+	sat, err := TileAggSAT(nil, AggSum, v, sh, []TileRange{{Lo: 0, Hi: 3}, {Lo: 0, Hi: 3}, {Lo: 0, Hi: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func benchOnOff(b *testing.B, fast, base string, fn func() error) {
 func BenchmarkZonemapSelect(b *testing.B) {
 	col, probe := zonemapCols(benchRows)
 	sel := func() error {
-		_, err := ThetaSelect(col, nil, types.Int(probe), "=")
+		_, err := ThetaSelect(nil, col, nil, types.Int(probe), "=")
 		return err
 	}
 	// Build the lazy zonemap outside the measurement.
@@ -92,7 +92,7 @@ func BenchmarkMergeJoin(b *testing.B) {
 	l.DeriveProps()
 	r.DeriveProps()
 	benchOnOff(b, "merge/1Mx1M", "hash/1Mx1M", func() error {
-		_, _, err := HashJoin([]*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
+		_, _, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
 		return err
 	})
 }
@@ -111,7 +111,7 @@ func BenchmarkGroupIntKey(b *testing.B) {
 	key := bat.FromInts(vals)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Group([]*bat.BAT{key}, nil); err != nil {
+		if _, err := Group(nil, []*bat.BAT{key}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func BenchmarkOrderIdxFloat(b *testing.B) {
 	key := normalFloats()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := OrderIdx([]*bat.BAT{key}, []SortSpec{{}}, -1); err != nil {
+		if _, err := OrderIdx(nil, []*bat.BAT{key}, []SortSpec{{}}, -1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkOrderTopN(b *testing.B) {
 	key := normalFloats()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := OrderIdx([]*bat.BAT{key}, []SortSpec{{Desc: true}}, 10); err != nil {
+		if _, err := OrderIdx(nil, []*bat.BAT{key}, []SortSpec{{Desc: true}}, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkTileAggSAT256(b *testing.B) {
 	tile := []TileRange{{Lo: -1, Hi: 2}, {Lo: -1, Hi: 2}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := TileAggSAT(AggAvg, v, sh, tile); err != nil {
+		if _, err := TileAggSAT(nil, AggAvg, v, sh, tile); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func BenchmarkTileAgg2x2(b *testing.B) {
 	tile := []TileRange{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 2}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := TileAgg(AggAvg, v, sh, tile); err != nil {
+		if _, err := TileAgg(nil, AggAvg, v, sh, tile); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func BenchmarkShift256(b *testing.B) {
 	v, sh := image256()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Shift(v, sh, []int{-1, 0}, nil); err != nil {
+		if _, err := Shift(nil, v, sh, []int{-1, 0}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func BenchmarkCastFloatInt64K(b *testing.B) {
 	x := bat.FromFloats(vals)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := CastBAT(B(x), types.KindInt, nil); err != nil {
+		if _, err := CastBAT(nil, B(x), types.KindInt, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func BenchmarkCastFloatInt64K(b *testing.B) {
 func TestZonemapSelectAllocs(t *testing.T) {
 	col, probe := zonemapCols(benchRows)
 	sel := func() {
-		if _, err := ThetaSelect(col, nil, types.Int(probe), "="); err != nil {
+		if _, err := ThetaSelect(nil, col, nil, types.Int(probe), "="); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ import (
 // mixing in a float promotes to float. NULL operands produce NULL rows.
 // Division (or modulo) by zero on a non-NULL candidate row is an error,
 // matching MonetDB's behaviour.
-func Arith(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
+func Arith(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if l.Len() != r.Len() {
 		return nil, fmt.Errorf("gdk: operand length mismatch %d vs %d", l.Len(), r.Len())
 	}
@@ -39,11 +39,11 @@ func Arith(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	}
 	if !k.Numeric() {
 		if k == types.KindStr && op == "+" {
-			return Concat(l, r, cand)
+			return Concat(job, l, r, cand)
 		}
 		return nil, fmt.Errorf("gdk: arithmetic on non-numeric type %s", k)
 	}
-	if err := restrictTo(cand, &l, &r); err != nil {
+	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
 	n := l.Len()
@@ -60,25 +60,25 @@ func Arith(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 		out := make([]float64, n)
 		switch op {
 		case "+":
-			par.Do(n, func(lo, hi int) {
+			par.Do(job, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					out[i] = lf[i] + rf[i]
 				}
 			})
 		case "-":
-			par.Do(n, func(lo, hi int) {
+			par.Do(job, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					out[i] = lf[i] - rf[i]
 				}
 			})
 		case "*":
-			par.Do(n, func(lo, hi int) {
+			par.Do(job, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					out[i] = lf[i] * rf[i]
 				}
 			})
 		case "/":
-			err := par.DoErr(n, func(lo, hi int) error {
+			err := par.DoErr(job, n, func(lo, hi int) error {
 				for i := lo; i < hi; i++ {
 					if rf[i] == 0 && !nulls.Get(i) {
 						return fmt.Errorf("division by zero")
@@ -91,7 +91,7 @@ func Arith(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 				return nil, err
 			}
 		case "%":
-			err := par.DoErr(n, func(lo, hi int) error {
+			err := par.DoErr(job, n, func(lo, hi int) error {
 				for i := lo; i < hi; i++ {
 					if rf[i] == 0 && !nulls.Get(i) {
 						return fmt.Errorf("modulo by zero")
@@ -120,25 +120,25 @@ func Arith(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	out := make([]int64, n)
 	switch op {
 	case "+":
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = li[i] + ri[i]
 			}
 		})
 	case "-":
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = li[i] - ri[i]
 			}
 		})
 	case "*":
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = li[i] * ri[i]
 			}
 		})
 	case "/":
-		err := par.DoErr(n, func(lo, hi int) error {
+		err := par.DoErr(job, n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if nulls.Get(i) {
 					continue
@@ -154,7 +154,7 @@ func Arith(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 			return nil, err
 		}
 	case "%":
-		err := par.DoErr(n, func(lo, hi int) error {
+		err := par.DoErr(job, n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if nulls.Get(i) {
 					continue
@@ -227,11 +227,11 @@ func (o cmpOp) ok(c int) bool {
 // Compare evaluates a vectorised comparison (op one of "=", "<>", "<",
 // "<=", ">", ">=") producing a boolean BAT; rows with a NULL operand are
 // NULL (SQL three-valued logic).
-func Compare(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
+func Compare(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if l.Len() != r.Len() {
 		return nil, fmt.Errorf("gdk: operand length mismatch %d vs %d", l.Len(), r.Len())
 	}
-	if err := restrictTo(cand, &l, &r); err != nil {
+	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
 	n := l.Len()
@@ -256,7 +256,7 @@ func Compare(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				c := 0
 				switch {
@@ -278,7 +278,7 @@ func Compare(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				c := 0
 				switch {
@@ -300,7 +300,7 @@ func Compare(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				a, b := 0, 0
 				if lb[i] {
@@ -322,7 +322,7 @@ func Compare(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = o.ok(strings.Compare(ls[i], rs[i]))
 			}
@@ -337,11 +337,11 @@ func Compare(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 }
 
 // And evaluates three-valued logical AND.
-func And(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
+func And(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if l.Len() != r.Len() {
 		return nil, fmt.Errorf("gdk: operand length mismatch")
 	}
-	if err := restrictTo(cand, &l, &r); err != nil {
+	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
 	lb, ln, err := l.boolsv()
@@ -358,7 +358,7 @@ func And(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if ln != nil || rn != nil {
 		mask = bat.NewBitmap(n)
 	}
-	par.Do(n, func(lo, hi int) {
+	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			lnull, rnull := ln.Get(i), rn.Get(i)
 			switch {
@@ -377,11 +377,11 @@ func And(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 }
 
 // Or evaluates three-valued logical OR.
-func Or(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
+func Or(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if l.Len() != r.Len() {
 		return nil, fmt.Errorf("gdk: operand length mismatch")
 	}
-	if err := restrictTo(cand, &l, &r); err != nil {
+	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
 	lb, ln, err := l.boolsv()
@@ -398,7 +398,7 @@ func Or(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if ln != nil || rn != nil {
 		mask = bat.NewBitmap(n)
 	}
-	par.Do(n, func(lo, hi int) {
+	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			lnull, rnull := ln.Get(i), rn.Get(i)
 			switch {
@@ -415,8 +415,8 @@ func Or(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 }
 
 // Not evaluates three-valued logical NOT.
-func Not(x Opnd, cand *bat.BAT) (*bat.BAT, error) {
-	if err := restrictTo(cand, &x); err != nil {
+func Not(job *par.Job, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	if err := restrictTo(job, cand, &x); err != nil {
 		return nil, err
 	}
 	xb, xn, err := x.boolsv()
@@ -425,7 +425,7 @@ func Not(x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	}
 	n := x.Len()
 	out := make([]bool, n)
-	par.Do(n, func(lo, hi int) {
+	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = !xb[i]
 		}
@@ -434,14 +434,14 @@ func Not(x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 }
 
 // IsNull produces a boolean BAT that is true exactly where x is NULL.
-func IsNull(x Opnd, cand *bat.BAT) (*bat.BAT, error) {
-	if err := restrictTo(cand, &x); err != nil {
+func IsNull(job *par.Job, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	if err := restrictTo(job, cand, &x); err != nil {
 		return nil, err
 	}
 	n := x.Len()
 	out := make([]bool, n)
 	if x.b != nil {
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = x.b.IsNull(i)
 			}
@@ -460,11 +460,11 @@ func IsNull(x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 // kind first; that widening (oid or int to int or double, an untyped NULL
 // to anything) cannot fail, so converting whole branches surfaces no error
 // a row-by-row pick would not.
-func IfThenElse(cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) {
+func IfThenElse(job *par.Job, cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if a.Len() != cond.Len() || b.Len() != cond.Len() {
 		return nil, fmt.Errorf("gdk: ifthenelse operand length mismatch")
 	}
-	if err := restrictTo(cand, &cond, &a, &b); err != nil {
+	if err := restrictTo(job, cand, &cond, &a, &b); err != nil {
 		return nil, err
 	}
 	n := cond.Len()
@@ -479,15 +479,15 @@ func IfThenElse(cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	switch k {
 	case types.KindVoid:
 		// Both branches are untyped NULLs.
-		return bat.Filler(n, types.NullUnknown(), types.KindInt)
+		return bat.Filler(job, n, types.NullUnknown(), types.KindInt)
 	case types.KindInt, types.KindOID:
-		return pickRows(cb, cn, a.ints, b.ints, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) })
+		return pickRows(job, cb, cn, a.ints, b.ints, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) })
 	case types.KindFloat:
-		return pickRows(cb, cn, a.floats, b.floats, bat.FromFloats)
+		return pickRows(job, cb, cn, a.floats, b.floats, bat.FromFloats)
 	case types.KindBool:
-		return pickRows(cb, cn, a.boolsv, b.boolsv, bat.FromBools)
+		return pickRows(job, cb, cn, a.boolsv, b.boolsv, bat.FromBools)
 	case types.KindStr:
-		return pickRows(cb, cn, a.strsv, b.strsv, bat.FromStrings)
+		return pickRows(job, cb, cn, a.strsv, b.strsv, bat.FromStrings)
 	}
 	return nil, fmt.Errorf("gdk: ifthenelse on %s values", k)
 }
@@ -495,7 +495,7 @@ func IfThenElse(cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) {
 // pickRows is IfThenElse over one typed slice per branch: row i comes from
 // a where cb[i] is true and not NULL, from b otherwise, and is NULL when
 // the picked branch is. mk wraps the picked values in a column.
-func pickRows[T any](cb []bool, cn *bat.Bitmap, a, b func() ([]T, *bat.Bitmap, error), mk func([]T) *bat.BAT) (*bat.BAT, error) {
+func pickRows[T any](job *par.Job, cb []bool, cn *bat.Bitmap, a, b func() ([]T, *bat.Bitmap, error), mk func([]T) *bat.BAT) (*bat.BAT, error) {
 	av, an, err := a()
 	if err != nil {
 		return nil, err
@@ -510,7 +510,7 @@ func pickRows[T any](cb []bool, cn *bat.Bitmap, a, b func() ([]T, *bat.Bitmap, e
 	if an != nil || bn != nil {
 		nulls = bat.NewBitmap(n)
 	}
-	par.Do(n, func(lo, hi int) {
+	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if cb[i] && !cn.Get(i) {
 				out[i] = av[i]
@@ -530,8 +530,8 @@ func pickRows[T any](cb []bool, cn *bat.Bitmap, a, b func() ([]T, *bat.Bitmap, e
 
 // UnaryNum evaluates a numeric unary function: "-", "abs", "sqrt",
 // "floor", "ceil". sqrt/floor/ceil produce floats; "-"/abs preserve kind.
-func UnaryNum(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
-	if err := restrictTo(cand, &x); err != nil {
+func UnaryNum(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	if err := restrictTo(job, cand, &x); err != nil {
 		return nil, err
 	}
 	n := x.Len()
@@ -543,7 +543,7 @@ func UnaryNum(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 				return nil, err
 			}
 			out := make([]float64, n)
-			par.Do(n, func(lo, hi int) {
+			par.Do(job, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					if op == "-" {
 						out[i] = -xf[i]
@@ -559,7 +559,7 @@ func UnaryNum(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 			return nil, err
 		}
 		out := make([]int64, n)
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if op == "-" {
 					out[i] = -xi[i]
@@ -577,7 +577,7 @@ func UnaryNum(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 			return nil, err
 		}
 		out := make([]float64, n)
-		err = par.DoErr(n, func(lo, hi int) error {
+		err = par.DoErr(job, n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if xn.Get(i) {
 					continue
@@ -615,7 +615,7 @@ func UnaryNum(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 			return nil, err
 		}
 		out := make([]int64, n)
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				switch {
 				case xf[i] > 0:
@@ -634,11 +634,11 @@ func UnaryNum(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 // Power computes l^r element-wise in floating point, following SQL's
 // POWER: any NULL operand yields NULL; domain errors (negative base with
 // fractional exponent) yield NaN like math.Pow.
-func Power(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
+func Power(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if l.Len() != r.Len() {
 		return nil, fmt.Errorf("gdk: operand length mismatch")
 	}
-	if err := restrictTo(cand, &l, &r); err != nil {
+	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
 	lf, ln, err := l.floats()
@@ -652,7 +652,7 @@ func Power(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	n := l.Len()
 	nulls := orNulls(n, ln, rn)
 	out := make([]float64, n)
-	par.Do(n, func(lo, hi int) {
+	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = math.Pow(lf[i], rf[i])
 		}
@@ -664,8 +664,8 @@ func Power(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 // error texts of types.Value.Cast. NULL rows stay NULL; a failing row is
 // reported as the lowest one, whatever the thread count, because each
 // morsel stops at its first failure and par keeps the lowest morsel's.
-func CastBAT(x Opnd, k types.Kind, cand *bat.BAT) (*bat.BAT, error) {
-	if err := restrictTo(cand, &x); err != nil {
+func CastBAT(job *par.Job, x Opnd, k types.Kind, cand *bat.BAT) (*bat.BAT, error) {
+	if err := restrictTo(job, cand, &x); err != nil {
 		return nil, err
 	}
 	n := x.Len()
@@ -678,28 +678,28 @@ func CastBAT(x Opnd, k types.Kind, cand *bat.BAT) (*bat.BAT, error) {
 		if err != nil {
 			return nil, err
 		}
-		return bat.Filler(n, cv, k)
+		return bat.Filler(job, n, cv, k)
 	}
 	if x.b.NullCount() == n {
 		// NULL casts to NULL under every rule, even a missing one.
-		return bat.Filler(n, types.NullUnknown(), k)
+		return bat.Filler(job, n, types.NullUnknown(), k)
 	}
 	switch k {
 	case types.KindInt:
-		return castRows(x, k, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) },
+		return castRows(job, x, k, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) },
 			same[int64], types.FloatToInt, boolNum[int64], types.ParseInt)
 	case types.KindOID:
 		toOID := types.IntToOID
 		if x.Kind() == types.KindOID {
 			toOID = same[int64]
 		}
-		return castRows(x, k, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) }, toOID, nil, nil, nil)
+		return castRows(job, x, k, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) }, toOID, nil, nil, nil)
 	case types.KindFloat:
-		return castRows(x, k, bat.FromFloats, func(i int64) (float64, error) { return float64(i), nil }, same[float64], boolNum[float64], types.ParseFloat)
+		return castRows(job, x, k, bat.FromFloats, func(i int64) (float64, error) { return float64(i), nil }, same[float64], boolNum[float64], types.ParseFloat)
 	case types.KindBool:
-		return castRows(x, k, bat.FromBools, func(i int64) (bool, error) { return i != 0, nil }, func(f float64) (bool, error) { return f != 0, nil }, same[bool], types.ParseBool)
+		return castRows(job, x, k, bat.FromBools, func(i int64) (bool, error) { return i != 0, nil }, func(f float64) (bool, error) { return f != 0, nil }, same[bool], types.ParseBool)
 	case types.KindStr:
-		return castRows(x, k, bat.FromStrings, func(i int64) (string, error) { return strconv.FormatInt(i, 10), nil },
+		return castRows(job, x, k, bat.FromStrings, func(i int64) (string, error) { return strconv.FormatInt(i, 10), nil },
 			func(f float64) (string, error) { return types.FormatFloat(f), nil },
 			func(b bool) (string, error) { return strconv.FormatBool(b), nil }, same[string])
 	}
@@ -710,29 +710,29 @@ func CastBAT(x Opnd, k types.Kind, cand *bat.BAT) (*bat.BAT, error) {
 // for int and oid, fromFloat, fromBool, fromStr; a nil rule is a kind pair
 // Value.Cast has no rule for. mk wraps the converted values in a column,
 // which keeps the source's NULL rows.
-func castRows[T any](x Opnd, k types.Kind, mk func([]T) *bat.BAT, fromInt func(int64) (T, error), fromFloat func(float64) (T, error), fromBool func(bool) (T, error), fromStr func(string) (T, error)) (*bat.BAT, error) {
+func castRows[T any](job *par.Job, x Opnd, k types.Kind, mk func([]T) *bat.BAT, fromInt func(int64) (T, error), fromFloat func(float64) (T, error), fromBool func(bool) (T, error), fromStr func(string) (T, error)) (*bat.BAT, error) {
 	switch from := x.Kind(); {
 	case (from == types.KindInt || from == types.KindOID) && fromInt != nil:
 		src, nulls, _ := x.ints()
-		return castVec(src, nulls, mk, fromInt)
+		return castVec(job, src, nulls, mk, fromInt)
 	case from == types.KindFloat && fromFloat != nil:
 		src, nulls, _ := x.floats()
-		return castVec(src, nulls, mk, fromFloat)
+		return castVec(job, src, nulls, mk, fromFloat)
 	case from == types.KindBool && fromBool != nil:
 		src, nulls, _ := x.boolsv()
-		return castVec(src, nulls, mk, fromBool)
+		return castVec(job, src, nulls, mk, fromBool)
 	case from == types.KindStr && fromStr != nil:
 		src, nulls, _ := x.strsv()
-		return castVec(src, nulls, mk, fromStr)
+		return castVec(job, src, nulls, mk, fromStr)
 	default:
 		return nil, fmt.Errorf("unsupported cast from %s to %s", from, k)
 	}
 }
 
 // castVec converts the non-NULL rows of src with conv, morsel-parallel.
-func castVec[S, T any](src []S, nulls *bat.Bitmap, mk func([]T) *bat.BAT, conv func(S) (T, error)) (*bat.BAT, error) {
+func castVec[S, T any](job *par.Job, src []S, nulls *bat.Bitmap, mk func([]T) *bat.BAT, conv func(S) (T, error)) (*bat.BAT, error) {
 	out := make([]T, len(src))
-	err := par.DoErr(len(src), func(lo, hi int) error {
+	err := par.DoErr(job, len(src), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if nulls.Get(i) {
 				continue
@@ -761,8 +761,8 @@ func boolNum[T int64 | float64](b bool) (T, error) {
 }
 
 // Concat string-concatenates two operands ("||").
-func Concat(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
-	if err := restrictTo(cand, &l, &r); err != nil {
+func Concat(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
 	n := l.Len()
@@ -776,7 +776,7 @@ func Concat(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	}
 	nulls := orNulls(n, ln, rn)
 	out := make([]string, n)
-	par.Do(n, func(lo, hi int) {
+	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = ls[i] + rs[i]
 		}
@@ -785,8 +785,8 @@ func Concat(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 }
 
 // StrUnary evaluates "upper", "lower" or "length".
-func StrUnary(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
-	if err := restrictTo(cand, &x); err != nil {
+func StrUnary(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	if err := restrictTo(job, cand, &x); err != nil {
 		return nil, err
 	}
 	xs, xn, err := x.strsv()
@@ -797,7 +797,7 @@ func StrUnary(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	switch op {
 	case "upper", "lower":
 		out := make([]string, n)
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if op == "upper" {
 					out[i] = strings.ToUpper(xs[i])
@@ -809,7 +809,7 @@ func StrUnary(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 		return withNulls(bat.FromStrings(out), xn.Clone()), nil
 	case "length":
 		out := make([]int64, n)
-		par.Do(n, func(lo, hi int) {
+		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = int64(len(xs[i]))
 			}
@@ -822,8 +822,8 @@ func StrUnary(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 
 // Substring implements SUBSTRING(s FROM start FOR length) with SQL's
 // 1-based start position.
-func Substring(x, start, length Opnd, cand *bat.BAT) (*bat.BAT, error) {
-	if err := restrictTo(cand, &x, &start, &length); err != nil {
+func Substring(job *par.Job, x, start, length Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	if err := restrictTo(job, cand, &x, &start, &length); err != nil {
 		return nil, err
 	}
 	n := x.Len()
@@ -841,7 +841,7 @@ func Substring(x, start, length Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	}
 	nulls := orNulls(n, orNulls(n, xn, sn), lnn)
 	out := make([]string, n)
-	par.Do(n, func(lo, hi int) {
+	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if nulls.Get(i) {
 				continue
@@ -868,8 +868,8 @@ func Substring(x, start, length Opnd, cand *bat.BAT) (*bat.BAT, error) {
 }
 
 // Like evaluates the SQL LIKE predicate with % and _ wildcards.
-func Like(x, pattern Opnd, cand *bat.BAT) (*bat.BAT, error) {
-	if err := restrictTo(cand, &x, &pattern); err != nil {
+func Like(job *par.Job, x, pattern Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	if err := restrictTo(job, cand, &x, &pattern); err != nil {
 		return nil, err
 	}
 	n := x.Len()
@@ -889,7 +889,7 @@ func Like(x, pattern Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if pattern.IsConst() && !pattern.ConstValue().IsNull() {
 		cached = likeMatcher(pattern.ConstValue().StrVal())
 	}
-	par.Do(n, func(lo, hi int) {
+	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if nulls.Get(i) {
 				continue

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -39,7 +40,7 @@ import (
 // through the candidate list morsel-parallel (or slice, when the list is a
 // dense void run); constant operands only shrink their broadcast length.
 // A nil candidate list leaves the operands untouched.
-func restrictTo(cand *bat.BAT, os ...*Opnd) error {
+func restrictTo(job *par.Job, cand *bat.BAT, os ...*Opnd) error {
 	if cand == nil {
 		return nil
 	}
@@ -49,7 +50,7 @@ func restrictTo(cand *bat.BAT, os ...*Opnd) error {
 			o.n = n
 			continue
 		}
-		p, err := Project(cand, o.b)
+		p, err := Project(job, cand, o.b)
 		if err != nil {
 			return err
 		}
@@ -60,13 +61,13 @@ func restrictTo(cand *bat.BAT, os ...*Opnd) error {
 
 // restrictCols projects every base-aligned column through the candidate
 // list (nil passes the columns through unchanged).
-func restrictCols(cols []*bat.BAT, cand *bat.BAT) ([]*bat.BAT, error) {
+func restrictCols(job *par.Job, cols []*bat.BAT, cand *bat.BAT) ([]*bat.BAT, error) {
 	if cand == nil {
 		return cols, nil
 	}
 	out := make([]*bat.BAT, len(cols))
 	for i, c := range cols {
-		p, err := Project(cand, c)
+		p, err := Project(job, cand, c)
 		if err != nil {
 			return nil, err
 		}
@@ -79,11 +80,11 @@ func restrictCols(cols []*bat.BAT, cand *bat.BAT) ([]*bat.BAT, error) {
 // base positions: out[i] = cand[idx[i]]. NULL index entries (outer joins)
 // stay NULL. A nil candidate list, and a dense one from position 0 (an
 // unfiltered table), is the identity.
-func mapCand(idx, cand *bat.BAT) (*bat.BAT, error) {
+func mapCand(job *par.Job, idx, cand *bat.BAT) (*bat.BAT, error) {
 	if cand == nil || cand.Kind() == types.KindVoid && cand.Seqbase() == 0 {
 		return idx, nil
 	}
-	out, err := Project(idx, cand)
+	out, err := Project(job, idx, cand)
 	if err != nil {
 		return nil, err
 	}

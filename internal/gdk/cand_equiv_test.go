@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -54,7 +55,7 @@ func selCand(t *testing.T, col *bat.BAT, sel float64) *bat.BAT {
 	if k < 1 {
 		k = 1
 	}
-	cand, err := ThetaSelect(col, nil, types.Int(k), "<")
+	cand, err := ThetaSelect(nil, col, nil, types.Int(k), "<")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func selCand(t *testing.T, col *bat.BAT, sel float64) *bat.BAT {
 // reference implementation of candidate restriction).
 func gather(t *testing.T, cand, b *bat.BAT) *bat.BAT {
 	t.Helper()
-	out, err := Project(cand, b)
+	out, err := Project(nil, cand, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +96,15 @@ func TestParEquivCandChain(t *testing.T) {
 
 				runBoth(t, func() [2]*bat.BAT {
 					// Candidate path: theta chain, no boolean columns.
-					cand, err := ThetaSelect(a, nil, types.Int(k), "<")
+					cand, err := ThetaSelect(nil, a, nil, types.Int(k), "<")
 					if err != nil {
 						t.Fatal(err)
 					}
-					cand, err = ThetaSelect(b, cand, c2, op2)
+					cand, err = ThetaSelect(nil, b, cand, c2, op2)
 					if err != nil {
 						t.Fatal(err)
 					}
-					out, err := Project(cand, v)
+					out, err := Project(nil, cand, v)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -114,37 +115,37 @@ func TestParEquivCandChain(t *testing.T) {
 				})
 
 				// Materializing path (serial reference).
-				m1, err := Compare("<", B(a), C(types.Int(k), n), nil)
+				m1, err := Compare(nil, "<", B(a), C(types.Int(k), n), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m2, err := Compare(op2, B(b), C(c2, n), nil)
+				m2, err := Compare(nil, op2, B(b), C(c2, n), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, err := And(B(m1), B(m2), nil)
+				m, err := And(nil, B(m1), B(m2), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				selList, err := SelectBool(m, nil)
+				selList, err := SelectBool(nil, m, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantProj, err := Project(selList, v)
+				wantProj, err := Project(nil, selList, v)
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				// Candidate path (serial) against the reference.
-				cand, err := ThetaSelect(a, nil, types.Int(k), "<")
+				cand, err := ThetaSelect(nil, a, nil, types.Int(k), "<")
 				if err != nil {
 					t.Fatal(err)
 				}
-				cand, err = ThetaSelect(b, cand, c2, op2)
+				cand, err = ThetaSelect(nil, b, cand, c2, op2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotProj, err := Project(cand, v)
+				gotProj, err := Project(nil, cand, v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,84 +192,84 @@ func TestParEquivCalcCand(t *testing.T) {
 		}
 
 		check("arith+", func(c *bat.BAT) (*bat.BAT, error) {
-			return Arith("+", B(ai), B(bi), c)
+			return Arith(nil, "+", B(ai), B(bi), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Arith("+", B(gather(t, c, ai)), B(gather(t, c, bi)), nil)
+			return Arith(nil, "+", B(gather(t, c, ai)), B(gather(t, c, bi)), nil)
 		})
 		check("arith* float", func(c *bat.BAT) (*bat.BAT, error) {
-			return Arith("*", B(af), B(bf), c)
+			return Arith(nil, "*", B(af), B(bf), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Arith("*", B(gather(t, c, af)), B(gather(t, c, bf)), nil)
+			return Arith(nil, "*", B(gather(t, c, af)), B(gather(t, c, bf)), nil)
 		})
 		check("arith const", func(c *bat.BAT) (*bat.BAT, error) {
-			return Arith("-", B(ai), C(types.Int(7), n), c)
+			return Arith(nil, "-", B(ai), C(types.Int(7), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Arith("-", B(gather(t, c, ai)), C(types.Int(7), c.Len()), nil)
+			return Arith(nil, "-", B(gather(t, c, ai)), C(types.Int(7), c.Len()), nil)
 		})
 		check("compare<", func(c *bat.BAT) (*bat.BAT, error) {
-			return Compare("<", B(ai), B(bi), c)
+			return Compare(nil, "<", B(ai), B(bi), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Compare("<", B(gather(t, c, ai)), B(gather(t, c, bi)), nil)
+			return Compare(nil, "<", B(gather(t, c, ai)), B(gather(t, c, bi)), nil)
 		})
 		check("and", func(c *bat.BAT) (*bat.BAT, error) {
-			return And(B(ab), B(bb), c)
+			return And(nil, B(ab), B(bb), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return And(B(gather(t, c, ab)), B(gather(t, c, bb)), nil)
+			return And(nil, B(gather(t, c, ab)), B(gather(t, c, bb)), nil)
 		})
 		check("or", func(c *bat.BAT) (*bat.BAT, error) {
-			return Or(B(ab), B(bb), c)
+			return Or(nil, B(ab), B(bb), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Or(B(gather(t, c, ab)), B(gather(t, c, bb)), nil)
+			return Or(nil, B(gather(t, c, ab)), B(gather(t, c, bb)), nil)
 		})
 		check("not", func(c *bat.BAT) (*bat.BAT, error) {
-			return Not(B(ab), c)
+			return Not(nil, B(ab), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Not(B(gather(t, c, ab)), nil)
+			return Not(nil, B(gather(t, c, ab)), nil)
 		})
 		check("unary abs", func(c *bat.BAT) (*bat.BAT, error) {
-			return UnaryNum("abs", B(ai), c)
+			return UnaryNum(nil, "abs", B(ai), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return UnaryNum("abs", B(gather(t, c, ai)), nil)
+			return UnaryNum(nil, "abs", B(gather(t, c, ai)), nil)
 		})
 		check("power", func(c *bat.BAT) (*bat.BAT, error) {
-			return Power(B(af), C(types.Int(2), n), c)
+			return Power(nil, B(af), C(types.Int(2), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Power(B(gather(t, c, af)), C(types.Int(2), c.Len()), nil)
+			return Power(nil, B(gather(t, c, af)), C(types.Int(2), c.Len()), nil)
 		})
 		check("concat", func(c *bat.BAT) (*bat.BAT, error) {
-			return Concat(B(as), C(types.Str("!"), n), c)
+			return Concat(nil, B(as), C(types.Str("!"), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Concat(B(gather(t, c, as)), C(types.Str("!"), c.Len()), nil)
+			return Concat(nil, B(gather(t, c, as)), C(types.Str("!"), c.Len()), nil)
 		})
 		check("substring", func(c *bat.BAT) (*bat.BAT, error) {
-			return Substring(B(as), C(types.Int(2), n), C(types.Int(3), n), c)
+			return Substring(nil, B(as), C(types.Int(2), n), C(types.Int(3), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Substring(B(gather(t, c, as)), C(types.Int(2), c.Len()), C(types.Int(3), c.Len()), nil)
+			return Substring(nil, B(gather(t, c, as)), C(types.Int(2), c.Len()), C(types.Int(3), c.Len()), nil)
 		})
 		check("like", func(c *bat.BAT) (*bat.BAT, error) {
-			return Like(B(as), C(types.Str("%a%"), n), c)
+			return Like(nil, B(as), C(types.Str("%a%"), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return Like(B(gather(t, c, as)), C(types.Str("%a%"), c.Len()), nil)
+			return Like(nil, B(gather(t, c, as)), C(types.Str("%a%"), c.Len()), nil)
 		})
 		check("strunary upper", func(c *bat.BAT) (*bat.BAT, error) {
-			return StrUnary("upper", B(as), c)
+			return StrUnary(nil, "upper", B(as), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return StrUnary("upper", B(gather(t, c, as)), nil)
+			return StrUnary(nil, "upper", B(gather(t, c, as)), nil)
 		})
 		check("isnull", func(c *bat.BAT) (*bat.BAT, error) {
-			return IsNull(B(ai), c)
+			return IsNull(nil, B(ai), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return IsNull(B(gather(t, c, ai)), nil)
+			return IsNull(nil, B(gather(t, c, ai)), nil)
 		})
 		check("cast", func(c *bat.BAT) (*bat.BAT, error) {
-			return CastBAT(B(ai), types.KindFloat, c)
+			return CastBAT(nil, B(ai), types.KindFloat, c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return CastBAT(B(gather(t, c, ai)), types.KindFloat, nil)
+			return CastBAT(nil, B(gather(t, c, ai)), types.KindFloat, nil)
 		})
 		check("ifthenelse", func(c *bat.BAT) (*bat.BAT, error) {
-			return IfThenElse(B(ab), B(ai), B(bi), c)
+			return IfThenElse(nil, B(ab), B(ai), B(bi), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
-			return IfThenElse(B(gather(t, c, ab)), B(gather(t, c, ai)), B(gather(t, c, bi)), nil)
+			return IfThenElse(nil, B(gather(t, c, ab)), B(gather(t, c, ai)), B(gather(t, c, bi)), nil)
 		})
 	}
 }
@@ -286,32 +287,32 @@ func TestParEquivSelectCand(t *testing.T) {
 		label := fmt.Sprintf("sel=%g", sel)
 
 		runBoth(t, func() *bat.BAT {
-			out, err := SelectBool(cond, cand)
+			out, err := SelectBool(nil, cond, cand)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, label+" selectbool", s, p) })
 		// Reference: positions into candidate space, mapped by hand.
-		csel, err := SelectBool(cond, nil)
+		csel, err := SelectBool(nil, cond, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mapped := gather(t, csel, cand)
-		got, err := SelectBool(cond, cand)
+		got, err := SelectBool(nil, cond, cand)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batsEqual(t, label+" selectbool mapping", mapped, got)
 
 		runBoth(t, func() *bat.BAT {
-			out, err := SelectNonNull(col, cand)
+			out, err := SelectNonNull(nil, col, cand)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, label+" nonnull", s, p) })
-		nn, err := SelectNonNull(col, cand)
+		nn, err := SelectNonNull(nil, col, cand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func TestParEquivSelectCand(t *testing.T) {
 		}
 
 		runBoth(t, func() *bat.BAT {
-			out, err := RangeSelect(col, cand, types.Int(100), types.Int(700))
+			out, err := RangeSelect(nil, col, cand, types.Int(100), types.Int(700))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,14 +345,14 @@ func TestParEquivGroupAggrCand(t *testing.T) {
 		label := fmt.Sprintf("sel=%g", s)
 
 		// Reference: dense grouping over gathered keys, extents mapped.
-		rg, err := Group([]*bat.BAT{gather(t, cand, key)}, nil)
+		rg, err := Group(nil, []*bat.BAT{gather(t, cand, key)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantExt := gather(t, rg.Extents, cand)
 
 		runBoth(t, func() *GroupResult {
-			g, err := Group([]*bat.BAT{key}, cand)
+			g, err := Group(nil, []*bat.BAT{key}, cand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,17 +370,17 @@ func TestParEquivGroupAggrCand(t *testing.T) {
 			batsEqual(t, label+" extents vs dense", wantExt, sr.Extents)
 		})
 
-		g, err := Group([]*bat.BAT{key}, cand)
+		g, err := Group(nil, []*bat.BAT{key}, cand)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, agg := range []AggKind{AggSum, AggCount, AggCountAll, AggAvg, AggMin, AggMax} {
-			want, err := SubAggr(agg, gather(t, cand, vals), g.GIDs, g.N, nil)
+			want, err := SubAggr(nil, agg, gather(t, cand, vals), g.GIDs, g.N, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			runBoth(t, func() *bat.BAT {
-				out, err := SubAggr(agg, vals, g.GIDs, g.N, cand)
+				out, err := SubAggr(nil, agg, vals, g.GIDs, g.N, cand)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -407,8 +408,8 @@ func TestParEquivJoinCand(t *testing.T) {
 		rcand := selCand(t, rsel, 0.5)
 		label := fmt.Sprintf("sel=%g", s)
 
-		refJoin := func(join func(l, r []*bat.BAT, lc, rc *bat.BAT) (*bat.BAT, *bat.BAT, error)) (*bat.BAT, *bat.BAT) {
-			li, ri, err := join([]*bat.BAT{gather(t, lcand, lk)}, []*bat.BAT{gather(t, rcand, rk)}, nil, nil)
+		refJoin := func(join func(job *par.Job, l, r []*bat.BAT, lc, rc *bat.BAT) (*bat.BAT, *bat.BAT, error)) (*bat.BAT, *bat.BAT) {
+			li, ri, err := join(nil, []*bat.BAT{gather(t, lcand, lk)}, []*bat.BAT{gather(t, rcand, rk)}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,7 +418,7 @@ func TestParEquivJoinCand(t *testing.T) {
 
 		wantL, wantR := refJoin(HashJoin)
 		runBoth(t, func() [2]*bat.BAT {
-			li, ri, err := HashJoin([]*bat.BAT{lk}, []*bat.BAT{rk}, lcand, rcand)
+			li, ri, err := HashJoin(nil, []*bat.BAT{lk}, []*bat.BAT{rk}, lcand, rcand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +432,7 @@ func TestParEquivJoinCand(t *testing.T) {
 
 		wantL, wantR = refJoin(LeftJoin)
 		runBoth(t, func() [2]*bat.BAT {
-			li, ri, err := LeftJoin([]*bat.BAT{lk}, []*bat.BAT{rk}, lcand, rcand)
+			li, ri, err := LeftJoin(nil, []*bat.BAT{lk}, []*bat.BAT{rk}, lcand, rcand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -549,11 +550,11 @@ func TestSlabVoidFastPath(t *testing.T) {
 		col.Ints()[i] = int64(i * 3)
 	}
 	col.SetNull(5, true)
-	got, err := Project(cand, col)
+	got, err := Project(nil, cand, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Project(cand.Materialize(), col)
+	want, err := Project(nil, cand.Materialize(), col)
 	if err != nil {
 		t.Fatal(err)
 	}

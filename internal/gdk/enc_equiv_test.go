@@ -139,7 +139,7 @@ func TestEncEquivThetaSelect(t *testing.T) {
 					label := fmt.Sprintf("%s cand=%s %s %d", shape, cname, op, w)
 					runBoth(t, func() *bat.BAT {
 						return encBaseline(t, col, enc, func(c *bat.BAT) *bat.BAT {
-							out, err := ThetaSelect(c, cand, types.Int(w), op)
+							out, err := ThetaSelect(nil, c, cand, types.Int(w), op)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
@@ -170,7 +170,7 @@ func TestEncEquivRangeSelect(t *testing.T) {
 					lo, hi := probes[i], probes[j]
 					label := fmt.Sprintf("%s cand=%s [%d,%d]", shape, cname, lo, hi)
 					encBaseline(t, col, enc, func(c *bat.BAT) *bat.BAT {
-						out, err := RangeSelect(c, cand, types.Int(lo), types.Int(hi))
+						out, err := RangeSelect(nil, c, cand, types.Int(lo), types.Int(hi))
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -196,7 +196,7 @@ func TestEncEquivStrSelect(t *testing.T) {
 				label := fmt.Sprintf("str cand=%s %s %q", cname, op, w)
 				runBoth(t, func() *bat.BAT {
 					return encBaseline(t, col, enc, func(c *bat.BAT) *bat.BAT {
-						out, err := ThetaSelect(c, cand, types.Str(w), op)
+						out, err := ThetaSelect(nil, c, cand, types.Str(w), op)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -230,7 +230,7 @@ func TestEncEquivFloatSelect(t *testing.T) {
 		for _, w := range []float64{-1, 0, 10.25, 25, 49.75, 100} {
 			label := fmt.Sprintf("float %s %g", op, w)
 			encBaseline(t, col, enc, func(c *bat.BAT) *bat.BAT {
-				out, err := ThetaSelect(c, nil, types.Float(w), op)
+				out, err := ThetaSelect(nil, c, nil, types.Float(w), op)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -241,7 +241,7 @@ func TestEncEquivFloatSelect(t *testing.T) {
 		}
 	}
 	encBaseline(t, col, enc, func(c *bat.BAT) *bat.BAT {
-		out, err := RangeSelect(c, nil, types.Float(3), types.Float(37.5))
+		out, err := RangeSelect(nil, c, nil, types.Float(3), types.Float(37.5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestEncEquivProjectNonNull(t *testing.T) {
 		for cname, cand := range candVariants(n) {
 			label := fmt.Sprintf("%s cand=%s", shape, cname)
 			encBaseline(t, col, enc, func(c *bat.BAT) *bat.BAT {
-				out, err := SelectNonNull(c, cand)
+				out, err := SelectNonNull(nil, c, cand)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -272,7 +272,7 @@ func TestEncEquivProjectNonNull(t *testing.T) {
 				continue
 			}
 			encBaseline(t, col, enc, func(c *bat.BAT) *bat.BAT {
-				out, err := Project(cand, c)
+				out, err := Project(nil, cand, c)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -287,7 +287,7 @@ func TestEncEquivProjectNonNull(t *testing.T) {
 	senc := encTwin(t, scol, true)
 	idx := bat.NewVoid(types.OID(n/3), n/2)
 	encBaseline(t, scol, senc, func(c *bat.BAT) *bat.BAT {
-		out, err := Project(idx, c)
+		out, err := Project(nil, idx, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestEncEquivGroupAggr(t *testing.T) {
 			var res *GroupResult
 			runBoth(t, func() *GroupResult {
 				res = encBaseline(t, key, keyEnc, func(c *bat.BAT) *GroupResult {
-					r, err := Group([]*bat.BAT{c}, cand)
+					r, err := Group(nil, []*bat.BAT{c}, cand)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -341,7 +341,7 @@ func TestEncEquivGroupAggr(t *testing.T) {
 				} {
 					alabel := fmt.Sprintf("%s %s(%s)", label, agg, vname)
 					encBaseline(t, pair[0], pair[1], func(c *bat.BAT) *bat.BAT {
-						out, err := SubAggr(agg, c, res.GIDs, res.N, cand)
+						out, err := SubAggr(nil, agg, c, res.GIDs, res.N, cand)
 						if err != nil {
 							t.Fatalf("%s: %v", alabel, err)
 						}
@@ -376,7 +376,7 @@ func TestEncKernelsTouchFewerBytes(t *testing.T) {
 	}
 	key := bat.FromInts(keys)
 	key.DeriveProps()
-	grp, err := Group([]*bat.BAT{key}, nil)
+	grp, err := Group(nil, []*bat.BAT{key}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestEncKernelsTouchFewerBytes(t *testing.T) {
 	}
 	selectEq := func(v types.Value) func(*bat.BAT) error {
 		return func(c *bat.BAT) error {
-			_, err := ThetaSelect(c, nil, v, "=")
+			_, err := ThetaSelect(nil, c, nil, v, "=")
 			return err
 		}
 	}
@@ -406,7 +406,7 @@ func TestEncKernelsTouchFewerBytes(t *testing.T) {
 		{"rle select", runs, selectEq(types.Int(0))},
 		{"dict select", bat.FromStrings(labels), selectEq(types.Str("label-31"))},
 		{"rle grouped sum", runs, func(c *bat.BAT) error {
-			_, err := SubAggr(AggSum, c, gids, grp.N, nil)
+			_, err := SubAggr(nil, AggSum, c, gids, grp.N, nil)
 			return err
 		}},
 	} {
@@ -430,11 +430,11 @@ func TestEncEquivJoin(t *testing.T) {
 			var out [2]*bat.BAT
 			for _, stats := range []bool{true, false} {
 				prev := SetStatsEnabled(stats)
-				li, ri, err := HashJoin([]*bat.BAT{lEnc}, []*bat.BAT{rEnc}, nil, cand)
+				li, ri, err := HashJoin(nil, []*bat.BAT{lEnc}, []*bat.BAT{rEnc}, nil, cand)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				pli, pri, err := HashJoin([]*bat.BAT{l}, []*bat.BAT{r}, nil, cand)
+				pli, pri, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, cand)
 				SetStatsEnabled(prev)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -456,11 +456,11 @@ func TestEncEquivJoin(t *testing.T) {
 	lsEnc, rsEnc := encTwin(t, ls, true), encTwin(t, rs, true)
 	for _, stats := range []bool{true, false} {
 		prev := SetStatsEnabled(stats)
-		li, ri, err := HashJoin([]*bat.BAT{lsEnc}, []*bat.BAT{rsEnc}, nil, nil)
+		li, ri, err := HashJoin(nil, []*bat.BAT{lsEnc}, []*bat.BAT{rsEnc}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pli, pri, err := HashJoin([]*bat.BAT{ls}, []*bat.BAT{rs}, nil, nil)
+		pli, pri, err := HashJoin(nil, []*bat.BAT{ls}, []*bat.BAT{rs}, nil, nil)
 		SetStatsEnabled(prev)
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,13 @@
 package gdk
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bat"
 	"repro/internal/par"
@@ -25,7 +28,7 @@ func TestArithInt(t *testing.T) {
 		"%": {1, 0, 0},
 	}
 	for op, want := range cases {
-		got, err := Arith(op, B(l), B(r), nil)
+		got, err := Arith(nil, op, B(l), B(r), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}
@@ -43,7 +46,7 @@ func TestArithInt(t *testing.T) {
 func TestArithFloatPromotion(t *testing.T) {
 	l := bat.FromInts([]int64{1, 2})
 	r := bat.FromFloats([]float64{0.5, 0.25})
-	got, err := Arith("*", B(l), B(r), nil)
+	got, err := Arith(nil, "*", B(l), B(r), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,34 +58,34 @@ func TestArithFloatPromotion(t *testing.T) {
 func TestDivisionByZeroErrors(t *testing.T) {
 	l := bat.FromInts([]int64{1})
 	z := bat.FromInts([]int64{0})
-	if _, err := Arith("/", B(l), B(z), nil); err == nil {
+	if _, err := Arith(nil, "/", B(l), B(z), nil); err == nil {
 		t.Error("int division by zero not detected")
 	}
-	if _, err := Arith("%", B(l), B(z), nil); err == nil {
+	if _, err := Arith(nil, "%", B(l), B(z), nil); err == nil {
 		t.Error("int modulo by zero not detected")
 	}
 	fz := bat.FromFloats([]float64{0})
-	if _, err := Arith("/", B(bat.FromFloats([]float64{1})), B(fz), nil); err == nil {
+	if _, err := Arith(nil, "/", B(bat.FromFloats([]float64{1})), B(fz), nil); err == nil {
 		t.Error("float division by zero not detected")
 	}
 	// NULL divisor rows do not trip the error.
 	nz := bat.FromInts([]int64{0})
 	nz.SetNull(0, true)
-	if _, err := Arith("/", B(l), B(nz), nil); err != nil {
+	if _, err := Arith(nil, "/", B(l), B(nz), nil); err != nil {
 		t.Errorf("NULL divisor should not error: %v", err)
 	}
 }
 
 func TestConstBroadcast(t *testing.T) {
 	l := bat.FromInts([]int64{1, 2, 3})
-	got, err := Arith("+", B(l), C(types.Int(10), 3), nil)
+	got, err := Arith(nil, "+", B(l), C(types.Int(10), 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Ints()[2] != 13 {
 		t.Errorf("broadcast add wrong: %v", got.Ints())
 	}
-	got, err = Compare("<", C(types.Int(2), 3), B(l), nil)
+	got, err = Compare(nil, "<", C(types.Int(2), 3), B(l), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestConstBroadcast(t *testing.T) {
 func TestCompareKinds(t *testing.T) {
 	s1 := bat.FromStrings([]string{"a", "b"})
 	s2 := bat.FromStrings([]string{"b", "b"})
-	got, err := Compare("<", B(s1), B(s2), nil)
+	got, err := Compare(nil, "<", B(s1), B(s2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +106,14 @@ func TestCompareKinds(t *testing.T) {
 	}
 	b1 := bat.FromBools([]bool{false, true})
 	b2 := bat.FromBools([]bool{true, true})
-	got, err = Compare("=", B(b1), B(b2), nil)
+	got, err = Compare(nil, "=", B(b1), B(b2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Bools()[0] || !got.Bools()[1] {
 		t.Errorf("bool compare wrong: %v", got.Bools())
 	}
-	if _, err := Compare("=", B(s1), B(b1), nil); err == nil {
+	if _, err := Compare(nil, "=", B(s1), B(b1), nil); err == nil {
 		t.Error("str vs bool comparison should fail")
 	}
 }
@@ -120,10 +123,10 @@ func TestThreeValuedLogic(t *testing.T) {
 	tri.AppendBool(true)
 	tri.AppendBool(false)
 	tri.AppendNull()
-	tt, _ := bat.Filler(3, types.Bool(true), types.KindBool)
-	ff, _ := bat.Filler(3, types.Bool(false), types.KindBool)
+	tt, _ := bat.Filler(nil, 3, types.Bool(true), types.KindBool)
+	ff, _ := bat.Filler(nil, 3, types.Bool(false), types.KindBool)
 
-	and, err := And(B(tri), B(tt), nil)
+	and, err := And(nil, B(tri), B(tt), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,24 +134,24 @@ func TestThreeValuedLogic(t *testing.T) {
 	if !and.Bools()[0] || and.Bools()[1] || !and.IsNull(2) {
 		t.Errorf("AND true: %v nulls=%v", and.Bools(), and.IsNull(2))
 	}
-	and, _ = And(B(tri), B(ff), nil)
+	and, _ = And(nil, B(tri), B(ff), nil)
 	// anything AND f = f (even null)
 	for i := 0; i < 3; i++ {
 		if and.IsNull(i) || and.Bools()[i] {
 			t.Errorf("AND false row %d wrong", i)
 		}
 	}
-	or, _ := Or(B(tri), B(tt), nil)
+	or, _ := Or(nil, B(tri), B(tt), nil)
 	for i := 0; i < 3; i++ {
 		if or.IsNull(i) || !or.Bools()[i] {
 			t.Errorf("OR true row %d wrong", i)
 		}
 	}
-	or, _ = Or(B(tri), B(ff), nil)
+	or, _ = Or(nil, B(tri), B(ff), nil)
 	if !or.Bools()[0] || or.Bools()[1] || !or.IsNull(2) {
 		t.Errorf("OR false wrong")
 	}
-	not, _ := Not(B(tri), nil)
+	not, _ := Not(nil, B(tri), nil)
 	if not.Bools()[0] || !not.Bools()[1] || !not.IsNull(2) {
 		t.Errorf("NOT wrong")
 	}
@@ -159,7 +162,7 @@ func TestIfThenElseNullCondPicksElse(t *testing.T) {
 	cond.AppendBool(true)
 	cond.AppendBool(false)
 	cond.AppendNull()
-	got, err := IfThenElse(B(cond), C(types.Int(1), 3), C(types.Int(2), 3), nil)
+	got, err := IfThenElse(nil, B(cond), C(types.Int(1), 3), C(types.Int(2), 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,41 +176,41 @@ func TestIfThenElseNullCondPicksElse(t *testing.T) {
 
 func TestUnaryOps(t *testing.T) {
 	x := bat.FromInts([]int64{-3, 4})
-	abs, err := UnaryNum("abs", B(x), nil)
+	abs, err := UnaryNum(nil, "abs", B(x), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if abs.Ints()[0] != 3 || abs.Ints()[1] != 4 {
 		t.Errorf("abs: %v", abs.Ints())
 	}
-	neg, _ := UnaryNum("-", B(x), nil)
+	neg, _ := UnaryNum(nil, "-", B(x), nil)
 	if neg.Ints()[0] != 3 || neg.Ints()[1] != -4 {
 		t.Errorf("neg: %v", neg.Ints())
 	}
-	sq, err := UnaryNum("sqrt", B(bat.FromInts([]int64{16})), nil)
+	sq, err := UnaryNum(nil, "sqrt", B(bat.FromInts([]int64{16})), nil)
 	if err != nil || sq.Floats()[0] != 4 {
 		t.Errorf("sqrt: %v %v", sq, err)
 	}
-	if _, err := UnaryNum("sqrt", B(bat.FromInts([]int64{-1})), nil); err == nil {
+	if _, err := UnaryNum(nil, "sqrt", B(bat.FromInts([]int64{-1})), nil); err == nil {
 		t.Error("sqrt(-1) should fail")
 	}
 }
 
 func TestStringKernels(t *testing.T) {
 	s := bat.FromStrings([]string{"Hello", "wörld"})
-	up, err := StrUnary("upper", B(s), nil)
+	up, err := StrUnary(nil, "upper", B(s), nil)
 	if err != nil || up.Strs()[0] != "HELLO" {
 		t.Errorf("upper: %v %v", up.Strs(), err)
 	}
-	ln, _ := StrUnary("length", B(s), nil)
+	ln, _ := StrUnary(nil, "length", B(s), nil)
 	if ln.Ints()[0] != 5 {
 		t.Errorf("length: %v", ln.Ints())
 	}
-	cc, err := Concat(B(s), C(types.Str("!"), 2), nil)
+	cc, err := Concat(nil, B(s), C(types.Str("!"), 2), nil)
 	if err != nil || cc.Strs()[1] != "wörld!" {
 		t.Errorf("concat: %v %v", cc.Strs(), err)
 	}
-	sub, err := Substring(B(s), C(types.Int(2), 2), C(types.Int(3), 2), nil)
+	sub, err := Substring(nil, B(s), C(types.Int(2), 2), C(types.Int(3), 2), nil)
 	if err != nil || sub.Strs()[0] != "ell" {
 		t.Errorf("substring: %v %v", sub.Strs(), err)
 	}
@@ -215,7 +218,7 @@ func TestStringKernels(t *testing.T) {
 
 func TestLikeKernel(t *testing.T) {
 	s := bat.FromStrings([]string{"apple", "banana", "cherry", ""})
-	got, err := Like(B(s), C(types.Str("%an%"), 4), nil)
+	got, err := Like(nil, B(s), C(types.Str("%an%"), 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +228,11 @@ func TestLikeKernel(t *testing.T) {
 			t.Errorf("LIKE row %d = %v, want %v", i, got.Bools()[i], w)
 		}
 	}
-	got, _ = Like(B(s), C(types.Str("_pp%"), 4), nil)
+	got, _ = Like(nil, B(s), C(types.Str("_pp%"), 4), nil)
 	if !got.Bools()[0] || got.Bools()[1] {
 		t.Error("underscore wildcard wrong")
 	}
-	got, _ = Like(B(s), C(types.Str(""), 4), nil)
+	got, _ = Like(nil, B(s), C(types.Str(""), 4), nil)
 	if got.Bools()[0] || !got.Bools()[3] {
 		t.Error("empty pattern matches only empty string")
 	}
@@ -245,7 +248,7 @@ func TestLikeProperty(t *testing.T) {
 			}
 		}
 		col := bat.FromStrings([]string{s})
-		got, err := Like(B(col), C(types.Str(s), 1), nil)
+		got, err := Like(nil, B(col), C(types.Str(s), 1), nil)
 		return err == nil && got.Bools()[0]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -256,7 +259,7 @@ func TestLikeProperty(t *testing.T) {
 func TestCastBATKernel(t *testing.T) {
 	x := bat.FromFloats([]float64{1.9, -2.9})
 	x.SetNull(1, true)
-	got, err := CastBAT(B(x), types.KindInt, nil)
+	got, err := CastBAT(nil, B(x), types.KindInt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +306,7 @@ func TestCastBATMatchesValueCast(t *testing.T) {
 					break
 				}
 			}
-			got, err := CastBAT(B(src), k, nil)
+			got, err := CastBAT(nil, B(src), k, nil)
 			if wantErr != nil || err != nil {
 				if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
 					t.Errorf("%s column %v to %s: err = %v, want %v", src.ValueKind(), src, k, err, wantErr)
@@ -343,7 +346,7 @@ func TestIfThenElseMatchesRowPick(t *testing.T) {
 	for _, a := range branches {
 		for _, b := range branches {
 			k, err := types.CommonKind(a.Kind(), b.Kind())
-			got, gerr := IfThenElse(B(cond), a, b, nil)
+			got, gerr := IfThenElse(nil, B(cond), a, b, nil)
 			if err != nil {
 				if gerr == nil {
 					t.Errorf("%s/%s branches: no error", a.Kind(), b.Kind())
@@ -389,7 +392,7 @@ func TestCastBATLowestFailingRow(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
 		par.SetThreads(threads)
 		for run := 0; run < 20; run++ {
-			_, err := CastBAT(B(x), types.KindInt, nil)
+			_, err := CastBAT(nil, B(x), types.KindInt, nil)
 			if err == nil || err.Error() != "float 1e+19 out of integer range" {
 				t.Fatalf("threads %d: err = %v, want the row 9000 error", threads, err)
 			}
@@ -405,7 +408,7 @@ func TestSelectBool(t *testing.T) {
 	cond.AppendBool(false)
 	cond.AppendNull()
 	cond.AppendBool(true)
-	got, err := SelectBool(cond, nil)
+	got, err := SelectBool(nil, cond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,25 +420,25 @@ func TestSelectBool(t *testing.T) {
 func TestThetaSelectKernel(t *testing.T) {
 	col := bat.FromInts([]int64{5, 3, 8, 3, 1})
 	col.SetNull(4, true)
-	got, err := ThetaSelect(col, nil, types.Int(3), "=")
+	got, err := ThetaSelect(nil, col, nil, types.Int(3), "=")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 2 || got.OidAt(0) != 1 || got.OidAt(1) != 3 {
 		t.Errorf("eq: %v", got.Ints())
 	}
-	got, _ = ThetaSelect(col, nil, types.Int(4), ">")
+	got, _ = ThetaSelect(nil, col, nil, types.Int(4), ">")
 	if got.Len() != 2 {
 		t.Errorf("gt: %v", got.Ints())
 	}
 	// Candidate restriction.
 	cand := bat.FromOIDs([]int64{0, 1})
-	got, _ = ThetaSelect(col, cand, types.Int(3), ">=")
+	got, _ = ThetaSelect(nil, col, cand, types.Int(3), ">=")
 	if got.Len() != 2 {
 		t.Errorf("cand: %v", got.Ints())
 	}
 	// NULL comparison value matches nothing.
-	got, _ = ThetaSelect(col, nil, types.NullUnknown(), "=")
+	got, _ = ThetaSelect(nil, col, nil, types.NullUnknown(), "=")
 	if got.Len() != 0 {
 		t.Error("null theta value must match nothing")
 	}
@@ -443,7 +446,7 @@ func TestThetaSelectKernel(t *testing.T) {
 
 func TestRangeSelect(t *testing.T) {
 	col := bat.FromInts([]int64{1, 5, 10, 15})
-	got, err := RangeSelect(col, nil, types.Int(5), types.Int(10))
+	got, err := RangeSelect(nil, col, nil, types.Int(5), types.Int(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,15 +470,15 @@ func TestThetaVsCompareProperty(t *testing.T) {
 		}
 		val := types.Int(int64(rng.Intn(20)))
 		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-			a, err := ThetaSelect(col, nil, val, op)
+			a, err := ThetaSelect(nil, col, nil, val, op)
 			if err != nil {
 				return false
 			}
-			mask, err := Compare(op, B(col), C(val, n), nil)
+			mask, err := Compare(nil, op, B(col), C(val, n), nil)
 			if err != nil {
 				return false
 			}
-			b, err := SelectBool(mask, nil)
+			b, err := SelectBool(nil, mask, nil)
 			if err != nil {
 				return false
 			}
@@ -500,7 +503,7 @@ func TestThetaVsCompareProperty(t *testing.T) {
 func TestProject(t *testing.T) {
 	col := bat.FromStrings([]string{"a", "b", "c"})
 	idx := bat.FromOIDs([]int64{2, 0, 2})
-	got, err := Project(idx, col)
+	got, err := Project(nil, idx, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +514,7 @@ func TestProject(t *testing.T) {
 	idx2 := bat.New(types.KindOID, 2)
 	idx2.AppendInt(1)
 	idx2.AppendNull()
-	got, err = Project(idx2, col)
+	got, err = Project(nil, idx2, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,12 +523,12 @@ func TestProject(t *testing.T) {
 	}
 	// Out of range errors.
 	bad := bat.FromOIDs([]int64{5})
-	if _, err := Project(bad, col); err == nil {
+	if _, err := Project(nil, bad, col); err == nil {
 		t.Error("out-of-range index not caught")
 	}
 	// Dense identity fast path.
 	dense := bat.NewVoid(0, 3)
-	same, err := Project(dense, col)
+	same, err := Project(nil, dense, col)
 	if err != nil || same != col {
 		t.Error("void identity should return the column unchanged")
 	}
@@ -536,7 +539,7 @@ func TestProject(t *testing.T) {
 func TestHashJoinBasic(t *testing.T) {
 	l := bat.FromInts([]int64{1, 2, 3, 2})
 	r := bat.FromInts([]int64{2, 4, 2})
-	li, ri, err := HashJoin([]*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
+	li, ri, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +561,7 @@ func TestHashJoinNullsNeverMatch(t *testing.T) {
 	l.SetNull(1, true)
 	r := bat.FromInts([]int64{0, 1})
 	r.SetNull(0, true)
-	li, _, err := HashJoin([]*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
+	li, _, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +575,7 @@ func TestHashJoinMultiKey(t *testing.T) {
 	l2 := bat.FromStrings([]string{"a", "b", "a"})
 	r1 := bat.FromInts([]int64{1, 2})
 	r2 := bat.FromStrings([]string{"b", "a"})
-	li, ri, err := HashJoin([]*bat.BAT{l1, l2}, []*bat.BAT{r1, r2}, nil, nil)
+	li, ri, err := HashJoin(nil, []*bat.BAT{l1, l2}, []*bat.BAT{r1, r2}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +590,7 @@ func TestHashJoinMultiKey(t *testing.T) {
 func TestLeftJoinKeepsUnmatched(t *testing.T) {
 	l := bat.FromInts([]int64{1, 9})
 	r := bat.FromInts([]int64{1})
-	li, ri, err := LeftJoin([]*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
+	li, ri, err := LeftJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,11 +600,11 @@ func TestLeftJoinKeepsUnmatched(t *testing.T) {
 }
 
 func TestCrossLimit(t *testing.T) {
-	li, ri, err := Cross(3, 2)
+	li, ri, err := Cross(nil, 3, 2)
 	if err != nil || li.Len() != 6 || ri.Len() != 6 {
 		t.Errorf("cross: %v", err)
 	}
-	if _, _, err := Cross(1<<15, 1<<15); err == nil {
+	if _, _, err := Cross(nil, 1<<15, 1<<15); err == nil {
 		t.Error("oversized cross product not rejected")
 	}
 }
@@ -619,7 +622,7 @@ func TestJoinProperty(t *testing.T) {
 		for i := 0; i < nr; i++ {
 			r.AppendInt(int64(rng.Intn(5)))
 		}
-		li, _, err := HashJoin([]*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
+		li, _, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -642,7 +645,7 @@ func TestJoinProperty(t *testing.T) {
 
 func TestGroupBasic(t *testing.T) {
 	col := bat.FromInts([]int64{5, 3, 5, 3, 7})
-	res, err := Group([]*bat.BAT{col}, nil)
+	res, err := Group(nil, []*bat.BAT{col}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +667,7 @@ func TestGroupNullsGroupTogether(t *testing.T) {
 	col.AppendInt(1)
 	col.AppendNull()
 	col.AppendInt(1)
-	res, err := Group([]*bat.BAT{col}, nil)
+	res, err := Group(nil, []*bat.BAT{col}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,11 +692,11 @@ func TestGroupCountInvariant(t *testing.T) {
 				col.AppendInt(int64(rng.Intn(8)))
 			}
 		}
-		res, err := Group([]*bat.BAT{col}, nil)
+		res, err := Group(nil, []*bat.BAT{col}, nil)
 		if err != nil {
 			return false
 		}
-		counts, err := SubAggr(AggCountAll, col, res.GIDs, res.N, nil)
+		counts, err := SubAggr(nil, AggCountAll, col, res.GIDs, res.N, nil)
 		if err != nil {
 			return false
 		}
@@ -714,27 +717,27 @@ func TestSubAggr(t *testing.T) {
 	vals := bat.FromInts([]int64{10, 20, 30, 40})
 	vals.SetNull(3, true)
 	gids := bat.FromOIDs([]int64{0, 1, 0, 1})
-	sum, err := SubAggr(AggSum, vals, gids, 2, nil)
+	sum, err := SubAggr(nil, AggSum, vals, gids, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Ints()[0] != 40 || sum.Ints()[1] != 20 {
 		t.Errorf("sums: %v", sum.Ints())
 	}
-	cnt, _ := SubAggr(AggCount, vals, gids, 2, nil)
+	cnt, _ := SubAggr(nil, AggCount, vals, gids, 2, nil)
 	if cnt.Ints()[0] != 2 || cnt.Ints()[1] != 1 {
 		t.Errorf("counts: %v", cnt.Ints())
 	}
-	all, _ := SubAggr(AggCountAll, vals, gids, 2, nil)
+	all, _ := SubAggr(nil, AggCountAll, vals, gids, 2, nil)
 	if all.Ints()[1] != 2 {
 		t.Errorf("countall: %v", all.Ints())
 	}
-	avg, _ := SubAggr(AggAvg, vals, gids, 2, nil)
+	avg, _ := SubAggr(nil, AggAvg, vals, gids, 2, nil)
 	if avg.Floats()[0] != 20 || avg.Floats()[1] != 20 {
 		t.Errorf("avgs: %v", avg.Floats())
 	}
-	mn, _ := SubAggr(AggMin, vals, gids, 2, nil)
-	mx, _ := SubAggr(AggMax, vals, gids, 2, nil)
+	mn, _ := SubAggr(nil, AggMin, vals, gids, 2, nil)
+	mx, _ := SubAggr(nil, AggMax, vals, gids, 2, nil)
 	if mn.Ints()[0] != 10 || mx.Ints()[0] != 30 {
 		t.Errorf("min/max: %v %v", mn.Ints(), mx.Ints())
 	}
@@ -744,14 +747,14 @@ func TestSubAggrEmptyGroup(t *testing.T) {
 	vals := bat.New(types.KindInt, 1)
 	vals.AppendNull()
 	gids := bat.FromOIDs([]int64{0})
-	sum, err := SubAggr(AggSum, vals, gids, 2, nil)
+	sum, err := SubAggr(nil, AggSum, vals, gids, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sum.IsNull(0) || !sum.IsNull(1) {
 		t.Error("groups with no non-NULL input must be NULL")
 	}
-	cnt, _ := SubAggr(AggCount, vals, gids, 2, nil)
+	cnt, _ := SubAggr(nil, AggCount, vals, gids, 2, nil)
 	if cnt.Ints()[0] != 0 || cnt.Ints()[1] != 0 {
 		t.Error("counts of empty groups must be 0")
 	}
@@ -762,11 +765,11 @@ func TestSubAggrEmptyGroup(t *testing.T) {
 func TestTotalAggr(t *testing.T) {
 	total := func(agg AggKind, vals *bat.BAT) types.Value {
 		t.Helper()
-		gids, err := bat.Filler(vals.Len(), types.Oid(0), types.KindOID)
+		gids, err := bat.Filler(nil, vals.Len(), types.Oid(0), types.KindOID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SubAggr(agg, vals, gids, 1, nil)
+		out, err := SubAggr(nil, agg, vals, gids, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -784,7 +787,7 @@ func TestTotalAggr(t *testing.T) {
 
 func TestOrderIdx(t *testing.T) {
 	col := bat.FromInts([]int64{3, 1, 2})
-	idx, err := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, -1)
+	idx, err := OrderIdx(nil, []*bat.BAT{col}, []SortSpec{{}}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -794,7 +797,7 @@ func TestOrderIdx(t *testing.T) {
 			t.Errorf("idx[%d] = %d, want %d", i, idx.OidAt(i), w)
 		}
 	}
-	desc, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{Desc: true}}, -1)
+	desc, _ := OrderIdx(nil, []*bat.BAT{col}, []SortSpec{{Desc: true}}, -1)
 	if desc.OidAt(0) != 0 {
 		t.Errorf("desc first = %d", desc.OidAt(0))
 	}
@@ -803,7 +806,7 @@ func TestOrderIdx(t *testing.T) {
 func TestOrderIdxStableMultiKey(t *testing.T) {
 	k1 := bat.FromInts([]int64{1, 1, 0, 0})
 	k2 := bat.FromStrings([]string{"b", "a", "b", "a"})
-	idx, err := OrderIdx([]*bat.BAT{k1, k2}, []SortSpec{{}, {}}, -1)
+	idx, err := OrderIdx(nil, []*bat.BAT{k1, k2}, []SortSpec{{}, {}}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -820,7 +823,7 @@ func TestOrderNullsFirst(t *testing.T) {
 	col.AppendInt(5)
 	col.AppendNull()
 	col.AppendInt(1)
-	idx, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, -1)
+	idx, _ := OrderIdx(nil, []*bat.BAT{col}, []SortSpec{{}}, -1)
 	if idx.OidAt(0) != 1 {
 		t.Errorf("nulls must sort first, got idx %v", idx.Ints())
 	}
@@ -831,11 +834,11 @@ func TestOrderNullsFirst(t *testing.T) {
 // run it, equals the full order's slice.
 func TestFirstN(t *testing.T) {
 	col := bat.FromInts([]int64{4, 0, 3, 1, 2})
-	full, err := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, -1)
+	full, err := OrderIdx(nil, []*bat.BAT{col}, []SortSpec{{}}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, 1+2)
+	top, err := OrderIdx(nil, []*bat.BAT{col}, []SortSpec{{}}, 1+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -843,10 +846,10 @@ func TestFirstN(t *testing.T) {
 	if got.Len() != 2 || got.OidAt(0) != full.OidAt(1) || got.OidAt(1) != full.OidAt(2) {
 		t.Errorf("firstn: %v, want %v", got.Ints(), full.Ints()[1:3])
 	}
-	if top, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, 10+5); top.Len() != 5 {
+	if top, _ := OrderIdx(nil, []*bat.BAT{col}, []SortSpec{{}}, 10+5); top.Len() != 5 {
 		t.Errorf("a bound beyond the end keeps every row, got %d", top.Len())
 	}
-	if top, _ := OrderIdx([]*bat.BAT{col}, []SortSpec{{}}, 0); top.Len() != 0 {
+	if top, _ := OrderIdx(nil, []*bat.BAT{col}, []SortSpec{{}}, 0); top.Len() != 0 {
 		t.Error("bound 0 should be empty")
 	}
 }
@@ -921,11 +924,60 @@ func TestSlabMatchesScanFilter(t *testing.T) {
 
 func TestUnique(t *testing.T) {
 	col := bat.FromInts([]int64{1, 2, 1, 3, 2})
-	ext, err := Unique([]*bat.BAT{col}, nil)
+	ext, err := Unique(nil, []*bat.BAT{col}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ext.Len() != 3 || ext.OidAt(0) != 0 || ext.OidAt(1) != 1 || ext.OidAt(2) != 3 {
 		t.Errorf("unique: %v", ext.Ints())
+	}
+}
+
+// TestKernelsHonourCancelledJob: the kernels that poll their job return
+// par.ErrCanceled for a cancelled one, on every sort path too.
+func TestKernelsHonourCancelledJob(t *testing.T) {
+	job := par.NewJob()
+	job.Cancel()
+	n := 10000
+	ints := make([]int64, n)
+	strs := make([]string, n)
+	for i := range ints {
+		ints[i] = int64(i * 7919 % 1009)
+		strs[i] = fmt.Sprint(ints[i])
+	}
+	k, s := bat.FromInts(ints), bat.FromStrings(strs)
+	gids := bat.FromOIDs(append([]int64(nil), ints...))
+	for name, run := range map[string]func() error{
+		"order int":    func() error { _, err := OrderIdx(job, []*bat.BAT{k}, []SortSpec{{}}, -1); return err },
+		"order top-n":  func() error { _, err := OrderIdx(job, []*bat.BAT{k}, []SortSpec{{}}, 10); return err },
+		"order string": func() error { _, err := OrderIdx(job, []*bat.BAT{s}, []SortSpec{{}}, -1); return err },
+		"order 2 keys": func() error { _, err := OrderIdx(job, []*bat.BAT{k, s}, []SortSpec{{}, {}}, -1); return err },
+		"group":        func() error { _, err := Group(job, []*bat.BAT{k}, nil); return err },
+		"min":          func() error { _, err := SubAggr(job, AggMin, k, gids, 1009, nil); return err },
+		"sum":          func() error { _, err := SubAggr(job, AggSum, k, gids, 1009, nil); return err },
+		"count":        func() error { _, err := SubAggr(job, AggCountAll, nil, gids, 1009, nil); return err },
+		"join":         func() error { _, _, err := HashJoin(job, []*bat.BAT{k}, []*bat.BAT{k}, nil, nil); return err },
+		"left join":    func() error { _, _, err := LeftJoin(job, []*bat.BAT{k}, []*bat.BAT{k}, nil, nil); return err },
+	} {
+		if err := run(); !errors.Is(err, par.ErrCanceled) {
+			t.Errorf("%s: err = %v, want par.ErrCanceled", name, err)
+		}
+	}
+}
+
+// TestOrderIdxCancelMidSort: a comparison sort cancelled while it runs
+// unwinds with par.ErrCanceled.
+func TestOrderIdxCancelMidSort(t *testing.T) {
+	n := 1 << 20
+	a, b := make([]int64, n), make([]string, n)
+	for i := range a {
+		a[i] = int64(i * 7919 % 101)
+		b[i] = fmt.Sprint(i * 104729 % 1000003)
+	}
+	job := par.NewJob()
+	time.AfterFunc(5*time.Millisecond, job.Cancel)
+	_, err := OrderIdx(job, []*bat.BAT{bat.FromInts(a), bat.FromStrings(b)}, []SortSpec{{}, {Desc: true}}, -1)
+	if !errors.Is(err, par.ErrCanceled) {
+		t.Fatalf("err = %v, want par.ErrCanceled", err)
 	}
 }

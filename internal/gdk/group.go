@@ -31,23 +31,23 @@ type GroupResult struct {
 // are merged in partition order. Merging in order keeps group ids dense in
 // global first-occurrence order, so the parallel result is bit-identical to
 // the serial one.
-func Group(keys []*bat.BAT, cand *bat.BAT) (*GroupResult, error) {
+func Group(job *par.Job, keys []*bat.BAT, cand *bat.BAT) (*GroupResult, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("gdk: group needs at least one key column")
 	}
 	if cand != nil {
-		rk, err := restrictCols(keys, cand)
+		rk, err := restrictCols(job, keys, cand)
 		if err != nil {
 			return nil, err
 		}
-		res, err := Group(rk, nil)
+		res, err := Group(job, rk, nil)
 		if err != nil {
 			return nil, err
 		}
 		// Map extents (positions into candidate space) back to base rows;
 		// composition through the ascending candidate list keeps them in
 		// first-occurrence order.
-		ext, err := Project(res.Extents, cand)
+		ext, err := Project(job, res.Extents, cand)
 		if err != nil {
 			return nil, err
 		}
@@ -75,18 +75,21 @@ func Group(keys []*bat.BAT, cand *bat.BAT) (*GroupResult, error) {
 	}
 	k := newRowKeys(keys)
 	gids := make([]int64, n)
-	plan := par.NewPlan(n)
-	if !plan.Parallel() {
-		return groupResult(gids, groupRange(k, 0, n, gids).extents), nil
-	}
+	plan := par.NewPlan(job, n)
 
 	// Phase 1: group each partition locally. locals[c] holds absolute
 	// first-row positions of the partition's groups in first-occurrence
 	// order; gids temporarily holds partition-local ids.
 	locals := make([]*groupTable, plan.Chunks())
 	plan.Run(func(c, lo, hi int) {
-		locals[c] = groupRange(k, lo, hi, gids)
+		locals[c] = groupRange(job, k, lo, hi, gids)
 	})
+	if job.Canceled() {
+		return nil, par.ErrCanceled
+	}
+	if !plan.Parallel() {
+		return groupResult(gids, locals[0].extents), nil
+	}
 
 	// Phase 2: merge partitions in order. Each local group's representative
 	// row is looked up in the global table; processing partitions in row
@@ -212,20 +215,24 @@ func (t *groupTable) grow() {
 
 // groupRange groups rows [lo,hi) against a fresh local table, writing local
 // group ids (dense from 0 in first-occurrence order) into gids[lo:hi]. The
-// table's extents are the groups' absolute first-row positions.
-func groupRange(k *rowKeys, lo, hi int, gids []int64) *groupTable {
+// table's extents are the groups' absolute first-row positions. It polls
+// job every 4096 rows and stops early once it is cancelled; the caller
+// checks the job before using the table.
+func groupRange(job *par.Job, k *rowKeys, lo, hi int, gids []int64) *groupTable {
 	t := newGroupTable(hi - lo)
-	for i := lo; i < hi; i++ {
-		gids[i] = t.find(k, i, k.hash(i))
-	}
+	pollBlocks(job, lo, hi, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			gids[i] = t.find(k, i, k.hash(i))
+		}
+	})
 	return t
 }
 
 // Unique returns the positions of the first occurrence of each distinct row
 // (used by SELECT DISTINCT), restricted to the candidate rows when cand is
 // non-nil.
-func Unique(cols []*bat.BAT, cand *bat.BAT) (*bat.BAT, error) {
-	g, err := Group(cols, cand)
+func Unique(job *par.Job, cols []*bat.BAT, cand *bat.BAT) (*bat.BAT, error) {
+	g, err := Group(job, cols, cand)
 	if err != nil {
 		return nil, err
 	}

@@ -207,12 +207,15 @@ func tableBits(n int) uint {
 	return b
 }
 
-// hashRows hashes rows [0,n) of k into hs and marks the NULL-free ones in
-// valid, splitting the work across the pool. Both slices must be length n.
-func hashRows(k *rowKeys, n int, hs []uint64, valid []bool) {
-	par.Do(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hs[i], valid[i] = k.hash(i), !k.hasNull(i)
-		}
+// hashRows hashes rows [0,n) of k into hs (length n), splitting the work
+// across the pool. A cancelled job stops it early; the caller checks the
+// job.
+func hashRows(job *par.Job, k *rowKeys, n int, hs []uint64) {
+	par.Do(job, n, func(lo, hi int) {
+		pollBlocks(job, lo, hi, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				hs[i] = k.hash(i)
+			}
+		})
 	})
 }

@@ -23,7 +23,7 @@ import (
 // build side hashes its rows in parallel before the (serial) table insert,
 // and the probe side scans morsels concurrently, concatenating per-chunk
 // match lists in chunk order so the output stays sorted by probe position.
-func HashJoin(lkeys, rkeys []*bat.BAT, lcand, rcand *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
+func HashJoin(job *par.Job, lkeys, rkeys []*bat.BAT, lcand, rcand *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
 	if len(lkeys) == 0 || len(lkeys) != len(rkeys) {
 		return nil, nil, fmt.Errorf("gdk: join needs matching key column lists")
 	}
@@ -33,43 +33,43 @@ func HashJoin(lkeys, rkeys []*bat.BAT, lcand, rcand *bat.BAT) (lIdx, rIdx *bat.B
 			return nil, nil, fmt.Errorf("gdk: join key %d: %v", k, err)
 		}
 	}
-	if lkeys, err = restrictCols(lkeys, lcand); err != nil {
+	if lkeys, err = restrictCols(job, lkeys, lcand); err != nil {
 		return nil, nil, err
 	}
-	if rkeys, err = restrictCols(rkeys, rcand); err != nil {
+	if rkeys, err = restrictCols(job, rkeys, rcand); err != nil {
 		return nil, nil, err
 	}
-	lIdx, rIdx, err = hashJoinDense(lkeys, rkeys)
+	lIdx, rIdx, err = hashJoinDense(job, lkeys, rkeys)
 	if err != nil {
 		return nil, nil, err
 	}
-	if lIdx, err = mapCand(lIdx, lcand); err != nil {
+	if lIdx, err = mapCand(job, lIdx, lcand); err != nil {
 		return nil, nil, err
 	}
-	if rIdx, err = mapCand(rIdx, rcand); err != nil {
+	if rIdx, err = mapCand(job, rIdx, rcand); err != nil {
 		return nil, nil, err
 	}
 	return lIdx, rIdx, nil
 }
 
-func hashJoinDense(lkeys, rkeys []*bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
+func hashJoinDense(job *par.Job, lkeys, rkeys []*bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
 	// Both sides sorted on a single key: the merge join touches each side
 	// once, builds no table, and produces the same (left, right)-ordered
 	// pairs the hash paths do.
 	if StatsEnabled() && len(lkeys) == 1 && mergeJoinEligible(lkeys[0], rkeys[0]) {
-		return MergeJoin(lkeys[0], rkeys[0])
+		return MergeJoin(job, lkeys[0], rkeys[0])
 	}
 	nl, nr := lkeys[0].Len(), rkeys[0].Len()
 	// Build on the smaller side.
 	if nr <= nl {
-		return hashJoinBuildRight(lkeys, rkeys)
+		return probeJoin(job, lkeys, rkeys, false)
 	}
-	r, l, err := hashJoinBuildRight(rkeys, lkeys)
+	r, l, err := probeJoin(job, rkeys, lkeys, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Re-sort pairs by left position for deterministic output.
-	return sortPairsByLeft(l, r, nl)
+	return sortPairsByLeft(job, l, r, nl)
 }
 
 // mergeJoinEligible reports whether the single-key merge join applies:
@@ -104,19 +104,19 @@ func keyFamily(k types.Kind) int {
 // bit-identical to the hash paths' output — so callers may substitute it
 // freely. Callers must check mergeJoinEligible-style preconditions; the
 // kernel validates them again and errors otherwise.
-func MergeJoin(l, r *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
+func MergeJoin(job *par.Job, l, r *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
 	if !mergeJoinEligible(l, r) {
 		return nil, nil, fmt.Errorf("gdk: merge join needs sorted NULL-free keys of one family, got %s/%s", l, r)
 	}
 	var lout, rout []int64
 	if keyFamily(l.Kind()) == 1 {
-		lout, rout = mergeRuns(l.Len(), r.Len(), intAt(l), intAt(r))
+		lout, rout = mergeRuns(job, l.Len(), r.Len(), intAt(l), intAt(r))
 	} else {
 		lv, rv := l.DecodedStrs(), r.DecodedStrs()
-		lout, rout = mergeRuns(l.Len(), r.Len(),
+		lout, rout = mergeRuns(job, l.Len(), r.Len(),
 			func(i int) string { return lv[i] }, func(i int) string { return rv[i] })
 	}
-	if par.CurrentJob().Canceled() {
+	if job.Canceled() {
 		return nil, nil, par.ErrCanceled
 	}
 	lb, rb := bat.FromOIDs(lout), bat.FromOIDs(rout)
@@ -126,10 +126,10 @@ func MergeJoin(l, r *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
 
 // mergeRuns is the sorted-merge core: advance past unequal values, expand
 // equal runs pairwise. It is a single linear pass outside the morsel
-// machinery, so it polls the goroutine's cancellation job itself and
-// bails with a truncated (discarded by the caller) result.
-func mergeRuns[T int64 | string](nl, nr int, lat, rat func(int) T) (lout, rout []int64) {
-	job, tick := par.CurrentJob(), 0
+// machinery, so it polls the query's job itself and bails with a
+// truncated (discarded by the caller) result.
+func mergeRuns[T int64 | string](job *par.Job, nl, nr int, lat, rat func(int) T) (lout, rout []int64) {
+	tick := 0
 	i, j := 0, 0
 	for i < nl && j < nr {
 		if tick++; tick&0xfff == 0 && job.Canceled() {
@@ -179,7 +179,6 @@ type hashTable struct {
 	buckets []int32
 	next    []int32
 	hs      []uint64 // per-row hash: cheap chain filter before eq
-	ok      []bool   // NULL-free rows (the only ones inserted)
 }
 
 // first returns the 1-based chain head for hash h (0 if empty).
@@ -187,27 +186,30 @@ func (t *hashTable) first(h uint64) int32 { return t.buckets[h>>t.shift] }
 
 // buildHashTable hashes every row of keys (in parallel) and chains the
 // NULL-free ones into the bucket table. The insertion loop is the join's
-// long serial segment, so it polls the goroutine's cancellation job
-// every few thousand rows and bails with a partial table — callers must
-// check the job before using the result.
-func buildHashTable(keys []*bat.BAT) *hashTable {
+// long serial segment, so it polls the query's job every 4096 rows and
+// bails with a partial table — callers must check the job before using
+// the result. The job is also checked between the table's large
+// allocations: an allocation cannot be interrupted, and while the
+// garbage collector is marking a large one can take tens of milliseconds.
+func buildHashTable(job *par.Job, keys []*bat.BAT) *hashTable {
 	n := keys[0].Len()
-	t := &hashTable{keys: newRowKeys(keys), hs: make([]uint64, n), ok: make([]bool, n)}
-	hashRows(t.keys, n, t.hs, t.ok)
-	job := par.CurrentJob()
+	t := &hashTable{keys: newRowKeys(keys), hs: make([]uint64, n)}
+	hashRows(job, t.keys, n, t.hs)
 	if job.Canceled() {
-		t.shift, t.buckets = 64, make([]int32, 1) // an empty table
 		return t
 	}
 	b := tableBits(n)
-	t.shift, t.buckets, t.next = 64-b, make([]int32, 1<<b), make([]int32, n)
+	if t.shift, t.buckets = 64-b, make([]int32, 1<<b); job.Canceled() {
+		return t
+	}
+	t.next = make([]int32, n)
 	// Insert in descending row order: each prepend leaves the chain
 	// reading ascending, matching the probe-output order contract.
 	for i := n - 1; i >= 0; i-- {
 		if i&0xfff == 0 && job.Canceled() {
 			break
 		}
-		if t.ok[i] {
+		if !t.keys.hasNull(i) {
 			b := t.hs[i] >> t.shift
 			t.next[i] = t.buckets[b]
 			t.buckets[b] = int32(i) + 1
@@ -232,40 +234,79 @@ func (t *hashTable) probe(k *rowKeys, i int, out []int64) []int64 {
 	return out
 }
 
-func hashJoinBuildRight(lkeys, rkeys []*bat.BAT) (*bat.BAT, *bat.BAT, error) {
-	nl := lkeys[0].Len()
-	table := buildHashTable(rkeys)
-	if par.CurrentJob().Canceled() {
+// joinSegPairs caps the pairs a probe output buffer takes before the probe
+// starts the next one, so growing a buffer never copies more than this
+// many pairs (the copy is uncancellable); concatInt64 joins the segments
+// once, morsel by morsel.
+const joinSegPairs = 1 << 16
+
+// probeJoin builds a hash table on rkeys and probes it with every row of
+// lkeys. The (left, right) position pairs come out ordered by left, then
+// right position. With outer set, a left row without a match pairs once
+// with a NULL right position. The probe is morsel-parallel and polls the
+// job every 256 rows; the build polls it every 4096.
+func probeJoin(job *par.Job, lkeys, rkeys []*bat.BAT, outer bool) (*bat.BAT, *bat.BAT, error) {
+	table := buildHashTable(job, rkeys)
+	if job.Canceled() {
 		return nil, nil, par.ErrCanceled
 	}
 
 	// Probe phase: the table is read-only from here on, so morsels probe
-	// concurrently with per-chunk output buffers.
-	plan := par.NewPlan(nl)
-	louts := make([][]int64, plan.Chunks())
-	routs := make([][]int64, plan.Chunks())
+	// concurrently, each into its own list of output segments.
+	plan := par.NewPlan(job, lkeys[0].Len())
+	lsegs := make([][][]int64, plan.Chunks())
+	rsegs := make([][][]int64, plan.Chunks())
 	k := newRowKeys(lkeys)
 	plan.Run(func(c, lo, hi int) {
 		var lout, rout []int64
-		for i := lo; i < hi; i++ {
-			from := len(rout)
-			rout = table.probe(k, i, rout)
-			for range rout[from:] {
-				lout = append(lout, int64(i))
+		// A probe row can match many build rows, so the job is polled
+		// every 256 rows, between runs of the row loop.
+		for b := lo; b < hi; b += 256 {
+			if job.Canceled() {
+				break
+			}
+			if len(rout) >= joinSegPairs {
+				lsegs[c], rsegs[c] = append(lsegs[c], lout), append(rsegs[c], rout)
+				lout, rout = nil, nil
+			}
+			for i := b; i < min(b+256, hi); i++ {
+				from := len(rout)
+				rout = table.probe(k, i, rout)
+				if outer && len(rout) == from {
+					rout = append(rout, -1) // no match: a NULL right position
+				}
+				for range rout[from:] {
+					lout = append(lout, int64(i))
+				}
 			}
 		}
-		louts[c], routs[c] = lout, rout
+		lsegs[c], rsegs[c] = append(lsegs[c], lout), append(rsegs[c], rout)
 	})
-	// A cancelled probe leaves partial chunk buffers; skip materialising
-	// them (concat + copy of a possibly huge pair list) and bail now.
-	if par.CurrentJob().Canceled() {
+	// A cancelled probe leaves partial buffers; skip materialising them
+	// (concat + copy of a possibly huge pair list) and bail now.
+	if job.Canceled() {
 		return nil, nil, par.ErrCanceled
 	}
-	lb, rb := bat.FromOIDs(concatInt64(louts)), bat.FromOIDs(concatInt64(routs))
-	if par.CurrentJob().Canceled() {
+	lvals := concatInt64(job, slices.Concat(lsegs...))
+	rvals := concatInt64(job, slices.Concat(rsegs...))
+	if job.Canceled() {
 		return nil, nil, par.ErrCanceled
 	}
+	var mask *bat.Bitmap
+	if outer {
+		for p, r := range rvals {
+			if r < 0 {
+				if mask == nil {
+					mask = bat.NewBitmap(len(rvals))
+				}
+				mask.Set(p, true)
+				rvals[p] = 0
+			}
+		}
+	}
+	lb, rb := bat.FromOIDs(lvals), bat.FromOIDs(rvals)
 	lb.Sorted = true
+	rb.SetNullMask(mask)
 	return lb, rb, nil
 }
 
@@ -274,14 +315,14 @@ func hashJoinBuildRight(lkeys, rkeys []*bat.BAT) (*bat.BAT, *bat.BAT, error) {
 // so a large join's pair list copies on the pool and a cancelled job
 // stops it within a morsel (or skips the allocation), leaving a partial
 // result — callers must check the job before using it.
-func concatInt64(parts [][]int64) []int64 {
+func concatInt64(job *par.Job, parts [][]int64) []int64 {
 	if len(parts) == 1 {
 		if parts[0] == nil {
 			return []int64{}
 		}
 		return parts[0]
 	}
-	if par.CurrentJob().Canceled() {
+	if job.Canceled() {
 		return []int64{}
 	}
 	ends := make([]int, len(parts)) // ends[c]: output row after part c
@@ -291,7 +332,7 @@ func concatInt64(parts [][]int64) []int64 {
 		ends[c] = total
 	}
 	out := make([]int64, total)
-	par.Do(total, func(lo, hi int) {
+	par.Do(job, total, func(lo, hi int) {
 		for c, _ := slices.BinarySearch(ends, lo+1); lo < hi; c++ {
 			lo += copy(out[lo:hi], parts[c][lo-(ends[c]-len(parts[c])):])
 		}
@@ -302,8 +343,8 @@ func concatInt64(parts [][]int64) []int64 {
 // sortPairsByLeft reorders join pairs that arrive ordered by right
 // position into (left, right) order, where every left position is below
 // nl: a stable counting sort on the left position, O(pairs + nl).
-func sortPairsByLeft(l, r *bat.BAT, nl int) (*bat.BAT, *bat.BAT, error) {
-	if par.CurrentJob().Canceled() {
+func sortPairsByLeft(job *par.Job, l, r *bat.BAT, nl int) (*bat.BAT, *bat.BAT, error) {
+	if job.Canceled() {
 		return nil, nil, par.ErrCanceled
 	}
 	ls, rs := l.DecodedInts(), r.DecodedInts()
@@ -330,90 +371,35 @@ func sortPairsByLeft(l, r *bat.BAT, nl int) (*bat.BAT, *bat.BAT, error) {
 // least once; unmatched rows pair with a NULL right position. Candidate
 // lists restrict each side like HashJoin's; the probe phase is
 // morsel-parallel like HashJoin's.
-func LeftJoin(lkeys, rkeys []*bat.BAT, lcand, rcand *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
+func LeftJoin(job *par.Job, lkeys, rkeys []*bat.BAT, lcand, rcand *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
 	if len(lkeys) == 0 || len(lkeys) != len(rkeys) {
 		return nil, nil, fmt.Errorf("gdk: join needs matching key column lists")
 	}
-	if lkeys, err = restrictCols(lkeys, lcand); err != nil {
+	if lkeys, err = restrictCols(job, lkeys, lcand); err != nil {
 		return nil, nil, err
 	}
-	if rkeys, err = restrictCols(rkeys, rcand); err != nil {
+	if rkeys, err = restrictCols(job, rkeys, rcand); err != nil {
 		return nil, nil, err
 	}
-	lIdx, rIdx, err = leftJoinDense(lkeys, rkeys)
+	lIdx, rIdx, err = probeJoin(job, lkeys, rkeys, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	// NULL right positions (unmatched left rows) survive the composition:
 	// Project keeps NULL index entries NULL.
-	if lIdx, err = mapCand(lIdx, lcand); err != nil {
+	if lIdx, err = mapCand(job, lIdx, lcand); err != nil {
 		return nil, nil, err
 	}
-	if rIdx, err = mapCand(rIdx, rcand); err != nil {
+	if rIdx, err = mapCand(job, rIdx, rcand); err != nil {
 		return nil, nil, err
 	}
 	return lIdx, rIdx, nil
 }
 
-func leftJoinDense(lkeys, rkeys []*bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
-	nl := lkeys[0].Len()
-	table := buildHashTable(rkeys)
-
-	plan := par.NewPlan(nl)
-	louts := make([][]int64, plan.Chunks())
-	routs := make([][]int64, plan.Chunks())
-	rnulls := make([][]bool, plan.Chunks())
-	k := newRowKeys(lkeys)
-	plan.Run(func(c, lo, hi int) {
-		var lout, rout []int64
-		var rnull []bool
-		for i := lo; i < hi; i++ {
-			from := len(rout)
-			rout = table.probe(k, i, rout)
-			for range rout[from:] {
-				lout = append(lout, int64(i))
-				rnull = append(rnull, false)
-			}
-			if len(rout) == from {
-				lout = append(lout, int64(i))
-				rout = append(rout, 0)
-				rnull = append(rnull, true)
-			}
-		}
-		louts[c], routs[c], rnulls[c] = lout, rout, rnull
-	})
-	if par.CurrentJob().Canceled() {
-		return nil, nil, par.ErrCanceled
-	}
-
-	lout := bat.FromOIDs(concatInt64(louts))
-	lout.Sorted = true
-	rvals := concatInt64(routs)
-	if par.CurrentJob().Canceled() {
-		return nil, nil, par.ErrCanceled
-	}
-	rout := bat.FromOIDs(rvals)
-	var mask *bat.Bitmap
-	pos := 0
-	for _, part := range rnulls {
-		for _, isNull := range part {
-			if isNull {
-				if mask == nil {
-					mask = bat.NewBitmap(len(rvals))
-				}
-				mask.Set(pos, true)
-			}
-			pos++
-		}
-	}
-	rout.SetNullMask(mask)
-	return lout, rout, nil
-}
-
 // Cross computes the cross product position lists of two inputs of nl and
 // nr rows. It refuses products beyond a sanity limit to protect the caller
 // from runaway plans.
-func Cross(nl, nr int) (lIdx, rIdx *bat.BAT, err error) {
+func Cross(job *par.Job, nl, nr int) (lIdx, rIdx *bat.BAT, err error) {
 	const limit = 1 << 28
 	if int64(nl)*int64(nr) > limit {
 		return nil, nil, fmt.Errorf("gdk: cross product of %d x %d rows exceeds limit", nl, nr)
@@ -421,7 +407,7 @@ func Cross(nl, nr int) (lIdx, rIdx *bat.BAT, err error) {
 	n := nl * nr
 	lo := make([]int64, n)
 	ro := make([]int64, n)
-	par.Do(n, func(from, to int) {
+	par.Do(job, n, func(from, to int) {
 		for p := from; p < to; p++ {
 			lo[p] = int64(p / nr)
 			ro[p] = int64(p % nr)

@@ -107,14 +107,14 @@ func TestParEquivArith(t *testing.T) {
 		lf, rf := mkFloats(rng, n), mkFloats(rng, n)
 		for _, op := range []string{"+", "-", "*"} {
 			runBoth(t, func() *bat.BAT {
-				out, err := Arith(op, B(li), B(ri), nil)
+				out, err := Arith(nil, op, B(li), B(ri), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return out
 			}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("int %s n=%d", op, n), s, p) })
 			runBoth(t, func() *bat.BAT {
-				out, err := Arith(op, B(lf), B(rf), nil)
+				out, err := Arith(nil, op, B(lf), B(rf), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +123,7 @@ func TestParEquivArith(t *testing.T) {
 		}
 		// Division with a guaranteed non-zero divisor.
 		runBoth(t, func() *bat.BAT {
-			out, err := Arith("/", B(li), C(types.Int(7), n), nil)
+			out, err := Arith(nil, "/", B(li), C(types.Int(7), n), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestParEquivArithErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	li := mkInts(rng, n)
 	runBoth(t, func() string {
-		_, err := Arith("/", B(li), C(types.Int(0), n), nil)
+		_, err := Arith(nil, "/", B(li), C(types.Int(0), n), nil)
 		if err == nil {
 			return ""
 		}
@@ -157,7 +157,7 @@ func TestParEquivCompareLogic(t *testing.T) {
 		lb, rb := mkBools(rng, n), mkBools(rng, n)
 		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
 			runBoth(t, func() *bat.BAT {
-				out, err := Compare(op, B(li), B(ri), nil)
+				out, err := Compare(nil, op, B(li), B(ri), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,21 +165,21 @@ func TestParEquivCompareLogic(t *testing.T) {
 			}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("cmp %s n=%d", op, n), s, p) })
 		}
 		runBoth(t, func() *bat.BAT {
-			out, err := And(B(lb), B(rb), nil)
+			out, err := And(nil, B(lb), B(rb), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("and n=%d", n), s, p) })
 		runBoth(t, func() *bat.BAT {
-			out, err := Or(B(lb), B(rb), nil)
+			out, err := Or(nil, B(lb), B(rb), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("or n=%d", n), s, p) })
 		runBoth(t, func() *bat.BAT {
-			out, err := Not(B(lb), nil)
+			out, err := Not(nil, B(lb), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,40 +194,40 @@ func TestParEquivSelections(t *testing.T) {
 		col := mkInts(rng, n)
 		cond := mkBools(rng, n)
 		runBoth(t, func() *bat.BAT {
-			out, err := SelectBool(cond, nil)
+			out, err := SelectBool(nil, cond, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("selectbool n=%d", n), s, p) })
 		runBoth(t, func() *bat.BAT {
-			out, err := ThetaSelect(col, nil, types.Int(0), "<")
+			out, err := ThetaSelect(nil, col, nil, types.Int(0), "<")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("theta n=%d", n), s, p) })
 		runBoth(t, func() *bat.BAT {
-			out, err := RangeSelect(col, nil, types.Int(-10), types.Int(10))
+			out, err := RangeSelect(nil, col, nil, types.Int(-10), types.Int(10))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("range n=%d", n), s, p) })
 		runBoth(t, func() *bat.BAT {
-			out, err := SelectNonNull(col, nil)
+			out, err := SelectNonNull(nil, col, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("nonnull n=%d", n), s, p) })
 		// Candidate-restricted scan through a prior selection.
-		cand, err := ThetaSelect(col, nil, types.Int(20), "<")
+		cand, err := ThetaSelect(nil, col, nil, types.Int(20), "<")
 		if err != nil {
 			t.Fatal(err)
 		}
 		runBoth(t, func() *bat.BAT {
-			out, err := ThetaSelect(col, cand, types.Int(-20), ">")
+			out, err := ThetaSelect(nil, col, cand, types.Int(-20), ">")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +250,7 @@ func TestParEquivProject(t *testing.T) {
 				idx.SetNull(rng.Intn(n), true)
 			}
 			runBoth(t, func() *bat.BAT {
-				out, err := Project(idx, src)
+				out, err := Project(nil, idx, src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,7 +267,7 @@ func TestParEquivProjectErrors(t *testing.T) {
 	src := bat.FromInts(make([]int64, n))
 	idx := bat.FromOIDs([]int64{0, int64(n), 1}) // out of range in the middle
 	runBoth(t, func() string {
-		_, err := Project(idx, src)
+		_, err := Project(nil, idx, src)
 		if err == nil {
 			return ""
 		}
@@ -291,7 +291,7 @@ func TestParEquivGroupAggr(t *testing.T) {
 			n             int
 		}
 		runBoth(t, func() groupOut {
-			g, err := Group([]*bat.BAT{key1, key2}, nil)
+			g, err := Group(nil, []*bat.BAT{key1, key2}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,13 +304,13 @@ func TestParEquivGroupAggr(t *testing.T) {
 			batsEqual(t, fmt.Sprintf("group extents n=%d", n), s.extents, p.extents)
 		})
 
-		g, err := Group([]*bat.BAT{key1}, nil)
+		g, err := Group(nil, []*bat.BAT{key1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, agg := range aggs {
 			runBoth(t, func() *bat.BAT {
-				out, err := SubAggr(agg, valsI, g.GIDs, g.N, nil)
+				out, err := SubAggr(nil, agg, valsI, g.GIDs, g.N, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -319,7 +319,7 @@ func TestParEquivGroupAggr(t *testing.T) {
 				batsEqual(t, fmt.Sprintf("subaggr int %s n=%d", agg, n), s, p)
 			})
 			runBoth(t, func() *bat.BAT {
-				out, err := SubAggr(agg, valsF, g.GIDs, g.N, nil)
+				out, err := SubAggr(nil, agg, valsF, g.GIDs, g.N, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -336,7 +336,7 @@ func TestParEquivJoins(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		lk, rk := mkInts(rng, n), mkInts(rng, n/2+1)
 		runBoth(t, func() [2]*bat.BAT {
-			l, r, err := HashJoin([]*bat.BAT{lk}, []*bat.BAT{rk}, nil, nil)
+			l, r, err := HashJoin(nil, []*bat.BAT{lk}, []*bat.BAT{rk}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,7 +346,7 @@ func TestParEquivJoins(t *testing.T) {
 			batsEqual(t, fmt.Sprintf("hashjoin r n=%d", n), s[1], p[1])
 		})
 		runBoth(t, func() [2]*bat.BAT {
-			l, r, err := LeftJoin([]*bat.BAT{lk}, []*bat.BAT{rk}, nil, nil)
+			l, r, err := LeftJoin(nil, []*bat.BAT{lk}, []*bat.BAT{rk}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,7 +371,7 @@ func TestParEquivTileSAT(t *testing.T) {
 	tile := []TileRange{{Lo: -2, Hi: 3}, {Lo: -2, Hi: 3}}
 	for _, agg := range []AggKind{AggSum, AggCount, AggAvg} {
 		runBoth(t, func() *bat.BAT {
-			out, err := TileAggSAT(agg, attr, sh, tile)
+			out, err := TileAggSAT(nil, agg, attr, sh, tile)
 			if err != nil {
 				t.Fatal(err)
 			}

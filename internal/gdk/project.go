@@ -15,7 +15,7 @@ import (
 // The output vector is pre-sized and filled morsel-parallel; the null
 // bitmap is pre-allocated when any NULL can occur, and morsel boundaries
 // are 64-aligned so workers never share a bitmap word.
-func Project(idx, b *bat.BAT) (*bat.BAT, error) {
+func Project(job *par.Job, idx, b *bat.BAT) (*bat.BAT, error) {
 	switch idx.Kind() {
 	case types.KindVoid, types.KindOID:
 	default:
@@ -73,7 +73,7 @@ func Project(idx, b *bat.BAT) (*bat.BAT, error) {
 		return nil, fmt.Errorf("gdk: cannot project %s column", b.Kind())
 	}
 	limit := b.Len()
-	err := par.DoErr(n, func(lo, hi int) error {
+	err := par.DoErr(job, n, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if idx.IsNull(i) {
 				mask.Set(i, true)
@@ -109,10 +109,10 @@ func Project(idx, b *bat.BAT) (*bat.BAT, error) {
 }
 
 // ProjectAll projects every column in cols through idx.
-func ProjectAll(idx *bat.BAT, cols []*bat.BAT) ([]*bat.BAT, error) {
+func ProjectAll(job *par.Job, idx *bat.BAT, cols []*bat.BAT) ([]*bat.BAT, error) {
 	out := make([]*bat.BAT, len(cols))
 	for i, c := range cols {
-		p, err := Project(idx, c)
+		p, err := Project(job, idx, c)
 		if err != nil {
 			return nil, err
 		}

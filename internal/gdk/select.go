@@ -16,8 +16,8 @@ import (
 // Buffers grow geometrically from a small seed rather than pre-allocating
 // for the worst case: selective scans (the common case under candidate
 // execution) then allocate proportionally to their matches, not the input.
-func gatherOIDs(n int, pick func(lo, hi int, dst []int64) []int64) []int64 {
-	plan := par.NewPlan(n)
+func gatherOIDs(job *par.Job, n int, pick func(lo, hi int, dst []int64) []int64) []int64 {
+	plan := par.NewPlan(job, n)
 	if !plan.Parallel() {
 		return pick(0, n, make([]int64, 0, seedCap(n)))
 	}
@@ -25,7 +25,7 @@ func gatherOIDs(n int, pick func(lo, hi int, dst []int64) []int64) []int64 {
 	plan.Run(func(c, lo, hi int) {
 		parts[c] = pick(lo, hi, nil)
 	})
-	return concatInt64(parts)
+	return concatInt64(job, parts)
 }
 
 // seedCap is the package's growth-buffer discipline for position outputs
@@ -49,7 +49,7 @@ func seedCap(n int) int {
 // the result holds the qualifying base positions cand[i]. With a nil
 // candidate list the two spaces coincide and the result holds the
 // positions of cond itself.
-func SelectBool(cond, cand *bat.BAT) (*bat.BAT, error) {
+func SelectBool(job *par.Job, cond, cand *bat.BAT) (*bat.BAT, error) {
 	if cond.Kind() != types.KindBool {
 		return nil, fmt.Errorf("gdk: select needs a boolean column, got %s", cond.Kind())
 	}
@@ -63,7 +63,7 @@ func SelectBool(cond, cand *bat.BAT) (*bat.BAT, error) {
 	co, cbase := candSlice(cand)
 	var out []int64
 	if cond.HasNulls() {
-		out = gatherOIDs(len(vals), func(lo, hi int, dst []int64) []int64 {
+		out = gatherOIDs(job, len(vals), func(lo, hi int, dst []int64) []int64 {
 			for i := lo; i < hi; i++ {
 				if vals[i] && !cond.IsNull(i) {
 					dst = append(dst, candAt(co, cbase, i))
@@ -72,7 +72,7 @@ func SelectBool(cond, cand *bat.BAT) (*bat.BAT, error) {
 			return dst
 		})
 	} else {
-		out = gatherOIDs(len(vals), func(lo, hi int, dst []int64) []int64 {
+		out = gatherOIDs(job, len(vals), func(lo, hi int, dst []int64) []int64 {
 			for i := lo; i < hi; i++ {
 				if vals[i] {
 					dst = append(dst, candAt(co, cbase, i))
@@ -91,7 +91,7 @@ func SelectBool(cond, cand *bat.BAT) (*bat.BAT, error) {
 // to val under op ("=", "<>", "<", "<=", ">", ">="). NULL rows never match.
 // This is the candidate-list fast path; generic predicates go through
 // Compare + SelectBool.
-func ThetaSelect(b *bat.BAT, cand *bat.BAT, val types.Value, op string) (*bat.BAT, error) {
+func ThetaSelect(job *par.Job, b *bat.BAT, cand *bat.BAT, val types.Value, op string) (*bat.BAT, error) {
 	if val.IsNull() {
 		out := bat.FromOIDs(nil)
 		out.Sorted, out.Key = true, true
@@ -119,7 +119,7 @@ func ThetaSelect(b *bat.BAT, cand *bat.BAT, val types.Value, op string) (*bat.BA
 	}
 	var out []int64
 	if cand == nil {
-		out = gatherOIDs(b.Len(), func(lo, hi int, dst []int64) []int64 {
+		out = gatherOIDs(job, b.Len(), func(lo, hi int, dst []int64) []int64 {
 			for i := lo; i < hi; i++ {
 				if b.IsNull(i) {
 					continue
@@ -133,7 +133,7 @@ func ThetaSelect(b *bat.BAT, cand *bat.BAT, val types.Value, op string) (*bat.BA
 	} else {
 		// Scan the candidate list in parallel chunks: candidates are
 		// position-sorted, so chunk order keeps the output sorted.
-		out = gatherOIDs(cand.Len(), func(lo, hi int, dst []int64) []int64 {
+		out = gatherOIDs(job, cand.Len(), func(lo, hi int, dst []int64) []int64 {
 			for c := lo; c < hi; c++ {
 				i := int(cand.OidAt(c))
 				if i >= b.Len() || b.IsNull(i) {
@@ -226,7 +226,7 @@ func thetaTest(b *bat.BAT, val types.Value, op string) (func(int) bool, error) {
 
 // RangeSelect returns positions where lo <= b[i] <= hi (both inclusive,
 // SQL BETWEEN). NULL rows never match.
-func RangeSelect(b *bat.BAT, cand *bat.BAT, lo, hi types.Value) (*bat.BAT, error) {
+func RangeSelect(job *par.Job, b *bat.BAT, cand *bat.BAT, lo, hi types.Value) (*bat.BAT, error) {
 	if lo.IsNull() || hi.IsNull() {
 		out := bat.FromOIDs(nil)
 		out.Sorted, out.Key = true, true
@@ -249,7 +249,7 @@ func RangeSelect(b *bat.BAT, cand *bat.BAT, lo, hi types.Value) (*bat.BAT, error
 	}
 	var out []int64
 	if cand == nil {
-		out = gatherOIDs(b.Len(), func(from, to int, dst []int64) []int64 {
+		out = gatherOIDs(job, b.Len(), func(from, to int, dst []int64) []int64 {
 			for i := from; i < to; i++ {
 				if b.IsNull(i) {
 					continue
@@ -261,7 +261,7 @@ func RangeSelect(b *bat.BAT, cand *bat.BAT, lo, hi types.Value) (*bat.BAT, error
 			return dst
 		})
 	} else {
-		out = gatherOIDs(cand.Len(), func(from, to int, dst []int64) []int64 {
+		out = gatherOIDs(job, cand.Len(), func(from, to int, dst []int64) []int64 {
 			for c := from; c < to; c++ {
 				i := int(cand.OidAt(c))
 				if i >= b.Len() || b.IsNull(i) {
@@ -282,7 +282,7 @@ func RangeSelect(b *bat.BAT, cand *bat.BAT, lo, hi types.Value) (*bat.BAT, error
 // SelectNonNull returns the positions of non-NULL rows of the base-aligned
 // column b, restricted to the candidate positions when cand is non-nil
 // (same convention as ThetaSelect/RangeSelect).
-func SelectNonNull(b, cand *bat.BAT) (*bat.BAT, error) {
+func SelectNonNull(job *par.Job, b, cand *bat.BAT) (*bat.BAT, error) {
 	if err := candInRange(cand, b.Len()); err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func SelectNonNull(b, cand *bat.BAT) (*bat.BAT, error) {
 	}
 	var out []int64
 	if cand == nil {
-		out = gatherOIDs(b.Len(), func(lo, hi int, dst []int64) []int64 {
+		out = gatherOIDs(job, b.Len(), func(lo, hi int, dst []int64) []int64 {
 			for i := lo; i < hi; i++ {
 				if !b.IsNull(i) {
 					dst = append(dst, int64(i))
@@ -305,7 +305,7 @@ func SelectNonNull(b, cand *bat.BAT) (*bat.BAT, error) {
 		})
 	} else {
 		co, cbase := candSlice(cand)
-		out = gatherOIDs(cand.Len(), func(lo, hi int, dst []int64) []int64 {
+		out = gatherOIDs(job, cand.Len(), func(lo, hi int, dst []int64) []int64 {
 			for c := lo; c < hi; c++ {
 				i := candAt(co, cbase, c)
 				if !b.IsNull(int(i)) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 )
 
 // SortSpec describes one ORDER BY key.
@@ -26,7 +27,12 @@ type SortSpec struct {
 // BY ... LIMIT): a bounded heap keeps the best limit rows under the same
 // total order — keys, then position — so the result is exactly the
 // full order's prefix.
-func OrderIdx(keys []*bat.BAT, specs []SortSpec, limit int) (*bat.BAT, error) {
+//
+// The sort polls job every 4096 rows while it collects them and while a
+// radix pass moves them, and every 2^16 comparisons of a comparison sort,
+// which a cancelled job unwinds with a par.ErrCanceled panic recovered
+// here.
+func OrderIdx(job *par.Job, keys []*bat.BAT, specs []SortSpec, limit int) (idx *bat.BAT, err error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("gdk: sort needs at least one key")
 	}
@@ -47,9 +53,25 @@ func OrderIdx(keys []*bat.BAT, specs []SortSpec, limit int) (*bat.BAT, error) {
 		sks[i] = sortKey{col: newKeyCol(k), desc: specs[i].Desc}
 	}
 	if len(sks) == 1 && sks[0].col.class != keyStr {
-		return bat.FromOIDs(sks[0].order(n, limit)), nil
+		order := sks[0].order(job, n, limit)
+		if job.Canceled() {
+			return nil, par.ErrCanceled
+		}
+		return bat.FromOIDs(order), nil
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			if r != par.ErrCanceled {
+				panic(r)
+			}
+			idx, err = nil, par.ErrCanceled
+		}
+	}()
+	calls := 0
 	top := topK[int64]{k: limit, h: make([]int64, 0, limit), cmp: func(a, b int64) int {
+		if calls++; calls&0xffff == 0 && job.Canceled() {
+			panic(par.ErrCanceled)
+		}
 		for k := range sks {
 			if c := sks[k].cmp(int(a), int(b)); c != 0 {
 				return c
@@ -58,6 +80,9 @@ func OrderIdx(keys []*bat.BAT, specs []SortSpec, limit int) (*bat.BAT, error) {
 		return cmp.Compare(a, b)
 	}}
 	for i := 0; i < n; i++ {
+		if i&0xfff == 0 && job.Canceled() {
+			return nil, par.ErrCanceled
+		}
 		top.offer(int64(i))
 	}
 	return bat.FromOIDs(top.sorted()), nil
@@ -191,8 +216,9 @@ func (k *sortKey) cmp(a, b int) int {
 // order puts the pairs in order with a stable LSD radix sort, so equal
 // words keep ascending positions without a comparison (over 2^19 floats
 // it takes under half the time of slices.SortFunc on the same pairs); a
-// shorter limit keeps the best pairs in a bounded heap.
-func (k *sortKey) order(n, limit int) []int64 {
+// shorter limit keeps the best pairs in a bounded heap. A cancelled job
+// cuts the order short; the caller checks it before using the result.
+func (k *sortKey) order(job *par.Job, n, limit int) []int64 {
 	var nulls []int64
 	top := topK[wordPos]{k: limit, h: make([]wordPos, 0, limit), cmp: func(a, b wordPos) int {
 		if c := cmp.Compare(a.w, b.w); c != 0 {
@@ -201,6 +227,9 @@ func (k *sortKey) order(n, limit int) []int64 {
 		return cmp.Compare(a.p, b.p)
 	}}
 	for i := 0; i < n; i++ {
+		if i&0xfff == 0 && job.Canceled() {
+			return nil
+		}
 		if k.col.isNull(i) {
 			if len(nulls) < limit {
 				nulls = append(nulls, int64(i))
@@ -215,7 +244,9 @@ func (k *sortKey) order(n, limit int) []int64 {
 	}
 	pairs := top.h
 	if limit == n {
-		radixSort(pairs)
+		if !radixSort(job, pairs) {
+			return nil
+		}
 	} else {
 		pairs = top.sorted()
 	}
@@ -240,13 +271,19 @@ type wordPos struct {
 }
 
 // radixSort sorts pairs by word, stably, one byte per pass from the least
-// significant; a byte every word shares costs no pass.
-func radixSort(pairs []wordPos) {
+// significant; a byte every word shares costs no pass. It polls job every
+// 4096 pairs of every pass and reports false, leaving pairs unsorted, once
+// the job is cancelled.
+func radixSort(job *par.Job, pairs []wordPos) bool {
 	var counts [8][256]int
-	for _, p := range pairs {
-		for d := range counts {
-			counts[d][byte(p.w>>(8*d))]++
+	if !pollBlocks(job, 0, len(pairs), func(lo, hi int) {
+		for _, p := range pairs[lo:hi] {
+			for d := range counts {
+				counts[d][byte(p.w>>(8*d))]++
+			}
 		}
+	}) {
+		return false
 	}
 	src, dst := pairs, make([]wordPos, len(pairs))
 	for d := range counts {
@@ -258,12 +295,17 @@ func radixSort(pairs []wordPos) {
 		for b := range c {
 			c[b], pos = pos, pos+c[b]
 		}
-		for _, p := range src {
-			b := byte(p.w >> (8 * d))
-			dst[c[b]] = p
-			c[b]++
+		if !pollBlocks(job, 0, len(src), func(lo, hi int) {
+			for _, p := range src[lo:hi] {
+				b := byte(p.w >> (8 * d))
+				dst[c[b]] = p
+				c[b]++
+			}
+		}) {
+			return false
 		}
 		src, dst = dst, src
 	}
 	copy(pairs, src)
+	return true
 }

@@ -153,7 +153,7 @@ func TestStatsEquivThetaSelect(t *testing.T) {
 						runBoth(t, func() *bat.BAT {
 							var fastOut *bat.BAT
 							statsBaseline(t, func() *bat.BAT {
-								out, err := ThetaSelect(col, cand, types.Int(w), op)
+								out, err := ThetaSelect(nil, col, cand, types.Int(w), op)
 								if err != nil {
 									t.Fatalf("%s: %v", label, err)
 								}
@@ -196,7 +196,7 @@ func TestStatsEquivRangeSelect(t *testing.T) {
 					lo, hi := probes[i], probes[j]
 					label := fmt.Sprintf("%s n=%d cand=%s [%d,%d]", shape, n, cname, lo, hi)
 					statsBaseline(t, func() *bat.BAT {
-						out, err := RangeSelect(col, cand, types.Int(lo), types.Int(hi))
+						out, err := RangeSelect(nil, col, cand, types.Int(lo), types.Int(hi))
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -225,7 +225,7 @@ func TestStatsEquivFloatSelect(t *testing.T) {
 		for _, w := range probes {
 			label := fmt.Sprintf("float %s %g", op, w)
 			statsBaseline(t, func() *bat.BAT {
-				out, err := ThetaSelect(col, nil, types.Float(w), op)
+				out, err := ThetaSelect(nil, col, nil, types.Float(w), op)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -236,7 +236,7 @@ func TestStatsEquivFloatSelect(t *testing.T) {
 		}
 	}
 	statsBaseline(t, func() *bat.BAT {
-		out, err := RangeSelect(col, nil, types.Float(3), types.Float(207))
+		out, err := RangeSelect(nil, col, nil, types.Float(3), types.Float(207))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestStatsEquivMergeJoin(t *testing.T) {
 			runBoth(t, func() [2]*bat.BAT {
 				var out [2]*bat.BAT
 				statsBaseline(t, func() [2]*bat.BAT {
-					li, ri, err := HashJoin([]*bat.BAT{l}, []*bat.BAT{r}, lcand, rcand)
+					li, ri, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, lcand, rcand)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -298,7 +298,7 @@ func TestStatsEquivMergeJoin(t *testing.T) {
 	ls.DeriveProps()
 	rs.DeriveProps()
 	statsBaseline(t, func() [2]*bat.BAT {
-		li, ri, err := HashJoin([]*bat.BAT{ls}, []*bat.BAT{rs}, nil, nil)
+		li, ri, err := HashJoin(nil, []*bat.BAT{ls}, []*bat.BAT{rs}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestStatsEquivGroupAggr(t *testing.T) {
 		runBoth(t, func() *GroupResult {
 			var out *GroupResult
 			statsBaseline(t, func() *GroupResult {
-				res, err := Group([]*bat.BAT{key}, cand)
+				res, err := Group(nil, []*bat.BAT{key}, cand)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -340,7 +340,7 @@ func TestStatsEquivGroupAggr(t *testing.T) {
 		})
 
 		// Aggregate over the (sorted) group ids the run path produced.
-		res, err := Group([]*bat.BAT{key}, cand)
+		res, err := Group(nil, []*bat.BAT{key}, cand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func TestStatsEquivGroupAggr(t *testing.T) {
 			for vname, vals := range map[string]*bat.BAT{"int": valsI, "float": valsF} {
 				alabel := fmt.Sprintf("%s %s(%s)", label, agg, vname)
 				statsBaseline(t, func() *bat.BAT {
-					out, err := SubAggr(agg, vals, res.GIDs, res.N, cand)
+					out, err := SubAggr(nil, agg, vals, res.GIDs, res.N, cand)
 					if err != nil {
 						t.Fatalf("%s: %v", alabel, err)
 					}
@@ -369,7 +369,7 @@ func TestStatsEquivGroupAggr(t *testing.T) {
 	skey := bat.FromStrings(strs)
 	skey.DeriveProps()
 	statsBaseline(t, func() *GroupResult {
-		res, err := Group([]*bat.BAT{skey}, nil)
+		res, err := Group(nil, []*bat.BAT{skey}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestStatsEquivGroupAggr(t *testing.T) {
 	})
 	vkey := bat.NewVoid(5, 777)
 	statsBaseline(t, func() *GroupResult {
-		res, err := Group([]*bat.BAT{vkey}, nil)
+		res, err := Group(nil, []*bat.BAT{vkey}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +399,7 @@ func TestStatsEquivSelectNonNull(t *testing.T) {
 		for cname, cand := range candVariants(col.Len()) {
 			label := fmt.Sprintf("nonnull %s cand=%s", name, cname)
 			statsBaseline(t, func() *bat.BAT {
-				out, err := SelectNonNull(col, cand)
+				out, err := SelectNonNull(nil, col, cand)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -424,7 +424,7 @@ func TestZonemapRunCollapse(t *testing.T) {
 	col := bat.FromInts(vals)
 	// No derived props: the first selective scan must build the zonemap
 	// lazily, discover sortedness, and answer with a void run.
-	out, err := ThetaSelect(col, nil, types.Int(700), "=")
+	out, err := ThetaSelect(nil, col, nil, types.Int(700), "=")
 	if err != nil {
 		t.Fatal(err)
 	}

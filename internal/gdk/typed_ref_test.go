@@ -303,7 +303,7 @@ func TestTypedGroupMatchesReference(t *testing.T) {
 					cand, rows := refCand(rng, n, useCand)
 					label := fmt.Sprintf("%s n=%d keys=%v cand=%v", width, n, kinds, useCand)
 					wantG, wantE := refGroup(cols, rows)
-					res, err := Group(cols, cand)
+					res, err := Group(nil, cols, cand)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -312,7 +312,7 @@ func TestTypedGroupMatchesReference(t *testing.T) {
 					}
 					wantOIDs(t, label+" gids", res.GIDs, wantG)
 					wantOIDs(t, label+" extents", res.Extents, wantE)
-					u, err := Unique(cols, cand)
+					u, err := Unique(nil, cols, cand)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -354,7 +354,7 @@ func TestTypedJoinMatchesReference(t *testing.T) {
 					label := fmt.Sprintf("%s %dx%d keys=%v cand=%v", width, sz[0], sz[1], lr, useCand)
 
 					wl, wr, _ := refJoin(l, r, lrows, rrows, false)
-					li, ri, err := HashJoin(l, r, lc, rc)
+					li, ri, err := HashJoin(nil, l, r, lc, rc)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -362,7 +362,7 @@ func TestTypedJoinMatchesReference(t *testing.T) {
 					wantOIDs(t, label+" join right", ri, wr)
 
 					wl, wr, wnull := refJoin(l, r, lrows, rrows, true)
-					li, ri, err = LeftJoin(l, r, lc, rc)
+					li, ri, err = LeftJoin(nil, l, r, lc, rc)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -392,14 +392,14 @@ func TestTypedOrderMatchesReference(t *testing.T) {
 			}
 			label := fmt.Sprintf("n=%d keys=%v specs=%v", n, kinds, specs)
 			want := refOrder(cols, specs)
-			got, err := OrderIdx(cols, specs, -1)
+			got, err := OrderIdx(nil, cols, specs, -1)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			wantOIDs(t, label, got, want)
 			// Bounded: k = 0, small, n and beyond, and an OFFSET slice.
 			for _, k := range []int{0, 1, 3, n / 2, n, n + 5} {
-				got, err := OrderIdx(cols, specs, k)
+				got, err := OrderIdx(nil, cols, specs, k)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -407,7 +407,7 @@ func TestTypedOrderMatchesReference(t *testing.T) {
 			}
 			if n >= 4 {
 				off, cnt := n/4, n/3
-				got, err := OrderIdx(cols, specs, off+cnt)
+				got, err := OrderIdx(nil, cols, specs, off+cnt)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

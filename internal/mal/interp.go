@@ -6,13 +6,16 @@ import (
 	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/gdk"
+	"repro/internal/par"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
 
-// Ctx is the interpreter state: the variable store.
+// Ctx is the interpreter state: the variable store and the run's
+// cancellation job, which every kernel call receives.
 type Ctx struct {
-	Vars []any // *bat.BAT or types.Value
+	Vars []any    // *bat.BAT or types.Value
+	job  *par.Job // nil: the run cannot be cancelled
 }
 
 // batVar fetches a BAT variable.
@@ -154,7 +157,7 @@ func (c *Ctx) exec(in *Instr) error {
 			return err
 		}
 		kind := in.Args[2].Aux.(types.Kind)
-		b, err := bat.Filler(int(cnt), in.Args[1].Const, kind)
+		b, err := bat.Filler(c.job, int(cnt), in.Args[1].Const, kind)
 		if err != nil {
 			return err
 		}
@@ -167,7 +170,7 @@ func (c *Ctx) exec(in *Instr) error {
 			return err
 		}
 		kind := in.Args[2].Aux.(types.Kind)
-		b, err := bat.Filler(ref.Len(), in.Args[1].Const, kind)
+		b, err := bat.Filler(c.job, ref.Len(), in.Args[1].Const, kind)
 		if err != nil {
 			return err
 		}
@@ -199,7 +202,7 @@ func (c *Ctx) exec(in *Instr) error {
 			}
 			coords = append(coords, b)
 		}
-		out, err := gdk.CellFetch(attr, sh, coords)
+		out, err := gdk.CellFetch(c.job, attr, sh, coords)
 		if err != nil {
 			return err
 		}
@@ -219,7 +222,7 @@ func (c *Ctx) exec(in *Instr) error {
 				return err
 			}
 		}
-		out, err := gdk.Shift(attr, sh, offs, cand)
+		out, err := gdk.Shift(c.job, attr, sh, offs, cand)
 		if err != nil {
 			return err
 		}
@@ -236,9 +239,9 @@ func (c *Ctx) exec(in *Instr) error {
 		agg := in.Args[3].Aux.(gdk.AggKind)
 		var out *bat.BAT
 		if in.Fn == "tileaggsat" {
-			out, err = gdk.TileAggSAT(agg, vals, sh, tile)
+			out, err = gdk.TileAggSAT(c.job, agg, vals, sh, tile)
 		} else {
-			out, err = gdk.TileAgg(agg, vals, sh, tile)
+			out, err = gdk.TileAgg(c.job, agg, vals, sh, tile)
 		}
 		if err != nil {
 			return err
@@ -255,7 +258,7 @@ func (c *Ctx) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		out, err := gdk.Project(idx, b)
+		out, err := gdk.Project(c.job, idx, b)
 		if err != nil {
 			return err
 		}
@@ -273,7 +276,7 @@ func (c *Ctx) exec(in *Instr) error {
 				return err
 			}
 		}
-		out, err := gdk.SelectBool(cond, cand)
+		out, err := gdk.SelectBool(c.job, cond, cand)
 		if err != nil {
 			return err
 		}
@@ -290,7 +293,7 @@ func (c *Ctx) exec(in *Instr) error {
 			return err
 		}
 		op := in.Args[3].Aux.(string)
-		out, err := gdk.ThetaSelect(b, cand, in.Args[2].Const, op)
+		out, err := gdk.ThetaSelect(c.job, b, cand, in.Args[2].Const, op)
 		if err != nil {
 			return err
 		}
@@ -306,7 +309,7 @@ func (c *Ctx) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		out, err := gdk.RangeSelect(b, cand, in.Args[2].Const, in.Args[3].Const)
+		out, err := gdk.RangeSelect(c.job, b, cand, in.Args[2].Const, in.Args[3].Const)
 		if err != nil {
 			return err
 		}
@@ -365,9 +368,9 @@ func (c *Ctx) exec(in *Instr) error {
 		var li, ri *bat.BAT
 		var err error
 		if in.Fn == "leftjoin" {
-			li, ri, err = gdk.LeftJoin(lkeys, rkeys, lcand, rcand)
+			li, ri, err = gdk.LeftJoin(c.job, lkeys, rkeys, lcand, rcand)
 		} else {
-			li, ri, err = gdk.HashJoin(lkeys, rkeys, lcand, rcand)
+			li, ri, err = gdk.HashJoin(c.job, lkeys, rkeys, lcand, rcand)
 		}
 		if err != nil {
 			return err
@@ -385,7 +388,7 @@ func (c *Ctx) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		li, ri, err := gdk.Cross(l.Len(), r.Len())
+		li, ri, err := gdk.Cross(c.job, l.Len(), r.Len())
 		if err != nil {
 			return err
 		}
@@ -416,7 +419,7 @@ func (c *Ctx) exec(in *Instr) error {
 		for i, d := range descs {
 			specs[i] = gdk.SortSpec{Desc: d}
 		}
-		idx, err := gdk.OrderIdx(keys, specs, limit)
+		idx, err := gdk.OrderIdx(c.job, keys, specs, limit)
 		if err != nil {
 			return err
 		}
@@ -505,7 +508,7 @@ func (c *Ctx) exec(in *Instr) error {
 			}
 			keys[i] = b
 		}
-		res, err := gdk.Group(keys, cand)
+		res, err := gdk.Group(c.job, keys, cand)
 		if err != nil {
 			return err
 		}
@@ -534,7 +537,7 @@ func (c *Ctx) exec(in *Instr) error {
 				return err
 			}
 		}
-		out, err := gdk.SubAggr(agg, vals, gids, int(ng), cand)
+		out, err := gdk.SubAggr(c.job, agg, vals, gids, int(ng), cand)
 		if err != nil {
 			return err
 		}
@@ -563,13 +566,13 @@ func (c *Ctx) exec(in *Instr) error {
 		var out *bat.BAT
 		switch op {
 		case "-", "abs", "sqrt", "floor", "ceil", "exp", "log", "round", "sign":
-			out, err = gdk.UnaryNum(op, x, cand)
+			out, err = gdk.UnaryNum(c.job, op, x, cand)
 		case "not":
-			out, err = gdk.Not(x, cand)
+			out, err = gdk.Not(c.job, x, cand)
 		case "isnull":
-			out, err = gdk.IsNull(x, cand)
+			out, err = gdk.IsNull(c.job, x, cand)
 		case "upper", "lower", "length":
-			out, err = gdk.StrUnary(op, x, cand)
+			out, err = gdk.StrUnary(c.job, op, x, cand)
 		default:
 			return fmt.Errorf("unknown unary op %q", op)
 		}
@@ -596,7 +599,7 @@ func (c *Ctx) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		out, err := gdk.IfThenElse(cond, a, b, nil)
+		out, err := gdk.IfThenElse(c.job, cond, a, b, nil)
 		if err != nil {
 			return err
 		}
@@ -613,7 +616,7 @@ func (c *Ctx) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		out, err := gdk.CastBAT(x, kind, nil)
+		out, err := gdk.CastBAT(c.job, x, kind, nil)
 		if err != nil {
 			return err
 		}
@@ -643,7 +646,7 @@ func (c *Ctx) exec(in *Instr) error {
 				return err
 			}
 		}
-		out, err := gdk.Substring(x, from, forO, cand)
+		out, err := gdk.Substring(c.job, x, from, forO, cand)
 		if err != nil {
 			return err
 		}
@@ -680,19 +683,19 @@ func (c *Ctx) execBin(in *Instr) error {
 	var out *bat.BAT
 	switch op {
 	case "+", "-", "*", "/", "%":
-		out, err = gdk.Arith(op, l, r, cand)
+		out, err = gdk.Arith(c.job, op, l, r, cand)
 	case "=", "<>", "<", "<=", ">", ">=":
-		out, err = gdk.Compare(op, l, r, cand)
+		out, err = gdk.Compare(c.job, op, l, r, cand)
 	case "AND":
-		out, err = gdk.And(l, r, cand)
+		out, err = gdk.And(c.job, l, r, cand)
 	case "OR":
-		out, err = gdk.Or(l, r, cand)
+		out, err = gdk.Or(c.job, l, r, cand)
 	case "||":
-		out, err = gdk.Concat(l, r, cand)
+		out, err = gdk.Concat(c.job, l, r, cand)
 	case "like":
-		out, err = gdk.Like(l, r, cand)
+		out, err = gdk.Like(c.job, l, r, cand)
 	case "pow":
-		out, err = gdk.Power(l, r, cand)
+		out, err = gdk.Power(c.job, l, r, cand)
 	default:
 		return fmt.Errorf("unknown binary op %q", op)
 	}

@@ -36,27 +36,23 @@ func runHook(in *Instr) {
 	}
 }
 
-// RunCtx executes a program under ctx. A cancellation Job is attached
-// to the interpreter goroutine so running kernels abort at morsel
-// granularity when ctx is cancelled, and ctx.Err() is checked between
-// instructions and after the last one, so a partially produced result
-// (a kernel cut short mid-plan returns truncated BATs) is always
-// discarded rather than returned.
+// RunCtx executes a program under ctx. When ctx can be cancelled, the run
+// gets a par.Job that ctx's cancellation flags, and every kernel call
+// receives it, so running kernels abort within a few thousand rows.
+// ctx.Err() is checked between instructions and after the last one, so a
+// partially produced result (a kernel cut short mid-plan returns
+// truncated BATs) is always discarded rather than returned.
 func RunCtx(ctx context.Context, p *Program) (*Ctx, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// A context that can never be cancelled (Background/TODO) skips the
-	// Job registry.
+	c := &Ctx{Vars: make([]any, p.NVars)}
+	// A context that can never be cancelled (Background/TODO) needs no job.
 	if ctx.Done() != nil {
-		job := par.NewJob()
-		par.AttachJob(job)
-		defer par.DetachJob()
-		stop := context.AfterFunc(ctx, job.Cancel)
+		c.job = par.NewJob()
+		stop := context.AfterFunc(ctx, c.job.Cancel)
 		defer stop()
 	}
-
-	c := &Ctx{Vars: make([]any, p.NVars)}
 	for i := range p.Instrs {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -2,28 +2,22 @@ package par
 
 import (
 	"errors"
-	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
-// Query cancellation. A kernel invocation deep in a join has no context
-// parameter — threading one through every GDK kernel signature would
-// contaminate the whole storage layer — so cancellation rides on the
-// goroutine instead: the MAL interpreter attaches a Job to the goroutine
-// executing the query, every Plan captures the current goroutine's Job
-// when it starts, and the morsel claim loop checks the Job's atomic flag
-// between morsels. Cancelling the Job therefore aborts a running kernel
-// within one morsel (~4K rows) without any per-row overhead, and helper
-// goroutines inherit the Job through the Plan, not the registry.
-//
-// The registry lookup costs one runtime.Stack call per kernel
-// invocation — only when at least one Job is attached anywhere in the
-// process; with no cancellable queries in flight the fast path is a
-// single atomic load.
+// Query cancellation. A query's Job is an explicit argument: the MAL
+// interpreter makes one per cancellable run and hands it to every kernel
+// it calls, and every kernel passes it on to the plans it builds (NewPlan,
+// Do, DoErr, Blocks, Serial). The morsel claim loop checks the Job's
+// atomic flag between morsels, and kernel loops that can run long inside
+// one morsel (hash build and probe, grouping, aggregate partials, sorts)
+// poll it every few thousand rows. Cancelling the Job therefore aborts a
+// running kernel within a few thousand rows of work, with one atomic load
+// per check and no per-row overhead. A nil Job is never cancelled: code
+// outside a query run passes nil.
 
-// ErrCanceled is returned by Run/Do variants when the goroutine's Job
-// was cancelled. The MAL interpreter maps it back to the context error.
+// ErrCanceled is returned by Run/Do variants when the plan's Job was
+// cancelled. The MAL interpreter maps it back to the context error.
 var ErrCanceled = errors.New("par: execution canceled")
 
 // Job is one query's cancellation scope.
@@ -36,69 +30,7 @@ func NewJob() *Job { return &Job{} }
 // Safe to call from any goroutine, idempotent.
 func (j *Job) Cancel() { j.canceled.Store(true) }
 
-// Canceled reports whether Cancel was called.
+// Canceled reports whether Cancel was called. A nil job never is.
 func (j *Job) Canceled() bool {
 	return j != nil && j.canceled.Load()
-}
-
-var (
-	jobsActive atomic.Int64 // fast path: 0 = no registry lookups at all
-	jobsMu     sync.Mutex
-	jobsByG    = map[int64]*Job{}
-)
-
-// AttachJob binds the job to the calling goroutine until DetachJob. All
-// par work started by this goroutine (and its helpers) observes the
-// job's cancellation. Nested attaches are not supported: one query per
-// goroutine.
-func AttachJob(j *Job) {
-	g := goid()
-	jobsMu.Lock()
-	jobsByG[g] = j
-	jobsMu.Unlock()
-	jobsActive.Add(1)
-}
-
-// DetachJob removes the calling goroutine's job.
-func DetachJob() {
-	g := goid()
-	jobsMu.Lock()
-	_, ok := jobsByG[g]
-	delete(jobsByG, g)
-	jobsMu.Unlock()
-	if ok {
-		jobsActive.Add(-1)
-	}
-}
-
-// CurrentJob returns the job attached to the calling goroutine, or nil.
-// Long serial loops outside the morsel machinery (hash build, sorts) may
-// poll it directly every few thousand rows.
-func CurrentJob() *Job {
-	if jobsActive.Load() == 0 {
-		return nil
-	}
-	g := goid()
-	jobsMu.Lock()
-	j := jobsByG[g]
-	jobsMu.Unlock()
-	return j
-}
-
-// goid parses the current goroutine's id from its stack header
-// ("goroutine N [running]:"). ~1µs — paid once per kernel invocation,
-// and only while a cancellable query is in flight somewhere.
-func goid() int64 {
-	var buf [48]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id int64
-	for i := prefix; i < n; i++ {
-		c := buf[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
 }

@@ -13,36 +13,11 @@ func TestJobNilSafe(t *testing.T) {
 	}
 }
 
-func TestCurrentJobFastPath(t *testing.T) {
-	if CurrentJob() != nil {
-		t.Fatal("no job attached, CurrentJob must be nil")
-	}
-}
-
-func TestAttachDetach(t *testing.T) {
-	j := NewJob()
-	AttachJob(j)
-	if CurrentJob() != j {
-		t.Fatal("CurrentJob must return the attached job")
-	}
-	done := make(chan *Job)
-	go func() { done <- CurrentJob() }()
-	if other := <-done; other == j {
-		t.Fatal("a different goroutine must not observe this goroutine's job")
-	}
-	DetachJob()
-	if CurrentJob() != nil {
-		t.Fatal("CurrentJob must be nil after DetachJob")
-	}
-}
-
 func TestRunErrSerialCancel(t *testing.T) {
 	j := NewJob()
-	AttachJob(j)
-	defer DetachJob()
 	j.Cancel()
 	ran := false
-	err := Serial(100).RunErr(func(c, lo, hi int) error { ran = true; return nil })
+	err := Serial(j, 100).RunErr(func(c, lo, hi int) error { ran = true; return nil })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -57,12 +32,10 @@ func TestRunErrParallelCancelMidway(t *testing.T) {
 	defer func() { SetThreads(oldT); SetMorselThreshold(oldM) }()
 
 	j := NewJob()
-	AttachJob(j)
-	defer DetachJob()
 
 	var mu sync.Mutex
 	seen := 0
-	err := NewPlan(100000).RunErr(func(c, lo, hi int) error {
+	err := NewPlan(j, 100000).RunErr(func(c, lo, hi int) error {
 		mu.Lock()
 		seen++
 		if seen == 2 {
@@ -76,17 +49,15 @@ func TestRunErrParallelCancelMidway(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if n := NewPlan(100000).Chunks(); seen >= n {
+	if n := NewPlan(j, 100000).Chunks(); seen >= n {
 		t.Fatalf("cancellation must stop morsel claiming early: ran %d of %d chunks", seen, n)
 	}
 }
 
 func TestRunErrErrorBeatsCancel(t *testing.T) {
 	j := NewJob()
-	AttachJob(j)
-	defer DetachJob()
 	boom := errors.New("boom")
-	err := Serial(10).RunErr(func(c, lo, hi int) error {
+	err := Serial(j, 10).RunErr(func(c, lo, hi int) error {
 		j.Cancel()
 		return boom
 	})
@@ -101,14 +72,12 @@ func TestHelpersInheritJob(t *testing.T) {
 	defer func() { SetThreads(oldT); SetMorselThreshold(oldM) }()
 
 	j := NewJob()
-	AttachJob(j)
-	defer DetachJob()
 	j.Cancel()
-	// All morsels are skipped: the claim loop checks the job inherited
-	// from the planning goroutine even on pool helpers.
+	// All morsels are skipped: the claim loop checks the plan's job even
+	// on pool helpers.
 	ran := 0
 	var mu sync.Mutex
-	err := NewPlan(100000).RunErr(func(c, lo, hi int) error {
+	err := NewPlan(j, 100000).RunErr(func(c, lo, hi int) error {
 		mu.Lock()
 		ran++
 		mu.Unlock()
@@ -119,14 +88,29 @@ func TestHelpersInheritJob(t *testing.T) {
 	}
 }
 
-func TestGoid(t *testing.T) {
-	if goid() <= 0 {
-		t.Fatalf("goid = %d, want positive", goid())
+// TestPlanShapeIgnoresJob: a cancellable plan is cut exactly like an
+// uncancellable one, at every width.
+func TestPlanShapeIgnoresJob(t *testing.T) {
+	oldM := SetMorselThreshold(64)
+	defer SetMorselThreshold(oldM)
+	for _, w := range []int{1, 2, 8} {
+		oldT := SetThreads(w)
+		for _, n := range []int{0, 100, 4096, 5000, 1 << 19, 10_000_000} {
+			a, b := NewPlan(nil, n), NewPlan(NewJob(), n)
+			if a.Size != b.Size || a.Chunks() != b.Chunks() || a.width != b.width {
+				t.Errorf("width %d, n %d: plan %+v with a job, %+v without", w, n, b, a)
+			}
+		}
+		SetThreads(oldT)
 	}
-	a := goid()
-	ch := make(chan int64)
-	go func() { ch <- goid() }()
-	if b := <-ch; a == b {
-		t.Fatal("distinct goroutines must have distinct ids")
+}
+
+// TestRunErrSerialCancelMidChunk: a job cancelled while a serial plan's
+// only chunk runs still makes RunErr report ErrCanceled.
+func TestRunErrSerialCancelMidChunk(t *testing.T) {
+	j := NewJob()
+	err := Serial(j, 100).RunErr(func(c, lo, hi int) error { j.Cancel(); return nil })
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }

@@ -83,72 +83,57 @@ func SetMorselThreshold(n int) int {
 // are deterministic contiguous ranges: chunk c covers
 // [c*Size, min((c+1)*Size, N)), which lets order-sensitive kernels
 // (selections, join probes) concatenate per-chunk results in input order.
+// The plan carries the query's Job, which RunErr checks between chunks.
 type Plan struct {
 	N     int // total rows
 	Size  int // chunk size (multiple of 64)
 	chunk int // number of chunks
 	width int // max concurrent workers (including the caller)
+	job   *Job
 }
 
-// cancelMorselRows is the chunk grain of cancellable plans: small enough
-// that abandoning one in-flight morsel keeps cancellation latency in the
-// low milliseconds even for expensive per-row kernels (join probes), and
-// a multiple of 64 for bitmap safety.
-const cancelMorselRows = 1024
-
-// NewPlan partitions n rows. A serial plan has exactly one chunk —
-// unless the calling goroutine has a cancellation Job attached, in which
-// case even a single-worker plan is cut into morsels so the claim loop
-// observes cancellation between them instead of only before the first
-// row (vital on single-core machines, where every plan is width-1).
-func NewPlan(n int) Plan {
+// NewPlan partitions n rows for the query's job (nil: uncancellable). A
+// plan below the morsel threshold, or at width 1, is one serial chunk;
+// otherwise chunks are morselRows rows, coarsened so there are at most 8
+// per worker. The shape depends on n, the width and the threshold alone.
+func NewPlan(job *Job, n int) Plan {
 	w := Threads()
-	job := CurrentJob()
 	if n < MorselThreshold() || w <= 1 || n <= morselRows {
-		if job != nil && n > cancelMorselRows {
-			c := (n + cancelMorselRows - 1) / cancelMorselRows
-			return Plan{N: n, Size: cancelMorselRows, chunk: c, width: 1}
-		}
-		return Plan{N: n, Size: n, chunk: 1, width: 1}
+		return Serial(job, n)
 	}
 	size := morselRows
-	if job != nil {
-		// Cancellable queries keep the fine grain: the latency bound is
-		// one morsel's worth of work, so do not coarsen chunks below.
-		size = cancelMorselRows
-	}
 	// Cap the chunk count so per-chunk bookkeeping stays negligible on huge
-	// inputs: at most 8 morsels per worker (uncancellable plans only).
-	if max := 8 * w; job == nil && (n+size-1)/size > max {
+	// inputs: at most 8 morsels per worker.
+	if max := 8 * w; (n+size-1)/size > max {
 		size = (n + max - 1) / max
 		size = (size + 63) &^ 63 // keep 64-alignment for bitmap safety
 	}
 	c := (n + size - 1) / size
-	if c < 1 {
-		c = 1
-	}
 	if w > c {
 		w = c
 	}
-	return Plan{N: n, Size: size, chunk: c, width: w}
+	return Plan{N: n, Size: size, chunk: c, width: w, job: job}
 }
 
 // Blocks partitions n rows into fixed chunks of size rows (the last may be
 // shorter, size a multiple of 64) whatever the thread count, for kernels
 // whose result depends on where chunk boundaries fall. The chunks run on
 // the pool when n reaches the morsel threshold.
-func Blocks(n, size int) Plan {
+func Blocks(job *Job, n, size int) Plan {
 	c := max(1, (n+size-1)/size)
 	w := 1
 	if n >= MorselThreshold() {
 		w = min(Threads(), c)
 	}
-	return Plan{N: n, Size: size, chunk: c, width: w}
+	return Plan{N: n, Size: size, chunk: c, width: w, job: job}
 }
 
 // Serial returns a one-chunk plan over n rows, for kernels that veto
 // parallelism themselves (e.g. when per-worker state would dwarf the input).
-func Serial(n int) Plan { return Plan{N: n, Size: n, chunk: 1, width: 1} }
+func Serial(job *Job, n int) Plan { return Plan{N: n, Size: n, chunk: 1, width: 1, job: job} }
+
+// Job returns the job the plan was made for.
+func (p Plan) Job() *Job { return p.job }
 
 // Parallel reports whether the plan engages the pool.
 func (p Plan) Parallel() bool { return p.chunk > 1 }
@@ -177,20 +162,19 @@ func (p Plan) Run(fn func(c, lo, hi int)) {
 }
 
 // RunErr is Run with error propagation: the first error stops morsel
-// claiming and is returned. Already-running morsels finish. When the
-// calling goroutine has a cancellation Job attached (AttachJob), the
-// claim loop checks it between morsels and returns ErrCanceled.
+// claiming and is returned. Already-running morsels finish. The claim
+// loop checks the plan's Job between morsels and returns ErrCanceled.
 func (p Plan) RunErr(fn func(c, lo, hi int) error) error {
-	job := CurrentJob()
+	job := p.job
 	if !p.Parallel() {
 		if job.Canceled() {
 			return ErrCanceled
 		}
-		for c := 0; c < p.chunk; c++ {
-			lo, hi := p.Bounds(c)
-			if err := fn(c, lo, hi); err != nil {
-				return err
-			}
+		if err := fn(0, 0, p.N); err != nil {
+			return err
+		}
+		if job.Canceled() {
+			return ErrCanceled
 		}
 		return nil
 	}
@@ -316,13 +300,13 @@ func ensureWorkers() {
 
 // Do splits [0,n) into morsels and runs fn over each, in parallel above the
 // threshold. fn must be safe to call concurrently on disjoint ranges.
-func Do(n int, fn func(lo, hi int)) {
-	NewPlan(n).Run(func(_, lo, hi int) { fn(lo, hi) })
+func Do(job *Job, n int, fn func(lo, hi int)) {
+	NewPlan(job, n).Run(func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // DoErr is Do with error propagation. The error of the lowest failing
 // morsel wins, so a kernel whose morsels stop at their first failing row
 // reports the lowest failing row, as a serial run would.
-func DoErr(n int, fn func(lo, hi int) error) error {
-	return NewPlan(n).RunErr(func(_, lo, hi int) error { return fn(lo, hi) })
+func DoErr(job *Job, n int, fn func(lo, hi int) error) error {
+	return NewPlan(job, n).RunErr(func(_, lo, hi int) error { return fn(lo, hi) })
 }

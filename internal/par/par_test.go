@@ -22,7 +22,7 @@ func TestDoCoversAllRows(t *testing.T) {
 	defer forceParallel(t, 8)()
 	for _, n := range []int{0, 1, 63, 64, 65, 4095, 4096, 4097, 100000} {
 		seen := make([]int32, n)
-		Do(n, func(lo, hi int) {
+		Do(nil, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&seen[i], 1)
 			}
@@ -40,7 +40,7 @@ func TestSerialBelowThreshold(t *testing.T) {
 	prevM := SetMorselThreshold(1 << 20)
 	defer func() { SetThreads(prevT); SetMorselThreshold(prevM) }()
 	calls := 0
-	Do(1000, func(lo, hi int) { calls++ }) // no atomics: must be single-threaded
+	Do(nil, 1000, func(lo, hi int) { calls++ }) // no atomics: must be single-threaded
 	if calls != 1 {
 		t.Fatalf("expected one serial call, got %d", calls)
 	}
@@ -49,7 +49,7 @@ func TestSerialBelowThreshold(t *testing.T) {
 func TestDoErrPropagatesFirstError(t *testing.T) {
 	defer forceParallel(t, 4)()
 	want := errors.New("boom")
-	err := DoErr(50000, func(lo, hi int) error {
+	err := DoErr(nil, 50000, func(lo, hi int) error {
 		if lo == 0 {
 			return want
 		}
@@ -67,14 +67,14 @@ func TestRunPanicReplayedOnCaller(t *testing.T) {
 			t.Fatalf("recovered %v, want kernel panic", r)
 		}
 	}()
-	Do(50000, func(lo, hi int) {
+	Do(nil, 50000, func(lo, hi int) {
 		panic("kernel panic")
 	})
 }
 
 func TestChunkBoundsAreAligned(t *testing.T) {
 	defer forceParallel(t, 8)()
-	p := NewPlan(1 << 20)
+	p := NewPlan(nil, 1<<20)
 	if !p.Parallel() {
 		t.Fatal("expected a parallel plan")
 	}
@@ -97,13 +97,13 @@ func TestChunkBoundsAreAligned(t *testing.T) {
 func TestNestedDoDoesNotDeadlock(t *testing.T) {
 	defer forceParallel(t, 4)()
 	var count atomic.Int64
-	Do(20000, func(lo, hi int) {
-		Do(1000, func(l, h int) {
+	Do(nil, 20000, func(lo, hi int) {
+		Do(nil, 1000, func(l, h int) {
 			count.Add(int64(h - l))
 		})
 	})
 	// Each outer morsel runs a full inner Do over 1000 rows.
-	p := NewPlan(20000)
+	p := NewPlan(nil, 20000)
 	want := int64(p.Chunks()) * 1000
 	if count.Load() != want {
 		t.Fatalf("inner rows %d, want %d", count.Load(), want)
