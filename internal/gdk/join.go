@@ -234,9 +234,9 @@ func (t *hashTable) probe(k *rowKeys, i int, out []int64) []int64 {
 	return out
 }
 
-// joinSegPairs caps the pairs a probe output buffer takes before the probe
-// starts the next one, so growing a buffer never copies more than this
-// many pairs (the copy is uncancellable); concatInt64 joins the segments
+// joinSegPairs is the size at which the probe, checking every 256 rows,
+// starts a new output buffer, so growing one copies about this many pairs
+// at most (the copy is uncancellable); concatInt64 joins the segments
 // once, morsel by morsel.
 const joinSegPairs = 1 << 16
 
