@@ -711,26 +711,41 @@ func (b *BAT) Truncate(n int) {
 	}
 }
 
-// AppendBAT appends all rows of o (same kind) to b.
+// AppendBAT appends all rows of o, which must store b's kind (int and
+// oid share storage; a void o reads as oid). Storage and properties end
+// up exactly as under one Append per row. o may be b itself.
 func (b *BAT) AppendBAT(o *BAT) error {
-	if o.ValueKind() != b.ValueKind() && o.Len() > 0 {
-		// Allow int<->oid mixing since both share the ints slice.
-		ok := (b.kind == types.KindInt || b.kind == types.KindOID) &&
-			(o.ValueKind() == types.KindInt || o.ValueKind() == types.KindOID)
-		if !ok {
-			return fmt.Errorf("bat: append kind mismatch %s vs %s", b.kind, o.kind)
-		}
+	if o.Len() == 0 {
+		return nil
 	}
-	for i := 0; i < o.Len(); i++ {
-		if o.IsNull(i) {
-			b.AppendNull()
-			continue
-		}
-		if err := b.Append(o.Get(i)); err != nil {
-			return err
-		}
+	if !sameStorage(b.kind, o.ValueKind()) {
+		return fmt.Errorf("bat: append kind mismatch %s vs %s", b.kind, o.kind)
+	}
+	o = o.Materialize()
+	switch b.kind {
+	case types.KindInt, types.KindOID:
+		appendRows(b, o.DecodedInts(), o.nulls, b.AppendInt)
+	case types.KindFloat:
+		appendRows(b, o.DecodedFloats(), o.nulls, b.AppendFloat)
+	case types.KindBool:
+		appendRows(b, o.DecodedBools(), o.nulls, b.AppendBool)
+	case types.KindStr:
+		appendRows(b, o.DecodedStrs(), o.nulls, b.AppendStr)
 	}
 	return nil
+}
+
+// appendRows is AppendBAT's typed loop: a NULL row where nulls is set,
+// add(vals[i]) otherwise. vals and the bits below its length stay as
+// they were while b grows, so b may be the source itself.
+func appendRows[T any](b *BAT, vals []T, nulls *Bitmap, add func(T)) {
+	for i, v := range vals {
+		if nulls.Get(i) {
+			b.AppendNull()
+		} else {
+			add(v)
+		}
+	}
 }
 
 // String summarises the BAT for debugging.

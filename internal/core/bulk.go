@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bat"
+	"repro/internal/catalog"
 	"repro/internal/types"
 )
 
@@ -43,8 +44,7 @@ func (db *DB) bulkSetAttrIntsLocked(array, attr string, data []int64) (*commitRe
 	if k := a.Attrs[ai].Type.Kind; k != types.KindInt {
 		return nil, fmt.Errorf("attribute %q is %s, not integer", attr, k)
 	}
-	db.noteModifyArray(a)
-	a.AttrBats[ai] = bat.FromInts(append([]int64(nil), data...))
+	db.setAttr(a, ai, bat.FromInts(append([]int64(nil), data...)))
 	if db.durable() {
 		db.logRecord(encBulkAttrInts(a.Name, ai, data))
 	}
@@ -55,6 +55,13 @@ func (db *DB) bulkSetAttrIntsLocked(array, attr string, data []int64) (*commitRe
 		return db.commitBoundaryLocked()
 	}
 	return nil, nil
+}
+
+// setAttr is the mutation of a bulk load, shared with WAL replay: col
+// replaces attribute ai outright.
+func (db *DB) setAttr(a *catalog.Array, ai int, col *bat.BAT) {
+	db.noteModifyArray(a)
+	a.AttrBats[ai] = col
 }
 
 // ReadAttrInts copies the cell values of an integer array attribute, in

@@ -43,11 +43,7 @@ func (db *DB) createTable(s *ast.CreateTable) (*Result, error) {
 		cols = append(cols, col)
 	}
 	t := catalog.NewTable(s.Name, cols)
-	// Stamp the fresh incarnation: a stale optimistic snapshot of a
-	// same-named dropped table must fail its Mod check (see stampMod).
-	db.stampMod(&t.Mod)
-	db.noteCreate(s.Name)
-	if err := db.cat.AddTable(t); err != nil {
+	if err := db.addTable(t); err != nil {
 		return nil, err
 	}
 	if db.durable() {
@@ -121,10 +117,7 @@ func (db *DB) createArray(s *ast.CreateArray) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Fresh incarnation stamp; see createTable.
-	db.stampMod(&a.Mod)
-	db.noteCreate(s.Name)
-	if err := db.cat.AddArray(a); err != nil {
+	if err := db.addArray(a); err != nil {
 		return nil, err
 	}
 	if db.durable() {
@@ -161,45 +154,77 @@ func (db *DB) evalDimRange(b *rel.Binder, r ast.DimRange) (shape.Dim, error) {
 	return d, nil
 }
 
+// addTable is the mutation of CREATE TABLE, shared with WAL replay. It
+// stamps the fresh incarnation: a stale optimistic snapshot of a
+// same-named dropped table must fail its Mod check (see stampMod).
+func (db *DB) addTable(t *catalog.Table) error {
+	db.stampMod(&t.Mod)
+	if err := db.cat.AddTable(t); err != nil {
+		return err
+	}
+	db.noteCreate(t.Name)
+	return nil
+}
+
+// addArray is addTable for CREATE ARRAY.
+func (db *DB) addArray(a *catalog.Array) error {
+	db.stampMod(&a.Mod)
+	if err := db.cat.AddArray(a); err != nil {
+		return err
+	}
+	db.noteCreate(a.Name)
+	return nil
+}
+
 // drop implements DROP TABLE / DROP ARRAY.
 func (db *DB) drop(s *ast.Drop) (*Result, error) {
+	kind, name := "table", ""
 	if s.Array {
-		a, ok := db.cat.Array(s.Name)
-		if !ok {
-			if s.IfExists {
-				return statusResult("array %s does not exist, skipped", s.Name), nil
-			}
-			return nil, fmt.Errorf("at %s: no such array: %q", s.Pos, s.Name)
+		kind = "array"
+		if a, ok := db.cat.Array(s.Name); ok {
+			name = a.Name
 		}
-		db.noteDropArray(a)
-		if err := db.cat.DropArray(s.Name); err != nil {
-			return nil, err
-		}
-		if db.durable() {
-			db.logRecord(encDrop(a.Name, true))
-		}
-		return statusResult("array %s dropped", s.Name), nil
+	} else if t, ok := db.cat.Table(s.Name); ok {
+		name = t.Name
 	}
-	t, ok := db.cat.Table(s.Name)
-	if !ok {
+	if name == "" {
 		if s.IfExists {
-			return statusResult("table %s does not exist, skipped", s.Name), nil
+			return statusResult("%s %s does not exist, skipped", kind, s.Name), nil
 		}
-		return nil, fmt.Errorf("at %s: no such table: %q", s.Pos, s.Name)
+		return nil, fmt.Errorf("at %s: no such %s: %q", s.Pos, kind, s.Name)
 	}
-	db.noteDropTable(t)
-	if err := db.cat.DropTable(s.Name); err != nil {
+	if err := db.dropObject(name, s.Array); err != nil {
 		return nil, err
 	}
 	if db.durable() {
-		db.logRecord(encDrop(t.Name, false))
+		db.logRecord(encDrop(name, s.Array))
 	}
-	return statusResult("table %s dropped", s.Name), nil
+	return statusResult("%s %s dropped", kind, s.Name), nil
+}
+
+// dropObject is the mutation of DROP TABLE / DROP ARRAY, shared with WAL
+// replay.
+func (db *DB) dropObject(name string, isArray bool) error {
+	if isArray {
+		a, ok := db.cat.Array(name)
+		if !ok {
+			return fmt.Errorf("no such array: %q", name)
+		}
+		db.noteDropArray(a)
+		return db.cat.DropArray(name)
+	}
+	t, ok := db.cat.Table(name)
+	if !ok {
+		return fmt.Errorf("no such table: %q", name)
+	}
+	db.noteDropTable(t)
+	return db.cat.DropTable(name)
 }
 
 // alterDimension implements ALTER ARRAY a ALTER DIMENSION d SET RANGE:
 // overlapping cells keep their values, new cells receive the attribute
-// default (Fig. 1(f)).
+// default (Fig. 1(f)). It is an array write with a new shape and no
+// cells.
 func (db *DB) alterDimension(s *ast.AlterDimension) (*Result, error) {
 	a, ok := db.cat.Array(s.Array)
 	if !ok {
@@ -215,11 +240,9 @@ func (db *DB) alterDimension(s *ast.AlterDimension) (*Result, error) {
 		return nil, fmt.Errorf("at %s: %v", s.Pos, err)
 	}
 	nd.Name = s.Dim
-	db.noteModifyArray(a)
-
 	newShape := append(shape.Shape{}, a.Shape...)
 	newShape[k] = nd
-	if err := reshapeArrayTo(a, newShape); err != nil {
+	if _, err := db.writeCells(a, &arrayWrite{shape: newShape}); err != nil {
 		return nil, err
 	}
 	if db.durable() {

@@ -85,41 +85,43 @@ func insertMapping(t *catalog.Table, s *ast.Insert) ([]int, error) {
 	return mapping, nil
 }
 
-// castInsertRows is phase 1 of a table INSERT: cast every row and fill
-// defaults before touching storage, so a bad value fails the whole
+// tableColumns is the write set of a table INSERT: per table column, the
+// source column mapped to it cast to the column's kind through
+// gdk.CastBAT, or n rows of its DEFAULT (NULL without one). Everything
+// is cast before storage is touched, so a bad value fails the whole
 // statement cleanly (no partial append) and the WAL record matches the
 // applied effect exactly. Pure: safe against a frozen snapshot table.
-func castInsertRows(t *catalog.Table, mapping []int, rows [][]types.Value) ([][]types.Value, error) {
-	full := make([][]types.Value, len(rows))
-	for ri, row := range rows {
-		vals := make([]types.Value, len(t.Columns))
-		filled := make([]bool, len(t.Columns))
-		for si, ti := range mapping {
-			v, err := row[si].Cast(t.Columns[ti].Type.Kind)
-			if err != nil {
+func tableColumns(t *catalog.Table, mapping []int, src []*bat.BAT, n int) ([]*bat.BAT, error) {
+	cols := make([]*bat.BAT, len(t.Columns))
+	var err error
+	for si, ti := range mapping {
+		col := src[si]
+		if kind := t.Columns[ti].Type.Kind; col.ValueKind() != kind {
+			if col, err = gdk.CastBAT(nil, gdk.B(col), kind, nil); err != nil {
 				return nil, fmt.Errorf("column %q: %v", t.Columns[ti].Name, err)
 			}
-			vals[ti] = v
-			filled[ti] = true
 		}
-		for i, col := range t.Columns {
-			if !filled[i] {
-				if col.HasDef {
-					vals[i] = col.Default
-				} else {
-					vals[i] = types.Null(col.Type.Kind)
-				}
-			}
-		}
-		full[ri] = vals
+		cols[ti] = col
 	}
-	return full, nil
+	for i, c := range t.Columns {
+		if cols[i] != nil {
+			continue
+		}
+		def := types.Null(c.Type.Kind)
+		if c.HasDef {
+			def = c.Default
+		}
+		if cols[i], err = bat.Filler(nil, n, def, c.Type.Kind); err != nil {
+			return nil, err
+		}
+	}
+	return cols, nil
 }
 
-// stageTableInsert resolves and casts the literal rows of an
-// INSERT ... VALUES, entirely read-only against cat: the plan half of
-// insertTable, shared with the optimistic write path.
-func stageTableInsert(cat *catalog.Catalog, t *catalog.Table, s *ast.Insert) ([][]types.Value, error) {
+// stageTableInsert casts the literal rows of an INSERT ... VALUES once
+// into the table's write set, entirely read-only against cat: the plan
+// half of insertTable, shared with the optimistic write path.
+func stageTableInsert(cat *catalog.Catalog, t *catalog.Table, s *ast.Insert) ([]*bat.BAT, error) {
 	mapping, err := insertMapping(t, s)
 	if err != nil {
 		return nil, err
@@ -128,37 +130,60 @@ func stageTableInsert(cat *catalog.Catalog, t *catalog.Table, s *ast.Insert) ([]
 	if err != nil {
 		return nil, err
 	}
-	return castInsertRows(t, mapping, rows)
+	src := make([]*bat.BAT, len(mapping))
+	for si, ti := range mapping {
+		c := t.Columns[ti]
+		if src[si], err = valuesColumn(rows, si, c.Type.Kind, castTo(c.Type.Kind)); err != nil {
+			return nil, fmt.Errorf("column %q: %v", c.Name, err)
+		}
+	}
+	return tableColumns(t, mapping, src, len(rows))
 }
 
-// applyTableInsert is phase 2 of a table INSERT: append the staged rows
-// under the writer lock and log the effect (appends beyond the frozen
-// count are invisible to published snapshots, no copy-on-write needed).
-func (db *DB) applyTableInsert(t *catalog.Table, full [][]types.Value) (*Result, error) {
+// appendRows is the mutation of a table INSERT, shared with WAL replay:
+// each column of the write set is appended to its table column. Appends
+// land beyond every published snapshot's frozen row count, so no
+// copy-on-write is needed.
+func (db *DB) appendRows(t *catalog.Table, cols []*bat.BAT) error {
 	db.noteModifyTable(t)
-	for _, vals := range full {
-		for i := range t.Columns {
-			if err := t.Bats[i].Append(vals[i]); err != nil {
-				return nil, err
-			}
+	for i, col := range cols {
+		// INSERT INTO t SELECT ... FROM t: append from a copy, so every
+		// row is read as it was before the statement wrote anything.
+		if slices.Contains(t.Bats, col) {
+			cols[i] = col.Clone()
+		}
+	}
+	for i, col := range cols {
+		if err := t.Bats[i].AppendBAT(col); err != nil {
+			return err
 		}
 	}
 	if t.Deleted != nil {
 		t.Deleted.Resize(t.PhysRows())
 	}
-	if db.durable() && len(full) > 0 {
-		db.logRecord(encTableAppend(t.Name, len(t.Columns), full))
+	return nil
+}
+
+// applyTableInsert is phase 2 of a table INSERT: append the write set
+// under the writer lock and log the effect.
+func (db *DB) applyTableInsert(t *catalog.Table, cols []*bat.BAT) (*Result, error) {
+	if err := db.appendRows(t, cols); err != nil {
+		return nil, err
 	}
-	return &Result{Affected: len(full), Text: fmt.Sprintf("%d rows inserted", len(full))}, nil
+	n := cols[0].Len()
+	if db.durable() && n > 0 {
+		db.logRecord(encTableAppend(t.Name, cols))
+	}
+	return &Result{Affected: n, Text: fmt.Sprintf("%d rows inserted", n)}, nil
 }
 
 func (db *DB) insertTable(ctx context.Context, s *ast.Insert, t *catalog.Table) (*Result, error) {
 	if s.Query == nil {
-		full, err := stageTableInsert(db.cat, t, s)
+		cols, err := stageTableInsert(db.cat, t, s)
 		if err != nil {
 			return nil, err
 		}
-		return db.applyTableInsert(t, full)
+		return db.applyTableInsert(t, cols)
 	}
 	mapping, err := insertMapping(t, s)
 	if err != nil {
@@ -171,15 +196,11 @@ func (db *DB) insertTable(ctx context.Context, s *ast.Insert, t *catalog.Table) 
 	if res.NumCols() != len(mapping) {
 		return nil, fmt.Errorf("INSERT expects %d columns, query produces %d", len(mapping), res.NumCols())
 	}
-	rows := make([][]types.Value, res.NumRows())
-	for i := range rows {
-		rows[i] = res.Row(i)
-	}
-	full, err := castInsertRows(t, mapping, rows)
+	cols, err := tableColumns(t, mapping, res.Cols, res.NumRows())
 	if err != nil {
 		return nil, err
 	}
-	return db.applyTableInsert(t, full)
+	return db.applyTableInsert(t, cols)
 }
 
 // arrayTarget is one source column of an array INSERT: a dimension or an
@@ -235,40 +256,52 @@ func arrayTargets(a *catalog.Array, s *ast.Insert) ([]arrayTarget, error) {
 func valuesColumns(a *catalog.Array, targets []arrayTarget, rows [][]types.Value) ([]*bat.BAT, error) {
 	cols := make([]*bat.BAT, len(targets))
 	for ti, tg := range targets {
-		kind := types.KindInt
-		if !tg.isDim {
-			kind = a.Attrs[tg.idx].Type.Kind
-		}
-		col := bat.New(kind, len(rows))
-		for _, row := range rows {
-			v := row[ti]
-			switch {
-			case v.IsNull():
-			case tg.isDim:
+		var err error
+		if tg.isDim {
+			if cols[ti], err = valuesColumn(rows, ti, types.KindInt, func(v types.Value) (types.Value, error) {
 				iv, err := v.AsInt()
-				if err != nil {
-					return nil, fmt.Errorf("dimension %q: %v", a.Shape[tg.idx].Name, err)
-				}
-				v = types.Int(iv)
-			default:
-				cv, err := v.Cast(kind)
-				if err != nil {
-					return nil, fmt.Errorf("attribute %q: %v", a.Attrs[tg.idx].Name, err)
-				}
-				v = cv
+				return types.Int(iv), err
+			}); err != nil {
+				return nil, fmt.Errorf("dimension %q: %v", a.Shape[tg.idx].Name, err)
 			}
-			if err := col.Append(v); err != nil {
-				return nil, err
-			}
+			continue
 		}
-		cols[ti] = col
+		attr := a.Attrs[tg.idx]
+		if cols[ti], err = valuesColumn(rows, ti, attr.Type.Kind, castTo(attr.Type.Kind)); err != nil {
+			return nil, fmt.Errorf("attribute %q: %v", attr.Name, err)
+		}
 	}
 	return cols, nil
 }
 
+// valuesColumn converts column si of the literal rows of an INSERT ...
+// VALUES into one column of kind: every non-NULL value through conv.
+func valuesColumn(rows [][]types.Value, si int, kind types.Kind, conv func(types.Value) (types.Value, error)) (*bat.BAT, error) {
+	col := bat.New(kind, len(rows))
+	for _, row := range rows {
+		v := row[si]
+		if !v.IsNull() {
+			var err error
+			if v, err = conv(v); err != nil {
+				return nil, err
+			}
+		}
+		if err := col.Append(v); err != nil {
+			return nil, err
+		}
+	}
+	return col, nil
+}
+
+// castTo is the conversion of a value to kind k (Value.Cast).
+func castTo(k types.Kind) func(types.Value) (types.Value, error) {
+	return func(v types.Value) (types.Value, error) { return v.Cast(k) }
+}
+
 // arrayWrite is the columnar effect of an array INSERT: the (possibly
 // grown) shape, the target cell of every source row, and per written
-// attribute one column cast to its kind, aligned with pos.
+// attribute one column cast to its kind, aligned with pos. An ALTER
+// DIMENSION is one with a new shape and no cells.
 type arrayWrite struct {
 	shape shape.Shape
 	pos   []int
@@ -394,17 +427,32 @@ func (db *DB) insertArray(ctx context.Context, s *ast.Insert, a *catalog.Array) 
 	return db.applyArrayWrite(a, w)
 }
 
-// applyArrayWrite reshapes the array to the write set's shape, then
-// scatters each attribute column into its cells and logs the effect.
-// Cell overwrites are in-place, so any attribute column shared with a
-// published snapshot is cloned first (copy-on-write); concurrent readers
-// keep their frozen version.
+// applyArrayWrite applies an array INSERT's write set under the writer
+// lock and logs the effect.
 func (db *DB) applyArrayWrite(a *catalog.Array, w *arrayWrite) (*Result, error) {
+	reshaped, err := db.writeCells(a, w)
+	if err != nil {
+		return nil, err
+	}
+	if db.durable() && (reshaped || len(w.pos) > 0) {
+		db.logRecord(encArrayCells(recArrayCells, a.Name, a.Shape, w.attrs, w.pos, w.vals))
+	}
+	return &Result{Affected: len(w.pos), Text: fmt.Sprintf("%d cells updated", len(w.pos))}, nil
+}
+
+// writeCells is the mutation of an array INSERT or ALTER DIMENSION,
+// shared with WAL replay: it re-grids the array onto the write set's
+// shape when that differs, then scatters each attribute column into its
+// cells, and reports whether the shape changed. Cell overwrites are
+// in-place, so any attribute column shared with a published snapshot is
+// cloned first (copy-on-write); concurrent readers keep their frozen
+// version.
+func (db *DB) writeCells(a *catalog.Array, w *arrayWrite) (bool, error) {
 	db.noteModifyArray(a)
-	grew := !shapesEqual(a.Shape, w.shape)
-	if grew {
-		if err := reshapeArrayTo(a, w.shape); err != nil {
-			return nil, err
+	reshaped := !a.Shape.Equal(w.shape)
+	if reshaped {
+		if err := reshapeArray(a, w.shape); err != nil {
+			return false, err
 		}
 	}
 	// A source column may be one of the target columns itself (INSERT INTO
@@ -421,13 +469,32 @@ func (db *DB) applyArrayWrite(a *catalog.Array, w *arrayWrite) (*Result, error) 
 	for k, ai := range w.attrs {
 		a.AttrBats[ai] = a.AttrBats[ai].Writable()
 		if err := a.AttrBats[ai].ReplaceAt(w.pos, w.vals[k]); err != nil {
-			return nil, err
+			return reshaped, err
 		}
 	}
-	if db.durable() && (grew || len(w.pos) > 0) {
-		db.logRecord(encArrayCells(recArrayCells, a.Name, a.Shape, w.attrs, w.pos, w.vals))
+	return reshaped, nil
+}
+
+// reshapeArray re-grids every attribute onto sh (overlapping cells keep
+// their values, fresh cells get the attribute default) and rebuilds the
+// dimension columns; on failure the array is unchanged.
+func reshapeArray(a *catalog.Array, sh shape.Shape) error {
+	dims, err := gdk.DimBATs(sh)
+	if err != nil {
+		return err
 	}
-	return &Result{Affected: len(w.pos), Text: fmt.Sprintf("%d cells updated", len(w.pos))}, nil
+	attrs := make([]*bat.BAT, len(a.Attrs))
+	for i, col := range a.Attrs {
+		def := col.Default
+		if !col.HasDef {
+			def = types.NullUnknown()
+		}
+		if attrs[i], err = gdk.Reshape(nil, a.AttrBats[i], a.Shape, sh, def); err != nil {
+			return err
+		}
+	}
+	a.Shape, a.AttrBats, a.DimBats = sh, attrs, dims
+	return nil
 }
 
 // grownShape returns the shape of a after expanding its unbounded
@@ -543,23 +610,26 @@ func positions(cand *bat.BAT) []int {
 	return out
 }
 
-// overwrite writes each value column of p into its target among cols at
-// p's positions. When the positions are every row in order, the value
-// column becomes the target outright: no copy-on-write clone, no scatter.
-// Otherwise the target is made writable (cloned when a published
-// snapshot shares it) and the values are scattered into it.
-func overwrite(cols []*bat.BAT, p *writePlan, pos []int) error {
+// overwrite writes vals[k] into cols[sets[k]] at positions pos. When the
+// positions are every row in order, the value column becomes the target
+// outright: no copy-on-write clone, no scatter. Otherwise the target is
+// made writable (cloned when a published snapshot shares it) and the
+// values are scattered into it.
+func overwrite(cols []*bat.BAT, sets []int, vals []*bat.BAT, pos []int) error {
 	if len(pos) == 0 {
 		return nil
 	}
-	every := p.pos.Kind() == types.KindVoid && p.pos.Seqbase() == 0 && len(pos) == cols[0].Len()
-	for k, s := range p.w.Sets {
+	every := len(pos) == cols[0].Len()
+	for i := 0; every && i < len(pos); i++ {
+		every = pos[i] == i
+	}
+	for k, c := range sets {
 		if every {
-			cols[s.Col] = p.vals[k]
+			cols[c] = vals[k]
 			continue
 		}
-		cols[s.Col] = cols[s.Col].Writable()
-		if err := cols[s.Col].ReplaceAt(pos, p.vals[k]); err != nil {
+		cols[c] = cols[c].Writable()
+		if err := cols[c].ReplaceAt(pos, vals[k]); err != nil {
 			return err
 		}
 	}
@@ -575,58 +645,75 @@ func setCols(w *rel.Write) []int {
 	return out
 }
 
+// writeTable is the mutation of a table UPDATE or DELETE, shared with WAL
+// replay. A DELETE only sets the rows' bits in the deletion mask; an
+// UPDATE overwrites column sets[k] with vals[k] at pos.
+func (db *DB) writeTable(t *catalog.Table, del bool, pos, sets []int, vals []*bat.BAT) error {
+	if !del {
+		db.noteModifyTable(t)
+		return overwrite(t.Bats, sets, vals, pos)
+	}
+	db.noteDeleteTable(t)
+	if t.Deleted == nil {
+		t.Deleted = bat.NewBitmap(t.PhysRows())
+	}
+	for _, i := range pos {
+		t.Deleted.Set(i, true)
+	}
+	return nil
+}
+
+// writeArray is the mutation of an array UPDATE or DELETE, shared with WAL
+// replay. A DELETE punches NULL holes in every attribute (§2: "the DELETE
+// statement creates holes") in place: Freeze deep-clones null masks, so
+// the flips never reach a published snapshot.
+func (db *DB) writeArray(a *catalog.Array, del bool, pos, sets []int, vals []*bat.BAT) error {
+	db.noteModifyArray(a)
+	if !del {
+		return overwrite(a.AttrBats, sets, vals, pos)
+	}
+	for _, ab := range a.AttrBats {
+		if err := ab.SetNullAt(pos); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // applyTableWritePlan applies a staged UPDATE or DELETE to the live table
-// under the writer lock and logs the effect. A DELETE only sets bits in
-// the deletion mask.
+// under the writer lock and logs the effect.
 func (db *DB) applyTableWritePlan(t *catalog.Table, p *writePlan) (*Result, error) {
-	pos := positions(p.pos)
+	pos, sets := positions(p.pos), setCols(p.w)
+	if err := db.writeTable(t, p.w.Delete, pos, sets, p.vals); err != nil {
+		return nil, err
+	}
 	if p.w.Delete {
-		db.noteDeleteTable(t)
-		if t.Deleted == nil {
-			t.Deleted = bat.NewBitmap(t.PhysRows())
-		}
-		for _, i := range pos {
-			t.Deleted.Set(i, true)
-		}
 		if db.durable() && len(pos) > 0 {
 			db.logRecord(encPositions(recTableDelete, t.Name, pos))
 		}
 		return &Result{Affected: len(pos), Text: fmt.Sprintf("%d rows deleted", len(pos))}, nil
 	}
-	db.noteModifyTable(t)
-	if err := overwrite(t.Bats, p, pos); err != nil {
-		return nil, err
-	}
 	if db.durable() && len(pos) > 0 {
-		db.logRecord(encTableUpdate(t.Name, setCols(p.w), pos, p.vals))
+		db.logRecord(encTableUpdate(t.Name, sets, pos, p.vals))
 	}
 	return &Result{Affected: len(pos), Text: fmt.Sprintf("%d rows updated", len(pos))}, nil
 }
 
 // applyArrayWritePlan applies a staged UPDATE or DELETE to the live array
-// under the writer lock and logs the effect. A DELETE punches NULL holes
-// in every attribute (§2: "the DELETE statement creates holes") in place:
-// Freeze deep-clones null masks, so the flips never reach a published
-// snapshot.
+// under the writer lock and logs the effect.
 func (db *DB) applyArrayWritePlan(a *catalog.Array, p *writePlan) (*Result, error) {
-	pos := positions(p.pos)
-	db.noteModifyArray(a)
+	pos, sets := positions(p.pos), setCols(p.w)
+	if err := db.writeArray(a, p.w.Delete, pos, sets, p.vals); err != nil {
+		return nil, err
+	}
 	if p.w.Delete {
-		for _, ab := range a.AttrBats {
-			if err := ab.SetNullAt(pos); err != nil {
-				return nil, err
-			}
-		}
 		if db.durable() && len(pos) > 0 {
 			db.logRecord(encPositions(recArrayDelete, a.Name, pos))
 		}
 		return &Result{Affected: len(pos), Text: fmt.Sprintf("%d cells deleted", len(pos))}, nil
 	}
-	if err := overwrite(a.AttrBats, p, pos); err != nil {
-		return nil, err
-	}
 	if db.durable() && len(pos) > 0 {
-		db.logRecord(encArrayCells(recArrayUpdate, a.Name, nil, setCols(p.w), pos, p.vals))
+		db.logRecord(encArrayCells(recArrayUpdate, a.Name, nil, sets, pos, p.vals))
 	}
 	return &Result{Affected: len(pos), Text: fmt.Sprintf("%d cells updated", len(pos))}, nil
 }

@@ -157,15 +157,17 @@ func TestGroupCommitLeaderFaultFansOut(t *testing.T) {
 // before them.
 func TestGroupCommitStuckAfterFault(t *testing.T) {
 	db, fs, _ := openFaulted(t, 0)
+	// Two groups' worth of writers pile up behind the gate; shrink the
+	// group size so they retire as two appends. The commit loop reads the
+	// size without the lock, so set it before the first commit: the queue
+	// hand-off orders this write before the loop's first read.
+	db.mu.Lock()
+	db.commitGroup = 2
+	db.mu.Unlock()
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 
 	release := gateCommitLoop(db)
 	fs.FailOn(vfs.OpSync, "wal.log", 1, errors.New("injected"))
-	// Two groups' worth of writers pile up behind the gate; shrink the
-	// group size so they retire as two appends.
-	db.mu.Lock()
-	db.commitGroup = 2
-	db.mu.Unlock()
 	const writers = 4
 	var wg sync.WaitGroup
 	errs := make([]error, writers)

@@ -2,12 +2,18 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/bat"
+	"repro/internal/catalog"
+	"repro/internal/types"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -436,5 +442,174 @@ func TestGenerationResetDetected(t *testing.T) {
 	cur := db.WALPosition()
 	if _, _, err := db.ReadWALChunk(cur.Gen, cur.Offset+1, 100); !errors.Is(err, wal.ErrGenMismatch) {
 		t.Fatalf("past-end read = %v, want ErrGenMismatch", err)
+	}
+}
+
+// openPrimaryReplica opens a primary that never checkpoints, runs setup
+// on it, and opens a replica synced to it.
+func openPrimaryReplica(t *testing.T, setup ...string) (primary, replica *DB) {
+	t.Helper()
+	primary, err := OpenWith(filepath.Join(t.TempDir(), "primary"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	for _, stmt := range setup {
+		primary.MustQuery(stmt)
+	}
+	replica, _ = openReplica(t, nil)
+	t.Cleanup(func() { replica.Close() })
+	syncReplica(t, primary, replica)
+	return primary, replica
+}
+
+// objectBytes serialises every column of a catalog object, plus a
+// table's deletion mask or an array's shape, for byte-for-byte
+// comparisons.
+func objectBytes(t *testing.T, cat *catalog.Catalog, name string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var bats []*bat.BAT
+	if tb, ok := cat.Table(name); ok {
+		bats = tb.Bats
+		fmt.Fprintf(&buf, "deleted %d:", tb.Deleted.Len())
+		for i := 0; i < tb.Deleted.Len(); i++ {
+			fmt.Fprint(&buf, tb.Deleted.Get(i))
+		}
+	} else if a, ok := cat.Array(name); ok {
+		fmt.Fprintf(&buf, "shape %v:", a.Shape)
+		bats = append(append(bats, a.AttrBats...), a.DimBats...)
+	} else {
+		t.Fatalf("no object %q", name)
+	}
+	for _, b := range bats {
+		if err := b.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestApplyReplicatedSnapshotIsolation: a snapshot a replica reader
+// holds never changes when later batches are applied — replicated
+// UPDATEs copy shared columns before writing, as the primary's do.
+func TestApplyReplicatedSnapshotIsolation(t *testing.T) {
+	primary, replica := openPrimaryReplica(t,
+		`CREATE ARRAY a (x INT DIMENSION[0:1:4], v INT DEFAULT 7)`,
+		`CREATE TABLE t (k INT, v INT)`,
+		`INSERT INTO t VALUES (1, 10), (2, 20)`)
+	held := replica.Snapshot()
+	wantA, wantT := objectBytes(t, held, "a"), objectBytes(t, held, "t")
+
+	primary.MustQuery(`UPDATE a SET v = 99 WHERE x = 1`)
+	primary.MustQuery(`UPDATE t SET v = 55 WHERE k = 1`)
+	syncReplica(t, primary, replica)
+
+	if !bytes.Equal(objectBytes(t, held, "a"), wantA) {
+		t.Error("a replicated array UPDATE changed the held snapshot")
+	}
+	if !bytes.Equal(objectBytes(t, held, "t"), wantT) {
+		t.Error("a replicated table UPDATE changed the held snapshot")
+	}
+	if len(replica.walPending) > 0 {
+		t.Fatalf("applying replicated records queued %d records for the replica's own log", len(replica.walPending))
+	}
+	r := replica.MustQuery(`SELECT v FROM a WHERE x = 1`).String() + replica.MustQuery(`SELECT v FROM t WHERE k = 1`).String()
+	if !strings.Contains(r, "99") || !strings.Contains(r, "55") {
+		t.Fatalf("the replica's current snapshot misses the updates:\n%s", r)
+	}
+}
+
+// TestWALRecoveryRejectsWholeRecord: a checksum-valid record whose last
+// position or row does not fit its object is refused whole, by recovery
+// and by a replica alike: the object stays byte-for-byte as it was.
+func TestWALRecoveryRejectsWholeRecord(t *testing.T) {
+	setup := []string{
+		`CREATE TABLE t (i INT, f DOUBLE)`,
+		`INSERT INTO t VALUES (1, 1.5), (2, 2.5), (3, NULL)`,
+		`CREATE ARRAY a (x INT DIMENSION[0:1:4], v INT DEFAULT 7, s VARCHAR)`,
+		`UPDATE a SET s = 'z' WHERE x > 1`,
+	}
+	intVal := func(e *recEnc, v int64) {
+		e.b = append(e.b, byte(types.KindInt))
+		e.i64(v)
+	}
+	floatVal := func(e *recEnc, f float64) {
+		e.b = append(e.b, byte(types.KindFloat))
+		e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f))
+	}
+	// cellsRec encodes one value per position into attribute or column 0.
+	cellsRec := func(op byte, name string, pos ...int) []byte {
+		e := newRecEnc(op)
+		e.str(name)
+		e.u64(1)
+		e.u64(0)
+		e.u64(uint64(len(pos)))
+		for _, p := range pos {
+			e.u64(uint64(p))
+			intVal(e, int64(100+p))
+		}
+		return e.b
+	}
+	// The append's last row holds a float out of integer range for i.
+	appendRec := newRecEnc(recTableAppend)
+	appendRec.str("t")
+	appendRec.u64(2)
+	appendRec.u64(2)
+	intVal(appendRec, 4)
+	floatVal(appendRec, 4.5)
+	floatVal(appendRec, 1e300)
+	floatVal(appendRec, 5.5)
+	// Fifty thousand copies of attribute 0 and a row count to match, but
+	// bytes for one value only: refused before any column is allocated.
+	wideRec := newRecEnc(recArrayUpdate)
+	wideRec.str("a")
+	wideRec.u64(50000)
+	wideRec.b = append(wideRec.b, make([]byte, 50000)...)
+	wideRec.u64(50000)
+	wideRec.u64(0)
+	intVal(wideRec, 1)
+	deleteRec := newRecEnc(recArrayDelete)
+	deleteRec.str("a")
+	deleteRec.u64(3)
+	for _, p := range []uint64{0, 1, 999} {
+		deleteRec.u64(p)
+	}
+	cases := []struct {
+		name, obj string
+		rec       []byte
+	}{
+		{"array update", "a", cellsRec(recArrayUpdate, "a", 0, 1, 999)},
+		{"table update", "t", cellsRec(recTableUpdate, "t", 0, 1, 999)},
+		{"table append", "t", appendRec.b},
+		{"array delete", "a", deleteRec.b},
+		{"implausible row count", "a", wideRec.b},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			primary, replica := openPrimaryReplica(t, setup...)
+			batch := encodeBatch([][]byte{c.rec})
+
+			primary.mu.Lock()
+			want := objectBytes(t, primary.cat, c.obj)
+			err := primary.applyWALBatch(batch)
+			got := objectBytes(t, primary.cat, c.obj)
+			primary.mu.Unlock()
+			if err == nil {
+				t.Error("replay accepted the record")
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("replay changed %s before refusing the record (%v)", c.obj, err)
+			}
+
+			want = objectBytes(t, replica.cat, c.obj)
+			_, err = replica.ApplyReplicated(replica.WALPosition().Offset, [][]byte{batch})
+			if err == nil {
+				t.Error("the replica accepted the record")
+			}
+			if !bytes.Equal(objectBytes(t, replica.cat, c.obj), want) {
+				t.Errorf("the replica changed %s before refusing the record (%v)", c.obj, err)
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/catalog"
-	"repro/internal/gdk"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -21,11 +20,18 @@ import (
 // checkpoint writes); DML records carry tight binary deltas: varint
 // framing, values tagged with their kind, row/cell positions as written.
 //
-// Replay (applyWALRecord) is the recovery half: it decodes a record and
-// re-applies it to the live catalog. Every decode is bounds-checked and
-// every apply validates object names, column counts and positions, so a
-// corrupted-but-checksum-valid record yields a clean recovery error, not
-// a panic.
+// Replay (applyWALRecord) is the recovery half, and a replica's apply: it
+// decodes a record into the write set the live statement staged — a
+// table's append columns, positions with SET ordinals and typed value
+// columns, an arrayWrite — and applies it with the statement's own
+// mutation (appendRows, writeTable, writeArray, writeCells, setAttr,
+// addTable, addArray, dropObject). Replay therefore changes storage,
+// copy-on-write state and dirty marks exactly as the statement did, and a
+// snapshot a reader holds never changes under it. Every decode is
+// bounds-checked and every name, ordinal, position, shape and value is
+// validated before the mutation runs, so a corrupted-but-checksum-valid
+// record yields a clean recovery error, never a panic, and changes
+// nothing: replay is atomic per record.
 
 // Record opcodes (first payload byte).
 const (
@@ -66,29 +72,6 @@ func (e *recEnc) bool(v bool) {
 		e.b = append(e.b, 1)
 	} else {
 		e.b = append(e.b, 0)
-	}
-}
-
-// val encodes a scalar: one kind byte (0x80 = NULL) plus the payload.
-func (e *recEnc) val(v types.Value) {
-	k := v.Kind()
-	if v.IsNull() {
-		e.b = append(e.b, byte(k)|0x80)
-		return
-	}
-	e.b = append(e.b, byte(k))
-	switch k {
-	case types.KindInt, types.KindOID:
-		e.i64(v.Int64())
-	case types.KindFloat:
-		f, _ := v.AsFloat()
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		e.b = append(e.b, buf[:]...)
-	case types.KindBool:
-		e.bool(v.BoolVal())
-	case types.KindStr:
-		e.str(v.StrVal())
 	}
 }
 
@@ -148,6 +131,9 @@ func (d *recDec) count(what string) int {
 		// takes at least one byte), so a larger count is corruption.
 		d.fail("implausible %s count %d", what, v)
 	}
+	if d.err != nil {
+		return 0
+	}
 	return int(v)
 }
 
@@ -190,40 +176,117 @@ func (d *recDec) str() string {
 	return s
 }
 
-func (d *recDec) val() types.Value {
+// ordinals decodes a list of column or attribute ordinals, each below n.
+func (d *recDec) ordinals(what string, n int) []int {
+	out := make([]int, d.count(what))
+	for i := range out {
+		out[i] = d.index(what + " index")
+		if d.err == nil && out[i] >= n {
+			d.fail("%s index %d out of range", what, out[i])
+		}
+	}
+	return out
+}
+
+// positions decodes a list of row or cell positions, each below n.
+func (d *recDec) positions(n int) []int {
+	out := make([]int, d.count("position"))
+	for i := range out {
+		out[i] = d.position(n)
+	}
+	return out
+}
+
+func (d *recDec) position(n int) int {
+	p := d.index("position")
+	if d.err == nil && p >= n {
+		d.fail("position %d out of range [0,%d)", p, n)
+	}
+	return p
+}
+
+// cells decodes what recEnc.cells encodes: per row its position (each
+// below limit; a negative limit means the rows carry none) and one
+// tagged value per column, into a typed column of each kind in kinds.
+func (d *recDec) cells(limit int, kinds []types.Kind) (pos []int, cols []*bat.BAT) {
+	n := d.count("row")
+	if n*len(kinds) > len(d.b)-d.off {
+		// Every value takes at least one byte.
+		d.fail("implausible row count %d for %d columns", n, len(kinds))
+		n = 0
+	}
+	cols = make([]*bat.BAT, len(kinds))
+	for c, k := range kinds {
+		cols[c] = bat.New(k, n)
+	}
+	if limit >= 0 {
+		pos = make([]int, n)
+	}
+	for j := 0; j < n && d.err == nil; j++ {
+		if limit >= 0 {
+			pos[j] = d.position(limit)
+		}
+		for _, col := range cols {
+			d.value(col)
+		}
+	}
+	return pos, cols
+}
+
+// value decodes one tagged value and appends it to col, converted as
+// BAT.Replace converts a value: integers and floats to either numeric
+// kind (a float truncated toward zero, failing outside the integer
+// range), booleans and strings only to their own kind. Anything else is
+// corruption.
+func (d *recDec) value(col *bat.BAT) {
 	tag := d.byte()
-	if d.err != nil {
-		return types.Value{}
-	}
-	k := types.Kind(tag &^ 0x80)
-	if k > types.KindStr {
-		d.fail("unknown value kind %d", k)
-		return types.Value{}
-	}
-	if tag&0x80 != 0 {
-		return types.Null(k)
-	}
-	switch k {
-	case types.KindInt:
-		return types.Int(d.i64())
-	case types.KindOID:
-		return types.Oid(types.OID(d.i64()))
-	case types.KindFloat:
+	from, to := types.Kind(tag&^0x80), col.Kind()
+	toInt := to == types.KindInt || to == types.KindOID
+	switch {
+	case d.err != nil:
+	case from > types.KindStr:
+		d.fail("unknown value kind %d", from)
+	case tag&0x80 != 0:
+		col.AppendNull()
+	case from == types.KindInt || from == types.KindOID:
+		v := d.i64()
+		switch {
+		case toInt:
+			col.AppendInt(v)
+		case to == types.KindFloat:
+			col.AppendFloat(float64(v))
+		default:
+			d.fail("%s value for a %s column", from, to)
+		}
+	case from == types.KindFloat:
 		if d.off+8 > len(d.b) {
 			d.fail("truncated float at %d", d.off)
-			return types.Value{}
+			return
 		}
-		bits := binary.LittleEndian.Uint64(d.b[d.off:])
+		f := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
 		d.off += 8
-		return types.Float(math.Float64frombits(bits))
-	case types.KindBool:
-		return types.Bool(d.byte() != 0)
-	case types.KindStr:
-		return types.Str(d.str())
-	case types.KindVoid:
+		switch {
+		case to == types.KindFloat:
+			col.AppendFloat(f)
+		case toInt:
+			v, err := types.FloatToInt(f)
+			if err != nil {
+				d.fail("%v", err)
+				return
+			}
+			col.AppendInt(v)
+		default:
+			d.fail("%s value for a %s column", from, to)
+		}
+	case from == types.KindVoid:
 		d.fail("non-NULL void value")
+	case from != to:
+		d.fail("%s value for a %s column", from, to)
+	case from == types.KindBool:
+		col.AppendBool(d.byte() != 0)
+	default:
+		col.AppendStr(d.str())
 	}
-	return types.Value{}
 }
 
 // dims decodes dimension ranges onto a copy of base (names and count must
@@ -243,7 +306,17 @@ func (d *recDec) dims(base shape.Shape) shape.Shape {
 		out[k].Step = d.i64()
 		out[k].Stop = d.i64()
 	}
+	d.checkShape(out)
 	return out
+}
+
+// checkShape fails the decode on a shape checkReplayShape refuses.
+func (d *recDec) checkShape(sh shape.Shape) {
+	if d.err == nil {
+		if err := checkReplayShape(sh); err != nil {
+			d.fail("%v", err)
+		}
+	}
 }
 
 func (d *recDec) done() error {
@@ -318,16 +391,13 @@ func encAlterDim(name string, dim int, d shape.Dim) []byte {
 	return e.b
 }
 
-func encTableAppend(name string, ncols int, rows [][]types.Value) []byte {
+// encTableAppend encodes the columns a table INSERT appended: the column
+// count, then every row's value in each column.
+func encTableAppend(name string, cols []*bat.BAT) []byte {
 	e := newRecEnc(recTableAppend)
 	e.str(name)
-	e.u64(uint64(ncols))
-	e.u64(uint64(len(rows)))
-	for _, row := range rows {
-		for _, v := range row {
-			e.val(v)
-		}
-	}
+	e.u64(uint64(len(cols)))
+	e.cells(cols[0].Len(), nil, cols)
 	return e.b
 }
 
@@ -357,21 +427,25 @@ func newEncCol(b *bat.BAT) encCol {
 	return c
 }
 
-// cells appends, per position j, the position and then row j of every
-// value column: the new values of the rows or cells a write touched,
-// already cast to their targets' kinds. Each value is exactly what
-// val(col.Get(j)) appends, without boxing it.
-func (e *recEnc) cells(pos []int, vals []*bat.BAT) {
+// cells appends the row count n and, per row j, its position pos[j] (no
+// positions when pos is nil) and then row j of every value column: the
+// new values of the rows or cells a write touched, already cast to their
+// targets' kinds. A value is one kind byte (0x80 = NULL) plus its
+// payload: a varint, 8 little-endian float bytes, a bool byte, or a
+// length-prefixed string.
+func (e *recEnc) cells(n int, pos []int, vals []*bat.BAT) {
 	cols := make([]encCol, len(vals))
 	for k, v := range vals {
 		cols[k] = newEncCol(v)
 	}
 	// Grow once for the common sizes — a position of up to three bytes, a
 	// tag and up to three bytes per value — instead of doubling.
-	b := slices.Grow(e.b, len(pos)*(3+4*len(vals)))
-	b = binary.AppendUvarint(b, uint64(len(pos)))
-	for j, p := range pos {
-		b = binary.AppendUvarint(b, uint64(p))
+	b := slices.Grow(e.b, n*(3+4*len(vals)))
+	b = binary.AppendUvarint(b, uint64(n))
+	for j := 0; j < n; j++ {
+		if pos != nil {
+			b = binary.AppendUvarint(b, uint64(pos[j]))
+		}
 		for c := range cols {
 			col := &cols[c]
 			if col.nulls.Get(j) {
@@ -406,7 +480,7 @@ func encTableUpdate(name string, cols []int, pos []int, vals []*bat.BAT) []byte 
 	for _, c := range cols {
 		e.u64(uint64(c))
 	}
-	e.cells(pos, vals)
+	e.cells(len(pos), pos, vals)
 	return e.b
 }
 
@@ -433,7 +507,7 @@ func encArrayCells(op byte, name string, sh shape.Shape, attrs []int, pos []int,
 	for _, a := range attrs {
 		e.u64(uint64(a))
 	}
-	e.cells(pos, vals)
+	e.cells(len(pos), pos, vals)
 	return e.b
 }
 
@@ -491,53 +565,41 @@ func (db *DB) applyWALBatch(batch []byte) error {
 	return d.done()
 }
 
-// applyWALRecord decodes one record and re-applies its effect to the live
-// catalog during recovery. The touched object is marked checkpoint-dirty:
-// its state now differs from its on-disk segment files.
+// applyWALRecord decodes one record and applies it with the live
+// statement's mutation (see the file comment). The mutation's own
+// bookkeeping marks what it touched publish- and checkpoint-dirty:
+// recovery publishes everything afterwards anyway, and streamed
+// replication (ApplyReplicated) re-freezes exactly the objects a batch
+// touched.
 func (db *DB) applyWALRecord(rec []byte) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("wal record: empty")
 	}
-	op, body := rec[0], rec[1:]
+	op, d := rec[0], &recDec{b: rec[1:]}
 	switch op {
 	case recCreateTable:
-		return db.applyCreateTable(body)
+		return db.replayCreateTable(d.b)
 	case recCreateArray:
-		return db.applyCreateArray(body)
+		return db.replayCreateArray(d.b)
 	case recDrop:
-		return db.applyDrop(body)
-	case recAlterDim:
-		return db.applyAlterDim(body)
-	case recTableAppend:
-		return db.applyTableAppend(body)
-	case recTableUpdate:
-		return db.applyTableUpdate(body)
-	case recTableDelete:
-		return db.applyTableDelete(body)
-	case recArrayCells, recArrayUpdate:
-		return db.applyArrayCells(op, body)
-	case recArrayDelete:
-		return db.applyArrayDelete(body)
-	case recBulkAttrInts:
-		return db.applyBulkAttrInts(body)
-	default:
-		return fmt.Errorf("wal record: unknown opcode %d", op)
+		isArray := d.byte() != 0
+		name := d.str()
+		if err := d.done(); err != nil {
+			return err
+		}
+		if err := db.dropObject(name, isArray); err != nil {
+			return fmt.Errorf("wal drop: %v", err)
+		}
+		return nil
+	case recTableAppend, recTableUpdate, recTableDelete:
+		return db.replayTableWrite(op, d)
+	case recAlterDim, recArrayCells, recArrayUpdate, recArrayDelete, recBulkAttrInts:
+		return db.replayArrayWrite(op, d)
 	}
+	return fmt.Errorf("wal record: unknown opcode %d", op)
 }
 
-// ckptTouch marks a replayed object as diverged from its checkpointed
-// segments; data=false when only manifest-level state (a deletion mask)
-// changed. Replay runs outside any transaction, so no upgrade tracking.
-// The object is also marked publish-dirty: recovery publishes everything
-// afterwards anyway, and streamed replication (ApplyReplicated) relies
-// on the mark to re-freeze exactly the objects a batch touched.
-func (db *DB) ckptTouch(name string, data bool) {
-	n := catalog.Normalize(name)
-	db.ckptDirty[n] = db.ckptDirty[n] || data
-	db.dirty[n] = struct{}{}
-}
-
-func (db *DB) applyCreateTable(body []byte) error {
+func (db *DB) replayCreateTable(body []byte) error {
 	var mt manifestTable
 	if err := json.Unmarshal(body, &mt); err != nil {
 		return fmt.Errorf("wal create table: %v", err)
@@ -550,14 +612,13 @@ func (db *DB) applyCreateTable(body []byte) error {
 		}
 		cols = append(cols, col)
 	}
-	if err := db.cat.AddTable(catalog.NewTable(mt.Name, cols)); err != nil {
+	if err := db.addTable(catalog.NewTable(mt.Name, cols)); err != nil {
 		return fmt.Errorf("wal create table: %v", err)
 	}
-	db.ckptTouch(mt.Name, true)
 	return nil
 }
 
-func (db *DB) applyCreateArray(body []byte) error {
+func (db *DB) replayCreateArray(body []byte) error {
 	var ma manifestArray
 	if err := json.Unmarshal(body, &ma); err != nil {
 		return fmt.Errorf("wal create array: %v", err)
@@ -566,10 +627,9 @@ func (db *DB) applyCreateArray(body []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal create array %s: %v", ma.Name, err)
 	}
-	if err := db.cat.AddArray(a); err != nil {
+	if err := db.addArray(a); err != nil {
 		return fmt.Errorf("wal create array: %v", err)
 	}
-	db.ckptTouch(ma.Name, true)
 	return nil
 }
 
@@ -619,315 +679,115 @@ func checkReplayShape(sh shape.Shape) error {
 	return nil
 }
 
-func (db *DB) applyDrop(body []byte) error {
-	d := &recDec{b: body}
-	isArray := d.byte() != 0
-	name := d.str()
-	if err := d.done(); err != nil {
-		return err
+// kindsOf lists the kinds of the columns at the ordinals idx.
+func kindsOf(cols []catalog.Column, idx []int) []types.Kind {
+	out := make([]types.Kind, len(idx))
+	for k, i := range idx {
+		out[k] = cols[i].Type.Kind
 	}
-	if isArray {
-		if err := db.cat.DropArray(name); err != nil {
-			return fmt.Errorf("wal drop: %v", err)
-		}
-	} else if err := db.cat.DropTable(name); err != nil {
-		return fmt.Errorf("wal drop: %v", err)
-	}
-	db.ckptTouch(name, true)
-	return nil
+	return out
 }
 
-func (db *DB) applyAlterDim(body []byte) error {
-	d := &recDec{b: body}
+// replayTableWrite decodes a table append, update or delete record into
+// the statement's write set and applies it with appendRows or writeTable.
+func (db *DB) replayTableWrite(op byte, d *recDec) error {
 	name := d.str()
-	k := d.index("dimension index")
-	start, step, stop := d.i64(), d.i64(), d.i64()
-	if err := d.done(); err != nil {
-		return err
-	}
-	a, ok := db.cat.Array(name)
-	if !ok {
-		return fmt.Errorf("wal alter dimension: no such array %q", name)
-	}
-	if k >= len(a.Shape) {
-		return fmt.Errorf("wal alter dimension: index %d out of range", k)
-	}
-	newShape := append(shape.Shape{}, a.Shape...)
-	newShape[k].Start, newShape[k].Step, newShape[k].Stop = start, step, stop
-	if err := checkReplayShape(newShape); err != nil {
-		return fmt.Errorf("wal alter dimension: %v", err)
-	}
-	if err := reshapeArrayTo(a, newShape); err != nil {
-		return fmt.Errorf("wal alter dimension: %v", err)
-	}
-	db.ckptTouch(name, true)
-	return nil
-}
-
-// reshapeArrayTo re-grids every attribute onto newShape (overlapping
-// cells keep their values, fresh cells get the attribute default) and
-// rebuilds the dimension BATs. Shared by ALTER DIMENSION, unbounded
-// growth and their WAL replays.
-func reshapeArrayTo(a *catalog.Array, newShape shape.Shape) error {
-	for i, col := range a.Attrs {
-		def := col.Default
-		if !col.HasDef {
-			def = types.NullUnknown()
-		}
-		nb, err := gdk.Reshape(nil, a.AttrBats[i], a.Shape, newShape, def)
-		if err != nil {
-			return err
-		}
-		a.AttrBats[i] = nb
-	}
-	a.Shape = newShape
-	return a.RebuildDims()
-}
-
-func (db *DB) applyTableAppend(body []byte) error {
-	d := &recDec{b: body}
-	name := d.str()
-	ncols := d.count("column")
-	nrows := d.count("row")
 	if d.err != nil {
 		return d.err
 	}
 	t, ok := db.cat.Table(name)
 	if !ok {
-		return fmt.Errorf("wal append: no such table %q", name)
+		return fmt.Errorf("wal record: no such table %q", name)
 	}
-	if ncols != len(t.Columns) {
-		return fmt.Errorf("wal append: table %q has %d columns, record has %d", name, len(t.Columns), ncols)
-	}
-	for r := 0; r < nrows; r++ {
-		for c := 0; c < ncols; c++ {
-			v := d.val()
-			if d.err != nil {
-				return d.err
-			}
-			if err := t.Bats[c].Append(v); err != nil {
-				return fmt.Errorf("wal append: table %q column %q: %v", name, t.Columns[c].Name, err)
-			}
+	var (
+		pos, cols []int
+		vals      []*bat.BAT
+	)
+	switch op {
+	case recTableAppend:
+		cols = make([]int, d.count("column"))
+		if d.err == nil && len(cols) != len(t.Columns) {
+			return fmt.Errorf("wal record: table %q has %d columns, record has %d", name, len(t.Columns), len(cols))
 		}
+		for i := range cols {
+			cols[i] = i
+		}
+		_, vals = d.cells(-1, kindsOf(t.Columns, cols))
+	case recTableUpdate:
+		cols = d.ordinals("column", len(t.Columns))
+		pos, vals = d.cells(t.PhysRows(), kindsOf(t.Columns, cols))
+	default:
+		pos = d.positions(t.PhysRows())
 	}
 	if err := d.done(); err != nil {
 		return err
 	}
-	if t.Deleted != nil {
-		t.Deleted.Resize(t.PhysRows())
+	if op == recTableAppend {
+		return db.appendRows(t, vals)
 	}
-	db.ckptTouch(name, true)
-	return nil
+	return db.writeTable(t, op == recTableDelete, pos, cols, vals)
 }
 
-func (db *DB) applyTableUpdate(body []byte) error {
-	d := &recDec{b: body}
-	name := d.str()
-	ncols := d.count("column")
-	if d.err != nil {
-		return d.err
-	}
-	t, ok := db.cat.Table(name)
-	if !ok {
-		return fmt.Errorf("wal update: no such table %q", name)
-	}
-	cols := make([]int, ncols)
-	for i := range cols {
-		cols[i] = d.index("column index")
-		if d.err == nil && cols[i] >= len(t.Columns) {
-			return fmt.Errorf("wal update: column index %d out of range for %q", cols[i], name)
-		}
-	}
-	nrows := d.count("row")
-	phys := t.PhysRows()
-	for r := 0; r < nrows; r++ {
-		idx := d.index("row index")
-		if d.err != nil {
-			return d.err
-		}
-		if idx >= phys {
-			return fmt.Errorf("wal update: row %d out of range for %q", idx, name)
-		}
-		for _, c := range cols {
-			v := d.val()
-			if d.err != nil {
-				return d.err
-			}
-			if err := t.Bats[c].Replace(idx, v); err != nil {
-				return fmt.Errorf("wal update: %v", err)
-			}
-		}
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	db.ckptTouch(name, true)
-	return nil
-}
-
-func (db *DB) applyTableDelete(body []byte) error {
-	d := &recDec{b: body}
-	name := d.str()
-	n := d.count("row")
-	if d.err != nil {
-		return d.err
-	}
-	t, ok := db.cat.Table(name)
-	if !ok {
-		return fmt.Errorf("wal delete: no such table %q", name)
-	}
-	phys := t.PhysRows()
-	if t.Deleted == nil {
-		t.Deleted = bat.NewBitmap(phys)
-	}
-	for i := 0; i < n; i++ {
-		idx := d.index("row index")
-		if d.err != nil {
-			return d.err
-		}
-		if idx >= phys {
-			return fmt.Errorf("wal delete: row %d out of range for %q", idx, name)
-		}
-		t.Deleted.Set(idx, true)
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	db.ckptTouch(name, false)
-	return nil
-}
-
-func (db *DB) applyArrayCells(op byte, body []byte) error {
-	d := &recDec{b: body}
+// replayArrayWrite decodes an array record into the statement's write
+// set and applies it with writeCells (INSERT, ALTER DIMENSION),
+// writeArray (UPDATE, DELETE) or setAttr (bulk load).
+func (db *DB) replayArrayWrite(op byte, d *recDec) error {
 	name := d.str()
 	if d.err != nil {
 		return d.err
 	}
 	a, ok := db.cat.Array(name)
 	if !ok {
-		return fmt.Errorf("wal array write: no such array %q", name)
+		return fmt.Errorf("wal record: no such array %q", name)
 	}
-	if op == recArrayCells {
-		newShape := d.dims(a.Shape)
-		if d.err != nil {
-			return d.err
+	w := &arrayWrite{shape: a.Shape}
+	switch op {
+	case recAlterDim:
+		k := d.index("dimension index")
+		start, step, stop := d.i64(), d.i64(), d.i64()
+		if d.err == nil && k >= len(a.Shape) {
+			d.fail("dimension index %d out of range", k)
 		}
-		if err := checkReplayShape(newShape); err != nil {
-			return fmt.Errorf("wal array write: %v", err)
+		if d.err == nil {
+			w.shape = append(shape.Shape{}, a.Shape...)
+			w.shape[k].Start, w.shape[k].Step, w.shape[k].Stop = start, step, stop
+			d.checkShape(w.shape)
 		}
-		if !shapesEqual(a.Shape, newShape) {
-			if err := reshapeArrayTo(a, newShape); err != nil {
-				return fmt.Errorf("wal array write: %v", err)
-			}
+	case recArrayCells, recArrayUpdate:
+		if op == recArrayCells {
+			w.shape = d.dims(a.Shape)
 		}
-	}
-	nattrs := d.count("attribute")
-	attrs := make([]int, nattrs)
-	for i := range attrs {
-		attrs[i] = d.index("attribute index")
-		if d.err == nil && attrs[i] >= len(a.AttrBats) {
-			return fmt.Errorf("wal array write: attribute index %d out of range for %q", attrs[i], name)
+		w.attrs = d.ordinals("attribute", len(a.Attrs))
+		w.pos, w.vals = d.cells(w.shape.Cells(), kindsOf(a.Attrs, w.attrs))
+	case recArrayDelete:
+		w.pos = d.positions(a.Cells())
+	case recBulkAttrInts:
+		w.attrs = []int{d.index("attribute index")}
+		data := make([]int64, d.count("value"))
+		switch ai := w.attrs[0]; {
+		case d.err != nil:
+		case ai >= len(a.Attrs):
+			d.fail("attribute index %d out of range", ai)
+		case a.Attrs[ai].Type.Kind != types.KindInt:
+			d.fail("attribute %q is %s, not integer", a.Attrs[ai].Name, a.Attrs[ai].Type.Kind)
+		case len(data) != a.Cells():
+			d.fail("%d values for %d cells of %q", len(data), a.Cells(), name)
 		}
-	}
-	ncells := d.count("cell")
-	cells := a.Cells()
-	for c := 0; c < ncells; c++ {
-		pos := d.index("cell position")
-		if d.err != nil {
-			return d.err
+		for i := range data {
+			data[i] = d.i64()
 		}
-		if pos >= cells {
-			return fmt.Errorf("wal array write: position %d out of range for %q", pos, name)
-		}
-		for _, ai := range attrs {
-			v := d.val()
-			if d.err != nil {
-				return d.err
-			}
-			if err := a.AttrBats[ai].Replace(pos, v); err != nil {
-				return fmt.Errorf("wal array write: %v", err)
-			}
-		}
+		w.vals = []*bat.BAT{bat.FromInts(data)}
 	}
 	if err := d.done(); err != nil {
 		return err
 	}
-	db.ckptTouch(name, true)
-	return nil
-}
-
-func (db *DB) applyArrayDelete(body []byte) error {
-	d := &recDec{b: body}
-	name := d.str()
-	n := d.count("cell")
-	if d.err != nil {
-		return d.err
+	switch op {
+	case recArrayUpdate, recArrayDelete:
+		return db.writeArray(a, op == recArrayDelete, w.pos, w.attrs, w.vals)
+	case recBulkAttrInts:
+		db.setAttr(a, w.attrs[0], w.vals[0])
+		return nil
 	}
-	a, ok := db.cat.Array(name)
-	if !ok {
-		return fmt.Errorf("wal array delete: no such array %q", name)
-	}
-	cells := a.Cells()
-	for i := 0; i < n; i++ {
-		pos := d.index("cell position")
-		if d.err != nil {
-			return d.err
-		}
-		if pos >= cells {
-			return fmt.Errorf("wal array delete: position %d out of range for %q", pos, name)
-		}
-		for _, ab := range a.AttrBats {
-			ab.SetNull(pos, true)
-		}
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	db.ckptTouch(name, true)
-	return nil
-}
-
-func (db *DB) applyBulkAttrInts(body []byte) error {
-	d := &recDec{b: body}
-	name := d.str()
-	attr := d.index("attribute index")
-	n := d.count("value")
-	if d.err != nil {
-		return d.err
-	}
-	a, ok := db.cat.Array(name)
-	if !ok {
-		return fmt.Errorf("wal bulk load: no such array %q", name)
-	}
-	if attr >= len(a.AttrBats) {
-		return fmt.Errorf("wal bulk load: attribute index %d out of range for %q", attr, name)
-	}
-	if k := a.Attrs[attr].Type.Kind; k != types.KindInt {
-		return fmt.Errorf("wal bulk load: attribute %q is %s, not integer", a.Attrs[attr].Name, k)
-	}
-	if n != a.Cells() {
-		return fmt.Errorf("wal bulk load: %d values for %d cells of %q", n, a.Cells(), name)
-	}
-	data := make([]int64, n)
-	for i := range data {
-		data[i] = d.i64()
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	a.AttrBats[attr] = bat.FromInts(data)
-	db.ckptTouch(name, true)
-	return nil
-}
-
-func shapesEqual(a, b shape.Shape) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Start != b[i].Start || a[i].Step != b[i].Step || a[i].Stop != b[i].Stop {
-			return false
-		}
-	}
-	return true
+	_, err := db.writeCells(a, w)
+	return err
 }

@@ -645,25 +645,30 @@ func shiftRows[T any](job *par.Job, vals []T, holes *bat.Bitmap, dims, strides, 
 
 // Reshape maps an attribute column from one array shape to another
 // (ALTER ARRAY ... ALTER DIMENSION ... SET RANGE, Fig. 1(f)): cells present
-// in both shapes keep their value, new cells receive the default.
+// in both shapes keep their value, new cells receive the default. Every
+// old cell's coordinates (the columns array.series builds for from) map
+// through CellPos to its position in to, -1 when to lacks the cell, and
+// one ReplaceAt scatters the column into the default filler, skipping
+// those.
 func Reshape(job *par.Job, attr *bat.BAT, from, to shape.Shape, def types.Value) (*bat.BAT, error) {
 	if len(from) != len(to) {
 		return nil, fmt.Errorf("gdk: reshape dimensionality mismatch")
 	}
 	out, err := bat.Filler(job, to.Cells(), def, attr.ValueKind())
+	if err != nil || from.Cells() == 0 {
+		return out, err
+	}
+	dims, err := DimBATs(from)
 	if err != nil {
 		return nil, err
 	}
-	coords := make([]int64, len(to))
-	for p := 0; p < to.Cells(); p++ {
-		to.Coords(p, coords)
-		if q, ok := from.Pos(coords); ok {
-			if attr.IsNull(q) {
-				out.SetNull(p, true)
-			} else if err := out.Replace(p, attr.Get(q)); err != nil {
-				return nil, err
-			}
-		}
+	coords := make([][]int64, len(dims))
+	for k, d := range dims {
+		coords[k] = d.DecodedInts()
+	}
+	pos, _ := CellPos(to, coords)
+	if err := out.ReplaceAt(pos, attr); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

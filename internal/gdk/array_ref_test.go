@@ -366,3 +366,104 @@ func TestArrayRefCellFetch(t *testing.T) {
 		})
 	}
 }
+
+// refCellsOf lists the coordinates of every cell of sh in storage order
+// (row-major, the last dimension fastest), walking each range from its
+// start by its step, in either direction.
+func refCellsOf(sh shape.Shape) [][3]int64 {
+	var out [][3]int64
+	var walk func(d int, c [3]int64)
+	walk = func(d int, c [3]int64) {
+		if d == len(sh) {
+			out = append(out, c)
+			return
+		}
+		r := sh[d]
+		for v := r.Start; (r.Step > 0 && v < r.Stop) || (r.Step < 0 && v > r.Stop); v += r.Step {
+			c[d] = v
+			walk(d+1, c)
+		}
+	}
+	walk(0, [3]int64{})
+	return out
+}
+
+// refValue draws a value of kind k.
+func refValue(rng *rand.Rand, k types.Kind) types.Value {
+	switch k {
+	case types.KindInt:
+		return types.Int(int64(rng.Intn(101) - 50))
+	case types.KindOID:
+		return types.Oid(types.OID(rng.Intn(100)))
+	case types.KindFloat:
+		return types.Float(rng.NormFloat64() * 10)
+	case types.KindBool:
+		return types.Bool(rng.Intn(2) == 0)
+	}
+	return types.Str(string(rune('a' + rng.Intn(26))))
+}
+
+// TestArrayRefReshape holds Reshape to the literal per-cell walk: a cell
+// of the new shape keeps the old value at the same coordinates, holes
+// included, and any other cell gets the default. The old shape draws 1–3
+// dimensions with steps of either sign, some empty; the new one grows,
+// shrinks or shifts each range, mostly on the same step grid, sometimes
+// reversed or on another step. Every attribute kind is drawn, with and
+// without holes, and a value or NULL as the default.
+func TestArrayRefReshape(t *testing.T) {
+	kinds := []types.Kind{types.KindInt, types.KindOID, types.KindFloat, types.KindBool, types.KindStr}
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var from, to shape.Shape
+		for d := 1 + rng.Intn(3); d > 0; d-- {
+			step := int64(1 + rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				step = -step
+			}
+			start := int64(rng.Intn(11) - 5)
+			from = append(from, shape.Dim{Name: "d", Start: start, Step: step, Stop: start + int64(rng.Intn(7))*step})
+			switch rng.Intn(6) {
+			case 0:
+				step = -step
+			case 1:
+				step = int64(1 + rng.Intn(3))
+			}
+			start += int64(rng.Intn(7)-3) * step
+			to = append(to, shape.Dim{Name: "d", Start: start, Step: step, Stop: start + int64(rng.Intn(9))*step})
+		}
+		kind := kinds[rng.Intn(len(kinds))]
+		old := refCellsOf(from)
+		at := map[[3]int64]int{}
+		attr := bat.New(kind, len(old))
+		holes := rng.Intn(2) == 0
+		for q, c := range old {
+			at[c] = q
+			if holes && rng.Intn(4) == 0 {
+				attr.AppendNull()
+			} else if err := attr.Append(refValue(rng, kind)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		def := types.Null(kind)
+		if rng.Intn(3) > 0 {
+			def = refValue(rng, kind)
+		}
+		got, err := Reshape(nil, attr, from, to, def)
+		if err != nil {
+			t.Fatalf("seed %d: Reshape %v -> %v: %v", seed, from, to, err)
+		}
+		cells := refCellsOf(to)
+		if got.Len() != len(cells) {
+			t.Fatalf("seed %d: %d cells, want %d", seed, got.Len(), len(cells))
+		}
+		for p, c := range cells {
+			want := def
+			if q, ok := at[c]; ok {
+				want = attr.Get(q)
+			}
+			if g := got.Get(p); g != want {
+				t.Fatalf("seed %d: %v -> %v: cell %v = %v, want %v", seed, from, to, c, g, want)
+			}
+		}
+	}
+}
