@@ -204,3 +204,41 @@ func TestChaosSegmentWrite(t *testing.T) {
 		fs.ShortWriteOn(".bat", 1)
 	})
 }
+
+// TestAutoCheckpointKeepsAppendLatch fails the WAL append the background
+// size-triggered checkpoint makes for commits queued behind the drained
+// group. The database must stay degraded, and a Save barrier taken from
+// the queue must get the degraded error: checkpointing after the failed
+// append would persist the failed commit's effects and lift the latch
+// (the "never latched degraded mode" flake of TestChaosWALShortWrite).
+func TestAutoCheckpointKeepsAppendLatch(t *testing.T) {
+	fs := vfs.NewFailFS(nil)
+	db, err := OpenWithFS(filepath.Join(t.TempDir(), "db"), 1, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.MustQuery(`CREATE TABLE kv (a INT)`)
+	// Take the log from the commit loop and hand the background
+	// checkpoint a queue holding one commit and one barrier.
+	db.stopCommitLoop()
+	q := &commitQueue{notify: make(chan struct{}, 1)}
+	commit := &commitReq{batch: []byte("commit"), done: make(chan error, 1)}
+	barrier := &commitReq{ckpt: true, done: make(chan error, 1)}
+	for _, r := range []*commitReq{commit, barrier} {
+		if err := q.enqueue(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.ShortWriteOn("wal.log", 1)
+	db.checkpointOnLoop(q, nil, nil, false)
+	if err := <-commit.done; !errors.Is(err, ErrDegraded) {
+		t.Fatalf("commit = %v, want ErrDegraded", err)
+	}
+	if err := <-barrier.done; !errors.Is(err, ErrDegraded) {
+		t.Fatalf("barrier = %v, want ErrDegraded", err)
+	}
+	if db.Degraded() == nil {
+		t.Fatal("the background checkpoint lifted the degraded latch")
+	}
+}

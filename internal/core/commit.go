@@ -259,11 +259,12 @@ func (db *DB) appendGroup(group []*commitReq, stuck error, locked bool) error {
 // Save barrier that forced the call); force distinguishes a barrier
 // from the background size-triggered variant, which quietly skips when
 // the threshold is not crossed or the database is mid-transaction or
-// degraded. Before folding, every commit batch already applied and
-// enqueued is appended to the outgoing log — under db.mu the queue
-// cannot grow (enqueueing requires the lock), and folding effects whose
-// batches would otherwise land in the fresh generation would make
-// recovery apply them twice.
+// degraded, and fails the barriers it took from the queue when its own
+// append latches degraded mode. Before folding, every commit batch
+// already applied and enqueued is appended to the outgoing log — under
+// db.mu the queue cannot grow (enqueueing requires the lock), and
+// folding effects whose batches would otherwise land in the fresh
+// generation would make recovery apply them twice.
 func (db *DB) checkpointOnLoop(q *commitQueue, carry []*commitReq, stuck error, force bool) error {
 	db.mu.Lock()
 	if !force && (db.ckptBytes <= 0 || db.wal == nil || db.txn != nil ||
@@ -281,8 +282,13 @@ func (db *DB) checkpointOnLoop(q *commitQueue, carry []*commitReq, stuck error, 
 		}
 	}
 	stuck = db.appendGroups(commits, stuck, true)
-	err := db.checkpointLocked()
-	if err == nil {
+	var err error
+	if !force && db.degraded != nil {
+		// The append just latched degraded mode. Checkpointing now would
+		// fold the failed commits' effects into the store and lift the
+		// latch; only an explicit Save may re-converge.
+		err = db.writeBlockedErr()
+	} else if err = db.checkpointLocked(); err == nil {
 		stuck = nil
 	}
 	db.mu.Unlock()

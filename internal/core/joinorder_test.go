@@ -2,27 +2,15 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/gdk"
-	"repro/internal/par"
-	"repro/internal/rel"
 )
 
 // The equivalence gate of the join ordering pass: every query must return
-// the same row set in syntactic and greedy mode — with statistics on or
-// off, serial or forced-parallel. The pass only ever changes the shape
-// of the join tree, so any divergence here is a key/residual remapping
-// bug.
-
-// joinOrderModes in comparison order: syntactic is the never-reordered
-// reference greedy must match.
-var joinOrderModes = []rel.JoinOrderMode{
-	rel.JoinOrderSyntactic,
-	rel.JoinOrderGreedy,
-}
+// the rows the reference evaluator (oracle_test.go) computes from the
+// unoptimized plan, at every kernel width. The pass only ever changes the
+// shape of the join tree, so any divergence here is a key/residual
+// remapping bug.
 
 // buildJoinOrderDB creates the workload shapes the ordering pass must
 // handle: a large fact table, run-length and low-cardinality keys, a
@@ -126,113 +114,69 @@ var joinOrderQueries = []struct{ name, sql string }{
 		AND s.id = sk.u AND l.w = tn.k AND tn.w = tn2.k`},
 }
 
-// sortedRows normalizes a result to its sorted row-string multiset.
-func sortedRows(t *testing.T, db *DB, q string) []string {
+// fixedRefBudget lets the reference enumerate every fixed query of this
+// file in FROM order; the largest, 8way, visits about 1.8 million rows.
+const fixedRefBudget = 2_000_000
+
+// fixedRef evaluates a fixed query with the reference. A fixed query must
+// never go unchecked, so one the reference cannot enumerate fails the test.
+func fixedRef(t *testing.T, db *DB, sql string) refAnswer {
 	t.Helper()
-	r, err := db.Query(q)
-	if err != nil {
-		t.Fatalf("%s: %v", q, err)
+	want := refQuery(db, sql, fixedRefBudget)
+	if want.err != nil {
+		t.Fatalf("reference: %v\n%s", want.err, sql)
 	}
-	rows := make([]string, r.NumRows())
-	var sb strings.Builder
-	for i := range rows {
-		sb.Reset()
-		for c := 0; c < r.NumCols(); c++ {
-			if c > 0 {
-				sb.WriteByte('|')
-			}
-			sb.WriteString(r.Value(i, c).String())
-		}
-		rows[i] = sb.String()
-	}
-	sort.Strings(rows)
-	return rows
+	return want
 }
 
-func setJoinOrder(t *testing.T, m rel.JoinOrderMode) {
-	t.Helper()
-	prev := rel.SetJoinOrdering(m)
-	t.Cleanup(func() { rel.SetJoinOrdering(prev) })
-}
-
+// TestJoinOrderEquiv checks each query serially and at eight threads,
+// against one reference answer per query.
 func TestJoinOrderEquiv(t *testing.T) {
 	db := buildJoinOrderDB(t)
-	for _, stats := range []bool{true, false} {
-		for _, threads := range []int{1, 8} {
-			t.Run(fmt.Sprintf("stats=%v/threads=%d", stats, threads), func(t *testing.T) {
-				prevStats := gdk.SetStatsEnabled(stats)
-				prevThreads := par.SetThreads(threads)
-				t.Cleanup(func() {
-					gdk.SetStatsEnabled(prevStats)
-					par.SetThreads(prevThreads)
+	wants := make([]refAnswer, len(joinOrderQueries))
+	for i, q := range joinOrderQueries {
+		wants[i] = fixedRef(t, db, q.sql)
+	}
+	for _, threads := range []int{1, 8} {
+		t.Run(fmt.Sprintf("stats=true/threads=%d", threads), func(t *testing.T) {
+			for i, q := range joinOrderQueries {
+				t.Run(q.name, func(t *testing.T) {
+					if err := checkEngine(db, q.sql, wants[i], threads); err != nil {
+						t.Fatalf("%v\n%s", err, q.sql)
+					}
+					if n := len(wants[i].rows); q.name == "empty5" && n != 0 {
+						t.Fatalf("empty5 returned %d rows, want 0", n)
+					}
 				})
-				for _, q := range joinOrderQueries {
-					t.Run(q.name, func(t *testing.T) {
-						var ref []string
-						for _, mode := range joinOrderModes {
-							setJoinOrder(t, mode)
-							got := sortedRows(t, db, q.sql)
-							if mode == rel.JoinOrderSyntactic {
-								ref = got
-								if q.name == "empty5" && len(ref) != 0 {
-									t.Fatalf("empty5 returned %d rows, want 0", len(ref))
-								}
-								continue
-							}
-							if len(got) != len(ref) {
-								t.Fatalf("%v returned %d rows, syntactic %d", mode, len(got), len(ref))
-							}
-							for i := range got {
-								if got[i] != ref[i] {
-									t.Fatalf("%v row %d = %q, syntactic %q", mode, i, got[i], ref[i])
-								}
-							}
-						}
-					})
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestJoinOrderOrderByIdentical pins the stronger contract for ordered
-// queries: with a full-row ORDER BY the rendered result must be
-// byte-identical across modes.
+// queries: with a full-row ORDER BY the result must equal the reference
+// row for row, at every width.
 func TestJoinOrderOrderByIdentical(t *testing.T) {
 	db := buildJoinOrderDB(t)
 	q := `SELECT b.id, l.w, s.w FROM big b, lowcard l, sorted s
 		WHERE b.ka = l.k AND b.id = s.id ORDER BY b.id, l.w, s.w`
-	var ref string
-	for _, mode := range joinOrderModes {
-		setJoinOrder(t, mode)
-		got := db.MustQuery(q).String()
-		if mode == rel.JoinOrderSyntactic {
-			ref = got
-			continue
-		}
-		if got != ref {
-			t.Fatalf("mode %v rendered differently:\n%s\n--- syntactic ---\n%s", mode, got, ref)
-		}
+	if err := checkEngine(db, q, fixedRef(t, db, q)); err != nil {
+		t.Fatalf("%v\n%s", err, q)
 	}
 }
 
 // TestJoinOrderEmptyShortCircuit is the regression test for the
 // provably-empty estimate: an impossible predicate on the largest
-// relation must (a) return no rows in every mode, and (b) in greedy mode
-// place that relation first with the emptycand fold intact, so the whole
-// join tree short-circuits.
+// relation must (a) return no rows, and (b) place that relation first
+// with the emptycand fold intact, so the whole join tree short-circuits.
 func TestJoinOrderEmptyShortCircuit(t *testing.T) {
 	db := buildJoinOrderDB(t)
 	// big.v ranges over [0, 999]: the bound is provably unsatisfiable.
 	q := `SELECT b.id FROM big b, runs r, lowcard l
 		WHERE b.kb = r.k AND r.w = l.k AND b.v > 100000`
-	for _, mode := range joinOrderModes {
-		setJoinOrder(t, mode)
-		if got := db.MustQuery(q).NumRows(); got != 0 {
-			t.Fatalf("mode %v: impossible predicate returned %d rows", mode, got)
-		}
+	if got := db.MustQuery(q).NumRows(); got != 0 {
+		t.Fatalf("impossible predicate returned %d rows", got)
 	}
-	setJoinOrder(t, rel.JoinOrderGreedy)
 	plan := db.MustQuery("EXPLAIN " + q).String()
 	if !strings.Contains(plan, "select candidates none") {
 		t.Fatalf("emptycand fold missing from plan:\n%s", plan)
@@ -243,7 +187,7 @@ func TestJoinOrderEmptyShortCircuit(t *testing.T) {
 }
 
 // TestJoinOrderGreedyWideJoin covers join trees of more than ten leaves:
-// an 11-relation self-join must return the same count in every mode.
+// an 11-relation self-join must return the reference count.
 func TestJoinOrderGreedyWideJoin(t *testing.T) {
 	db := buildJoinOrderDB(t)
 	var from, where []string
@@ -255,10 +199,10 @@ func TestJoinOrderGreedyWideJoin(t *testing.T) {
 	}
 	q := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s",
 		strings.Join(from, ", "), strings.Join(where, " AND "))
-	for _, mode := range joinOrderModes {
-		setJoinOrder(t, mode)
-		if got := db.MustQuery(q).Value(0, 0).String(); got != "8" {
-			t.Fatalf("mode %v: 11-way self-join count = %s, want 8", mode, got)
-		}
+	if got := db.MustQuery(q).Value(0, 0).String(); got != "8" {
+		t.Fatalf("11-way self-join count = %s, want 8", got)
+	}
+	if err := checkEngine(db, q, fixedRef(t, db, q)); err != nil {
+		t.Fatalf("%v\n%s", err, q)
 	}
 }

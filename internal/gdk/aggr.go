@@ -100,7 +100,7 @@ func SubAggr(job *par.Job, agg AggKind, vals, gids *bat.BAT, ngroups int, cand *
 	// encoded int column, accumulate per run and store once, instead of
 	// chunked ngroups-sized partials merged after. The results are
 	// bit-identical to the generic paths'.
-	sortedRuns := StatsEnabled() && gids.Sorted && !gids.HasNulls() && n > 0
+	sortedRuns := gids.Sorted && !gids.HasNulls() && n > 0
 
 	switch agg {
 	case AggCountAll, AggCount:

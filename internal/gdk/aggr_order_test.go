@@ -38,7 +38,7 @@ func refFloatSums(fs []float64, vals *bat.BAT, gs []int64, ngroups int) ([]float
 // data alone. Grouped (few groups, sorted run groups, many groups) and
 // global aggregates, with and without a candidate list, must come out
 // bit-identical — and equal to the canonical block order — at every
-// thread count, morsel threshold and statistics setting.
+// thread count and morsel threshold.
 func TestFloatSumIndependentOfWidth(t *testing.T) {
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
@@ -76,21 +76,15 @@ func TestFloatSumIndependentOfWidth(t *testing.T) {
 	oids := bat.FromOIDs(half)
 	oids.Sorted, oids.Key = true, true
 
-	type config struct {
-		threads, cutoff int
-		stats           bool
-	}
+	type config struct{ threads, cutoff int }
 	var configs []config
 	for _, th := range []int{1, 2, 3, 8} {
 		for _, cut := range []int{par.DefaultMorselThreshold, 4097} {
-			for _, st := range []bool{true, false} {
-				configs = append(configs, config{th, cut, st})
-			}
+			configs = append(configs, config{th, cut})
 		}
 	}
 	defer par.SetThreads(par.SetThreads(0))
 	defer par.SetMorselThreshold(par.SetMorselThreshold(0))
-	defer SetStatsEnabled(SetStatsEnabled(true))
 
 	for cname, cand := range map[string]*bat.BAT{"none": nil, "half": oids} {
 		m := n
@@ -122,13 +116,12 @@ func TestFloatSumIndependentOfWidth(t *testing.T) {
 				for _, c := range configs {
 					par.SetThreads(c.threads)
 					par.SetMorselThreshold(c.cutoff)
-					SetStatsEnabled(c.stats)
 					out, err := SubAggr(nil, agg, vals, g.GIDs, g.N, cand)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("seed %d: %s(%s) cand=%s threads=%d cutoff=%d stats=%v",
-						seed, agg, gname, cname, c.threads, c.cutoff, c.stats)
+					label := fmt.Sprintf("seed %d: %s(%s) cand=%s threads=%d cutoff=%d",
+						seed, agg, gname, cname, c.threads, c.cutoff)
 					checkCanonical(t, label, out, agg, refSum, refCount)
 				}
 			}

@@ -11,10 +11,11 @@ import (
 
 // Kernel micro-benchmarks for the two statistics paths no workload of
 // `go run ./benchmark` isolates — the zonemap skip-scan and the sorted
-// merge join, each beside the baseline it replaces (statistics off) — for
-// the typed group and sort kernels at table-analytics' size, and for the
-// array kernels of image-read's smooth, reduce and edge queries. They
-// report numbers only; nothing here gates.
+// merge join, whose scan and hash baselines are recorded in
+// EXPERIMENTS.md under "Column statistics: zonemap skip-scans and sorted
+// fast paths" — for the typed group and sort kernels at table-analytics'
+// size, and for the array kernels of image-read's smooth, reduce and edge
+// queries. They report numbers only; nothing here gates.
 
 // benchRows is the input size of the kernel benchmarks: 16 zonemap slabs.
 const benchRows = 1 << 20
@@ -40,32 +41,8 @@ func zonemapCols(n int) (col *bat.BAT, probe int64) {
 	return bat.FromInts(vals), slab*100_000 + (31*37)%64
 }
 
-// withStats runs fn with the statistics fast paths switched to on.
-func withStats(on bool, fn func() error) error {
-	prev := SetStatsEnabled(on)
-	defer SetStatsEnabled(prev)
-	return fn()
-}
-
-// benchOnOff runs fn as two sub-benchmarks, statistics on and off.
-func benchOnOff(b *testing.B, fast, base string, fn func() error) {
-	for _, c := range []struct {
-		name string
-		on   bool
-	}{{fast, true}, {base, false}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := withStats(c.on, fn); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkZonemapSelect: ThetaSelect at 0.1% selectivity over 1M
-// clustered rows, zonemap skip-scan vs the candidate scan.
+// clustered rows through the zonemap skip-scan.
 func BenchmarkZonemapSelect(b *testing.B) {
 	col, probe := zonemapCols(benchRows)
 	sel := func() error {
@@ -76,11 +53,18 @@ func BenchmarkZonemapSelect(b *testing.B) {
 	if err := sel(); err != nil {
 		b.Fatal(err)
 	}
-	benchOnOff(b, "zonemap/sel=0.1%", "scan/sel=0.1%", sel)
+	b.Run("zonemap/sel=0.1%", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := sel(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkMergeJoin: sorted 1Mx1M unique keys with overlapping ranges
-// (~50% match rate), merge join vs hash join.
+// (~50% match rate) through the merge join.
 func BenchmarkMergeJoin(b *testing.B) {
 	lv := make([]int64, benchRows)
 	rv := make([]int64, benchRows)
@@ -91,9 +75,13 @@ func BenchmarkMergeJoin(b *testing.B) {
 	l, r := bat.FromInts(lv), bat.FromInts(rv)
 	l.DeriveProps()
 	r.DeriveProps()
-	benchOnOff(b, "merge/1Mx1M", "hash/1Mx1M", func() error {
-		_, _, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, nil)
-		return err
+	b.Run("merge/1Mx1M", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 
@@ -221,8 +209,6 @@ func TestZonemapSelectAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prev := SetStatsEnabled(true)
-	defer SetStatsEnabled(prev)
 	sel() // build the lazy zonemap
 	if allocs := testing.AllocsPerRun(10, sel); allocs > 16 {
 		t.Fatalf("zonemap select allocates %.0f objects/op, want <= 16", allocs)

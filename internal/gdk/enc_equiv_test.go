@@ -11,11 +11,10 @@ import (
 
 // Encoding-path equivalence: every kernel must produce bit-identical
 // results over an encoded column (RLE/dict/FOR/delta slabs) and its plain
-// twin — positions, group ids, candidate lists, aggregates. Each case runs
-// with statistics on and off (the zonemap skip-scan composes with slab
-// decoding) and, for the selection kernels, serially and under forced
-// 8-way parallelism, so `go test -race` also exercises concurrent slab
-// decodes against the shared per-column decode cache.
+// twin — positions, group ids, candidate lists, aggregates. The selection
+// cases also run serially and under forced 8-way parallelism, so `go test
+// -race` exercises concurrent slab decodes against the shared per-column
+// decode cache.
 
 // encTwin returns an encoded copy of plain, failing the test when a shape
 // expected to compress stays plain (the equivalence run would be vacuous).
@@ -30,21 +29,14 @@ func encTwin(t *testing.T, plain *bat.BAT, wantEnc bool) *bat.BAT {
 	return enc
 }
 
-// encBaseline runs fn over the encoded twin and the plain column under
-// stats on and off, checking each pair, and returns the last encoded
-// result (for serial-vs-parallel comparison by the caller).
+// encBaseline runs fn over the encoded twin and the plain column, checks
+// the pair, and returns the encoded result (for serial-vs-parallel
+// comparison by the caller).
 func encBaseline[T any](t *testing.T, plain, enc *bat.BAT, fn func(col *bat.BAT) T, check func(encRes, plainRes T)) T {
 	t.Helper()
-	var out T
-	for _, stats := range []bool{true, false} {
-		prev := SetStatsEnabled(stats)
-		e := fn(enc)
-		p := fn(plain)
-		SetStatsEnabled(prev)
-		check(e, p)
-		out = e
-	}
-	return out
+	e := fn(enc)
+	check(e, fn(plain))
+	return e
 }
 
 // encDataset builds one named int column shape spanning multiple 64K
@@ -427,23 +419,17 @@ func TestEncEquivJoin(t *testing.T) {
 	for cname, cand := range candVariants(m) {
 		label := "hashjoin cand=" + cname
 		runBoth(t, func() [2]*bat.BAT {
-			var out [2]*bat.BAT
-			for _, stats := range []bool{true, false} {
-				prev := SetStatsEnabled(stats)
-				li, ri, err := HashJoin(nil, []*bat.BAT{lEnc}, []*bat.BAT{rEnc}, nil, cand)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				pli, pri, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, cand)
-				SetStatsEnabled(prev)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				batsEqual(t, label+" left", li, pli)
-				batsEqual(t, label+" right", ri, pri)
-				out = [2]*bat.BAT{li, ri}
+			li, ri, err := HashJoin(nil, []*bat.BAT{lEnc}, []*bat.BAT{rEnc}, nil, cand)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			return out
+			pli, pri, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, cand)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			batsEqual(t, label+" left", li, pli)
+			batsEqual(t, label+" right", ri, pri)
+			return [2]*bat.BAT{li, ri}
 		}, func(serial, parallel [2]*bat.BAT) {
 			batsEqual(t, label+" left serial-vs-parallel", serial[0], parallel[0])
 			batsEqual(t, label+" right serial-vs-parallel", serial[1], parallel[1])
@@ -454,18 +440,14 @@ func TestEncEquivJoin(t *testing.T) {
 	ls := encDataset("sorted", rng, n)
 	rs := encDataset("sorted", rng, m)
 	lsEnc, rsEnc := encTwin(t, ls, true), encTwin(t, rs, true)
-	for _, stats := range []bool{true, false} {
-		prev := SetStatsEnabled(stats)
-		li, ri, err := HashJoin(nil, []*bat.BAT{lsEnc}, []*bat.BAT{rsEnc}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pli, pri, err := HashJoin(nil, []*bat.BAT{ls}, []*bat.BAT{rs}, nil, nil)
-		SetStatsEnabled(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batsEqual(t, "sorted join left", li, pli)
-		batsEqual(t, "sorted join right", ri, pri)
+	li, ri, err := HashJoin(nil, []*bat.BAT{lsEnc}, []*bat.BAT{rsEnc}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	pli, pri, err := HashJoin(nil, []*bat.BAT{ls}, []*bat.BAT{rs}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batsEqual(t, "sorted join left", li, pli)
+	batsEqual(t, "sorted join right", ri, pri)
 }

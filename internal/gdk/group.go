@@ -67,7 +67,7 @@ func Group(job *par.Job, keys []*bat.BAT, cand *bat.BAT) (*GroupResult, error) {
 	// first-occurrence order and the group ids come out bit-identical to
 	// the hash path's (and non-decreasing, which downstream aggregation
 	// exploits).
-	if StatsEnabled() && len(keys) == 1 && !keys[0].HasNulls() &&
+	if len(keys) == 1 && !keys[0].HasNulls() &&
 		(keys[0].Sorted || keys[0].SortedDesc) {
 		if res, ok := groupSortedRuns(keys[0]); ok {
 			return res, nil

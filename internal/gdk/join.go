@@ -56,7 +56,7 @@ func hashJoinDense(job *par.Job, lkeys, rkeys []*bat.BAT) (lIdx, rIdx *bat.BAT, 
 	// Both sides sorted on a single key: the merge join touches each side
 	// once, builds no table, and produces the same (left, right)-ordered
 	// pairs the hash paths do.
-	if StatsEnabled() && len(lkeys) == 1 && mergeJoinEligible(lkeys[0], rkeys[0]) {
+	if len(lkeys) == 1 && mergeJoinEligible(lkeys[0], rkeys[0]) {
 		return MergeJoin(job, lkeys[0], rkeys[0])
 	}
 	nl, nr := lkeys[0].Len(), rkeys[0].Len()

@@ -287,7 +287,7 @@ func SelectNonNull(job *par.Job, b, cand *bat.BAT) (*bat.BAT, error) {
 		return nil, err
 	}
 	// NULL-free columns answer in O(1): every candidate row qualifies.
-	if StatsEnabled() && !b.HasNulls() {
+	if !b.HasNulls() {
 		if cand != nil {
 			return cand, nil
 		}

@@ -3,7 +3,6 @@ package gdk
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/bat"
 	"repro/internal/types"
@@ -31,23 +30,8 @@ import (
 // Every path returns positions bit-identical to the plain scan: "none"
 // and "full" classifications account for NULLs (NULL rows never match)
 // and NaN (which the engine's three-way comparison treats as equal to
-// everything, so NaN-tainted slabs and columns never prune).
-
-// statsOn gates all property fast paths (selects, merge join, sorted
-// grouping). Tests and benchmarks disable it to compare against the
-// unindexed kernels.
-var statsOn atomic.Bool
-
-func init() { statsOn.Store(true) }
-
-// SetStatsEnabled toggles the statistics fast paths engine-wide and
-// returns the previous setting. The unindexed kernels are bit-identical,
-// so this is a performance switch only (used by the TestStatsEquiv suite
-// and the zonemap benchmarks to measure the unindexed baseline).
-func SetStatsEnabled(on bool) bool { return statsOn.Swap(on) }
-
-// StatsEnabled reports whether the statistics fast paths are active.
-func StatsEnabled() bool { return statsOn.Load() }
+// everything, so NaN-tainted slabs and columns never prune). The paths
+// are always on; select_ref_test.go checks each against a literal loop.
 
 // zonemapSelectMinRows is the column size below which selects do not
 // bother building a zonemap (a single slab adds nothing over the column
@@ -438,9 +422,6 @@ func zonemapScan(zm *bat.Zonemap, wlo, whi int, classify func(s int) slabClass, 
 // whether a result was produced; the caller falls back to the plain scan
 // otherwise.
 func statsThetaSelect(b, cand *bat.BAT, val types.Value, op string) (out *bat.BAT, handled bool) {
-	if !statsOn.Load() {
-		return nil, false
-	}
 	o, err := cmpOpOf(op)
 	if err != nil {
 		return nil, false
@@ -533,9 +514,6 @@ func statsThetaSelect(b, cand *bat.BAT, val types.Value, op string) (out *bat.BA
 // statsRangeSelect is the fast-path front of RangeSelect (inclusive
 // BETWEEN bounds).
 func statsRangeSelect(b, cand *bat.BAT, lo, hi types.Value) (out *bat.BAT, handled bool) {
-	if !statsOn.Load() {
-		return nil, false
-	}
 	li, lf, lInt, ok1 := statsWant(b, lo)
 	hiI, hiF, _, ok2 := statsWant(b, hi)
 	if !ok1 || !ok2 {

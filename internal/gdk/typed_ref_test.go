@@ -22,11 +22,17 @@ import (
 // matching nothing), and NaN sorts above every number.
 
 // refKinds are the column shapes the random inputs draw from.
-var refKinds = []string{"int", "extreme", "oid", "void", "float", "str", "bool", "const", "rle", "for"}
+var refKinds = []string{"int", "extreme", "oid", "void", "float", "str", "bool", "const", "rle", "for",
+	"asc", "asc-lazy", "desc", "clustered", "str-asc"}
 
 // refCol builds an n-row key column of the named shape. Domains are small
 // so groups and join matches repeat; NULLs keep whatever value the row
-// had, so NULL rows differ in their storage.
+// had, so NULL rows differ in their storage. The NULL-free ordered shapes
+// are the ones the statistics paths act on: asc, desc and str-asc carry
+// derived order claims (merge join, run grouping, binary search),
+// asc-lazy leaves its order for the zonemap build to discover, and
+// clustered gives each 64K-row slab a disjoint value band, unsorted
+// within it (zonemap skip).
 func refCol(t *testing.T, rng *rand.Rand, kind string, n int) *bat.BAT {
 	t.Helper()
 	ints := func(f func(i int) int64) []int64 {
@@ -76,6 +82,30 @@ func refCol(t *testing.T, rng *rand.Rand, kind string, n int) *bat.BAT {
 		b = bat.FromBools(v)
 	case "const":
 		return bat.FromInts(ints(func(int) int64 { return 7 }))
+	case "asc", "asc-lazy", "desc":
+		v, dir := int64(-40), int64(1)
+		if kind == "desc" {
+			v, dir = 1<<20, -1
+		}
+		b = bat.FromInts(ints(func(int) int64 {
+			v += dir * rng.Int63n(3) // duplicates included
+			return v
+		}))
+		if kind != "asc-lazy" {
+			b.DeriveProps()
+		}
+		return b
+	case "clustered":
+		return bat.FromInts(ints(func(i int) int64 { return int64(i/bat.ZonemapSlab)*1000 + rng.Int63n(50) }))
+	case "str-asc":
+		v, k := make([]string, n), 0
+		for i := range v {
+			k += rng.Intn(2) // duplicates included
+			v[i] = fmt.Sprintf("k%06d", k)
+		}
+		b = bat.FromStrings(v)
+		b.DeriveProps()
+		return b
 	case "rle", "for":
 		if n == 0 {
 			return bat.FromInts(nil)

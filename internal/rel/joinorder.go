@@ -4,10 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/bat"
-	"repro/internal/gdk"
 	"repro/internal/types"
 )
 
@@ -33,38 +31,6 @@ import (
 // so it costs nothing at runtime, and BaseCols maps through it, so the
 // PR-5 merge-join and candidate decisions still fire on the rebuilt tree.
 
-// JoinOrderMode selects the join ordering strategy. The zero value is
-// greedy, the production mode; syntactic order is the reference the
-// equivalence tests compare against.
-type JoinOrderMode int32
-
-const (
-	// JoinOrderGreedy starts from the smallest estimated relation and
-	// repeatedly joins the relation with the smallest estimated output.
-	JoinOrderGreedy JoinOrderMode = iota
-	// JoinOrderSyntactic keeps the FROM-list order (the pass is disabled).
-	JoinOrderSyntactic
-)
-
-var joinOrderMode atomic.Int32 // JoinOrderMode; zero value = greedy
-
-// SetJoinOrdering sets the process-wide join ordering mode and returns
-// the previous one.
-func SetJoinOrdering(m JoinOrderMode) JoinOrderMode {
-	return JoinOrderMode(joinOrderMode.Swap(int32(m)))
-}
-
-// JoinOrdering returns the current join ordering mode.
-func JoinOrdering() JoinOrderMode { return JoinOrderMode(joinOrderMode.Load()) }
-
-// String names the mode.
-func (m JoinOrderMode) String() string {
-	if m == JoinOrderSyntactic {
-		return "syntactic"
-	}
-	return "greedy"
-}
-
 // JoinEst is the ordering pass's annotation on a rebuilt Join node,
 // surfaced by EXPLAIN.
 type JoinEst struct {
@@ -73,15 +39,8 @@ type JoinEst struct {
 }
 
 // orderJoins walks an already-rewritten plan and reorders every maximal
-// inner-join tree of 3+ relations according to the current mode.
+// inner-join tree of 3+ relations greedily.
 func orderJoins(n Node) Node {
-	if JoinOrdering() == JoinOrderSyntactic {
-		return n
-	}
-	return orderWalk(n)
-}
-
-func orderWalk(n Node) Node {
 	switch x := n.(type) {
 	case *Join:
 		if !x.LeftOuter {
@@ -89,33 +48,33 @@ func orderWalk(n Node) Node {
 				return out
 			}
 		}
-		x.L = orderWalk(x.L)
-		x.R = orderWalk(x.R)
+		x.L = orderJoins(x.L)
+		x.R = orderJoins(x.R)
 		return x
 	case *Filter:
-		x.Child = orderWalk(x.Child)
+		x.Child = orderJoins(x.Child)
 		return x
 	case *CandSelect:
-		x.Child = orderWalk(x.Child)
+		x.Child = orderJoins(x.Child)
 		return x
 	case *Project:
-		x.Child = orderWalk(x.Child)
+		x.Child = orderJoins(x.Child)
 		return x
 	case *GroupAgg:
-		x.Child = orderWalk(x.Child)
+		x.Child = orderJoins(x.Child)
 		return x
 	case *Sort:
-		x.Child = orderWalk(x.Child)
+		x.Child = orderJoins(x.Child)
 		return x
 	case *Limit:
-		x.Child = orderWalk(x.Child)
+		x.Child = orderJoins(x.Child)
 		return x
 	case *Distinct:
-		x.Child = orderWalk(x.Child)
+		x.Child = orderJoins(x.Child)
 		return x
 	case *UnionAll:
-		x.L = orderWalk(x.L)
-		x.R = orderWalk(x.R)
+		x.L = orderJoins(x.L)
+		x.R = orderJoins(x.R)
 		return x
 	default:
 		return n
@@ -316,11 +275,10 @@ func EstRows(n Node) float64 {
 
 // stepsSelectivity estimates the surviving fraction of a decomposed
 // selection chain. Residual steps cannot be estimated and count as 1;
-// provably-empty atoms count as 0 (the emptycand contract). With
-// statistics disabled every step counts as 1, so ordering degrades to raw
-// row counts.
+// provably-empty atoms count as 0 (the emptycand contract). Without base
+// columns every step counts as 1.
 func stepsSelectivity(steps []SelStep, cols []*bat.BAT) float64 {
-	if !gdk.StatsEnabled() || cols == nil {
+	if cols == nil {
 		return 1
 	}
 	sel := 1.0
@@ -351,7 +309,7 @@ func stepsSelectivity(steps []SelStep, cols []*bat.BAT) float64 {
 // computed key gets.
 func keyNDV(key Expr, input Node) float64 {
 	rows := EstRows(input)
-	if c, ok := key.(*Col); ok && gdk.StatsEnabled() {
+	if c, ok := key.(*Col); ok {
 		if base := baseCol(BaseCols(input), c.Idx); base != nil {
 			live := math.Max(1, float64(base.Len()-base.NullCount()))
 			if base.Key {
@@ -422,7 +380,7 @@ func reorderTree(j *Join) (Node, bool) {
 	// Recurse into the leaves first: a subquery (or an outer join's
 	// inputs) may hold its own reorderable join tree.
 	for i := range g.leaves {
-		g.leaves[i].node = orderWalk(g.leaves[i].node)
+		g.leaves[i].node = orderJoins(g.leaves[i].node)
 	}
 	// Push residuals that reference a single leaf down onto that leaf, so
 	// both its cardinality estimate and the run-time candidate chain see
@@ -470,8 +428,7 @@ func (g *jgraph) keyNDVGlobal(key Expr, rels uint64) float64 {
 // orderGreedy starts from the smallest estimated relation and repeatedly
 // joins the relation yielding the smallest estimated output, preferring
 // predicate-connected relations over cross products. Ties break toward
-// syntactic order, so plans estimated without statistics stay
-// deterministic.
+// FROM-list order, so equal estimates still give one deterministic plan.
 func (g *jgraph) orderGreedy() []int {
 	n := len(g.leaves)
 	order := make([]int, 0, n)

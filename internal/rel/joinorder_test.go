@@ -4,15 +4,6 @@ import (
 	"testing"
 )
 
-func TestJoinOrderDefaultIsGreedy(t *testing.T) {
-	if JoinOrderMode(0) != JoinOrderGreedy {
-		t.Error("the zero mode must be greedy (the default)")
-	}
-	if JoinOrderGreedy.String() != "greedy" {
-		t.Errorf("default mode renders as %q", JoinOrderGreedy.String())
-	}
-}
-
 // starGraph is a synthetic flattened star: leaf 0 is the fact relation,
 // the others are dimensions joined to it.
 func starGraph(factRows float64, dimRows ...float64) *jgraph {

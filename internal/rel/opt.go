@@ -21,9 +21,8 @@ import (
 //     column over all rows (MonetDB's candidate-list discipline).
 //  4. tileKernel — structural grouping switches to the summed-area-table
 //     kernel when profitable (the "tileSAT" MAL optimizer of DESIGN.md).
-//  5. orderJoins — multi-way inner-join trees (3+ relations) reorder by
-//     estimated cardinality, greedily or via the Selinger-style DP,
-//     depending on the process-wide JoinOrdering mode (see joinorder.go).
+//  5. orderJoins — multi-way inner-join trees (3+ relations) reorder
+//     greedily by estimated cardinality (see joinorder.go).
 func Optimize(n Node) Node {
 	return orderJoins(rewrite(n))
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/bat"
-	"repro/internal/gdk"
 	"repro/internal/types"
 )
 
@@ -325,7 +324,7 @@ func clampFrac(f float64) float64 {
 // The reorder is stable, and atoms keep preceding OR unions and residuals
 // (AND is commutative; every step only shrinks the row set).
 func OptimizeSteps(steps []SelStep, cols []*bat.BAT) (out []SelStep, empty bool) {
-	if !gdk.StatsEnabled() || cols == nil {
+	if cols == nil {
 		return steps, false
 	}
 	type ranked struct {
@@ -395,7 +394,7 @@ func PlanSteps(child Node, pred Expr) (steps []SelStep, empty bool) {
 // re-validates at runtime and falls back to hashing, so a stale claim
 // costs nothing.
 func MergeJoinnable(x *Join) bool {
-	if x.Cross || x.LeftOuter || len(x.LKeys) != 1 || !gdk.StatsEnabled() {
+	if x.Cross || x.LeftOuter || len(x.LKeys) != 1 {
 		return false
 	}
 	lc, lok := x.LKeys[0].(*Col)

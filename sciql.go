@@ -84,7 +84,7 @@ func Threads() int { return par.Threads() }
 // (RLE/dictionary/frame-of-reference/delta) process-wide and returns the
 // previous setting. Encoding happens at checkpoint time and is fully
 // transparent — results are bit-identical either way — so this is a
-// performance/footprint switch, mirroring gdk.SetStatsEnabled. Columns
+// performance/footprint switch. Columns
 // already encoded stay encoded (and readable) after disabling; they
 // revert to plain at their next rewrite.
 func SetEncodingsEnabled(on bool) bool { return bat.SetEncodingsEnabled(on) }
