@@ -222,59 +222,15 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-// String renders the result: DML/status text, or a column-aligned table.
+// String renders the result: DML/status text, or a column-aligned table
+// (see Formatter.AppendText).
 func (r *Result) String() string {
 	if r.Text != "" {
 		return r.Text
 	}
-	var sb strings.Builder
-	widths := make([]int, len(r.Names))
-	rows := r.NumRows()
-	cells := make([][]string, rows)
-	for i := range widths {
-		name := r.Names[i]
-		if i < len(r.Dims) && r.Dims[i] {
-			name = "[" + name + "]"
-		}
-		widths[i] = len(name)
-	}
-	for i := 0; i < rows; i++ {
-		cells[i] = make([]string, len(r.Cols))
-		for c := range r.Cols {
-			s := r.Cols[c].Get(i).String()
-			cells[i][c] = s
-			if len(s) > widths[c] {
-				widths[c] = len(s)
-			}
-		}
-	}
-	for c, name := range r.Names {
-		if c > 0 {
-			sb.WriteString(" | ")
-		}
-		if c < len(r.Dims) && r.Dims[c] {
-			name = "[" + name + "]"
-		}
-		fmt.Fprintf(&sb, "%-*s", widths[c], name)
-	}
-	sb.WriteString("\n")
-	for c := range r.Names {
-		if c > 0 {
-			sb.WriteString("-+-")
-		}
-		sb.WriteString(strings.Repeat("-", widths[c]))
-	}
-	sb.WriteString("\n")
-	for i := 0; i < rows; i++ {
-		for c := range r.Cols {
-			if c > 0 {
-				sb.WriteString(" | ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[c], cells[i][c])
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
+	var f Formatter
+	f.Format(r)
+	return string(f.AppendText(nil))
 }
 
 // Grid renders a 2-D single-attribute array result as a coordinate grid

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -18,7 +19,7 @@ import (
 type Result struct {
 	Names    []string `json:"names,omitempty"`
 	Kinds    []string `json:"kinds,omitempty"`
-	Rows     [][]any  `json:"rows,omitempty"`
+	Rows     Rows     `json:"rows,omitempty"`
 	Affected int      `json:"affected,omitempty"`
 	Text     string   `json:"text,omitempty"`
 	Rendered string   `json:"rendered"`
@@ -131,9 +132,16 @@ func (c *Client) exec1(query string) ([]Result, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	defer resp.Body.Close()
+	buf := bodyBufs.Get().(*[]byte)
+	*buf, err = readBody(resp, *buf, maxBody)
 	var qr queryResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&qr); err != nil {
+	if err == nil {
+		qr, err = decodeResponse(*buf)
+	}
+	if cap(*buf) <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+	if err != nil {
 		return nil, resp.StatusCode, fmt.Errorf("bad server response (HTTP %d): %v", resp.StatusCode, err)
 	}
 	if qr.Error != "" {
@@ -143,6 +151,59 @@ func (c *Client) exec1(query string) ([]Result, int, error) {
 		return qr.Results, resp.StatusCode, fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
 	return qr.Results, resp.StatusCode, nil
+}
+
+// bodyBufs recycles the buffers /query answers are read into: decoding
+// copies everything it keeps out of them. Buffers over maxPooledBody are
+// left to the collector.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const (
+	// maxBody bounds a JSON response body the client reads.
+	maxBody = 64 << 20
+	// maxPooledBody bounds the buffers bodyBufs keeps.
+	maxPooledBody = 8 << 20
+)
+
+// readBody reads a response body of at most limit bytes to EOF into buf
+// (reusing its capacity) and closes it. Reading to EOF, chunk terminator
+// included, is what returns the connection to the pool for the next
+// request; every client path reads its bodies through here.
+func readBody(resp *http.Response, buf []byte, limit int64) ([]byte, error) {
+	defer resp.Body.Close()
+	buf = buf[:0]
+	if n := resp.ContentLength; n >= 0 && n < limit && n >= int64(cap(buf)) {
+		// One byte over, so the read that meets EOF needs no room.
+		buf = make([]byte, 0, n+1)
+	}
+	r := io.LimitReader(resp.Body, limit+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	if int64(len(buf)) > limit {
+		return buf, fmt.Errorf("response body over %d bytes", limit)
+	}
+	return buf, nil
+}
+
+// decodeBody reads a response body with readBody and decodes it as JSON
+// into v.
+func decodeBody(resp *http.Response, v any) error {
+	data, err := readBody(resp, nil, maxBody)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
 }
 
 // retriableFailure reports whether a failed attempt is safe and useful
@@ -216,12 +277,11 @@ func (c *Client) NewSession() error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
 	var out struct {
 		Session string `json:"session"`
 		Error   string `json:"error"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeBody(resp, &out); err != nil {
 		return err
 	}
 	if out.Error != "" {
@@ -248,8 +308,7 @@ func (c *Client) CloseSession() error {
 	if err != nil {
 		return err
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	_, _ = readBody(resp, nil, maxBody)
 	c.session = ""
 	return nil
 }
@@ -260,15 +319,9 @@ func (c *Client) Health() (*Health, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := decodeBody(resp, &h); err != nil {
 		return nil, err
 	}
 	return &h, nil
-}
-
-// decodeJSON decodes a bounded JSON body.
-func decodeJSON(r io.Reader, v any) error {
-	return json.NewDecoder(io.LimitReader(r, 1<<20)).Decode(v)
 }

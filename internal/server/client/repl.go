@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -63,13 +62,13 @@ func (c *Client) WALChunk(ctx context.Context, gen uint64, off, max int64, wait 
 	if err != nil {
 		return nil, WALPos{}, err
 	}
-	defer resp.Body.Close()
 	pos := walPosFromHeaders(resp.Header)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		data, err := readBody(resp, nil, maxBody)
 		return data, pos, err
 	case http.StatusConflict:
+		_, _ = readBody(resp, nil, maxBody)
 		return nil, pos, fmt.Errorf("%w: primary is at generation %d", ErrGenMismatch, pos.Gen)
 	default:
 		return nil, pos, httpError(resp)
@@ -83,12 +82,11 @@ func (c *Client) Snapshot() ([]byte, WALPos, error) {
 	if err != nil {
 		return nil, WALPos{}, err
 	}
-	defer resp.Body.Close()
 	pos := walPosFromHeaders(resp.Header)
 	if resp.StatusCode != http.StatusOK {
 		return nil, pos, httpError(resp)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<33))
+	data, err := readBody(resp, nil, 1<<33)
 	return data, pos, err
 }
 
@@ -99,13 +97,12 @@ func (c *Client) Promote() (WALPos, error) {
 	if err != nil {
 		return WALPos{}, err
 	}
-	defer resp.Body.Close()
 	var out struct {
 		Promoted bool   `json:"promoted"`
 		WAL      WALPos `json:"wal"`
 		Error    string `json:"error,omitempty"`
 	}
-	if err := decodeJSON(resp.Body, &out); err != nil {
+	if err := decodeBody(resp, &out); err != nil {
 		return WALPos{}, fmt.Errorf("bad server response (HTTP %d): %v", resp.StatusCode, err)
 	}
 	if out.Error != "" {
@@ -130,7 +127,7 @@ func httpError(resp *http.Response) error {
 	var out struct {
 		Error string `json:"error"`
 	}
-	if err := decodeJSON(resp.Body, &out); err == nil && out.Error != "" {
+	if err := decodeBody(resp, &out); err == nil && out.Error != "" {
 		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, out.Error)
 	}
 	return fmt.Errorf("HTTP %d", resp.StatusCode)

@@ -81,14 +81,14 @@ const (
 
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, queryResponse{Error: "GET required"})
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
 		return
 	}
 	q := r.URL.Query()
 	gen, err1 := strconv.ParseUint(q.Get("gen"), 10, 64)
 	off, err2 := strconv.ParseInt(q.Get("off"), 10, 64)
 	if err1 != nil || err2 != nil {
-		writeJSON(w, http.StatusBadRequest, queryResponse{Error: "gen and off are required integers"})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "gen and off are required integers"})
 		return
 	}
 	max := int64(maxWALChunk)
@@ -113,10 +113,10 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, wal.ErrGenMismatch):
 			setWALHeaders(w, pos)
-			writeJSON(w, http.StatusConflict, queryResponse{Error: err.Error()})
+			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 			return
 		case err != nil:
-			writeJSON(w, http.StatusInternalServerError, queryResponse{Error: err.Error()})
+			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 			return
 		}
 		if len(data) > 0 || wait <= 0 || !time.Now().Before(deadline) {
@@ -134,7 +134,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		case <-time.After(walPollInterval):
 		}
 		if s.draining.Load() {
-			writeJSON(w, http.StatusServiceUnavailable, queryResponse{Error: ErrShuttingDown.Error()})
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: ErrShuttingDown.Error()})
 			return
 		}
 	}
@@ -149,12 +149,12 @@ func setWALHeaders(w http.ResponseWriter, pos core.WALPos) {
 
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, queryResponse{Error: "GET required"})
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
 		return
 	}
 	pos, files, err := s.db.ReplSnapshot()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, queryResponse{Error: err.Error()})
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
 	setWALHeaders(w, pos)
@@ -165,16 +165,16 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, queryResponse{Error: "POST required"})
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return
 	}
 	if s.repl == nil {
-		writeJSON(w, http.StatusConflict, queryResponse{Error: "not a replica"})
+		writeJSON(w, http.StatusConflict, errorResponse{Error: "not a replica"})
 		return
 	}
 	pos, err := s.repl.Promote(r.Context())
 	if err != nil {
-		writeJSON(w, http.StatusConflict, queryResponse{Error: err.Error()})
+		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"promoted": true, "wal": pos})

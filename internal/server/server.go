@@ -20,13 +20,13 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/types"
 )
 
 // Config tunes a Server.
@@ -320,61 +320,10 @@ type queryRequest struct {
 	Session string `json:"session,omitempty"`
 }
 
-// wireResult is one statement result on the wire.
-type wireResult struct {
-	Names    []string `json:"names,omitempty"`
-	Kinds    []string `json:"kinds,omitempty"`
-	Rows     [][]any  `json:"rows,omitempty"`
-	Affected int      `json:"affected,omitempty"`
-	Text     string   `json:"text,omitempty"`
-	// Rendered is the engine's canonical text rendering of the result —
-	// byte-identical to what embedded core.Result.String() produces,
-	// which the golden end-to-end suite asserts.
-	Rendered string `json:"rendered"`
-}
-
-type queryResponse struct {
-	Results []wireResult `json:"results,omitempty"`
-	Error   string       `json:"error,omitempty"`
-}
-
-func toWire(r *core.Result) wireResult {
-	w := wireResult{Affected: r.Affected, Text: r.Text, Rendered: r.String()}
-	if len(r.Cols) == 0 {
-		return w
-	}
-	w.Names = r.Names
-	for _, k := range r.Kinds {
-		w.Kinds = append(w.Kinds, k.String())
-	}
-	n := r.NumRows()
-	w.Rows = make([][]any, n)
-	for i := 0; i < n; i++ {
-		row := make([]any, r.NumCols())
-		for c := 0; c < r.NumCols(); c++ {
-			row[c] = valueToJSON(r.Value(i, c))
-		}
-		w.Rows[i] = row
-	}
-	return w
-}
-
-func valueToJSON(v types.Value) any {
-	if v.IsNull() {
-		return nil
-	}
-	switch v.Kind() {
-	case types.KindInt, types.KindOID:
-		iv, _ := v.AsInt()
-		return iv
-	case types.KindFloat:
-		fv, _ := v.AsFloat()
-		return fv
-	case types.KindBool:
-		return v.BoolVal()
-	default:
-		return v.String()
-	}
+// errorResponse is the body of a request that failed before any
+// statement ran. A /query answer is built by encoder.response.
+type errorResponse struct {
+	Error string `json:"error,omitempty"`
 }
 
 // Handler returns the HTTP API (also used directly by tests and fuzzing).
@@ -389,34 +338,54 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON sends v as a JSON body. The body is encoded before the
+// header goes out, so a value encoding/json rejects becomes a clean 500
+// with an error body instead of a 200 cut short.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: fmt.Sprintf("encode response: %v", err)})
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody sends a complete JSON body with its length, so the client
+// reads it without chunk framing and the connection stays reusable.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, queryResponse{Error: "POST required"})
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return
 	}
 	var req queryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, queryResponse{Error: fmt.Sprintf("bad request: %v", err)})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		writeJSON(w, http.StatusBadRequest, queryResponse{Error: "empty query"})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty query"})
 		return
 	}
 
-	resp := queryResponse{}
-	var err error
+	enc := getEncoder()
+	defer enc.release()
+	var (
+		body []byte
+		err  error
+	)
 	if req.Session != "" {
 		se, ok := s.lookupSession(req.Session)
 		if !ok {
-			writeJSON(w, http.StatusBadRequest, queryResponse{Error: fmt.Sprintf("unknown session %q", req.Session)})
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown session %q", req.Session)})
 			return
 		}
 		// Serialise on the session before admission: a request queued
@@ -426,7 +395,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		release, aerr := s.admit(r.Context())
 		if aerr != nil {
 			se.mu.Unlock()
-			writeJSON(w, http.StatusServiceUnavailable, queryResponse{Error: aerr.Error()})
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: aerr.Error()})
 			return
 		}
 		se.used = time.Now()
@@ -434,12 +403,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var results []*core.Result
 		results, err = se.sess.ExecContext(qctx, req.Query)
 		cancel()
-		// Render under the session lock: an in-transaction SELECT result
+		// Encode under the session lock: an in-transaction SELECT result
 		// references live storage, which the session's next statement may
 		// mutate in place.
-		for _, r := range results {
-			resp.Results = append(resp.Results, toWire(r))
-		}
+		body = enc.response(results, err)
 		release()
 		se.mu.Unlock()
 	} else {
@@ -447,7 +414,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// cannot outlive the request.
 		release, aerr := s.admit(r.Context())
 		if aerr != nil {
-			writeJSON(w, http.StatusServiceUnavailable, queryResponse{Error: aerr.Error()})
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: aerr.Error()})
 			return
 		}
 		sess := s.db.NewSession()
@@ -455,19 +422,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var results []*core.Result
 		results, err = sess.ExecContext(qctx, req.Query)
 		cancel()
-		for _, r := range results {
-			resp.Results = append(resp.Results, toWire(r))
-		}
+		body = enc.response(results, err)
 		_ = sess.Close()
 		release()
 	}
 
 	status := http.StatusOK
 	if err != nil {
-		resp.Error = err.Error()
 		status = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, status, resp)
+	writeBody(w, status, body)
 }
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
@@ -475,23 +439,23 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		id, err := s.createSession()
 		if err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, queryResponse{Error: err.Error()})
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"session": id})
 	case http.MethodDelete:
 		id := r.URL.Query().Get("id")
 		if id == "" {
-			writeJSON(w, http.StatusBadRequest, queryResponse{Error: "missing session id"})
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing session id"})
 			return
 		}
 		if !s.dropSession(id) {
-			writeJSON(w, http.StatusBadRequest, queryResponse{Error: fmt.Sprintf("unknown session %q", id)})
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown session %q", id)})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"closed": id})
 	default:
-		writeJSON(w, http.StatusMethodNotAllowed, queryResponse{Error: "POST or DELETE required"})
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST or DELETE required"})
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // The text protocol: newline-delimited statements in, rendered results
@@ -45,6 +47,7 @@ func (s *Server) serveText(c net.Conn) {
 	sess := s.db.NewSession()
 	defer func() { _ = sess.Close() }()
 
+	var enc textEncoder
 	w := bufio.NewWriter(c)
 	sc := bufio.NewScanner(c)
 	sc.Buffer(make([]byte, 64*1024), maxTextLine)
@@ -69,17 +72,7 @@ func (s *Server) serveText(c net.Conn) {
 		results, err := sess.ExecContext(qctx, line)
 		cancel()
 		release()
-		for _, r := range results {
-			out := r.String()
-			w.WriteString(out)
-			if !strings.HasSuffix(out, "\n") {
-				w.WriteByte('\n')
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(w, "!error: %v\n", err)
-		}
-		w.WriteString(".\n")
+		enc.answer(w, results, err)
 		if err := w.Flush(); err != nil {
 			return
 		}
@@ -91,4 +84,30 @@ func (s *Server) serveText(c net.Conn) {
 		fmt.Fprintf(w, "!error: %v\n.\n", err)
 		_ = w.Flush()
 	}
+}
+
+// textEncoder writes batch answers for one text connection, reusing one
+// formatter and one rendering buffer.
+type textEncoder struct {
+	f   core.Formatter
+	out []byte
+}
+
+// answer writes the answer to one statement batch: each result's
+// rendering (Result.String's bytes), ending in a newline, then
+// "!error: ..." if the batch failed, then ".".
+func (e *textEncoder) answer(w *bufio.Writer, results []*core.Result, err error) {
+	for _, r := range results {
+		e.f.Format(r)
+		e.out = e.f.AppendText(e.out[:0])
+		if len(e.out) == 0 || e.out[len(e.out)-1] != '\n' {
+			e.out = append(e.out, '\n')
+		}
+		_, _ = w.Write(e.out)
+	}
+	e.f.Reset()
+	if err != nil {
+		fmt.Fprintf(w, "!error: %v\n", err)
+	}
+	_, _ = w.WriteString(".\n")
 }
