@@ -6,11 +6,12 @@
 //
 // Usage:
 //
-//	sciql [-d dir] [-e "statements"] [-grid] [-threads n] [-encodings=false]
-//	      [file.sql ...]
+//	sciql [-d dir] [-e "statements"] [-grid] [file.sql ...]
 //
-// With -d the database persists to the directory on exit. With -e (or SQL
-// files as arguments) statements run non-interactively. Inside the shell:
+// Kernels run morsel-parallel at the Go runtime's width: cap it with the
+// GOMAXPROCS environment variable. With -d the database persists to the
+// directory on exit. With -e (or SQL files as arguments) statements run
+// non-interactively. Inside the shell:
 //
 //	\q            quit
 //	\d            list tables and arrays
@@ -31,13 +32,7 @@ func main() {
 	dir := flag.String("d", "", "database directory (empty: in-memory)")
 	exec := flag.String("e", "", "statements to execute and exit")
 	grid := flag.Bool("grid", false, "render 2-D array results as grids")
-	threads := flag.Int("threads", 0, "kernel worker threads (0: GOMAXPROCS)")
-	encodings := flag.Bool("encodings", true,
-		"compress column segments per 64K slab (RLE/dict/FOR/delta) at checkpoints")
 	flag.Parse()
-
-	sciql.SetThreads(*threads)
-	sciql.SetEncodingsEnabled(*encodings)
 
 	var (
 		db  *sciql.DB

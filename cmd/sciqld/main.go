@@ -6,10 +6,13 @@
 //
 // Usage:
 //
-//	sciqld [-addr :8642] [-db dir] [-threads n] [-max-sessions n]
+//	sciqld [-addr :8642] [-db dir] [-max-sessions n] [-workers n]
 //	       [-wal-checkpoint-bytes n] [-query-timeout d] [-drain-timeout d]
 //	       [-shutdown-timeout d] [-read-only] [-replica-of host:port]
-//	       [-encodings=false]
+//
+// Kernels run morsel-parallel at the Go runtime's width: cap it with the
+// GOMAXPROCS environment variable. Column segments are compressed per
+// 64K-row slab at checkpoints whenever the data allows it.
 //
 // SIGTERM/SIGINT drain gracefully: new statements are refused (HTTP
 // 503, text "!error: server is shutting down") while in-flight ones
@@ -48,7 +51,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8642", "TCP listen address (HTTP/JSON + text protocol)")
 	dir := flag.String("db", "", "database directory (empty: in-memory)")
-	threads := flag.Int("threads", 0, "kernel worker threads (0: GOMAXPROCS)")
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "maximum concurrent client sessions")
 	workers := flag.Int("workers", 0, "concurrent statement executions admitted (0: GOMAXPROCS)")
 	ckptBytes := flag.Int64("wal-checkpoint-bytes", core.DefaultCheckpointBytes,
@@ -63,12 +65,12 @@ func main() {
 		"serve the database without ever writing it (writes refused, no checkpoints)")
 	replicaOf := flag.String("replica-of", "",
 		"primary address to replicate from; serves reads, refuses writes until promoted")
-	encodings := flag.Bool("encodings", true,
-		"compress column segments per 64K slab (RLE/dict/FOR/delta) at checkpoints")
 	flag.Parse()
-
-	sciql.SetThreads(*threads)
-	sciql.SetEncodingsEnabled(*encodings)
+	// The flag's <= 0 means "only on shutdown"; OpenOptions spells that
+	// as a negative threshold (zero there is the default).
+	if *ckptBytes <= 0 {
+		*ckptBytes = -1
+	}
 
 	var (
 		db     *sciql.DB

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/types"
 )
@@ -71,21 +70,6 @@ func (e Encoding) String() string {
 // dictionary itself small relative to a 64K-row slab while codes stay
 // comfortably inside uint16.
 const maxDictCard = 4096
-
-// encOn gates automatic encoding (EncodeAuto). Mirrors the stats toggle in
-// gdk: flipping it only affects columns encoded afterwards; already-encoded
-// columns keep working (the read path never consults the gate).
-var encOn atomic.Bool
-
-func init() { encOn.Store(true) }
-
-// SetEncodingsEnabled toggles automatic slab encoding and returns the
-// previous setting. Used for plain-storage baselines (benchmarks, the
-// -encodings=false server flag) and A/B equivalence tests.
-func SetEncodingsEnabled(on bool) bool { return encOn.Swap(on) }
-
-// EncodingsEnabled reports whether automatic slab encoding is on.
-func EncodingsEnabled() bool { return encOn.Load() }
 
 // encSlab is one encoded slab: the payload for its encoding plus summary
 // metadata computed over the raw values during encoding. The metadata
@@ -550,10 +534,9 @@ func (es *encSlab) decodeStrs(dst []string) {
 // logically identical to b (values, NULLs, properties) and must be treated
 // as immutable by convention — any mutating call on it will transparently
 // decode back to plain storage first. Void and bool columns, already at or
-// near their entropy floor, are returned unchanged, as is anything when
-// encodings are disabled.
+// near their entropy floor, are returned unchanged.
 func EncodeAuto(b *BAT) *BAT {
-	if b == nil || !EncodingsEnabled() || b.enc != nil || b.count == 0 {
+	if b == nil || b.enc != nil || b.count == 0 {
 		return b
 	}
 	switch b.kind {

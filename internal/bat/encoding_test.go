@@ -353,20 +353,6 @@ func TestPlainSegmentsStayVersion1(t *testing.T) {
 	}
 }
 
-func TestSetEncodingsEnabled(t *testing.T) {
-	prev := SetEncodingsEnabled(false)
-	defer SetEncodingsEnabled(prev)
-	vals := make([]int64, SlabRows)
-	b := EncodeAuto(FromInts(vals))
-	if b.Encoded() {
-		t.Fatal("EncodeAuto encoded while disabled")
-	}
-	SetEncodingsEnabled(true)
-	if !EncodeAuto(FromInts(vals)).Encoded() {
-		t.Fatal("EncodeAuto did not encode while enabled")
-	}
-}
-
 func TestTouchedBytesCharging(t *testing.T) {
 	vals := make([]int64, SlabRows)
 	for i := range vals {

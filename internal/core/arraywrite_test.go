@@ -505,7 +505,7 @@ func oracleRows(t *testing.T, db *DB, a *catalog.Array, s *ast.Insert, targets [
 		return insertSource(db.cat, s, len(targets))
 	}
 	db.mu.RLock()
-	res, err := db.runSelectRaw(context.Background(), s.Query)
+	res, err := db.runSelectRaw(context.Background(), nil, s.Query)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -531,7 +531,7 @@ func checkArraySelect(t *testing.T, db *DB, q string) string {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	got, gerr := assembleResult(prog, mctx)
+	got, gerr := assembleResult(nil, prog, mctx)
 	raw, err := rawResult(prog, mctx)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
@@ -723,7 +723,7 @@ func TestCoerceDifferential(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			hint = shape.Shape{{Name: "a", Start: 6, Step: -2, Stop: -4}, {Name: "b", Start: 0, Step: 1, Stop: 5}}
 		}
-		got, gerr := coerceToArray(r, hint)
+		got, gerr := coerceToArray(nil, r, hint)
 		want, werr := oracleCoerce(r, hint)
 		if d := diffCoerce(r, got, gerr, want, werr); d != "" {
 			t.Fatalf("seed %d: %s", seed, d)
@@ -788,7 +788,7 @@ func TestCoerceHintDropsNullCoordinates(t *testing.T) {
 	d.SetNull(1, true)
 	r := &Result{Names: []string{"x", "v"}, Kinds: []types.Kind{types.KindInt, types.KindInt},
 		Dims: []bool{true, false}, Cols: []*bat.BAT{d, bat.FromInts([]int64{10, 20, 30})}}
-	out, err := coerceToArray(r, shape.Shape{{Name: "x", Start: 0, Step: 1, Stop: 3}})
+	out, err := coerceToArray(nil, r, shape.Shape{{Name: "x", Start: 0, Step: 1, Stop: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,12 +217,11 @@ func TestDeadlineExceededMidQuery(t *testing.T) {
 func TestCancelBetweenStatements(t *testing.T) {
 	db := New()
 	ctx, cancel := context.WithCancel(context.Background())
-	prev := mal.SetTestHook(func(in *mal.Instr) {
+	db.hook = func(in *mal.Instr) {
 		// First interpreted instruction of the second statement pulls the
 		// plug; the already-committed CREATE/INSERT must survive.
 		cancel()
-	})
-	defer mal.SetTestHook(prev)
+	}
 
 	rs, err := db.session.ExecContext(ctx,
 		`CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT a FROM t; SELECT a FROM t`)
@@ -232,7 +231,7 @@ func TestCancelBetweenStatements(t *testing.T) {
 	if len(rs) >= 4 {
 		t.Fatalf("cancelled batch returned %d results, want fewer than 4", len(rs))
 	}
-	mal.SetTestHook(nil)
+	db.hook = nil
 	r := db.MustQuery(`SELECT a FROM t`)
 	if r.NumRows() != 1 {
 		t.Fatalf("committed prefix lost: %d rows", r.NumRows())

@@ -57,9 +57,9 @@ func runChaos(t *testing.T, name string, ckptBytes int64, arm func(fs *vfs.FailF
 	}()
 	dir := filepath.Join(t.TempDir(), "db")
 	fs := vfs.NewFailFS(nil)
-	db, err := OpenWithFS(dir, ckptBytes, fs)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: ckptBytes, FS: fs})
 	if err != nil {
-		t.Fatalf("OpenWithFS: %v", err)
+		t.Fatalf("OpenDB: %v", err)
 	}
 	db.MustQuery(`CREATE TABLE kv (a INT)`)
 
@@ -141,7 +141,7 @@ func runChaos(t *testing.T, name string, ckptBytes int64, arm func(fs *vfs.FailF
 
 	// Crash-reopen (no Close: the unacked in-memory effects must not be
 	// flushed) and compare against the acknowledgement record.
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", name, err)
 	}
@@ -176,7 +176,7 @@ func runChaos(t *testing.T, name string, ckptBytes int64, arm func(fs *vfs.FailF
 // TestChaosWALFsync: fsync failure on the WAL under a concurrent
 // read/write workload.
 func TestChaosWALFsync(t *testing.T) {
-	runChaos(t, "wal-fsync", 0, func(fs *vfs.FailFS) {
+	runChaos(t, "wal-fsync", -1, func(fs *vfs.FailFS) {
 		fs.FailOn(vfs.OpSync, "wal.log", 1, errors.New("chaos: fsync"))
 	})
 }
@@ -213,7 +213,7 @@ func TestChaosSegmentWrite(t *testing.T) {
 // (the "never latched degraded mode" flake of TestChaosWALShortWrite).
 func TestAutoCheckpointKeepsAppendLatch(t *testing.T) {
 	fs := vfs.NewFailFS(nil)
-	db, err := OpenWithFS(filepath.Join(t.TempDir(), "db"), 1, fs)
+	db, err := OpenDB(filepath.Join(t.TempDir(), "db"), OpenOptions{CheckpointBytes: 1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // conflict; every statement succeeds and every row survives a reopen.
 func TestConcurrentWritersNonConflicting(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestConcurrentWritersNonConflicting(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestConcurrentWritersNonConflicting(t *testing.T) {
 // writes.
 func TestConcurrentWritersSharedTable(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestConcurrentWritersSharedTable(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestConcurrentWritersSharedTable(t *testing.T) {
 // the final state must equal a serial replay of exactly the winners.
 func TestConcurrentUpdatersFirstCommitterWins(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestConcurrentUpdatersFirstCommitterWins(t *testing.T) {
 // reuses the old stamp, so the stale effect cannot land on the wrong
 // storage.
 func TestOptimisticStaleSnapshotDropCreate(t *testing.T) {
-	db, err := Open(t.TempDir())
+	db, err := OpenDB(t.TempDir(), OpenOptions{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestOptimisticStaleSnapshotDropCreate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	st, err := prepareOptimistic(context.Background(), db.view.Load(), stmt)
+	st, err := db.prepareOptimistic(context.Background(), nil, db.view.Load(), stmt)
 	if err != nil || st == nil {
 		t.Fatalf("prepare = (%v, %v), want a staged write", st, err)
 	}
@@ -217,7 +217,7 @@ func TestOptimisticStaleSnapshotDropCreate(t *testing.T) {
 // TestExecOptimisticIneligible: statement shapes outside the optimistic
 // path are rejected with a clear error rather than silently serialized.
 func TestExecOptimisticIneligible(t *testing.T) {
-	db, err := Open(t.TempDir())
+	db, err := OpenDB(t.TempDir(), OpenOptions{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestExecOptimisticIneligible(t *testing.T) {
 // explicit transaction, other sessions' writes are refused with a clean
 // error (optimistic path included) and succeed after COMMIT.
 func TestConcurrentWriteBlockedByOpenTxn(t *testing.T) {
-	db, err := Open(t.TempDir())
+	db, err := OpenDB(t.TempDir(), OpenOptions{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/shape"
 	"repro/internal/sql/ast"
@@ -225,7 +226,7 @@ func (db *DB) dropObject(name string, isArray bool) error {
 // overlapping cells keep their values, new cells receive the attribute
 // default (Fig. 1(f)). It is an array write with a new shape and no
 // cells.
-func (db *DB) alterDimension(s *ast.AlterDimension) (*Result, error) {
+func (db *DB) alterDimension(job *par.Job, s *ast.AlterDimension) (*Result, error) {
 	a, ok := db.cat.Array(s.Array)
 	if !ok {
 		return nil, fmt.Errorf("at %s: no such array: %q", s.Pos, s.Array)
@@ -242,7 +243,7 @@ func (db *DB) alterDimension(s *ast.AlterDimension) (*Result, error) {
 	nd.Name = s.Dim
 	newShape := append(shape.Shape{}, a.Shape...)
 	newShape[k] = nd
-	if _, err := db.writeCells(a, &arrayWrite{shape: newShape}); err != nil {
+	if _, err := db.writeCells(job, a, &arrayWrite{shape: newShape}); err != nil {
 		return nil, err
 	}
 	if db.durable() {

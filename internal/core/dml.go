@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/gdk"
 	"repro/internal/mal"
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/shape"
 	"repro/internal/sql/ast"
@@ -41,12 +42,12 @@ func insertSource(cat *catalog.Catalog, s *ast.Insert, wantCols int) ([][]types.
 // runSelectRaw executes the query side of an INSERT under the statement's
 // context, without array coercion (positions matter, not the coerced
 // shape).
-func (db *DB) runSelectRaw(ctx context.Context, sel *ast.Select) (*Result, error) {
+func (db *DB) runSelectRaw(ctx context.Context, job *par.Job, sel *ast.Select) (*Result, error) {
 	prog, err := compile(db.cat, sel)
 	if err != nil {
 		return nil, err
 	}
-	mctx, err := mal.RunCtx(ctx, prog)
+	mctx, err := mal.Run(ctx, prog, job, db.hook)
 	if err != nil {
 		return nil, err
 	}
@@ -55,12 +56,12 @@ func (db *DB) runSelectRaw(ctx context.Context, sel *ast.Select) (*Result, error
 
 // insert implements INSERT INTO for both tables (append) and arrays
 // (overwrite cells at the given positions, §2).
-func (db *DB) insert(ctx context.Context, s *ast.Insert) (*Result, error) {
+func (db *DB) insert(ctx context.Context, job *par.Job, s *ast.Insert) (*Result, error) {
 	if t, ok := db.cat.Table(s.Table); ok {
-		return db.insertTable(ctx, s, t)
+		return db.insertTable(ctx, job, s, t)
 	}
 	if a, ok := db.cat.Array(s.Table); ok {
-		return db.insertArray(ctx, s, a)
+		return db.insertArray(ctx, job, s, a)
 	}
 	return nil, fmt.Errorf("at %s: no such table or array: %q", s.Pos, s.Table)
 }
@@ -91,13 +92,13 @@ func insertMapping(t *catalog.Table, s *ast.Insert) ([]int, error) {
 // is cast before storage is touched, so a bad value fails the whole
 // statement cleanly (no partial append) and the WAL record matches the
 // applied effect exactly. Pure: safe against a frozen snapshot table.
-func tableColumns(t *catalog.Table, mapping []int, src []*bat.BAT, n int) ([]*bat.BAT, error) {
+func tableColumns(job *par.Job, t *catalog.Table, mapping []int, src []*bat.BAT, n int) ([]*bat.BAT, error) {
 	cols := make([]*bat.BAT, len(t.Columns))
 	var err error
 	for si, ti := range mapping {
 		col := src[si]
 		if kind := t.Columns[ti].Type.Kind; col.ValueKind() != kind {
-			if col, err = gdk.CastBAT(nil, gdk.B(col), kind, nil); err != nil {
+			if col, err = gdk.CastBAT(job, gdk.B(col), kind, nil); err != nil {
 				return nil, fmt.Errorf("column %q: %v", t.Columns[ti].Name, err)
 			}
 		}
@@ -111,7 +112,7 @@ func tableColumns(t *catalog.Table, mapping []int, src []*bat.BAT, n int) ([]*ba
 		if c.HasDef {
 			def = c.Default
 		}
-		if cols[i], err = bat.Filler(nil, n, def, c.Type.Kind); err != nil {
+		if cols[i], err = bat.Filler(job, n, def, c.Type.Kind); err != nil {
 			return nil, err
 		}
 	}
@@ -121,7 +122,7 @@ func tableColumns(t *catalog.Table, mapping []int, src []*bat.BAT, n int) ([]*ba
 // stageTableInsert casts the literal rows of an INSERT ... VALUES once
 // into the table's write set, entirely read-only against cat: the plan
 // half of insertTable, shared with the optimistic write path.
-func stageTableInsert(cat *catalog.Catalog, t *catalog.Table, s *ast.Insert) ([]*bat.BAT, error) {
+func stageTableInsert(job *par.Job, cat *catalog.Catalog, t *catalog.Table, s *ast.Insert) ([]*bat.BAT, error) {
 	mapping, err := insertMapping(t, s)
 	if err != nil {
 		return nil, err
@@ -137,7 +138,7 @@ func stageTableInsert(cat *catalog.Catalog, t *catalog.Table, s *ast.Insert) ([]
 			return nil, fmt.Errorf("column %q: %v", c.Name, err)
 		}
 	}
-	return tableColumns(t, mapping, src, len(rows))
+	return tableColumns(job, t, mapping, src, len(rows))
 }
 
 // appendRows is the mutation of a table INSERT, shared with WAL replay:
@@ -177,9 +178,9 @@ func (db *DB) applyTableInsert(t *catalog.Table, cols []*bat.BAT) (*Result, erro
 	return &Result{Affected: n, Text: fmt.Sprintf("%d rows inserted", n)}, nil
 }
 
-func (db *DB) insertTable(ctx context.Context, s *ast.Insert, t *catalog.Table) (*Result, error) {
+func (db *DB) insertTable(ctx context.Context, job *par.Job, s *ast.Insert, t *catalog.Table) (*Result, error) {
 	if s.Query == nil {
-		cols, err := stageTableInsert(db.cat, t, s)
+		cols, err := stageTableInsert(job, db.cat, t, s)
 		if err != nil {
 			return nil, err
 		}
@@ -189,14 +190,14 @@ func (db *DB) insertTable(ctx context.Context, s *ast.Insert, t *catalog.Table) 
 	if err != nil {
 		return nil, err
 	}
-	res, qerr := db.runSelectRaw(ctx, s.Query)
+	res, qerr := db.runSelectRaw(ctx, job, s.Query)
 	if qerr != nil {
 		return nil, qerr
 	}
 	if res.NumCols() != len(mapping) {
 		return nil, fmt.Errorf("INSERT expects %d columns, query produces %d", len(mapping), res.NumCols())
 	}
-	cols, err := tableColumns(t, mapping, res.Cols, res.NumRows())
+	cols, err := tableColumns(job, t, mapping, res.Cols, res.NumRows())
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +315,7 @@ type arrayWrite struct {
 // (NULL or non-integer fails), growth of unbounded dimensions (off-grid
 // fails), cell positions in the grown shape (outside fails), attribute
 // casts (a failed cast fails), in that order.
-func stageArrayInsert(a *catalog.Array, targets []arrayTarget, cols []*bat.BAT) (*arrayWrite, error) {
+func stageArrayInsert(job *par.Job, a *catalog.Array, targets []arrayTarget, cols []*bat.BAT) (*arrayWrite, error) {
 	coords := make([][]int64, len(a.Shape))
 	for ti, tg := range targets {
 		if tg.isDim {
@@ -345,7 +346,7 @@ func stageArrayInsert(a *catalog.Array, targets []arrayTarget, cols []*bat.BAT) 
 		}
 		col := cols[ti]
 		if kind := a.Attrs[tg.idx].Type.Kind; col.ValueKind() != kind {
-			if col, err = gdk.CastBAT(nil, gdk.B(col), kind, nil); err != nil {
+			if col, err = gdk.CastBAT(job, gdk.B(col), kind, nil); err != nil {
 				return nil, fmt.Errorf("attribute %q: %v", a.Attrs[tg.idx].Name, err)
 			}
 		}
@@ -396,14 +397,14 @@ func coordInts(col *bat.BAT, dim string) ([]int64, error) {
 // source — the query's result columns, or the literal rows cast once into
 // columns — becomes a columnar write set, validated whole before the
 // array changes.
-func (db *DB) insertArray(ctx context.Context, s *ast.Insert, a *catalog.Array) (*Result, error) {
+func (db *DB) insertArray(ctx context.Context, job *par.Job, s *ast.Insert, a *catalog.Array) (*Result, error) {
 	targets, err := arrayTargets(a, s)
 	if err != nil {
 		return nil, err
 	}
 	var cols []*bat.BAT
 	if s.Query != nil {
-		res, err := db.runSelectRaw(ctx, s.Query)
+		res, err := db.runSelectRaw(ctx, job, s.Query)
 		if err != nil {
 			return nil, err
 		}
@@ -420,17 +421,17 @@ func (db *DB) insertArray(ctx context.Context, s *ast.Insert, a *catalog.Array) 
 			return nil, err
 		}
 	}
-	w, err := stageArrayInsert(a, targets, cols)
+	w, err := stageArrayInsert(job, a, targets, cols)
 	if err != nil {
 		return nil, err
 	}
-	return db.applyArrayWrite(a, w)
+	return db.applyArrayWrite(job, a, w)
 }
 
 // applyArrayWrite applies an array INSERT's write set under the writer
 // lock and logs the effect.
-func (db *DB) applyArrayWrite(a *catalog.Array, w *arrayWrite) (*Result, error) {
-	reshaped, err := db.writeCells(a, w)
+func (db *DB) applyArrayWrite(job *par.Job, a *catalog.Array, w *arrayWrite) (*Result, error) {
+	reshaped, err := db.writeCells(job, a, w)
 	if err != nil {
 		return nil, err
 	}
@@ -447,11 +448,11 @@ func (db *DB) applyArrayWrite(a *catalog.Array, w *arrayWrite) (*Result, error) 
 // in-place, so any attribute column shared with a published snapshot is
 // cloned first (copy-on-write); concurrent readers keep their frozen
 // version.
-func (db *DB) writeCells(a *catalog.Array, w *arrayWrite) (bool, error) {
+func (db *DB) writeCells(job *par.Job, a *catalog.Array, w *arrayWrite) (bool, error) {
 	db.noteModifyArray(a)
 	reshaped := !a.Shape.Equal(w.shape)
 	if reshaped {
-		if err := reshapeArray(a, w.shape); err != nil {
+		if err := reshapeArray(job, a, w.shape); err != nil {
 			return false, err
 		}
 	}
@@ -478,7 +479,7 @@ func (db *DB) writeCells(a *catalog.Array, w *arrayWrite) (bool, error) {
 // reshapeArray re-grids every attribute onto sh (overlapping cells keep
 // their values, fresh cells get the attribute default) and rebuilds the
 // dimension columns; on failure the array is unchanged.
-func reshapeArray(a *catalog.Array, sh shape.Shape) error {
+func reshapeArray(job *par.Job, a *catalog.Array, sh shape.Shape) error {
 	dims, err := gdk.DimBATs(sh)
 	if err != nil {
 		return err
@@ -489,7 +490,7 @@ func reshapeArray(a *catalog.Array, sh shape.Shape) error {
 		if !col.HasDef {
 			def = types.NullUnknown()
 		}
-		if attrs[i], err = gdk.Reshape(nil, a.AttrBats[i], a.Shape, sh, def); err != nil {
+		if attrs[i], err = gdk.Reshape(job, a.AttrBats[i], a.Shape, sh, def); err != nil {
 			return err
 		}
 	}
@@ -558,12 +559,12 @@ type writePlan struct {
 // the SET values evaluate over the selected rows only. A value of another
 // kind than its target is cast here, so a failed cast fails the statement
 // before anything is written.
-func planWrite(ctx context.Context, cat *catalog.Catalog, stmt ast.Statement) (*writePlan, error) {
+func (db *DB) planWrite(ctx context.Context, job *par.Job, cat *catalog.Catalog, stmt ast.Statement) (*writePlan, error) {
 	prog, err := compile(cat, stmt)
 	if err != nil {
 		return nil, err
 	}
-	mctx, err := mal.RunCtx(ctx, prog)
+	mctx, err := mal.Run(ctx, prog, job, db.hook)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +582,7 @@ func planWrite(ctx context.Context, cat *catalog.Catalog, stmt ast.Statement) (*
 	for k, col := range res.Cols[1:] {
 		switch kind := w.TargetKind(k); {
 		case col.ValueKind() != kind:
-			if col, err = gdk.CastBAT(nil, gdk.B(col), kind, nil); err != nil {
+			if col, err = gdk.CastBAT(job, gdk.B(col), kind, nil); err != nil {
 				return nil, fmt.Errorf("%s %q: %v", what, w.TargetName(k), err)
 			}
 		case slices.Contains(src, col) || slices.Contains(p.vals, col):
@@ -719,8 +720,8 @@ func (db *DB) applyArrayWritePlan(a *catalog.Array, p *writePlan) (*Result, erro
 }
 
 // write implements UPDATE and DELETE against the live catalog.
-func (db *DB) write(ctx context.Context, stmt ast.Statement) (*Result, error) {
-	p, err := planWrite(ctx, db.cat, stmt)
+func (db *DB) write(ctx context.Context, job *par.Job, stmt ast.Statement) (*Result, error) {
+	p, err := db.planWrite(ctx, job, db.cat, stmt)
 	if err != nil {
 		return nil, err
 	}

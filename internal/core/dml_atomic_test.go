@@ -19,7 +19,7 @@ func forEachBacking(t *testing.T, fn func(t *testing.T, db *DB, reopen func() *D
 	})
 	t.Run("durable", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "db")
-		db, err := Open(dir)
+		db, err := OpenDB(dir, OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +27,7 @@ func forEachBacking(t *testing.T, fn func(t *testing.T, db *DB, reopen func() *D
 			if err := db.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
-			db2, err := Open(dir)
+			db2, err := OpenDB(dir, OpenOptions{})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}

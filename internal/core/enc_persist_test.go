@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,9 +22,9 @@ import (
 // buildEncDB populates dir with multi-slab encodable data: an array whose
 // attributes RLE- and delta-encode (three 64K slabs each) and a table
 // whose int and string columns dictionary-encode.
-func buildEncDB(t *testing.T, dir string) *DB {
+func buildEncDB(t *testing.T, dir string, o OpenOptions) *DB {
 	t.Helper()
-	db, err := Open(dir)
+	db, err := OpenDB(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func encNames(b *bat.BAT) []string {
 
 func TestEncodedCheckpointRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db := buildEncDB(t, dir)
+	db := buildEncDB(t, dir, OpenOptions{})
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Reload: identical slab encodings, payload sizes and values.
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 // authoritative segment files.
 func TestEncodedManifestDescriptors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db := buildEncDB(t, dir)
+	db := buildEncDB(t, dir, OpenOptions{})
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +247,7 @@ func TestEncodedManifestDescriptors(t *testing.T) {
 func TestEncodedWALReplay(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "db")
-	db := buildEncDB(t, dir)
+	db := buildEncDB(t, dir, OpenOptions{})
 	if err := db.Save(); err != nil { // encoded segments on disk
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestEncodedWALReplay(t *testing.T) {
 
 	image := filepath.Join(root, "crash-image")
 	copyTree(t, dir, image)
-	db2, err := Open(image)
+	db2, err := OpenDB(image, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +292,10 @@ func TestEncodedWALReplay(t *testing.T) {
 func TestEncodedCrashTruncation(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "db")
-	db := buildEncDB(t, dir)
+	db := buildEncDB(t, dir, OpenOptions{CheckpointBytes: -1}) // keep the tail in the log
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
 	}
-	db.SetWALCheckpointBytes(0) // keep the tail in the log
 
 	probe := func(d *DB) string {
 		var sb strings.Builder
@@ -338,7 +339,7 @@ func TestEncodedCrashTruncation(t *testing.T) {
 		if err := os.Truncate(filepath.Join(work, "wal.log"), cut); err != nil {
 			t.Fatal(err)
 		}
-		rdb, err := Open(work)
+		rdb, err := OpenDB(work, OpenOptions{})
 		if err != nil {
 			t.Fatalf("cut at %d: recovery failed: %v", cut, err)
 		}
@@ -354,64 +355,73 @@ func TestEncodedCrashTruncation(t *testing.T) {
 	db.Close()
 }
 
-// TestEncodingsDisabledCheckpoint covers the -encodings=false path: with
-// the gate off the checkpoint stores plain segments (older manifest
-// readers keep working), and re-enabling encodes at the next checkpoint.
-func TestEncodingsDisabledCheckpoint(t *testing.T) {
-	prev := bat.SetEncodingsEnabled(false)
-	defer bat.SetEncodingsEnabled(prev)
-
+// TestEncodedUpgradeFromPlain: encoding is chosen per slab from the data.
+// Incompressible values checkpoint and reload as plain segments; once an
+// update makes the column compressible, its next checkpoint rewrites the
+// segments encoded, and they reload encoded with the right values.
+func TestEncodedUpgradeFromPlain(t *testing.T) {
+	const n = 150_000 // three 64K slabs
 	dir := filepath.Join(t.TempDir(), "db")
-	db := buildEncDB(t, dir)
+	db, err := OpenDB(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustQuery(fmt.Sprintf(`CREATE ARRAY big (t INT DIMENSION[0:1:%d], v INT DEFAULT 0)`, n))
+	rng := rand.New(rand.NewSource(7))
+	noise := make([]int64, n)
+	for i := range noise {
+		noise[i] = rng.Int63()
+	}
+	if err := db.BulkSetAttrInts("big", "v", noise); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
 	}
 	if b := attrBat(t, db, "big", "v"); b.Encoded() {
-		t.Fatal("encodings disabled but checkpoint encoded big.v")
+		t.Fatalf("random values checkpointed encoded: %v", encNames(b))
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b := attrBat(t, db2, "big", "v"); b.Encoded() {
 		t.Fatal("plain checkpoint reloaded as encoded")
 	}
-	sum := int64(0)
 	v, _, err := db2.ReadAttrInts("big", "v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range v {
-		sum += x
-	}
-	if want := int64(0); sum == want {
-		t.Fatal("plain reload lost the data")
+	if !slices.Equal(v, noise) {
+		t.Fatal("plain reload changed the values")
 	}
 
-	// Re-enable: the next checkpoint of a dirty object upgrades its
-	// segments in place (clean objects are left alone — encoding happens
-	// when segments rewrite).
-	bat.SetEncodingsEnabled(true)
-	db2.MustQuery(`UPDATE big SET v = 123 WHERE t = 0`)
+	// The next checkpoint of the dirty object rewrites its segments, and
+	// a constant column encodes.
+	db2.MustQuery(`UPDATE big SET v = 123`)
 	if err := db2.Save(); err != nil {
 		t.Fatal(err)
-	}
-	if b := attrBat(t, db2, "big", "v"); !b.Encoded() {
-		t.Fatal("re-enabled checkpoint did not encode big.v")
 	}
 	if err := db2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := Open(dir)
+	db3, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db3.Close()
 	if b := attrBat(t, db3, "big", "v"); !b.Encoded() {
-		t.Fatal("upgraded store reloaded plain")
+		t.Fatal("constant column reloaded plain")
+	}
+	v, _, err = db3.ReadAttrInts("big", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != n || slices.ContainsFunc(v, func(x int64) bool { return x != 123 }) {
+		t.Fatal("encoded reload lost the update")
 	}
 }

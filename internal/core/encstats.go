@@ -24,7 +24,6 @@ type ColumnEncoding struct {
 
 // EncodingStats aggregates the per-column mix with store-wide totals.
 type EncodingStats struct {
-	Enabled      bool             `json:"enabled"`
 	Columns      []ColumnEncoding `json:"columns,omitempty"`
 	EncodedBytes int64            `json:"encoded_bytes"`
 	LogicalBytes int64            `json:"logical_bytes"`
@@ -54,7 +53,7 @@ func columnEncoding(obj, col string, b *bat.BAT) ColumnEncoding {
 // EncodingStats reports the per-column encoding mix and encoded-versus-
 // logical sizes of the published snapshot.
 func (db *DB) EncodingStats() EncodingStats {
-	st := EncodingStats{Enabled: bat.EncodingsEnabled()}
+	var st EncodingStats
 	cat := db.view.Load()
 	for _, name := range cat.TableNames() {
 		t, _ := cat.Table(name)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/mal"
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
@@ -58,7 +59,7 @@ type DB struct {
 	// changed (true) or only manifest-level state like a table's deletion
 	// mask (false): a checkpoint rewrites segments only for data-dirty
 	// objects, so a DELETE-heavy workload does not reintroduce O(table)
-	// write amplification. Once the log outgrows ckptBytes (<= 0 disables
+	// write amplification. Once the log outgrows ckptBytes (< 0 disables
 	// the trigger) a checkpoint folds it into versioned segment files and
 	// resets it.
 	wal         *wal.Log
@@ -120,10 +121,16 @@ type DB struct {
 	session *Session // default session used by the DB-level Exec/Query
 
 	pcache *parseCache // bounded LRU of parsed statements
+
+	// width and cutoff shape every statement's par.Job (0: GOMAXPROCS
+	// and par.DefaultMorselThreshold); hook, when non-nil, runs before
+	// each MAL instruction. Only tests set them, while no statement runs.
+	width, cutoff int
+	hook          func(*mal.Instr)
 }
 
 // DefaultCheckpointBytes is the WAL size past which a commit triggers an
-// incremental checkpoint when no explicit threshold is configured.
+// incremental checkpoint when OpenOptions.CheckpointBytes is zero.
 const DefaultCheckpointBytes = 4 << 20
 
 // New creates an empty in-memory database.
@@ -135,36 +142,18 @@ func New() *DB {
 	return db
 }
 
-// Open loads (or initialises) a database persisted in dir: it reads the
-// last checkpoint manifest and its BAT segments, then replays the
-// write-ahead log tail — committed work a crash or exit-without-Close
-// left out of the segment store — discarding any torn trailing records.
-func Open(dir string) (*DB, error) {
-	return OpenWith(dir, DefaultCheckpointBytes)
-}
-
-// OpenWith is Open with an explicit WAL checkpoint threshold (see
-// SetWALCheckpointBytes; <= 0 disables automatic checkpoints). Unlike
-// SetWALCheckpointBytes after Open, the threshold also governs whether
-// an oversized recovered log is folded during the open itself.
-func OpenWith(dir string, walCheckpointBytes int64) (*DB, error) {
-	return OpenWithFS(dir, walCheckpointBytes, vfs.OS)
-}
-
-// OpenWithFS is OpenWith on an explicit filesystem. The fault-injection
-// and chaos suites use it to make fsyncs, renames and segment writes
-// fail on demand; production callers never need it.
-func OpenWithFS(dir string, walCheckpointBytes int64, fsys vfs.FS) (*DB, error) {
-	return OpenDB(dir, OpenOptions{CheckpointBytes: walCheckpointBytes, FS: fsys})
-}
-
-// OpenOptions configures OpenDB beyond the directory.
+// OpenOptions configures OpenDB beyond the directory. The zero value is
+// the production configuration.
 type OpenOptions struct {
 	// CheckpointBytes is the WAL size past which a commit triggers an
-	// incremental checkpoint (0 means DefaultCheckpointBytes via Open;
-	// here 0 disables the trigger, matching OpenWith semantics).
+	// incremental checkpoint: 0 means DefaultCheckpointBytes, < 0
+	// disables the trigger (the final checkpoint on Close still runs).
+	// It also governs whether an oversized recovered log is folded
+	// during the open itself.
 	CheckpointBytes int64
-	// FS overrides the filesystem (fault injection); nil means vfs.OS.
+	// FS overrides the filesystem; nil means vfs.OS. The fault-injection
+	// and chaos suites use it to make fsyncs, renames and segment writes
+	// fail on demand.
 	FS vfs.FS
 	// ReadOnly, when non-empty, refuses every SQL write with ErrReadOnly
 	// carrying this reason, and skips all checkpoints (including the
@@ -176,19 +165,25 @@ type OpenOptions struct {
 	Replica bool
 }
 
-// OpenDB is the fully general open: directory plus options. The plain
-// Open/OpenWith wrappers cover the common cases.
+// OpenDB loads (or initialises) a database persisted in dir: it reads the
+// last checkpoint manifest and its BAT segments, then replays the
+// write-ahead log tail — committed work a crash or exit-without-Close
+// left out of the segment store — discarding any torn trailing records.
 func OpenDB(dir string, o OpenOptions) (*DB, error) {
 	fsys := o.FS
 	if fsys == nil {
 		fsys = vfs.OS
+	}
+	ckptBytes := o.CheckpointBytes
+	if ckptBytes == 0 {
+		ckptBytes = DefaultCheckpointBytes
 	}
 	readOnly := o.ReadOnly
 	if o.Replica && readOnly == "" {
 		readOnly = replicaReadOnlyReason
 	}
 	db := &DB{cat: catalog.New(), dir: dir, dirty: map[string]struct{}{}, pcache: newParseCache(),
-		ckptDirty: map[string]bool{}, ckptBytes: o.CheckpointBytes, fs: fsys,
+		ckptDirty: map[string]bool{}, ckptBytes: ckptBytes, fs: fsys,
 		readOnly: readOnly, replica: o.Replica, commitGroup: DefaultCommitGroup}
 	db.session = &Session{db: db}
 	if err := db.checkBootstrapMarker(); err != nil {
@@ -227,17 +222,6 @@ func OpenDB(dir string, o OpenOptions) (*DB, error) {
 		db.startCommitLoopLocked()
 	}
 	return db, nil
-}
-
-// SetWALCheckpointBytes sets the WAL size past which a commit triggers an
-// incremental checkpoint. n <= 0 disables the automatic trigger (the
-// final checkpoint on Close still runs). Returns the previous threshold.
-func (db *DB) SetWALCheckpointBytes(n int64) int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	prev := db.ckptBytes
-	db.ckptBytes = n
-	return prev
 }
 
 // CheckIntegrity validates the structural invariants of the live catalog:
@@ -415,6 +399,7 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
+	job := db.newJob()
 	defer func() {
 		if r := recover(); r != nil {
 			log.Printf("sciql: query panic (answered as error): %v\n%s", r, debug.Stack())
@@ -429,7 +414,7 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 		snap := db.view.Load()
 		db.mu.RUnlock()
 		if !inTxn {
-			return db.execRead(ctx, snap, stmt)
+			return db.execRead(ctx, job, snap, stmt)
 		}
 	case *ast.Insert, *ast.Update, *ast.Delete:
 		// Parallel prepare (optimistic.go): plan the statement against
@@ -437,7 +422,7 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 		// only for first-committer-wins validation + apply + enqueue.
 		// ok=false (ineligible shape, open transaction, conflict storm,
 		// prepare error) falls through to the serialized path below.
-		if r, req, ok, oerr := db.execOptimistic(ctx, stmt); ok {
+		if r, req, ok, oerr := db.execOptimistic(ctx, job, stmt); ok {
 			if req != nil {
 				if werr := <-req.done; werr != nil && oerr == nil {
 					oerr = werr
@@ -446,7 +431,7 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 			return r, oerr
 		}
 	}
-	r, req, msg, err := db.execWrite(ctx, s, stmt)
+	r, req, msg, err := db.execWrite(ctx, job, s, stmt)
 	// With group commit, the writer lock is already released: block here
 	// until the loop has fsynced the batch (or failed the whole group).
 	// Holding db.mu across this wait would serialise exactly the fsyncs
@@ -467,7 +452,7 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 // commit request (if any) the caller must wait on after the lock is
 // released, plus an optional message to wrap a durability error with
 // (COMMIT's "committed but not persisted" contract).
-func (db *DB) execWrite(ctx context.Context, s *Session, stmt ast.Statement) (*Result, *commitReq, string, error) {
+func (db *DB) execWrite(ctx context.Context, job *par.Job, s *Session, stmt ast.Statement) (*Result, *commitReq, string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.txn != nil && db.txnOwner != s {
@@ -476,7 +461,7 @@ func (db *DB) execWrite(ctx context.Context, s *Session, stmt ast.Statement) (*R
 	if werr := db.writeBlockedErr(); werr != nil && isWriteStmt(stmt) {
 		return nil, nil, "", werr
 	}
-	r, err := db.execLocked(ctx, s, stmt)
+	r, err := db.execLocked(ctx, job, s, stmt)
 	// Autocommit boundary: make the statement durable (one fsynced WAL
 	// batch; partial effects of a failed statement are logged exactly as
 	// applied) and publish it statement-atomically. Inside an explicit
@@ -508,10 +493,10 @@ func isWriteStmt(stmt ast.Statement) bool {
 
 // execRead executes a read-only statement against an immutable snapshot.
 // It runs without any engine lock: the snapshot's storage is frozen.
-func (db *DB) execRead(ctx context.Context, cat *catalog.Catalog, stmt ast.Statement) (*Result, error) {
+func (db *DB) execRead(ctx context.Context, job *par.Job, cat *catalog.Catalog, stmt ast.Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *ast.Select:
-		return db.runSelect(ctx, cat, s)
+		return db.runSelect(ctx, job, cat, s)
 	case *ast.Explain:
 		return db.explain(cat, s)
 	default:
@@ -519,14 +504,14 @@ func (db *DB) execRead(ctx context.Context, cat *catalog.Catalog, stmt ast.State
 	}
 }
 
-func (db *DB) execLocked(ctx context.Context, s *Session, stmt ast.Statement) (*Result, error) {
+func (db *DB) execLocked(ctx context.Context, job *par.Job, s *Session, stmt ast.Statement) (*Result, error) {
 	switch st := stmt.(type) {
 	case *ast.Select:
 		// A read inside the session's own transaction runs against the
 		// live catalog and may hand back the catalog's own columns:
 		// freeze them, so the transaction's later writes copy them
 		// instead of changing this result under its holder.
-		r, err := db.runSelect(ctx, db.cat, st)
+		r, err := db.runSelect(ctx, job, db.cat, st)
 		if err != nil {
 			return nil, err
 		}
@@ -541,11 +526,11 @@ func (db *DB) execLocked(ctx context.Context, s *Session, stmt ast.Statement) (*
 	case *ast.Drop:
 		return db.drop(st)
 	case *ast.AlterDimension:
-		return db.alterDimension(st)
+		return db.alterDimension(job, st)
 	case *ast.Insert:
-		return db.insert(ctx, st)
+		return db.insert(ctx, job, st)
 	case *ast.Update, *ast.Delete:
-		return db.write(ctx, st)
+		return db.write(ctx, job, st)
 	case *ast.Txn:
 		return db.txnStmt(s, st)
 	case *ast.Explain:
@@ -557,17 +542,20 @@ func (db *DB) execLocked(ctx context.Context, s *Session, stmt ast.Statement) (*
 
 // runSelect binds, optimizes, compiles and interprets a SELECT against the
 // given catalog (live for writers/transactions, a snapshot for readers).
-func (db *DB) runSelect(ctx context.Context, cat *catalog.Catalog, sel *ast.Select) (*Result, error) {
+func (db *DB) runSelect(ctx context.Context, job *par.Job, cat *catalog.Catalog, sel *ast.Select) (*Result, error) {
 	prog, err := compile(cat, sel)
 	if err != nil {
 		return nil, err
 	}
-	mctx, err := mal.RunCtx(ctx, prog)
+	mctx, err := mal.Run(ctx, prog, job, db.hook)
 	if err != nil {
 		return nil, err
 	}
-	return assembleResult(prog, mctx)
+	return assembleResult(job, prog, mctx)
 }
+
+// newJob returns a fresh job for one statement at the DB's shape.
+func (db *DB) newJob() *par.Job { return par.NewJob(db.width, db.cutoff) }
 
 // bindPlan binds a SELECT, UPDATE or DELETE against cat into its
 // optimized logical plan.

@@ -16,9 +16,9 @@ func openFaulted(t *testing.T, ckptBytes int64) (*DB, *vfs.FailFS, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "db")
 	fs := vfs.NewFailFS(nil)
-	db, err := OpenWithFS(dir, ckptBytes, fs)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: ckptBytes, FS: fs})
 	if err != nil {
-		t.Fatalf("OpenWithFS: %v", err)
+		t.Fatalf("OpenDB: %v", err)
 	}
 	return db, fs, dir
 }
@@ -27,7 +27,7 @@ func openFaulted(t *testing.T, ckptBytes int64) (*DB, *vfs.FailFS, string) {
 // read-only degraded mode; reads keep serving, writes fail with
 // ErrDegraded, and a successful Save clears it.
 func TestFaultWALFsync(t *testing.T) {
-	db, fs, _ := openFaulted(t, 0)
+	db, fs, _ := openFaulted(t, -1)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	db.MustQuery(`INSERT INTO t VALUES (1)`)
 
@@ -69,7 +69,7 @@ func TestFaultWALFsync(t *testing.T) {
 // TestFaultWALShortWrite: a short write (disk full mid-record) on the
 // WAL is a durability failure like a failed fsync.
 func TestFaultWALShortWrite(t *testing.T) {
-	db, fs, _ := openFaulted(t, 0)
+	db, fs, _ := openFaulted(t, -1)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	fs.ShortWriteOn("wal.log", 1)
 	if _, err := db.Query(`INSERT INTO t VALUES (1)`); err == nil {
@@ -84,7 +84,7 @@ func TestFaultWALShortWrite(t *testing.T) {
 // TestFaultDegradedLatchesOnce: the first durability failure wins; later
 // refused writes do not overwrite the cause.
 func TestFaultDegradedLatchesOnce(t *testing.T) {
-	db, fs, _ := openFaulted(t, 0)
+	db, fs, _ := openFaulted(t, -1)
 	defer db.Close()
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 
@@ -111,7 +111,7 @@ func TestFaultDegradedLatchesOnce(t *testing.T) {
 // lost by design; reopening replays exactly the acked commits and clears
 // degraded mode.
 func TestFaultReopenRecovers(t *testing.T) {
-	db, fs, dir := openFaulted(t, 0)
+	db, fs, dir := openFaulted(t, -1)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	db.MustQuery(`INSERT INTO t VALUES (1)`) // acked
 
@@ -121,7 +121,7 @@ func TestFaultReopenRecovers(t *testing.T) {
 	}
 	// Crash without Close: the failed statement's in-memory effects must
 	// not be checkpointed.
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestFaultReopenRecovers(t *testing.T) {
 // latches degraded mode, a clean retry (Save) recovers, and the data
 // survives a reopen.
 func TestFaultCheckpointRename(t *testing.T) {
-	db, fs, dir := openFaulted(t, 0)
+	db, fs, dir := openFaulted(t, -1)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	db.MustQuery(`INSERT INTO t VALUES (1)`)
 
@@ -162,7 +162,7 @@ func TestFaultCheckpointRename(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestFaultCheckpointRename(t *testing.T) {
 // checkpoint degrades the engine but loses nothing: the old manifest and
 // the WAL still cover every acked commit.
 func TestFaultSegmentENOSPC(t *testing.T) {
-	db, fs, dir := openFaulted(t, 0)
+	db, fs, dir := openFaulted(t, -1)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	for i := 0; i < 5; i++ {
 		db.MustQuery(fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
@@ -189,7 +189,7 @@ func TestFaultSegmentENOSPC(t *testing.T) {
 		t.Fatal("degraded mode must latch")
 	}
 	// Crash-reopen: manifest untouched, WAL replay restores all 5 rows.
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestFaultSegmentENOSPC(t *testing.T) {
 // a transaction) are usage errors, not durability failures, and must not
 // latch degraded mode.
 func TestFaultOpenTxnNotDegrading(t *testing.T) {
-	db, _, _ := openFaulted(t, 0)
+	db, _, _ := openFaulted(t, -1)
 	defer db.Close()
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	s := db.NewSession()

@@ -41,7 +41,7 @@ func TestGoldenQueries(t *testing.T) {
 			dir := ""
 			if testutil.NeedsDir(string(src)) {
 				dir = filepath.Join(t.TempDir(), "db")
-				if db, err = Open(dir); err != nil {
+				if db, err = OpenDB(dir, OpenOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -63,7 +63,7 @@ func TestGoldenQueries(t *testing.T) {
 							return "", err
 						}
 					}
-					if db, err = Open(dir); err != nil {
+					if db, err = OpenDB(dir, OpenOptions{}); err != nil {
 						return "", err
 					}
 					return "reopened", nil

@@ -44,7 +44,7 @@ func gateCommitLoop(db *DB) func() {
 // TestGroupCommitAmortizesFsyncs: N writers parked behind the gate
 // retire as one group — one fsync for all N commits.
 func TestGroupCommitAmortizesFsyncs(t *testing.T) {
-	db, _, _ := openFaulted(t, 0)
+	db, _, _ := openFaulted(t, -1)
 	defer db.Close()
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 
@@ -98,7 +98,7 @@ func TestGroupCommitLeaderFaultFansOut(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db, fs, dir := openFaulted(t, 0)
+			db, fs, dir := openFaulted(t, -1)
 			db.MustQuery(`CREATE TABLE t (a INT)`)
 			db.MustQuery(`INSERT INTO t VALUES (100)`) // acked before the fault
 
@@ -139,7 +139,7 @@ func TestGroupCommitLeaderFaultFansOut(t *testing.T) {
 
 			// Crash-reopen (no Close: a final checkpoint would fold the
 			// unacked effects): replay is exactly the acked commits.
-			db2, err := Open(dir)
+			db2, err := OpenDB(dir, OpenOptions{})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -156,7 +156,7 @@ func TestGroupCommitLeaderFaultFansOut(t *testing.T) {
 // the group append failed must fail too, not land in a log with a hole
 // before them.
 func TestGroupCommitStuckAfterFault(t *testing.T) {
-	db, fs, _ := openFaulted(t, 0)
+	db, fs, _ := openFaulted(t, -1)
 	// Two groups' worth of writers pile up behind the gate; shrink the
 	// group size so they retire as two appends. The commit loop reads the
 	// size without the lock, so set it before the first commit: the queue
@@ -204,7 +204,7 @@ func TestGroupCommitStuckAfterFault(t *testing.T) {
 // TestGroupCommitSaveBarrier: Save routes through the commit queue as a
 // barrier — it folds everything queued before it and resets the log.
 func TestGroupCommitSaveBarrier(t *testing.T) {
-	db, _, dir := openFaulted(t, 0)
+	db, _, dir := openFaulted(t, -1)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	for i := 0; i < 10; i++ {
 		db.MustQuery(fmt.Sprintf("INSERT INTO t VALUES (%d)", i))
@@ -219,7 +219,7 @@ func TestGroupCommitSaveBarrier(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestGroupCommitBackgroundCheckpoint(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -37,6 +37,7 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
+	"repro/internal/par"
 	"repro/internal/sql/ast"
 )
 
@@ -74,7 +75,7 @@ type stagedWrite struct {
 // erroring, because the serialized path recomputes against the live
 // catalog and reports the authoritative error (a stale snapshot could
 // misreport, e.g. for a table created after the snapshot was taken).
-func prepareOptimistic(ctx context.Context, snap *catalog.Catalog, stmt ast.Statement) (*stagedWrite, error) {
+func (db *DB) prepareOptimistic(ctx context.Context, job *par.Job, snap *catalog.Catalog, stmt ast.Statement) (*stagedWrite, error) {
 	switch s := stmt.(type) {
 	case *ast.Insert:
 		if s.Query != nil {
@@ -88,7 +89,7 @@ func prepareOptimistic(ctx context.Context, snap *catalog.Catalog, stmt ast.Stat
 			// an append — so it stays serialized; so do missing objects.
 			return nil, nil
 		}
-		full, err := stageTableInsert(snap, t, s)
+		full, err := stageTableInsert(job, snap, t, s)
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +106,7 @@ func prepareOptimistic(ctx context.Context, snap *catalog.Catalog, stmt ast.Stat
 		}
 		// The same write program the serialized path runs, compiled
 		// against the snapshot.
-		p, err := planWrite(ctx, snap, s)
+		p, err := db.planWrite(ctx, job, snap, s)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +139,7 @@ func writeTarget(stmt ast.Statement) string {
 // reports the authoritative message), engine state change, or a
 // conflict storm that exhausted the retries. A prepare cut short by ctx
 // reports ctx's error without taking the writer lock.
-func (db *DB) execOptimistic(ctx context.Context, stmt ast.Statement) (*Result, *commitReq, bool, error) {
+func (db *DB) execOptimistic(ctx context.Context, job *par.Job, stmt ast.Statement) (*Result, *commitReq, bool, error) {
 	for attempt := 0; attempt < optimisticRetries; attempt++ {
 		db.mu.RLock()
 		ready := db.commitQ != nil && db.txn == nil
@@ -147,7 +148,7 @@ func (db *DB) execOptimistic(ctx context.Context, stmt ast.Statement) (*Result, 
 		if !ready {
 			return nil, nil, false, nil
 		}
-		st, err := prepareOptimistic(ctx, snap, stmt)
+		st, err := db.prepareOptimistic(ctx, job, snap, stmt)
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, nil, true, cerr
 		}
@@ -226,7 +227,7 @@ func (s *Session) ExecOptimistic(query string) (*Result, error) {
 	if !ready {
 		return nil, fmt.Errorf("optimistic execution needs group commit enabled and no open transaction")
 	}
-	st, err := prepareOptimistic(context.Background(), snap, stmts[0])
+	st, err := db.prepareOptimistic(context.Background(), db.newJob(), snap, stmts[0])
 	if err != nil {
 		return nil, err
 	}

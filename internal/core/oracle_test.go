@@ -9,10 +9,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/gdk"
-	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
@@ -891,8 +891,17 @@ func sameRows(got, want [][]types.Value, tol bool) error {
 }
 
 // oracleThreads are the kernel widths every statement runs at; the
-// lowered morsel threshold makes the small inputs engage the pool.
+// lowered morsel cutoff (setWidth) makes the small inputs engage the pool.
 var oracleThreads = []int{1, 2, 8}
+
+// setWidth makes db's statements run at width with a 64-row morsel
+// cutoff, and returns a func that restores the previous shape. Call it
+// only while no statement runs on db.
+func setWidth(db *DB, width int) (restore func()) {
+	w, c := db.width, db.cutoff
+	db.width, db.cutoff = width, 64
+	return func() { db.width, db.cutoff = w, c }
+}
 
 // checkEngine runs sql through the full pipeline at every width in
 // widths (oracleThreads when none are given) and compares each answer
@@ -902,11 +911,10 @@ func checkEngine(db *DB, sql string, want refAnswer, widths ...int) error {
 	if len(widths) == 0 {
 		widths = oracleThreads
 	}
-	defer par.SetThreads(par.SetThreads(1))
-	defer par.SetMorselThreshold(par.SetMorselThreshold(64))
+	defer setWidth(db, 1)()
 	var first [][]types.Value
 	for _, th := range widths {
-		par.SetThreads(th)
+		setWidth(db, th)
 		res, err := db.Query(sql)
 		if (err != nil) != (want.err != nil) {
 			return fmt.Errorf("threads=%d: engine error %v, reference error %v", th, err, want.err)
@@ -972,6 +980,63 @@ func TestOracleRandomSelect(t *testing.T) {
 			if !skipped {
 				ran++
 			}
+		}
+	}
+}
+
+// TestConcurrentDBsKeepTheirWidths: two databases at widths 1 and 8 run
+// the same oracle statements side by side. Each statement's job carries
+// its DB's width, so neither run disturbs the other, and both answer
+// every statement with identical rows.
+func TestConcurrentDBsKeepTheirWidths(t *testing.T) {
+	narrow, wide := oracleDB(t), oracleDB(t)
+	setWidth(narrow, 1)
+	setWidth(wide, 8)
+	rels, err := oracleRels(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The statements the random oracle checks: those small enough for
+	// the reference.
+	g := &oracleGen{rng: rand.New(rand.NewSource(1)), rels: rels}
+	var stmts []string
+	for len(stmts) < 60 {
+		if sql := g.stmt(); !errors.Is(refQuery(narrow, sql, refBudget).err, errRefTooBig) {
+			stmts = append(stmts, sql)
+		}
+	}
+	type answer struct {
+		rows [][]types.Value
+		err  error
+	}
+	run := func(db *DB) []answer {
+		out := make([]answer, len(stmts))
+		for i, sql := range stmts {
+			res, err := db.Query(sql)
+			out[i].err = err
+			if err == nil {
+				out[i].rows = resultRows(res)
+			}
+		}
+		return out
+	}
+	var got [2][]answer
+	var wg sync.WaitGroup
+	for i, db := range []*DB{narrow, wide} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(db)
+		}()
+	}
+	wg.Wait()
+	for i, sql := range stmts {
+		a, b := got[0][i], got[1][i]
+		if (a.err != nil) != (b.err != nil) {
+			t.Fatalf("%s\nwidth 1 error %v, width 8 error %v", sql, a.err, b.err)
+		}
+		if err := sameRows(b.rows, a.rows, false); err != nil {
+			t.Fatalf("%s\nwidth 8 vs width 1: %v", sql, err)
 		}
 	}
 }

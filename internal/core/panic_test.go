@@ -17,13 +17,13 @@ func TestPanicContainedRead(t *testing.T) {
 	db.MustQuery(`INSERT INTO t VALUES (1), (2), (3)`)
 	snapBefore := db.Snapshot()
 
-	prev := mal.SetTestHook(func(in *mal.Instr) {
+	db.hook = func(in *mal.Instr) {
 		if in.Module == "algebra" {
 			panic("injected kernel panic")
 		}
-	})
+	}
 	_, err := db.Query(`SELECT a FROM t WHERE a > 1`)
-	mal.SetTestHook(prev)
+	db.hook = nil
 	if err == nil {
 		t.Fatal("panicking query must return an error")
 	}
@@ -51,12 +51,12 @@ func TestPanicContainedRead(t *testing.T) {
 func TestPanicContainedWrite(t *testing.T) {
 	db := New()
 	db.MustQuery(`CREATE TABLE t (a INT)`)
-	prev := mal.SetTestHook(func(in *mal.Instr) {
+	db.hook = func(in *mal.Instr) {
 		panic("injected write-path panic")
-	})
+	}
 	// INSERT ... SELECT runs MAL on the write path (under db.mu).
 	_, err := db.Query(`INSERT INTO t SELECT a FROM t`)
-	mal.SetTestHook(prev)
+	db.hook = nil
 	if err == nil {
 		t.Fatal("panicking write must return an error")
 	}
@@ -75,20 +75,20 @@ func TestPanicContainedWrite(t *testing.T) {
 // directory-backed store — reopen succeeds and the data survives.
 func TestPanicContainedPersistent(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	db.MustQuery(`INSERT INTO t VALUES (10), (20)`)
 
-	prev := mal.SetTestHook(func(in *mal.Instr) {
+	db.hook = func(in *mal.Instr) {
 		if in.Module == "algebra" || in.Module == "aggr" {
 			panic("injected panic on persistent store")
 		}
-	})
+	}
 	_, qerr := db.Query(`SELECT COUNT(*) FROM t WHERE a > 5`)
-	mal.SetTestHook(prev)
+	db.hook = nil
 	if qerr == nil {
 		t.Fatal("panicking query must return an error")
 	}
@@ -99,7 +99,7 @@ func TestPanicContainedPersistent(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

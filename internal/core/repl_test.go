@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bat"
 	"repro/internal/catalog"
@@ -75,7 +76,7 @@ func syncReplica(t *testing.T, primary, replica *DB) {
 // writes until promoted.
 func TestReplicateEndToEnd(t *testing.T) {
 	primDir := filepath.Join(t.TempDir(), "primary")
-	primary, err := OpenWith(primDir, 0)
+	primary, err := OpenDB(primDir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestReplicateEndToEnd(t *testing.T) {
 // without effect; partial overlap applies only the fresh suffix.
 func TestApplyReplicatedIdempotent(t *testing.T) {
 	primDir := filepath.Join(t.TempDir(), "primary")
-	primary, err := OpenWith(primDir, 0)
+	primary, err := OpenDB(primDir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestApplyReplicatedRejectsGapAndStraddle(t *testing.T) {
 // checkpointing; promoting a primary is refused.
 func TestPromote(t *testing.T) {
 	primDir := filepath.Join(t.TempDir(), "primary")
-	primary, err := OpenWith(primDir, 0)
+	primary, err := OpenDB(primDir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestPromote(t *testing.T) {
 // acked must never take writes.
 func TestPromoteRefusedWhenDegraded(t *testing.T) {
 	primDir := filepath.Join(t.TempDir(), "primary")
-	primary, err := OpenWith(primDir, 0)
+	primary, err := OpenDB(primDir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestPromoteRefusedWhenDegraded(t *testing.T) {
 // TestDegradedClearsOnReopen: a crash while degraded recovers clean — the
 // reopen replays the durable prefix and the latch does not persist.
 func TestDegradedClearsOnReopen(t *testing.T) {
-	db, fs, dir := openFaulted(t, 0)
+	db, fs, dir := openFaulted(t, -1)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	db.MustQuery(`INSERT INTO t VALUES (1)`)
 	fs.FailOn(vfs.OpSync, "wal.log", 1, errors.New("injected fsync failure"))
@@ -294,7 +295,7 @@ func TestDegradedClearsOnReopen(t *testing.T) {
 		t.Fatal("degraded mode must latch")
 	}
 	// Crash without Close: reopen recovers the durable prefix, healthy.
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestDegradedClearsOnReopen(t *testing.T) {
 // and never touches the store — not even the final checkpoint on Close.
 func TestReadOnlyOpen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func TestBootstrapMarker(t *testing.T) {
 // ReadWALChunk never serves past the committed end.
 func TestGenerationResetDetected(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "primary")
-	db, err := OpenWith(dir, 0)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +450,7 @@ func TestGenerationResetDetected(t *testing.T) {
 // on it, and opens a replica synced to it.
 func openPrimaryReplica(t *testing.T, setup ...string) (primary, replica *DB) {
 	t.Helper()
-	primary, err := OpenWith(filepath.Join(t.TempDir(), "primary"), 0)
+	primary, err := OpenDB(filepath.Join(t.TempDir(), "primary"), OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,5 +612,42 @@ func TestWALRecoveryRejectsWholeRecord(t *testing.T) {
 				t.Errorf("the replica changed %s before refusing the record (%v)", c.obj, err)
 			}
 		})
+	}
+}
+
+// TestZeroOptionsCheckpointAtDefault: a database opened with zero
+// OpenOptions, and a zero-options replica once promoted, fold their WAL
+// at DefaultCheckpointBytes; zero never means "no automatic checkpoint".
+func TestZeroOptionsCheckpointAtDefault(t *testing.T) {
+	primary, err := OpenDB(filepath.Join(t.TempDir(), "primary"), OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	replica, _ := openReplica(t, nil)
+	defer replica.Close()
+	if _, err := replica.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*DB{"primary": primary, "promoted replica": replica} {
+		db.mu.RLock()
+		got := db.ckptBytes
+		db.mu.RUnlock()
+		if got != DefaultCheckpointBytes {
+			t.Fatalf("%s: checkpoint threshold %d, want %d", name, got, DefaultCheckpointBytes)
+		}
+		// Each UPDATE logs about 2 MB: the log must fold once it passes
+		// the threshold (in the background, after the commit is acked).
+		db.MustQuery(`CREATE ARRAY big (i INT DIMENSION[0:1:300000], v INT DEFAULT 0)`)
+		for k := 1; k <= 3; k++ {
+			db.MustQuery(fmt.Sprintf(`UPDATE big SET v = i * %d`, k))
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for db.CheckpointBytes() == 0 || db.WALSize() > DefaultCheckpointBytes {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: WAL at %d bytes never folded", name, db.WALSize())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bat"
 	"repro/internal/gdk"
 	"repro/internal/mal"
+	"repro/internal/par"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -62,12 +63,12 @@ func (r *Result) Row(i int) []types.Value {
 
 // assembleResult converts an executed MAL program into a Result, applying
 // SciQL table→array coercion when the projection has dimensional items.
-func assembleResult(prog *mal.Program, ctx *mal.Ctx) (*Result, error) {
+func assembleResult(job *par.Job, prog *mal.Program, ctx *mal.Ctx) (*Result, error) {
 	res, err := rawResult(prog, ctx)
 	if err != nil || !slices.Contains(res.Dims, true) {
 		return res, err
 	}
-	return coerceToArray(res, prog.ShapeHint)
+	return coerceToArray(job, res, prog.ShapeHint)
 }
 
 // rawResult collects an executed program's result columns as they are,
@@ -99,7 +100,7 @@ func rawResult(prog *mal.Program, ctx *mal.Ctx) (*Result, error) {
 // query and the Life step over a whole array) the columns are the result
 // as they stand; otherwise each attribute is scattered once into a column
 // of holes.
-func coerceToArray(r *Result, hint shape.Shape) (*Result, error) {
+func coerceToArray(job *par.Job, r *Result, hint shape.Shape) (*Result, error) {
 	var dimIdx, attrIdx []int
 	for i, d := range r.Dims {
 		if d {
@@ -173,7 +174,7 @@ func coerceToArray(r *Result, hint shape.Shape) (*Result, error) {
 		cell := r.Cols[ci].Materialize()
 		if !identity {
 			var err error
-			if cell, err = bat.Filler(nil, sh.Cells(), types.NullUnknown(), r.Cols[ci].ValueKind()); err != nil {
+			if cell, err = bat.Filler(job, sh.Cells(), types.NullUnknown(), r.Cols[ci].ValueKind()); err != nil {
 				return nil, err
 			}
 			if err := cell.ReplaceAt(pos, r.Cols[ci]); err != nil {

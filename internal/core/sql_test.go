@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -378,7 +377,7 @@ func TestPlanShowsArrayOps(t *testing.T) {
 
 func TestPersistence(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +390,7 @@ func TestPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,10 +658,9 @@ func TestMinMaxFollowOrderBy(t *testing.T) {
 	} {
 		db.MustQuery(q)
 	}
-	defer par.SetThreads(par.SetThreads(0))
-	defer par.SetMorselThreshold(par.SetMorselThreshold(64))
+	defer setWidth(db, 0)()
 	for _, threads := range []int{1, 2, 8} {
-		par.SetThreads(threads)
+		setWidth(db, threads)
 		got := allRows(db.MustQuery(`SELECT g, MIN(v), MAX(v) FROM m GROUP BY g ORDER BY g`))
 		var want []string
 		for g := 0; g <= 4; g++ {

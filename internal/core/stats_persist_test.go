@@ -63,7 +63,7 @@ func tableCol(t *testing.T, db *DB, table string, col int) *bat.BAT {
 
 func TestStatsSurviveCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestStatsSurviveCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestStatsSurviveCheckpoint(t *testing.T) {
 // held must still hold.
 func TestStatsSurviveWALReplay(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestStatsSurviveWALReplay(t *testing.T) {
 	db.MustQuery(`DELETE FROM w WHERE k = 30`)
 	// No Close: crash. The reopened database replays the tail.
 
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // A directory-backed database must persist on COMMIT itself.
 func TestCommitPersists(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestCommitPersists(t *testing.T) {
 	// Note: no Close, no Save — simulating a process that exits (or
 	// crashes) right after COMMIT.
 
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestCloseFlushesCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	const walHeader = 14
 	for cycle := 0; cycle < 3; cycle++ {
-		db, err := Open(dir)
+		db, err := OpenDB(dir, OpenOptions{})
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
@@ -76,7 +76,7 @@ func TestCloseFlushesCheckpoint(t *testing.T) {
 			t.Fatalf("cycle %d: wal.log is %d bytes after Close, want header-only (final checkpoint missing)", cycle, fi.Size())
 		}
 	}
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,11 @@ func TestCloseFlushesCheckpoint(t *testing.T) {
 // files, which a commit that folded the table would rewrite.
 func TestWALSmallCommitWritesDelta(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1}) // no fold may hide the append
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	db.SetWALCheckpointBytes(0) // no fold may hide the append
 	db.MustQuery(`CREATE ARRAY big (i INT DIMENSION[0:1:1000000], v INT DEFAULT 0)`)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	db.MustQuery(`INSERT INTO t SELECT i * 7919 % 1000003 FROM big`)
@@ -131,7 +130,7 @@ func TestWALSmallCommitWritesDelta(t *testing.T) {
 // not hit the disk.
 func TestRollbackDoesNotPersist(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestRollbackDoesNotPersist(t *testing.T) {
 	if _, err := db.Exec(`BEGIN; UPDATE t SET a = 999; ROLLBACK`); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,22 +13,20 @@ import (
 func buildFuzzBase(tb testing.TB, root string) (dir string, walBytes []byte) {
 	tb.Helper()
 	dir = filepath.Join(root, "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db.SetWALCheckpointBytes(0)
 	db.MustQuery(`CREATE TABLE t (a INT, s VARCHAR)`)
 	db.MustQuery(`INSERT INTO t VALUES (1, 'one'), (2, 'two')`)
 	db.MustQuery(`CREATE ARRAY g (x INT DIMENSION[0:1:2], v DOUBLE DEFAULT 0.25)`)
 	if err := db.Close(); err != nil { // checkpoint; wal resets to header-only
 		tb.Fatal(err)
 	}
-	db, err = Open(dir)
+	db, err = OpenDB(dir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db.SetWALCheckpointBytes(0)
 	db.MustQuery(`INSERT INTO t VALUES (3, 'three')`)
 	db.MustQuery(`UPDATE g SET v = x + 0.5 WHERE x > 0`)
 	walBytes, err = os.ReadFile(filepath.Join(dir, "wal.log"))
@@ -64,7 +62,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "wal.log"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		db, err := Open(dir)
+		db, err := OpenDB(dir, OpenOptions{})
 		if err != nil {
 			return // clean recovery error: acceptable for corrupt input
 		}

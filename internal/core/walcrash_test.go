@@ -101,11 +101,10 @@ func buildCrashBase(t *testing.T) (base string, boundaries []int64, expected map
 	t.Helper()
 	root := t.TempDir()
 	dir := filepath.Join(root, "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1}) // keep every record in the log
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetWALCheckpointBytes(0) // keep every record in the log
 
 	expected = map[int64]string{}
 	record := func() {
@@ -133,7 +132,7 @@ func buildCrashBase(t *testing.T) (base string, boundaries []int64, expected map
 // recoverAndFingerprint opens a crash image and returns its fingerprint.
 func recoverAndFingerprint(t *testing.T, dir string) string {
 	t.Helper()
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -230,11 +229,10 @@ func TestWALCrashCorruptionMatrix(t *testing.T) {
 func TestWALRecoveryAfterCheckpoint(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetWALCheckpointBytes(0)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	db.MustQuery(`INSERT INTO t VALUES (1), (2)`)
 	if err := db.Save(); err != nil { // checkpoint: segments now hold {1,2}
@@ -248,7 +246,7 @@ func TestWALRecoveryAfterCheckpoint(t *testing.T) {
 
 	image := filepath.Join(root, "crash-image")
 	copyTree(t, dir, image)
-	db2, err := Open(image)
+	db2, err := OpenDB(image, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +267,10 @@ func TestWALRecoveryAfterCheckpoint(t *testing.T) {
 func TestWALStaleGenerationDiscarded(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetWALCheckpointBytes(0)
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	db.MustQuery(`INSERT INTO t VALUES (1)`)
 	staleWAL, err := os.ReadFile(filepath.Join(dir, "wal.log"))
@@ -290,7 +287,7 @@ func TestWALStaleGenerationDiscarded(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(image, "wal.log"), staleWAL, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(image)
+	db2, err := OpenDB(image, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +307,7 @@ func TestWALStaleGenerationDiscarded(t *testing.T) {
 // checkpoint to rewrite (its objects again match their segments).
 func TestCheckpointTxnDiscipline(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +317,6 @@ func TestCheckpointTxnDiscipline(t *testing.T) {
 			db.Close()
 		}
 	}()
-	db.SetWALCheckpointBytes(0)
 	db.MustQuery(`CREATE TABLE big (a INT)`)
 	db.MustQuery(`INSERT INTO big VALUES (1), (2), (3)`)
 	if err := db.Save(); err != nil {
@@ -364,7 +360,7 @@ func TestCheckpointTxnDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	closed = true
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +376,10 @@ func TestCheckpointTxnDiscipline(t *testing.T) {
 func TestWALBulkLoadDurable(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetWALCheckpointBytes(0)
 	db.MustQuery(`CREATE ARRAY img (x INT DIMENSION[0:1:4], y INT DIMENSION[0:1:4], p INT DEFAULT 0)`)
 	data := make([]int64, 16)
 	for i := range data {
@@ -395,7 +390,7 @@ func TestWALBulkLoadDurable(t *testing.T) {
 	}
 	image := filepath.Join(root, "crash-image")
 	copyTree(t, dir, image)
-	db2, err := Open(image)
+	db2, err := OpenDB(image, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +420,7 @@ func TestWALCrashSIGKILL(t *testing.T) {
 		t.Skip("subprocess crash test skipped in -short")
 	}
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +460,7 @@ func TestWALCrashSIGKILL(t *testing.T) {
 	_, _ = io.Copy(io.Discard, out)
 	_ = cmd.Wait()
 
-	db2, err := Open(dir)
+	db2, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("recovery after SIGKILL: %v", err)
 	}
@@ -487,7 +482,7 @@ func TestWALCrashSIGKILL(t *testing.T) {
 // stdout, and let the parent SIGKILL us whenever it pleases.
 func walCrashChild() {
 	dir := os.Getenv("SCIQL_WAL_CRASH_CHILD")
-	db, err := Open(dir)
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		fmt.Println("child open error:", err)
 		os.Exit(1)

@@ -103,7 +103,7 @@ func TestWALBytesPinnedDML(t *testing.T) {
 func checkWALPin(t *testing.T, script []string, want, probeScript string) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "db")
-	db, err := OpenWith(dir, 0) // no checkpoint: every record stays in the log
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1}) // no checkpoint: every record stays in the log
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func checkWALPin(t *testing.T, script []string, want, probeScript string) {
 	live := probe(db)
 	crash := filepath.Join(root, "crash")
 	copyTree(t, dir, crash)
-	rdb, err := Open(crash)
+	rdb, err := OpenDB(crash, OpenOptions{})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

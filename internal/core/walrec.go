@@ -788,6 +788,6 @@ func (db *DB) replayArrayWrite(op byte, d *recDec) error {
 		db.setAttr(a, w.attrs[0], w.vals[0])
 		return nil
 	}
-	_, err := db.writeCells(a, w)
+	_, err := db.writeCells(db.newJob(), a, w)
 	return err
 }

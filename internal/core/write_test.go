@@ -24,7 +24,7 @@ func execSerialized(db *DB, q string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, req, _, err := db.execWrite(context.Background(), db.session, stmt)
+	r, req, _, err := db.execWrite(context.Background(), db.newJob(), db.session, stmt)
 	if req != nil {
 		if werr := <-req.done; werr != nil && err == nil {
 			err = werr
@@ -43,7 +43,7 @@ func writePaths(t *testing.T, fn func(t *testing.T, db *DB, exec func(string) (*
 	})
 	t.Run("durable-txn", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "db")
-		db, err := Open(dir)
+		db, err := OpenDB(dir, OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func writePaths(t *testing.T, fn func(t *testing.T, db *DB, exec func(string) (*
 			if err := db.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
-			db2, err := Open(dir)
+			db2, err := OpenDB(dir, OpenOptions{})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -225,7 +225,7 @@ func TestWritePathsAgree(t *testing.T) {
 		dirs := []string{filepath.Join(root, "optimistic"), filepath.Join(root, "serialized")}
 		var dbs []*DB
 		for _, dir := range dirs {
-			db, err := OpenWith(dir, 0)
+			db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +277,7 @@ func TestWritePathsAgree(t *testing.T) {
 		// same cells.
 		crash := filepath.Join(root, "crash")
 		copyTree(t, dirs[0], crash)
-		rdb, err := Open(crash)
+		rdb, err := OpenDB(crash, OpenOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: replay: %v", seed, err)
 		}

@@ -83,9 +83,6 @@ func TestFloatSumIndependentOfWidth(t *testing.T) {
 			configs = append(configs, config{th, cut})
 		}
 	}
-	defer par.SetThreads(par.SetThreads(0))
-	defer par.SetMorselThreshold(par.SetMorselThreshold(0))
-
 	for cname, cand := range map[string]*bat.BAT{"none": nil, "half": oids} {
 		m := n
 		if cand != nil {
@@ -114,9 +111,7 @@ func TestFloatSumIndependentOfWidth(t *testing.T) {
 			refSum, refCount := refFloatSums(cvals.DecodedFloats(), cvals, gidSlice(g.GIDs), g.N)
 			for _, agg := range []AggKind{AggSum, AggAvg} {
 				for _, c := range configs {
-					par.SetThreads(c.threads)
-					par.SetMorselThreshold(c.cutoff)
-					out, err := SubAggr(nil, agg, vals, g.GIDs, g.N, cand)
+					out, err := SubAggr(par.NewJob(c.threads, c.cutoff), agg, vals, g.GIDs, g.N, cand)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -188,13 +183,11 @@ func TestFloatMinMaxNaNIndependentOfWidth(t *testing.T) {
 	}
 	want := map[AggKind][]float64{AggMin: {1, 10, nan}, AggMax: {nan, nan, nan}}
 
-	defer par.SetThreads(par.SetThreads(0))
-	defer par.SetMorselThreshold(par.SetMorselThreshold(64))
 	for _, threads := range []int{1, 2, 8} {
-		par.SetThreads(threads)
+		job := par.NewJob(threads, 64)
 		for name, in := range map[string][2]*bat.BAT{"unsorted": {vals, unsorted}, "sorted": {bat.FromFloats(sortedVals), sorted}} {
 			for agg, w := range want {
-				out, err := SubAggr(nil, agg, in[0], in[1], 3, nil)
+				out, err := SubAggr(job, agg, in[0], in[1], 3, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

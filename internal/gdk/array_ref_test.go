@@ -218,15 +218,11 @@ func sameBits(t *testing.T, seed int64, what string, a, b *bat.BAT) {
 	}
 }
 
-// atThreads runs f serially and then 8-way with the parallel cutoff low
-// enough that every array above 4096 cells takes the parallel path.
-func atThreads(f func(parallel bool)) {
-	defer par.SetThreads(par.SetThreads(1))
-	defer par.SetMorselThreshold(par.SetMorselThreshold(0))
-	f(false)
-	par.SetThreads(8)
-	par.SetMorselThreshold(64)
-	f(true)
+// atThreads runs f on a serial job and then on an 8-wide one whose cutoff
+// is low enough that every array above 4096 cells takes the parallel path.
+func atThreads(f func(parallel bool, job *par.Job)) {
+	f(false, par.NewJob(1, 0))
+	f(true, par.NewJob(8, 64))
 }
 
 func TestArrayRefTiles(t *testing.T) {
@@ -238,13 +234,13 @@ func TestArrayRefTiles(t *testing.T) {
 		for _, agg := range []AggKind{AggSum, AggAvg, AggCount, AggCountAll, AggMin, AggMax} {
 			want := a.refTile(agg, tile)
 			var serial [2]*bat.BAT
-			atThreads(func(parallel bool) {
-				got, err := TileAgg(nil, agg, a.vals, a.sh, tile)
+			atThreads(func(parallel bool, job *par.Job) {
+				got, err := TileAgg(job, agg, a.vals, a.sh, tile)
 				if err != nil {
 					t.Fatalf("seed %d: TileAgg %s: %v", seed, agg, err)
 				}
 				checkCells(t, seed, "TileAgg "+string(agg), got, want)
-				sat, err := TileAggSAT(nil, agg, a.vals, a.sh, tile)
+				sat, err := TileAggSAT(job, agg, a.vals, a.sh, tile)
 				switch {
 				case err != nil && (agg == AggMin || agg == AggMax || strings.Contains(err.Error(), "not contiguous")):
 				case err != nil:
@@ -307,8 +303,8 @@ func TestArrayRefShift(t *testing.T) {
 		cand, rows := refCands(rng, len(a.coords))
 		want := a.refFetch(rows, offs)
 		var serial *bat.BAT
-		atThreads(func(parallel bool) {
-			got, err := Shift(nil, a.vals, a.sh, offs, cand)
+		atThreads(func(parallel bool, job *par.Job) {
+			got, err := Shift(job, a.vals, a.sh, offs, cand)
 			if err != nil {
 				t.Fatalf("seed %d: Shift: %v", seed, err)
 			}
@@ -357,8 +353,8 @@ func TestArrayRefCellFetch(t *testing.T) {
 				want = append(want, a.lookup(c))
 			}
 		}
-		atThreads(func(bool) {
-			got, err := CellFetch(nil, a.vals, a.sh, cols)
+		atThreads(func(_ bool, job *par.Job) {
+			got, err := CellFetch(job, a.vals, a.sh, cols)
 			if err != nil {
 				t.Fatalf("seed %d: CellFetch: %v", seed, err)
 			}

@@ -94,17 +94,17 @@ func TestParEquivCandChain(t *testing.T) {
 				}
 				label := fmt.Sprintf("n=%d sel=%g trial=%d op2=%s", n, sel, trial, op2)
 
-				runBoth(t, func() [2]*bat.BAT {
+				runBoth(t, func(job *par.Job) [2]*bat.BAT {
 					// Candidate path: theta chain, no boolean columns.
-					cand, err := ThetaSelect(nil, a, nil, types.Int(k), "<")
+					cand, err := ThetaSelect(job, a, nil, types.Int(k), "<")
 					if err != nil {
 						t.Fatal(err)
 					}
-					cand, err = ThetaSelect(nil, b, cand, c2, op2)
+					cand, err = ThetaSelect(job, b, cand, c2, op2)
 					if err != nil {
 						t.Fatal(err)
 					}
-					out, err := Project(nil, cand, v)
+					out, err := Project(job, cand, v)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -173,14 +173,14 @@ func TestParEquivCalcCand(t *testing.T) {
 	oidCand := selCand(t, ai, 0.3)
 	voidCand := bat.NewVoid(1234, 5000)
 	for ci, cand := range []*bat.BAT{oidCand, voidCand} {
-		check := func(label string, withCand, reference func(c *bat.BAT) (*bat.BAT, error)) {
+		check := func(label string, withCand func(job *par.Job, c *bat.BAT) (*bat.BAT, error), reference func(c *bat.BAT) (*bat.BAT, error)) {
 			t.Helper()
 			want, err := reference(cand)
 			if err != nil {
 				t.Fatalf("%s reference: %v", label, err)
 			}
-			runBoth(t, func() *bat.BAT {
-				got, err := withCand(cand)
+			runBoth(t, func(job *par.Job) *bat.BAT {
+				got, err := withCand(job, cand)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,83 +191,83 @@ func TestParEquivCalcCand(t *testing.T) {
 			})
 		}
 
-		check("arith+", func(c *bat.BAT) (*bat.BAT, error) {
-			return Arith(nil, "+", B(ai), B(bi), c)
+		check("arith+", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Arith(job, "+", B(ai), B(bi), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Arith(nil, "+", B(gather(t, c, ai)), B(gather(t, c, bi)), nil)
 		})
-		check("arith* float", func(c *bat.BAT) (*bat.BAT, error) {
-			return Arith(nil, "*", B(af), B(bf), c)
+		check("arith* float", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Arith(job, "*", B(af), B(bf), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Arith(nil, "*", B(gather(t, c, af)), B(gather(t, c, bf)), nil)
 		})
-		check("arith const", func(c *bat.BAT) (*bat.BAT, error) {
-			return Arith(nil, "-", B(ai), C(types.Int(7), n), c)
+		check("arith const", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Arith(job, "-", B(ai), C(types.Int(7), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Arith(nil, "-", B(gather(t, c, ai)), C(types.Int(7), c.Len()), nil)
 		})
-		check("compare<", func(c *bat.BAT) (*bat.BAT, error) {
-			return Compare(nil, "<", B(ai), B(bi), c)
+		check("compare<", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Compare(job, "<", B(ai), B(bi), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Compare(nil, "<", B(gather(t, c, ai)), B(gather(t, c, bi)), nil)
 		})
-		check("and", func(c *bat.BAT) (*bat.BAT, error) {
-			return And(nil, B(ab), B(bb), c)
+		check("and", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return And(job, B(ab), B(bb), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return And(nil, B(gather(t, c, ab)), B(gather(t, c, bb)), nil)
 		})
-		check("or", func(c *bat.BAT) (*bat.BAT, error) {
-			return Or(nil, B(ab), B(bb), c)
+		check("or", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Or(job, B(ab), B(bb), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Or(nil, B(gather(t, c, ab)), B(gather(t, c, bb)), nil)
 		})
-		check("not", func(c *bat.BAT) (*bat.BAT, error) {
-			return Not(nil, B(ab), c)
+		check("not", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Not(job, B(ab), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Not(nil, B(gather(t, c, ab)), nil)
 		})
-		check("unary abs", func(c *bat.BAT) (*bat.BAT, error) {
-			return UnaryNum(nil, "abs", B(ai), c)
+		check("unary abs", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return UnaryNum(job, "abs", B(ai), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return UnaryNum(nil, "abs", B(gather(t, c, ai)), nil)
 		})
-		check("power", func(c *bat.BAT) (*bat.BAT, error) {
-			return Power(nil, B(af), C(types.Int(2), n), c)
+		check("power", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Power(job, B(af), C(types.Int(2), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Power(nil, B(gather(t, c, af)), C(types.Int(2), c.Len()), nil)
 		})
-		check("concat", func(c *bat.BAT) (*bat.BAT, error) {
-			return Concat(nil, B(as), C(types.Str("!"), n), c)
+		check("concat", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Concat(job, B(as), C(types.Str("!"), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Concat(nil, B(gather(t, c, as)), C(types.Str("!"), c.Len()), nil)
 		})
-		check("substring", func(c *bat.BAT) (*bat.BAT, error) {
-			return Substring(nil, B(as), C(types.Int(2), n), C(types.Int(3), n), c)
+		check("substring", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Substring(job, B(as), C(types.Int(2), n), C(types.Int(3), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Substring(nil, B(gather(t, c, as)), C(types.Int(2), c.Len()), C(types.Int(3), c.Len()), nil)
 		})
-		check("like", func(c *bat.BAT) (*bat.BAT, error) {
-			return Like(nil, B(as), C(types.Str("%a%"), n), c)
+		check("like", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return Like(job, B(as), C(types.Str("%a%"), n), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return Like(nil, B(gather(t, c, as)), C(types.Str("%a%"), c.Len()), nil)
 		})
-		check("strunary upper", func(c *bat.BAT) (*bat.BAT, error) {
-			return StrUnary(nil, "upper", B(as), c)
+		check("strunary upper", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return StrUnary(job, "upper", B(as), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return StrUnary(nil, "upper", B(gather(t, c, as)), nil)
 		})
-		check("isnull", func(c *bat.BAT) (*bat.BAT, error) {
-			return IsNull(nil, B(ai), c)
+		check("isnull", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return IsNull(job, B(ai), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return IsNull(nil, B(gather(t, c, ai)), nil)
 		})
-		check("cast", func(c *bat.BAT) (*bat.BAT, error) {
-			return CastBAT(nil, B(ai), types.KindFloat, c)
+		check("cast", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return CastBAT(job, B(ai), types.KindFloat, c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return CastBAT(nil, B(gather(t, c, ai)), types.KindFloat, nil)
 		})
-		check("ifthenelse", func(c *bat.BAT) (*bat.BAT, error) {
-			return IfThenElse(nil, B(ab), B(ai), B(bi), c)
+		check("ifthenelse", func(job *par.Job, c *bat.BAT) (*bat.BAT, error) {
+			return IfThenElse(job, B(ab), B(ai), B(bi), c)
 		}, func(c *bat.BAT) (*bat.BAT, error) {
 			return IfThenElse(nil, B(gather(t, c, ab)), B(gather(t, c, ai)), B(gather(t, c, bi)), nil)
 		})
@@ -286,8 +286,8 @@ func TestParEquivSelectCand(t *testing.T) {
 		cond := gather(t, cand, mkBools(rng, n))
 		label := fmt.Sprintf("sel=%g", sel)
 
-		runBoth(t, func() *bat.BAT {
-			out, err := SelectBool(nil, cond, cand)
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := SelectBool(job, cond, cand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,8 +305,8 @@ func TestParEquivSelectCand(t *testing.T) {
 		}
 		batsEqual(t, label+" selectbool mapping", mapped, got)
 
-		runBoth(t, func() *bat.BAT {
-			out, err := SelectNonNull(nil, col, cand)
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := SelectNonNull(job, col, cand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,8 +322,8 @@ func TestParEquivSelectCand(t *testing.T) {
 			}
 		}
 
-		runBoth(t, func() *bat.BAT {
-			out, err := RangeSelect(nil, col, cand, types.Int(100), types.Int(700))
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := RangeSelect(job, col, cand, types.Int(100), types.Int(700))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,8 +351,8 @@ func TestParEquivGroupAggrCand(t *testing.T) {
 		}
 		wantExt := gather(t, rg.Extents, cand)
 
-		runBoth(t, func() *GroupResult {
-			g, err := Group(nil, []*bat.BAT{key}, cand)
+		runBoth(t, func(job *par.Job) *GroupResult {
+			g, err := Group(job, []*bat.BAT{key}, cand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,8 +379,8 @@ func TestParEquivGroupAggrCand(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runBoth(t, func() *bat.BAT {
-				out, err := SubAggr(nil, agg, vals, g.GIDs, g.N, cand)
+			runBoth(t, func(job *par.Job) *bat.BAT {
+				out, err := SubAggr(job, agg, vals, g.GIDs, g.N, cand)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -417,8 +417,8 @@ func TestParEquivJoinCand(t *testing.T) {
 		}
 
 		wantL, wantR := refJoin(HashJoin)
-		runBoth(t, func() [2]*bat.BAT {
-			li, ri, err := HashJoin(nil, []*bat.BAT{lk}, []*bat.BAT{rk}, lcand, rcand)
+		runBoth(t, func(job *par.Job) [2]*bat.BAT {
+			li, ri, err := HashJoin(job, []*bat.BAT{lk}, []*bat.BAT{rk}, lcand, rcand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,8 +431,8 @@ func TestParEquivJoinCand(t *testing.T) {
 		})
 
 		wantL, wantR = refJoin(LeftJoin)
-		runBoth(t, func() [2]*bat.BAT {
-			li, ri, err := LeftJoin(nil, []*bat.BAT{lk}, []*bat.BAT{rk}, lcand, rcand)
+		runBoth(t, func(job *par.Job) [2]*bat.BAT {
+			li, ri, err := LeftJoin(job, []*bat.BAT{lk}, []*bat.BAT{rk}, lcand, rcand)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -20,9 +21,7 @@ import (
 // expected to compress stays plain (the equivalence run would be vacuous).
 func encTwin(t *testing.T, plain *bat.BAT, wantEnc bool) *bat.BAT {
 	t.Helper()
-	prev := bat.SetEncodingsEnabled(true)
 	enc := bat.EncodeAuto(plain)
-	bat.SetEncodingsEnabled(prev)
 	if wantEnc && !enc.Encoded() {
 		t.Fatal("dataset did not encode; equivalence test is vacuous")
 	}
@@ -129,9 +128,9 @@ func TestEncEquivThetaSelect(t *testing.T) {
 			for _, op := range ops {
 				for _, w := range probes {
 					label := fmt.Sprintf("%s cand=%s %s %d", shape, cname, op, w)
-					runBoth(t, func() *bat.BAT {
+					runBoth(t, func(job *par.Job) *bat.BAT {
 						return encBaseline(t, col, enc, func(c *bat.BAT) *bat.BAT {
-							out, err := ThetaSelect(nil, c, cand, types.Int(w), op)
+							out, err := ThetaSelect(job, c, cand, types.Int(w), op)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
@@ -186,9 +185,9 @@ func TestEncEquivStrSelect(t *testing.T) {
 		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
 			for _, w := range probes {
 				label := fmt.Sprintf("str cand=%s %s %q", cname, op, w)
-				runBoth(t, func() *bat.BAT {
+				runBoth(t, func(job *par.Job) *bat.BAT {
 					return encBaseline(t, col, enc, func(c *bat.BAT) *bat.BAT {
-						out, err := ThetaSelect(nil, c, cand, types.Str(w), op)
+						out, err := ThetaSelect(job, c, cand, types.Str(w), op)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -306,9 +305,9 @@ func TestEncEquivGroupAggr(t *testing.T) {
 		for cname, cand := range candVariants(n) {
 			label := fmt.Sprintf("group %s cand=%s", shape, cname)
 			var res *GroupResult
-			runBoth(t, func() *GroupResult {
+			runBoth(t, func(job *par.Job) *GroupResult {
 				res = encBaseline(t, key, keyEnc, func(c *bat.BAT) *GroupResult {
-					r, err := Group(nil, []*bat.BAT{c}, cand)
+					r, err := Group(job, []*bat.BAT{c}, cand)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -418,12 +417,12 @@ func TestEncEquivJoin(t *testing.T) {
 	lEnc, rEnc := encTwin(t, l, true), encTwin(t, r, true)
 	for cname, cand := range candVariants(m) {
 		label := "hashjoin cand=" + cname
-		runBoth(t, func() [2]*bat.BAT {
-			li, ri, err := HashJoin(nil, []*bat.BAT{lEnc}, []*bat.BAT{rEnc}, nil, cand)
+		runBoth(t, func(job *par.Job) [2]*bat.BAT {
+			li, ri, err := HashJoin(job, []*bat.BAT{lEnc}, []*bat.BAT{rEnc}, nil, cand)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			pli, pri, err := HashJoin(nil, []*bat.BAT{l}, []*bat.BAT{r}, nil, cand)
+			pli, pri, err := HashJoin(job, []*bat.BAT{l}, []*bat.BAT{r}, nil, cand)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

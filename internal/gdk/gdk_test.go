@@ -379,8 +379,6 @@ func TestIfThenElseMatchesRowPick(t *testing.T) {
 // A column with out-of-range values in several morsels reports the lowest
 // failing row at every thread count.
 func TestCastBATLowestFailingRow(t *testing.T) {
-	defer par.SetThreads(par.SetThreads(0))
-	defer par.SetMorselThreshold(par.SetMorselThreshold(64))
 	vals := make([]float64, 40000)
 	for i := range vals {
 		vals[i] = float64(i) / 3
@@ -390,9 +388,9 @@ func TestCastBATLowestFailingRow(t *testing.T) {
 	x.SetNull(5000, true)
 	vals[5000] = 5e19 // a NULL row is never converted
 	for _, threads := range []int{1, 2, 8} {
-		par.SetThreads(threads)
+		job := par.NewJob(threads, 64)
 		for run := 0; run < 20; run++ {
-			_, err := CastBAT(nil, B(x), types.KindInt, nil)
+			_, err := CastBAT(job, B(x), types.KindInt, nil)
 			if err == nil || err.Error() != "float 1e+19 out of integer range" {
 				t.Fatalf("threads %d: err = %v, want the row 9000 error", threads, err)
 			}
@@ -936,7 +934,7 @@ func TestUnique(t *testing.T) {
 // TestKernelsHonourCancelledJob: the kernels that poll their job return
 // par.ErrCanceled for a cancelled one, on every sort path too.
 func TestKernelsHonourCancelledJob(t *testing.T) {
-	job := par.NewJob()
+	job := par.NewJob(0, 0)
 	job.Cancel()
 	n := 10000
 	ints := make([]int64, n)
@@ -974,7 +972,7 @@ func TestOrderIdxCancelMidSort(t *testing.T) {
 		a[i] = int64(i * 7919 % 101)
 		b[i] = fmt.Sprint(i * 104729 % 1000003)
 	}
-	job := par.NewJob()
+	job := par.NewJob(0, 0)
 	time.AfterFunc(5*time.Millisecond, job.Cancel)
 	_, err := OrderIdx(job, []*bat.BAT{bat.FromInts(a), bat.FromStrings(b)}, []SortSpec{{}, {Desc: true}}, -1)
 	if !errors.Is(err, par.ErrCanceled) {

@@ -22,20 +22,12 @@ const equivCutoff = 4097
 
 var equivSizes = []int{64, 4096, 4097, 5000, 20000}
 
-// runBoth evaluates f serially and in parallel and hands both results to
-// check.
-func runBoth[T any](t *testing.T, f func() T, check func(serial, parallel T)) {
+// runBoth evaluates f on a serial job and on an 8-wide one with the
+// equivCutoff cutoff, and hands both results to check.
+func runBoth[T any](t *testing.T, f func(job *par.Job) T, check func(serial, parallel T)) {
 	t.Helper()
-	prevT := par.SetThreads(1)
-	prevM := par.SetMorselThreshold(equivCutoff)
-	restore := func() {
-		par.SetThreads(prevT)
-		par.SetMorselThreshold(prevM)
-	}
-	defer restore()
-	serial := f()
-	par.SetThreads(8)
-	parallel := f()
+	serial := f(par.NewJob(1, equivCutoff))
+	parallel := f(par.NewJob(8, equivCutoff))
 	check(serial, parallel)
 }
 
@@ -106,15 +98,15 @@ func TestParEquivArith(t *testing.T) {
 		li, ri := mkInts(rng, n), mkInts(rng, n)
 		lf, rf := mkFloats(rng, n), mkFloats(rng, n)
 		for _, op := range []string{"+", "-", "*"} {
-			runBoth(t, func() *bat.BAT {
-				out, err := Arith(nil, op, B(li), B(ri), nil)
+			runBoth(t, func(job *par.Job) *bat.BAT {
+				out, err := Arith(job, op, B(li), B(ri), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return out
 			}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("int %s n=%d", op, n), s, p) })
-			runBoth(t, func() *bat.BAT {
-				out, err := Arith(nil, op, B(lf), B(rf), nil)
+			runBoth(t, func(job *par.Job) *bat.BAT {
+				out, err := Arith(job, op, B(lf), B(rf), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,8 +114,8 @@ func TestParEquivArith(t *testing.T) {
 			}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("float %s n=%d", op, n), s, p) })
 		}
 		// Division with a guaranteed non-zero divisor.
-		runBoth(t, func() *bat.BAT {
-			out, err := Arith(nil, "/", B(li), C(types.Int(7), n), nil)
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := Arith(job, "/", B(li), C(types.Int(7), n), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,8 +129,8 @@ func TestParEquivArithErrors(t *testing.T) {
 	n := 20000
 	rng := rand.New(rand.NewSource(1))
 	li := mkInts(rng, n)
-	runBoth(t, func() string {
-		_, err := Arith(nil, "/", B(li), C(types.Int(0), n), nil)
+	runBoth(t, func(job *par.Job) string {
+		_, err := Arith(job, "/", B(li), C(types.Int(0), n), nil)
 		if err == nil {
 			return ""
 		}
@@ -156,30 +148,30 @@ func TestParEquivCompareLogic(t *testing.T) {
 		li, ri := mkInts(rng, n), mkInts(rng, n)
 		lb, rb := mkBools(rng, n), mkBools(rng, n)
 		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-			runBoth(t, func() *bat.BAT {
-				out, err := Compare(nil, op, B(li), B(ri), nil)
+			runBoth(t, func(job *par.Job) *bat.BAT {
+				out, err := Compare(job, op, B(li), B(ri), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return out
 			}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("cmp %s n=%d", op, n), s, p) })
 		}
-		runBoth(t, func() *bat.BAT {
-			out, err := And(nil, B(lb), B(rb), nil)
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := And(job, B(lb), B(rb), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("and n=%d", n), s, p) })
-		runBoth(t, func() *bat.BAT {
-			out, err := Or(nil, B(lb), B(rb), nil)
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := Or(job, B(lb), B(rb), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("or n=%d", n), s, p) })
-		runBoth(t, func() *bat.BAT {
-			out, err := Not(nil, B(lb), nil)
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := Not(job, B(lb), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,29 +185,29 @@ func TestParEquivSelections(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		col := mkInts(rng, n)
 		cond := mkBools(rng, n)
-		runBoth(t, func() *bat.BAT {
-			out, err := SelectBool(nil, cond, nil)
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := SelectBool(job, cond, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("selectbool n=%d", n), s, p) })
-		runBoth(t, func() *bat.BAT {
-			out, err := ThetaSelect(nil, col, nil, types.Int(0), "<")
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := ThetaSelect(job, col, nil, types.Int(0), "<")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("theta n=%d", n), s, p) })
-		runBoth(t, func() *bat.BAT {
-			out, err := RangeSelect(nil, col, nil, types.Int(-10), types.Int(10))
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := RangeSelect(job, col, nil, types.Int(-10), types.Int(10))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("range n=%d", n), s, p) })
-		runBoth(t, func() *bat.BAT {
-			out, err := SelectNonNull(nil, col, nil)
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := SelectNonNull(job, col, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,8 +218,8 @@ func TestParEquivSelections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runBoth(t, func() *bat.BAT {
-			out, err := ThetaSelect(nil, col, cand, types.Int(-20), ">")
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := ThetaSelect(job, col, cand, types.Int(-20), ">")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,8 +241,8 @@ func TestParEquivProject(t *testing.T) {
 			for i := 0; i < n; i += 16 {
 				idx.SetNull(rng.Intn(n), true)
 			}
-			runBoth(t, func() *bat.BAT {
-				out, err := Project(nil, idx, src)
+			runBoth(t, func(job *par.Job) *bat.BAT {
+				out, err := Project(job, idx, src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,8 +258,8 @@ func TestParEquivProjectErrors(t *testing.T) {
 	n := 20000
 	src := bat.FromInts(make([]int64, n))
 	idx := bat.FromOIDs([]int64{0, int64(n), 1}) // out of range in the middle
-	runBoth(t, func() string {
-		_, err := Project(nil, idx, src)
+	runBoth(t, func(job *par.Job) string {
+		_, err := Project(job, idx, src)
 		if err == nil {
 			return ""
 		}
@@ -290,8 +282,8 @@ func TestParEquivGroupAggr(t *testing.T) {
 			gids, extents *bat.BAT
 			n             int
 		}
-		runBoth(t, func() groupOut {
-			g, err := Group(nil, []*bat.BAT{key1, key2}, nil)
+		runBoth(t, func(job *par.Job) groupOut {
+			g, err := Group(job, []*bat.BAT{key1, key2}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,8 +301,8 @@ func TestParEquivGroupAggr(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, agg := range aggs {
-			runBoth(t, func() *bat.BAT {
-				out, err := SubAggr(nil, agg, valsI, g.GIDs, g.N, nil)
+			runBoth(t, func(job *par.Job) *bat.BAT {
+				out, err := SubAggr(job, agg, valsI, g.GIDs, g.N, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,8 +310,8 @@ func TestParEquivGroupAggr(t *testing.T) {
 			}, func(s, p *bat.BAT) {
 				batsEqual(t, fmt.Sprintf("subaggr int %s n=%d", agg, n), s, p)
 			})
-			runBoth(t, func() *bat.BAT {
-				out, err := SubAggr(nil, agg, valsF, g.GIDs, g.N, nil)
+			runBoth(t, func(job *par.Job) *bat.BAT {
+				out, err := SubAggr(job, agg, valsF, g.GIDs, g.N, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -335,8 +327,8 @@ func TestParEquivJoins(t *testing.T) {
 	for _, n := range equivSizes {
 		rng := rand.New(rand.NewSource(int64(n)))
 		lk, rk := mkInts(rng, n), mkInts(rng, n/2+1)
-		runBoth(t, func() [2]*bat.BAT {
-			l, r, err := HashJoin(nil, []*bat.BAT{lk}, []*bat.BAT{rk}, nil, nil)
+		runBoth(t, func(job *par.Job) [2]*bat.BAT {
+			l, r, err := HashJoin(job, []*bat.BAT{lk}, []*bat.BAT{rk}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,8 +337,8 @@ func TestParEquivJoins(t *testing.T) {
 			batsEqual(t, fmt.Sprintf("hashjoin l n=%d", n), s[0], p[0])
 			batsEqual(t, fmt.Sprintf("hashjoin r n=%d", n), s[1], p[1])
 		})
-		runBoth(t, func() [2]*bat.BAT {
-			l, r, err := LeftJoin(nil, []*bat.BAT{lk}, []*bat.BAT{rk}, nil, nil)
+		runBoth(t, func(job *par.Job) [2]*bat.BAT {
+			l, r, err := LeftJoin(job, []*bat.BAT{lk}, []*bat.BAT{rk}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,8 +362,8 @@ func TestParEquivTileSAT(t *testing.T) {
 	attr := mkInts(rng, side*side)
 	tile := []TileRange{{Lo: -2, Hi: 3}, {Lo: -2, Hi: 3}}
 	for _, agg := range []AggKind{AggSum, AggCount, AggAvg} {
-		runBoth(t, func() *bat.BAT {
-			out, err := TileAggSAT(nil, agg, attr, sh, tile)
+		runBoth(t, func(job *par.Job) *bat.BAT {
+			out, err := TileAggSAT(job, agg, attr, sh, tile)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -189,10 +190,10 @@ func selectCols(t *testing.T) []selectCol {
 
 // selectAtWidths runs sel serially and with the pool engaged and checks
 // both answers against want.
-func selectAtWidths(t *testing.T, label string, want []int64, sel func() (*bat.BAT, error)) {
+func selectAtWidths(t *testing.T, label string, want []int64, sel func(job *par.Job) (*bat.BAT, error)) {
 	t.Helper()
-	runBoth(t, func() *bat.BAT {
-		out, err := sel()
+	runBoth(t, func(job *par.Job) *bat.BAT {
+		out, err := sel(job)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -217,8 +218,8 @@ func thetaSelectMatchesReference(t *testing.T, floats bool) {
 			for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
 				for _, w := range c.probes {
 					want := refSelect(vals, rows, func(v types.Value) bool { return refTheta(op, v.Compare(w)) })
-					selectAtWidths(t, fmt.Sprintf("%s cand=%s %s %v", c.name, cname, op, w), want, func() (*bat.BAT, error) {
-						return ThetaSelect(nil, c.col, cand, w, op)
+					selectAtWidths(t, fmt.Sprintf("%s cand=%s %s %v", c.name, cname, op, w), want, func(job *par.Job) (*bat.BAT, error) {
+						return ThetaSelect(job, c.col, cand, w, op)
 					})
 				}
 			}
@@ -241,8 +242,8 @@ func TestStatsEquivRangeSelect(t *testing.T) {
 				for j := max(i-1, 0); j < len(c.probes); j += 2 {
 					hi := c.probes[j]
 					want := refSelect(vals, rows, func(v types.Value) bool { return v.Compare(lo) >= 0 && v.Compare(hi) <= 0 })
-					selectAtWidths(t, fmt.Sprintf("%s cand=%s [%v,%v]", c.name, cname, lo, hi), want, func() (*bat.BAT, error) {
-						return RangeSelect(nil, c.col, cand, lo, hi)
+					selectAtWidths(t, fmt.Sprintf("%s cand=%s [%v,%v]", c.name, cname, lo, hi), want, func(job *par.Job) (*bat.BAT, error) {
+						return RangeSelect(job, c.col, cand, lo, hi)
 					})
 				}
 			}
@@ -336,9 +337,9 @@ func TestStatsEquivMergeJoin(t *testing.T) {
 	ls.DeriveProps()
 	rs.DeriveProps()
 	add("str", ls, rs, nil, nil)
-	refWidths(t, func(width string) {
+	refWidths(t, func(width string, job *par.Job) {
 		for _, j := range joins {
-			li, ri, err := HashJoin(nil, []*bat.BAT{j.l}, []*bat.BAT{j.r}, j.lcand, j.rcand)
+			li, ri, err := HashJoin(job, []*bat.BAT{j.l}, []*bat.BAT{j.r}, j.lcand, j.rcand)
 			if err != nil {
 				t.Fatalf("%s %s: %v", width, j.label, err)
 			}
@@ -376,11 +377,11 @@ func TestStatsEquivGroupAggr(t *testing.T) {
 		"float": mkFloats(rng, n),
 	}
 	aggs := []AggKind{AggSum, AggAvg, AggMin, AggMax, AggCount, AggCountAll}
-	refWidths(t, func(width string) {
+	refWidths(t, func(width string, job *par.Job) {
 		for kname, key := range keys {
 			for _, useCand := range []bool{false, true} {
 				cand, rows := refCand(rng, n, useCand)
-				res, err := Group(nil, []*bat.BAT{key}, cand)
+				res, err := Group(job, []*bat.BAT{key}, cand)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -395,7 +396,7 @@ func TestStatsEquivGroupAggr(t *testing.T) {
 					vals := boxed(vcol)
 					for _, agg := range aggs {
 						label := fmt.Sprintf("%s key=%s cand=%v %s(%s)", width, kname, useCand, agg, vname)
-						got, err := SubAggr(nil, agg, vcol, res.GIDs, res.N, cand)
+						got, err := SubAggr(job, agg, vcol, res.GIDs, res.N, cand)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}

@@ -313,19 +313,16 @@ func refCand(rng *rand.Rand, n int, use bool) (*bat.BAT, []int) {
 	return c, rows
 }
 
-// refWidths runs fn serially and with the pool engaged on small inputs.
-func refWidths(t *testing.T, fn func(label string)) {
-	defer par.SetThreads(par.SetThreads(1))
-	defer par.SetMorselThreshold(par.SetMorselThreshold(0))
-	fn("serial")
-	par.SetThreads(4)
-	par.SetMorselThreshold(256)
-	fn("parallel")
+// refWidths runs fn on a serial job and on a 4-wide one whose cutoff
+// engages the pool on small inputs.
+func refWidths(t *testing.T, fn func(label string, job *par.Job)) {
+	fn("serial", par.NewJob(1, 0))
+	fn("parallel", par.NewJob(4, 256))
 }
 
 func TestTypedGroupMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(281))
-	refWidths(t, func(width string) {
+	refWidths(t, func(width string, job *par.Job) {
 		for _, n := range []int{0, 1, 7, 300, 3000} {
 			for _, kinds := range refKeyLists(rng) {
 				cols := refCols(t, rng, kinds, n)
@@ -333,7 +330,7 @@ func TestTypedGroupMatchesReference(t *testing.T) {
 					cand, rows := refCand(rng, n, useCand)
 					label := fmt.Sprintf("%s n=%d keys=%v cand=%v", width, n, kinds, useCand)
 					wantG, wantE := refGroup(cols, rows)
-					res, err := Group(nil, cols, cand)
+					res, err := Group(job, cols, cand)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -342,7 +339,7 @@ func TestTypedGroupMatchesReference(t *testing.T) {
 					}
 					wantOIDs(t, label+" gids", res.GIDs, wantG)
 					wantOIDs(t, label+" extents", res.Extents, wantE)
-					u, err := Unique(nil, cols, cand)
+					u, err := Unique(job, cols, cand)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -369,7 +366,7 @@ func refMixedKeyLists() [][2][]string {
 
 func TestTypedJoinMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(282))
-	refWidths(t, func(width string) {
+	refWidths(t, func(width string, job *par.Job) {
 		for _, sz := range [][2]int{{0, 5}, {5, 0}, {1, 1}, {40, 9}, {9, 40}, {700, 60}, {60, 700}} {
 			var sides [][2][]string
 			for _, kinds := range refKeyLists(rng) {
@@ -384,7 +381,7 @@ func TestTypedJoinMatchesReference(t *testing.T) {
 					label := fmt.Sprintf("%s %dx%d keys=%v cand=%v", width, sz[0], sz[1], lr, useCand)
 
 					wl, wr, _ := refJoin(l, r, lrows, rrows, false)
-					li, ri, err := HashJoin(nil, l, r, lc, rc)
+					li, ri, err := HashJoin(job, l, r, lc, rc)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -392,7 +389,7 @@ func TestTypedJoinMatchesReference(t *testing.T) {
 					wantOIDs(t, label+" join right", ri, wr)
 
 					wl, wr, wnull := refJoin(l, r, lrows, rrows, true)
-					li, ri, err = LeftJoin(nil, l, r, lc, rc)
+					li, ri, err = LeftJoin(job, l, r, lc, rc)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

@@ -11,11 +11,11 @@ import (
 	"repro/internal/types"
 )
 
-// Ctx is the interpreter state: the variable store and the run's
-// cancellation job, which every kernel call receives.
+// Ctx is the interpreter state: the variable store and the run's job,
+// which every kernel call receives.
 type Ctx struct {
 	Vars []any    // *bat.BAT or types.Value
-	job  *par.Job // nil: the run cannot be cancelled
+	job  *par.Job // nil: default shape, the run cannot be cancelled
 }
 
 // batVar fetches a BAT variable.

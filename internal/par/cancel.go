@@ -2,6 +2,7 @@ package par
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -15,16 +16,54 @@ import (
 // running kernel within a few thousand rows of work, with one atomic load
 // per check and no per-row overhead. A nil Job is never cancelled: code
 // outside a query run passes nil.
+//
+// The Job also fixes the query's parallel shape: its width (the most
+// workers one kernel call engages, the caller included) and its cutoff
+// (the row count below which a kernel stays serial). Both are set when
+// the job is made, so two queries running side by side can differ, and
+// nothing a concurrent query does changes a running query's plans.
 
 // ErrCanceled is returned by Run/Do variants when the plan's Job was
 // cancelled. The MAL interpreter maps it back to the context error.
 var ErrCanceled = errors.New("par: execution canceled")
 
-// Job is one query's cancellation scope.
-type Job struct{ canceled atomic.Bool }
+// Job is one query's execution scope: its parallel shape and its
+// cancellation flag.
+type Job struct {
+	canceled atomic.Bool
+	workers  int
+	minRows  int
+}
 
-// NewJob returns a fresh, uncancelled job.
-func NewJob() *Job { return &Job{} }
+// NewJob returns a fresh, uncancelled job of the given width and cutoff;
+// width <= 0 means runtime.GOMAXPROCS(0) at the time of the call, cutoff
+// <= 0 means DefaultMorselThreshold.
+func NewJob(width, cutoff int) *Job {
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	if cutoff <= 0 {
+		cutoff = DefaultMorselThreshold
+	}
+	return &Job{workers: width, minRows: cutoff}
+}
+
+// width returns the job's parallel width; a nil job's is GOMAXPROCS.
+func (j *Job) width() int {
+	if j == nil {
+		return runtime.GOMAXPROCS(0)
+	}
+	return j.workers
+}
+
+// cutoff returns the row count below which the job's kernels stay serial;
+// a nil job's is DefaultMorselThreshold.
+func (j *Job) cutoff() int {
+	if j == nil {
+		return DefaultMorselThreshold
+	}
+	return j.minRows
+}
 
 // Cancel flags the job; kernels observe it at the next morsel boundary.
 // Safe to call from any goroutine, idempotent.

@@ -2,6 +2,7 @@ package par
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestJobNilSafe(t *testing.T) {
 }
 
 func TestRunErrSerialCancel(t *testing.T) {
-	j := NewJob()
+	j := NewJob(0, 0)
 	j.Cancel()
 	ran := false
 	err := Serial(j, 100).RunErr(func(c, lo, hi int) error { ran = true; return nil })
@@ -27,11 +28,7 @@ func TestRunErrSerialCancel(t *testing.T) {
 }
 
 func TestRunErrParallelCancelMidway(t *testing.T) {
-	oldT := SetThreads(4)
-	oldM := SetMorselThreshold(64)
-	defer func() { SetThreads(oldT); SetMorselThreshold(oldM) }()
-
-	j := NewJob()
+	j := NewJob(4, 64)
 
 	var mu sync.Mutex
 	seen := 0
@@ -55,7 +52,7 @@ func TestRunErrParallelCancelMidway(t *testing.T) {
 }
 
 func TestRunErrErrorBeatsCancel(t *testing.T) {
-	j := NewJob()
+	j := NewJob(0, 0)
 	boom := errors.New("boom")
 	err := Serial(j, 10).RunErr(func(c, lo, hi int) error {
 		j.Cancel()
@@ -67,11 +64,7 @@ func TestRunErrErrorBeatsCancel(t *testing.T) {
 }
 
 func TestHelpersInheritJob(t *testing.T) {
-	oldT := SetThreads(4)
-	oldM := SetMorselThreshold(64)
-	defer func() { SetThreads(oldT); SetMorselThreshold(oldM) }()
-
-	j := NewJob()
+	j := NewJob(4, 64)
 	j.Cancel()
 	// All morsels are skipped: the claim loop checks the plan's job even
 	// on pool helpers.
@@ -88,27 +81,30 @@ func TestHelpersInheritJob(t *testing.T) {
 	}
 }
 
-// TestPlanShapeIgnoresJob: a cancellable plan is cut exactly like an
-// uncancellable one, at every width.
+// TestPlanShapeIgnoresJob: a plan's shape depends on its job's width and
+// cutoff only: a cancelled job is cut like a live one at every width, and
+// a nil job like a default one.
 func TestPlanShapeIgnoresJob(t *testing.T) {
-	oldM := SetMorselThreshold(64)
-	defer SetMorselThreshold(oldM)
-	for _, w := range []int{1, 2, 8} {
-		oldT := SetThreads(w)
-		for _, n := range []int{0, 100, 4096, 5000, 1 << 19, 10_000_000} {
-			a, b := NewPlan(nil, n), NewPlan(NewJob(), n)
-			if a.Size != b.Size || a.Chunks() != b.Chunks() || a.width != b.width {
-				t.Errorf("width %d, n %d: plan %+v with a job, %+v without", w, n, b, a)
-			}
+	samePlans := func(label string, a, b Plan) {
+		t.Helper()
+		if a.Size != b.Size || a.Chunks() != b.Chunks() || a.width != b.width {
+			t.Errorf("%s: plan %+v, want %+v", label, b, a)
 		}
-		SetThreads(oldT)
+	}
+	for _, n := range []int{0, 100, 4096, 5000, 1 << 19, 10_000_000} {
+		for _, w := range []int{1, 2, 8} {
+			canceled := NewJob(w, 64)
+			canceled.Cancel()
+			samePlans(fmt.Sprintf("width %d, n %d", w, n), NewPlan(NewJob(w, 64), n), NewPlan(canceled, n))
+		}
+		samePlans(fmt.Sprintf("nil job, n %d", n), NewPlan(NewJob(0, 0), n), NewPlan(nil, n))
 	}
 }
 
 // TestRunErrSerialCancelMidChunk: a job cancelled while a serial plan's
 // only chunk runs still makes RunErr report ErrCanceled.
 func TestRunErrSerialCancelMidChunk(t *testing.T) {
-	j := NewJob()
+	j := NewJob(0, 0)
 	err := Serial(j, 100).RunErr(func(c, lo, hi int) error { j.Cancel(); return nil })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)

@@ -5,17 +5,18 @@
 // workers claim the next morsel from an atomic cursor, so fast workers
 // steal slack from slow ones without any per-morsel channel traffic.
 //
-// Small inputs never touch the pool: below MorselThreshold rows a kernel
-// runs its serial loop on the calling goroutine, so the 16x16 arrays of the
-// paper's Fig. 1 pay zero synchronisation overhead. The pool is also a
-// global budget: nested kernels (e.g. a parallel aggregate inside a
-// parallel join probe) degrade to serial execution instead of
+// The parallel width and the serial cutoff are properties of the query's
+// Job, not of the process: each kernel plans its call from the job it is
+// handed. Small inputs never touch the pool: below the job's cutoff a
+// kernel runs its serial loop on the calling goroutine, so the 16x16
+// arrays of the paper's Fig. 1 pay zero synchronisation overhead. The pool
+// is also a global budget: nested kernels (e.g. a parallel aggregate
+// inside a parallel join probe) degrade to serial execution instead of
 // oversubscribing the machine, and the calling goroutine always
 // participates, so no call can deadlock waiting for a free worker.
 package par
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -31,9 +32,6 @@ const DefaultMorselThreshold = 16384
 const morselRows = 4096
 
 var (
-	threads   atomic.Int64 // configured width; 0 = GOMAXPROCS
-	threshold atomic.Int64 // serial cutoff in rows
-
 	// live counts helper goroutines currently executing morsels across all
 	// concurrent kernel invocations: the shared pool budget.
 	live atomic.Int64
@@ -44,43 +42,11 @@ var (
 )
 
 func init() {
-	threshold.Store(DefaultMorselThreshold)
 	jobs = make(chan func(), 256)
 }
 
-// Threads returns the configured parallel width (GOMAXPROCS when unset).
-func Threads() int {
-	if t := threads.Load(); t > 0 {
-		return int(t)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetThreads sets the parallel width used by all kernels; n <= 0 restores
-// the default (GOMAXPROCS). It returns the previous setting (0 = default).
-func SetThreads(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(threads.Swap(int64(n)))
-}
-
-// MorselThreshold returns the serial cutoff in rows.
-func MorselThreshold() int { return int(threshold.Load()) }
-
-// SetMorselThreshold sets the serial cutoff (rows); n <= 0 restores the
-// default. It returns the previous value. Tests lower it to exercise the
-// parallel paths on small inputs.
-func SetMorselThreshold(n int) int {
-	if n <= 0 {
-		n = DefaultMorselThreshold
-	}
-	return int(threshold.Swap(int64(n)))
-}
-
-// Plan is one kernel invocation's partitioning decision, captured once so
-// that a concurrent SetThreads cannot change the layout mid-call. Chunks
-// are deterministic contiguous ranges: chunk c covers
+// Plan is one kernel invocation's partitioning decision. Chunks are
+// deterministic contiguous ranges: chunk c covers
 // [c*Size, min((c+1)*Size, N)), which lets order-sensitive kernels
 // (selections, join probes) concatenate per-chunk results in input order.
 // The plan carries the query's Job, which RunErr checks between chunks.
@@ -92,13 +58,14 @@ type Plan struct {
 	job   *Job
 }
 
-// NewPlan partitions n rows for the query's job (nil: uncancellable). A
-// plan below the morsel threshold, or at width 1, is one serial chunk;
-// otherwise chunks are morselRows rows, coarsened so there are at most 8
-// per worker. The shape depends on n, the width and the threshold alone.
+// NewPlan partitions n rows at the job's width and cutoff (nil job:
+// uncancellable, GOMAXPROCS and DefaultMorselThreshold). A plan below the
+// cutoff, or at width 1, is one serial chunk; otherwise chunks are
+// morselRows rows, coarsened so there are at most 8 per worker. The shape
+// depends on n, the width and the cutoff alone.
 func NewPlan(job *Job, n int) Plan {
-	w := Threads()
-	if n < MorselThreshold() || w <= 1 || n <= morselRows {
+	w := job.width()
+	if n < job.cutoff() || w <= 1 || n <= morselRows {
 		return Serial(job, n)
 	}
 	size := morselRows
@@ -118,12 +85,12 @@ func NewPlan(job *Job, n int) Plan {
 // Blocks partitions n rows into fixed chunks of size rows (the last may be
 // shorter, size a multiple of 64) whatever the thread count, for kernels
 // whose result depends on where chunk boundaries fall. The chunks run on
-// the pool when n reaches the morsel threshold.
+// the pool when n reaches the job's cutoff.
 func Blocks(job *Job, n, size int) Plan {
 	c := max(1, (n+size-1)/size)
 	w := 1
-	if n >= MorselThreshold() {
-		w = min(Threads(), c)
+	if n >= job.cutoff() {
+		w = min(job.width(), c)
 	}
 	return Plan{N: n, Size: size, chunk: c, width: w, job: job}
 }
@@ -225,13 +192,13 @@ func (p Plan) RunErr(fn func(c, lo, hi int) error) error {
 
 	var wg sync.WaitGroup
 	want := p.width - 1
-	limit := int64(Threads() - 1)
+	jw := p.job.width()
 	for i := 0; i < want; i++ {
-		if !acquireHelper(limit) {
+		if !acquireHelper(int64(jw - 1)) {
 			break
 		}
 		wg.Add(1)
-		if !submit(func() {
+		if !submit(jw, func() {
 			defer wg.Done()
 			defer live.Add(-1)
 			claim()
@@ -253,7 +220,8 @@ func (p Plan) RunErr(fn func(c, lo, hi int) error) error {
 }
 
 // acquireHelper takes one slot from the shared budget, refusing when limit
-// helpers are already live (nested parallelism then runs serial).
+// helpers are already live across all running kernels (nested parallelism
+// then runs serial). Callers pass their job's width less themselves.
 func acquireHelper(limit int64) bool {
 	for {
 		cur := live.Load()
@@ -266,11 +234,11 @@ func acquireHelper(limit int64) bool {
 	}
 }
 
-// submit hands a job to the pool without ever blocking the caller: when the
-// queue is full the job is dropped and the caller absorbs the work through
-// its own morsel claiming.
-func submit(f func()) bool {
-	ensureWorkers()
+// submit hands f to the pool, grown to at least width helpers, without ever
+// blocking the caller: when the queue is full f is dropped and the caller
+// absorbs the work through its own morsel claiming.
+func submit(width int, f func()) bool {
+	ensureWorkers(width)
 	select {
 	case jobs <- f:
 		return true
@@ -280,12 +248,9 @@ func submit(f func()) bool {
 }
 
 // ensureWorkers lazily starts the long-lived helper goroutines, growing the
-// pool when SetThreads raises the width past what is already running.
-func ensureWorkers() {
-	want := Threads()
-	if want < 2 {
-		want = 2
-	}
+// pool when a job's width exceeds what is already running.
+func ensureWorkers(width int) {
+	want := max(width, 2)
 	poolMu.Lock()
 	for poolStarted < want {
 		go func() {
@@ -299,7 +264,7 @@ func ensureWorkers() {
 }
 
 // Do splits [0,n) into morsels and runs fn over each, in parallel above the
-// threshold. fn must be safe to call concurrently on disjoint ranges.
+// job's cutoff. fn must be safe to call concurrently on disjoint ranges.
 func Do(job *Job, n int, fn func(lo, hi int)) {
 	NewPlan(job, n).Run(func(_, lo, hi int) { fn(lo, hi) })
 }

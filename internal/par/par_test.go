@@ -2,27 +2,20 @@ package par
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// forceParallel lowers the knobs so small inputs exercise the pool, and
-// returns a restore function.
-func forceParallel(t *testing.T, width int) func() {
-	t.Helper()
-	prevT := SetThreads(width)
-	prevM := SetMorselThreshold(1)
-	return func() {
-		SetThreads(prevT)
-		SetMorselThreshold(prevM)
-	}
-}
+// forceParallel returns a job of the given width whose cutoff is so low
+// that small inputs exercise the pool.
+func forceParallel(width int) *Job { return NewJob(width, 1) }
 
 func TestDoCoversAllRows(t *testing.T) {
-	defer forceParallel(t, 8)()
+	job := forceParallel(8)
 	for _, n := range []int{0, 1, 63, 64, 65, 4095, 4096, 4097, 100000} {
 		seen := make([]int32, n)
-		Do(nil, n, func(lo, hi int) {
+		Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&seen[i], 1)
 			}
@@ -36,20 +29,16 @@ func TestDoCoversAllRows(t *testing.T) {
 }
 
 func TestSerialBelowThreshold(t *testing.T) {
-	prevT := SetThreads(8)
-	prevM := SetMorselThreshold(1 << 20)
-	defer func() { SetThreads(prevT); SetMorselThreshold(prevM) }()
 	calls := 0
-	Do(nil, 1000, func(lo, hi int) { calls++ }) // no atomics: must be single-threaded
+	Do(NewJob(8, 1<<20), 1000, func(lo, hi int) { calls++ }) // no atomics: must be single-threaded
 	if calls != 1 {
 		t.Fatalf("expected one serial call, got %d", calls)
 	}
 }
 
 func TestDoErrPropagatesFirstError(t *testing.T) {
-	defer forceParallel(t, 4)()
 	want := errors.New("boom")
-	err := DoErr(nil, 50000, func(lo, hi int) error {
+	err := DoErr(forceParallel(4), 50000, func(lo, hi int) error {
 		if lo == 0 {
 			return want
 		}
@@ -61,20 +50,18 @@ func TestDoErrPropagatesFirstError(t *testing.T) {
 }
 
 func TestRunPanicReplayedOnCaller(t *testing.T) {
-	defer forceParallel(t, 4)()
 	defer func() {
 		if r := recover(); r != "kernel panic" {
 			t.Fatalf("recovered %v, want kernel panic", r)
 		}
 	}()
-	Do(nil, 50000, func(lo, hi int) {
+	Do(forceParallel(4), 50000, func(lo, hi int) {
 		panic("kernel panic")
 	})
 }
 
 func TestChunkBoundsAreAligned(t *testing.T) {
-	defer forceParallel(t, 8)()
-	p := NewPlan(nil, 1<<20)
+	p := NewPlan(forceParallel(8), 1<<20)
 	if !p.Parallel() {
 		t.Fatal("expected a parallel plan")
 	}
@@ -95,17 +82,48 @@ func TestChunkBoundsAreAligned(t *testing.T) {
 }
 
 func TestNestedDoDoesNotDeadlock(t *testing.T) {
-	defer forceParallel(t, 4)()
+	job := forceParallel(4)
 	var count atomic.Int64
-	Do(nil, 20000, func(lo, hi int) {
-		Do(nil, 1000, func(l, h int) {
+	Do(job, 20000, func(lo, hi int) {
+		Do(job, 1000, func(l, h int) {
 			count.Add(int64(h - l))
 		})
 	})
 	// Each outer morsel runs a full inner Do over 1000 rows.
-	p := NewPlan(nil, 20000)
+	p := NewPlan(job, 20000)
 	want := int64(p.Chunks()) * 1000
 	if count.Load() != want {
 		t.Fatalf("inner rows %d, want %d", count.Load(), want)
 	}
+}
+
+// TestConcurrentJobsKeepTheirWidths: two queries of widths 1 and 8 plan
+// side by side, each at its own width, however their calls interleave.
+func TestConcurrentJobsKeepTheirWidths(t *testing.T) {
+	const n = 1 << 18
+	narrow, wide := NewJob(1, 64), NewJob(8, 64)
+	wantNarrow, wantWide := 1, NewPlan(wide, n).Chunks()
+	if wantWide <= 1 {
+		t.Fatalf("a width-8 plan over %d rows has %d chunks", n, wantWide)
+	}
+	var wg sync.WaitGroup
+	for _, c := range []struct {
+		job  *Job
+		want int
+	}{{narrow, wantNarrow}, {wide, wantWide}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				p := NewPlan(c.job, n)
+				var ran atomic.Int64
+				p.Run(func(_, lo, hi int) { ran.Add(1) })
+				if p.Chunks() != c.want || ran.Load() != int64(c.want) {
+					t.Errorf("width %d: %d chunks planned, %d run; want %d", c.job.width(), p.Chunks(), ran.Load(), c.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

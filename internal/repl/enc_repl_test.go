@@ -27,7 +27,7 @@ func encAttrBat(t *testing.T, db *core.DB, array, attr string) *bat.BAT {
 }
 
 func TestReplicaBootstrapEncodedSegments(t *testing.T) {
-	primaryDB, paddr, pc := startPrimary(t, 0)
+	primaryDB, paddr, pc := startPrimary(t, -1)
 
 	// Multi-slab RLE-encodable attribute, checkpointed before the replica
 	// exists: bootstrap must ship the encoded segments.

@@ -40,7 +40,9 @@ type Options struct {
 	// Dir is the replica's database directory.
 	Dir string
 	// CheckpointBytes is the checkpoint threshold that takes effect after
-	// promotion (replicas never checkpoint; a promoted primary does).
+	// promotion (replicas never checkpoint; a promoted primary does),
+	// with OpenOptions' rule: 0 means core.DefaultCheckpointBytes, < 0
+	// disables the trigger.
 	CheckpointBytes int64
 	// Retry shapes reconnect backoff (zero: client.DefaultRetryPolicy
 	// delays; MaxAttempts is ignored — a replica retries indefinitely).

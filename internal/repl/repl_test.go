@@ -22,7 +22,7 @@ import (
 func startPrimary(t *testing.T, ckptBytes int64) (*core.DB, string, *client.Client) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "primary")
-	db, err := core.OpenWith(dir, ckptBytes)
+	db, err := core.OpenDB(dir, core.OpenOptions{CheckpointBytes: ckptBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func waitCaughtUp(t *testing.T, tl *Tailer, primary *core.DB) {
 // healthz lag reporting on the replica's own server, write refusal, and
 // HTTP promotion that opens the write path.
 func TestTailerEndToEnd(t *testing.T) {
-	primaryDB, paddr, pc := startPrimary(t, 0)
+	primaryDB, paddr, pc := startPrimary(t, -1)
 
 	// State before the replica exists, behind a checkpoint: the replica
 	// must bootstrap from a snapshot, not replay from generation zero.
@@ -196,7 +196,7 @@ func TestTailerEndToEnd(t *testing.T) {
 // and reopens resumes tailing from its local log end — no re-bootstrap,
 // the catch-up is WAL replay plus the stream tail.
 func TestTailerResumesFromLocalLog(t *testing.T) {
-	primaryDB, paddr, pc := startPrimary(t, 0)
+	primaryDB, paddr, pc := startPrimary(t, -1)
 	if _, err := pc.Exec(`CREATE TABLE t (a INT); INSERT INTO t VALUES (1)`); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestTailerResumesFromLocalLog(t *testing.T) {
 // catches up once a primary is back on the same address.
 func TestTailerReconnectsWithBackoff(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "primary")
-	db, err := core.OpenWith(dir, 0)
+	db, err := core.OpenDB(dir, core.OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestTailerReconnectsWithBackoff(t *testing.T) {
 // recovery's torn-tail truncation.
 func TestTailerDiscardsCorruptStreamTail(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "primary")
-	db, err := core.OpenWith(dir, 0)
+	db, err := core.OpenDB(dir, core.OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestTailerDiscardsCorruptStreamTail(t *testing.T) {
 // replica server's /healthz — must show exactly that much lag.
 func TestLagReporting(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "primary")
-	db, err := core.OpenWith(dir, 0)
+	db, err := core.OpenDB(dir, core.OpenOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

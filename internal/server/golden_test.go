@@ -42,7 +42,7 @@ func TestGoldenOverServer(t *testing.T) {
 			var db *core.DB
 			if testutil.NeedsDir(string(src)) {
 				dbDir = filepath.Join(t.TempDir(), "db")
-				if db, err = core.Open(dbDir); err != nil {
+				if db, err = core.OpenDB(dbDir, core.OpenOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -86,7 +86,7 @@ func TestGoldenOverServer(t *testing.T) {
 							return "", err
 						}
 					}
-					if db, err = core.Open(dbDir); err != nil {
+					if db, err = core.OpenDB(dbDir, core.OpenOptions{}); err != nil {
 						return "", err
 					}
 					srv = New(db, Config{Addr: "127.0.0.1:0"})

@@ -150,7 +150,7 @@ func TestCloseCancelsInFlightText(t *testing.T) {
 func TestHealthzDegraded(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	fs := vfs.NewFailFS(nil)
-	db, err := core.OpenWithFS(dir, 0, fs)
+	db, err := core.OpenDB(dir, core.OpenOptions{CheckpointBytes: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,7 +352,7 @@ func TestWireMatchesReferenceOnGoldenScripts(t *testing.T) {
 		var db *core.DB
 		if testutil.NeedsDir(string(src)) {
 			dir = filepath.Join(t.TempDir(), "db")
-			if db, err = core.Open(dir); err != nil {
+			if db, err = core.OpenDB(dir, core.OpenOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -363,7 +363,7 @@ func TestWireMatchesReferenceOnGoldenScripts(t *testing.T) {
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if db, err = core.Open(dir); err != nil {
+				if db, err = core.OpenDB(dir, core.OpenOptions{}); err != nil {
 					t.Fatal(err)
 				}
 				continue

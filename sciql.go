@@ -31,9 +31,7 @@
 package sciql
 
 import (
-	"repro/internal/bat"
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -67,27 +65,6 @@ func New() *DB { return core.New() }
 // Open loads (or initialises) a database persisted in dir. Every
 // committed write is durable immediately (fsynced write-ahead log
 // record); a crash mid-write recovers to the last committed state on the
-// next Open. Close flushes a final checkpoint. See DB.SetWALCheckpointBytes
-// for the log-folding threshold.
-func Open(dir string) (*DB, error) { return core.Open(dir) }
-
-// SetThreads sets the worker count the GDK kernels use for morsel-parallel
-// execution (process-wide); n <= 0 restores the default, GOMAXPROCS. It
-// returns the previous setting (0 = default). Inputs below the morsel
-// threshold always run serially regardless of this setting.
-func SetThreads(n int) int { return par.SetThreads(n) }
-
-// Threads returns the current kernel worker count.
-func Threads() int { return par.Threads() }
-
-// SetEncodingsEnabled toggles automatic per-slab column compression
-// (RLE/dictionary/frame-of-reference/delta) process-wide and returns the
-// previous setting. Encoding happens at checkpoint time and is fully
-// transparent — results are bit-identical either way — so this is a
-// performance/footprint switch. Columns
-// already encoded stay encoded (and readable) after disabling; they
-// revert to plain at their next rewrite.
-func SetEncodingsEnabled(on bool) bool { return bat.SetEncodingsEnabled(on) }
-
-// EncodingsEnabled reports whether automatic slab encoding is active.
-func EncodingsEnabled() bool { return bat.EncodingsEnabled() }
+// next Open. Close flushes a final checkpoint. The log folds into the
+// segment store every core.DefaultCheckpointBytes of WAL.
+func Open(dir string) (*DB, error) { return core.OpenDB(dir, core.OpenOptions{}) }
