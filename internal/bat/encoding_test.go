@@ -3,7 +3,9 @@ package bat
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -386,24 +388,96 @@ func TestVoidSlabView(t *testing.T) {
 	}
 }
 
+// TestPackWidthRoundTrip checks packFOR against the layout bit by bit —
+// bit b of offset i is bit i·w+b of the little-endian payload, the bytes
+// segments and log records have always held — and unpackFOR against it.
 func TestPackWidthRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, w := range []uint8{1, 7, 13, 31, 33, 63, 64} {
-		n := 1000
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = rng.Uint64()
-			if w < 64 {
-				vals[i] &= (1 << w) - 1
+	for w := uint8(0); w <= 64; w++ {
+		for _, n := range []int{1, 63, 64, 65, 1000} {
+			base := rng.Int63() - rng.Int63()
+			vals := make([]int64, n)
+			for i := range vals {
+				off := rng.Uint64() & (^uint64(0) >> (64 - w))
+				vals[i] = int64(uint64(base) + off)
+			}
+			packed := make([]byte, packedLen(n, w))
+			packFOR(packed, vals, base, w)
+			want := make([]byte, len(packed))
+			for i, v := range vals {
+				off := uint64(v) - uint64(base)
+				for b := 0; b < int(w); b++ {
+					if p := i*int(w) + b; off>>b&1 == 1 {
+						want[p/8] |= 1 << (p % 8)
+					}
+				}
+			}
+			if !bytes.Equal(packed, want) {
+				t.Fatalf("w=%d n=%d: packed layout differs", w, n)
+			}
+			got := make([]int64, n)
+			unpackFOR(got, packed, w, base)
+			for i := range vals {
+				if got[i] != vals[i] {
+					t.Fatalf("w=%d n=%d: mismatch at %d: %d != %d", w, n, i, got[i], vals[i])
+				}
 			}
 		}
-		words := packWidth(vals, w)
-		i := 0
-		unpackWidth(words, n, w, func(u uint64) {
-			if u != vals[i] {
-				t.Fatalf("w=%d: mismatch at %d: %d != %d", w, i, u, vals[i])
+	}
+}
+
+// TestIntSlabDictSkipKeepsChoice checks, over random slabs, that
+// encodeIntSlab chooses the encoding the full size analysis would: the
+// same candidates, order and 2x gate, with the dictionary always counted.
+func TestIntSlabDictSkipKeepsChoice(t *testing.T) {
+	full := func(vals []int64) Encoding {
+		n := int64(len(vals))
+		st := analyzeInts(vals)
+		sizes := make([]int64, numEncodings)
+		sizes[EncPlain], sizes[EncRLE] = n*8, int64(st.runs)*12
+		sizes[EncDict], sizes[EncDelta] = math.MaxInt64, math.MaxInt64
+		sizes[EncFOR] = 16 + n*int64(bits.Len64(uint64(st.max)-uint64(st.min)))/8
+		if est := estimateIntDict(vals); est != nil {
+			sizes[EncDict] = int64(len(est.dict))*8 + n*2
+		}
+		if st.asc && n > 1 {
+			sizes[EncDelta] = 16 + (n-1)*int64(bits.Len64(st.maxGap))/8
+		}
+		best := EncPlain
+		for _, e := range []Encoding{EncRLE, EncDict, EncDelta, EncFOR} {
+			if sizes[e] < sizes[best] {
+				best = e
 			}
-			i++
-		})
+		}
+		if sizes[best]*2 > sizes[EncPlain] {
+			return EncPlain
+		}
+		return best
+	}
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial%100 == 0 {
+			n = SlabRows
+		}
+		card := 1 + rng.Intn(8)
+		if rng.Intn(3) == 0 {
+			card = 1 + rng.Intn(5000)
+		}
+		spread := int64(1) << rng.Intn(40) // FOR widths on both sides of 16
+		pool := make([]int64, card)
+		for i := range pool {
+			pool[i] = rng.Int63n(spread) - spread/2
+		}
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = pool[rng.Intn(card)]
+		}
+		if rng.Intn(4) == 0 {
+			slices.Sort(vals)
+		}
+		if got, want := encodeIntSlab(vals).enc, full(vals); got != want {
+			t.Fatalf("trial %d (n=%d card=%d spread=%d): chose %v, full analysis %v", trial, n, card, spread, got, want)
+		}
 	}
 }

@@ -281,7 +281,8 @@ func writeSlabPayload(cw *crcWriter, es *encSlab, isFloat, isStr bool) error {
 				return err
 			}
 		}
-		return binary.Write(cw, binary.LittleEndian, es.words)
+		_, err := cw.Write(es.packed)
+		return err
 	}
 	return fmt.Errorf("bat: cannot serialise encoding %v", es.enc)
 }
@@ -596,17 +597,13 @@ func readSlabPayload(cr *crcReader, es *encSlab, isFloat, isStr bool) error {
 		if es.enc == EncDelta {
 			cnt = n - 1
 		}
-		nwords := 0
-		if es.width > 0 && cnt > 0 {
-			nwords = (cnt*int(es.width) + 63) / 64
-		}
-		if nwords > 0 {
-			es.words = make([]uint64, nwords)
-			if err := binary.Read(cr, binary.LittleEndian, es.words); err != nil {
+		if l := packedLen(cnt, es.width); l > 0 {
+			es.packed = make([]byte, l)
+			if _, err := io.ReadFull(cr, es.packed); err != nil {
 				return err
 			}
 		}
-		es.bytes = 16 + int64(nwords)*8
+		es.bytes = 16 + int64(len(es.packed))
 		return nil
 	}
 	return fmt.Errorf("unknown encoding %v", es.enc)

@@ -44,9 +44,10 @@ func (db *DB) bulkSetAttrIntsLocked(array, attr string, data []int64) (*commitRe
 	if k := a.Attrs[ai].Type.Kind; k != types.KindInt {
 		return nil, fmt.Errorf("attribute %q is %s, not integer", attr, k)
 	}
-	db.setAttr(a, ai, bat.FromInts(append([]int64(nil), data...)))
+	col := bat.FromInts(append([]int64(nil), data...))
+	db.setAttr(a, ai, col)
 	if db.durable() {
-		db.logRecord(encBulkAttrInts(a.Name, ai, data))
+		db.logRecord(encBulkAttr(a.Name, ai, col))
 	}
 	if db.txn == nil {
 		// The shared autocommit boundary: durability first, then

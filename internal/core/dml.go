@@ -173,7 +173,9 @@ func (db *DB) applyTableInsert(t *catalog.Table, cols []*bat.BAT) (*Result, erro
 	}
 	n := cols[0].Len()
 	if db.durable() && n > 0 {
-		db.logRecord(encTableAppend(t.Name, cols))
+		for _, rec := range encTableAppend(t.Name, cols, maxRecordCells) {
+			db.logRecord(rec)
+		}
 	}
 	return &Result{Affected: n, Text: fmt.Sprintf("%d rows inserted", n)}, nil
 }
@@ -353,7 +355,36 @@ func stageArrayInsert(job *par.Job, a *catalog.Array, targets []arrayTarget, col
 		w.attrs = append(w.attrs, tg.idx)
 		w.vals = append(w.vals, col)
 	}
+	if len(w.pos) > sh.Cells() {
+		// More rows than cells: only each cell's last row survives the
+		// in-order overwrite, so the write set keeps just those and never
+		// outgrows the array (the bound WAL replay checks).
+		keep := lastWrites(w.pos, sh.Cells())
+		pos := make([]int, len(keep))
+		for i, r := range keep {
+			pos[i] = w.pos[r]
+		}
+		if w.vals, err = gdk.ProjectAll(job, bat.FromOIDs(keep), w.vals); err != nil {
+			return nil, err
+		}
+		w.pos = pos
+	}
 	return w, nil
+}
+
+// lastWrites lists, in order, the rows of pos that are the last write to
+// their cell.
+func lastWrites(pos []int, cells int) []int64 {
+	seen := make([]bool, cells)
+	keep := make([]int64, 0, cells)
+	for r := len(pos) - 1; r >= 0; r-- {
+		if !seen[pos[r]] {
+			seen[pos[r]] = true
+			keep = append(keep, int64(r))
+		}
+	}
+	slices.Reverse(keep)
+	return keep
 }
 
 // coordInts reads one source column of an array INSERT as integer
@@ -690,7 +721,7 @@ func (db *DB) applyTableWritePlan(t *catalog.Table, p *writePlan) (*Result, erro
 	}
 	if p.w.Delete {
 		if db.durable() && len(pos) > 0 {
-			db.logRecord(encPositions(recTableDelete, t.Name, pos))
+			db.logRecord(encDelete(recTableDelete, t.Name, pos))
 		}
 		return &Result{Affected: len(pos), Text: fmt.Sprintf("%d rows deleted", len(pos))}, nil
 	}
@@ -709,7 +740,7 @@ func (db *DB) applyArrayWritePlan(a *catalog.Array, p *writePlan) (*Result, erro
 	}
 	if p.w.Delete {
 		if db.durable() && len(pos) > 0 {
-			db.logRecord(encPositions(recArrayDelete, a.Name, pos))
+			db.logRecord(encDelete(recArrayDelete, a.Name, pos))
 		}
 		return &Result{Affected: len(pos), Text: fmt.Sprintf("%d cells deleted", len(pos))}, nil
 	}

@@ -522,14 +522,17 @@ func TestApplyReplicatedSnapshotIsolation(t *testing.T) {
 }
 
 // TestWALRecoveryRejectsWholeRecord: a checksum-valid record whose last
-// position or row does not fit its object is refused whole, by recovery
-// and by a replica alike: the object stays byte-for-byte as it was.
+// position or row does not fit its object, or whose row count or column
+// the object cannot hold, is refused whole, by recovery and by a replica
+// alike: the object stays byte-for-byte as it was. The typed records and
+// the decode-only per-cell (V1) records are both checked.
 func TestWALRecoveryRejectsWholeRecord(t *testing.T) {
 	setup := []string{
 		`CREATE TABLE t (i INT, f DOUBLE)`,
 		`INSERT INTO t VALUES (1, 1.5), (2, 2.5), (3, NULL)`,
 		`CREATE ARRAY a (x INT DIMENSION[0:1:4], v INT DEFAULT 7, s VARCHAR)`,
 		`UPDATE a SET s = 'z' WHERE x > 1`,
+		`CREATE TABLE u (i INT)`,
 	}
 	intVal := func(e *recEnc, v int64) {
 		e.b = append(e.b, byte(types.KindInt))
@@ -539,8 +542,8 @@ func TestWALRecoveryRejectsWholeRecord(t *testing.T) {
 		e.b = append(e.b, byte(types.KindFloat))
 		e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f))
 	}
-	// cellsRec encodes one value per position into attribute or column 0.
-	cellsRec := func(op byte, name string, pos ...int) []byte {
+	// cellsV1 encodes one value per position into attribute or column 0.
+	cellsV1 := func(op byte, name string, pos ...int) []byte {
 		e := newRecEnc(op)
 		e.str(name)
 		e.u64(1)
@@ -553,38 +556,80 @@ func TestWALRecoveryRejectsWholeRecord(t *testing.T) {
 		return e.b
 	}
 	// The append's last row holds a float out of integer range for i.
-	appendRec := newRecEnc(recTableAppend)
-	appendRec.str("t")
-	appendRec.u64(2)
-	appendRec.u64(2)
-	intVal(appendRec, 4)
-	floatVal(appendRec, 4.5)
-	floatVal(appendRec, 1e300)
-	floatVal(appendRec, 5.5)
+	appendV1 := newRecEnc(recTableAppendV1)
+	appendV1.str("t")
+	appendV1.u64(2)
+	appendV1.u64(2)
+	intVal(appendV1, 4)
+	floatVal(appendV1, 4.5)
+	floatVal(appendV1, 1e300)
+	floatVal(appendV1, 5.5)
 	// Fifty thousand copies of attribute 0 and a row count to match, but
 	// bytes for one value only: refused before any column is allocated.
-	wideRec := newRecEnc(recArrayUpdate)
-	wideRec.str("a")
-	wideRec.u64(50000)
-	wideRec.b = append(wideRec.b, make([]byte, 50000)...)
-	wideRec.u64(50000)
-	wideRec.u64(0)
-	intVal(wideRec, 1)
-	deleteRec := newRecEnc(recArrayDelete)
-	deleteRec.str("a")
-	deleteRec.u64(3)
+	wideV1 := newRecEnc(recArrayUpdateV1)
+	wideV1.str("a")
+	wideV1.u64(50000)
+	wideV1.b = append(wideV1.b, make([]byte, 50000)...)
+	wideV1.u64(50000)
+	wideV1.u64(0)
+	intVal(wideV1, 1)
+	deleteV1 := newRecEnc(recArrayDeleteV1)
+	deleteV1.str("a")
+	deleteV1.u64(3)
 	for _, p := range []uint64{0, 1, 999} {
-		deleteRec.u64(p)
+		deleteV1.u64(p)
 	}
+
+	// typed encodes a typed record on attribute or column 0: n rows at
+	// positions pos (none when nil), then the column bytes as given.
+	typed := func(op byte, name string, n int, pos []int, cols ...[]byte) []byte {
+		e := newRecEnc(op)
+		e.str(name)
+		if op == recTableAppend {
+			e.u64(uint64(len(cols)))
+		} else if op != recTableDelete && op != recArrayDelete {
+			e.ordinals([]int{0})
+		}
+		e.u64(uint64(n))
+		e.b = bat.AppendPositions(e.b, pos)
+		for _, c := range cols {
+			e.b = append(e.b, c...)
+		}
+		return e.b
+	}
+	col := func(b *bat.BAT) []byte { return bat.AppendColumn(nil, b) }
+	ints := func(v ...int64) []byte { return col(bat.FromInts(v)) }
+	// 50 000 writes of cell 0 and a constant column take a few bytes:
+	// the row count alone must be refused against the 4 cells of a.
+	constant := ints(make([]int64, 50000)...)
+	// A constant column of any length is a header and a base: an append
+	// of maxReplayCells-1 rows in a few bytes, refused by the per-record
+	// cell bound before the column is allocated.
+	constantHeader := binary.AppendUvarint(nil, uint64(types.KindInt)<<1)
+	hugeAppend := typed(recTableAppend, "u", maxReplayCells-1, nil, binary.AppendVarint(constantHeader, 9))
+	// A width-65 header, and a column whose NULL bitmap is cut short.
+	wide := append(binary.AppendUvarint(nil, 65<<4|uint64(types.KindInt)<<1), 0)
+	nulls := bat.FromInts([]int64{1, 2, 3})
+	nulls.SetNull(1, true)
+	shortNulls := col(nulls)[:1]
 	cases := []struct {
 		name, obj string
 		rec       []byte
 	}{
-		{"array update", "a", cellsRec(recArrayUpdate, "a", 0, 1, 999)},
-		{"table update", "t", cellsRec(recTableUpdate, "t", 0, 1, 999)},
-		{"table append", "t", appendRec.b},
-		{"array delete", "a", deleteRec.b},
-		{"implausible row count", "a", wideRec.b},
+		{"array update", "a", typed(recArrayUpdate, "a", 3, []int{0, 1, 999}, ints(100, 101, 102))},
+		{"table update", "t", typed(recTableUpdate, "t", 3, []int{0, 1, 999}, ints(100, 101, 102))},
+		{"table append", "t", typed(recTableAppend, "t", 2, nil, ints(4, 5), ints(4, 5))},
+		{"array delete", "a", typed(recArrayDelete, "a", 3, []int{0, 1, 999})},
+		{"implausible row count", "a", typed(recArrayUpdate, "a", 50000, make([]int, 50000), constant)},
+		{"constant append past the record bound", "u", hugeAppend},
+		{"width 65", "a", typed(recArrayUpdate, "a", 1, []int{0}, wide)},
+		{"short null bitmap", "t", typed(recTableUpdate, "t", 3, []int{0, 1, 2}, shortNulls)},
+		{"trailing bytes", "a", append(typed(recArrayUpdate, "a", 1, []int{0}, ints(5)), 0)},
+		{"v1 array update", "a", cellsV1(recArrayUpdateV1, "a", 0, 1, 999)},
+		{"v1 table update", "t", cellsV1(recTableUpdateV1, "t", 0, 1, 999)},
+		{"v1 table append", "t", appendV1.b},
+		{"v1 array delete", "a", deleteV1.b},
+		{"v1 implausible row count", "a", wideV1.b},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -636,11 +681,12 @@ func TestZeroOptionsCheckpointAtDefault(t *testing.T) {
 		if got != DefaultCheckpointBytes {
 			t.Fatalf("%s: checkpoint threshold %d, want %d", name, got, DefaultCheckpointBytes)
 		}
-		// Each UPDATE logs about 2 MB: the log must fold once it passes
-		// the threshold (in the background, after the commit is acked).
+		// Each UPDATE logs about 1.4 MB (300 000 offsets of 37 to 39
+		// bits): the log must fold once it passes the threshold (in the
+		// background, after the commit is acked).
 		db.MustQuery(`CREATE ARRAY big (i INT DIMENSION[0:1:300000], v INT DEFAULT 0)`)
-		for k := 1; k <= 3; k++ {
-			db.MustQuery(fmt.Sprintf(`UPDATE big SET v = i * %d`, k))
+		for k := 1; k <= 4; k++ {
+			db.MustQuery(fmt.Sprintf(`UPDATE big SET v = i * i * %d`, k))
 		}
 		deadline := time.Now().Add(10 * time.Second)
 		for db.CheckpointBytes() == 0 || db.WALSize() > DefaultCheckpointBytes {

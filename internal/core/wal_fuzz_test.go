@@ -38,6 +38,54 @@ func buildFuzzBase(tb testing.TB, root string) (dir string, walBytes []byte) {
 	return dir, walBytes
 }
 
+// typedFuzzStmts, run on the fuzz base, log typed DML records of every
+// shape the column decoder knows: int columns of width 0, 8, 13 and 64
+// and with a negative base, unsorted and repeated positions, NULLs of
+// every kind, empty strings, table appends, updates and deletes, array
+// deletes. A bulk load follows them (see typedFuzzLog). The checkpointed
+// rows of t (a <= 2) stay as they are, as FuzzWALReplay's probe expects.
+var typedFuzzStmts = []string{
+	`CREATE ARRAY h (x INT DIMENSION[0:1:8], y INT DIMENSION[0:1:8], i INT DEFAULT 0, f DOUBLE, b BOOLEAN, s VARCHAR)`,
+	`UPDATE h SET i = 7`,
+	`UPDATE h SET i = x * 32 + y`,
+	`UPDATE h SET i = x * 1000 + y WHERE y <> 3`,
+	`UPDATE h SET i = (x - 4) * 2000000000000000000`,
+	`UPDATE h SET i = y - 100, f = x * 0.5, b = y > 3, s = CASE WHEN y = 0 THEN '' ELSE 'v' END`,
+	`UPDATE h SET i = NULL, f = NULL, b = NULL, s = NULL WHERE x = 1`,
+	`INSERT INTO h VALUES (3, 3, 1, 1.5, true, 'a'), (0, 1, NULL, NULL, NULL, ''), (3, 3, -5, NULL, false, NULL)`,
+	`DELETE FROM h WHERE x = 7 OR y = 2`,
+	`INSERT INTO t VALUES (4, ''), (NULL, NULL), (90, 'ninety')`,
+	`UPDATE t SET a = a * 1000, s = NULL WHERE a > 2`,
+	`DELETE FROM t WHERE a = 90000`,
+	`UPDATE g SET v = NULL`,
+}
+
+// typedFuzzLog returns the log typedFuzzStmts and a bulk load leave on a
+// fresh fuzz base.
+func typedFuzzLog(tb testing.TB, root string) []byte {
+	tb.Helper()
+	dir, _ := buildFuzzBase(tb, root)
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, stmt := range typedFuzzStmts {
+		db.MustQuery(stmt)
+	}
+	bulk := make([]int64, 64)
+	for i := range bulk {
+		bulk[i] = int64(i*i) - 2000
+	}
+	if err := db.BulkSetAttrInts("h", "i", bulk); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // FuzzWALReplay feeds arbitrary bytes as the wal.log of an otherwise
 // intact database. The contract under any corruption: opening either
 // succeeds with a structurally sound catalog (torn/corrupt tails are
@@ -55,6 +103,9 @@ func FuzzWALReplay(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/2] ^= 0xff
 	f.Add(mut) // corrupted middle
+	typed := typedFuzzLog(f, f.TempDir())
+	f.Add(typed) // typed records of every column shape
+	f.Add(typed[:len(typed)-5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		root := t.TempDir()

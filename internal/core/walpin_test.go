@@ -13,7 +13,9 @@ import (
 
 // The WAL record format is a contract with every log already on disk and
 // with every replica tailing a primary: changing how a write is computed
-// must not change a byte of what it logs. walPinScript covers the array
+// must not change a byte of what it logs, and a change of the format
+// itself re-records the pins below while the logs of the format before
+// (testdata/wal_v1) keep replaying. walPinScript covers the array
 // write paths — bounded and unbounded arrays, a negative-step dimension,
 // duplicate target cells, NULL attributes, every attribute kind, casts in
 // both directions, INSERT VALUES and INSERT ... SELECT, unbounded growth
@@ -38,9 +40,11 @@ var walPinScript = []string{
 	`INSERT INTO u SELECT [t], v * 2 FROM u WHERE t < 9`,
 }
 
-// walPinSHA256 is the SHA-256 of wal.log after walPinScript, recorded
-// when array writes still went through boxed rows.
-const walPinSHA256 = "2b0a82fc47f8544fea436a27dc0b4814dfe1d91972c04e5a0521e9a3ad216ece"
+// walPinSHA256 is the SHA-256 of wal.log after walPinScript. Re-recorded
+// when DML records became typed columns (positions as a start and
+// frame-of-reference gaps, one column per written attribute); the log of
+// the per-cell tagged format is testdata/wal_v1/pin/wal.log.
+const walPinSHA256 = "c2532494c2e732d4d0c367c31fb61925d8c97900191f29f3845eaf7dfbf1d989"
 
 const walPinProbe = `
 SELECT [x], [y], v, f, s, ok FROM b;
@@ -80,8 +84,9 @@ var walPinDMLScript = []string{
 }
 
 // walPinDMLSHA256 is the SHA-256 of wal.log after walPinDMLScript,
-// recorded when UPDATE and DELETE still evaluated into boxed values.
-const walPinDMLSHA256 = "3ec160d02bbc4018080c779555ff0af048df5a6af2c2325e449924ef39f7afe9"
+// re-recorded for the typed DML records like walPinSHA256; the former log
+// is testdata/wal_v1/dml/wal.log.
+const walPinDMLSHA256 = "58404e4d610a96f96d36b238146f239bfdc4dd524bf63eeef59ebe4204069fc3"
 
 const walPinDMLProbe = `
 SELECT i, f, s, ok, a, b FROM t;
@@ -124,29 +129,93 @@ func checkWALPin(t *testing.T, script []string, want, probeScript string) {
 
 	// Replaying the log alone (the directory as a crash leaves it) must
 	// reproduce the live state.
-	probe := func(db *DB) string {
-		return testutil.RenderScript(probeScript, func(stmt string) (string, error) {
-			results, err := db.Exec(stmt)
-			var sb strings.Builder
-			for _, r := range results {
-				sb.WriteString(r.String())
-			}
-			return sb.String(), err
-		})
-	}
-	live := probe(db)
+	live := probeDB(db, probeScript)
 	crash := filepath.Join(root, "crash")
 	copyTree(t, dir, crash)
-	rdb, err := OpenDB(crash, OpenOptions{})
+	if got := probeReplay(t, crash, probeScript); got != live {
+		t.Fatalf("replayed state differs from the live one:\n%s\nlive:\n%s", got, live)
+	}
+}
+
+// probeDB renders probeScript's answers on db.
+func probeDB(db *DB, probeScript string) string {
+	return testutil.RenderScript(probeScript, func(stmt string) (string, error) {
+		results, err := db.Exec(stmt)
+		var sb strings.Builder
+		for _, r := range results {
+			sb.WriteString(r.String())
+		}
+		return sb.String(), err
+	})
+}
+
+// probeReplay opens dir, which holds a log and nothing else, checks the
+// replayed state's integrity and renders probeScript's answers on it.
+func probeReplay(t *testing.T, dir, probeScript string) string {
+	t.Helper()
+	db, err := OpenDB(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	defer rdb.Close()
-	if err := rdb.CheckIntegrity(); err != nil {
+	defer db.Close()
+	if err := db.CheckIntegrity(); err != nil {
 		t.Fatalf("replayed state: %v", err)
 	}
-	if got := probe(rdb); got != live {
-		t.Fatalf("replayed state differs from the live one:\n%s\nlive:\n%s", got, live)
+	return probeDB(db, probeScript)
+}
+
+// TestWALReplayV1Logs replays the logs the three pin scripts left in the
+// per-cell tagged record format (recorded before the typed DML records,
+// before any checkpoint) and requires the answers the scripts give live.
+func TestWALReplayV1Logs(t *testing.T) {
+	for _, c := range []struct {
+		name, probe string
+		script      []string
+	}{
+		{"pin", walPinProbe, walPinScript},
+		{"dml", walPinDMLProbe, walPinDMLScript},
+		{"insert", walPinInsertProbe, walPinInsertScript},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := New()
+			for _, stmt := range c.script {
+				if _, err := db.Exec(stmt); err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+			}
+			dir := filepath.Join(t.TempDir(), "db")
+			copyTree(t, filepath.Join("testdata", "wal_v1", c.name), dir)
+			if got, live := probeReplay(t, dir, c.probe), probeDB(db, c.probe); got != live {
+				t.Fatalf("replayed v1 log differs from the live script:\n%s\nlive:\n%s", got, live)
+			}
+		})
+	}
+}
+
+// TestWALOneCellInsertSize: a one-cell INSERT into a 64x64 image, the
+// write of sciqld's durable inserts, logs no more than the per-cell
+// tagged records did (the sizes the former format logged for the same
+// statements, frame included).
+func TestWALOneCellInsertSize(t *testing.T) {
+	db, err := OpenDB(filepath.Join(t.TempDir(), "db"), OpenOptions{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.MustQuery(`CREATE ARRAY grid (x INT DIMENSION[0:1:64], y INT DIMENSION[0:1:64], v INT DEFAULT 0)`)
+	for _, c := range []struct {
+		stmt string
+		v1   int64
+	}{
+		{`INSERT INTO grid VALUES (63, 63, 255)`, 30},
+		{`INSERT INTO grid VALUES (0, 0, 0)`, 28},
+		{`INSERT INTO grid VALUES (17, 5, 1000)`, 30},
+	} {
+		before := db.WALSize()
+		db.MustQuery(c.stmt)
+		if got := db.WALSize() - before; got > c.v1 {
+			t.Errorf("%s: logged %d bytes, the per-cell format %d", c.stmt, got, c.v1)
+		}
 	}
 }
 
@@ -173,8 +242,9 @@ var walPinInsertScript = []string{
 }
 
 // walPinInsertSHA256 is the SHA-256 of wal.log after walPinInsertScript,
-// recorded when table appends still went through boxed rows.
-const walPinInsertSHA256 = "23d43e111e9620d5c1d2d697a3318a59a94867469218b26947ea0bea3d9c6836"
+// re-recorded for the typed DML records like walPinSHA256; the former log
+// is testdata/wal_v1/insert/wal.log.
+const walPinInsertSHA256 = "f26bcb6347d9275b4e28af469ae4762067197f9f96432a8eaa94a59765663492"
 
 const walPinInsertProbe = `
 SELECT i, f, s, ok, o FROM t;
@@ -184,4 +254,40 @@ SELECT COUNT(*) FROM u;
 
 func TestWALBytesPinnedInsert(t *testing.T) {
 	checkWALPin(t, walPinInsertScript, walPinInsertSHA256, walPinInsertProbe)
+}
+
+// TestWALArrayInsertMoreRowsThanCells: an INSERT with more rows than the
+// array has cells keeps each cell's last row, live and in its log record
+// (whose row count replay bounds by the cells), so the replayed log
+// answers like the live array.
+func TestWALArrayInsertMoreRowsThanCells(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "db")
+	db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, stmt := range []string{
+		`CREATE ARRAY small (x INT DIMENSION[0:1:3], v INT DEFAULT 0, s VARCHAR)`,
+		`CREATE TABLE src (i INT, w INT)`,
+		`INSERT INTO src VALUES (0, 1), (1, 2), (2, 3), (0, 4), (1, NULL), (2, 6), (0, 7), (1, 8), (2, NULL), (0, 10)`,
+		`INSERT INTO small SELECT i, w, CAST(w AS VARCHAR) FROM src`,
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	const probe = "SELECT [x], v, s FROM small;\n"
+	live := probeDB(db, probe)
+	want := probeDB(New(), "CREATE ARRAY small (x INT DIMENSION[0:1:3], v INT DEFAULT 0, s VARCHAR);\n"+
+		"INSERT INTO small VALUES (0, 10, '10'), (1, 8, '8'), (2, NULL, NULL);\n"+probe)
+	if !strings.HasSuffix(want, live) {
+		t.Fatalf("live array:\n%s\nwant the last row of each cell:\n%s", live, want)
+	}
+	crash := filepath.Join(root, "crash")
+	copyTree(t, dir, crash)
+	if got := probeReplay(t, crash, probe); got != live {
+		t.Fatalf("replayed state differs from the live one:\n%s\nlive:\n%s", got, live)
+	}
 }

@@ -5,20 +5,43 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/shape"
 	"repro/internal/types"
+	"repro/internal/wal"
 )
 
 // WAL record encoding: every committed write statement appends one
 // logical record describing the effect it applied — not the SQL text, so
-// replay needs no parser and is deterministic by construction. DDL
-// records carry the schema as JSON (the same manifest structs the
-// checkpoint writes); DML records carry tight binary deltas: varint
-// framing, values tagged with their kind, row/cell positions as written.
+// replay needs no parser and is deterministic by construction. A record is
+// an opcode byte and a body:
+//
+//	create table/array  the schema as JSON (the checkpoint's manifest structs)
+//	drop                isArray byte, name
+//	alter dimension     name, dimension ordinal, start, step, stop
+//	table append        name, column count, n, one column per table column
+//	                    (n × columns ≤ maxRecordCells; larger appends split)
+//	table update        name, SET ordinals, n, positions, one column per SET
+//	table delete        name, n, positions
+//	array insert        name, the (possibly grown) dimension ranges,
+//	                    attribute ordinals, n, positions, one column each
+//	array update        name, attribute ordinals, n, positions, one column each
+//	array delete        name, n, positions
+//	bulk load           name, attribute ordinal, one int column of every cell
+//
+// Integers are varints, names and ordinal lists length-prefixed. n is the
+// row count of the write; positions (row or cell ordinals) and columns are
+// bat's typed column codec (internal/bat/column.go): one start and a
+// frame-of-reference column of gaps for the positions, one typed column
+// per value target — the statement's own value columns, already cast to
+// their targets' kinds, so encoding is a pass per column, not per cell.
+// An UPDATE of every cell to a constant logs a few bytes.
+//
+// Logs written before the typed records hold the same writes as per-cell
+// tagged values under their own opcodes (the V1 opcodes below). They are
+// decode-only (walrec_v1.go): old logs replay, nothing writes them.
 //
 // Replay (applyWALRecord) is the recovery half, and a replica's apply: it
 // decodes a record into the write set the live statement staged — a
@@ -29,9 +52,12 @@ import (
 // copy-on-write state and dirty marks exactly as the statement did, and a
 // snapshot a reader holds never changes under it. Every decode is
 // bounds-checked and every name, ordinal, position, shape and value is
-// validated before the mutation runs, so a corrupted-but-checksum-valid
-// record yields a clean recovery error, never a panic, and changes
-// nothing: replay is atomic per record.
+// validated before the mutation runs — row counts against the rows or
+// cells of the target (a table append's against maxRecordCells), never
+// against the record's length, since a constant column of any length
+// takes a few bytes — so a
+// corrupted-but-checksum-valid record yields a clean recovery error,
+// never a panic, and changes nothing: replay is atomic per record.
 
 // Record opcodes (first payload byte).
 const (
@@ -39,19 +65,37 @@ const (
 	recCreateArray
 	recDrop
 	recAlterDim
+	// Decode-only: DML records with per-cell tagged values (walrec_v1.go).
+	recTableAppendV1
+	recTableUpdateV1
+	recTableDeleteV1
+	recArrayCellsV1
+	recArrayUpdateV1
+	recArrayDeleteV1
+	recBulkAttrIntsV1
+	// Typed DML records: positions and values as bat columns.
 	recTableAppend
 	recTableUpdate
 	recTableDelete
-	recArrayCells // INSERT INTO array: optional growth + cell overwrites
+	recArrayCells // INSERT INTO array: the grown shape + cell overwrites
 	recArrayUpdate
 	recArrayDelete
-	recBulkAttrInts
+	recBulkAttr
 )
 
-// maxReplayCells bounds array shapes accepted during replay; anything
-// larger is treated as corruption (it would dwarf what this engine can
-// materialise anyway) instead of driving a huge allocation.
+// maxReplayCells bounds array shapes, and the rows of a table, accepted
+// during replay; anything larger is treated as corruption (it would dwarf
+// what this engine can materialise anyway) instead of driving a huge
+// allocation.
 const maxReplayCells = 1 << 31
+
+// maxRecordCells bounds the cells (rows × columns) of one table append
+// record: as many 8-byte values as the largest record holds. A constant
+// column takes a few bytes whatever its length, so neither the record's
+// size nor the target's rows bound an append; without this a record of a
+// few dozen bytes could make replay allocate gigabytes. Larger appends
+// are logged as several records (encTableAppend).
+const maxRecordCells = wal.MaxRecord / 8
 
 // ------------------------------------------------------------- encoding
 
@@ -81,6 +125,23 @@ func (e *recEnc) dims(sh shape.Shape) {
 		e.i64(d.Start)
 		e.i64(d.Step)
 		e.i64(d.Stop)
+	}
+}
+
+// columns appends the row count n, the positions when the record has
+// them (pos != nil) and one typed column per value target.
+func (e *recEnc) columns(n int, pos []int, vals []*bat.BAT) {
+	e.u64(uint64(n))
+	e.b = bat.AppendPositions(e.b, pos)
+	for _, v := range vals {
+		e.b = bat.AppendColumn(e.b, v)
+	}
+}
+
+func (e *recEnc) ordinals(idx []int) {
+	e.u64(uint64(len(idx)))
+	for _, i := range idx {
+		e.u64(uint64(i))
 	}
 }
 
@@ -188,105 +249,46 @@ func (d *recDec) ordinals(what string, n int) []int {
 	return out
 }
 
-// positions decodes a list of row or cell positions, each below n.
-func (d *recDec) positions(n int) []int {
-	out := make([]int, d.count("position"))
-	for i := range out {
-		out[i] = d.position(n)
+// rows decodes a write's row count, at most most: the rows or cells the
+// target holds, or can grow to.
+func (d *recDec) rows(most int) int {
+	v := d.u64()
+	if d.err == nil && v > uint64(max(most, 0)) {
+		d.fail("%d rows, at most %d fit the target", v, most)
 	}
-	return out
+	if d.err != nil {
+		return 0
+	}
+	return int(v)
 }
 
-func (d *recDec) position(n int) int {
-	p := d.index("position")
-	if d.err == nil && p >= n {
-		d.fail("position %d out of range [0,%d)", p, n)
+// positions decodes n row or cell positions, each below limit.
+func (d *recDec) positions(n, limit int) []int {
+	if d.err != nil {
+		return nil
 	}
-	return p
+	pos, used, err := bat.DecodePositions(d.b[d.off:], n, limit)
+	if err != nil {
+		d.fail("%v", err)
+	}
+	d.off += used
+	return pos
 }
 
-// cells decodes what recEnc.cells encodes: per row its position (each
-// below limit; a negative limit means the rows carry none) and one
-// tagged value per column, into a typed column of each kind in kinds.
-func (d *recDec) cells(limit int, kinds []types.Kind) (pos []int, cols []*bat.BAT) {
-	n := d.count("row")
-	if n*len(kinds) > len(d.b)-d.off {
-		// Every value takes at least one byte.
-		d.fail("implausible row count %d for %d columns", n, len(kinds))
-		n = 0
-	}
-	cols = make([]*bat.BAT, len(kinds))
+// columns decodes one n-row typed column of each kind in kinds.
+func (d *recDec) columns(n int, kinds []types.Kind) []*bat.BAT {
+	cols := make([]*bat.BAT, len(kinds))
 	for c, k := range kinds {
-		cols[c] = bat.New(k, n)
+		if d.err != nil {
+			return nil
+		}
+		col, used, err := bat.DecodeColumn(d.b[d.off:], k, n)
+		if err != nil {
+			d.fail("%v", err)
+		}
+		cols[c], d.off = col, d.off+used
 	}
-	if limit >= 0 {
-		pos = make([]int, n)
-	}
-	for j := 0; j < n && d.err == nil; j++ {
-		if limit >= 0 {
-			pos[j] = d.position(limit)
-		}
-		for _, col := range cols {
-			d.value(col)
-		}
-	}
-	return pos, cols
-}
-
-// value decodes one tagged value and appends it to col, converted as
-// BAT.Replace converts a value: integers and floats to either numeric
-// kind (a float truncated toward zero, failing outside the integer
-// range), booleans and strings only to their own kind. Anything else is
-// corruption.
-func (d *recDec) value(col *bat.BAT) {
-	tag := d.byte()
-	from, to := types.Kind(tag&^0x80), col.Kind()
-	toInt := to == types.KindInt || to == types.KindOID
-	switch {
-	case d.err != nil:
-	case from > types.KindStr:
-		d.fail("unknown value kind %d", from)
-	case tag&0x80 != 0:
-		col.AppendNull()
-	case from == types.KindInt || from == types.KindOID:
-		v := d.i64()
-		switch {
-		case toInt:
-			col.AppendInt(v)
-		case to == types.KindFloat:
-			col.AppendFloat(float64(v))
-		default:
-			d.fail("%s value for a %s column", from, to)
-		}
-	case from == types.KindFloat:
-		if d.off+8 > len(d.b) {
-			d.fail("truncated float at %d", d.off)
-			return
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-		d.off += 8
-		switch {
-		case to == types.KindFloat:
-			col.AppendFloat(f)
-		case toInt:
-			v, err := types.FloatToInt(f)
-			if err != nil {
-				d.fail("%v", err)
-				return
-			}
-			col.AppendInt(v)
-		default:
-			d.fail("%s value for a %s column", from, to)
-		}
-	case from == types.KindVoid:
-		d.fail("non-NULL void value")
-	case from != to:
-		d.fail("%s value for a %s column", from, to)
-	case from == types.KindBool:
-		col.AppendBool(d.byte() != 0)
-	default:
-		col.AppendStr(d.str())
-	}
+	return cols
 }
 
 // dims decodes dimension ranges onto a copy of base (names and count must
@@ -391,134 +393,66 @@ func encAlterDim(name string, dim int, d shape.Dim) []byte {
 	return e.b
 }
 
-// encTableAppend encodes the columns a table INSERT appended: the column
-// count, then every row's value in each column.
-func encTableAppend(name string, cols []*bat.BAT) []byte {
-	e := newRecEnc(recTableAppend)
-	e.str(name)
-	e.u64(uint64(len(cols)))
-	e.cells(cols[0].Len(), nil, cols)
-	return e.b
-}
-
-// encCol is a value column as the encoder reads it: the kind and the
-// typed storage, decoded once.
-type encCol struct {
-	kind   types.Kind
-	nulls  *bat.Bitmap
-	ints   []int64
-	floats []float64
-	bools  []bool
-	strs   []string
-}
-
-func newEncCol(b *bat.BAT) encCol {
-	c := encCol{kind: b.ValueKind(), nulls: b.NullMask()}
-	switch c.kind {
-	case types.KindInt, types.KindOID:
-		c.ints = b.Materialize().DecodedInts()
-	case types.KindFloat:
-		c.floats = b.DecodedFloats()
-	case types.KindBool:
-		c.bools = b.DecodedBools()
-	case types.KindStr:
-		c.strs = b.DecodedStrs()
-	}
-	return c
-}
-
-// cells appends the row count n and, per row j, its position pos[j] (no
-// positions when pos is nil) and then row j of every value column: the
-// new values of the rows or cells a write touched, already cast to their
-// targets' kinds. A value is one kind byte (0x80 = NULL) plus its
-// payload: a varint, 8 little-endian float bytes, a bool byte, or a
-// length-prefixed string.
-func (e *recEnc) cells(n int, pos []int, vals []*bat.BAT) {
-	cols := make([]encCol, len(vals))
-	for k, v := range vals {
-		cols[k] = newEncCol(v)
-	}
-	// Grow once for the common sizes — a position of up to three bytes, a
-	// tag and up to three bytes per value — instead of doubling.
-	b := slices.Grow(e.b, n*(3+4*len(vals)))
-	b = binary.AppendUvarint(b, uint64(n))
-	for j := 0; j < n; j++ {
-		if pos != nil {
-			b = binary.AppendUvarint(b, uint64(pos[j]))
-		}
-		for c := range cols {
-			col := &cols[c]
-			if col.nulls.Get(j) {
-				b = append(b, byte(col.kind)|0x80)
-				continue
-			}
-			b = append(b, byte(col.kind))
-			switch col.kind {
-			case types.KindInt, types.KindOID:
-				b = binary.AppendVarint(b, col.ints[j])
-			case types.KindFloat:
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(col.floats[j]))
-			case types.KindBool:
-				if col.bools[j] {
-					b = append(b, 1)
-				} else {
-					b = append(b, 0)
-				}
-			case types.KindStr:
-				b = binary.AppendUvarint(b, uint64(len(col.strs[j])))
-				b = append(b, col.strs[j]...)
+// encTableAppend encodes the columns a table INSERT appended, as one
+// record per maxCells cells (at least a row each); replay refuses a
+// record of more than maxRecordCells.
+func encTableAppend(name string, cols []*bat.BAT, maxCells int) [][]byte {
+	n, step := cols[0].Len(), max(maxCells/len(cols), 1)
+	var recs [][]byte
+	for lo := 0; lo < n; lo += step {
+		part := cols
+		if hi := min(lo+step, n); lo > 0 || hi < n {
+			part = make([]*bat.BAT, len(cols))
+			for i, c := range cols {
+				part[i] = c.Slice(lo, hi)
 			}
 		}
+		e := newRecEnc(recTableAppend)
+		e.str(name)
+		e.u64(uint64(len(part)))
+		e.columns(part[0].Len(), nil, part)
+		recs = append(recs, e.b)
 	}
-	e.b = b
+	return recs
 }
 
-func encTableUpdate(name string, cols []int, pos []int, vals []*bat.BAT) []byte {
+func encTableUpdate(name string, sets []int, pos []int, vals []*bat.BAT) []byte {
 	e := newRecEnc(recTableUpdate)
 	e.str(name)
-	e.u64(uint64(len(cols)))
-	for _, c := range cols {
-		e.u64(uint64(c))
-	}
-	e.cells(len(pos), pos, vals)
+	e.ordinals(sets)
+	e.columns(len(pos), pos, vals)
 	return e.b
 }
 
-func encPositions(op byte, name string, idxs []int) []byte {
+// encDelete encodes the rows (recTableDelete) or cells (recArrayDelete) a
+// DELETE removed.
+func encDelete(op byte, name string, pos []int) []byte {
 	e := newRecEnc(op)
 	e.str(name)
-	e.u64(uint64(len(idxs)))
-	for _, i := range idxs {
-		e.u64(uint64(i))
-	}
+	e.columns(len(pos), pos, nil)
 	return e.b
 }
 
-// encArrayCells encodes array cell overwrites: per cell its position,
-// then its value in each written attribute's column. INSERT records
-// (recArrayCells) lead with the array's possibly grown shape.
+// encArrayCells encodes array cell overwrites: the positions, then the
+// values of each written attribute. INSERT records (recArrayCells) lead
+// with the array's possibly grown shape.
 func encArrayCells(op byte, name string, sh shape.Shape, attrs []int, pos []int, vals []*bat.BAT) []byte {
 	e := newRecEnc(op)
 	e.str(name)
 	if op == recArrayCells {
 		e.dims(sh)
 	}
-	e.u64(uint64(len(attrs)))
-	for _, a := range attrs {
-		e.u64(uint64(a))
-	}
-	e.cells(len(pos), pos, vals)
+	e.ordinals(attrs)
+	e.columns(len(pos), pos, vals)
 	return e.b
 }
 
-func encBulkAttrInts(name string, attr int, data []int64) []byte {
-	e := newRecEnc(recBulkAttrInts)
+// encBulkAttr encodes a bulk load: col holds every cell of attribute attr.
+func encBulkAttr(name string, attr int, col *bat.BAT) []byte {
+	e := newRecEnc(recBulkAttr)
 	e.str(name)
 	e.u64(uint64(attr))
-	e.u64(uint64(len(data)))
-	for _, v := range data {
-		e.i64(v)
-	}
+	e.b = bat.AppendColumn(e.b, col)
 	return e.b
 }
 
@@ -591,9 +525,11 @@ func (db *DB) applyWALRecord(rec []byte) error {
 			return fmt.Errorf("wal drop: %v", err)
 		}
 		return nil
-	case recTableAppend, recTableUpdate, recTableDelete:
+	case recTableAppend, recTableUpdate, recTableDelete,
+		recTableAppendV1, recTableUpdateV1, recTableDeleteV1:
 		return db.replayTableWrite(op, d)
-	case recAlterDim, recArrayCells, recArrayUpdate, recArrayDelete, recBulkAttrInts:
+	case recAlterDim, recArrayCells, recArrayUpdate, recArrayDelete, recBulkAttr,
+		recArrayCellsV1, recArrayUpdateV1, recArrayDeleteV1, recBulkAttrIntsV1:
 		return db.replayArrayWrite(op, d)
 	}
 	return fmt.Errorf("wal record: unknown opcode %d", op)
@@ -703,8 +639,9 @@ func (db *DB) replayTableWrite(op byte, d *recDec) error {
 		pos, cols []int
 		vals      []*bat.BAT
 	)
+	rows := t.PhysRows()
 	switch op {
-	case recTableAppend:
+	case recTableAppend, recTableAppendV1:
 		cols = make([]int, d.count("column"))
 		if d.err == nil && len(cols) != len(t.Columns) {
 			return fmt.Errorf("wal record: table %q has %d columns, record has %d", name, len(t.Columns), len(cols))
@@ -712,20 +649,34 @@ func (db *DB) replayTableWrite(op byte, d *recDec) error {
 		for i := range cols {
 			cols[i] = i
 		}
-		_, vals = d.cells(-1, kindsOf(t.Columns, cols))
+		if op == recTableAppendV1 {
+			_, vals = d.cellsV1(-1, kindsOf(t.Columns, cols))
+			break
+		}
+		// An append grows the table by its row count: bounded like a
+		// shape, and by the cells one record may hold.
+		n := d.rows(min(maxReplayCells-rows, maxRecordCells/max(len(cols), 1)))
+		vals = d.columns(n, kindsOf(t.Columns, cols))
 	case recTableUpdate:
 		cols = d.ordinals("column", len(t.Columns))
-		pos, vals = d.cells(t.PhysRows(), kindsOf(t.Columns, cols))
-	default:
-		pos = d.positions(t.PhysRows())
+		n := d.rows(rows)
+		pos = d.positions(n, rows)
+		vals = d.columns(n, kindsOf(t.Columns, cols))
+	case recTableUpdateV1:
+		cols = d.ordinals("column", len(t.Columns))
+		pos, vals = d.cellsV1(rows, kindsOf(t.Columns, cols))
+	case recTableDelete:
+		pos = d.positions(d.rows(rows), rows)
+	case recTableDeleteV1:
+		pos = d.positionsV1(rows)
 	}
 	if err := d.done(); err != nil {
 		return err
 	}
-	if op == recTableAppend {
+	if op == recTableAppend || op == recTableAppendV1 {
 		return db.appendRows(t, vals)
 	}
-	return db.writeTable(t, op == recTableDelete, pos, cols, vals)
+	return db.writeTable(t, op == recTableDelete || op == recTableDeleteV1, pos, cols, vals)
 }
 
 // replayArrayWrite decodes an array record into the statement's write
@@ -753,38 +704,47 @@ func (db *DB) replayArrayWrite(op byte, d *recDec) error {
 			w.shape[k].Start, w.shape[k].Step, w.shape[k].Stop = start, step, stop
 			d.checkShape(w.shape)
 		}
-	case recArrayCells, recArrayUpdate:
-		if op == recArrayCells {
+	case recArrayCells, recArrayUpdate, recArrayCellsV1, recArrayUpdateV1:
+		if op == recArrayCells || op == recArrayCellsV1 {
 			w.shape = d.dims(a.Shape)
 		}
 		w.attrs = d.ordinals("attribute", len(a.Attrs))
-		w.pos, w.vals = d.cells(w.shape.Cells(), kindsOf(a.Attrs, w.attrs))
+		kinds, cells := kindsOf(a.Attrs, w.attrs), w.shape.Cells()
+		if op == recArrayCellsV1 || op == recArrayUpdateV1 {
+			w.pos, w.vals = d.cellsV1(cells, kinds)
+			break
+		}
+		// An INSERT's write set holds one row per cell at most (see
+		// stageArrayInsert), in the grown shape.
+		n := d.rows(cells)
+		w.pos = d.positions(n, cells)
+		w.vals = d.columns(n, kinds)
 	case recArrayDelete:
-		w.pos = d.positions(a.Cells())
-	case recBulkAttrInts:
+		w.pos = d.positions(d.rows(a.Cells()), a.Cells())
+	case recArrayDeleteV1:
+		w.pos = d.positionsV1(a.Cells())
+	case recBulkAttr, recBulkAttrIntsV1:
 		w.attrs = []int{d.index("attribute index")}
-		data := make([]int64, d.count("value"))
 		switch ai := w.attrs[0]; {
 		case d.err != nil:
 		case ai >= len(a.Attrs):
 			d.fail("attribute index %d out of range", ai)
 		case a.Attrs[ai].Type.Kind != types.KindInt:
 			d.fail("attribute %q is %s, not integer", a.Attrs[ai].Name, a.Attrs[ai].Type.Kind)
-		case len(data) != a.Cells():
-			d.fail("%d values for %d cells of %q", len(data), a.Cells(), name)
+		case op == recBulkAttrIntsV1:
+			w.vals = []*bat.BAT{d.bulkV1(a.Cells())}
+		default:
+			w.vals = d.columns(a.Cells(), []types.Kind{types.KindInt})
 		}
-		for i := range data {
-			data[i] = d.i64()
-		}
-		w.vals = []*bat.BAT{bat.FromInts(data)}
 	}
 	if err := d.done(); err != nil {
 		return err
 	}
 	switch op {
-	case recArrayUpdate, recArrayDelete:
-		return db.writeArray(a, op == recArrayDelete, w.pos, w.attrs, w.vals)
-	case recBulkAttrInts:
+	case recArrayUpdate, recArrayDelete, recArrayUpdateV1, recArrayDeleteV1:
+		del := op == recArrayDelete || op == recArrayDeleteV1
+		return db.writeArray(a, del, w.pos, w.attrs, w.vals)
+	case recBulkAttr, recBulkAttrIntsV1:
 		db.setAttr(a, w.attrs[0], w.vals[0])
 		return nil
 	}

@@ -348,15 +348,17 @@ func (l *Log) Append(recs ...[]byte) error {
 			return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(rec), int64(MaxRecord))
 		}
 	}
-	var frame []byte
-	var lenBuf [binary.MaxVarintLen64]byte
+	// One allocation of the exact frame size: the record bytes are copied
+	// once.
+	var size int64
 	for _, rec := range recs {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(rec)))
-		frame = append(frame, lenBuf[:n]...)
+		size += FrameSize(len(rec))
+	}
+	frame := make([]byte, 0, size)
+	for _, rec := range recs {
+		frame = binary.AppendUvarint(frame, uint64(len(rec)))
 		frame = append(frame, rec...)
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(rec))
-		frame = append(frame, crc[:]...)
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(rec))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
