@@ -510,11 +510,7 @@ func oracleRows(t *testing.T, db *DB, a *catalog.Array, s *ast.Insert, targets [
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]types.Value, res.NumRows())
-	for i := range rows {
-		rows[i] = res.Row(i)
-	}
-	return rows, nil
+	return resultRows(res), nil
 }
 
 // checkArraySelect runs q both ways from the same executed plan.

@@ -832,7 +832,10 @@ func renderExact(v types.Value) string {
 func resultRows(r *Result) [][]types.Value {
 	rows := make([][]types.Value, r.NumRows())
 	for i := range rows {
-		rows[i] = r.Row(i)
+		rows[i] = make([]types.Value, r.NumCols())
+		for c := range rows[i] {
+			rows[i][c] = r.Value(i, c)
+		}
 	}
 	return rows
 }

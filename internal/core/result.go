@@ -52,15 +52,6 @@ func (r *Result) NumCols() int { return len(r.Cols) }
 // Value returns the value at (row, col).
 func (r *Result) Value(row, col int) types.Value { return r.Cols[col].Get(row) }
 
-// Row returns one row as values.
-func (r *Result) Row(i int) []types.Value {
-	out := make([]types.Value, len(r.Cols))
-	for c := range r.Cols {
-		out[c] = r.Cols[c].Get(i)
-	}
-	return out
-}
-
 // assembleResult converts an executed MAL program into a Result, applying
 // SciQL table→array coercion when the projection has dimensional items.
 func assembleResult(job *par.Job, prog *mal.Program, ctx *mal.Ctx) (*Result, error) {

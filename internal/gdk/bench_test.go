@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -13,8 +14,8 @@ import (
 // `go run ./benchmark` isolates — the zonemap skip-scan and the sorted
 // merge join, whose scan and hash baselines are recorded in
 // EXPERIMENTS.md under "Column statistics: zonemap skip-scans and sorted
-// fast paths" — for the typed group and sort kernels at table-analytics'
-// size, and for the array kernels of image-read's smooth, reduce and edge
+// fast paths" — for the typed join, group and sort kernels at
+// table-analytics' size, and for the array kernels of image-read's smooth, reduce and edge
 // queries. They report numbers only; nothing here gates.
 
 // benchRows is the input size of the kernel benchmarks: 16 zonemap slabs.
@@ -100,6 +101,31 @@ func BenchmarkGroupIntKey(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Group(nil, []*bat.BAT{key}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJoinSmallBuild: the serial probe of 2^19 random int keys in
+// 0..999 against a 100-row build of distinct keys from the same domain
+// (table-analytics' obs.station against the stations left by the elev
+// filter); about one probe in ten matches. Changing sparseBuckets
+// reproduces the bucket-sizing table in EXPERIMENTS.md.
+func BenchmarkJoinSmallBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, tableRows)
+	for i := range vals {
+		vals[i] = rng.Int63n(1000)
+	}
+	build := make([]int64, 100)
+	for i, p := range rng.Perm(1000)[:100] {
+		build[i] = int64(p)
+	}
+	probe, keys := bat.FromInts(vals), bat.FromInts(build)
+	job := par.NewJob(1, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := HashJoin(job, []*bat.BAT{probe}, []*bat.BAT{keys}, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

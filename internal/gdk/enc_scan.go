@@ -23,7 +23,7 @@ import (
 // Every branch produces positions bit-identical to the plain loop.
 
 // intSlabScanner returns the slab scan for integer interval membership
-// `(v >= lo && v <= hi) != negate`.
+// `(v >= lo && v <= hi) != negate` (thetaBounds' test, written for ints).
 func intSlabScanner(b *bat.BAT, lo, hi int64, negate bool) func(from, to int) (seg, bool) {
 	var nulls *bat.Bitmap
 	if b.HasNulls() {
@@ -101,10 +101,11 @@ func intSlabScanner(b *bat.BAT, lo, hi int64, negate bool) func(from, to int) (s
 	}
 }
 
-// floatSlabScanner is intSlabScanner for float columns; ok is the per-value
-// predicate (theta three-way or range membership), NULL masking is handled
-// here.
-func floatSlabScanner(b *bat.BAT, ok func(float64) bool) func(from, to int) (seg, bool) {
+// floatSlabScanner is intSlabScanner for float columns, with thetaBounds'
+// test `(!(v < lo) && !(v > hi)) != negate`, under which NaN rows lie
+// inside every interval.
+func floatSlabScanner(b *bat.BAT, lo, hi float64, negate bool) func(from, to int) (seg, bool) {
+	ok := func(v float64) bool { return (!(v < lo) && !(v > hi)) != negate }
 	var nulls *bat.Bitmap
 	if b.HasNulls() {
 		nulls = b.NullMask()
@@ -133,20 +134,6 @@ func floatSlabScanner(b *bat.BAT, ok func(float64) bool) func(from, to int) (seg
 			}
 			return ok(vals[i-start])
 		})
-	}
-}
-
-// floatThetaPred replicates thetaTest's three-way comparison (under which
-// NaN compares equal to everything) as a value predicate.
-func floatThetaPred(o cmpOp, w float64) func(float64) bool {
-	return func(v float64) bool {
-		switch {
-		case v < w:
-			return o.ok(-1)
-		case v > w:
-			return o.ok(1)
-		}
-		return o.ok(0)
 	}
 }
 

@@ -945,6 +945,13 @@ func TestKernelsHonourCancelledJob(t *testing.T) {
 	}
 	k, s := bat.FromInts(ints), bat.FromStrings(strs)
 	gids := bat.FromOIDs(append([]int64(nil), ints...))
+	small := bat.FromInts(ints[:100]) // a build under the sparse bucket cap
+	fl := make([]float64, n)
+	for i, v := range ints {
+		fl[i] = float64(v) + 0.5
+	}
+	f := bat.FromFloats(fl)
+	half := bat.NewVoid(0, n/2)
 	for name, run := range map[string]func() error{
 		"order int":    func() error { _, err := OrderIdx(job, []*bat.BAT{k}, []SortSpec{{}}, -1); return err },
 		"order top-n":  func() error { _, err := OrderIdx(job, []*bat.BAT{k}, []SortSpec{{}}, 10); return err },
@@ -956,6 +963,15 @@ func TestKernelsHonourCancelledJob(t *testing.T) {
 		"count":        func() error { _, err := SubAggr(job, AggCountAll, nil, gids, 1009, nil); return err },
 		"join":         func() error { _, _, err := HashJoin(job, []*bat.BAT{k}, []*bat.BAT{k}, nil, nil); return err },
 		"left join":    func() error { _, _, err := LeftJoin(job, []*bat.BAT{k}, []*bat.BAT{k}, nil, nil); return err },
+		"join small build": func() error {
+			_, _, err := HashJoin(job, []*bat.BAT{k}, []*bat.BAT{small}, nil, nil)
+			return err
+		},
+		"group int key": func() error { _, err := Group(job, []*bat.BAT{k}, half); return err },
+		"theta int":     func() error { _, err := ThetaSelect(job, k, nil, types.Int(5), "="); return err },
+		"theta float":   func() error { _, err := ThetaSelect(job, f, half, types.Float(5), "<>"); return err },
+		"range int":     func() error { _, err := RangeSelect(job, k, half, types.Int(100), types.Int(200)); return err },
+		"range float":   func() error { _, err := RangeSelect(job, f, nil, types.Float(100), types.Float(200)); return err },
 	} {
 		if err := run(); !errors.Is(err, par.ErrCanceled) {
 			t.Errorf("%s: err = %v, want par.ErrCanceled", name, err)

@@ -188,6 +188,11 @@ func (t *groupTable) find(k *rowKeys, i int, h uint64) int64 {
 			return int64(g)
 		}
 	}
+	return t.add(i, h, s)
+}
+
+// add opens a new group with first row i (hash h) in the empty slot s.
+func (t *groupTable) add(i int, h uint64, s int) int64 {
 	g := len(t.extents)
 	t.extents = append(t.extents, int64(i))
 	t.hashes = append(t.hashes, h)
@@ -197,6 +202,29 @@ func (t *groupTable) find(k *rowKeys, i int, h uint64) int64 {
 		t.slots[s] = int32(g + 1)
 	}
 	return int64(g)
+}
+
+// findInts is find for rows [lo, hi) of a lone NULL-free int key, in one
+// loop. Multiplying by the odd hashMul is a bijection on 64-bit words, so
+// equal hashes mean equal keys: the loop compares the groups' hashes,
+// which sit in a small dense array, and never reads their first rows back
+// from the column.
+func (t *groupTable) findInts(vals []int64, lo, hi int, gids []int64) {
+	for i := lo; i < hi; i++ {
+		h := uint64(vals[i]) * hashMul
+		mask := len(t.slots) - 1
+		for s := int(h >> t.shift); ; s = (s + 1) & mask {
+			g := t.slots[s]
+			if g == 0 {
+				gids[i] = t.add(i, h, s)
+				break
+			}
+			if t.hashes[g-1] == h {
+				gids[i] = int64(g - 1)
+				break
+			}
+		}
+	}
 }
 
 // grow doubles the slot array and reinserts every group.
@@ -221,6 +249,10 @@ func (t *groupTable) grow() {
 func groupRange(job *par.Job, k *rowKeys, lo, hi int, gids []int64) *groupTable {
 	t := newGroupTable(hi - lo)
 	pollBlocks(job, lo, hi, func(lo, hi int) {
+		if k.ints != nil {
+			t.findInts(k.ints, lo, hi, gids)
+			return
+		}
 		for i := lo; i < hi; i++ {
 			gids[i] = t.find(k, i, k.hash(i))
 		}

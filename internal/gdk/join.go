@@ -178,27 +178,41 @@ type hashTable struct {
 	shift   uint
 	buckets []int32
 	next    []int32
-	hs      []uint64 // per-row hash: cheap chain filter before eq
+	hs      []uint64 // per-row hash: cheap chain filter before eq; nil for int keys
 }
 
-// first returns the 1-based chain head for hash h (0 if empty).
-func (t *hashTable) first(h uint64) int32 { return t.buckets[h>>t.shift] }
+// Small single-int-key builds get sparseBuckets buckets per row, up to
+// sparseMaxBuckets in all, so most probes of a non-matching key find an
+// empty bucket instead of walking a chain; larger builds keep one bucket
+// per row. The bucket array stays within a few hundred KB (cache-resident
+// under a probe of millions of rows) and large builds never reach the cap.
+const (
+	sparseBuckets    = 32
+	sparseMaxBuckets = 1 << 16
+)
 
-// buildHashTable hashes every row of keys (in parallel) and chains the
-// NULL-free ones into the bucket table. The insertion loop is the join's
-// long serial segment, so it polls the query's job every 4096 rows and
-// bails with a partial table — callers must check the job before using
-// the result. The job is also checked between the table's large
-// allocations: an allocation cannot be interrupted, and while the
-// garbage collector is marking a large one can take tens of milliseconds.
-func buildHashTable(job *par.Job, keys []*bat.BAT) *hashTable {
-	n := keys[0].Len()
-	t := &hashTable{keys: newRowKeys(keys), hs: make([]uint64, n)}
-	hashRows(job, t.keys, n, t.hs)
-	if job.Canceled() {
-		return t
-	}
+// buildHashTable chains the NULL-free rows of keys into the bucket table.
+// With ints set (both sides are a lone NULL-free int key), each row
+// hashes inline as it is inserted and probeInts reads the table;
+// otherwise the rows are hashed (in parallel) into hs first. The
+// insertion loop is the join's long serial segment, so it polls the
+// query's job every 4096 rows and bails with a partial table — callers
+// must check the job before using the result. The job is also checked
+// between the table's large allocations: an allocation cannot be
+// interrupted, and while the garbage collector is marking a large one can
+// take tens of milliseconds.
+func buildHashTable(job *par.Job, keys *rowKeys, n int, ints bool) *hashTable {
+	t := &hashTable{keys: keys}
 	b := tableBits(n)
+	if ints && n*sparseBuckets <= sparseMaxBuckets {
+		b = tableBits(n * sparseBuckets)
+	}
+	if !ints {
+		t.hs = make([]uint64, n)
+		if hashRows(job, keys, n, t.hs); job.Canceled() {
+			return t
+		}
+	}
 	if t.shift, t.buckets = 64-b, make([]int32, 1<<b); job.Canceled() {
 		return t
 	}
@@ -209,11 +223,18 @@ func buildHashTable(job *par.Job, keys []*bat.BAT) *hashTable {
 		if i&0xfff == 0 && job.Canceled() {
 			break
 		}
-		if !t.keys.hasNull(i) {
-			b := t.hs[i] >> t.shift
-			t.next[i] = t.buckets[b]
-			t.buckets[b] = int32(i) + 1
+		var h uint64
+		switch {
+		case ints:
+			h = uint64(keys.ints[i]) * hashMul
+		case keys.hasNull(i):
+			continue
+		default:
+			h = t.hs[i]
 		}
+		b := h >> t.shift
+		t.next[i] = t.buckets[b]
+		t.buckets[b] = int32(i) + 1
 	}
 	return t
 }
@@ -225,13 +246,29 @@ func (t *hashTable) probe(k *rowKeys, i int, out []int64) []int64 {
 		return out
 	}
 	h := k.hash(i)
-	for j := t.first(h); j != 0; j = t.next[j-1] {
+	for j := t.buckets[h>>t.shift]; j != 0; j = t.next[j-1] {
 		ri := int(j - 1)
 		if t.hs[ri] == h && k.eq(i, t.keys, ri) {
 			out = append(out, int64(ri))
 		}
 	}
 	return out
+}
+
+// probeInts is the inner-join probe of rows [lo, hi) of a lone NULL-free
+// int key against a table built on one: one loop, comparing the keys
+// themselves. It appends the (left, right) pairs to lout and rout.
+func (t *hashTable) probeInts(keys []int64, lo, hi int, lout, rout []int64) ([]int64, []int64) {
+	build, buckets, next, shift := t.keys.ints, t.buckets, t.next, t.shift
+	for i := lo; i < hi; i++ {
+		v := keys[i]
+		for j := buckets[uint64(v)*hashMul>>shift]; j != 0; j = next[j-1] {
+			if build[j-1] == v {
+				lout, rout = append(lout, int64(i)), append(rout, int64(j-1))
+			}
+		}
+	}
+	return lout, rout
 }
 
 // joinSegPairs is the size at which the probe, checking every 256 rows,
@@ -246,7 +283,11 @@ const joinSegPairs = 1 << 16
 // with a NULL right position. The probe is morsel-parallel and polls the
 // job every 256 rows; the build polls it every 4096.
 func probeJoin(job *par.Job, lkeys, rkeys []*bat.BAT, outer bool) (*bat.BAT, *bat.BAT, error) {
-	table := buildHashTable(job, rkeys)
+	// An inner join on a lone NULL-free int key on both sides takes the
+	// typed probe.
+	k, rk := newRowKeys(lkeys), newRowKeys(rkeys)
+	ints := !outer && k.ints != nil && rk.ints != nil
+	table := buildHashTable(job, rk, rkeys[0].Len(), ints)
 	if job.Canceled() {
 		return nil, nil, par.ErrCanceled
 	}
@@ -256,7 +297,6 @@ func probeJoin(job *par.Job, lkeys, rkeys []*bat.BAT, outer bool) (*bat.BAT, *ba
 	plan := par.NewPlan(job, lkeys[0].Len())
 	lsegs := make([][][]int64, plan.Chunks())
 	rsegs := make([][][]int64, plan.Chunks())
-	k := newRowKeys(lkeys)
 	plan.Run(func(c, lo, hi int) {
 		var lout, rout []int64
 		// A probe row can match many build rows, so the job is polled
@@ -268,6 +308,10 @@ func probeJoin(job *par.Job, lkeys, rkeys []*bat.BAT, outer bool) (*bat.BAT, *ba
 			if len(rout) >= joinSegPairs {
 				lsegs[c], rsegs[c] = append(lsegs[c], lout), append(rsegs[c], rout)
 				lout, rout = nil, nil
+			}
+			if ints {
+				lout, rout = table.probeInts(k.ints, b, min(b+256, hi), lout, rout)
+				continue
 			}
 			for i := b; i < min(b+256, hi); i++ {
 				from := len(rout)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -153,14 +154,16 @@ type selectCol struct {
 // NULL-bearing, constant and encoded int shapes and floats with NaN,
 // infinities and signed zeros at 5000 rows, then the
 // shapes the zonemap acts on past one slab (lazily discovered order,
-// slab-disjoint int and float bands). -short skips the large tier.
+// slab-disjoint int and float bands, the float bands with NaN rows).
+// Float columns are probed with NaN too. -short skips the large tier.
 func selectCols(t *testing.T) []selectCol {
-	rng := rand.New(rand.NewSource(321))
+	const seed = 321
+	rng := rand.New(rand.NewSource(seed))
 	var cols []selectCol
 	add := func(name string, col *bat.BAT) {
 		var probes []types.Value
 		if col.ValueKind() == types.KindFloat {
-			for _, w := range []float64{-1.5, -1, 0, 2.25, 5, 105, 250, 400} {
+			for _, w := range []float64{-1.5, -1, 0, 2.25, 5, 105, 250, 400, math.NaN()} {
 				probes = append(probes, types.Float(w))
 			}
 		} else {
@@ -168,7 +171,7 @@ func selectCols(t *testing.T) []selectCol {
 				probes = append(probes, types.Int(w))
 			}
 		}
-		cols = append(cols, selectCol{fmt.Sprintf("%s n=%d", name, col.Len()), col, probes})
+		cols = append(cols, selectCol{fmt.Sprintf("seed %d %s n=%d", seed, name, col.Len()), col, probes})
 	}
 	for _, kind := range []string{"asc", "asc-lazy", "desc", "clustered", "int", "const", "rle", "for", "float"} {
 		add(kind, refCol(t, rng, kind, 5000))
@@ -185,6 +188,13 @@ func selectCols(t *testing.T) []selectCol {
 		fl[i] = float64(i/bat.ZonemapSlab)*100 + rng.Float64()*10
 	}
 	add("float-clustered", bat.FromFloats(fl))
+	// NaN rows in the first slab only, so the zonemap still decides the
+	// others and the skip-scan runs.
+	nan := slices.Clone(fl)
+	for i := 0; i < 40; i++ {
+		nan[rng.Intn(bat.ZonemapSlab)] = math.NaN()
+	}
+	add("float-clustered-nan", bat.FromFloats(nan))
 	return cols
 }
 

@@ -109,8 +109,8 @@ func classifyRange[T int64 | float64](lo, hi, mn, mx T) slabClass {
 	return slabSome
 }
 
-// statsWant normalises the predicate constant exactly like thetaTest does
-// (AsInt truncation for integer columns, AsFloat widening for float
+// statsWant normalises the predicate constant exactly like the typed scan
+// does (AsInt truncation for integer columns, AsFloat widening for float
 // columns), so the fast paths compare the same value the scan would. ok is
 // false when the fast paths must stand down (unsupported kind, NaN).
 func statsWant(b *bat.BAT, val types.Value) (wi int64, wf float64, isInt, ok bool) {
@@ -346,28 +346,6 @@ func slabSeg(cnt, first, last int, match func(int) bool) (seg, bool) {
 	return seg{pos: pos}, true
 }
 
-// thetaIntervalInt rewrites `value op w` as inclusive interval membership
-// [lo, hi] (negated for <>), letting the integer slab scan run a tight
-// two-compare loop with no per-row indirection. The ±1 shifts cannot
-// overflow: a shift only happens for slabs classified "some", which
-// requires rows on both sides of w.
-func thetaIntervalInt(o cmpOp, w int64) (lo, hi int64, negate bool) {
-	switch o {
-	case cmpEq:
-		return w, w, false
-	case cmpNe:
-		return w, w, true
-	case cmpLt:
-		return math.MinInt64, w - 1, false
-	case cmpLe:
-		return math.MinInt64, w, false
-	case cmpGt:
-		return w + 1, math.MaxInt64, false
-	default: // cmpGe
-		return w, math.MaxInt64, false
-	}
-}
-
 // zonemapScan runs the skip-scan over window [wlo, whi): classify every
 // slab, skip the impossible ones, emit certain ones as runs, scan the
 // rest with the typed slab scanner. handled is false when the zonemap
@@ -496,14 +474,15 @@ func statsThetaSelect(b, cand *bat.BAT, val types.Value, op string) (out *bat.BA
 	var res *bat.BAT
 	var zok bool
 	if isInt {
-		ilo, ihi, neg := thetaIntervalInt(o, wi)
+		ilo, ihi, neg := thetaBounds(o, wi, math.MinInt64, math.MaxInt64)
 		res, zok = zonemapScan(zm, wlo, whi,
 			func(s int) slabClass { return classifyTheta(o, wi, zm.MinI[s], zm.MaxI[s]) },
 			intSlabScanner(b, ilo, ihi, neg))
 	} else {
+		flo, fhi, neg := thetaBounds(o, wf, math.Inf(-1), math.Inf(1))
 		res, zok = zonemapScan(zm, wlo, whi,
 			func(s int) slabClass { return classifyTheta(o, wf, zm.MinF[s], zm.MaxF[s]) },
-			floatSlabScanner(b, floatThetaPred(o, wf)))
+			floatSlabScanner(b, flo, fhi, neg))
 	}
 	if !zok {
 		return nil, false
@@ -581,7 +560,7 @@ func statsRangeSelect(b, cand *bat.BAT, lo, hi types.Value) (out *bat.BAT, handl
 	} else {
 		res, zok = zonemapScan(zm, wlo, whi,
 			func(s int) slabClass { return classifyRange(lf, hiF, zm.MinF[s], zm.MaxF[s]) },
-			floatSlabScanner(b, func(v float64) bool { return v >= lf && v <= hiF }))
+			floatSlabScanner(b, lf, hiF, false))
 	}
 	if !zok {
 		return nil, false

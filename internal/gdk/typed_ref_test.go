@@ -23,7 +23,7 @@ import (
 
 // refKinds are the column shapes the random inputs draw from.
 var refKinds = []string{"int", "extreme", "oid", "void", "float", "str", "bool", "const", "rle", "for",
-	"asc", "asc-lazy", "desc", "clustered", "str-asc"}
+	"asc", "asc-lazy", "desc", "clustered", "str-asc", "neg", "extreme-nn"}
 
 // refCol builds an n-row key column of the named shape. Domains are small
 // so groups and join matches repeat; NULLs keep whatever value the row
@@ -32,7 +32,10 @@ var refKinds = []string{"int", "extreme", "oid", "void", "float", "str", "bool",
 // derived order claims (merge join, run grouping, binary search),
 // asc-lazy leaves its order for the zonemap build to discover, and
 // clustered gives each 64K-row slab a disjoint value band, unsorted
-// within it (zonemap skip).
+// within it (zonemap skip). neg and extreme-nn are the NULL-free int keys
+// the typed join and grouping loops take: repeating negative values, and
+// math.MinInt64 beside math.MaxInt64 in one column, so max − min
+// overflows.
 func refCol(t *testing.T, rng *rand.Rand, kind string, n int) *bat.BAT {
 	t.Helper()
 	ints := func(f func(i int) int64) []int64 {
@@ -49,6 +52,11 @@ func refCol(t *testing.T, rng *rand.Rand, kind string, n int) *bat.BAT {
 	case "extreme":
 		ext := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
 		b = bat.FromInts(ints(func(int) int64 { return ext[rng.Intn(len(ext))] }))
+	case "neg":
+		return bat.FromInts(ints(func(int) int64 { return -rng.Int63n(9) - 1 }))
+	case "extreme-nn":
+		ext := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+		return bat.FromInts(ints(func(int) int64 { return ext[rng.Intn(len(ext))] }))
 	case "oid":
 		b = bat.FromOIDs(ints(func(int) int64 { return rng.Int63n(9) }))
 	case "void":
@@ -321,14 +329,15 @@ func refWidths(t *testing.T, fn func(label string, job *par.Job)) {
 }
 
 func TestTypedGroupMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(281))
+	const seed = 281
+	rng := rand.New(rand.NewSource(seed))
 	refWidths(t, func(width string, job *par.Job) {
 		for _, n := range []int{0, 1, 7, 300, 3000} {
 			for _, kinds := range refKeyLists(rng) {
 				cols := refCols(t, rng, kinds, n)
 				for _, useCand := range []bool{false, true} {
 					cand, rows := refCand(rng, n, useCand)
-					label := fmt.Sprintf("%s n=%d keys=%v cand=%v", width, n, kinds, useCand)
+					label := fmt.Sprintf("seed %d %s n=%d keys=%v cand=%v", seed, width, n, kinds, useCand)
 					wantG, wantE := refGroup(cols, rows)
 					res, err := Group(job, cols, cand)
 					if err != nil {
@@ -355,7 +364,7 @@ func TestTypedGroupMatchesReference(t *testing.T) {
 // round, alone and beside a second key of one kind.
 func refMixedKeyLists() [][2][]string {
 	var lists [][2][]string
-	for _, k := range []string{"int", "oid", "void", "const", "rle"} {
+	for _, k := range []string{"int", "oid", "void", "const", "rle", "neg", "extreme-nn"} {
 		lists = append(lists,
 			[2][]string{{k}, {"intfloat"}},
 			[2][]string{{"intfloat"}, {k}},
@@ -365,7 +374,8 @@ func refMixedKeyLists() [][2][]string {
 }
 
 func TestTypedJoinMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(282))
+	const seed = 282
+	rng := rand.New(rand.NewSource(seed))
 	refWidths(t, func(width string, job *par.Job) {
 		for _, sz := range [][2]int{{0, 5}, {5, 0}, {1, 1}, {40, 9}, {9, 40}, {700, 60}, {60, 700}} {
 			var sides [][2][]string
@@ -378,7 +388,7 @@ func TestTypedJoinMatchesReference(t *testing.T) {
 				for _, useCand := range []bool{false, true} {
 					lc, lrows := refCand(rng, sz[0], useCand)
 					rc, rrows := refCand(rng, sz[1], useCand)
-					label := fmt.Sprintf("%s %dx%d keys=%v cand=%v", width, sz[0], sz[1], lr, useCand)
+					label := fmt.Sprintf("seed %d %s %dx%d keys=%v cand=%v", seed, width, sz[0], sz[1], lr, useCand)
 
 					wl, wr, _ := refJoin(l, r, lrows, rrows, false)
 					li, ri, err := HashJoin(job, l, r, lc, rc)
@@ -404,6 +414,49 @@ func TestTypedJoinMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// TestTypedJoinBucketSizes: the typed int-key join against a map-based
+// reference at build sizes on both sides of the sparse bucket cap, with
+// keys that repeat, are negative, and span the whole int64 range.
+func TestTypedJoinBucketSizes(t *testing.T) {
+	const seed = 284
+	rng := rand.New(rand.NewSource(seed))
+	ext := []int64{math.MinInt64, math.MaxInt64, -3, 0, 7}
+	draw := func(n int) []int64 {
+		v := make([]int64, n)
+		for i := range v {
+			if rng.Intn(4) == 0 {
+				v[i] = ext[rng.Intn(len(ext))]
+			} else {
+				v[i] = rng.Int63n(3000) - 1500
+			}
+		}
+		return v
+	}
+	limit := sparseMaxBuckets / sparseBuckets
+	refWidths(t, func(width string, job *par.Job) {
+		for _, nb := range []int{1, 100, limit, limit + 1, 5000} {
+			lv, rv := draw(4000), draw(nb)
+			where := map[int64][]int64{}
+			for j, v := range rv {
+				where[v] = append(where[v], int64(j))
+			}
+			var wl, wr []int64
+			for i, v := range lv {
+				for _, j := range where[v] {
+					wl, wr = append(wl, int64(i)), append(wr, j)
+				}
+			}
+			label := fmt.Sprintf("seed %d %s build=%d", seed, width, nb)
+			li, ri, err := HashJoin(job, []*bat.BAT{bat.FromInts(lv)}, []*bat.BAT{bat.FromInts(rv)}, nil, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			wantOIDs(t, label+" left", li, wl)
+			wantOIDs(t, label+" right", ri, wr)
 		}
 	})
 }

@@ -15,9 +15,13 @@ import (
 // The generator threads a candidate environment through the plan: one
 // base-aligned BAT variable per schema column plus an optional candidate
 // list narrowing the visible rows. Selections only shrink the candidate
-// list; columns materialise exactly once, at the point that consumes them
-// (the final projection, a join/sort position list, or an aggregation
-// input) — MonetDB's late materialization.
+// list; a column materialises at most once per candidate list or join,
+// at the point that consumes it (the final projection, a join/sort
+// position list, or an aggregation input) — MonetDB's late
+// materialization. A join emits one projection per column of both sides;
+// the closing dead-code pass drops those nothing reads, along with the
+// binds of columns no instruction touches, so only consumed columns
+// materialise.
 func Compile(n rel.Node) (*Program, error) {
 	p := &Program{}
 	g := &gen{p: p}
@@ -39,7 +43,70 @@ func Compile(n rel.Node) (*Program, error) {
 	case *rel.Write:
 		p.Write = x
 	}
+	dropDead(p)
 	return p, nil
+}
+
+// dropDead is MonetDB's deadcode optimizer: walking the program backwards
+// from its results, it drops every instruction that is pure (binds,
+// projections, slices, mirrors: no effect beyond its result, and no
+// user-visible error) and whose results nothing reads. Calculator and
+// aggregate instructions stay even when dead: their division-by-zero and
+// overflow errors are part of the statement's answer.
+func dropDead(p *Program) {
+	// Every statement is compiled, so the common small program keeps its
+	// liveness on the stack.
+	var small [64]bool
+	live := small[:min(p.NVars, len(small))]
+	if p.NVars > len(small) {
+		live = make([]bool, p.NVars)
+	}
+	for _, v := range p.ResultVars {
+		live[v] = true
+	}
+	dead := 0
+	for i := len(p.Instrs) - 1; i >= 0; i-- {
+		in := &p.Instrs[i]
+		if pure(in) && !live[in.Rets[0]] {
+			dead++
+			continue
+		}
+		for j := range in.Args {
+			if v := in.Args[j].Var; v >= 0 {
+				live[v] = true
+			}
+		}
+	}
+	if dead == 0 {
+		return
+	}
+	// Every variable is read only after the instruction defining it, so
+	// live is final for an instruction once the walk has passed it.
+	n := 0
+	for i := range p.Instrs {
+		if in := &p.Instrs[i]; !pure(in) || live[in.Rets[0]] {
+			p.Instrs[n] = *in
+			n++
+		}
+	}
+	clear(p.Instrs[n:])
+	p.Instrs = p.Instrs[:n]
+}
+
+// pure reports whether in may be dropped when nothing reads its result;
+// every such instruction has exactly one.
+func pure(in *Instr) bool {
+	switch in.Module {
+	case "sql":
+		return in.Fn == "bind" || in.Fn == "tablecand"
+	case "array":
+		return in.Fn == "binddim" || in.Fn == "bindattr"
+	case "algebra":
+		return in.Fn == "projection"
+	case "bat":
+		return in.Fn == "mirror" || in.Fn == "slice"
+	}
+	return false
 }
 
 type gen struct {

@@ -217,3 +217,50 @@ func TestSlabInPlan(t *testing.T) {
 		t.Errorf("slab returned %d cells, want 3", col.Len())
 	}
 }
+
+// TestDeadCodeStarJoin: a 3-way join grouped on two columns projects
+// every column of both sides of each join; the dead-code pass leaves
+// only the projections and binds something reads, and the program still
+// answers.
+func TestDeadCodeStarJoin(t *testing.T) {
+	cat := catalog.New()
+	add := func(name string, cols []string, rows [][]int64) {
+		defs := make([]catalog.Column, len(cols))
+		for i, c := range cols {
+			defs[i] = catalog.Column{Name: c, Type: types.SQLInt}
+		}
+		tb := catalog.NewTable(name, defs)
+		for _, r := range rows {
+			for i, v := range r {
+				tb.Bats[i].AppendInt(v)
+			}
+		}
+		if err := cat.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("obs", []string{"id", "station", "day", "flag"}, [][]int64{{0, 1, 0, 5}, {1, 2, 0, 6}, {2, 1, 1, 7}, {3, 3, 1, 8}})
+	add("station", []string{"id", "region", "elev"}, [][]int64{{1, 10, 0}, {2, 10, 900}, {3, 11, 5}})
+	add("region", []string{"id", "zone"}, [][]int64{{10, 0}, {11, 1}})
+	prog, ctx := runQuery(t, cat, `SELECT r.id, s.elev, COUNT(*) FROM obs o, station s, region r `+
+		`WHERE o.station = s.id AND s.region = r.id GROUP BY r.id, s.elev`)
+	read := make([]bool, prog.NVars)
+	for _, v := range prog.ResultVars {
+		read[v] = true
+	}
+	for _, in := range prog.Instrs {
+		for _, a := range in.Args {
+			if a.IsVar() {
+				read[a.Var] = true
+			}
+		}
+	}
+	for _, in := range prog.Instrs {
+		if pure(&in) && !read[in.Rets[0]] {
+			t.Errorf("unread %s in\n%s", in, prog)
+		}
+	}
+	if got := ctx.Vars[prog.ResultVars[2]].(*bat.BAT); got.Len() != 3 {
+		t.Errorf("%d groups, want 3:\n%s", got.Len(), prog)
+	}
+}
