@@ -38,9 +38,9 @@ type Table struct {
 	Version uint64
 
 	// Mod counts committed modifications to this table. The engine bumps
-	// it under its write lock before every mutation; optimistic writers
-	// that prepared against a snapshot compare the live Mod against the
-	// snapshot's to detect a conflicting first committer.
+	// it under its write lock before every mutation; a write staged
+	// against a snapshot compares the live Mod of every object it read
+	// against the snapshot's to detect a conflicting first committer.
 	Mod uint64
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/mal"
+	"repro/internal/rel"
 	"repro/internal/shape"
 	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
@@ -502,10 +503,10 @@ func mustParseOne(t *testing.T, q string) ast.Statement {
 func oracleRows(t *testing.T, db *DB, a *catalog.Array, s *ast.Insert, targets []arrayTarget) ([][]types.Value, error) {
 	t.Helper()
 	if s.Query == nil {
-		return insertSource(db.cat, s, len(targets))
+		return insertSource(rel.NewBinder(db.cat), s, len(targets))
 	}
 	db.mu.RLock()
-	res, err := db.runSelectRaw(context.Background(), nil, s.Query)
+	_, res, err := db.runRaw(context.Background(), nil, rel.NewBinder(db.cat), s.Query)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -519,7 +520,7 @@ func checkArraySelect(t *testing.T, db *DB, q string) string {
 	sel := mustParseOne(t, q).(*ast.Select)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	prog, err := compile(db.cat, sel)
+	prog, err := compile(rel.NewBinder(db.cat), sel)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}

@@ -21,12 +21,11 @@ import (
 //
 // Visibility vs durability: effects become visible to readers at apply
 // time (publish under db.mu) and the client is acknowledged after the
-// group fsync. The commit-window contract is unchanged from the
-// serialized path — crash recovery replays exactly the batches the log
-// holds, and every acknowledged commit is in the log — but a reader can
-// now observe a commit an instant before its writer is acked. The
-// serialized path has the same property (it publishes even when the
-// flush fails); the crash matrices assert acked ⊆ replayed either way.
+// group fsync. Crash recovery replays exactly the batches the log holds,
+// and every acknowledged commit is in the log, but a reader can observe a
+// commit an instant before its writer is acked (publication does not
+// wait for the fsync, and happens even when the append fails); the crash
+// matrices assert acked ⊆ replayed.
 //
 // Checkpoints run on the loop too, for a correctness reason rather than
 // a convenience: a checkpoint folds the *live* catalog — including
@@ -36,9 +35,11 @@ import (
 // a double-apply. checkpointOnLoop therefore flushes the queue to the
 // outgoing log, under db.mu where the queue cannot grow, before folding.
 
-// errCommitLoopStopped is returned to a writer that raced Close: the
-// loop is gone, so the batch cannot be made durable.
-var errCommitLoopStopped = errors.New("database closed: commit queue stopped")
+// errClosed refuses every write to a directory-backed database whose
+// commit loop Close has stopped: no batch could be made durable any more,
+// so nothing is applied (writeBlockedErr). A closed queue answers with it
+// too.
+var errClosed = errors.New("database is closed")
 
 // DefaultCommitGroup is the maximum number of commit batches coalesced
 // into one WAL fsync. The queue itself is unbounded (each writer has at
@@ -72,7 +73,7 @@ func (q *commitQueue) enqueue(r *commitReq) error {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return errCommitLoopStopped
+		return errClosed
 	}
 	q.reqs = append(q.reqs, r)
 	q.mu.Unlock()
@@ -157,7 +158,8 @@ func (db *DB) startCommitLoopLocked() {
 }
 
 // stopCommitLoop closes the queue and waits for the loop to drain and
-// exit. After it returns the serialized paths own the WAL again.
+// exit. From the moment it takes the queue away, writeBlockedErr refuses
+// every write; Close owns the WAL once it returns.
 func (db *DB) stopCommitLoop() {
 	db.mu.Lock()
 	q := db.commitQ
@@ -232,11 +234,11 @@ func (db *DB) appendGroup(group []*commitReq, stuck error, locked bool) error {
 			batches[i] = r.batch
 		}
 		if aerr := db.wal.Append(batches...); aerr != nil {
-			// Same contract as the serialized flushWALLocked: the applied
-			// effects are missing from the log, memory and disk diverged —
-			// latch degraded so no later record references state the log
-			// never saw. The waiters' error carries both the sentinel and
-			// the cause.
+			// The applied effects are missing from the log, memory and disk
+			// diverged — latch degraded so no later record references state
+			// the log never saw; a successful checkpoint (Save/Close)
+			// re-converges and clears it. The waiters' error carries both
+			// the sentinel and the cause.
 			cause := fmt.Errorf("wal append: %v", aerr)
 			if !locked {
 				db.mu.Lock()
@@ -317,45 +319,16 @@ func (db *DB) enqueueCommitLocked() (*commitReq, error) {
 	return req, nil
 }
 
-// commitBoundaryLocked is the autocommit durability+publication
-// boundary shared by execStmtCtx and the bulk-load path: with the commit
-// loop running it enqueues the batch (the caller waits on the returned
-// request after unlocking); without one — an in-memory database, which
-// has no log, or a loop Close already stopped — it flushes the log
-// inline and may trigger an inline checkpoint.
+// commitBoundaryLocked is the durability+publication boundary shared by
+// the autocommit statement, COMMIT and the bulk-load path: it enqueues the
+// batch on the commit loop (the caller waits on the returned request after
+// unlocking) and publishes. An in-memory database has no log and only
+// publishes; a durable one always has the loop here, because
+// writeBlockedErr refuses its writes once Close has stopped it.
 func (db *DB) commitBoundaryLocked() (*commitReq, error) {
-	if db.commitQ != nil {
-		req, err := db.enqueueCommitLocked()
-		if len(db.dirty) > 0 {
-			db.publishLocked()
-		}
-		return req, err
-	}
-	ferr := db.flushWALLocked()
-	if len(db.dirty) > 0 {
-		db.publishLocked()
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	// No automatic checkpoint once degraded: it would persist the very
-	// statement the caller was just told failed (and silently lift the
-	// read-only state). Only an explicit Save/Close may re-converge
-	// after a WAL failure.
-	if db.degraded == nil {
-		if cerr := db.maybeCheckpointLocked(); cerr != nil {
-			return nil, cerr
-		}
-	}
-	return nil, nil
-}
-
-// takePendingCommitLocked collects the commit request a nested path
-// (txnStmt's COMMIT) registered for the statement boundary to wait on.
-func (db *DB) takePendingCommitLocked() (*commitReq, string) {
-	req, msg := db.pendingCommit, db.pendingMsg
-	db.pendingCommit, db.pendingMsg = nil, ""
-	return req, msg
+	req, err := db.enqueueCommitLocked()
+	db.publishLocked()
+	return req, err
 }
 
 // CommitStats returns the number of durable commit batches issued and

@@ -2,10 +2,10 @@ package core
 
 // Concurrent-writer isolation suite (run under -race): N sessions issuing
 // conflicting and non-conflicting autocommit DML. Plain Exec must never
-// surface a conflict error — the router retries and falls back to the
-// serialized path — while ExecOptimistic surfaces first-committer-wins
-// losses as clean ErrWriteConflict errors, and the committed state always
-// equals a serial replay of the winners.
+// surface a conflict error — a write whose read set no longer validates
+// stages again against the live catalog under the lock — while the
+// validation itself is first-committer-wins, and the committed state
+// always equals a serial replay of the winners.
 
 import (
 	"context"
@@ -69,9 +69,8 @@ func TestConcurrentWritersNonConflicting(t *testing.T) {
 }
 
 // TestConcurrentWritersSharedTable: inserts into one table race on its
-// Mod stamp; the router must absorb every conflict (retry, then
-// serialized fallback) so plain sessions see no errors and no lost
-// writes.
+// Mod stamp; the router must absorb every conflict (staging again under
+// the lock) so plain sessions see no errors and no lost writes.
 func TestConcurrentWritersSharedTable(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDB(dir, OpenOptions{})
@@ -130,9 +129,11 @@ func TestConcurrentWritersSharedTable(t *testing.T) {
 	check(db2, "after reopen")
 }
 
-// TestConcurrentUpdatersFirstCommitterWins: racing ExecOptimistic
-// updates on one row. Every loser must get a clean ErrWriteConflict and
-// the final state must equal a serial replay of exactly the winners.
+// TestConcurrentUpdatersFirstCommitterWins: updates of one row, all
+// staged on the same snapshot, race to validate. Exactly one wins; every
+// loser's validation reports errWriteConflict and applies nothing. Plain
+// Query callers racing the same update never see that conflict: every
+// one of their increments lands.
 func TestConcurrentUpdatersFirstCommitterWins(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDB(dir, OpenOptions{})
@@ -143,6 +144,11 @@ func TestConcurrentUpdatersFirstCommitterWins(t *testing.T) {
 	db.MustQuery(`CREATE TABLE t (v INT)`)
 	db.MustQuery(`INSERT INTO t VALUES (0)`)
 
+	stmt, err := parser.ParseOne(`UPDATE t SET v = v + 1`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	snap := db.Snapshot()
 	const updaters = 8
 	var wg sync.WaitGroup
 	errs := make([]error, updaters)
@@ -150,9 +156,24 @@ func TestConcurrentUpdatersFirstCommitterWins(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s := db.NewSession()
-			defer s.Close()
-			_, errs[i] = s.ExecOptimistic(`UPDATE t SET v = v + 1`)
+			st := db.stage(context.Background(), db.newJob(), snap, stmt)
+			if st.err != nil {
+				errs[i] = st.err
+				return
+			}
+			db.mu.Lock()
+			var req *commitReq
+			if errs[i] = db.validateLocked(st.reads); errs[i] == nil {
+				if _, errs[i] = st.apply(db); errs[i] == nil {
+					req, errs[i] = db.commitBoundaryLocked()
+				}
+			}
+			db.mu.Unlock()
+			if req != nil {
+				if werr := <-req.done; werr != nil && errs[i] == nil {
+					errs[i] = werr
+				}
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -162,84 +183,42 @@ func TestConcurrentUpdatersFirstCommitterWins(t *testing.T) {
 		switch {
 		case err == nil:
 			wins++
-		case errors.Is(err, ErrWriteConflict):
-			// A clean first-committer-wins loss; the caller owns the retry.
+		case errors.Is(err, errWriteConflict):
+			// A clean first-committer-wins loss.
 		default:
-			t.Fatalf("updater %d: %v, want nil or ErrWriteConflict", i, err)
+			t.Fatalf("updater %d: %v, want nil or errWriteConflict", i, err)
 		}
 	}
-	if wins == 0 {
-		t.Fatal("no updater won; at least one optimistic commit must succeed")
+	if wins != 1 {
+		t.Fatalf("%d updaters won against one snapshot, want exactly 1", wins)
 	}
-	r := db.MustQuery(`SELECT v FROM t`)
-	if got := r.Cols[0].Ints()[0]; got != int64(wins) {
-		t.Fatalf("v = %d after %d winning increments: committed state must equal a serial replay of the winners", got, wins)
-	}
-}
-
-// TestOptimisticStaleSnapshotDropCreate: a plan staged against a table
-// that is then dropped and recreated under the same name must conflict —
-// the database-wide Mod sequence guarantees the new incarnation never
-// reuses the old stamp, so the stale effect cannot land on the wrong
-// storage.
-func TestOptimisticStaleSnapshotDropCreate(t *testing.T) {
-	db, err := OpenDB(t.TempDir(), OpenOptions{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer db.Close()
-	db.MustQuery(`CREATE TABLE t (a INT)`)
-	db.MustQuery(`INSERT INTO t VALUES (1)`)
-
-	stmt, err := parser.ParseOne(`UPDATE t SET a = 99`)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	st, err := db.prepareOptimistic(context.Background(), nil, db.view.Load(), stmt)
-	if err != nil || st == nil {
-		t.Fatalf("prepare = (%v, %v), want a staged write", st, err)
+	if got := db.MustQuery(`SELECT v FROM t`).Cols[0].Ints()[0]; got != 1 {
+		t.Fatalf("v = %d after one winning increment: the losers must apply nothing", got)
 	}
 
-	// The target is replaced wholesale between prepare and apply.
-	db.MustQuery(`DROP TABLE t`)
-	db.MustQuery(`CREATE TABLE t (a INT)`)
-	db.MustQuery(`INSERT INTO t VALUES (2)`)
-
-	if _, _, err := db.applyStaged(st); !errors.Is(err, ErrWriteConflict) {
-		t.Fatalf("apply against a recreated table = %v, want ErrWriteConflict", err)
+	for i := 0; i < updaters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s := db.NewSession()
+			defer s.Close()
+			_, errs[i] = s.Query(`UPDATE t SET v = v + 1`)
+		}(i)
 	}
-	r := db.MustQuery(`SELECT a FROM t`)
-	if got := r.Cols[0].Ints()[0]; got != 2 {
-		t.Fatalf("a = %d, want 2: the stale plan must not touch the new incarnation", got)
-	}
-}
-
-// TestExecOptimisticIneligible: statement shapes outside the optimistic
-// path are rejected with a clear error rather than silently serialized.
-func TestExecOptimisticIneligible(t *testing.T) {
-	db, err := OpenDB(t.TempDir(), OpenOptions{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer db.Close()
-	db.MustQuery(`CREATE TABLE src (a INT)`)
-	db.MustQuery(`CREATE TABLE dst (a INT)`)
-	s := db.NewSession()
-	defer s.Close()
-	for _, q := range []string{
-		`INSERT INTO dst SELECT a FROM src`, // plans against a second object
-		`SELECT * FROM src`,                 // not DML at all
-	} {
-		if _, err := s.ExecOptimistic(q); err == nil ||
-			!strings.Contains(err.Error(), "not eligible") {
-			t.Fatalf("ExecOptimistic(%q) = %v, want a not-eligible error", q, err)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("plain updater %d: %v (plain Query must never surface a conflict)", i, err)
 		}
+	}
+	if got := db.MustQuery(`SELECT v FROM t`).Cols[0].Ints()[0]; got != 1+updaters {
+		t.Fatalf("v = %d, want %d: every plain increment must land", got, 1+updaters)
 	}
 }
 
 // TestConcurrentWriteBlockedByOpenTxn: while one session holds the
 // explicit transaction, other sessions' writes are refused with a clean
-// error (optimistic path included) and succeed after COMMIT.
+// error and succeed after COMMIT.
 func TestConcurrentWriteBlockedByOpenTxn(t *testing.T) {
 	db, err := OpenDB(t.TempDir(), OpenOptions{})
 	if err != nil {
@@ -258,10 +237,6 @@ func TestConcurrentWriteBlockedByOpenTxn(t *testing.T) {
 	if _, err := other.Query(`INSERT INTO t VALUES (2)`); err == nil ||
 		!strings.Contains(err.Error(), "another session holds an open transaction") {
 		t.Fatalf("write during foreign txn = %v, want a writes-blocked error", err)
-	}
-	if _, err := other.ExecOptimistic(`INSERT INTO t VALUES (2)`); err == nil ||
-		!strings.Contains(err.Error(), "open transaction") {
-		t.Fatalf("ExecOptimistic during foreign txn = %v, want an open-transaction error", err)
 	}
 	if _, err := owner.Exec(`COMMIT`); err != nil {
 		t.Fatalf("COMMIT: %v", err)

@@ -156,7 +156,7 @@ func (db *DB) evalDimRange(b *rel.Binder, r ast.DimRange) (shape.Dim, error) {
 }
 
 // addTable is the mutation of CREATE TABLE, shared with WAL replay. It
-// stamps the fresh incarnation: a stale optimistic snapshot of a
+// stamps the fresh incarnation: a write staged on a stale snapshot of a
 // same-named dropped table must fail its Mod check (see stampMod).
 func (db *DB) addTable(t *catalog.Table) error {
 	db.stampMod(&t.Mod)

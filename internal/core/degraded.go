@@ -52,14 +52,18 @@ func (db *DB) degradeLocked(cause error) {
 }
 
 // writeBlockedErr returns the refusal every write path must surface
-// while degraded, read-only or a replica (nil otherwise). Must be called
+// while read-only or a replica, degraded, or closed (nil otherwise). A
+// writable directory-backed database without a commit loop is closed:
+// OpenDB and Promote start the loop, only Close stops it. Must be called
 // under the writer lock (read or write).
 func (db *DB) writeBlockedErr() error {
-	if db.readOnly != "" {
+	switch {
+	case db.readOnly != "":
 		return fmt.Errorf("%w (%s)", ErrReadOnly, db.readOnly)
+	case db.degraded != nil:
+		return fmt.Errorf("%w: %v; Save() or reopen to recover", ErrDegraded, db.degraded)
+	case db.dir != "" && db.commitQ == nil:
+		return errClosed
 	}
-	if db.degraded == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %v; Save() or reopen to recover", ErrDegraded, db.degraded)
+	return nil
 }

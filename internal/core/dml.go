@@ -16,11 +16,10 @@ import (
 	"repro/internal/types"
 )
 
-// insertSource materialises the literal VALUES rows of an INSERT. It
-// binds against an explicit catalog so the optimistic write path can
-// stage rows off a published snapshot (see optimistic.go).
-func insertSource(cat *catalog.Catalog, s *ast.Insert, wantCols int) ([][]types.Value, error) {
-	b := rel.NewBinder(cat)
+// insertSource materialises the literal VALUES rows of an INSERT through
+// the statement's binder, against whichever catalog the write is staged
+// on (see stage.go).
+func insertSource(b *rel.Binder, s *ast.Insert, wantCols int) ([][]types.Value, error) {
 	rows := make([][]types.Value, 0, len(s.Rows))
 	for _, r := range s.Rows {
 		if len(r) != wantCols {
@@ -39,31 +38,30 @@ func insertSource(cat *catalog.Catalog, s *ast.Insert, wantCols int) ([][]types.
 	return rows, nil
 }
 
-// runSelectRaw executes the query side of an INSERT under the statement's
-// context, without array coercion (positions matter, not the coerced
-// shape).
-func (db *DB) runSelectRaw(ctx context.Context, job *par.Job, sel *ast.Select) (*Result, error) {
-	prog, err := compile(db.cat, sel)
+// runRaw binds stmt through b, compiles it and runs it under ctx, and
+// returns its program with the result columns as they are: the query side
+// of an INSERT (positions matter, not the coerced shape) and the write
+// program of an UPDATE or DELETE.
+func (db *DB) runRaw(ctx context.Context, job *par.Job, b *rel.Binder, stmt ast.Statement) (*mal.Program, *Result, error) {
+	prog, mctx, err := db.run(ctx, job, b, stmt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	mctx, err := mal.Run(ctx, prog, job, db.hook)
-	if err != nil {
-		return nil, err
-	}
-	return rawResult(prog, mctx)
+	res, err := rawResult(prog, mctx)
+	return prog, res, err
 }
 
-// insert implements INSERT INTO for both tables (append) and arrays
-// (overwrite cells at the given positions, §2).
-func (db *DB) insert(ctx context.Context, job *par.Job, s *ast.Insert) (*Result, error) {
-	if t, ok := db.cat.Table(s.Table); ok {
-		return db.insertTable(ctx, job, s, t)
+// queryColumns runs the query side of an INSERT and checks it produces
+// one column per target.
+func (db *DB) queryColumns(ctx context.Context, job *par.Job, b *rel.Binder, s *ast.Insert, want int) (*Result, error) {
+	_, res, err := db.runRaw(ctx, job, b, s.Query)
+	if err != nil {
+		return nil, err
 	}
-	if a, ok := db.cat.Array(s.Table); ok {
-		return db.insertArray(ctx, job, s, a)
+	if res.NumCols() != want {
+		return nil, fmt.Errorf("INSERT expects %d columns, query produces %d", want, res.NumCols())
 	}
-	return nil, fmt.Errorf("at %s: no such table or array: %q", s.Pos, s.Table)
+	return res, nil
 }
 
 // insertMapping resolves the target column ordinal per source column of
@@ -119,15 +117,22 @@ func tableColumns(job *par.Job, t *catalog.Table, mapping []int, src []*bat.BAT,
 	return cols, nil
 }
 
-// stageTableInsert casts the literal rows of an INSERT ... VALUES once
-// into the table's write set, entirely read-only against cat: the plan
-// half of insertTable, shared with the optimistic write path.
-func stageTableInsert(job *par.Job, cat *catalog.Catalog, t *catalog.Table, s *ast.Insert) ([]*bat.BAT, error) {
+// stageTableInsert turns a table INSERT's source — the query's result
+// columns, or the literal rows cast once into columns — into the table's
+// write set, reading the catalog through b and never mutating it.
+func (db *DB) stageTableInsert(ctx context.Context, job *par.Job, b *rel.Binder, t *catalog.Table, s *ast.Insert) ([]*bat.BAT, error) {
 	mapping, err := insertMapping(t, s)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := insertSource(cat, s, len(mapping))
+	if s.Query != nil {
+		res, err := db.queryColumns(ctx, job, b, s, len(mapping))
+		if err != nil {
+			return nil, err
+		}
+		return tableColumns(job, t, mapping, res.Cols, res.NumRows())
+	}
+	rows, err := insertSource(b, s, len(mapping))
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +153,11 @@ func stageTableInsert(job *par.Job, cat *catalog.Catalog, t *catalog.Table, s *a
 func (db *DB) appendRows(t *catalog.Table, cols []*bat.BAT) error {
 	db.noteModifyTable(t)
 	for i, col := range cols {
-		// INSERT INTO t SELECT ... FROM t: append from a copy, so every
-		// row is read as it was before the statement wrote anything.
+		// INSERT INTO t SELECT ... FROM t staged against the live catalog
+		// (inside a transaction, or staged again after a conflict): append
+		// from a copy, so every row is read as it was before the statement
+		// wrote anything. A column staged on a snapshot is a frozen copy,
+		// never one of t's own BATs.
 		if slices.Contains(t.Bats, col) {
 			cols[i] = col.Clone()
 		}
@@ -178,32 +186,6 @@ func (db *DB) applyTableInsert(t *catalog.Table, cols []*bat.BAT) (*Result, erro
 		}
 	}
 	return &Result{Affected: n, Text: fmt.Sprintf("%d rows inserted", n)}, nil
-}
-
-func (db *DB) insertTable(ctx context.Context, job *par.Job, s *ast.Insert, t *catalog.Table) (*Result, error) {
-	if s.Query == nil {
-		cols, err := stageTableInsert(job, db.cat, t, s)
-		if err != nil {
-			return nil, err
-		}
-		return db.applyTableInsert(t, cols)
-	}
-	mapping, err := insertMapping(t, s)
-	if err != nil {
-		return nil, err
-	}
-	res, qerr := db.runSelectRaw(ctx, job, s.Query)
-	if qerr != nil {
-		return nil, qerr
-	}
-	if res.NumCols() != len(mapping) {
-		return nil, fmt.Errorf("INSERT expects %d columns, query produces %d", len(mapping), res.NumCols())
-	}
-	cols, err := tableColumns(job, t, mapping, res.Cols, res.NumRows())
-	if err != nil {
-		return nil, err
-	}
-	return db.applyTableInsert(t, cols)
 }
 
 // arrayTarget is one source column of an array INSERT: a dimension or an
@@ -312,12 +294,40 @@ type arrayWrite struct {
 	vals  []*bat.BAT
 }
 
-// stageArrayInsert validates an array INSERT's source columns and turns
+// stageArrayInsert turns an array INSERT's source — the query's result
+// columns, or the literal rows cast once into columns — into its write
+// set (arrayWriteSet), reading the catalog through b and never mutating
+// it.
+func (db *DB) stageArrayInsert(ctx context.Context, job *par.Job, b *rel.Binder, a *catalog.Array, s *ast.Insert) (*arrayWrite, error) {
+	targets, err := arrayTargets(a, s)
+	if err != nil {
+		return nil, err
+	}
+	var cols []*bat.BAT
+	if s.Query != nil {
+		res, err := db.queryColumns(ctx, job, b, s, len(targets))
+		if err != nil {
+			return nil, err
+		}
+		cols = res.Cols
+	} else {
+		rows, err := insertSource(b, s, len(targets))
+		if err != nil {
+			return nil, err
+		}
+		if cols, err = valuesColumns(a, targets, rows); err != nil {
+			return nil, err
+		}
+	}
+	return arrayWriteSet(job, a, targets, cols)
+}
+
+// arrayWriteSet validates an array INSERT's source columns and turns
 // them into its write set without touching the array: coordinates
 // (NULL or non-integer fails), growth of unbounded dimensions (off-grid
 // fails), cell positions in the grown shape (outside fails), attribute
 // casts (a failed cast fails), in that order.
-func stageArrayInsert(job *par.Job, a *catalog.Array, targets []arrayTarget, cols []*bat.BAT) (*arrayWrite, error) {
+func arrayWriteSet(job *par.Job, a *catalog.Array, targets []arrayTarget, cols []*bat.BAT) (*arrayWrite, error) {
 	coords := make([][]int64, len(a.Shape))
 	for ti, tg := range targets {
 		if tg.isDim {
@@ -424,43 +434,9 @@ func coordInts(col *bat.BAT, dim string) ([]int64, error) {
 	return nil, fmt.Errorf("dimension %q: %v", dim, err)
 }
 
-// insertArray overwrites the cells an INSERT's rows address (§2): its
-// source — the query's result columns, or the literal rows cast once into
-// columns — becomes a columnar write set, validated whole before the
-// array changes.
-func (db *DB) insertArray(ctx context.Context, job *par.Job, s *ast.Insert, a *catalog.Array) (*Result, error) {
-	targets, err := arrayTargets(a, s)
-	if err != nil {
-		return nil, err
-	}
-	var cols []*bat.BAT
-	if s.Query != nil {
-		res, err := db.runSelectRaw(ctx, job, s.Query)
-		if err != nil {
-			return nil, err
-		}
-		if res.NumCols() != len(targets) {
-			return nil, fmt.Errorf("INSERT expects %d columns, query produces %d", len(targets), res.NumCols())
-		}
-		cols = res.Cols
-	} else {
-		rows, err := insertSource(db.cat, s, len(targets))
-		if err != nil {
-			return nil, err
-		}
-		if cols, err = valuesColumns(a, targets, rows); err != nil {
-			return nil, err
-		}
-	}
-	w, err := stageArrayInsert(job, a, targets, cols)
-	if err != nil {
-		return nil, err
-	}
-	return db.applyArrayWrite(job, a, w)
-}
-
-// applyArrayWrite applies an array INSERT's write set under the writer
-// lock and logs the effect.
+// applyArrayWrite overwrites the cells an array INSERT's rows address
+// (§2) with its write set, validated whole before the array changes,
+// under the writer lock, and logs the effect.
 func (db *DB) applyArrayWrite(job *par.Job, a *catalog.Array, w *arrayWrite) (*Result, error) {
 	reshaped, err := db.writeCells(job, a, w)
 	if err != nil {
@@ -488,8 +464,10 @@ func (db *DB) writeCells(job *par.Job, a *catalog.Array, w *arrayWrite) (bool, e
 		}
 	}
 	// A source column may be one of the target columns itself (INSERT INTO
-	// a SELECT ... FROM a): scatter from a copy, so every row is read as
-	// it was before the statement wrote anything.
+	// a SELECT ... FROM a staged against the live catalog: inside a
+	// transaction, or staged again after a conflict): scatter from a copy,
+	// so every row is read as it was before the statement wrote anything.
+	// A column staged on a snapshot is a frozen copy, never a's own BAT.
 	for k, src := range w.vals {
 		for _, ai := range w.attrs {
 			if src == a.AttrBats[ai] {
@@ -577,29 +555,21 @@ func grownShape(a *catalog.Array, coords [][]int64) (shape.Shape, error) {
 // candidate list, ascending), and per SET target its values aligned with
 // pos and cast to the target's kind. Planning reads the catalog without
 // mutating it, so a statement that fails applies nothing, in memory and
-// on disk alike, and the optimistic path can plan against a published
-// snapshot and apply to the live object once validated.
+// on disk alike, and a plan made against a published snapshot applies to
+// the live object once validated (stage.go).
 type writePlan struct {
 	w    *rel.Write
 	pos  *bat.BAT
 	vals []*bat.BAT
 }
 
-// planWrite binds an UPDATE or DELETE against cat and runs its MAL
-// program under ctx: the ordinary scan and selection yield the positions,
-// the SET values evaluate over the selected rows only. A value of another
-// kind than its target is cast here, so a failed cast fails the statement
+// planWrite binds an UPDATE or DELETE through b and runs its MAL program
+// under ctx: the ordinary scan and selection yield the positions, the SET
+// values evaluate over the selected rows only. A value of another kind
+// than its target is cast here, so a failed cast fails the statement
 // before anything is written.
-func (db *DB) planWrite(ctx context.Context, job *par.Job, cat *catalog.Catalog, stmt ast.Statement) (*writePlan, error) {
-	prog, err := compile(cat, stmt)
-	if err != nil {
-		return nil, err
-	}
-	mctx, err := mal.Run(ctx, prog, job, db.hook)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rawResult(prog, mctx)
+func (db *DB) planWrite(ctx context.Context, job *par.Job, b *rel.Binder, stmt ast.Statement) (*writePlan, error) {
+	prog, res, err := db.runRaw(ctx, job, b, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -748,16 +718,4 @@ func (db *DB) applyArrayWritePlan(a *catalog.Array, p *writePlan) (*Result, erro
 		db.logRecord(encArrayCells(recArrayUpdate, a.Name, nil, sets, pos, p.vals))
 	}
 	return &Result{Affected: len(pos), Text: fmt.Sprintf("%d cells updated", len(pos))}, nil
-}
-
-// write implements UPDATE and DELETE against the live catalog.
-func (db *DB) write(ctx context.Context, job *par.Job, stmt ast.Statement) (*Result, error) {
-	p, err := db.planWrite(ctx, job, db.cat, stmt)
-	if err != nil {
-		return nil, err
-	}
-	if p.w.T != nil {
-		return db.applyTableWritePlan(p.w.T, p)
-	}
-	return db.applyArrayWritePlan(p.w.A, p)
 }

@@ -29,10 +29,13 @@ import (
 // PLAN) run lock-free against the last published catalog snapshot, so any
 // number of concurrent readers execute truly in parallel with each other
 // and with the writer. Writes (DDL, DML, transaction control) keep
-// single-writer semantics under mu: each mutating statement executes
-// against the live catalog and then publishes a fresh copy-on-write
+// single-writer semantics under mu: every mutation is applied to the live
+// catalog under the lock, which then publishes a fresh copy-on-write
 // snapshot, so readers always observe statement-atomic (and, inside
-// explicit transactions, commit-atomic) state — snapshot isolation.
+// explicit transactions, commit-atomic) state — snapshot isolation. A DML
+// statement does its binding and its write program before that, staged
+// against the published snapshot without the lock, and is validated by
+// its read set under the lock (stage.go); DDL runs entirely under it.
 type DB struct {
 	// mu is the writer lock: held exclusively for every mutating
 	// statement (and briefly, shared, by readers to route against the
@@ -94,21 +97,16 @@ type DB struct {
 	replica  bool
 
 	// Group commit state (commit.go): commitQ is the queue between
-	// committers and the loop goroutine (nil = inline commits: in-memory,
-	// read-only and replica databases, or a stopped loop), commitGroup
-	// the max batches coalesced per fsync (DefaultCommitGroup; tests
-	// shrink it), commitDone the loop's exit signal.
-	// pendingCommit/pendingMsg thread a commit request from a nested
-	// boundary (txnStmt's COMMIT, which runs under mu) out to
-	// execStmtCtx, which waits on it after unlocking.
-	// commits/syncsRetired are the CommitStats accounting.
-	commitQ       *commitQueue
-	commitGroup   int
-	commitDone    chan struct{}
-	pendingCommit *commitReq
-	pendingMsg    string
-	commits       int64
-	syncsRetired  int64
+	// committers and the loop goroutine (nil: in-memory, read-only and
+	// replica databases, which commit nothing to a log, or a closed
+	// one), commitGroup the max batches coalesced per fsync
+	// (DefaultCommitGroup; tests shrink it), commitDone the loop's exit
+	// signal. commits/syncsRetired are the CommitStats accounting.
+	commitQ      *commitQueue
+	commitGroup  int
+	commitDone   chan struct{}
+	commits      int64
+	syncsRetired int64
 
 	// modSeq is the database-wide modification sequence feeding every
 	// catalog object's Mod stamp (see stampMod in txn.go); mutated only
@@ -400,6 +398,7 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 		return nil, cerr
 	}
 	job := db.newJob()
+	var st *stagedWrite
 	defer func() {
 		if r := recover(); r != nil {
 			log.Printf("sciql: query panic (answered as error): %v\n%s", r, debug.Stack())
@@ -417,21 +416,22 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 			return db.execRead(ctx, job, snap, stmt)
 		}
 	case *ast.Insert, *ast.Update, *ast.Delete:
-		// Parallel prepare (optimistic.go): plan the statement against
-		// the published snapshot outside the writer lock, hold the lock
-		// only for first-committer-wins validation + apply + enqueue.
-		// ok=false (ineligible shape, open transaction, conflict storm,
-		// prepare error) falls through to the serialized path below.
-		if r, req, ok, oerr := db.execOptimistic(ctx, job, stmt); ok {
-			if req != nil {
-				if werr := <-req.done; werr != nil && oerr == nil {
-					oerr = werr
-				}
+		// Stage the statement against the published snapshot outside the
+		// writer lock (stage.go); execWrite validates and applies it under
+		// the lock. With a transaction open there is nothing to stage on:
+		// its owner stages against the live catalog under the lock, and
+		// every other session is refused there.
+		db.mu.RLock()
+		free := db.txn == nil
+		snap := db.view.Load()
+		db.mu.RUnlock()
+		if free {
+			if st = db.stage(ctx, job, snap, stmt); ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
-			return r, oerr
 		}
 	}
-	r, req, msg, err := db.execWrite(ctx, job, s, stmt)
+	r, req, msg, err := db.execWrite(ctx, job, s, stmt, st)
 	// With group commit, the writer lock is already released: block here
 	// until the loop has fsynced the batch (or failed the whole group).
 	// Holding db.mu across this wait would serialise exactly the fsyncs
@@ -451,8 +451,9 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 // execWrite runs one statement under the writer lock and returns the
 // commit request (if any) the caller must wait on after the lock is
 // released, plus an optional message to wrap a durability error with
-// (COMMIT's "committed but not persisted" contract).
-func (db *DB) execWrite(ctx context.Context, job *par.Job, s *Session, stmt ast.Statement) (*Result, *commitReq, string, error) {
+// (COMMIT's "committed but not persisted" contract). st is a DML
+// statement's staging on a snapshot, nil when it has none.
+func (db *DB) execWrite(ctx context.Context, job *par.Job, s *Session, stmt ast.Statement, st *stagedWrite) (*Result, *commitReq, string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.txn != nil && db.txnOwner != s {
@@ -461,25 +462,29 @@ func (db *DB) execWrite(ctx context.Context, job *par.Job, s *Session, stmt ast.
 	if werr := db.writeBlockedErr(); werr != nil && isWriteStmt(stmt) {
 		return nil, nil, "", werr
 	}
-	r, err := db.execLocked(ctx, job, s, stmt)
+	r, err := db.execLocked(ctx, job, s, stmt, st)
 	// Autocommit boundary: make the statement durable (one fsynced WAL
 	// batch; partial effects of a failed statement are logged exactly as
 	// applied) and publish it statement-atomically. Inside an explicit
 	// transaction both wait for COMMIT, so concurrent readers never
 	// observe uncommitted state and rolled-back work never hits the log.
+	// COMMIT ends the transaction and reaches this boundary with all its
+	// records: one batch, so a torn write loses the transaction whole.
 	if db.txn != nil {
 		return r, nil, "", err
 	}
-	if req, msg := db.takePendingCommitLocked(); req != nil {
-		// txnStmt's COMMIT already ran the boundary and registered the
-		// request to wait on.
-		return r, req, msg, err
+	var msg string
+	if t, ok := stmt.(*ast.Txn); ok && t.Kind == ast.TxnCommit {
+		msg = "transaction committed but not persisted"
 	}
 	req, berr := db.commitBoundaryLocked()
 	if berr != nil && err == nil {
 		err = berr
+		if msg != "" {
+			err = fmt.Errorf("%s: %v", msg, berr)
+		}
 	}
-	return r, req, "", err
+	return r, req, msg, err
 }
 
 // isWriteStmt reports whether a statement mutates the database.
@@ -504,7 +509,7 @@ func (db *DB) execRead(ctx context.Context, job *par.Job, cat *catalog.Catalog, 
 	}
 }
 
-func (db *DB) execLocked(ctx context.Context, job *par.Job, s *Session, stmt ast.Statement) (*Result, error) {
+func (db *DB) execLocked(ctx context.Context, job *par.Job, s *Session, stmt ast.Statement, staged *stagedWrite) (*Result, error) {
 	switch st := stmt.(type) {
 	case *ast.Select:
 		// A read inside the session's own transaction runs against the
@@ -527,10 +532,8 @@ func (db *DB) execLocked(ctx context.Context, job *par.Job, s *Session, stmt ast
 		return db.drop(st)
 	case *ast.AlterDimension:
 		return db.alterDimension(job, st)
-	case *ast.Insert:
-		return db.insert(ctx, job, st)
-	case *ast.Update, *ast.Delete:
-		return db.write(ctx, job, st)
+	case *ast.Insert, *ast.Update, *ast.Delete:
+		return db.writeLocked(ctx, job, stmt, staged)
 	case *ast.Txn:
 		return db.txnStmt(s, st)
 	case *ast.Explain:
@@ -543,24 +546,31 @@ func (db *DB) execLocked(ctx context.Context, job *par.Job, s *Session, stmt ast
 // runSelect binds, optimizes, compiles and interprets a SELECT against the
 // given catalog (live for writers/transactions, a snapshot for readers).
 func (db *DB) runSelect(ctx context.Context, job *par.Job, cat *catalog.Catalog, sel *ast.Select) (*Result, error) {
-	prog, err := compile(cat, sel)
-	if err != nil {
-		return nil, err
-	}
-	mctx, err := mal.Run(ctx, prog, job, db.hook)
+	prog, mctx, err := db.run(ctx, job, rel.NewBinder(cat), sel)
 	if err != nil {
 		return nil, err
 	}
 	return assembleResult(job, prog, mctx)
 }
 
+// run binds stmt through b, compiles it and interprets the program under
+// ctx: the one compile-and-run of SELECTs and of the query sides and
+// write programs of DML (runRaw).
+func (db *DB) run(ctx context.Context, job *par.Job, b *rel.Binder, stmt ast.Statement) (*mal.Program, *mal.Ctx, error) {
+	prog, err := compile(b, stmt)
+	if err != nil {
+		return nil, nil, err
+	}
+	mctx, err := mal.Run(ctx, prog, job, db.hook)
+	return prog, mctx, err
+}
+
 // newJob returns a fresh job for one statement at the DB's shape.
 func (db *DB) newJob() *par.Job { return par.NewJob(db.width, db.cutoff) }
 
-// bindPlan binds a SELECT, UPDATE or DELETE against cat into its
+// bindPlan binds a SELECT, UPDATE or DELETE through b into its
 // optimized logical plan.
-func bindPlan(cat *catalog.Catalog, stmt ast.Statement) (rel.Node, error) {
-	b := rel.NewBinder(cat)
+func bindPlan(b *rel.Binder, stmt ast.Statement) (rel.Node, error) {
 	var (
 		plan rel.Node
 		err  error
@@ -582,8 +592,8 @@ func bindPlan(cat *catalog.Catalog, stmt ast.Statement) (rel.Node, error) {
 }
 
 // compile runs the full front-end pipeline of Fig. 2.
-func compile(cat *catalog.Catalog, stmt ast.Statement) (*mal.Program, error) {
-	plan, err := bindPlan(cat, stmt)
+func compile(b *rel.Binder, stmt ast.Statement) (*mal.Program, error) {
+	plan, err := bindPlan(b, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -593,7 +603,7 @@ func compile(cat *catalog.Catalog, stmt ast.Statement) (*mal.Program, error) {
 // explain renders the logical plan (EXPLAIN) or the MAL program (PLAN);
 // nothing runs.
 func (db *DB) explain(cat *catalog.Catalog, e *ast.Explain) (*Result, error) {
-	plan, err := bindPlan(cat, e.Stmt)
+	plan, err := bindPlan(rel.NewBinder(cat), e.Stmt)
 	if err != nil {
 		return nil, err
 	}

@@ -579,31 +579,6 @@ func (db *DB) recoverWAL() error {
 	return nil
 }
 
-// flushWALLocked appends the pending records of the finished statement or
-// transaction as one WAL record (single fsync): the batch is the commit
-// unit, so a torn write during a multi-statement COMMIT can only lose the
-// transaction whole, never replay half of it. Must be called under the
-// writer lock.
-func (db *DB) flushWALLocked() error {
-	if db.wal == nil || len(db.walPending) == 0 {
-		db.walPending = db.walPending[:0]
-		return nil
-	}
-	err := db.wal.Append(encodeBatch(db.walPending))
-	db.walPending = db.walPending[:0]
-	db.commits++
-	if err != nil {
-		// The applied effects are now missing from the log: memory and
-		// disk have diverged. Latch read-only degraded mode so no later
-		// record can reference state the log never saw; a successful
-		// checkpoint (Save/Close) re-converges and clears it.
-		cause := fmt.Errorf("wal append: %v", err)
-		db.degradeLocked(cause)
-		return cause
-	}
-	return nil
-}
-
 // discardWALPending drops queued records (ROLLBACK, session abort).
 func (db *DB) discardWALPending() {
 	db.walPending = db.walPending[:0]

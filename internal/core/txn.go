@@ -74,36 +74,10 @@ func (db *DB) txnStmt(sess *Session, s *ast.Txn) (*Result, error) {
 		if db.txn == nil {
 			return nil, fmt.Errorf("no transaction in progress")
 		}
+		// The statement boundary (execWrite) makes the transaction's
+		// records durable as one batch and publishes it.
 		db.txn = nil
 		db.txnOwner = nil
-		if db.commitQ != nil {
-			// Group commit: the transaction's queued effect records become
-			// one batch on the commit queue; the statement boundary
-			// (execWrite) waits for the loop's fsync after releasing the
-			// lock, wrapping a failure in the same "committed but not
-			// persisted" contract as the serialized path.
-			req, qerr := db.enqueueCommitLocked()
-			db.publishLocked()
-			if qerr != nil {
-				return nil, fmt.Errorf("transaction committed but not persisted: %v", qerr)
-			}
-			db.pendingCommit = req
-			db.pendingMsg = "transaction committed but not persisted"
-			return statusResult("transaction committed"), nil
-		}
-		// Durability first, visibility second (same order as the
-		// autocommit boundary): the transaction's queued effect records
-		// become one fsynced WAL batch — O(delta), not a database rewrite
-		// — before the snapshot is published to concurrent readers.
-		// In-memory databases have no log and skip the flush.
-		flushErr := db.flushWALLocked()
-		db.publishLocked()
-		if flushErr != nil {
-			return nil, fmt.Errorf("transaction committed but not persisted: %v", flushErr)
-		}
-		if err := db.maybeCheckpointLocked(); err != nil {
-			return nil, fmt.Errorf("transaction committed but checkpoint failed: %v", err)
-		}
 		return statusResult("transaction committed"), nil
 	case ast.TxnRollback:
 		if db.txn == nil {
@@ -198,8 +172,8 @@ func (db *DB) noteDropArray(a *catalog.Array) {
 // sequence to an object's Mod counter. A shared monotonic sequence —
 // rather than a per-object increment — makes Mod equality a proof of
 // content identity across object incarnations too: a DROP + CREATE
-// under the same name gets a fresh stamp that a stale optimistic
-// snapshot of the old incarnation can never match.
+// under the same name gets a fresh stamp that a write staged on a stale
+// snapshot of the old incarnation can never match (stage.go).
 func (db *DB) stampMod(mod *uint64) {
 	db.modSeq++
 	*mod = db.modSeq
@@ -207,7 +181,7 @@ func (db *DB) stampMod(mod *uint64) {
 
 // noteModifyTable snapshots a table before its first in-transaction write.
 // It also stamps the table's modification counter — always before the
-// mutation itself, so an optimistic writer whose snapshot Mod still
+// mutation itself, so a write staged on a snapshot whose Mod still
 // matches the live one is guaranteed the content is unchanged too.
 func (db *DB) noteModifyTable(t *catalog.Table) {
 	db.stampMod(&t.Mod)

@@ -2,41 +2,40 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/sql/parser"
 )
 
-// Semantics of UPDATE and DELETE as write programs, on every path a write
-// takes: in memory and on disk, optimistic (planned against the published
-// snapshot) and serialized (under the writer lock).
+// Semantics of DML, on every route a write takes through the one
+// stage / validate / apply pipeline (stage.go): in memory and on disk,
+// staged on the published snapshot (autocommit) and staged on the live
+// catalog under the writer lock (inside a transaction, or after a
+// conflict).
 
-// execSerialized runs one statement on the serialized write path, as a
-// statement the optimistic path declined would run.
-func execSerialized(db *DB, q string) (*Result, error) {
-	stmt, err := parser.ParseOne(q)
-	if err != nil {
-		return nil, err
+// execStaged runs one statement staged on the published snapshot, and
+// fails the test unless that staging is what applies.
+func execStaged(t *testing.T, db *DB, q string) (*Result, error) {
+	st := stageOn(t, db, db.Snapshot(), q)
+	if err := validates(db, st); err != nil {
+		t.Fatalf("%s: staged on the snapshot of a quiet database: %v", q, err)
 	}
-	r, req, _, err := db.execWrite(context.Background(), db.newJob(), db.session, stmt)
-	if req != nil {
-		if werr := <-req.done; werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return r, err
+	return applyStagedWrite(t, db, q, st)
 }
 
-// writePaths runs fn once per write path: in memory (serialized),
-// durable autocommit (optimistic), and durable inside an explicit
-// transaction (serialized). exec runs one write statement on that path;
-// reopen returns the state a fresh process would see.
+// execLive runs one statement staged on the live catalog under the writer
+// lock, as inside a transaction or after a conflict.
+func execLive(t *testing.T, db *DB, q string) (*Result, error) {
+	return applyStagedWrite(t, db, q, nil)
+}
+
+// writePaths runs fn once per write route: in memory and durable
+// autocommit (staged on the snapshot), and durable inside an explicit
+// transaction (staged live). exec runs one write statement on that
+// route; reopen returns the state a fresh process would see.
 func writePaths(t *testing.T, fn func(t *testing.T, db *DB, exec func(string) (*Result, error), reopen func() *DB)) {
 	forEachBacking(t, func(t *testing.T, db *DB, reopen func() *DB) {
 		fn(t, db, func(q string) (*Result, error) { return db.Query(q) }, reopen)
@@ -150,17 +149,23 @@ func TestWriteCastsSelectedRowsOnly(t *testing.T) {
 	})
 }
 
-// randomWrite draws one write statement over the table t and the array g
-// of writeFixture: UPDATEs with casts both ways, SET NULL, swaps and
-// self-assignments, WHERE clauses that are NULL on some rows, DELETEs,
-// and some table INSERTs so rows keep arriving.
+// randomWrite draws one write statement over the table t, the array g
+// and the unbounded array u of writeFixture: UPDATEs with casts both ways,
+// SET NULL, swaps and self-assignments, WHERE clauses that are NULL on
+// some rows, DELETEs, and INSERTs of every shape — table and array, from
+// VALUES and from a query, into u growing its dimension either way, and
+// some with coordinates outside g.
 func randomWrite(rng *rand.Rand) string {
 	k := func() int { return rng.Intn(9) - 2 }
-	// pick draws a template and replaces each $ in it with a small integer.
+	// pick draws a template and replaces each $ in it with a small integer
+	// and each # with a coordinate of g, one in six outside it.
 	pick := func(pool []string) string {
 		s := pool[rng.Intn(len(pool))]
 		for strings.Contains(s, "$") {
 			s = strings.Replace(s, "$", fmt.Sprint(k()), 1)
+		}
+		for strings.Contains(s, "#") {
+			s = strings.Replace(s, "#", fmt.Sprint(rng.Intn(6)), 1)
 		}
 		return s
 	}
@@ -183,7 +188,7 @@ func randomWrite(rng *rand.Rand) string {
 		}
 		return pick(pool)
 	}
-	switch r := rng.Intn(20); {
+	switch r := rng.Intn(30); {
 	case r < 8:
 		return `UPDATE t SET ` + pick(tSets) + maybe(tWheres)
 	case r < 15:
@@ -192,21 +197,49 @@ func randomWrite(rng *rand.Rand) string {
 		return `DELETE FROM g` + pick(gWheres)
 	case r < 18:
 		return `DELETE FROM t` + pick(tWheres)
-	default:
+	case r < 19:
 		return fmt.Sprintf(`INSERT INTO t VALUES (%d, %d.25, '%d', %v, %d, NULL)`, k(), k(), k(), k() > 2, k())
+	case r < 20:
+		return pick([]string{
+			`INSERT INTO t SELECT i + $, f, s, ok, b, a FROM t WHERE i > $`,
+			`INSERT INTO t (i, f, s) SELECT x * 10 + y, f, s FROM g WHERE v > $`,
+		})
+	case r < 22:
+		return pick([]string{
+			`INSERT INTO g VALUES (#, #, $, $.5, '$', true)`,
+			`INSERT INTO g (y, x, v) VALUES (#, #, $), (#, #, NULL)`,
+		})
+	case r < 24:
+		return pick([]string{
+			`INSERT INTO g (x, y, v, f) SELECT [y], [x], v + $, f FROM g` + maybe(gWheres),
+			`INSERT INTO g (x, y, s, ok) SELECT i, 4 - i, s, ok FROM t WHERE i BETWEEN 0 AND 4`,
+		})
+	case r < 27:
+		return pick([]string{
+			`INSERT INTO u VALUES ($, $, '$')`,
+			`INSERT INTO u (k, v) VALUES ($, $), ($, $)`,
+			`INSERT INTO u SELECT x * 3 - $, v, s FROM g` + maybe(gWheres),
+		})
+	default:
+		return pick([]string{
+			`UPDATE u SET v = v + k, s = s || 'u' WHERE k > $`,
+			`DELETE FROM u WHERE v < $`,
+		})
 	}
 }
 
 const writeFixture = `CREATE TABLE t (i INT, f DOUBLE, s VARCHAR, ok BOOLEAN, a INT, b INT);
 INSERT INTO t VALUES (1, 1.5, 'x', true, 10, 20), (2, NULL, '3', false, 11, 21), (3, 3.25, NULL, NULL, 12, NULL), (4, -2.75, 'w', true, NULL, 23), (5, 0.5, '7', false, 14, 24), (6, 6, '6', true, 15, 25);
-CREATE ARRAY g (x INT DIMENSION[0:1:5], y INT DIMENSION[4:-1:-1], v INT DEFAULT 1, f DOUBLE, s VARCHAR DEFAULT '3', ok BOOLEAN)`
+CREATE ARRAY g (x INT DIMENSION[0:1:5], y INT DIMENSION[4:-1:-1], v INT DEFAULT 1, f DOUBLE, s VARCHAR DEFAULT '3', ok BOOLEAN);
+CREATE ARRAY u (k INT DIMENSION, v INT DEFAULT 0, s VARCHAR)`
 
-const writeProbe = `SELECT i, f, s, ok, a, b FROM t; SELECT [x], [y], v, f, s, ok FROM g`
+const writeProbe = `SELECT i, f, s, ok, a, b FROM t; SELECT [x], [y], v, f, s, ok FROM g; SELECT [k], v, s FROM u`
 
 // TestWritePathsAgree: seeded random write scripts leave identical cells
-// and byte-identical logs whether each statement is planned against the
-// published snapshot (optimistic) or under the writer lock (serialized),
-// the same cells in memory, and a replay of either log reproduces them.
+// and byte-identical logs whether each statement is staged on the
+// published snapshot (durable autocommit) or on the live catalog under the
+// writer lock (as inside a transaction), the same cells in memory, and a
+// replay of either log reproduces them.
 func TestWritePathsAgree(t *testing.T) {
 	render := func(db *DB) string {
 		rs, err := db.Exec(writeProbe)
@@ -222,7 +255,7 @@ func TestWritePathsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		root := t.TempDir()
-		dirs := []string{filepath.Join(root, "optimistic"), filepath.Join(root, "serialized")}
+		dirs := []string{filepath.Join(root, "snapshot"), filepath.Join(root, "live")}
 		var dbs []*DB
 		for _, dir := range dirs {
 			db, err := OpenDB(dir, OpenOptions{CheckpointBytes: -1})
@@ -241,8 +274,8 @@ func TestWritePathsAgree(t *testing.T) {
 			q := randomWrite(rng)
 			var outs []string
 			for i, run := range []func(string) (*Result, error){
-				dbs[0].session.ExecOptimistic,
-				func(q string) (*Result, error) { return execSerialized(dbs[1], q) },
+				func(q string) (*Result, error) { return execStaged(t, dbs[0], q) },
+				func(q string) (*Result, error) { return execLive(t, dbs[1], q) },
 				mem.Query,
 			} {
 				r, err := run(q)
@@ -251,7 +284,7 @@ func TestWritePathsAgree(t *testing.T) {
 					out = r.String()
 				}
 				if i > 0 && out != outs[0] {
-					t.Fatalf("seed %d: %s: path %d answers %q, the optimistic path %q", seed, q, i, out, outs[0])
+					t.Fatalf("seed %d: %s: route %d answers %q, the snapshot-staged route %q", seed, q, i, out, outs[0])
 				}
 				outs = append(outs, out)
 			}
@@ -259,7 +292,7 @@ func TestWritePathsAgree(t *testing.T) {
 		live := render(dbs[0])
 		for i, db := range append(dbs[1:], mem) {
 			if got := render(db); got != live {
-				t.Fatalf("seed %d: path %d holds\n%s\nthe optimistic path\n%s", seed, i+1, got, live)
+				t.Fatalf("seed %d: route %d holds\n%s\nthe snapshot-staged route\n%s", seed, i+1, got, live)
 			}
 		}
 		var logs [][]byte
@@ -271,7 +304,7 @@ func TestWritePathsAgree(t *testing.T) {
 			logs = append(logs, data)
 		}
 		if !bytes.Equal(logs[0], logs[1]) {
-			t.Fatalf("seed %d: the optimistic log (%d bytes) differs from the serialized one (%d bytes)", seed, len(logs[0]), len(logs[1]))
+			t.Fatalf("seed %d: the snapshot-staged log (%d bytes) differs from the live-staged one (%d bytes)", seed, len(logs[0]), len(logs[1]))
 		}
 		// The log alone, as a crash leaves the directory, replays to the
 		// same cells.

@@ -13,6 +13,9 @@ import (
 // Binder resolves AST statements against a catalog.
 type Binder struct {
 	cat *catalog.Catalog
+	// reads names every object the binder looked up, found or not: the
+	// read set a write staged against a snapshot is validated by.
+	reads []string
 }
 
 // NewBinder returns a binder over the catalog.
@@ -20,6 +23,21 @@ func NewBinder(cat *catalog.Catalog) *Binder { return &Binder{cat: cat} }
 
 // Catalog exposes the bound catalog.
 func (b *Binder) Catalog() *catalog.Catalog { return b.cat }
+
+// Reads names every object the binder has looked up so far, in lookup
+// order, including names it found no object for.
+func (b *Binder) Reads() []string { return b.reads }
+
+// Lookup resolves a name to the table or the array of that name (both nil
+// when there is none) and records it in the read set.
+func (b *Binder) Lookup(name string) (*catalog.Table, *catalog.Array) {
+	b.reads = append(b.reads, name)
+	if t, ok := b.cat.Table(name); ok {
+		return t, nil
+	}
+	a, _ := b.cat.Array(name)
+	return nil, a
+}
 
 // BindSelect binds a full SELECT statement (including UNION ALL chains)
 // into a logical plan.

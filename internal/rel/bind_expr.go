@@ -444,9 +444,7 @@ func (b *Binder) bindCellRef(s *Scope, x *ast.CellRef) (Expr, error) {
 	a, ok := s.Arrays[x.Array]
 	if !ok {
 		// Fall back to the catalog for arrays not in the FROM clause.
-		if ca, found := b.cat.Array(x.Array); found {
-			a = ca
-		} else {
+		if _, a = b.Lookup(x.Array); a == nil {
 			return nil, fmt.Errorf("at %s: %q is not an array in scope", x.Pos, x.Array)
 		}
 	}

@@ -55,12 +55,13 @@ func (b *Binder) bindTableRef(ref ast.TableRef) (Node, *Scope, error) {
 		if alias == "" {
 			alias = x.Name
 		}
-		if t, ok := b.cat.Table(x.Name); ok {
+		t, a := b.Lookup(x.Name)
+		if t != nil {
 			n := &ScanTable{T: t, Alias: alias}
 			sc := NewScope(n.Schema())
 			return n, sc, nil
 		}
-		if a, ok := b.cat.Array(x.Name); ok {
+		if a != nil {
 			n := &ScanArray{A: a, Alias: alias}
 			sc := NewScope(n.Schema())
 			sc.Arrays[alias] = a
