@@ -693,11 +693,76 @@ func (g *oracleGen) from() (sql string, cols []ocol, where []string) {
 	return sb.String(), cols, where
 }
 
+// like draws `k [NOT] LIKE pattern` for a string column k, the pattern
+// matching the values that end like one k holds.
+func (g *oracleGen) like(k ocol) string {
+	p := "%"
+	if d := k.domain; len(d) > 0 {
+		v := d[g.rng.Intn(len(d))].StrVal()
+		p += v[max(0, len(v)-1):]
+	}
+	if g.rng.Intn(3) == 0 {
+		return fmt.Sprintf("%s NOT LIKE '%s'", k, p)
+	}
+	return fmt.Sprintf("%s LIKE '%s'", k, p)
+}
+
+// postAgg draws an expression over group keys and aggregates: arithmetic
+// on an integer SUM, a COALESCE over a MIN, LIKE on a string key or a CASE
+// on COUNT(*). None sums floats, so each may be an ORDER BY key.
+func (g *oracleGen) postAgg(cols, keys []ocol) string {
+	switch g.rng.Intn(4) {
+	case 0:
+		if a, ok := g.pick(cols, isInt); ok {
+			rhs := strconv.Itoa(g.rng.Intn(5))
+			if k, ok := g.pick(keys, isInt); ok {
+				rhs = k.String()
+			}
+			return fmt.Sprintf("SUM(%s) - %s", a, rhs)
+		}
+	case 1:
+		if c, ok := g.pick(cols, ocol.str); ok {
+			return fmt.Sprintf("COALESCE(MIN(%s), '')", c)
+		}
+	case 2:
+		if k, ok := g.pick(keys, ocol.str); ok {
+			return g.like(k)
+		}
+	}
+	then := "'many'"
+	if len(keys) > 0 {
+		then = keys[g.rng.Intn(len(keys))].String()
+	}
+	return fmt.Sprintf("CASE WHEN COUNT(*) > %d THEN %s END", g.rng.Intn(3), then)
+}
+
+// having draws a HAVING predicate over group keys and aggregates.
+func (g *oracleGen) having(cols, keys []ocol) string {
+	switch g.rng.Intn(4) {
+	case 0:
+		return fmt.Sprintf("COUNT(*) > %d", g.rng.Intn(3))
+	case 1:
+		if k, ok := g.pick(keys, ocol.str); ok {
+			return g.like(k)
+		}
+	case 2:
+		return "(" + g.postAgg(cols, keys) + ") IS NOT NULL"
+	}
+	c := cols[g.rng.Intn(len(cols))]
+	ops := []string{"=", "<>", "<", "<=", ">", ">="}
+	return fmt.Sprintf("%s(%s) %s %s", []string{"MIN", "MAX"}[g.rng.Intn(2)], c, ops[g.rng.Intn(6)], g.constFor(c))
+}
+
 // stmt draws one SELECT: a join with theta, range and OR atoms, then
 // either a plain projection (sometimes DISTINCT, sometimes a UNION ALL
 // of two filters) or a grouped or global aggregate, and sometimes ORDER
 // BY … LIMIT. Ordered outputs always order by enough columns to make the
-// order unique, so a LIMIT cuts at the same rows everywhere.
+// order unique, so a LIMIT cuts at the same rows everywhere. Aggregates
+// sometimes carry expressions over keys and aggregates, a HAVING clause
+// and an ORDER BY on an aggregate that is not projected. The reference
+// binds them with the engine's binder, so these check how such plans run
+// at every width, not how they bind; rel's binder tests and the
+// plan-identity check recorded in EXPERIMENTS.md cover the binding.
 func (g *oracleGen) stmt() string {
 	from, cols, eqs := g.from()
 	where := func() string {
@@ -715,13 +780,15 @@ func (g *oracleGen) stmt() string {
 	grouped := g.rng.Intn(3) == 0
 	head := "SELECT "
 	if grouped {
-		var keys []string
+		var keys []ocol
+		var keyNames []string
 		for i := g.rng.Intn(3); i > 0; i-- {
-			if c, ok := g.pick(cols, func(c ocol) bool { return !c.flt() }); ok && !slices.Contains(keys, c.String()) {
-				keys = append(keys, c.String())
+			if c, ok := g.pick(cols, func(c ocol) bool { return !c.flt() }); ok && !slices.Contains(keyNames, c.String()) {
+				keys = append(keys, c)
+				keyNames = append(keyNames, c.String())
 			}
 		}
-		items = append(items, keys...)
+		items = append(items, keyNames...)
 		for i := range keys {
 			orderable = append(orderable, i+1)
 		}
@@ -741,11 +808,23 @@ func (g *oracleGen) stmt() string {
 				orderable = append(orderable, len(items))
 			}
 		}
+		for i := g.rng.Intn(3); i > 0; i-- {
+			items = append(items, g.postAgg(cols, keys))
+			orderable = append(orderable, len(items))
+		}
 		sql := head + strings.Join(items, ", ") + " FROM " + from + where()
 		if len(keys) > 0 {
-			sql += " GROUP BY " + strings.Join(keys, ", ")
+			sql += " GROUP BY " + strings.Join(keyNames, ", ")
 		}
-		return g.orderLimit(sql, orderable, len(keys) > 0)
+		if g.rng.Intn(3) == 0 {
+			sql += " HAVING " + g.having(cols, keys)
+		}
+		lead := ""
+		if g.rng.Intn(3) == 0 {
+			c := cols[g.rng.Intn(len(cols))]
+			lead = fmt.Sprintf("%s(%s)", []string{"MIN", "MAX", "COUNT"}[g.rng.Intn(3)], c)
+		}
+		return g.orderLimit(sql, orderable, len(keys) > 0, lead)
 	}
 	for i := 1 + g.rng.Intn(4); i > 0; i-- {
 		items = append(items, g.item(cols))
@@ -758,21 +837,25 @@ func (g *oracleGen) stmt() string {
 	if g.rng.Intn(8) == 0 {
 		sql += " UNION ALL SELECT " + strings.Join(items, ", ") + " FROM " + from + where()
 	}
-	return g.orderLimit(sql, orderable, true)
+	return g.orderLimit(sql, orderable, true, "")
 }
 
 // orderLimit sometimes appends ORDER BY over every orderable output
-// position (shuffled, random directions) and then sometimes LIMIT/OFFSET.
-func (g *oracleGen) orderLimit(sql string, orderable []int, canLimit bool) string {
+// position (shuffled, random directions), led by the expression lead when
+// it is not empty, and then sometimes LIMIT/OFFSET.
+func (g *oracleGen) orderLimit(sql string, orderable []int, canLimit bool, lead string) string {
 	if len(orderable) == 0 || g.rng.Intn(2) == 0 {
 		return sql
 	}
 	g.rng.Shuffle(len(orderable), func(i, j int) { orderable[i], orderable[j] = orderable[j], orderable[i] })
-	keys := make([]string, len(orderable))
-	for i, p := range orderable {
-		keys[i] = strconv.Itoa(p)
+	var keys []string
+	if lead != "" {
+		keys = append(keys, lead)
+	}
+	for _, p := range orderable {
+		keys = append(keys, strconv.Itoa(p))
 		if g.rng.Intn(2) == 0 {
-			keys[i] += " DESC"
+			keys[len(keys)-1] += " DESC"
 		}
 	}
 	sql += " ORDER BY " + strings.Join(keys, ", ")

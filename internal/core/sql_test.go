@@ -120,6 +120,12 @@ func TestGroupBy(t *testing.T) {
 	// Grouping by an expression.
 	expectRows(t, db, `SELECT id % 2, COUNT(*) FROM items GROUP BY id % 2 ORDER BY 1`,
 		[]string{"0|2", "1|3"})
+	// Ordering by an aggregate that is not projected.
+	expectRows(t, db, `SELECT item_id, COUNT(*) FROM orders GROUP BY item_id ORDER BY MAX(n) DESC`,
+		[]string{"2|1", "1|2", "9|1", "3|1"})
+	// LIKE over a group key.
+	expectRows(t, db, `SELECT name, SUM(qty) FROM items GROUP BY name HAVING name LIKE 'a%' OR name LIKE 'b%' ORDER BY name`,
+		[]string{"apple|100", "banana|150"})
 }
 
 func TestJoins(t *testing.T) {
@@ -135,6 +141,12 @@ func TestJoins(t *testing.T) {
 	expectRows(t, db,
 		`SELECT i.name, o.n FROM items i LEFT JOIN orders o ON i.id = o.item_id WHERE i.id >= 4 ORDER BY i.id`,
 		[]string{"date|null", "elderberry|null"})
+	// An int key meets a float key in their common kind.
+	expectRows(t, db, `SELECT i.name, o.n FROM items i, orders o WHERE i.price = o.item_id`,
+		[]string{"cherry|1"})
+	expectRows(t, db,
+		`SELECT i.name, o.n FROM items i LEFT JOIN orders o ON i.price = o.item_id WHERE i.id >= 3 ORDER BY i.id`,
+		[]string{"cherry|1", "date|null", "elderberry|null"})
 	// Join with aggregation.
 	expectRows(t, db,
 		`SELECT i.name, SUM(o.n * i.price) AS revenue

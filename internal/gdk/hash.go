@@ -102,12 +102,11 @@ func (c *keyCol) word(i int) uint64 {
 
 // eqAt compares non-NULL row i of c with non-NULL row j of o. Floats are
 // equal when they compare equal and share their bits, so -0.0 and 0.0
-// differ and NaN equals nothing. An int key meets a float key only where
-// the raw words agree and the values compare equal.
+// differ and NaN equals nothing. Keys of different classes never meet:
+// a join casts an int key that meets a float one (joinKeys).
 func (c *keyCol) eqAt(i int, o *keyCol, j int) bool {
 	if c.class != o.class {
-		num := func(k keyClass) bool { return k == keyInt || k == keyFloat }
-		return num(c.class) && num(o.class) && c.word(i) == o.word(j) && c.float(i) == o.float(j)
+		return false
 	}
 	switch c.class {
 	case keyInt:
@@ -121,13 +120,6 @@ func (c *keyCol) eqAt(i int, o *keyCol, j int) bool {
 		return c.bools[i] == o.bools[j]
 	}
 	return true
-}
-
-func (c *keyCol) float(i int) float64 {
-	if c.class == keyFloat {
-		return c.flts[i]
-	}
-	return float64(c.int(i))
 }
 
 // rowKeys is a list of aligned key columns resolved for one kernel call.

@@ -24,19 +24,7 @@ import (
 // and the probe side scans morsels concurrently, concatenating per-chunk
 // match lists in chunk order so the output stays sorted by probe position.
 func HashJoin(job *par.Job, lkeys, rkeys []*bat.BAT, lcand, rcand *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
-	if len(lkeys) == 0 || len(lkeys) != len(rkeys) {
-		return nil, nil, fmt.Errorf("gdk: join needs matching key column lists")
-	}
-	for k := range lkeys {
-		lk, rk := lkeys[k].ValueKind(), rkeys[k].ValueKind()
-		if _, err := types.CommonKind(lk, rk); err != nil {
-			return nil, nil, fmt.Errorf("gdk: join key %d: %v", k, err)
-		}
-	}
-	if lkeys, err = restrictCols(job, lkeys, lcand); err != nil {
-		return nil, nil, err
-	}
-	if rkeys, err = restrictCols(job, rkeys, rcand); err != nil {
+	if lkeys, rkeys, err = joinKeys(job, lkeys, rkeys, lcand, rcand); err != nil {
 		return nil, nil, err
 	}
 	lIdx, rIdx, err = hashJoinDense(job, lkeys, rkeys)
@@ -50,6 +38,40 @@ func HashJoin(job *par.Job, lkeys, rkeys []*bat.BAT, lcand, rcand *bat.BAT) (lId
 		return nil, nil, err
 	}
 	return lIdx, rIdx, nil
+}
+
+// joinKeys restricts each side's key columns to its candidates and casts
+// an integer key that meets a float key to float, so the pair hashes and
+// compares as SQL's `=` does: in the common kind.
+func joinKeys(job *par.Job, lkeys, rkeys []*bat.BAT, lcand, rcand *bat.BAT) ([]*bat.BAT, []*bat.BAT, error) {
+	if len(lkeys) == 0 || len(lkeys) != len(rkeys) {
+		return nil, nil, fmt.Errorf("gdk: join needs matching key column lists")
+	}
+	lkeys, err := restrictCols(job, lkeys, lcand)
+	if err != nil {
+		return nil, nil, err
+	}
+	if rkeys, err = restrictCols(job, rkeys, rcand); err != nil {
+		return nil, nil, err
+	}
+	lkeys, rkeys = slices.Clone(lkeys), slices.Clone(rkeys)
+	for k := range lkeys {
+		ck, err := types.CommonKind(lkeys[k].ValueKind(), rkeys[k].ValueKind())
+		if err != nil {
+			return nil, nil, fmt.Errorf("gdk: join key %d: %v", k, err)
+		}
+		if ck != types.KindFloat {
+			continue
+		}
+		for _, side := range [][]*bat.BAT{lkeys, rkeys} {
+			if side[k].ValueKind() != types.KindFloat {
+				if side[k], err = CastBAT(job, B(side[k]), types.KindFloat, nil); err != nil {
+					return nil, nil, err
+				}
+			}
+		}
+	}
+	return lkeys, rkeys, nil
 }
 
 func hashJoinDense(job *par.Job, lkeys, rkeys []*bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
@@ -416,13 +438,7 @@ func sortPairsByLeft(job *par.Job, l, r *bat.BAT, nl int) (*bat.BAT, *bat.BAT, e
 // lists restrict each side like HashJoin's; the probe phase is
 // morsel-parallel like HashJoin's.
 func LeftJoin(job *par.Job, lkeys, rkeys []*bat.BAT, lcand, rcand *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
-	if len(lkeys) == 0 || len(lkeys) != len(rkeys) {
-		return nil, nil, fmt.Errorf("gdk: join needs matching key column lists")
-	}
-	if lkeys, err = restrictCols(job, lkeys, lcand); err != nil {
-		return nil, nil, err
-	}
-	if rkeys, err = restrictCols(job, rkeys, rcand); err != nil {
+	if lkeys, rkeys, err = joinKeys(job, lkeys, rkeys, lcand, rcand); err != nil {
 		return nil, nil, err
 	}
 	lIdx, rIdx, err = probeJoin(job, lkeys, rkeys, true)

@@ -178,20 +178,19 @@ func refGroup(cols []*bat.BAT, rows []int) (gids, extents []int64) {
 }
 
 // refEq is the join's key equality on two boxed values: Value.Equal, and
-// for numbers also equal raw words (an integer itself, a float's bits).
-// Between two floats that keeps -0.0 and 0.0 apart; between an integer
-// and a float only 0 and +0.0 meet.
+// where a float is involved also equal bits in the common kind. That
+// keeps -0.0 and 0.0 apart, and an integer meets the float of its value
+// (0 meets +0.0 only).
 func refEq(a, b types.Value) bool {
 	if a.IsNull() || b.IsNull() || !a.Equal(b) {
 		return false
 	}
-	word := func(v types.Value) uint64 {
-		if v.Kind() == types.KindFloat {
-			return math.Float64bits(v.Float64())
-		}
-		return uint64(v.Int64())
+	if a.Kind() != types.KindFloat && b.Kind() != types.KindFloat {
+		return true
 	}
-	return !a.Kind().Numeric() || !b.Kind().Numeric() || word(a) == word(b)
+	x, _ := a.AsFloat()
+	y, _ := b.AsFloat()
+	return math.Float64bits(x) == math.Float64bits(y)
 }
 
 // refJoin is the nested-loop equi-join over the listed rows, in (left,

@@ -62,7 +62,7 @@ func (b *Binder) BindSelect(sel *ast.Select) (Node, error) {
 		}
 		node = &UnionAll{L: node, R: right}
 	}
-	return b.applyOrderLimit(sel, node)
+	return b.finishSelect(sel, node, nil, nil)
 }
 
 // bindSingleSelect binds one SELECT block; withOrder controls whether its
@@ -135,31 +135,29 @@ func (b *Binder) bindSingleSelect(sel *ast.Select, withOrder bool) (Node, error)
 		return nil, err
 	}
 
-	if !withOrder {
-		var node Node = proj
-		if sel.Distinct {
-			node = &Distinct{Child: node}
-		}
-		return node, nil
-	}
-	return b.finishSelect(sel, proj, preBind)
-}
-
-// finishSelect applies DISTINCT, ORDER BY (with hidden sort columns for
-// keys that reference non-projected source columns) and LIMIT/OFFSET.
-func (b *Binder) finishSelect(sel *ast.Select, proj *Project, preBind func(ast.Expr) (Expr, error)) (Node, error) {
-	nOut := len(proj.Exprs)
 	var node Node = proj
 	if sel.Distinct {
 		node = &Distinct{Child: node}
 	}
+	if !withOrder {
+		return node, nil
+	}
+	return b.finishSelect(sel, node, proj, preBind)
+}
+
+// finishSelect applies ORDER BY and LIMIT/OFFSET to node. An ORDER BY key
+// that is not an output column binds through preBind as a hidden column of
+// proj, dropped again above the sort; a UNION passes no proj and so has no
+// such fallback.
+func (b *Binder) finishSelect(sel *ast.Select, node Node, proj *Project, preBind func(ast.Expr) (Expr, error)) (Node, error) {
 	if len(sel.OrderBy) > 0 {
-		outScope := NewScope(proj.Schema()[:nOut])
+		outScope := NewScope(node.Schema())
+		nOut := len(outScope.Cols)
 		var keys []Expr
 		var descs []bool
 		hidden := 0
 		for _, oi := range sel.OrderBy {
-			key, hid, err := b.bindOrderKey(oi.Expr, proj, outScope, preBind, nOut)
+			key, hid, err := b.bindOrderKey(oi.Expr, outScope, proj, preBind)
 			if err != nil {
 				return nil, err
 			}
@@ -192,23 +190,22 @@ func (b *Binder) finishSelect(sel *ast.Select, proj *Project, preBind func(ast.E
 }
 
 // bindOrderKey resolves one ORDER BY key: an output ordinal, an output
-// column (by alias/name), or — falling back — an expression over the
-// pre-projection scope that is appended to the projection as a hidden
-// column.
-func (b *Binder) bindOrderKey(e ast.Expr, proj *Project, outScope *Scope, preBind func(ast.Expr) (Expr, error), nOut int) (Expr, bool, error) {
+// column (by alias/name), or — falling back when proj is given — an
+// expression bound by preBind that is appended to proj as a hidden column.
+func (b *Binder) bindOrderKey(e ast.Expr, outScope *Scope, proj *Project, preBind func(ast.Expr) (Expr, error)) (Expr, bool, error) {
 	if lit, ok := e.(*ast.Literal); ok && !lit.Val.IsNull() && lit.Val.Kind() == types.KindInt {
 		n := int(lit.Val.Int64())
-		if n < 1 || n > nOut {
+		if n < 1 || n > len(outScope.Cols) {
 			return nil, false, fmt.Errorf("at %s: ORDER BY position %d is out of range", lit.Pos, n)
 		}
 		return &Col{Idx: n - 1, Info: outScope.Cols[n-1]}, false, nil
 	}
 	// Prefer output columns (aliases included).
-	if bound, err := b.BindScalar(outScope, e); err == nil {
-		return bound, false, nil
+	bound, err := b.BindScalar(outScope, e)
+	if err == nil || proj == nil {
+		return bound, false, err
 	}
-	// Fall back to the source scope via a hidden projected column.
-	bound, err := preBind(e)
+	bound, err = preBind(e)
 	if err != nil {
 		return nil, false, err
 	}
@@ -227,7 +224,7 @@ func (b *Binder) applyLimit(sel *ast.Select, node Node) (Node, error) {
 	lim := int64(-1)
 	off := int64(0)
 	if sel.Limit != nil {
-		v, err := b.constInt(sel.Limit)
+		v, err := b.ConstInt(sel.Limit)
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +234,7 @@ func (b *Binder) applyLimit(sel *ast.Select, node Node) (Node, error) {
 		lim = v
 	}
 	if sel.Offset != nil {
-		v, err := b.constInt(sel.Offset)
+		v, err := b.ConstInt(sel.Offset)
 		if err != nil {
 			return nil, err
 		}
@@ -307,35 +304,23 @@ func (b *Binder) bindPlainSelect(items []ast.SelectItem, child Node, sc *Scope) 
 	return p, nil
 }
 
-// aggCollector gathers the distinct aggregate calls of a statement.
-type aggCollector struct {
-	b     *Binder
-	sc    *Scope // pre-aggregation scope (agg args bind here)
-	specs []AggSpec
-	sigs  []string
+// aggScope is what the scope above a GroupAgg or TileAgg adds to a plain
+// one: the aggregates met so far and the columns that pass through the
+// aggregation ahead of them.
+type aggScope struct {
+	pre  *Scope     // aggregate arguments and aggregate-free subtrees bind here
+	aggs *[]AggSpec // the Aggs of the node being bound
+	sigs []string   // the signature of each aggregate, for deduplication
+	// pass lists the output columns ahead of the aggregates: the group
+	// keys, or every pre-aggregation column for structural grouping.
+	pass []ColInfo
+	keys map[string]int // rendering of a group key → its output ordinal
+	tile bool           // aggregate-free expressions pass through cell-aligned
 }
 
-func (c *aggCollector) collect(e ast.Expr) error {
-	var walkErr error
-	ast.Walk(e, func(x ast.Expr) bool {
-		if walkErr != nil {
-			return false
-		}
-		fc, ok := x.(*ast.FuncCall)
-		if !ok || !aggFuncs[fc.Name] {
-			return true
-		}
-		if _, err := c.add(fc); err != nil {
-			walkErr = err
-		}
-		return false // don't descend into aggregate arguments
-	})
-	return walkErr
-}
-
-// add registers one aggregate call, deduplicating by signature, and
+// addAgg registers one aggregate call, deduplicating by signature, and
 // returns its ordinal.
-func (c *aggCollector) add(fc *ast.FuncCall) (int, error) {
+func (b *Binder) addAgg(a *aggScope, fc *ast.FuncCall) (int, error) {
 	if fc.Distinct {
 		return 0, fmt.Errorf("at %s: DISTINCT aggregates are not supported", fc.Pos)
 	}
@@ -366,13 +351,13 @@ func (c *aggCollector) add(fc *ast.FuncCall) (int, error) {
 			return 0, fmt.Errorf("at %s: %s expects one argument", fc.Pos, fc.Name)
 		}
 		var err error
-		arg, err = c.b.BindScalar(c.sc, fc.Args[0])
+		arg, err = b.BindScalar(a.pre, fc.Args[0])
 		if err != nil {
 			return 0, err
 		}
 	}
 	sig := aggSignature(agg, arg)
-	for i, s := range c.sigs {
+	for i, s := range a.sigs {
 		if s == sig {
 			return i, nil
 		}
@@ -385,9 +370,9 @@ func (c *aggCollector) add(fc *ast.FuncCall) (int, error) {
 			return 0, fmt.Errorf("at %s: %v", fc.Pos, err)
 		}
 	}
-	c.specs = append(c.specs, AggSpec{Agg: agg, Arg: arg, Name: fc.Name, K: k})
-	c.sigs = append(c.sigs, sig)
-	return len(c.specs) - 1, nil
+	*a.aggs = append(*a.aggs, AggSpec{Agg: agg, Arg: arg, Name: fc.Name, K: k})
+	a.sigs = append(a.sigs, sig)
+	return len(a.sigs) - 1, nil
 }
 
 func aggSignature(agg gdk.AggKind, arg Expr) string {
@@ -397,281 +382,70 @@ func aggSignature(agg gdk.AggKind, arg Expr) string {
 	return string(agg) + "(" + arg.String() + ")"
 }
 
-// aggEnv supports binding post-aggregation expressions: passthrough
-// columns (group keys, or the whole cell-aligned schema for tiling) plus
-// aggregate results.
-type aggEnv struct {
-	b *Binder
-	// passthrough maps a pre-agg expression rendering to a post-agg ordinal.
-	passthrough map[string]int
-	// passScope resolves bare column references pre-agg (to render them).
-	preScope *Scope
-	// postCols is the post-agg schema.
-	postCols []ColInfo
-	// aggBase is the ordinal of the first aggregate column.
-	aggBase int
-	agg     *aggCollector
-	// tileMode passes every pre-agg column through at the same ordinal.
-	tileMode bool
-}
-
-// bind binds an expression in the post-aggregation scope.
-func (env *aggEnv) bind(e ast.Expr) (Expr, error) {
-	// Aggregate call → aggregate output column.
+// bindPostAgg binds the nodes a post-aggregation scope decides itself and
+// reports whether e was one. An aggregate call becomes its output column.
+// An aggregate-free subtree binds in the pre-aggregation scope and becomes
+// its group key's column, or passes through when tiling or constant; a
+// bare column that is neither is an error. Every other node is left to
+// bindExpr's switch over the same scope.
+func (b *Binder) bindPostAgg(a *aggScope, e ast.Expr) (Expr, bool, error) {
 	if fc, ok := e.(*ast.FuncCall); ok && aggFuncs[fc.Name] {
-		idx, err := env.agg.add(fc)
+		i, err := b.addAgg(a, fc)
 		if err != nil {
-			return nil, err
+			return nil, true, err
 		}
-		ord := env.aggBase + idx
-		return &Col{Idx: ord, Info: env.postCols[ord]}, nil
+		spec := (*a.aggs)[i]
+		return &Col{Idx: len(a.pass) + i, Info: ColInfo{Name: spec.Name, Kind: spec.K}}, true, nil
 	}
-	// Whole-expression match against a passthrough (group key).
-	if bound, err := env.b.bindExpr(env.preScope, e); err == nil {
-		if ord, ok := env.passthrough[bound.String()]; ok {
-			return &Col{Idx: ord, Info: env.postCols[ord]}, nil
-		}
-		if env.tileMode {
-			// In tile mode the pre-agg schema passes through unchanged, so
-			// any pre-agg expression is valid anchor-aligned.
-			return bound, nil
-		}
-		if _, isConst := bound.(*Const); isConst {
-			return bound, nil
-		}
+	if IsAggregate(e) {
+		return nil, false, nil
 	}
-	// Recurse structurally so expressions *over* keys and aggregates work
-	// (e.g. SUM(v) - v, keyed CASE arms).
-	switch x := e.(type) {
-	case *ast.BinExpr:
-		l, err := env.bind(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := env.bind(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return env.b.makeBin(x.Op, l, r, x.Pos)
-	case *ast.UnExpr:
-		xe, err := env.bind(x.X)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "-" {
-			return fold(&Un{Op: "-", X: xe, K: xe.Kind()}), nil
-		}
-		return fold(&Un{Op: "not", X: xe, K: types.KindBool}), nil
-	case *ast.CaseExpr:
-		return env.bindCase(x)
-	case *ast.CastExpr:
-		xe, err := env.bind(x.X)
-		if err != nil {
-			return nil, err
-		}
-		st, ok := types.SQLTypeByName(x.TypeName)
-		if !ok {
-			return nil, fmt.Errorf("at %s: unknown type %q in CAST", x.Pos, x.TypeName)
-		}
-		return fold(&Cast{X: xe, To: st.Kind}), nil
-	case *ast.IsNullExpr:
-		xe, err := env.bind(x.X)
-		if err != nil {
-			return nil, err
-		}
-		out := Expr(&Un{Op: "isnull", X: xe, K: types.KindBool})
-		if x.Not {
-			out = &Un{Op: "not", X: out, K: types.KindBool}
-		}
-		return fold(out), nil
-	case *ast.BetweenExpr:
-		xe, err := env.bind(x.X)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := env.bind(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := env.bind(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		ge, err := env.b.makeBin(">=", xe, lo, x.Pos)
-		if err != nil {
-			return nil, err
-		}
-		le, err := env.b.makeBin("<=", xe, hi, x.Pos)
-		if err != nil {
-			return nil, err
-		}
-		out, err := env.b.makeBin("AND", ge, le, x.Pos)
-		if err != nil {
-			return nil, err
-		}
-		if x.Not {
-			return fold(&Un{Op: "not", X: out, K: types.KindBool}), nil
-		}
-		return out, nil
-	case *ast.InExpr:
-		xe, err := env.bind(x.X)
-		if err != nil {
-			return nil, err
-		}
-		var out Expr
-		for _, item := range x.List {
-			ie, err := env.bind(item)
-			if err != nil {
-				return nil, err
-			}
-			eq, err := env.b.makeBin("=", xe, ie, x.Pos)
-			if err != nil {
-				return nil, err
-			}
-			if out == nil {
-				out = eq
-			} else if out, err = env.b.makeBin("OR", out, eq, x.Pos); err != nil {
-				return nil, err
-			}
-		}
-		if x.Not {
-			return fold(&Un{Op: "not", X: out, K: types.KindBool}), nil
-		}
-		return out, nil
-	case *ast.FuncCall:
-		// Scalar function over post-agg operands: rebind args in this env
-		// by constructing a post-scope function binding.
-		return env.bindScalarFunc(x)
-	case *ast.ColRef:
-		return nil, fmt.Errorf("at %s: column %q must appear in the GROUP BY clause or be used in an aggregate", x.Pos, x.Name)
-	case *ast.Literal:
-		return &Const{Val: x.Val}, nil
-	default:
-		return nil, fmt.Errorf("at %s: unsupported expression in aggregated query", e.Position())
+	bound, err := b.bindExpr(a.pre, e)
+	if err != nil || a.tile {
+		return bound, true, err
 	}
+	if i, ok := a.keys[bound.String()]; ok {
+		return &Col{Idx: i, Info: a.pass[i]}, true, nil
+	}
+	if _, isConst := bound.(*Const); isConst {
+		return bound, true, nil
+	}
+	if cr, ok := e.(*ast.ColRef); ok {
+		return nil, true, fmt.Errorf("at %s: column %q must appear in the GROUP BY clause or be used in an aggregate", cr.Pos, cr.Name)
+	}
+	return nil, false, nil
 }
 
-func (env *aggEnv) bindCase(x *ast.CaseExpr) (Expr, error) {
-	k := types.KindVoid
-	type arm struct{ cond, res Expr }
-	arms := make([]arm, 0, len(x.Whens))
-	for _, w := range x.Whens {
-		cond, err := env.bind(w.Cond)
+// bindAggregated binds the HAVING clause and the items of a grouped or
+// tiled SELECT over the scope above node, whose aggregates a collects. The
+// items bind first, so aggregate ordinals follow their first appearance,
+// items before HAVING. The returned binder binds ORDER BY keys over the
+// same scope and may append aggregates to node.
+func (b *Binder) bindAggregated(sel *ast.Select, items []ast.SelectItem, a *aggScope, node Node) (*Project, func(ast.Expr) (Expr, error), error) {
+	s := &Scope{Arrays: a.pre.Arrays, agg: a}
+	proj := &Project{}
+	for i, it := range items {
+		e, err := b.bindExpr(s, it.Expr)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		res, err := env.bind(w.Result)
+		proj.Exprs = append(proj.Exprs, e)
+		proj.OutNames = append(proj.OutNames, itemName(it, i))
+		proj.Dims = append(proj.Dims, it.Dimensional)
+	}
+	if sel.Having != nil {
+		h, err := b.bindExpr(s, sel.Having)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		var cerr error
-		if k, cerr = types.CommonKind(k, res.Kind()); cerr != nil {
-			return nil, fmt.Errorf("at %s: CASE arms: %v", x.Pos, cerr)
-		}
-		arms = append(arms, arm{cond, res})
+		node = &Filter{Child: node, Pred: h}
 	}
-	var elseE Expr
-	if x.Else != nil {
-		e, err := env.bind(x.Else)
-		if err != nil {
-			return nil, err
-		}
-		var cerr error
-		if k, cerr = types.CommonKind(k, e.Kind()); cerr != nil {
-			return nil, fmt.Errorf("at %s: CASE arms: %v", x.Pos, cerr)
-		}
-		elseE = e
-	}
-	if k == types.KindVoid {
-		k = types.KindInt
-	}
-	out := elseE
-	if out == nil {
-		out = &Const{Val: types.Null(k)}
-	}
-	for i := len(arms) - 1; i >= 0; i-- {
-		out = &IfElse{Cond: arms[i].cond, Then: arms[i].res, Else: out, K: k}
-	}
-	return fold(out), nil
-}
-
-// bindScalarFunc re-binds a scalar function whose arguments live in the
-// post-aggregation scope, by delegating to the Binder with a synthetic
-// scope made of the post-agg columns.
-func (env *aggEnv) bindScalarFunc(x *ast.FuncCall) (Expr, error) {
-	// Bind arguments in this env, then assemble with a shallow fake call.
-	args := make([]Expr, len(x.Args))
-	for i, a := range x.Args {
-		e, err := env.bind(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = e
-	}
-	// Reuse the scalar-function type rules by substituting pre-bound args:
-	// build a scope whose columns are the bound args.
-	cols := make([]ColInfo, len(args))
-	for i, a := range args {
-		cols[i] = ColInfo{Name: fmt.Sprintf("%%arg%d", i), Kind: a.Kind()}
-	}
-	fakeScope := NewScope(cols)
-	fakeArgs := make([]ast.Expr, len(args))
-	for i := range args {
-		fakeArgs[i] = &ast.ColRef{Name: fmt.Sprintf("%%arg%d", i), Pos: x.Pos}
-	}
-	bound, err := env.b.bindFunc(fakeScope, &ast.FuncCall{Name: x.Name, Args: fakeArgs, Pos: x.Pos})
-	if err != nil {
-		return nil, err
-	}
-	// Substitute the real argument expressions back for the fake columns.
-	return substituteCols(bound, args), nil
-}
-
-// substituteCols replaces Col{i} with subs[i].
-func substituteCols(e Expr, subs []Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Col:
-		return subs[x.Idx]
-	case *Const:
-		return x
-	case *Bin:
-		return &Bin{Op: x.Op, L: substituteCols(x.L, subs), R: substituteCols(x.R, subs), K: x.K}
-	case *Un:
-		return &Un{Op: x.Op, X: substituteCols(x.X, subs), K: x.K}
-	case *IfElse:
-		return &IfElse{Cond: substituteCols(x.Cond, subs), Then: substituteCols(x.Then, subs), Else: substituteCols(x.Else, subs), K: x.K}
-	case *Cast:
-		return &Cast{X: substituteCols(x.X, subs), To: x.To}
-	case *Substr:
-		return &Substr{X: substituteCols(x.X, subs), From: substituteCols(x.From, subs), For: substituteCols(x.For, subs)}
-	case *CellFetch:
-		coords := make([]Expr, len(x.Coords))
-		for i, c := range x.Coords {
-			coords[i] = substituteCols(c, subs)
-		}
-		return &CellFetch{A: x.A, AttrIdx: x.AttrIdx, Coords: coords}
-	default:
-		panic(fmt.Sprintf("rel: unknown expr %T", e))
-	}
+	proj.Child = node
+	return proj, func(e ast.Expr) (Expr, error) { return b.bindExpr(s, e) }, nil
 }
 
 // bindGroupSelect handles value-based GROUP BY (and global aggregation).
 func (b *Binder) bindGroupSelect(sel *ast.Select, items []ast.SelectItem, child Node, sc *Scope) (*Project, func(ast.Expr) (Expr, error), error) {
-	coll := &aggCollector{b: b, sc: sc}
-	for _, it := range items {
-		if err := coll.collect(it.Expr); err != nil {
-			return nil, nil, err
-		}
-	}
-	if sel.Having != nil {
-		if err := coll.collect(sel.Having); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Bind keys.
 	keys := make([]Expr, 0, len(sel.GroupBy))
 	keyNames := make([]string, 0, len(sel.GroupBy))
 	for _, g := range sel.GroupBy {
@@ -686,56 +460,12 @@ func (b *Binder) bindGroupSelect(sel *ast.Select, items []ast.SelectItem, child 
 		}
 		keyNames = append(keyNames, name)
 	}
-
-	ga := &GroupAgg{Child: child, Keys: keys, KeyNames: keyNames, Aggs: coll.specs}
-	env := &aggEnv{
-		b:           b,
-		passthrough: map[string]int{},
-		preScope:    sc,
-		aggBase:     len(keys),
-		agg:         coll,
-	}
+	ga := &GroupAgg{Child: child, Keys: keys, KeyNames: keyNames}
+	a := &aggScope{pre: sc, aggs: &ga.Aggs, pass: ga.Schema(), keys: make(map[string]int, len(keys))}
 	for i, k := range keys {
-		env.passthrough[k.String()] = i
+		a.keys[k.String()] = i
 	}
-	rebuildPost := func() { env.postCols = ga.Schema() }
-	rebuildPost()
-
-	var havingExpr Expr
-	if sel.Having != nil {
-		h, err := env.bind(sel.Having)
-		if err != nil {
-			return nil, nil, err
-		}
-		rebuildPost()
-		havingExpr = h
-	}
-
-	proj := &Project{}
-	for i, it := range items {
-		e, err := env.bind(it.Expr)
-		if err != nil {
-			return nil, nil, err
-		}
-		rebuildPost()
-		proj.Exprs = append(proj.Exprs, e)
-		proj.OutNames = append(proj.OutNames, itemName(it, i))
-		proj.Dims = append(proj.Dims, it.Dimensional)
-	}
-	// The collector may have grown while binding; update the node.
-	ga.Aggs = coll.specs
-	var node Node = ga
-	if havingExpr != nil {
-		node = &Filter{Child: node, Pred: havingExpr}
-	}
-	proj.Child = node
-	preBind := func(e ast.Expr) (Expr, error) {
-		out, err := env.bind(e)
-		ga.Aggs = coll.specs
-		rebuildPost()
-		return out, err
-	}
-	return proj, preBind, nil
+	return b.bindAggregated(sel, items, a, ga)
 }
 
 // bindTileSelect handles SciQL structural grouping.
@@ -793,67 +523,12 @@ func (b *Binder) bindTileSelect(sel *ast.Select, items []ast.SelectItem, child N
 		tile[k] = gdk.TileRange{Lo: lo, Hi: hi, Step: step}
 	}
 
-	coll := &aggCollector{b: b, sc: sc}
-	for _, it := range items {
-		if err := coll.collect(it.Expr); err != nil {
-			return nil, nil, err
-		}
+	ta := &TileAgg{A: a, Alias: scan.Alias, Tile: tile}
+	proj, preBind, err := b.bindAggregated(sel, items, &aggScope{pre: sc, aggs: &ta.Aggs, pass: sc.Cols, tile: true}, ta)
+	if err != nil {
+		return nil, nil, err
 	}
-	if sel.Having != nil {
-		if err := coll.collect(sel.Having); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	ta := &TileAgg{A: a, Alias: scan.Alias, Tile: tile, Aggs: coll.specs}
-	env := &aggEnv{
-		b:           b,
-		passthrough: map[string]int{},
-		preScope:    sc,
-		aggBase:     len(sc.Cols),
-		agg:         coll,
-		tileMode:    true,
-	}
-	// Every cell-aligned column passes through at the same ordinal.
-	for i, c := range sc.Cols {
-		_ = c
-		env.passthrough[(&Col{Idx: i, Info: sc.Cols[i]}).String()] = i
-	}
-	env.postCols = ta.Schema()
-
-	var havingExpr Expr
-	if sel.Having != nil {
-		h, err := env.bind(sel.Having)
-		if err != nil {
-			return nil, nil, err
-		}
-		env.postCols = ta.Schema()
-		havingExpr = h
-	}
-	proj := &Project{}
-	for i, it := range items {
-		e, err := env.bind(it.Expr)
-		if err != nil {
-			return nil, nil, err
-		}
-		env.postCols = ta.Schema()
-		proj.Exprs = append(proj.Exprs, e)
-		proj.OutNames = append(proj.OutNames, itemName(it, i))
-		proj.Dims = append(proj.Dims, it.Dimensional)
-	}
-	ta.Aggs = coll.specs
-	var node Node = ta
-	if havingExpr != nil {
-		node = &Filter{Child: node, Pred: havingExpr}
-	}
-	proj.Child = node
 	proj.ShapeHint = shapeHintFor(proj)
-	preBind := func(e ast.Expr) (Expr, error) {
-		out, err := env.bind(e)
-		ta.Aggs = coll.specs
-		env.postCols = ta.Schema()
-		return out, err
-	}
 	return proj, preBind, nil
 }
 
@@ -919,64 +594,9 @@ func anchorOffset(e ast.Expr, dimName string) (int64, bool, error) {
 	return 0, false, fmt.Errorf("tile bounds must be `%s ± constant`", dimName)
 }
 
-// applyOrderLimit binds ORDER BY / LIMIT / OFFSET over the projected schema.
-func (b *Binder) applyOrderLimit(sel *ast.Select, node Node) (Node, error) {
-	if len(sel.OrderBy) > 0 {
-		schema := node.Schema()
-		sc := NewScope(schema)
-		keys := make([]Expr, 0, len(sel.OrderBy))
-		descs := make([]bool, 0, len(sel.OrderBy))
-		for _, oi := range sel.OrderBy {
-			// ORDER BY <n> addresses the n-th output column.
-			if lit, ok := oi.Expr.(*ast.Literal); ok && !lit.Val.IsNull() && lit.Val.Kind() == types.KindInt {
-				n := int(lit.Val.Int64())
-				if n < 1 || n > len(schema) {
-					return nil, fmt.Errorf("at %s: ORDER BY position %d is out of range", lit.Pos, n)
-				}
-				keys = append(keys, &Col{Idx: n - 1, Info: schema[n-1]})
-				descs = append(descs, oi.Desc)
-				continue
-			}
-			e, err := b.BindScalar(sc, oi.Expr)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, e)
-			descs = append(descs, oi.Desc)
-		}
-		node = &Sort{Child: node, Keys: keys, Desc: descs}
-	}
-	if sel.Limit != nil || sel.Offset != nil {
-		lim := int64(-1)
-		off := int64(0)
-		if sel.Limit != nil {
-			v, err := b.constInt(sel.Limit)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("LIMIT must be non-negative")
-			}
-			lim = v
-		}
-		if sel.Offset != nil {
-			v, err := b.constInt(sel.Offset)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("OFFSET must be non-negative")
-			}
-			off = v
-		}
-		node = &Limit{Child: node, Offset: off, Count: lim}
-	}
-	return node, nil
-}
-
-// constInt evaluates a constant integer AST expression (LIMIT, dimension
+// ConstInt evaluates a constant integer AST expression (LIMIT, dimension
 // ranges).
-func (b *Binder) constInt(e ast.Expr) (int64, error) {
+func (b *Binder) ConstInt(e ast.Expr) (int64, error) {
 	bound, err := b.bindExpr(NewScope(nil), e)
 	if err != nil {
 		return 0, err
@@ -1000,9 +620,6 @@ func (b *Binder) ConstValue(e ast.Expr) (types.Value, error) {
 	}
 	return EvalConst(bound)
 }
-
-// ConstInt evaluates a constant integer AST expression.
-func (b *Binder) ConstInt(e ast.Expr) (int64, error) { return b.constInt(e) }
 
 // unifyUnionArms promotes both UNION ALL arms to common column kinds,
 // wrapping either arm in a casting projection when needed.

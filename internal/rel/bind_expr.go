@@ -35,6 +35,11 @@ func (b *Binder) BindScalar(s *Scope, e ast.Expr) (Expr, error) {
 }
 
 func (b *Binder) bindExpr(s *Scope, e ast.Expr) (Expr, error) {
+	if s.agg != nil {
+		if out, done, err := b.bindPostAgg(s.agg, e); done {
+			return out, err
+		}
+	}
 	switch x := e.(type) {
 	case *ast.Literal:
 		return &Const{Val: x.Val}, nil

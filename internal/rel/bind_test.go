@@ -176,6 +176,24 @@ func TestBindGroupRules(t *testing.T) {
 	if len(ga.Aggs) != 1 {
 		t.Errorf("duplicate aggregates not merged: %+v", ga.Aggs)
 	}
+	// Post-aggregation expressions bind like any other: LIKE and cell
+	// references over keys and aggregates ...
+	bindQuery(t, cat, `SELECT name, COUNT(*) FROM items GROUP BY name HAVING name LIKE 'a%'`)
+	bindQuery(t, cat, `SELECT [x], [y], SUM(v) FROM m GROUP BY m[x:x+2][y:y+2] HAVING CAST(SUM(v) AS VARCHAR) LIKE '1%'`)
+	bindQuery(t, cat, `SELECT id, SUM(price) + m[1][1] FROM items GROUP BY id`)
+	// ... and with the same type checks.
+	bindErr(t, cat, `SELECT name, NOT name FROM items GROUP BY name`, "NOT needs a boolean operand")
+	bindErr(t, cat, `SELECT name, -name FROM items GROUP BY name`, "unary minus needs a numeric operand")
+	bindErr(t, cat, `SELECT id, CASE WHEN SUM(price) THEN 1 END FROM items GROUP BY id`, "CASE condition must be boolean")
+	bindErr(t, cat, `SELECT [x], [y], NOT v FROM m GROUP BY m[x:x+2][y:y+2]`, "NOT needs a boolean operand")
+	bindErr(t, cat, `SELECT [x], [y], -(v > 0) FROM m GROUP BY m[x:x+2][y:y+2]`, "unary minus needs a numeric operand")
+	bindErr(t, cat, `SELECT [x], [y], CASE WHEN SUM(v) THEN 1 END FROM m GROUP BY m[x:x+2][y:y+2]`, "CASE condition must be boolean")
+	// An ORDER BY aggregate that is not projected becomes a hidden one.
+	n = bindQuery(t, cat, `SELECT id, SUM(price) FROM items GROUP BY id ORDER BY MAX(price)`)
+	ga = findGroupAgg(n)
+	if len(ga.Aggs) != 2 || ga.Aggs[1].Agg != "max" {
+		t.Errorf("ORDER BY MAX(price): aggs = %+v", ga.Aggs)
+	}
 }
 
 func findGroupAgg(n Node) *GroupAgg {

@@ -11,6 +11,9 @@ import (
 type Scope struct {
 	Cols   []ColInfo
 	Arrays map[string]*catalog.Array // alias (or name) → array
+	// agg makes this the scope above a GroupAgg or TileAgg: aggregate
+	// calls and aggregate-free subtrees bind through it (bindPostAgg).
+	agg *aggScope
 }
 
 // NewScope builds a scope over the given columns.
