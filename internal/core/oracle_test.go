@@ -20,15 +20,17 @@ import (
 )
 
 // The statement-level oracle. refEval evaluates the bound, unoptimized
-// plan of a SELECT one row at a time: rel.EvalRow per row, a nested-loop
-// join that applies each WHERE conjunct as soon as its columns are bound,
-// map-based grouping, sort.SliceStable for ORDER BY. It shares the binder
-// with the engine and nothing after it — no rel.Optimize, MAL or GDK — so
+// plan of a SELECT one row at a time: evalRow (below) per row, a
+// nested-loop join that applies each WHERE conjunct as soon as its
+// columns are bound, map-based grouping, sort.SliceStable for ORDER BY.
+// It shares the binder with the engine and nothing after it — no
+// rel.Optimize, constant folding, MAL or GDK, and no expression code — so
 // a bug in a fast path (zonemap, binary search, merge join, run grouping,
-// candidate chains, join ordering) shows as a difference here even when
-// every fast path agrees with every other. TestOracleRandomSelect runs
-// seeded random SELECTs through the full pipeline at 1, 2 and 8 threads
-// against it; a failure prints the seed and the SQL.
+// candidate chains, join ordering) or in a folded constant shows as a
+// difference here even when every fast path agrees with every other.
+// TestOracleRandomSelect runs seeded random SELECTs through the full
+// pipeline at 1, 2 and 8 threads against it; a failure prints the seed
+// and the SQL.
 
 // errRefTooBig marks a statement whose nested-loop evaluation would touch
 // more rows than the oracle is willing to enumerate.
@@ -174,7 +176,7 @@ func refEval(n rel.Node, budget int) ([][]types.Value, error) {
 	return nil, fmt.Errorf("reference: cannot evaluate %T", n)
 }
 
-// getter reads the columns of one row for rel.EvalRow.
+// getter reads the columns of one row for evalRow.
 func getter(row []types.Value) func(int) (types.Value, error) {
 	return func(i int) (types.Value, error) { return row[i], nil }
 }
@@ -183,13 +185,394 @@ func getter(row []types.Value) func(int) (types.Value, error) {
 func evalAll(exprs []rel.Expr, row []types.Value) ([]types.Value, error) {
 	out := make([]types.Value, len(exprs))
 	for i, e := range exprs {
-		v, err := rel.EvalRow(e, getter(row))
+		v, err := evalRow(e, getter(row))
 		if err != nil {
 			return nil, err
 		}
 		out[i] = v
 	}
 	return out, nil
+}
+
+// evalRow is the reference's expression evaluator: a bound expression
+// over one boxed row, get returning the value of column ordinal i. It
+// shares no code with the engine, which evaluates and folds every
+// expression through the gdk kernels; it is written to the semantics the
+// kernels document (three-valued logic, NULL propagation, truncating
+// integer division, division-by-zero errors, the CAST rules of
+// types.Value.Cast) one row at a time.
+func evalRow(e rel.Expr, get func(int) (types.Value, error)) (types.Value, error) {
+	switch x := e.(type) {
+	case *rel.Const:
+		return x.Val, nil
+	case *rel.Col:
+		if get == nil {
+			return types.Value{}, fmt.Errorf("expression is not constant: references column %s", x)
+		}
+		return get(x.Idx)
+	case *rel.Bin:
+		return evalBin(x, get)
+	case *rel.Un:
+		return evalUn(x, get)
+	case *rel.IfElse:
+		c, err := evalRow(x.Cond, get)
+		if err != nil {
+			return types.Value{}, err
+		}
+		if !c.IsNull() && c.BoolVal() {
+			v, err := evalRow(x.Then, get)
+			if err != nil {
+				return types.Value{}, err
+			}
+			return refCastTo(v, x.K)
+		}
+		v, err := evalRow(x.Else, get)
+		if err != nil {
+			return types.Value{}, err
+		}
+		return refCastTo(v, x.K)
+	case *rel.Cast:
+		v, err := evalRow(x.X, get)
+		if err != nil {
+			return types.Value{}, err
+		}
+		return v.Cast(x.To)
+	case *rel.Substr:
+		return evalSubstr(x, get)
+	case *rel.CellFetch:
+		if get == nil {
+			return types.Value{}, fmt.Errorf("expression is not constant: contains a cell reference")
+		}
+		coords := make([]int64, len(x.Coords))
+		for i, c := range x.Coords {
+			v, err := evalRow(c, get)
+			if err != nil {
+				return types.Value{}, err
+			}
+			if v.IsNull() {
+				return types.Null(x.Kind()), nil
+			}
+			iv, err := v.AsInt()
+			if err != nil {
+				return types.Value{}, err
+			}
+			coords[i] = iv
+		}
+		p, ok := x.A.Shape.Pos(coords)
+		if !ok {
+			return types.Null(x.Kind()), nil
+		}
+		return x.A.AttrBats[x.AttrIdx].Get(p), nil
+	default:
+		return types.Value{}, fmt.Errorf("cannot evaluate %T", e)
+	}
+}
+
+func refCastTo(v types.Value, k types.Kind) (types.Value, error) {
+	if v.IsNull() {
+		return types.Null(k), nil
+	}
+	if v.Kind() == k {
+		return v, nil
+	}
+	return v.Cast(k)
+}
+
+func evalBin(x *rel.Bin, get func(int) (types.Value, error)) (types.Value, error) {
+	// AND/OR need lazy three-valued evaluation.
+	if x.Op == "AND" || x.Op == "OR" {
+		l, err := evalRow(x.L, get)
+		if err != nil {
+			return types.Value{}, err
+		}
+		r, err := evalRow(x.R, get)
+		if err != nil {
+			return types.Value{}, err
+		}
+		ln, rn := l.IsNull(), r.IsNull()
+		lv := !ln && l.BoolVal()
+		rv := !rn && r.BoolVal()
+		if x.Op == "AND" {
+			if (!ln && !lv) || (!rn && !rv) {
+				return types.Bool(false), nil
+			}
+			if ln || rn {
+				return types.Null(types.KindBool), nil
+			}
+			return types.Bool(true), nil
+		}
+		if lv || rv {
+			return types.Bool(true), nil
+		}
+		if ln || rn {
+			return types.Null(types.KindBool), nil
+		}
+		return types.Bool(false), nil
+	}
+	l, err := evalRow(x.L, get)
+	if err != nil {
+		return types.Value{}, err
+	}
+	r, err := evalRow(x.R, get)
+	if err != nil {
+		return types.Value{}, err
+	}
+	switch x.Op {
+	case "+", "-", "*", "/", "%":
+		if l.IsNull() || r.IsNull() {
+			return types.Null(x.K), nil
+		}
+		if x.K == types.KindFloat {
+			a, err := l.AsFloat()
+			if err != nil {
+				return types.Value{}, err
+			}
+			bf, err := r.AsFloat()
+			if err != nil {
+				return types.Value{}, err
+			}
+			switch x.Op {
+			case "+":
+				return types.Float(a + bf), nil
+			case "-":
+				return types.Float(a - bf), nil
+			case "*":
+				return types.Float(a * bf), nil
+			case "/":
+				if bf == 0 {
+					return types.Value{}, fmt.Errorf("division by zero")
+				}
+				return types.Float(a / bf), nil
+			case "%":
+				if bf == 0 {
+					return types.Value{}, fmt.Errorf("modulo by zero")
+				}
+				return types.Float(math.Mod(a, bf)), nil
+			}
+		}
+		a, err := l.AsInt()
+		if err != nil {
+			return types.Value{}, err
+		}
+		bi, err := r.AsInt()
+		if err != nil {
+			return types.Value{}, err
+		}
+		switch x.Op {
+		case "+":
+			return types.Int(a + bi), nil
+		case "-":
+			return types.Int(a - bi), nil
+		case "*":
+			return types.Int(a * bi), nil
+		case "/":
+			if bi == 0 {
+				return types.Value{}, fmt.Errorf("division by zero")
+			}
+			return types.Int(a / bi), nil
+		case "%":
+			if bi == 0 {
+				return types.Value{}, fmt.Errorf("modulo by zero")
+			}
+			return types.Int(a % bi), nil
+		}
+	case "=", "<>", "<", "<=", ">", ">=":
+		if l.IsNull() || r.IsNull() {
+			return types.Null(types.KindBool), nil
+		}
+		c := l.Compare(r)
+		switch x.Op {
+		case "=":
+			return types.Bool(c == 0), nil
+		case "<>":
+			return types.Bool(c != 0), nil
+		case "<":
+			return types.Bool(c < 0), nil
+		case "<=":
+			return types.Bool(c <= 0), nil
+		case ">":
+			return types.Bool(c > 0), nil
+		case ">=":
+			return types.Bool(c >= 0), nil
+		}
+	case "||":
+		if l.IsNull() || r.IsNull() {
+			return types.Null(types.KindStr), nil
+		}
+		return types.Str(l.StrVal() + r.StrVal()), nil
+	case "like":
+		if l.IsNull() || r.IsNull() {
+			return types.Null(types.KindBool), nil
+		}
+		return types.Bool(likeScalar(l.StrVal(), r.StrVal())), nil
+	case "pow":
+		if l.IsNull() || r.IsNull() {
+			return types.Null(types.KindFloat), nil
+		}
+		a, err := l.AsFloat()
+		if err != nil {
+			return types.Value{}, err
+		}
+		bf, err := r.AsFloat()
+		if err != nil {
+			return types.Value{}, err
+		}
+		return types.Float(math.Pow(a, bf)), nil
+	}
+	return types.Value{}, fmt.Errorf("cannot evaluate operator %q", x.Op)
+}
+
+func evalUn(x *rel.Un, get func(int) (types.Value, error)) (types.Value, error) {
+	v, err := evalRow(x.X, get)
+	if err != nil {
+		return types.Value{}, err
+	}
+	if x.Op == "isnull" {
+		return types.Bool(v.IsNull()), nil
+	}
+	if v.IsNull() {
+		return types.Null(x.K), nil
+	}
+	switch x.Op {
+	case "-":
+		if v.Kind() == types.KindFloat {
+			return types.Float(-v.Float64()), nil
+		}
+		iv, err := v.AsInt()
+		if err != nil {
+			return types.Value{}, err
+		}
+		return types.Int(-iv), nil
+	case "not":
+		return types.Bool(!v.BoolVal()), nil
+	case "abs":
+		if v.Kind() == types.KindFloat {
+			return types.Float(math.Abs(v.Float64())), nil
+		}
+		iv, err := v.AsInt()
+		if err != nil {
+			return types.Value{}, err
+		}
+		if iv < 0 {
+			iv = -iv
+		}
+		return types.Int(iv), nil
+	case "sqrt", "floor", "ceil", "exp", "log", "round":
+		f, err := v.AsFloat()
+		if err != nil {
+			return types.Value{}, err
+		}
+		switch x.Op {
+		case "sqrt":
+			if f < 0 {
+				return types.Value{}, fmt.Errorf("sqrt of negative value %v", f)
+			}
+			return types.Float(math.Sqrt(f)), nil
+		case "floor":
+			return types.Float(math.Floor(f)), nil
+		case "ceil":
+			return types.Float(math.Ceil(f)), nil
+		case "exp":
+			return types.Float(math.Exp(f)), nil
+		case "log":
+			if f <= 0 {
+				return types.Value{}, fmt.Errorf("log of non-positive value %v", f)
+			}
+			return types.Float(math.Log(f)), nil
+		case "round":
+			return types.Float(math.Round(f)), nil
+		}
+	case "sign":
+		f, err := v.AsFloat()
+		if err != nil {
+			return types.Value{}, err
+		}
+		switch {
+		case f > 0:
+			return types.Int(1), nil
+		case f < 0:
+			return types.Int(-1), nil
+		default:
+			return types.Int(0), nil
+		}
+	case "upper":
+		return types.Str(strings.ToUpper(v.StrVal())), nil
+	case "lower":
+		return types.Str(strings.ToLower(v.StrVal())), nil
+	case "length":
+		return types.Int(int64(len(v.StrVal()))), nil
+	}
+	return types.Value{}, fmt.Errorf("cannot evaluate unary %q", x.Op)
+}
+
+func evalSubstr(x *rel.Substr, get func(int) (types.Value, error)) (types.Value, error) {
+	v, err := evalRow(x.X, get)
+	if err != nil {
+		return types.Value{}, err
+	}
+	fromV, err := evalRow(x.From, get)
+	if err != nil {
+		return types.Value{}, err
+	}
+	forV, err := evalRow(x.For, get)
+	if err != nil {
+		return types.Value{}, err
+	}
+	if v.IsNull() || fromV.IsNull() || forV.IsNull() {
+		return types.Null(types.KindStr), nil
+	}
+	s := v.StrVal()
+	fi, err := fromV.AsInt()
+	if err != nil {
+		return types.Value{}, err
+	}
+	li, err := forV.AsInt()
+	if err != nil {
+		return types.Value{}, err
+	}
+	from := int(fi) - 1
+	if from < 0 {
+		from = 0
+	}
+	if from > len(s) {
+		from = len(s)
+	}
+	to := from + int(li)
+	if to < from {
+		to = from
+	}
+	if to > len(s) {
+		to = len(s)
+	}
+	return types.Str(s[from:to]), nil
+}
+
+// likeScalar matches the same greedy algorithm as the gdk Like kernel.
+func likeScalar(s, pattern string) bool {
+	sr, pr := []rune(s), []rune(pattern)
+	var si, pi int
+	star, mark := -1, 0
+	for si < len(sr) {
+		switch {
+		case pi < len(pr) && (pr[pi] == '_' || pr[pi] == sr[si]):
+			si++
+			pi++
+		case pi < len(pr) && pr[pi] == '%':
+			star = pi
+			mark = si
+			pi++
+		case star >= 0:
+			pi = star + 1
+			mark++
+			si = mark
+		default:
+			return false
+		}
+	}
+	for pi < len(pr) && pr[pi] == '%' {
+		pi++
+	}
+	return pi == len(pr)
 }
 
 // crossLeaves flattens a tree of cross joins into its inputs, left to
@@ -213,7 +596,7 @@ func conjuncts(e rel.Expr) []rel.Expr {
 
 // holds reports whether a predicate is true (not false, not NULL) on row.
 func holds(pred rel.Expr, row []types.Value) (bool, error) {
-	v, err := rel.EvalRow(pred, getter(row))
+	v, err := evalRow(pred, getter(row))
 	if err != nil {
 		return false, err
 	}
@@ -384,7 +767,7 @@ func refGroupAgg(g *rel.GroupAgg, rows [][]types.Value) ([][]types.Value, error)
 				st.n++
 				continue
 			}
-			v, err := rel.EvalRow(spec.Arg, getter(row))
+			v, err := evalRow(spec.Arg, getter(row))
 			if err != nil {
 				return nil, err
 			}
@@ -452,8 +835,8 @@ func refCompare(a, b types.Value) int {
 	return a.Compare(b)
 }
 
-// refKey is a row as a map key: NULL one marker, a float its bits,
-// anything else its kind and text.
+// refKey is a row as a map key: NULL one marker, a float its bits with
+// -0.0 read as 0.0, anything else its kind and text.
 func refKey(row []types.Value) string {
 	var sb strings.Builder
 	for _, v := range row {
@@ -461,7 +844,7 @@ func refKey(row []types.Value) string {
 		case v.IsNull():
 			sb.WriteString("N|")
 		case v.Kind() == types.KindFloat:
-			fmt.Fprintf(&sb, "F%x|", math.Float64bits(v.Float64()))
+			fmt.Fprintf(&sb, "F%x|", math.Float64bits(v.Float64()+0))
 		default:
 			fmt.Fprintf(&sb, "%s:%q|", v.Kind(), v.String())
 		}
@@ -473,13 +856,15 @@ func refKey(row []types.Value) string {
 
 // oracleDB is buildJoinOrderDB plus a small array with holes over a
 // negative dimension range: x in [0,6), y in [-2,3), an int attribute and
-// a float one, a third of the cells deleted.
+// a float one that holds both -0.0 and 0.0, a third of the cells deleted.
 func oracleDB(t testing.TB) *DB {
 	db := buildJoinOrderDB(t)
 	for _, q := range []string{
 		`CREATE ARRAY grid (x INT DIMENSION[0:1:6], y INT DIMENSION[-2:1:3], v INT DEFAULT 0, f DOUBLE)`,
 		`UPDATE grid SET v = (x * 7 + y * 3) % 5, f = x * 0.5 - y * 0.25`,
 		`DELETE FROM grid WHERE (x + y) % 3 = 0`,
+		`UPDATE grid SET f = -0.0 WHERE x = 2 AND y = -1`,
+		`UPDATE grid SET f = 0.0 WHERE x = 3 AND y = -1`,
 	} {
 		if _, err := db.Exec(q); err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -596,9 +981,33 @@ func literal(v types.Value) string {
 	return v.String()
 }
 
+// constExpr draws a constant subexpression of c's type, which the engine
+// folds through its kernels before it runs and the reference evaluates
+// row by row: integer division and modulo with negative operands, CASTs
+// from strings, negations, NULL arithmetic, and -0.0.
+func (g *oracleGen) constExpr(c ocol) string {
+	switch {
+	case c.str():
+		return []string{"'s' || '1'", "LOWER('S3')", "SUBSTRING('xs5', 2, 2)", "(NULL || 's2')"}[g.rng.Intn(4)]
+	case c.flt():
+		return []string{"-0.0", "(-1.5 / 2)", "CAST('0.25' AS DOUBLE)", "(NULL * 0.5)", "-(-2.5)", "(7 % -2.5)"}[g.rng.Intn(6)]
+	}
+	a, b := g.rng.Intn(21)-10, g.rng.Intn(9)-4
+	if b == 0 {
+		b = -3
+	}
+	return []string{
+		fmt.Sprintf("(%d / %d)", a, b),
+		fmt.Sprintf("(%d %% %d)", a, b),
+		fmt.Sprintf("CAST('%d' AS INT)", a),
+		fmt.Sprintf("-(%d)", a),
+		"(NULL + 1)",
+	}[g.rng.Intn(5)]
+}
+
 // atom draws one WHERE atom over cols: a theta or range comparison with
-// a constant, an OR of two, IS [NOT] NULL, or a theta predicate between
-// two columns.
+// a constant or a constant subexpression, an OR of two, IS [NOT] NULL, or
+// a theta predicate between two columns.
 func (g *oracleGen) atom(cols []ocol) string {
 	c := cols[g.rng.Intn(len(cols))]
 	ops := []string{"=", "<>", "<", "<=", ">", ">="}
@@ -626,18 +1035,27 @@ func (g *oracleGen) atom(cols []ocol) string {
 			}
 			return fmt.Sprintf("%s %s %s", c, ops[g.rng.Intn(6)], d)
 		}
+	case 4:
+		return fmt.Sprintf("%s %s %s", c, ops[g.rng.Intn(6)], g.constExpr(c))
 	}
 	return fmt.Sprintf("%s %s %s", c, ops[g.rng.Intn(6)], g.constFor(c))
 }
 
-// item draws one non-aggregate output expression.
+// item draws one non-aggregate output expression, sometimes with a
+// constant subexpression in it.
 func (g *oracleGen) item(cols []ocol) string {
 	c := cols[g.rng.Intn(len(cols))]
-	switch {
-	case isInt(c) && g.rng.Intn(3) == 0:
+	switch r := g.rng.Intn(12); {
+	case isInt(c) && r < 3:
 		return fmt.Sprintf("%s * %d + %d", c, g.rng.Intn(4)+1, g.rng.Intn(9)-4)
-	case c.flt() && g.rng.Intn(2) == 0:
+	case isInt(c) && r < 5:
+		return fmt.Sprintf("%s + %s", c, g.constExpr(c))
+	case c.flt() && r < 5:
 		return c.String() + " * 2.5"
+	case c.flt() && r < 7:
+		return fmt.Sprintf("%s + %s", c, g.constExpr(c))
+	case r == 7:
+		return fmt.Sprintf("CASE WHEN %d < %d THEN %s END", g.rng.Intn(3), g.rng.Intn(3), c)
 	}
 	return c.String()
 }
@@ -1123,6 +1541,188 @@ func TestConcurrentDBsKeepTheirWidths(t *testing.T) {
 		}
 		if err := sameRows(b.rows, a.rows, false); err != nil {
 			t.Fatalf("%s\nwidth 8 vs width 1: %v", sql, err)
+		}
+	}
+}
+
+// TestFoldMatchesReference: rel.Optimize folds a constant expression
+// through the gdk kernels, and evalRow evaluates the binder's unfolded
+// tree with code the engine does not share. A folded constant must equal
+// the reference's value, kind included; an expression the optimizer
+// leaves unfolded (the reference fails on it, or a fold rule keeps its
+// shape) must still evaluate to the reference's answer; and the engine
+// must answer the statement as the reference does, or fail as it does.
+func TestFoldMatchesReference(t *testing.T) {
+	db := New()
+	for _, c := range []struct {
+		expr  string
+		folds bool
+	}{
+		// Three-valued logic.
+		{"TRUE AND NULL", true},
+		{"FALSE AND NULL", true},
+		{"FALSE OR NULL", true},
+		{"NULL OR TRUE", true},
+		{"(1 < NULL) OR (2 > 1)", true},
+		{"NOT (NULL AND TRUE)", true},
+		{"(1 < 2) AND (NULL = 1)", true},
+		{"NOT NULL", true},
+		// Integer division and modulo truncate toward zero.
+		{"-7 / 2", true},
+		{"7 / -2", true},
+		{"-7 % 2", true},
+		{"7 % -3", true},
+		{"-7 % -3", true},
+		{"MOD(-7, 3)", true},
+		{"1 + 2 * 3 - 4 / 2", true},
+		// Division by zero is left for run time.
+		{"1 / 0", false},
+		{"5 % 0", false},
+		{"1 / (2 - 2)", false},
+		{"1.5 / 0", false},
+		{"0.0 / 0.0", false},
+		// Two's-complement wrap at the int64 edge.
+		{"-(-9223372036854775807 - 1)", true},
+		{"(-9223372036854775807 - 1) / -1", true},
+		{"(-9223372036854775807 - 1) % -1", true},
+		{"9223372036854775807 + 1", true},
+		// Every CAST rule, and the ones that fail.
+		{"CAST(2.7 AS INT)", true},
+		{"CAST(-2.7 AS INT)", true},
+		{"CAST(1e19 AS INT)", false},
+		{"CAST(' 42 ' AS INT)", true},
+		{"CAST('4x' AS INT)", false},
+		{"CAST(TRUE AS INT)", true},
+		{"CAST(CAST(3 AS OID) AS INT)", true},
+		{"CAST(7 AS OID)", true},
+		{"CAST(-1 AS OID)", false},
+		{"CAST(1.5 AS OID)", false},
+		{"CAST('3' AS OID)", false},
+		{"CAST(TRUE AS OID)", false},
+		{"CAST(CAST(3 AS OID) AS DOUBLE)", true},
+		{"CAST(CAST(3 AS OID) AS BOOLEAN)", true},
+		{"CAST(CAST(3 AS OID) AS VARCHAR)", true},
+		{"CAST(CAST(3 AS OID) AS OID)", true},
+		{"CAST(5 AS INT)", true},
+		{"CAST('x' AS VARCHAR)", true},
+		{"CAST(3 AS DOUBLE)", true},
+		{"CAST(' 2.5 ' AS DOUBLE)", true},
+		{"CAST(FALSE AS DOUBLE)", true},
+		{"CAST('x' AS DOUBLE)", false},
+		{"CAST(0 AS BOOLEAN)", true},
+		{"CAST(0.5 AS BOOLEAN)", true},
+		{"CAST(' T ' AS BOOLEAN)", true},
+		{"CAST('maybe' AS BOOLEAN)", false},
+		{"CAST(42 AS VARCHAR)", true},
+		{"CAST(0.1 AS VARCHAR)", true},
+		{"CAST(TRUE AS VARCHAR)", true},
+		{"CAST(NULL AS INT)", true},
+		{"CAST(NULL AS BOOLEAN)", true},
+		// LIKE.
+		{"'abc' LIKE 'a%'", true},
+		{"'abc' LIKE '_b_'", true},
+		{"'abc' LIKE '%d'", true},
+		{"'a%c' LIKE 'a%%'", true},
+		{"'abc' NOT LIKE 'a%c'", true},
+		{"'héllo' LIKE 'h_llo'", true},
+		{"'' LIKE '%'", true},
+		{"NULL LIKE 'a'", true},
+		// SUBSTRING bounds (1-based start, clamped to the string).
+		{"SUBSTRING('hello', 0, 3)", true},
+		{"SUBSTRING('hello', -2, 5)", true},
+		{"SUBSTRING('hello', 4)", true},
+		{"SUBSTRING('hello', 10, 2)", true},
+		{"SUBSTRING('hello', 2, -1)", true},
+		{"SUBSTRING('hello', 2.9, 2)", true},
+		{"SUBSTRING('hello', NULL, 2)", true},
+		{"SUBSTRING(NULL, 1, 2)", true},
+		// A NULL takes its expression's type.
+		{"NULL + 1", true},
+		{"NULL + 1.5", true},
+		{"NULL + NULL", true},
+		{"-NULL", true},
+		{"NULL || 'a'", true},
+		{"NULL = NULL", true},
+		{"ABS(NULL)", true},
+		{"UPPER(NULL)", true},
+		{"CAST(NULL AS INT) + 1", true},
+		// CASE and its sugar.
+		{"CASE WHEN 1 < 2 THEN 1 ELSE 2.5 END", true},
+		{"CASE WHEN NULL THEN 1 ELSE 2 END", true},
+		{"CASE WHEN 1 > 2 THEN 'a' END", true},
+		{"COALESCE(NULL, 3)", true},
+		{"NULLIF(3, 3)", true},
+		{"GREATEST(1, NULL, 3)", true},
+		{"GREATEST(1, 2.5)", true},
+		{"LEAST(4, 2)", true},
+		// Functions, comparisons, floats.
+		{"ABS(-3)", true},
+		{"ABS(-2.5)", true},
+		{"SIGN(-2.5)", true},
+		{"SIGN(0)", true},
+		{"SQRT(-1)", false},
+		{"LOG(0)", false},
+		{"POWER(2, 10)", true},
+		{"POWER(-8, 0.5)", true},
+		{"ROUND(-2.5)", true},
+		{"FLOOR(-1.5)", true},
+		{"CEIL(-0.5)", true},
+		{"UPPER('aB') || LOWER('aB')", true},
+		{"LENGTH('héllo')", true},
+		{"'a' + 'b'", true},
+		{"1 = 1.0", true},
+		{"'a' < 'b'", true},
+		{"TRUE > FALSE", true},
+		{"-(0.0 + 0.0)", true},
+		{"-0.0 = 0.0", true},
+		{"0.0 * -1", true},
+		{"1e308 * 10", true},
+		{"7 % -2.5", true},
+	} {
+		sql := "SELECT " + c.expr
+		bound := func() *rel.Project {
+			stmt, err := parser.ParseOne(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			plan, err := rel.NewBinder(db.cat).BindSelect(stmt.(*ast.Select))
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			return plan.(*rel.Project)
+		}
+		e := bound().Exprs[0]
+		if _, ok := e.(*rel.Const); ok {
+			t.Fatalf("%s: the binder folded %s", sql, e)
+		}
+		want, werr := evalRow(e, nil)
+		folded := rel.Optimize(bound()).(*rel.Project).Exprs[0]
+		k, isConst := folded.(*rel.Const)
+		switch {
+		case isConst != c.folds:
+			t.Errorf("%s: optimized to %s, folds=%v expected (reference %s, %v)", sql, folded, c.folds, renderExact(want), werr)
+			continue
+		case isConst && werr != nil:
+			t.Errorf("%s: folded to %s where the reference fails: %v", sql, k, werr)
+			continue
+		case isConst && (k.Val.Kind() != want.Kind() || renderExact(k.Val) != renderExact(want)):
+			t.Errorf("%s: folded to %s %s, reference %s %s", sql, k.Val.Kind(), renderExact(k.Val), want.Kind(), renderExact(want))
+			continue
+		case !isConst && werr == nil:
+			if got, err := evalRow(folded, nil); err != nil || renderExact(got) != renderExact(want) {
+				t.Errorf("%s: optimized %s evaluates to %s (%v), reference %s", sql, folded, renderExact(got), err, renderExact(want))
+				continue
+			}
+		}
+		res, err := db.Query(sql)
+		if (err != nil) != (werr != nil) {
+			t.Errorf("%s: engine error %v, reference error %v", sql, err, werr)
+			continue
+		}
+		if err == nil {
+			if got := res.Value(0, 0); renderExact(got) != renderExact(want) {
+				t.Errorf("%s: engine answers %s, reference %s", sql, renderExact(got), renderExact(want))
+			}
 		}
 	}
 }

@@ -176,6 +176,52 @@ func TestUnionAll(t *testing.T) {
 	expectRows(t, db, `SELECT 1 UNION ALL SELECT 2.5`, []string{"1", "2.5"})
 }
 
+// TestUnionAllTrailingOrderLimit: an ORDER BY/LIMIT written after the
+// last arm orders and cuts the whole union, and its keys name the
+// union's output columns.
+func TestUnionAllTrailingOrderLimit(t *testing.T) {
+	db := New()
+	for _, q := range []string{
+		`CREATE TABLE t (g INT, v INT)`,
+		`INSERT INTO t VALUES (1, 2), (2, 0)`,
+		`CREATE TABLE u (k INT)`,
+		`INSERT INTO u VALUES (5), (-1)`,
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	expectRows(t, db, `SELECT g FROM t UNION ALL SELECT v FROM t ORDER BY 1 DESC LIMIT 1`, []string{"2"})
+	expectRows(t, db, `SELECT g FROM t UNION ALL SELECT k FROM u ORDER BY g DESC`, []string{"5", "2", "1", "-1"})
+	expectRows(t, db, `SELECT g FROM t UNION ALL SELECT v FROM t UNION ALL SELECT k FROM u ORDER BY g LIMIT 2 OFFSET 1`, []string{"0", "1"})
+	expectError(t, db, `SELECT g FROM t ORDER BY g UNION ALL SELECT k FROM u`, "last arm")
+}
+
+// TestFloatKeysSignedZero: -0.0 = 0.0 holds for a hash join and a
+// grouping as it does for a filter.
+func TestFloatKeysSignedZero(t *testing.T) {
+	db := New()
+	for _, q := range []string{
+		`CREATE TABLE a (f DOUBLE)`,
+		`INSERT INTO a VALUES (-0.0), (1.0)`,
+		`CREATE TABLE b (g DOUBLE)`,
+		`INSERT INTO b VALUES (0.0), (1.0)`,
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	join := `SELECT a.f, b.g FROM a, b WHERE a.f = b.g ORDER BY b.g`
+	if plan := db.MustQuery("EXPLAIN " + join).String(); !strings.Contains(plan, "join on a.f#0 = b.g#0") {
+		t.Fatalf("%s is not a hash join:\n%s", join, plan)
+	}
+	expectRows(t, db, join, []string{"-0|0", "1|1"})
+	expectRows(t, db, `SELECT a.f, b.g FROM a, b WHERE a.f <= b.g AND a.f >= b.g ORDER BY b.g`, []string{"-0|0", "1|1"})
+	both := `(SELECT f FROM a UNION ALL SELECT g FROM b) AS z`
+	expectRows(t, db, `SELECT f, COUNT(*) FROM `+both+` GROUP BY f ORDER BY f`, []string{"-0|2", "1|2"})
+	expectRows(t, db, `SELECT COUNT(*) FROM (SELECT DISTINCT f FROM `+both+`) AS d`, []string{"2"})
+}
+
 func TestDistinct(t *testing.T) {
 	db := setupSales(t)
 	expectRows(t, db, `SELECT DISTINCT item_id FROM orders ORDER BY item_id`,

@@ -37,6 +37,9 @@ func Arith(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) 
 	if err != nil {
 		return nil, fmt.Errorf("gdk: %s: %v", op, err)
 	}
+	if k == types.KindVoid {
+		k = types.KindInt // two untyped NULLs: an all-NULL integer column
+	}
 	if !k.Numeric() {
 		if k == types.KindStr && op == "+" {
 			return Concat(job, l, r, cand)
@@ -938,4 +941,44 @@ func likeMatch(s, p []rune) bool {
 		pi++
 	}
 	return pi == len(p)
+}
+
+// Bin applies the binary calculator operator op (arithmetic, comparison,
+// AND, OR, ||, like, pow) to l and r. It is the engine's one operator →
+// kernel switch: the MAL interpreter runs batcalc.bin through it and the
+// optimizer folds constants through it.
+func Bin(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	switch op {
+	case "+", "-", "*", "/", "%":
+		return Arith(job, op, l, r, cand)
+	case "=", "<>", "<", "<=", ">", ">=":
+		return Compare(job, op, l, r, cand)
+	case "AND":
+		return And(job, l, r, cand)
+	case "OR":
+		return Or(job, l, r, cand)
+	case "||":
+		return Concat(job, l, r, cand)
+	case "like":
+		return Like(job, l, r, cand)
+	case "pow":
+		return Power(job, l, r, cand)
+	}
+	return nil, fmt.Errorf("unknown binary op %q", op)
+}
+
+// Un applies the unary calculator operator op to x; like Bin, it is the
+// one switch behind batcalc.un and constant folding.
+func Un(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	switch op {
+	case "-", "abs", "sqrt", "floor", "ceil", "exp", "log", "round", "sign":
+		return UnaryNum(job, op, x, cand)
+	case "not":
+		return Not(job, x, cand)
+	case "isnull":
+		return IsNull(job, x, cand)
+	case "upper", "lower", "length":
+		return StrUnary(job, op, x, cand)
+	}
+	return nil, fmt.Errorf("unknown unary op %q", op)
 }

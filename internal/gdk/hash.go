@@ -16,10 +16,10 @@ import (
 // slab-layer charge per column, and a single decode for encoded columns),
 // so the per-row loops — which run millions of times inside joins and
 // grouping — hash and compare rows without boxing a value. A row hashes
-// one 64-bit word per column (the integer itself, a float's raw bits, a
-// string's maphash) through a multiplicative mix; tables index on the top
-// bits of the result. Hashes live only inside one kernel call and are
-// never persisted.
+// one 64-bit word per column (the integer itself, a float's bits with
+// -0.0 read as 0.0, a string's maphash) through a multiplicative mix;
+// tables index on the top bits of the result. Hashes live only inside
+// one kernel call and are never persisted.
 
 // hashMul is the multiplicative (Fibonacci) hashing constant: 2^64/phi.
 const hashMul uint64 = 0x9E3779B97F4A7C15
@@ -89,7 +89,7 @@ func (c *keyCol) word(i int) uint64 {
 	case keyInt:
 		return uint64(c.int(i))
 	case keyFloat:
-		return math.Float64bits(c.flts[i])
+		return math.Float64bits(c.flts[i] + 0) // -0.0 + 0 is +0.0
 	case keyStr:
 		return maphash.String(strSeed, c.strs[i])
 	case keyBool:
@@ -101,9 +101,9 @@ func (c *keyCol) word(i int) uint64 {
 }
 
 // eqAt compares non-NULL row i of c with non-NULL row j of o. Floats are
-// equal when they compare equal and share their bits, so -0.0 and 0.0
-// differ and NaN equals nothing. Keys of different classes never meet:
-// a join casts an int key that meets a float one (joinKeys).
+// equal when they compare equal, as in the comparison kernels: -0.0
+// meets 0.0 and NaN meets nothing. Keys of different classes never
+// meet: a join casts an int key that meets a float one (joinKeys).
 func (c *keyCol) eqAt(i int, o *keyCol, j int) bool {
 	if c.class != o.class {
 		return false
@@ -112,8 +112,7 @@ func (c *keyCol) eqAt(i int, o *keyCol, j int) bool {
 	case keyInt:
 		return c.int(i) == o.int(j)
 	case keyFloat:
-		x, y := c.flts[i], o.flts[j]
-		return x == y && math.Float64bits(x) == math.Float64bits(y)
+		return c.flts[i] == o.flts[j]
 	case keyStr:
 		return c.strs[i] == o.strs[j]
 	case keyBool:

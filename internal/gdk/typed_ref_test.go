@@ -141,7 +141,8 @@ func refCol(t *testing.T, rng *rand.Rand, kind string, n int) *bat.BAT {
 }
 
 // refRowKey is the boxed row as a map key: NULL is one marker, a float
-// its bits (each NaN row unique), everything else its kind and text.
+// its bits with -0.0 read as 0.0 (each NaN row unique), everything else
+// its kind and text.
 func refRowKey(cols []*bat.BAT, i int) string {
 	var sb strings.Builder
 	for _, c := range cols {
@@ -152,7 +153,7 @@ func refRowKey(cols []*bat.BAT, i int) string {
 		case v.Kind() == types.KindFloat && math.IsNaN(v.Float64()):
 			fmt.Fprintf(&sb, "NaN@%d|", i)
 		case v.Kind() == types.KindFloat:
-			fmt.Fprintf(&sb, "F%x|", math.Float64bits(v.Float64()))
+			fmt.Fprintf(&sb, "F%x|", math.Float64bits(v.Float64()+0))
 		default:
 			fmt.Fprintf(&sb, "%s:%q|", v.Kind(), v.String())
 		}
@@ -177,20 +178,10 @@ func refGroup(cols []*bat.BAT, rows []int) (gids, extents []int64) {
 	return gids, extents
 }
 
-// refEq is the join's key equality on two boxed values: Value.Equal, and
-// where a float is involved also equal bits in the common kind. That
-// keeps -0.0 and 0.0 apart, and an integer meets the float of its value
-// (0 meets +0.0 only).
+// refEq is the join's key equality on two boxed values: Value.Equal, so
+// -0.0 meets 0.0 and an integer meets the float of its value.
 func refEq(a, b types.Value) bool {
-	if a.IsNull() || b.IsNull() || !a.Equal(b) {
-		return false
-	}
-	if a.Kind() != types.KindFloat && b.Kind() != types.KindFloat {
-		return true
-	}
-	x, _ := a.AsFloat()
-	y, _ := b.AsFloat()
-	return math.Float64bits(x) == math.Float64bits(y)
+	return !a.IsNull() && !b.IsNull() && a.Equal(b)
 }
 
 // refJoin is the nested-loop equi-join over the listed rows, in (left,

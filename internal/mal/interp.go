@@ -145,11 +145,7 @@ func (c *Ctx) exec(in *Instr) error {
 			vals[i] = v
 		}
 		b, err := bat.Series(vals[0], vals[1], vals[2], int(vals[3]), int(vals[4]))
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = b
-		return nil
+		return c.set(in, b, err)
 
 	case "array.filler":
 		cnt, err := c.scalarInt(in.Args[0])
@@ -158,11 +154,7 @@ func (c *Ctx) exec(in *Instr) error {
 		}
 		kind := in.Args[2].Aux.(types.Kind)
 		b, err := bat.Filler(c.job, int(cnt), in.Args[1].Const, kind)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = b
-		return nil
+		return c.set(in, b, err)
 
 	case "array.fillerlike":
 		ref, err := c.batVar(in.Args[0])
@@ -171,22 +163,14 @@ func (c *Ctx) exec(in *Instr) error {
 		}
 		kind := in.Args[2].Aux.(types.Kind)
 		b, err := bat.Filler(c.job, ref.Len(), in.Args[1].Const, kind)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = b
-		return nil
+		return c.set(in, b, err)
 
 	case "array.slab":
 		a := in.Args[0].Aux.(*catalog.Array)
 		lo := append([]int{}, in.Args[1].Aux.([]int)...)
 		hi := append([]int{}, in.Args[2].Aux.([]int)...)
 		out, err := gdk.SlabCandidates(a.Shape, lo, hi)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		return c.set(in, out, err)
 
 	case "array.cellfetch":
 		attr, err := c.batVar(in.Args[0])
@@ -203,11 +187,7 @@ func (c *Ctx) exec(in *Instr) error {
 			coords = append(coords, b)
 		}
 		out, err := gdk.CellFetch(c.job, attr, sh, coords)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		return c.set(in, out, err)
 
 	case "array.shift":
 		attr, err := c.batVar(in.Args[0])
@@ -223,11 +203,7 @@ func (c *Ctx) exec(in *Instr) error {
 			}
 		}
 		out, err := gdk.Shift(c.job, attr, sh, offs, cand)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		return c.set(in, out, err)
 
 	case "array.tileagg", "array.tileaggsat":
 		vals, err := c.batVar(in.Args[0])
@@ -259,11 +235,7 @@ func (c *Ctx) exec(in *Instr) error {
 			return err
 		}
 		out, err := gdk.Project(c.job, idx, b)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		return c.set(in, out, err)
 
 	case "algebra.boolselect":
 		cond, err := c.batVar(in.Args[0])
@@ -277,11 +249,7 @@ func (c *Ctx) exec(in *Instr) error {
 			}
 		}
 		out, err := gdk.SelectBool(c.job, cond, cand)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		return c.set(in, out, err)
 
 	case "algebra.thetaselect":
 		b, err := c.batVar(in.Args[0])
@@ -294,11 +262,7 @@ func (c *Ctx) exec(in *Instr) error {
 		}
 		op := in.Args[3].Aux.(string)
 		out, err := gdk.ThetaSelect(c.job, b, cand, in.Args[2].Const, op)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		return c.set(in, out, err)
 
 	case "algebra.rangeselect":
 		b, err := c.batVar(in.Args[0])
@@ -310,11 +274,7 @@ func (c *Ctx) exec(in *Instr) error {
 			return err
 		}
 		out, err := gdk.RangeSelect(c.job, b, cand, in.Args[2].Const, in.Args[3].Const)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		return c.set(in, out, err)
 
 	case "algebra.emptycand":
 		// The optimizer proved the predicate empty from column statistics.
@@ -420,11 +380,7 @@ func (c *Ctx) exec(in *Instr) error {
 			specs[i] = gdk.SortSpec{Desc: d}
 		}
 		idx, err := gdk.OrderIdx(c.job, keys, specs, limit)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = idx
-		return nil
+		return c.set(in, idx, err)
 
 	case "bat.slice":
 		b, err := c.batVar(in.Args[0])
@@ -538,167 +494,78 @@ func (c *Ctx) exec(in *Instr) error {
 			}
 		}
 		out, err := gdk.SubAggr(c.job, agg, vals, gids, int(ng), cand)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		return c.set(in, out, err)
 
 	case "batcalc.bin":
-		return c.execBin(in)
+		o, cand, err := c.calcOpnds(in.Args[1:], 2)
+		if err != nil {
+			return err
+		}
+		out, err := gdk.Bin(c.job, in.Args[0].Aux.(string), o[0], o[1], cand)
+		return c.set(in, out, err)
 
 	case "batcalc.un":
-		op := in.Args[0].Aux.(string)
-		n, err := c.rowCount(in.Args[1:2])
+		o, cand, err := c.calcOpnds(in.Args[1:], 1)
 		if err != nil {
 			return err
 		}
-		x, err := c.opnd(in.Args[1], n)
-		if err != nil {
-			return err
-		}
-		var cand *bat.BAT
-		if len(in.Args) > 2 {
-			if cand, err = c.candOf(in.Args[2]); err != nil {
-				return err
-			}
-		}
-		var out *bat.BAT
-		switch op {
-		case "-", "abs", "sqrt", "floor", "ceil", "exp", "log", "round", "sign":
-			out, err = gdk.UnaryNum(c.job, op, x, cand)
-		case "not":
-			out, err = gdk.Not(c.job, x, cand)
-		case "isnull":
-			out, err = gdk.IsNull(c.job, x, cand)
-		case "upper", "lower", "length":
-			out, err = gdk.StrUnary(c.job, op, x, cand)
-		default:
-			return fmt.Errorf("unknown unary op %q", op)
-		}
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		out, err := gdk.Un(c.job, in.Args[0].Aux.(string), o[0], cand)
+		return c.set(in, out, err)
 
 	case "batcalc.ifthenelse":
-		n, err := c.rowCount(in.Args)
+		o, cand, err := c.calcOpnds(in.Args, 3)
 		if err != nil {
 			return err
 		}
-		cond, err := c.opnd(in.Args[0], n)
-		if err != nil {
-			return err
-		}
-		a, err := c.opnd(in.Args[1], n)
-		if err != nil {
-			return err
-		}
-		b, err := c.opnd(in.Args[2], n)
-		if err != nil {
-			return err
-		}
-		out, err := gdk.IfThenElse(c.job, cond, a, b, nil)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		out, err := gdk.IfThenElse(c.job, o[0], o[1], o[2], cand)
+		return c.set(in, out, err)
 
 	case "batcalc.cast":
-		kind := in.Args[0].Aux.(types.Kind)
-		n, err := c.rowCount(in.Args[1:])
+		o, cand, err := c.calcOpnds(in.Args[1:], 1)
 		if err != nil {
 			return err
 		}
-		x, err := c.opnd(in.Args[1], n)
-		if err != nil {
-			return err
-		}
-		out, err := gdk.CastBAT(c.job, x, kind, nil)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		out, err := gdk.CastBAT(c.job, o[0], in.Args[0].Aux.(types.Kind), cand)
+		return c.set(in, out, err)
 
 	case "batcalc.substring":
-		n, err := c.rowCount(in.Args[:3])
+		o, cand, err := c.calcOpnds(in.Args, 3)
 		if err != nil {
 			return err
 		}
-		x, err := c.opnd(in.Args[0], n)
-		if err != nil {
-			return err
-		}
-		from, err := c.opnd(in.Args[1], n)
-		if err != nil {
-			return err
-		}
-		forO, err := c.opnd(in.Args[2], n)
-		if err != nil {
-			return err
-		}
-		var cand *bat.BAT
-		if len(in.Args) > 3 {
-			if cand, err = c.candOf(in.Args[3]); err != nil {
-				return err
-			}
-		}
-		out, err := gdk.Substring(c.job, x, from, forO, cand)
-		if err != nil {
-			return err
-		}
-		c.Vars[in.Rets[0]] = out
-		return nil
+		out, err := gdk.Substring(c.job, o[0], o[1], o[2], cand)
+		return c.set(in, out, err)
 
 	default:
 		return fmt.Errorf("unknown MAL instruction")
 	}
 }
 
-func (c *Ctx) execBin(in *Instr) error {
-	op := in.Args[0].Aux.(string)
-	n, err := c.rowCount(in.Args[1:3])
+// calcOpnds resolves a calculator instruction's first n arguments to
+// operands at the row count of the first BAT among them, and the optional
+// candidate list after them: operands are base-aligned, the kernel
+// restricts them and produces a candidate-aligned result.
+func (c *Ctx) calcOpnds(args []Arg, n int) ([]gdk.Opnd, *bat.BAT, error) {
+	rows, err := c.rowCount(args[:n])
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	l, err := c.opnd(in.Args[1], n)
-	if err != nil {
-		return err
-	}
-	r, err := c.opnd(in.Args[2], n)
-	if err != nil {
-		return err
-	}
-	// Optional trailing candidate list: operands are base-aligned, the
-	// kernel restricts them and produces a candidate-aligned result.
-	var cand *bat.BAT
-	if len(in.Args) > 3 {
-		if cand, err = c.candOf(in.Args[3]); err != nil {
-			return err
+	o := make([]gdk.Opnd, n)
+	for i := range o {
+		if o[i], err = c.opnd(args[i], rows); err != nil {
+			return nil, nil, err
 		}
 	}
-	var out *bat.BAT
-	switch op {
-	case "+", "-", "*", "/", "%":
-		out, err = gdk.Arith(c.job, op, l, r, cand)
-	case "=", "<>", "<", "<=", ">", ">=":
-		out, err = gdk.Compare(c.job, op, l, r, cand)
-	case "AND":
-		out, err = gdk.And(c.job, l, r, cand)
-	case "OR":
-		out, err = gdk.Or(c.job, l, r, cand)
-	case "||":
-		out, err = gdk.Concat(c.job, l, r, cand)
-	case "like":
-		out, err = gdk.Like(c.job, l, r, cand)
-	case "pow":
-		out, err = gdk.Power(c.job, l, r, cand)
-	default:
-		return fmt.Errorf("unknown binary op %q", op)
+	var cand *bat.BAT
+	if len(args) > n {
+		cand, err = c.candOf(args[n])
 	}
+	return o, cand, err
+}
+
+// set stores a kernel's result column in the instruction's return
+// variable.
+func (c *Ctx) set(in *Instr, out *bat.BAT, err error) error {
 	if err != nil {
 		return err
 	}

@@ -45,7 +45,8 @@ func (b *Binder) BindSelect(sel *ast.Select) (Node, error) {
 	if sel.UnionAll == nil {
 		return b.bindSingleSelect(sel, true)
 	}
-	// The left arm's ORDER BY / LIMIT apply to the whole union.
+	// The head carries the union's ORDER BY / LIMIT: the parser hoists a
+	// trailing one there from the last arm.
 	left, err := b.bindSingleSelect(sel, false)
 	if err != nil {
 		return nil, err
@@ -407,7 +408,7 @@ func (b *Binder) bindPostAgg(a *aggScope, e ast.Expr) (Expr, bool, error) {
 	if i, ok := a.keys[bound.String()]; ok {
 		return &Col{Idx: i, Info: a.pass[i]}, true, nil
 	}
-	if _, isConst := bound.(*Const); isConst {
+	if isConstTree(bound) {
 		return bound, true, nil
 	}
 	if cr, ok := e.(*ast.ColRef); ok {
@@ -437,6 +438,9 @@ func (b *Binder) bindAggregated(sel *ast.Select, items []ast.SelectItem, a *aggS
 		h, err := b.bindExpr(s, sel.Having)
 		if err != nil {
 			return nil, nil, err
+		}
+		if h.Kind() != types.KindBool && h.Kind() != types.KindVoid {
+			return nil, nil, fmt.Errorf("at %s: HAVING must be boolean, got %s", sel.Pos, h.Kind())
 		}
 		node = &Filter{Child: node, Pred: h}
 	}
@@ -597,11 +601,7 @@ func anchorOffset(e ast.Expr, dimName string) (int64, bool, error) {
 // ConstInt evaluates a constant integer AST expression (LIMIT, dimension
 // ranges).
 func (b *Binder) ConstInt(e ast.Expr) (int64, error) {
-	bound, err := b.bindExpr(NewScope(nil), e)
-	if err != nil {
-		return 0, err
-	}
-	v, err := EvalConst(bound)
+	v, err := b.ConstValue(e)
 	if err != nil {
 		return 0, err
 	}
@@ -612,13 +612,14 @@ func (b *Binder) ConstInt(e ast.Expr) (int64, error) {
 }
 
 // ConstValue evaluates a constant AST expression to a value (used for
-// DEFAULT clauses and VALUES rows).
+// DEFAULT clauses and VALUES rows): folded as Optimize folds, then
+// evaluated, so an expression that does not fold reports why.
 func (b *Binder) ConstValue(e ast.Expr) (types.Value, error) {
 	bound, err := b.bindExpr(NewScope(nil), e)
 	if err != nil {
 		return types.Value{}, err
 	}
-	return EvalConst(bound)
+	return evalConst(foldExpr(bound))
 }
 
 // unifyUnionArms promotes both UNION ALL arms to common column kinds,

@@ -72,12 +72,12 @@ func (b *Binder) bindExpr(s *Scope, e ast.Expr) (Expr, error) {
 			if !xe.Kind().Numeric() && xe.Kind() != types.KindVoid {
 				return nil, fmt.Errorf("at %s: unary minus needs a numeric operand, got %s", x.Pos, xe.Kind())
 			}
-			return fold(&Un{Op: "-", X: xe, K: xe.Kind()}), nil
+			return &Un{Op: "-", X: xe, K: xe.Kind()}, nil
 		case "NOT":
 			if xe.Kind() != types.KindBool && xe.Kind() != types.KindVoid {
 				return nil, fmt.Errorf("at %s: NOT needs a boolean operand, got %s", x.Pos, xe.Kind())
 			}
-			return fold(&Un{Op: "not", X: xe, K: types.KindBool}), nil
+			return &Un{Op: "not", X: xe, K: types.KindBool}, nil
 		}
 		return nil, fmt.Errorf("at %s: unknown unary operator %q", x.Pos, x.Op)
 
@@ -99,7 +99,7 @@ func (b *Binder) bindExpr(s *Scope, e ast.Expr) (Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("at %s: unknown type %q in CAST", x.Pos, x.TypeName)
 		}
-		return fold(&Cast{X: xe, To: st.Kind}), nil
+		return &Cast{X: xe, To: st.Kind}, nil
 
 	case *ast.BetweenExpr:
 		xe, err := b.bindExpr(s, x.X)
@@ -127,7 +127,7 @@ func (b *Binder) bindExpr(s *Scope, e ast.Expr) (Expr, error) {
 			return nil, err
 		}
 		if x.Not {
-			return fold(&Un{Op: "not", X: out, K: types.KindBool}), nil
+			return &Un{Op: "not", X: out, K: types.KindBool}, nil
 		}
 		return out, nil
 
@@ -153,7 +153,7 @@ func (b *Binder) bindExpr(s *Scope, e ast.Expr) (Expr, error) {
 			}
 		}
 		if x.Not {
-			return fold(&Un{Op: "not", X: out, K: types.KindBool}), nil
+			return &Un{Op: "not", X: out, K: types.KindBool}, nil
 		}
 		return out, nil
 
@@ -166,7 +166,7 @@ func (b *Binder) bindExpr(s *Scope, e ast.Expr) (Expr, error) {
 		if x.Not {
 			out = &Un{Op: "not", X: out, K: types.KindBool}
 		}
-		return fold(out), nil
+		return out, nil
 
 	case *ast.LikeExpr:
 		xe, err := b.bindExpr(s, x.X)
@@ -185,7 +185,7 @@ func (b *Binder) bindExpr(s *Scope, e ast.Expr) (Expr, error) {
 		if x.Not {
 			out = &Un{Op: "not", X: out, K: types.KindBool}
 		}
-		return fold(out), nil
+		return out, nil
 
 	case *ast.CellRef:
 		return b.bindCellRef(s, x)
@@ -195,13 +195,13 @@ func (b *Binder) bindExpr(s *Scope, e ast.Expr) (Expr, error) {
 	}
 }
 
-// makeBin type-checks and folds one binary operation.
+// makeBin type-checks one binary operation.
 func (b *Binder) makeBin(op string, l, r Expr, pos ast.Pos) (Expr, error) {
 	lk, rk := l.Kind(), r.Kind()
 	switch op {
 	case "+", "-", "*", "/", "%":
 		if lk == types.KindStr && rk == types.KindStr && op == "+" {
-			return fold(&Bin{Op: "||", L: l, R: r, K: types.KindStr}), nil
+			return &Bin{Op: "||", L: l, R: r, K: types.KindStr}, nil
 		}
 		k, err := types.CommonKind(lk, rk)
 		if err != nil {
@@ -213,26 +213,26 @@ func (b *Binder) makeBin(op string, l, r Expr, pos ast.Pos) (Expr, error) {
 		if k == types.KindVoid {
 			k = types.KindInt
 		}
-		return fold(&Bin{Op: op, L: l, R: r, K: k}), nil
+		return &Bin{Op: op, L: l, R: r, K: k}, nil
 	case "=", "<>", "<", "<=", ">", ">=":
 		if _, err := types.CommonKind(lk, rk); err != nil {
 			return nil, fmt.Errorf("at %s: cannot compare %s with %s", pos, lk, rk)
 		}
-		return fold(&Bin{Op: op, L: l, R: r, K: types.KindBool}), nil
+		return &Bin{Op: op, L: l, R: r, K: types.KindBool}, nil
 	case "AND", "OR":
 		for _, k := range []types.Kind{lk, rk} {
 			if k != types.KindBool && k != types.KindVoid {
 				return nil, fmt.Errorf("at %s: %s needs boolean operands, got %s", pos, op, k)
 			}
 		}
-		return fold(&Bin{Op: op, L: l, R: r, K: types.KindBool}), nil
+		return &Bin{Op: op, L: l, R: r, K: types.KindBool}, nil
 	case "||":
 		for _, k := range []types.Kind{lk, rk} {
 			if k != types.KindStr && k != types.KindVoid {
 				return nil, fmt.Errorf("at %s: || needs string operands, got %s", pos, k)
 			}
 		}
-		return fold(&Bin{Op: "||", L: l, R: r, K: types.KindStr}), nil
+		return &Bin{Op: "||", L: l, R: r, K: types.KindStr}, nil
 	default:
 		return nil, fmt.Errorf("at %s: unknown operator %q", pos, op)
 	}
@@ -269,7 +269,7 @@ func (b *Binder) bindFunc(s *Scope, x *ast.FuncCall) (Expr, error) {
 				k = types.KindInt
 			}
 		}
-		return fold(&Un{Op: op, X: args[0], K: k}), nil
+		return &Un{Op: op, X: args[0], K: k}, nil
 	}
 	str1 := func(op string, k types.Kind) (Expr, error) {
 		args, err := bindArgs(1)
@@ -279,7 +279,7 @@ func (b *Binder) bindFunc(s *Scope, x *ast.FuncCall) (Expr, error) {
 		if args[0].Kind() != types.KindStr && args[0].Kind() != types.KindVoid {
 			return nil, fmt.Errorf("at %s: %s needs a string argument", x.Pos, x.Name)
 		}
-		return fold(&Un{Op: op, X: args[0], K: k}), nil
+		return &Un{Op: op, X: args[0], K: k}, nil
 	}
 
 	switch x.Name {
@@ -299,7 +299,7 @@ func (b *Binder) bindFunc(s *Scope, x *ast.FuncCall) (Expr, error) {
 				return nil, fmt.Errorf("at %s: power needs numeric arguments", x.Pos)
 			}
 		}
-		return fold(&Bin{Op: "pow", L: args[0], R: args[1], K: types.KindFloat}), nil
+		return &Bin{Op: "pow", L: args[0], R: args[1], K: types.KindFloat}, nil
 	case "mod":
 		args, err := bindArgs(2)
 		if err != nil {
@@ -322,7 +322,7 @@ func (b *Binder) bindFunc(s *Scope, x *ast.FuncCall) (Expr, error) {
 		if len(args) == 3 {
 			forE = args[2]
 		}
-		return fold(&Substr{X: args[0], From: args[1], For: forE}), nil
+		return &Substr{X: args[0], From: args[1], For: forE}, nil
 	case "coalesce":
 		if len(x.Args) < 1 {
 			return nil, fmt.Errorf("at %s: coalesce needs at least one argument", x.Pos)
@@ -348,7 +348,7 @@ func (b *Binder) bindFunc(s *Scope, x *ast.FuncCall) (Expr, error) {
 				K:    k,
 			}
 		}
-		return fold(out), nil
+		return out, nil
 	case "nullif":
 		args, err := bindArgs(2)
 		if err != nil {
@@ -359,7 +359,7 @@ func (b *Binder) bindFunc(s *Scope, x *ast.FuncCall) (Expr, error) {
 			return nil, err
 		}
 		k := args[0].Kind()
-		return fold(&IfElse{Cond: eq, Then: &Const{Val: types.Null(k)}, Else: args[0], K: k}), nil
+		return &IfElse{Cond: eq, Then: &Const{Val: types.Null(k)}, Else: args[0], K: k}, nil
 	case "greatest", "least":
 		if len(x.Args) < 2 {
 			return nil, fmt.Errorf("at %s: %s needs at least two arguments", x.Pos, x.Name)
@@ -391,7 +391,7 @@ func (b *Binder) bindFunc(s *Scope, x *ast.FuncCall) (Expr, error) {
 				K:    k,
 			}
 		}
-		return fold(out), nil
+		return out, nil
 	default:
 		return nil, fmt.Errorf("at %s: unknown function %q", x.Pos, x.Name)
 	}
@@ -442,7 +442,7 @@ func (b *Binder) bindCase(s *Scope, x *ast.CaseExpr) (Expr, error) {
 	for i := len(arms) - 1; i >= 0; i-- {
 		out = &IfElse{Cond: arms[i].cond, Then: arms[i].res, Else: out, K: k}
 	}
-	return fold(out), nil
+	return out, nil
 }
 
 func (b *Binder) bindCellRef(s *Scope, x *ast.CellRef) (Expr, error) {

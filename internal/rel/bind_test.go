@@ -104,20 +104,23 @@ func TestBindTypeInference(t *testing.T) {
 
 func TestBindConstantFolding(t *testing.T) {
 	cat := testCatalog(t)
+	// The binder leaves constants as written; Optimize folds them.
 	n := bindQuery(t, cat, `SELECT 1 + 2 * 3 FROM items`)
-	proj := n.(*Project)
-	c, ok := proj.Exprs[0].(*Const)
+	if got := n.(*Project).Exprs[0].String(); got != "(1 + (2 * 3))" {
+		t.Errorf("bound = %s, want the unfolded tree", got)
+	}
+	n = Optimize(n)
+	c, ok := n.(*Project).Exprs[0].(*Const)
 	if !ok || c.Val.Int64() != 7 {
-		t.Errorf("not folded: %v", proj.Exprs[0])
+		t.Errorf("not folded: %v", n.(*Project).Exprs[0])
 	}
 	// Folding AND with constant sides.
-	n = bindQuery(t, cat, `SELECT id FROM items WHERE TRUE AND id > 1`)
-	f := n.(*Project).Child.(*Filter)
-	if strings.Contains(f.Pred.String(), "true") {
-		t.Errorf("TRUE not folded out of: %s", f.Pred)
+	n = Optimize(bindQuery(t, cat, `SELECT id FROM items WHERE TRUE AND id > 1`))
+	if txt := Explain(n); strings.Contains(txt, "true") {
+		t.Errorf("TRUE not folded out of:\n%s", txt)
 	}
-	// Division by zero must NOT fold at bind time (runtime error).
-	n = bindQuery(t, cat, `SELECT 1/0 FROM items`)
+	// Division by zero must NOT fold (runtime error).
+	n = Optimize(bindQuery(t, cat, `SELECT 1/0 FROM items`))
 	if _, isConst := n.(*Project).Exprs[0].(*Const); isConst {
 		t.Error("1/0 folded into a constant")
 	}
@@ -188,6 +191,9 @@ func TestBindGroupRules(t *testing.T) {
 	bindErr(t, cat, `SELECT [x], [y], NOT v FROM m GROUP BY m[x:x+2][y:y+2]`, "NOT needs a boolean operand")
 	bindErr(t, cat, `SELECT [x], [y], -(v > 0) FROM m GROUP BY m[x:x+2][y:y+2]`, "unary minus needs a numeric operand")
 	bindErr(t, cat, `SELECT [x], [y], CASE WHEN SUM(v) THEN 1 END FROM m GROUP BY m[x:x+2][y:y+2]`, "CASE condition must be boolean")
+	// HAVING is a predicate, as WHERE is.
+	bindErr(t, cat, `SELECT id FROM items GROUP BY id HAVING SUM(id)`, "HAVING must be boolean, got lng")
+	bindErr(t, cat, `SELECT [x], [y], SUM(v) FROM m GROUP BY m[x:x+2][y:y+2] HAVING SUM(v)`, "HAVING must be boolean, got lng")
 	// An ORDER BY aggregate that is not projected becomes a hidden one.
 	n = bindQuery(t, cat, `SELECT id, SUM(price) FROM items GROUP BY id ORDER BY MAX(price)`)
 	ga = findGroupAgg(n)
@@ -263,29 +269,6 @@ func TestOptimizerSATSelection(t *testing.T) {
 	n = Optimize(n)
 	if strings.Contains(Explain(n), "summed-area-table") {
 		t.Errorf("MIN must not use SAT:\n%s", Explain(n))
-	}
-}
-
-func TestEvalRowMatchesKernels(t *testing.T) {
-	// Scalar evaluation of a CASE expression with three-valued logic.
-	e := &IfElse{
-		Cond: &Bin{Op: ">", L: &Col{Idx: 0, Info: ColInfo{Kind: types.KindInt}}, R: &Const{Val: types.Int(0)}, K: types.KindBool},
-		Then: &Const{Val: types.Str("pos")},
-		Else: &Const{Val: types.Str("nonpos")},
-		K:    types.KindStr,
-	}
-	get := func(v types.Value) func(int) (types.Value, error) {
-		return func(int) (types.Value, error) { return v, nil }
-	}
-	if v, err := EvalRow(e, get(types.Int(3))); err != nil || v.StrVal() != "pos" {
-		t.Errorf("pos: %v %v", v, err)
-	}
-	if v, err := EvalRow(e, get(types.Int(-3))); err != nil || v.StrVal() != "nonpos" {
-		t.Errorf("nonpos: %v %v", v, err)
-	}
-	// NULL condition takes the else branch.
-	if v, err := EvalRow(e, get(types.Null(types.KindInt))); err != nil || v.StrVal() != "nonpos" {
-		t.Errorf("null: %v %v", v, err)
 	}
 }
 

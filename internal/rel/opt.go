@@ -10,6 +10,8 @@ import (
 
 // Optimize applies the rewrite passes to a bound plan:
 //
+//  0. foldPlan — constant subexpressions of every expression fold through
+//     the gdk kernels (fold.go); the passes below look for *Const operands.
 //  1. crossToHash — a Filter above a cross Join donates equi conjuncts as
 //     hash-join keys and single-side conjuncts as pushed-down filters
 //     (comma-join FROM lists become real joins).
@@ -24,6 +26,7 @@ import (
 //  5. orderJoins — multi-way inner-join trees (3+ relations) reorder
 //     greedily by estimated cardinality (see joinorder.go).
 func Optimize(n Node) Node {
+	foldPlan(n)
 	return orderJoins(rewrite(n))
 }
 

@@ -260,7 +260,9 @@ func TestInsertForms(t *testing.T) {
 }
 
 func TestOrderLimitUnion(t *testing.T) {
-	s, err := ParseOne(`SELECT v FROM t ORDER BY v DESC, x LIMIT 10 OFFSET 5 UNION ALL SELECT v FROM u`)
+	// A trailing ORDER BY/LIMIT/OFFSET orders and cuts the whole union:
+	// the head carries it, the last arm does not.
+	s, err := ParseOne(`SELECT v FROM t UNION ALL SELECT w FROM u UNION ALL SELECT v FROM u ORDER BY v DESC, x LIMIT 10 OFFSET 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +272,21 @@ func TestOrderLimitUnion(t *testing.T) {
 	}
 	if sel.Limit == nil || sel.Offset == nil || sel.UnionAll == nil {
 		t.Error("limit/offset/union missing")
+	}
+	for arm := sel.UnionAll; arm != nil; arm = arm.UnionAll {
+		if arm.OrderBy != nil || arm.Limit != nil || arm.Offset != nil {
+			t.Errorf("arm kept its tail: %+v", arm)
+		}
+	}
+	// ORDER BY or LIMIT on an arm before UNION ALL is an error.
+	for _, q := range []string{
+		`SELECT v FROM t ORDER BY v UNION ALL SELECT v FROM u`,
+		`SELECT v FROM t LIMIT 1 UNION ALL SELECT v FROM u`,
+		`SELECT v FROM t UNION ALL SELECT v FROM u OFFSET 1 UNION ALL SELECT v FROM u`,
+	} {
+		if _, err := ParseOne(q); err == nil || !strings.Contains(err.Error(), "last arm") {
+			t.Errorf("%s: error %v, want one about the last arm", q, err)
+		}
 	}
 }
 

@@ -100,6 +100,9 @@ func (p *parser) parseSelect() (*ast.Select, error) {
 		sel.Offset = e
 	}
 	if p.acceptKw("UNION") {
+		if len(sel.OrderBy) > 0 || sel.Limit != nil || sel.Offset != nil {
+			return nil, p.errf("ORDER BY, LIMIT and OFFSET must follow the last arm of a UNION ALL")
+		}
 		if err := p.expectKw("ALL"); err != nil {
 			return nil, p.errf("only UNION ALL is supported")
 		}
@@ -107,6 +110,10 @@ func (p *parser) parseSelect() (*ast.Select, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The trailing ORDER BY/LIMIT/OFFSET belongs to the whole union,
+		// which the head carries.
+		sel.OrderBy, sel.Limit, sel.Offset = rest.OrderBy, rest.Limit, rest.Offset
+		rest.OrderBy, rest.Limit, rest.Offset = nil, nil, nil
 		sel.UnionAll = rest
 	}
 	return sel, nil
