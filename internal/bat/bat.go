@@ -12,6 +12,7 @@ package bat
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -138,9 +139,6 @@ func (b *BAT) Len() int { return b.count }
 // Seqbase returns the head seqbase (also the void tail start).
 func (b *BAT) Seqbase() types.OID { return b.seqbase }
 
-// SetSeqbase sets the seqbase (only meaningful for void tails / head OIDs).
-func (b *BAT) SetSeqbase(s types.OID) { b.seqbase = s }
-
 // IsNull reports whether row i holds NULL.
 func (b *BAT) IsNull(i int) bool { return b.nulls.Get(i) }
 
@@ -194,6 +192,24 @@ func (b *BAT) SetNullMask(m *Bitmap) {
 	b.invalidateProps()
 	m.Resize(b.count)
 	b.nulls = m
+}
+
+// Span returns the address and the byte length, up to capacity, of the
+// plain int, oid, float or bool storage of b, and nil for void, string and
+// encoded tails. The MAL interpreter compares spans to tell whether two
+// columns share storage.
+func (b *BAT) Span() (unsafe.Pointer, uintptr) {
+	switch {
+	case b.enc != nil:
+		return nil, 0
+	case b.ints != nil:
+		return unsafe.Pointer(unsafe.SliceData(b.ints)), uintptr(cap(b.ints)) * 8
+	case b.floats != nil:
+		return unsafe.Pointer(unsafe.SliceData(b.floats)), uintptr(cap(b.floats)) * 8
+	case b.bools != nil:
+		return unsafe.Pointer(unsafe.SliceData(b.bools)), uintptr(cap(b.bools))
+	}
+	return nil, 0
 }
 
 // Ints returns the full int64 tail (KindInt/KindOID only).

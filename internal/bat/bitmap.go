@@ -31,6 +31,19 @@ func (b *Bitmap) Get(i int) bool {
 	return b.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
+// Word returns bits [64w, 64w+64) as one word, bit i of the bitmap at
+// bit i%64. Bits at or beyond Len, and words past the end, read as zero.
+func (b *Bitmap) Word(w int) uint64 {
+	if b == nil || w < 0 || w >= len(b.words) {
+		return 0
+	}
+	x := b.words[w]
+	if rest := b.n - w<<6; rest < 64 {
+		x &= 1<<rest - 1
+	}
+	return x
+}
+
 // Set sets bit i to v, growing the bitmap when i >= Len.
 func (b *Bitmap) Set(i int, v bool) {
 	if i < 0 {

@@ -34,9 +34,6 @@ func (b *BAT) NumSlabs() int {
 	return (b.count + SlabRows - 1) / SlabRows
 }
 
-// SlabOf returns the slab index containing row i.
-func SlabOf(i int) int { return i / SlabRows }
-
 // SlabView is a read-only view of one slab of a column.
 type SlabView struct {
 	b      *BAT

@@ -346,6 +346,46 @@ func TestUpdateDelete(t *testing.T) {
 	expectRows(t, db, `SELECT COUNT(*) FROM items`, []string{"5"})
 }
 
+// TestTableCandLiveRows: a scan of a table with deleted rows reads the
+// positions its deletion mask leaves clear, a 64-row word of the mask at
+// a time. On 200 rows (three full words and a partial one) it returns
+// exactly the rows a per-row test of the mask keeps, for masks whose
+// words are full, empty and partial, and for a mask shorter than the
+// table (rows inserted after the DELETE).
+func TestTableCandLiveRows(t *testing.T) {
+	for name, del := range map[string]string{
+		"one full word":      `id >= 64 AND id < 128`,
+		"partial words":      `id % 3 = 0`,
+		"word edges":         `id % 64 = 0 OR id % 64 = 63`,
+		"partial last word":  `id >= 190`,
+		"all but one":        `id <> 129`,
+		"every row":          `id >= 0`,
+		"then insert behind": `id < 70`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := New()
+			db.MustQuery(`CREATE TABLE t (id INT)`)
+			var vals []string
+			for i := 0; i < 200; i++ {
+				vals = append(vals, fmt.Sprintf("(%d)", i))
+			}
+			db.MustQuery(`INSERT INTO t VALUES ` + strings.Join(vals, ", "))
+			db.MustQuery(`DELETE FROM t WHERE ` + del)
+			if name == "then insert behind" {
+				db.MustQuery(`INSERT INTO t VALUES (200), (201), (202)`)
+			}
+			tb, _ := db.cat.Table("t")
+			want := []string{}
+			for i := 0; i < tb.PhysRows(); i++ {
+				if !tb.Deleted.Get(i) {
+					want = append(want, fmt.Sprint(i))
+				}
+			}
+			expectRows(t, db, `SELECT id FROM t`, want)
+		})
+	}
+}
+
 func TestMultiSet(t *testing.T) {
 	db := setupSales(t)
 	// All SET expressions evaluate against the pre-update state.

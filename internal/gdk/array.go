@@ -127,7 +127,7 @@ func CellFetch(job *par.Job, attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) (
 	// Gather through the cell positions; rows addressing no cell get a
 	// NULL index, which the projection turns into a NULL value.
 	pos, _ := CellPos(sh, coordInts)
-	idx := make([]int64, n)
+	idx := par.Vec[int64](job, n)
 	var holes *bat.Bitmap
 	for i, p := range pos {
 		null := p < 0
@@ -139,13 +139,16 @@ func CellFetch(job *par.Job, attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) (
 				holes = bat.NewBitmap(n)
 			}
 			holes.Set(i, true)
+			idx[i] = 0
 			continue
 		}
 		idx[i] = int64(p)
 	}
 	ib := bat.FromOIDs(idx)
 	ib.SetNullMask(holes)
-	return Project(job, ib, attr)
+	out, err := Project(job, ib, attr)
+	par.Recycle(job, idx)
+	return out, err
 }
 
 // TileRange is the relative extent of a tile along one dimension, in
@@ -240,7 +243,7 @@ func TileAgg(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, tile []Ti
 
 func emptyTileResult(job *par.Job, agg AggKind, k types.Kind, cells int) (*bat.BAT, error) {
 	if agg == AggCount || agg == AggCountAll {
-		return bat.FromInts(make([]int64, cells)), nil
+		return bat.FromInts(par.ZeroVec[int64](job, cells)), nil
 	}
 	rk, err := AggResultKind(agg, k)
 	if err != nil {
@@ -355,15 +358,15 @@ func forEachOffsetTuple(sets [][]int, fn func(offs []int)) {
 
 func tileAccumulate(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) (*bat.BAT, error) {
 	cells := attr.Len()
-	counts := make([]int64, cells)
+	counts := par.ZeroVec[int64](job, cells)
 	nulls := attr.NullMask()
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
-		sums := make([]int64, cells)
+		sums := par.ZeroVec[int64](job, cells)
 		tileRuns(job, sh, offsetSets, accumulateRun(intVals(attr), nulls, sums, counts))
 		return finishAccumulate(job, agg, sums, nil, counts)
 	case types.KindFloat:
-		sums := make([]float64, cells)
+		sums := par.ZeroVec[float64](job, cells)
 		tileRuns(job, sh, offsetSets, accumulateRun(attr.DecodedFloats(), nulls, sums, counts))
 		return finishAccumulate(job, agg, nil, sums, counts)
 	default:
@@ -410,7 +413,9 @@ func accumulateRun[T int64 | float64](src []T, nulls *bat.Bitmap, sums []T, coun
 	}
 }
 
-// finishAccumulate converts raw sums/counts into the requested aggregate.
+// finishAccumulate converts raw sums/counts into the requested aggregate,
+// handing whichever of the three slices the result does not keep back to
+// the job's free list.
 // Note: for COUNT the tile counts only non-NULL cells — COUNT(*) over a
 // tile equals COUNT(attr) because out-of-bounds cells are not rows and
 // holes are ignored per the paper's semantics.
@@ -419,6 +424,8 @@ func finishAccumulate(job *par.Job, agg AggKind, isums []int64, fsums []float64,
 	var out *bat.BAT
 	switch agg {
 	case AggCount, AggCountAll:
+		par.Recycle(job, isums)
+		par.Recycle(job, fsums)
 		return bat.FromInts(counts), nil
 	case AggSum:
 		if isums != nil {
@@ -427,24 +434,28 @@ func finishAccumulate(job *par.Job, agg AggKind, isums []int64, fsums []float64,
 			out = bat.FromFloats(fsums)
 		}
 	case AggAvg:
-		avgs := make([]float64, n)
+		avgs := par.Vec[float64](job, n)
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if counts[i] == 0 {
-					continue
-				}
-				if isums != nil {
+				switch {
+				case counts[i] == 0:
+					avgs[i] = 0
+				case isums != nil:
 					avgs[i] = float64(isums[i]) / float64(counts[i])
-				} else {
+				default:
 					avgs[i] = fsums[i] / float64(counts[i])
 				}
 			}
 		})
+		par.Recycle(job, isums)
+		par.Recycle(job, fsums)
 		out = bat.FromFloats(avgs)
 	default:
 		return nil, fmt.Errorf("gdk: unexpected accumulate aggregate %s", agg)
 	}
-	return withNulls(out, emptyAnchors(job, counts)), nil
+	out = withNulls(out, emptyAnchors(job, counts))
+	par.Recycle(job, counts)
+	return out, nil
 }
 
 // emptyAnchors marks the anchors whose tile held no non-NULL cell.
@@ -462,16 +473,16 @@ func emptyAnchors(job *par.Job, counts []int64) *bat.Bitmap {
 
 func tileMinMax(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, offsetSets [][]int) (*bat.BAT, error) {
 	cells := attr.Len()
-	seen := make([]bool, cells)
+	seen := par.ZeroVec[bool](job, cells)
 	nulls := attr.NullMask()
 	var out *bat.BAT
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
-		best := make([]int64, cells)
+		best := par.ZeroVec[int64](job, cells)
 		tileRuns(job, sh, offsetSets, minMaxRun(intVals(attr), nulls, best, seen, agg == AggMin))
 		out = bat.FromInts(best)
 	case types.KindFloat:
-		best := make([]float64, cells)
+		best := par.ZeroVec[float64](job, cells)
 		tileRuns(job, sh, offsetSets, minMaxRun(attr.DecodedFloats(), nulls, best, seen, agg == AggMin))
 		out = bat.FromFloats(best)
 	default:
@@ -483,6 +494,7 @@ func tileMinMax(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, offset
 			mask.Set(i, true)
 		}
 	}
+	par.Recycle(job, seen)
 	return withNulls(out, mask), nil
 }
 
@@ -577,7 +589,7 @@ func Shift(job *par.Job, attr *bat.BAT, sh shape.Shape, offs []int, cand *bat.BA
 // walked row by row with no per-cell coordinate decoding; an explicit oid
 // list decodes the shifted dimensions of each row.
 func shiftRows[T any](job *par.Job, vals []T, holes *bat.Bitmap, dims, strides, delta []int, shift int, cand *bat.BAT, n int) ([]T, *bat.Bitmap, error) {
-	out := make([]T, n)
+	out := par.Vec[T](job, n)
 	nulls := bat.NewBitmap(n)
 	cells := len(vals)
 	if cand == nil || cand.Kind() == types.KindVoid {
@@ -600,6 +612,8 @@ func shiftRows[T any](job *par.Job, vals []T, holes *bat.Bitmap, dims, strides, 
 				for p := b; p < p1; p++ {
 					nulls.Set(p-base, true)
 				}
+				clear(out[p0-base : a-base])
+				clear(out[b-base : p1-base])
 				if a == b {
 					return
 				}
@@ -634,6 +648,8 @@ func shiftRows[T any](job *par.Job, vals []T, holes *bat.Bitmap, dims, strides, 
 			}
 			if !inside || holes.Get(p+shift) {
 				nulls.Set(i, true)
+				var zero T
+				out[i] = zero
 				continue
 			}
 			out[i] = vals[p+shift]

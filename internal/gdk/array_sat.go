@@ -59,23 +59,23 @@ func TileAggSAT(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, tile [
 	holes := attr.NullMask()
 	var counts []int64
 	if holes == nil {
-		// No holes: a box holds as many values as it has cells.
-		counts = make([]int64, cells)
+		// No holes: a box holds as many values as it has cells. Rows
+		// whose box is empty in an outer dimension are not visited.
+		counts = par.ZeroVec[int64](job, cells)
 		g.rows(func(p0, p1, i0, area int, _ []int) {
 			for j, w := range g.width[i0 : i0+p1-p0] {
 				counts[p0+j] = int64(area * w)
 			}
 		})
 	} else {
-		ones := make([]int64, cells)
+		ones := par.Vec[int64](job, cells)
 		par.Do(job, cells, func(from, to int) {
 			for p := from; p < to; p++ {
-				if !holes.Get(p) {
-					ones[p] = 1
-				}
+				ones[p] = int64(bit(!holes.Get(p)))
 			}
 		})
 		counts = boxSums(g, ones, nil)
+		par.Recycle(job, ones)
 	}
 	switch {
 	case agg == AggCount || agg == AggCountAll:
@@ -162,15 +162,16 @@ func (g satGeom) rows(fn func(p0, p1, i0, area int, base []int)) {
 }
 
 // boxSums returns, for every anchor, the sum of vals (holes count as 0)
-// over its clipped box. It builds the summed-area table one dimension at a
-// time, dimension 0 first, adding each row of the dimension into the next
-// as whole slices; then every anchor adds and subtracts the table at its
+// over its clipped box. It builds the summed-area table, scratch from the
+// job's free list that goes back to it, one dimension at a time,
+// dimension 0 first, adding each row of the dimension into the next as
+// whole slices; then every anchor adds and subtracts the table at its
 // 2^k corners in mask order. The order of every floating-point addition is
 // that of the cell-at-a-time formulation, so float results do not depend
 // on the walk or on the thread count.
 func boxSums[T int64 | float64](g satGeom, vals []T, holes *bat.Bitmap) []T {
 	cells := len(vals)
-	sat := make([]T, cells)
+	sat := par.Vec[T](g.job, cells)
 	par.Do(g.job, cells, func(from, to int) {
 		copy(sat[from:to], vals[from:to])
 		if holes != nil {
@@ -209,7 +210,7 @@ func boxSums[T int64 | float64](g satGeom, vals []T, holes *bat.Bitmap) []T {
 	for m := range neg {
 		neg[m] = bits.OnesCount(uint(m))%2 == 1
 	}
-	out := make([]T, cells)
+	out := par.ZeroVec[T](g.job, cells)
 	g.rows(func(p0, p1, i0, _ int, base []int) {
 		dst := out[p0:p1]
 		for m, b := range base {
@@ -235,6 +236,7 @@ func boxSums[T int64 | float64](g satGeom, vals []T, holes *bat.Bitmap) []T {
 			}
 		}
 	})
+	par.Recycle(g.job, sat)
 	return out
 }
 

@@ -46,47 +46,52 @@ func Arith(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		}
 		return nil, fmt.Errorf("gdk: arithmetic on non-numeric type %s", k)
 	}
+	switch op {
+	case "+", "-", "*", "/", "%":
+	default:
+		return nil, fmt.Errorf("gdk: unknown arithmetic op %q", op)
+	}
 	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
 	n := l.Len()
 	if k == types.KindFloat {
-		lf, ln, err := l.floats()
+		lf, lm, ln, err := l.floats()
 		if err != nil {
 			return nil, err
 		}
-		rf, rn, err := r.floats()
+		rf, rm, rn, err := r.floats()
 		if err != nil {
 			return nil, err
 		}
 		nulls := orNulls(n, ln, rn)
-		out := make([]float64, n)
+		out := par.Vec[float64](job, n)
 		switch op {
 		case "+":
 			par.Do(job, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					out[i] = lf[i] + rf[i]
+					out[i] = lf[i&lm] + rf[i&rm]
 				}
 			})
 		case "-":
 			par.Do(job, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					out[i] = lf[i] - rf[i]
+					out[i] = lf[i&lm] - rf[i&rm]
 				}
 			})
 		case "*":
 			par.Do(job, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					out[i] = lf[i] * rf[i]
+					out[i] = lf[i&lm] * rf[i&rm]
 				}
 			})
 		case "/":
 			err := par.DoErr(job, n, func(lo, hi int) error {
 				for i := lo; i < hi; i++ {
-					if rf[i] == 0 && !nulls.Get(i) {
+					if rf[i&rm] == 0 && !nulls.Get(i) {
 						return fmt.Errorf("division by zero")
 					}
-					out[i] = lf[i] / rf[i]
+					out[i] = lf[i&lm] / rf[i&rm]
 				}
 				return nil
 			})
@@ -96,60 +101,59 @@ func Arith(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		case "%":
 			err := par.DoErr(job, n, func(lo, hi int) error {
 				for i := lo; i < hi; i++ {
-					if rf[i] == 0 && !nulls.Get(i) {
+					if rf[i&rm] == 0 && !nulls.Get(i) {
 						return fmt.Errorf("modulo by zero")
 					}
-					out[i] = math.Mod(lf[i], rf[i])
+					out[i] = math.Mod(lf[i&lm], rf[i&rm])
 				}
 				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
-		default:
-			return nil, fmt.Errorf("gdk: unknown arithmetic op %q", op)
 		}
 		return withNulls(bat.FromFloats(out), nulls), nil
 	}
-	li, ln, err := l.ints()
+	li, lm, ln, err := l.ints()
 	if err != nil {
 		return nil, err
 	}
-	ri, rn, err := r.ints()
+	ri, rm, rn, err := r.ints()
 	if err != nil {
 		return nil, err
 	}
 	nulls := orNulls(n, ln, rn)
-	out := make([]int64, n)
+	out := par.Vec[int64](job, n)
 	switch op {
 	case "+":
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = li[i] + ri[i]
+				out[i] = li[i&lm] + ri[i&rm]
 			}
 		})
 	case "-":
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = li[i] - ri[i]
+				out[i] = li[i&lm] - ri[i&rm]
 			}
 		})
 	case "*":
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = li[i] * ri[i]
+				out[i] = li[i&lm] * ri[i&rm]
 			}
 		})
 	case "/":
 		err := par.DoErr(job, n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if nulls.Get(i) {
+					out[i] = 0
 					continue
 				}
-				if ri[i] == 0 {
+				if ri[i&rm] == 0 {
 					return fmt.Errorf("division by zero")
 				}
-				out[i] = li[i] / ri[i]
+				out[i] = li[i&lm] / ri[i&rm]
 			}
 			return nil
 		})
@@ -160,20 +164,19 @@ func Arith(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		err := par.DoErr(job, n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if nulls.Get(i) {
+					out[i] = 0
 					continue
 				}
-				if ri[i] == 0 {
+				if ri[i&rm] == 0 {
 					return fmt.Errorf("modulo by zero")
 				}
-				out[i] = li[i] % ri[i]
+				out[i] = li[i&lm] % ri[i&rm]
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("gdk: unknown arithmetic op %q", op)
 	}
 	return withNulls(bat.FromIntsOfKind(out, types.KindInt), nulls), nil
 }
@@ -246,100 +249,121 @@ func Compare(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error
 	if err != nil {
 		return nil, err
 	}
-	out := make([]bool, n)
 	var nulls *bat.Bitmap
+	out := par.Vec[bool](job, n)
 	switch k {
 	case types.KindInt, types.KindOID:
-		li, ln, err := l.ints()
+		li, lm, ln, err := l.ints()
 		if err != nil {
 			return nil, err
 		}
-		ri, rn, err := r.ints()
+		ri, rm, rn, err := r.ints()
 		if err != nil {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
-		par.Do(job, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				c := 0
-				switch {
-				case li[i] < ri[i]:
-					c = -1
-				case li[i] > ri[i]:
-					c = 1
-				}
-				out[i] = o.ok(c)
-			}
-		})
+		compareRows(job, o, li, lm, ri, rm, out)
 	case types.KindFloat:
-		lf, ln, err := l.floats()
+		lf, lm, ln, err := l.floats()
 		if err != nil {
 			return nil, err
 		}
-		rf, rn, err := r.floats()
+		rf, rm, rn, err := r.floats()
 		if err != nil {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
-		par.Do(job, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				c := 0
-				switch {
-				case lf[i] < rf[i]:
-					c = -1
-				case lf[i] > rf[i]:
-					c = 1
-				}
-				out[i] = o.ok(c)
-			}
-		})
+		compareRows(job, o, lf, lm, rf, rm, out)
 	case types.KindBool:
-		lb, ln, err := l.boolsv()
+		lb, lm, ln, err := l.boolsv()
 		if err != nil {
 			return nil, err
 		}
-		rb, rn, err := r.boolsv()
+		rb, rm, rn, err := r.boolsv()
 		if err != nil {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				a, b := 0, 0
-				if lb[i] {
-					a = 1
-				}
-				if rb[i] {
-					b = 1
-				}
-				out[i] = o.ok(a - b)
+				out[i] = o.ok(int(bit(lb[i&lm])) - int(bit(rb[i&rm])))
 			}
 		})
 	case types.KindStr:
-		ls, ln, err := l.strsv()
+		ls, lm, ln, err := l.strsv()
 		if err != nil {
 			return nil, err
 		}
-		rs, rn, err := r.strsv()
+		rs, rm, rn, err := r.strsv()
 		if err != nil {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = o.ok(strings.Compare(ls[i], rs[i]))
+				out[i] = o.ok(strings.Compare(ls[i&lm], rs[i&rm]))
 			}
 		})
 	case types.KindVoid:
 		// Both sides are untyped NULL constants: every row is NULL.
 		nulls = allNull(n)
+		clear(out)
 	default:
 		return nil, fmt.Errorf("gdk: cannot compare %s values", k)
 	}
 	return withNulls(bat.FromBools(out), nulls), nil
 }
 
-// And evaluates three-valued logical AND.
+// compareRows writes out[i] = l[i&lm] o r[i&rm] for every row, one loop
+// per operator, under the three-way rule in which NaN compares equal to
+// everything: a < b and a > b are both false for NaN, so = is
+// (a < b) == (a > b) and <= is !(a > b).
+func compareRows[T int64 | float64](job *par.Job, o cmpOp, l []T, lm int, r []T, rm int, out []bool) {
+	n := len(out)
+	switch o {
+	case cmpEq:
+		par.Do(job, n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				a, b := l[i&lm], r[i&rm]
+				out[i] = (a < b) == (a > b)
+			}
+		})
+	case cmpNe:
+		par.Do(job, n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				a, b := l[i&lm], r[i&rm]
+				out[i] = (a < b) != (a > b)
+			}
+		})
+	case cmpLt:
+		par.Do(job, n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = l[i&lm] < r[i&rm]
+			}
+		})
+	case cmpLe:
+		par.Do(job, n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = !(l[i&lm] > r[i&rm])
+			}
+		})
+	case cmpGt:
+		par.Do(job, n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = l[i&lm] > r[i&rm]
+			}
+		})
+	default: // cmpGe
+		par.Do(job, n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = !(l[i&lm] < r[i&rm])
+			}
+		})
+	}
+}
+
+// And evaluates three-valued logical AND: false when either side is a
+// known false, else NULL when either side is NULL, else true.
 func And(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if l.Len() != r.Len() {
 		return nil, fmt.Errorf("gdk: operand length mismatch")
@@ -347,16 +371,16 @@ func And(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
-	lb, ln, err := l.boolsv()
+	lb, lm, ln, err := l.boolsv()
 	if err != nil {
 		return nil, err
 	}
-	rb, rn, err := r.boolsv()
+	rb, rm, rn, err := r.boolsv()
 	if err != nil {
 		return nil, err
 	}
 	n := l.Len()
-	out := make([]bool, n)
+	out := par.Vec[bool](job, n)
 	var mask *bat.Bitmap
 	if ln != nil || rn != nil {
 		mask = bat.NewBitmap(n)
@@ -364,13 +388,11 @@ func And(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			lnull, rnull := ln.Get(i), rn.Get(i)
-			switch {
-			case !lnull && !lb[i], !rnull && !rb[i]:
-				// false AND anything = false
-			case lnull || rnull:
+			notFalse := (lnull || lb[i&lm]) && (rnull || rb[i&rm])
+			null := notFalse && (lnull || rnull)
+			out[i] = notFalse && !null
+			if null {
 				mask.Set(i, true)
-			default:
-				out[i] = true
 			}
 		}
 	})
@@ -379,7 +401,8 @@ func And(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	return b, nil
 }
 
-// Or evaluates three-valued logical OR.
+// Or evaluates three-valued logical OR: true when either side is a known
+// true, else NULL when either side is NULL, else false.
 func Or(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if l.Len() != r.Len() {
 		return nil, fmt.Errorf("gdk: operand length mismatch")
@@ -387,16 +410,16 @@ func Or(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
-	lb, ln, err := l.boolsv()
+	lb, lm, ln, err := l.boolsv()
 	if err != nil {
 		return nil, err
 	}
-	rb, rn, err := r.boolsv()
+	rb, rm, rn, err := r.boolsv()
 	if err != nil {
 		return nil, err
 	}
 	n := l.Len()
-	out := make([]bool, n)
+	out := par.Vec[bool](job, n)
 	var mask *bat.Bitmap
 	if ln != nil || rn != nil {
 		mask = bat.NewBitmap(n)
@@ -404,10 +427,8 @@ func Or(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			lnull, rnull := ln.Get(i), rn.Get(i)
-			switch {
-			case !lnull && lb[i], !rnull && rb[i]:
-				out[i] = true // true OR anything = true
-			case lnull || rnull:
+			out[i] = (!lnull && lb[i&lm]) || (!rnull && rb[i&rm])
+			if !out[i] && (lnull || rnull) {
 				mask.Set(i, true)
 			}
 		}
@@ -422,15 +443,15 @@ func Not(job *par.Job, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(job, cand, &x); err != nil {
 		return nil, err
 	}
-	xb, xn, err := x.boolsv()
+	xb, xm, xn, err := x.boolsv()
 	if err != nil {
 		return nil, err
 	}
 	n := x.Len()
-	out := make([]bool, n)
+	out := par.Vec[bool](job, n)
 	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = !xb[i]
+			out[i] = !xb[i&xm]
 		}
 	})
 	return withNulls(bat.FromBools(out), xn.Clone()), nil
@@ -442,16 +463,17 @@ func IsNull(job *par.Job, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 		return nil, err
 	}
 	n := x.Len()
-	out := make([]bool, n)
+	out := par.Vec[bool](job, n)
 	if x.b != nil {
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = x.b.IsNull(i)
 			}
 		})
-	} else if x.v.IsNull() {
+	} else {
+		null := x.v.IsNull()
 		for i := range out {
-			out[i] = true
+			out[i] = null
 		}
 	}
 	return bat.FromBools(out), nil
@@ -471,7 +493,7 @@ func IfThenElse(job *par.Job, cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		return nil, err
 	}
 	n := cond.Len()
-	cb, cn, err := cond.boolsv()
+	cb, cm, cn, err := cond.boolsv()
 	if err != nil {
 		return nil, err
 	}
@@ -484,44 +506,44 @@ func IfThenElse(job *par.Job, cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		// Both branches are untyped NULLs.
 		return bat.Filler(job, n, types.NullUnknown(), types.KindInt)
 	case types.KindInt, types.KindOID:
-		return pickRows(job, cb, cn, a.ints, b.ints, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) })
+		return pickRows(job, n, cb, cm, cn, a.ints, b.ints, func(v []int64) *bat.BAT { return bat.FromIntsOfKind(v, k) })
 	case types.KindFloat:
-		return pickRows(job, cb, cn, a.floats, b.floats, bat.FromFloats)
+		return pickRows(job, n, cb, cm, cn, a.floats, b.floats, bat.FromFloats)
 	case types.KindBool:
-		return pickRows(job, cb, cn, a.boolsv, b.boolsv, bat.FromBools)
+		return pickRows(job, n, cb, cm, cn, a.boolsv, b.boolsv, bat.FromBools)
 	case types.KindStr:
-		return pickRows(job, cb, cn, a.strsv, b.strsv, bat.FromStrings)
+		return pickRows(job, n, cb, cm, cn, a.strsv, b.strsv, bat.FromStrings)
 	}
 	return nil, fmt.Errorf("gdk: ifthenelse on %s values", k)
 }
 
-// pickRows is IfThenElse over one typed slice per branch: row i comes from
-// a where cb[i] is true and not NULL, from b otherwise, and is NULL when
-// the picked branch is. mk wraps the picked values in a column.
-func pickRows[T any](job *par.Job, cb []bool, cn *bat.Bitmap, a, b func() ([]T, *bat.Bitmap, error), mk func([]T) *bat.BAT) (*bat.BAT, error) {
-	av, an, err := a()
+// pickRows is IfThenElse over n rows and one typed slice per branch: row
+// i comes from a where the condition cb[i&cm] is true and not NULL (cn),
+// from b otherwise, and is NULL when the picked branch is. mk wraps the
+// picked values in a column.
+func pickRows[T any](job *par.Job, n int, cb []bool, cm int, cn *bat.Bitmap, a, b func() ([]T, int, *bat.Bitmap, error), mk func([]T) *bat.BAT) (*bat.BAT, error) {
+	av, am, an, err := a()
 	if err != nil {
 		return nil, err
 	}
-	bv, bn, err := b()
+	bv, bm, bn, err := b()
 	if err != nil {
 		return nil, err
 	}
-	n := len(cb)
-	out := make([]T, n)
+	out := par.Vec[T](job, n)
 	var nulls *bat.Bitmap
 	if an != nil || bn != nil {
 		nulls = bat.NewBitmap(n)
 	}
 	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if cb[i] && !cn.Get(i) {
-				out[i] = av[i]
+			if cb[i&cm] && !cn.Get(i) {
+				out[i] = av[i&am]
 				if an.Get(i) {
 					nulls.Set(i, true)
 				}
 			} else {
-				out[i] = bv[i]
+				out[i] = bv[i&bm]
 				if bn.Get(i) {
 					nulls.Set(i, true)
 				}
@@ -541,69 +563,69 @@ func UnaryNum(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 	switch op {
 	case "-", "abs":
 		if x.Kind() == types.KindFloat {
-			xf, xn, err := x.floats()
+			xf, xm, xn, err := x.floats()
 			if err != nil {
 				return nil, err
 			}
-			out := make([]float64, n)
+			out := par.Vec[float64](job, n)
 			par.Do(job, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					if op == "-" {
-						out[i] = -xf[i]
+						out[i] = -xf[i&xm]
 					} else {
-						out[i] = math.Abs(xf[i])
+						out[i] = math.Abs(xf[i&xm])
 					}
 				}
 			})
 			return withNulls(bat.FromFloats(out), xn.Clone()), nil
 		}
-		xi, xn, err := x.ints()
+		xi, xm, xn, err := x.ints()
 		if err != nil {
 			return nil, err
 		}
-		out := make([]int64, n)
+		out := par.Vec[int64](job, n)
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if op == "-" {
-					out[i] = -xi[i]
-				} else if xi[i] < 0 {
-					out[i] = -xi[i]
-				} else {
-					out[i] = xi[i]
+				v := xi[i&xm]
+				if op == "-" || v < 0 {
+					v = -v
 				}
+				out[i] = v
 			}
 		})
 		return withNulls(bat.FromIntsOfKind(out, types.KindInt), xn.Clone()), nil
 	case "sqrt", "floor", "ceil", "exp", "log", "round":
-		xf, xn, err := x.floats()
+		xf, xm, xn, err := x.floats()
 		if err != nil {
 			return nil, err
 		}
-		out := make([]float64, n)
+		out := par.Vec[float64](job, n)
 		err = par.DoErr(job, n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if xn.Get(i) {
+					out[i] = 0
 					continue
 				}
+				v := xf[i&xm]
 				switch op {
 				case "sqrt":
-					if xf[i] < 0 {
-						return fmt.Errorf("sqrt of negative value %v", xf[i])
+					if v < 0 {
+						return fmt.Errorf("sqrt of negative value %v", v)
 					}
-					out[i] = math.Sqrt(xf[i])
+					out[i] = math.Sqrt(v)
 				case "floor":
-					out[i] = math.Floor(xf[i])
+					out[i] = math.Floor(v)
 				case "ceil":
-					out[i] = math.Ceil(xf[i])
+					out[i] = math.Ceil(v)
 				case "exp":
-					out[i] = math.Exp(xf[i])
+					out[i] = math.Exp(v)
 				case "log":
-					if xf[i] <= 0 {
-						return fmt.Errorf("log of non-positive value %v", xf[i])
+					if v <= 0 {
+						return fmt.Errorf("log of non-positive value %v", v)
 					}
-					out[i] = math.Log(xf[i])
+					out[i] = math.Log(v)
 				case "round":
-					out[i] = math.Round(xf[i])
+					out[i] = math.Round(v)
 				}
 			}
 			return nil
@@ -613,18 +635,20 @@ func UnaryNum(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		}
 		return withNulls(bat.FromFloats(out), xn.Clone()), nil
 	case "sign":
-		xf, xn, err := x.floats()
+		xf, xm, xn, err := x.floats()
 		if err != nil {
 			return nil, err
 		}
-		out := make([]int64, n)
+		out := par.Vec[int64](job, n)
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				switch {
-				case xf[i] > 0:
+				switch v := xf[i&xm]; {
+				case v > 0:
 					out[i] = 1
-				case xf[i] < 0:
+				case v < 0:
 					out[i] = -1
+				default:
+					out[i] = 0
 				}
 			}
 		})
@@ -644,20 +668,20 @@ func Power(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
-	lf, ln, err := l.floats()
+	lf, lm, ln, err := l.floats()
 	if err != nil {
 		return nil, err
 	}
-	rf, rn, err := r.floats()
+	rf, rm, rn, err := r.floats()
 	if err != nil {
 		return nil, err
 	}
 	n := l.Len()
 	nulls := orNulls(n, ln, rn)
-	out := make([]float64, n)
+	out := par.Vec[float64](job, n)
 	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = math.Pow(lf[i], rf[i])
+			out[i] = math.Pow(lf[i&lm], rf[i&rm])
 		}
 	})
 	return withNulls(bat.FromFloats(out), nulls), nil
@@ -714,33 +738,37 @@ func CastBAT(job *par.Job, x Opnd, k types.Kind, cand *bat.BAT) (*bat.BAT, error
 // Value.Cast has no rule for. mk wraps the converted values in a column,
 // which keeps the source's NULL rows.
 func castRows[T any](job *par.Job, x Opnd, k types.Kind, mk func([]T) *bat.BAT, fromInt func(int64) (T, error), fromFloat func(float64) (T, error), fromBool func(bool) (T, error), fromStr func(string) (T, error)) (*bat.BAT, error) {
+	n := x.Len()
 	switch from := x.Kind(); {
 	case (from == types.KindInt || from == types.KindOID) && fromInt != nil:
-		src, nulls, _ := x.ints()
-		return castVec(job, src, nulls, mk, fromInt)
+		src, m, nulls, _ := x.ints()
+		return castVec(job, n, src, m, nulls, mk, fromInt)
 	case from == types.KindFloat && fromFloat != nil:
-		src, nulls, _ := x.floats()
-		return castVec(job, src, nulls, mk, fromFloat)
+		src, m, nulls, _ := x.floats()
+		return castVec(job, n, src, m, nulls, mk, fromFloat)
 	case from == types.KindBool && fromBool != nil:
-		src, nulls, _ := x.boolsv()
-		return castVec(job, src, nulls, mk, fromBool)
+		src, m, nulls, _ := x.boolsv()
+		return castVec(job, n, src, m, nulls, mk, fromBool)
 	case from == types.KindStr && fromStr != nil:
-		src, nulls, _ := x.strsv()
-		return castVec(job, src, nulls, mk, fromStr)
+		src, m, nulls, _ := x.strsv()
+		return castVec(job, n, src, m, nulls, mk, fromStr)
 	default:
 		return nil, fmt.Errorf("unsupported cast from %s to %s", from, k)
 	}
 }
 
-// castVec converts the non-NULL rows of src with conv, morsel-parallel.
-func castVec[S, T any](job *par.Job, src []S, nulls *bat.Bitmap, mk func([]T) *bat.BAT, conv func(S) (T, error)) (*bat.BAT, error) {
-	out := make([]T, len(src))
-	err := par.DoErr(job, len(src), func(lo, hi int) error {
+// castVec converts the non-NULL rows src[i&m] of n with conv,
+// morsel-parallel; NULL rows hold T's zero value.
+func castVec[S, T any](job *par.Job, n int, src []S, m int, nulls *bat.Bitmap, mk func([]T) *bat.BAT, conv func(S) (T, error)) (*bat.BAT, error) {
+	out := par.Vec[T](job, n)
+	err := par.DoErr(job, n, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if nulls.Get(i) {
+				var zero T
+				out[i] = zero
 				continue
 			}
-			v, err := conv(src[i])
+			v, err := conv(src[i&m])
 			if err != nil {
 				return err
 			}
@@ -769,11 +797,11 @@ func Concat(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 		return nil, err
 	}
 	n := l.Len()
-	ls, ln, err := l.strsv()
+	ls, lm, ln, err := l.strsv()
 	if err != nil {
 		return nil, err
 	}
-	rs, rn, err := r.strsv()
+	rs, rm, rn, err := r.strsv()
 	if err != nil {
 		return nil, err
 	}
@@ -781,7 +809,7 @@ func Concat(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	out := make([]string, n)
 	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = ls[i] + rs[i]
+			out[i] = ls[i&lm] + rs[i&rm]
 		}
 	})
 	return withNulls(bat.FromStrings(out), nulls), nil
@@ -792,7 +820,7 @@ func StrUnary(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 	if err := restrictTo(job, cand, &x); err != nil {
 		return nil, err
 	}
-	xs, xn, err := x.strsv()
+	xs, xm, xn, err := x.strsv()
 	if err != nil {
 		return nil, err
 	}
@@ -803,18 +831,18 @@ func StrUnary(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if op == "upper" {
-					out[i] = strings.ToUpper(xs[i])
+					out[i] = strings.ToUpper(xs[i&xm])
 				} else {
-					out[i] = strings.ToLower(xs[i])
+					out[i] = strings.ToLower(xs[i&xm])
 				}
 			}
 		})
 		return withNulls(bat.FromStrings(out), xn.Clone()), nil
 	case "length":
-		out := make([]int64, n)
+		out := par.Vec[int64](job, n)
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = int64(len(xs[i]))
+				out[i] = int64(len(xs[i&xm]))
 			}
 		})
 		return withNulls(bat.FromIntsOfKind(out, types.KindInt), xn.Clone()), nil
@@ -830,15 +858,15 @@ func Substring(job *par.Job, x, start, length Opnd, cand *bat.BAT) (*bat.BAT, er
 		return nil, err
 	}
 	n := x.Len()
-	xs, xn, err := x.strsv()
+	xs, xm, xn, err := x.strsv()
 	if err != nil {
 		return nil, err
 	}
-	si, sn, err := start.ints()
+	si, sm, sn, err := start.ints()
 	if err != nil {
 		return nil, err
 	}
-	li, lnn, err := length.ints()
+	li, lm, lnn, err := length.ints()
 	if err != nil {
 		return nil, err
 	}
@@ -849,15 +877,15 @@ func Substring(job *par.Job, x, start, length Opnd, cand *bat.BAT) (*bat.BAT, er
 			if nulls.Get(i) {
 				continue
 			}
-			s := xs[i]
-			from := int(si[i]) - 1
+			s := xs[i&xm]
+			from := int(si[i&sm]) - 1
 			if from < 0 {
 				from = 0
 			}
 			if from > len(s) {
 				from = len(s)
 			}
-			to := from + int(li[i])
+			to := from + int(li[i&lm])
 			if to < from {
 				to = from
 			}
@@ -876,16 +904,16 @@ func Like(job *par.Job, x, pattern Opnd, cand *bat.BAT) (*bat.BAT, error) {
 		return nil, err
 	}
 	n := x.Len()
-	xs, xn, err := x.strsv()
+	xs, xm, xn, err := x.strsv()
 	if err != nil {
 		return nil, err
 	}
-	ps, pn, err := pattern.strsv()
+	ps, pm, pn, err := pattern.strsv()
 	if err != nil {
 		return nil, err
 	}
 	nulls := orNulls(n, xn, pn)
-	out := make([]bool, n)
+	out := par.Vec[bool](job, n)
 	// Cache the matcher when the pattern is constant (stateless, so it is
 	// safe to share across workers).
 	var cached func(string) bool
@@ -895,13 +923,14 @@ func Like(job *par.Job, x, pattern Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	par.Do(job, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if nulls.Get(i) {
+				out[i] = false
 				continue
 			}
 			m := cached
 			if m == nil {
-				m = likeMatcher(ps[i])
+				m = likeMatcher(ps[i&pm])
 			}
-			out[i] = m(xs[i])
+			out[i] = m(xs[i&xm])
 		}
 	})
 	return withNulls(bat.FromBools(out), nulls), nil

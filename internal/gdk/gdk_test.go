@@ -931,12 +931,15 @@ func TestUnique(t *testing.T) {
 	}
 }
 
-// TestKernelsHonourCancelledJob: the kernels that poll their job return
-// par.ErrCanceled for a cancelled one, on every sort path too.
+// TestKernelsHonourCancelledJob: a job that cancels itself in the middle
+// of a kernel's loop makes the kernel return par.ErrCanceled. The job is
+// one wide, so every plan is one serial chunk and only the kernel's own
+// polling (every 4096 rows, or every few thousand comparisons) can see
+// the cancel: it comes at the job's 8th check, within the first 32K of
+// 128K rows. A kernel that checked the job only around its loop would
+// finish and return no error.
 func TestKernelsHonourCancelledJob(t *testing.T) {
-	job := par.NewJob(0, 0)
-	job.Cancel()
-	n := 10000
+	n := 1 << 17
 	ints := make([]int64, n)
 	strs := make([]string, n)
 	for i := range ints {
@@ -952,28 +955,46 @@ func TestKernelsHonourCancelledJob(t *testing.T) {
 	}
 	f := bat.FromFloats(fl)
 	half := bat.NewVoid(0, n/2)
-	for name, run := range map[string]func() error{
-		"order int":    func() error { _, err := OrderIdx(job, []*bat.BAT{k}, []SortSpec{{}}, -1); return err },
-		"order top-n":  func() error { _, err := OrderIdx(job, []*bat.BAT{k}, []SortSpec{{}}, 10); return err },
-		"order string": func() error { _, err := OrderIdx(job, []*bat.BAT{s}, []SortSpec{{}}, -1); return err },
-		"order 2 keys": func() error { _, err := OrderIdx(job, []*bat.BAT{k, s}, []SortSpec{{}, {}}, -1); return err },
-		"group":        func() error { _, err := Group(job, []*bat.BAT{k}, nil); return err },
-		"min":          func() error { _, err := SubAggr(job, AggMin, k, gids, 1009, nil); return err },
-		"sum":          func() error { _, err := SubAggr(job, AggSum, k, gids, 1009, nil); return err },
-		"count":        func() error { _, err := SubAggr(job, AggCountAll, nil, gids, 1009, nil); return err },
-		"join":         func() error { _, _, err := HashJoin(job, []*bat.BAT{k}, []*bat.BAT{k}, nil, nil); return err },
-		"left join":    func() error { _, _, err := LeftJoin(job, []*bat.BAT{k}, []*bat.BAT{k}, nil, nil); return err },
-		"join small build": func() error {
+	for name, run := range map[string]func(job *par.Job) error{
+		"order int":    func(job *par.Job) error { _, err := OrderIdx(job, []*bat.BAT{k}, []SortSpec{{}}, -1); return err },
+		"order top-n":  func(job *par.Job) error { _, err := OrderIdx(job, []*bat.BAT{k}, []SortSpec{{}}, 10); return err },
+		"order string": func(job *par.Job) error { _, err := OrderIdx(job, []*bat.BAT{s}, []SortSpec{{}}, -1); return err },
+		"order 2 keys": func(job *par.Job) error {
+			_, err := OrderIdx(job, []*bat.BAT{k, s}, []SortSpec{{}, {}}, -1)
+			return err
+		},
+		"group": func(job *par.Job) error { _, err := Group(job, []*bat.BAT{k}, nil); return err },
+		"min":   func(job *par.Job) error { _, err := SubAggr(job, AggMin, k, gids, 1009, nil); return err },
+		"sum":   func(job *par.Job) error { _, err := SubAggr(job, AggSum, k, gids, 1009, nil); return err },
+		"count": func(job *par.Job) error { _, err := SubAggr(job, AggCountAll, nil, gids, 1009, nil); return err },
+		"join": func(job *par.Job) error {
+			_, _, err := HashJoin(job, []*bat.BAT{k}, []*bat.BAT{k}, nil, nil)
+			return err
+		},
+		"left join": func(job *par.Job) error {
+			_, _, err := LeftJoin(job, []*bat.BAT{k}, []*bat.BAT{k}, nil, nil)
+			return err
+		},
+		"join small build": func(job *par.Job) error {
 			_, _, err := HashJoin(job, []*bat.BAT{k}, []*bat.BAT{small}, nil, nil)
 			return err
 		},
-		"group int key": func() error { _, err := Group(job, []*bat.BAT{k}, half); return err },
-		"theta int":     func() error { _, err := ThetaSelect(job, k, nil, types.Int(5), "="); return err },
-		"theta float":   func() error { _, err := ThetaSelect(job, f, half, types.Float(5), "<>"); return err },
-		"range int":     func() error { _, err := RangeSelect(job, k, half, types.Int(100), types.Int(200)); return err },
-		"range float":   func() error { _, err := RangeSelect(job, f, nil, types.Float(100), types.Float(200)); return err },
+		"group int key": func(job *par.Job) error { _, err := Group(job, []*bat.BAT{k}, half); return err },
+		"group string":  func(job *par.Job) error { _, err := Group(job, []*bat.BAT{s}, nil); return err },
+		"theta int":     func(job *par.Job) error { _, err := ThetaSelect(job, k, nil, types.Int(5), "="); return err },
+		"theta float":   func(job *par.Job) error { _, err := ThetaSelect(job, f, half, types.Float(5), "<>"); return err },
+		"range int": func(job *par.Job) error {
+			_, err := RangeSelect(job, k, half, types.Int(100), types.Int(200))
+			return err
+		},
+		"range float": func(job *par.Job) error {
+			_, err := RangeSelect(job, f, nil, types.Float(100), types.Float(200))
+			return err
+		},
 	} {
-		if err := run(); !errors.Is(err, par.ErrCanceled) {
+		job := par.NewJob(1, 0)
+		job.CancelAtPoll(8)
+		if err := run(job); !errors.Is(err, par.ErrCanceled) {
 			t.Errorf("%s: err = %v, want par.ErrCanceled", name, err)
 		}
 	}

@@ -22,8 +22,9 @@ import (
 	"repro/internal/types"
 )
 
-// Opnd is a calculator operand: either a BAT or a scalar broadcast to a
-// given length. Kernels normalise operands to typed slices before looping.
+// Opnd is a calculator operand: either a BAT or a scalar standing for a
+// given number of rows. Kernels normalise operands to typed slices before
+// looping; a scalar stays one element (see opndVec).
 type Opnd struct {
 	b *bat.BAT
 	v types.Value
@@ -33,7 +34,7 @@ type Opnd struct {
 // B wraps a BAT as an operand.
 func B(b *bat.BAT) Opnd { return Opnd{b: b, n: b.Len()} }
 
-// C wraps a scalar broadcast to n rows.
+// C wraps a scalar standing for n rows.
 func C(v types.Value, n int) Opnd { return Opnd{v: v, n: n} }
 
 // Len returns the operand length.
@@ -47,7 +48,7 @@ func (o Opnd) Kind() types.Kind {
 	return o.v.Kind()
 }
 
-// IsConst reports whether the operand is a scalar broadcast.
+// IsConst reports whether the operand is a scalar.
 func (o Opnd) IsConst() bool { return o.b == nil }
 
 // ConstValue returns the scalar of a const operand.
@@ -66,32 +67,33 @@ func allNull(n int) *bat.Bitmap {
 	return bm
 }
 
-// opndVec is the one decode path behind the four typed operand accessors:
-// column operands read through the BAT's decoded-view layer (so encoded
-// columns work transparently), scalar operands broadcast. column converts
+// opndVec is the one decode path behind the four typed operand accessors.
+// A column operand reads through the BAT's decoded-view layer (so encoded
+// columns work transparently) and comes back as itself with index mask -1;
+// a scalar comes back as a one-element slice with mask 0 and is never
+// broadcast. Kernels read row i as v[i&m], one loop for both. A NULL
+// scalar reads as the zero value under an all-NULL mask. column converts
 // a BAT to the typed slice or rejects the kind; convert does the same for
 // a scalar.
-func opndVec[T any](o Opnd, column func(*bat.BAT) ([]T, *bat.Bitmap, error), convert func(types.Value) (T, error)) ([]T, *bat.Bitmap, error) {
+func opndVec[T any](o Opnd, column func(*bat.BAT) ([]T, *bat.Bitmap, error), convert func(types.Value) (T, error)) ([]T, int, *bat.Bitmap, error) {
 	if o.b != nil {
-		return column(o.b)
+		v, nulls, err := column(o.b)
+		return v, -1, nulls, err
 	}
-	out := make([]T, o.n)
 	if o.v.IsNull() {
-		return out, allNull(o.n), nil
+		return make([]T, 1), 0, allNull(o.n), nil
 	}
 	cv, err := convert(o.v)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
-	for i := range out {
-		out[i] = cv
-	}
-	return out, nil, nil
+	return []T{cv}, 0, nil, nil
 }
 
-// ints normalises the operand to an int64 slice plus null mask. OIDs and
-// ints pass through; other kinds are an error (callers promote first).
-func (o Opnd) ints() ([]int64, *bat.Bitmap, error) {
+// ints normalises the operand to an int64 slice, its index mask and its
+// null mask. OIDs and ints pass through; other kinds are an error
+// (callers promote first).
+func (o Opnd) ints() ([]int64, int, *bat.Bitmap, error) {
 	return opndVec(o, func(b *bat.BAT) ([]int64, *bat.Bitmap, error) {
 		switch b.Kind() {
 		case types.KindInt, types.KindOID:
@@ -104,9 +106,9 @@ func (o Opnd) ints() ([]int64, *bat.Bitmap, error) {
 	}, types.Value.AsInt)
 }
 
-// floats normalises the operand to a float64 slice plus null mask,
-// converting integer operands.
-func (o Opnd) floats() ([]float64, *bat.Bitmap, error) {
+// floats normalises the operand to a float64 slice, its index mask and
+// its null mask, converting integer operands.
+func (o Opnd) floats() ([]float64, int, *bat.Bitmap, error) {
 	return opndVec(o, func(b *bat.BAT) ([]float64, *bat.Bitmap, error) {
 		switch b.Kind() {
 		case types.KindFloat:
@@ -130,8 +132,9 @@ func (o Opnd) floats() ([]float64, *bat.Bitmap, error) {
 	}, types.Value.AsFloat)
 }
 
-// boolsv normalises the operand to a bool slice plus null mask.
-func (o Opnd) boolsv() ([]bool, *bat.Bitmap, error) {
+// boolsv normalises the operand to a bool slice, its index mask and its
+// null mask.
+func (o Opnd) boolsv() ([]bool, int, *bat.Bitmap, error) {
 	return opndVec(o, func(b *bat.BAT) ([]bool, *bat.Bitmap, error) {
 		if b.Kind() != types.KindBool {
 			return nil, nil, fmt.Errorf("gdk: expected boolean column, got %s", b.Kind())
@@ -145,8 +148,9 @@ func (o Opnd) boolsv() ([]bool, *bat.Bitmap, error) {
 	})
 }
 
-// strsv normalises the operand to a string slice plus null mask.
-func (o Opnd) strsv() ([]string, *bat.Bitmap, error) {
+// strsv normalises the operand to a string slice, its index mask and its
+// null mask.
+func (o Opnd) strsv() ([]string, int, *bat.Bitmap, error) {
 	return opndVec(o, func(b *bat.BAT) ([]string, *bat.Bitmap, error) {
 		if b.Kind() != types.KindStr {
 			return nil, nil, fmt.Errorf("gdk: expected string column, got %s", b.Kind())

@@ -46,17 +46,17 @@ func Project(job *par.Job, idx, b *bat.BAT) (*bat.BAT, error) {
 	switch b.Kind() {
 	case types.KindInt, types.KindOID:
 		src := b.DecodedInts()
-		dst := make([]int64, n)
+		dst := outVec[int64](job, n, mayNull)
 		out = bat.FromIntsOfKind(dst, b.ValueKind())
 		fill = func(i, j int) { dst[i] = src[j] }
 	case types.KindFloat:
 		src := b.DecodedFloats()
-		dst := make([]float64, n)
+		dst := outVec[float64](job, n, mayNull)
 		out = bat.FromFloats(dst)
 		fill = func(i, j int) { dst[i] = src[j] }
 	case types.KindBool:
 		src := b.DecodedBools()
-		dst := make([]bool, n)
+		dst := outVec[bool](job, n, mayNull)
 		out = bat.FromBools(dst)
 		fill = func(i, j int) { dst[i] = src[j] }
 	case types.KindStr:
@@ -66,7 +66,7 @@ func Project(job *par.Job, idx, b *bat.BAT) (*bat.BAT, error) {
 		fill = func(i, j int) { dst[i] = src[j] }
 	case types.KindVoid:
 		base := int64(b.Seqbase())
-		dst := make([]int64, n)
+		dst := outVec[int64](job, n, mayNull)
 		out = bat.FromIntsOfKind(dst, types.KindOID)
 		fill = func(i, j int) { dst[i] = base + int64(j) }
 	default:
@@ -106,6 +106,16 @@ func Project(job *par.Job, idx, b *bat.BAT) (*bat.BAT, error) {
 	out.Key = idx.Key && b.Key && !out.HasNulls()
 	out.CopyBoundsFrom(b)
 	return out, nil
+}
+
+// outVec is the output slice of a kernel that writes every row but its
+// NULL rows: from the job's free list, and zeroed when rows may be NULL so
+// that they hold no stale value.
+func outVec[T any](job *par.Job, n int, mayNull bool) []T {
+	if mayNull {
+		return par.ZeroVec[T](job, n)
+	}
+	return par.Vec[T](job, n)
 }
 
 // ProjectAll projects every column in cols through idx.

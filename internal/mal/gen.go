@@ -44,6 +44,7 @@ func Compile(n rel.Node) (*Program, error) {
 		p.Write = x
 	}
 	dropDead(p)
+	link(p)
 	return p, nil
 }
 
@@ -91,6 +92,33 @@ func dropDead(p *Program) {
 	}
 	clear(p.Instrs[n:])
 	p.Instrs = p.Instrs[:n]
+}
+
+// link readies a program for Run. It resolves each instruction to the
+// interpreter method that runs it, once, so a run calls the method
+// directly instead of dispatching on the name. And it is MonetDB's
+// garbage collector: it records each variable's last use, the index of
+// the last instruction that reads or defines it, so that Run drops the
+// variable there and recycles its storage; the program's results have
+// none and stay.
+func link(p *Program) {
+	p.ops = make([]func(*Ctx, *Instr) error, len(p.Instrs))
+	p.lastUse = make([]int32, p.NVars)
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		p.ops[i] = handler(in.Module, in.Fn)
+		for _, r := range in.Rets {
+			p.lastUse[r] = int32(i)
+		}
+		for j := range in.Args {
+			if v := in.Args[j].Var; v >= 0 {
+				p.lastUse[v] = int32(i)
+			}
+		}
+	}
+	for _, v := range p.ResultVars {
+		p.lastUse[v] = -1
+	}
 }
 
 // pure reports whether in may be dropped when nothing reads its result;

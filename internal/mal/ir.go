@@ -145,6 +145,13 @@ type Program struct {
 	// its results are then the written rows' base positions followed by
 	// one value column per SET target.
 	Write *rel.Write
+
+	// ops and lastUse are set by link, the last step of Compile: ops[i]
+	// is the handler that runs instruction i (nil for an unknown one),
+	// lastUse[v] the index of the last instruction that uses variable v
+	// (-1 for results), after which Run drops it.
+	ops     []func(*Ctx, *Instr) error
+	lastUse []int32
 }
 
 // NewVar allocates a fresh variable.

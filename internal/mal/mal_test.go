@@ -2,12 +2,14 @@ package mal
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/gdk"
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/shape"
 	"repro/internal/sql/ast"
@@ -194,10 +196,16 @@ func TestArgRendering(t *testing.T) {
 
 func TestInterpErrors(t *testing.T) {
 	p := &Program{}
-	v := p.Emit("nosuch", "op")
-	_ = v
+	if _, err := RunCtx(context.Background(), p); err != nil {
+		t.Errorf("empty program: %v", err)
+	}
+	p.Emit("nosuch", "op")
 	if _, err := RunCtx(context.Background(), p); err == nil {
-		t.Error("unknown instruction must error")
+		t.Error("a program not linked must error")
+	}
+	link(p)
+	if _, err := RunCtx(context.Background(), p); err == nil || !strings.Contains(err.Error(), "unknown MAL instruction") {
+		t.Errorf("unknown instruction: err = %v", err)
 	}
 }
 
@@ -262,5 +270,102 @@ func TestDeadCodeStarJoin(t *testing.T) {
 	}
 	if got := ctx.Vars[prog.ResultVars[2]].(*bat.BAT); got.Len() != 3 {
 		t.Errorf("%d groups, want 3:\n%s", got.Len(), prog)
+	}
+}
+
+// TestRunRecyclesDeadIntermediates: Scenario 2's edge detection computes
+// seven 64K-cell integer columns, each read by the next instruction or
+// the one after. Run drops each at its last use and later kernels reuse
+// its storage, so the run allocates about three such columns, not seven,
+// and only the results are left in Vars. The answer is the plain loop's.
+func TestRunRecyclesDeadIntermediates(t *testing.T) {
+	const w = 256
+	cat := catalog.New()
+	a, err := catalog.NewArray("img", shape.Shape{
+		{Name: "x", Start: 0, Step: 1, Stop: w},
+		{Name: "y", Start: 0, Step: 1, Stop: w},
+	}, []catalog.Column{{Name: "v", Type: types.SQLInt}}, []bool{false, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := make([]int64, w*w)
+	for i := range v {
+		v[i] = int64(i*7919) % 256
+	}
+	a.AttrBats[0] = bat.FromInts(v)
+	if err := cat.AddArray(a); err != nil {
+		t.Fatal(err)
+	}
+	prog := compileQuery(t, cat, `SELECT [x], [y], ABS(v - img[x-1][y].v) + ABS(v - img[x][y-1].v) FROM img`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ctx, err := Run(context.Background(), prog, par.NewJob(1, 0), nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, col := after.TotalAlloc-before.TotalAlloc, uint64(8*w*w); got > 5*col {
+		t.Errorf("run allocated %d bytes, %.1f columns; want about 3", got, float64(got)/float64(col))
+	}
+	results := map[int]bool{}
+	for _, r := range prog.ResultVars {
+		results[r] = true
+	}
+	for i, x := range ctx.Vars {
+		if x != nil && !results[i] {
+			t.Errorf("X_%d is still in Vars after its last use", i)
+		}
+	}
+	got := ctx.Vars[prog.ResultVars[2]].(*bat.BAT)
+	abs := func(d int64) int64 { return max(d, -d) }
+	for x := 0; x < w; x++ {
+		for y := 0; y < w; y++ {
+			p := x*w + y
+			if x == 0 || y == 0 {
+				if !got.IsNull(p) {
+					t.Fatalf("cell (%d,%d) = %v, want NULL", x, y, got.Get(p))
+				}
+				continue
+			}
+			if want := abs(v[p]-v[p-w]) + abs(v[p]-v[p-1]); got.IsNull(p) || got.Ints()[p] != want {
+				t.Fatalf("cell (%d,%d) = %v, want %d", x, y, got.Get(p), want)
+			}
+		}
+	}
+}
+
+// TestRecycleKeepsSharedStorage: a projection through a dense candidate
+// list returns its input column (the whole range) or a slice of it (a
+// run), so the input dies while a result still reads its storage. Run
+// must not recycle that storage; built with -tags malpoison, recycling it
+// would overwrite the result.
+func TestRecycleKeepsSharedStorage(t *testing.T) {
+	cat := testCatalog(t)
+	for _, c := range []struct {
+		q    string
+		rows int
+		want int64
+	}{
+		{`SELECT [x], [y], SUM(v) FROM m GROUP BY m[x:x+2][y:y+2] HAVING x >= 0`, 9, -1},
+		{`SELECT [x], [y], s FROM (SELECT x, y, v + 1 AS s FROM m) AS q WHERE x = 2`, 3, 2},
+	} {
+		prog, ctx := runQuery(t, cat, c.q)
+		if !strings.Contains(prog.String(), "algebra.projection") {
+			t.Fatalf("%s: no projection in\n%s", c.q, prog)
+		}
+		col := ctx.Vars[prog.ResultVars[2]].(*bat.BAT)
+		if col.Len() != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.q, col.Len(), c.rows)
+		}
+		for i, got := range col.Ints() {
+			want := c.want
+			if want < 0 { // a 2x2 tile of ones, clipped at the far edges
+				x, y := i/3, i%3
+				want = int64(min(2, 3-x) * min(2, 3-y))
+			}
+			if got != want {
+				t.Errorf("%s: row %d = %d, want %d", c.q, i, got, want)
+			}
+		}
 	}
 }

@@ -15,39 +15,55 @@ func RunCtx(ctx context.Context, p *Program) (*Ctx, error) { return Run(ctx, p, 
 // Run executes a program under ctx on job, which every kernel call
 // receives: the job fixes the run's parallel width and serial cutoff, and
 // ctx's cancellation flags it, so running kernels abort within a few
-// thousand rows. A nil job means the default shape; one is made only when
-// ctx can be cancelled. hook, when non-nil, runs before every instruction
-// (tests inject panics and stalls deep inside a query with it). ctx.Err()
-// is checked between instructions and after the last one, so a partially
-// produced result (a kernel cut short mid-plan returns truncated BATs) is
-// always discarded rather than returned.
+// thousand rows. A nil job means the default shape. hook, when non-nil,
+// runs before every instruction (tests inject panics and stalls deep
+// inside a query with it). ctx.Err() is checked between instructions and
+// after the last one, so a partially produced result (a kernel cut short
+// mid-plan returns truncated BATs) is always discarded rather than
+// returned.
+//
+// For the length of the run the job carries the run's free list: after
+// each instruction the variables it used last (see link) leave Vars, and
+// the storage of those the list handed out goes back to it for later
+// kernels to reuse. Only the results stay in Vars.
 func Run(ctx context.Context, p *Program, job *par.Job, hook func(*Instr)) (*Ctx, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if job == nil {
+		job = par.NewJob(0, 0)
+	}
 	// A context that can never be cancelled (Background/TODO) needs no
 	// cancellation wiring.
 	if ctx.Done() != nil {
-		if job == nil {
-			job = par.NewJob(0, 0)
-		}
 		stop := context.AfterFunc(ctx, job.Cancel)
 		defer stop()
 	}
+	if len(p.ops) != len(p.Instrs) {
+		return nil, fmt.Errorf("mal: program not linked")
+	}
 	c := &Ctx{Vars: make([]any, p.NVars), job: job}
+	job.SetFree(&c.free)
+	defer job.SetFree(nil)
 	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if hook != nil {
-			hook(&p.Instrs[i])
+			hook(in)
 		}
-		if err := c.exec(&p.Instrs[i]); err != nil {
+		op := p.ops[i]
+		if op == nil {
+			return nil, fmt.Errorf("%s.%s: unknown MAL instruction", in.Module, in.Fn)
+		}
+		if err := op(c, in); err != nil {
 			if errors.Is(err, par.ErrCanceled) && ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			return nil, fmt.Errorf("%s.%s: %v", p.Instrs[i].Module, p.Instrs[i].Fn, err)
+			return nil, fmt.Errorf("%s.%s: %v", in.Module, in.Fn, err)
 		}
+		c.release(in, int32(i), p.lastUse)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

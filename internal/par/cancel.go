@@ -27,12 +27,19 @@ import (
 // cancelled. The MAL interpreter maps it back to the context error.
 var ErrCanceled = errors.New("par: execution canceled")
 
-// Job is one query's execution scope: its parallel shape and its
-// cancellation flag.
+// Job is one query's execution scope: its parallel shape, its
+// cancellation flag and, while a MAL program runs on it, that run's free
+// list (free.go).
 type Job struct {
 	canceled atomic.Bool
 	workers  int
 	minRows  int
+	free     *Free
+
+	// cancelAt, when positive, is the poll at which the job cancels
+	// itself (CancelAtPoll); polls counts the checks so far.
+	cancelAt int64
+	polls    atomic.Int64
 }
 
 // NewJob returns a fresh, uncancelled job of the given width and cutoff;
@@ -71,5 +78,19 @@ func (j *Job) Cancel() { j.canceled.Store(true) }
 
 // Canceled reports whether Cancel was called. A nil job never is.
 func (j *Job) Canceled() bool {
-	return j != nil && j.canceled.Load()
+	if j == nil {
+		return false
+	}
+	if j.cancelAt > 0 && j.polls.Add(1) >= j.cancelAt {
+		j.Cancel()
+	}
+	return j.canceled.Load()
 }
+
+// CancelAtPoll makes the job cancel itself at the n-th time a kernel or a
+// plan checks it, as if Cancel had been called just before that check.
+// Tests use it to cancel a kernel in the middle of its loop: a kernel
+// that polls every few thousand rows reaches the n-th check within a
+// known row count, one that polls only between morsels does not. Call it
+// before the job is handed to any kernel.
+func (j *Job) CancelAtPoll(n int64) { j.cancelAt = n }

@@ -206,14 +206,3 @@ func ColsUsed(e Expr) map[int]bool {
 	})
 	return out
 }
-
-// maxCol returns the largest column ordinal referenced, or -1.
-func maxCol(e Expr) int {
-	m := -1
-	WalkExpr(e, func(x Expr) {
-		if c, ok := x.(*Col); ok && c.Idx > m {
-			m = c.Idx
-		}
-	})
-	return m
-}
