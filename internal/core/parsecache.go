@@ -13,6 +13,13 @@ import (
 // parser entirely.
 const parseCacheSize = 256
 
+// parseCacheMaxText is the longest query text the cache keeps. Longer
+// texts are bulk loads (a multi-row INSERT ... VALUES) that run once, and
+// their ASTs are about fifteen times the text: 2^19 rows loaded in 8192-row
+// batches would keep ~290 MB of dead ASTs live, which every later garbage
+// collection marks again.
+const parseCacheMaxText = 4 << 10
+
 // parseCache is a bounded LRU from a query text to its parsed statements.
 // Parsing depends on the text alone, not on the catalog or any execution
 // setting, and only parsed ASTs are cached, so entries stay valid across
@@ -54,8 +61,11 @@ func (c *parseCache) get(query string) ([]ast.Statement, bool) {
 }
 
 // put stores the parsed statements, evicting the least recently used entry
-// when full.
+// when full. A text longer than parseCacheMaxText is not stored.
 func (c *parseCache) put(query string, stmts []ast.Statement) {
+	if len(query) > parseCacheMaxText {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[query]; ok {

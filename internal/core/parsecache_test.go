@@ -104,3 +104,38 @@ func TestParseCacheEviction(t *testing.T) {
 		t.Fatal("newest entry should be cached")
 	}
 }
+
+// TestParseCacheSkipsLongTexts: a bulk INSERT longer than the text limit
+// runs but is not cached, so its AST does not stay live; a short text is.
+func TestParseCacheSkipsLongTexts(t *testing.T) {
+	db := New()
+	db.MustQuery(`CREATE TABLE t (a INT, b INT)`)
+	db.pcache.purge()
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO t VALUES ")
+	rows := 0
+	for sb.Len() <= parseCacheMaxText {
+		if rows > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "(%d,%d)", rows, 2*rows)
+		rows++
+	}
+	long := sb.String()
+	if _, err := db.NewSession().Query(long); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(long); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.pcache.len(); got != 0 {
+		t.Fatalf("cache has %d entries after a %d-byte INSERT, want 0", got, len(long))
+	}
+	q := `SELECT COUNT(*) FROM t`
+	if got := db.MustQuery(q).Value(0, 0).String(); got != fmt.Sprint(2*rows) {
+		t.Fatalf("COUNT(*) = %s, want %d", got, 2*rows)
+	}
+	if _, ok := db.pcache.get(q); !ok {
+		t.Fatalf("expected %q to be cached", q)
+	}
+}
