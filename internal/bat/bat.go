@@ -220,25 +220,25 @@ func (b *BAT) Span() (unsafe.Pointer, uintptr) {
 // column) decodes encoded storage — correct, but it forfeits every
 // operate-on-compressed fast path. Kernel code must not assume plain
 // storage; a source-scan test in internal/gdk enforces the migration.
-func (b *BAT) Ints() []int64 { return b.DecodedInts() }
+func (b *BAT) Ints() []int64 { return b.DecodedInts(nil) }
 
 // Floats returns the full float64 tail (KindFloat only).
 //
 // Deprecated: outside internal/bat, use the slab accessor API or
 // DecodedFloats (see Ints).
-func (b *BAT) Floats() []float64 { return b.DecodedFloats() }
+func (b *BAT) Floats() []float64 { return b.DecodedFloats(nil) }
 
 // Bools returns the full bool tail (KindBool only).
 //
 // Deprecated: outside internal/bat, use the slab accessor API or
 // DecodedBools (see Ints).
-func (b *BAT) Bools() []bool { return b.DecodedBools() }
+func (b *BAT) Bools() []bool { return b.DecodedBools(nil) }
 
 // Strs returns the full string tail (KindStr only).
 //
 // Deprecated: outside internal/bat, use the slab accessor API or
 // DecodedStrs (see Ints).
-func (b *BAT) Strs() []string { return b.DecodedStrs() }
+func (b *BAT) Strs() []string { return b.DecodedStrs(nil) }
 
 func (b *BAT) checkIndex(i int) {
 	if i < 0 || i >= b.count {
@@ -489,7 +489,7 @@ func (b *BAT) ReplaceAt(pos []int, src *BAT) error {
 	var wrote, nulled bool
 	switch b.kind {
 	case types.KindInt, types.KindOID:
-		vals := src.DecodedInts()
+		vals := src.DecodedInts(nil)
 		wrote, nulled = scatter(b.ints, vals, pos, srcNulls, b.nulls)
 		if wrote && b.hasMM {
 			for i, p := range pos {
@@ -499,7 +499,7 @@ func (b *BAT) ReplaceAt(pos []int, src *BAT) error {
 			}
 		}
 	case types.KindFloat:
-		vals := src.DecodedFloats()
+		vals := src.DecodedFloats(nil)
 		wrote, nulled = scatter(b.floats, vals, pos, srcNulls, b.nulls)
 		if wrote && b.hasMM {
 			for i, p := range pos {
@@ -514,9 +514,9 @@ func (b *BAT) ReplaceAt(pos []int, src *BAT) error {
 			}
 		}
 	case types.KindBool:
-		wrote, nulled = scatter(b.bools, src.DecodedBools(), pos, srcNulls, b.nulls)
+		wrote, nulled = scatter(b.bools, src.DecodedBools(nil), pos, srcNulls, b.nulls)
 	case types.KindStr:
-		wrote, nulled = scatter(b.strs, src.DecodedStrs(), pos, srcNulls, b.nulls)
+		wrote, nulled = scatter(b.strs, src.DecodedStrs(nil), pos, srcNulls, b.nulls)
 	}
 	if nulled {
 		b.Key = false
@@ -740,13 +740,13 @@ func (b *BAT) AppendBAT(o *BAT) error {
 	o = o.Materialize()
 	switch b.kind {
 	case types.KindInt, types.KindOID:
-		appendRows(b, o.DecodedInts(), o.nulls, b.AppendInt)
+		appendRows(b, o.DecodedInts(nil), o.nulls, b.AppendInt)
 	case types.KindFloat:
-		appendRows(b, o.DecodedFloats(), o.nulls, b.AppendFloat)
+		appendRows(b, o.DecodedFloats(nil), o.nulls, b.AppendFloat)
 	case types.KindBool:
-		appendRows(b, o.DecodedBools(), o.nulls, b.AppendBool)
+		appendRows(b, o.DecodedBools(nil), o.nulls, b.AppendBool)
 	case types.KindStr:
-		appendRows(b, o.DecodedStrs(), o.nulls, b.AppendStr)
+		appendRows(b, o.DecodedStrs(nil), o.nulls, b.AppendStr)
 	}
 	return nil
 }

@@ -52,18 +52,18 @@ func AppendColumn(dst []byte, b *BAT) []byte {
 	kind := b.ValueKind()
 	switch kind {
 	case types.KindInt, types.KindOID:
-		return appendInts(dst, kind, b.Materialize().DecodedInts(), b.nulls)
+		return appendInts(dst, kind, b.Materialize().DecodedInts(nil), b.nulls)
 	case types.KindFloat:
 		dst = appendHeader(dst, 0, kind, b.nulls, n)
-		for _, f := range b.DecodedFloats() {
+		for _, f := range b.DecodedFloats(nil) {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 		}
 	case types.KindBool:
 		dst = appendHeader(dst, 0, kind, b.nulls, n)
-		dst = appendBits(dst, n, b.DecodedBools(), nil)
+		dst = appendBits(dst, n, b.DecodedBools(nil), nil)
 	case types.KindStr:
 		dst = appendHeader(dst, 0, kind, b.nulls, n)
-		for _, s := range b.DecodedStrs() {
+		for _, s := range b.DecodedStrs(nil) {
 			dst = binary.AppendUvarint(dst, uint64(len(s)))
 			dst = append(dst, s...)
 		}

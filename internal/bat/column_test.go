@@ -75,9 +75,9 @@ func sameColumn(a, b *BAT) bool {
 	}
 	switch a.ValueKind() {
 	case types.KindInt, types.KindOID:
-		return slices.Equal(a.Materialize().DecodedInts(), b.DecodedInts())
+		return slices.Equal(a.Materialize().DecodedInts(nil), b.DecodedInts(nil))
 	case types.KindFloat:
-		fa, fb := a.DecodedFloats(), b.DecodedFloats()
+		fa, fb := a.DecodedFloats(nil), b.DecodedFloats(nil)
 		for i := range fa {
 			if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
 				return false
@@ -85,9 +85,9 @@ func sameColumn(a, b *BAT) bool {
 		}
 		return true
 	case types.KindBool:
-		return slices.Equal(a.DecodedBools(), b.DecodedBools())
+		return slices.Equal(a.DecodedBools(nil), b.DecodedBools(nil))
 	}
-	return slices.Equal(a.DecodedStrs(), b.DecodedStrs())
+	return slices.Equal(a.DecodedStrs(nil), b.DecodedStrs(nil))
 }
 
 func TestColumnRoundTrip(t *testing.T) {

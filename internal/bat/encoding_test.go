@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -89,7 +90,7 @@ func TestEncodeAutoChoosesAndRoundTrips(t *testing.T) {
 		if e.EncodedBytes()*2 > e.LogicalBytes() {
 			t.Errorf("%s: no 2x win: %d encoded vs %d logical", name, e.EncodedBytes(), e.LogicalBytes())
 		}
-		got := e.DecodedInts()
+		got := e.DecodedInts(nil)
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("%s: decode mismatch at %d: %d != %d", name, i, got[i], vals[i])
@@ -98,7 +99,7 @@ func TestEncodeAutoChoosesAndRoundTrips(t *testing.T) {
 		// Per-slab views must agree with the full decode.
 		var buf []int64
 		for s := 0; s < e.NumSlabs(); s++ {
-			v := e.Slab(s)
+			v := e.Slab(nil, s)
 			sv := v.Ints(buf)
 			for i, x := range sv {
 				if x != vals[v.Start()+i] {
@@ -127,7 +128,7 @@ func TestEncodePreservesNullSlotGarbage(t *testing.T) {
 	if !e.IsNull(100) {
 		t.Fatal("NULL lost")
 	}
-	if got := e.DecodedInts()[100]; got != 999_999_999 {
+	if got := e.DecodedInts(nil)[100]; got != 999_999_999 {
 		t.Fatalf("null-slot value changed: %d", got)
 	}
 }
@@ -143,7 +144,7 @@ func TestEncodeFloatRLEAndStrDict(t *testing.T) {
 	if !fb.Encoded() || fb.SlabEncodings()[0] != EncRLE {
 		t.Fatalf("float column not RLE: %v", fb.SlabEncodings())
 	}
-	got := fb.DecodedFloats()
+	got := fb.DecodedFloats(nil)
 	for i := range fv {
 		if math.Float64bits(got[i]) != math.Float64bits(fv[i]) {
 			t.Fatalf("float bits mismatch at %d", i)
@@ -159,7 +160,7 @@ func TestEncodeFloatRLEAndStrDict(t *testing.T) {
 	if !sb.Encoded() || sb.SlabEncodings()[0] != EncDict {
 		t.Fatalf("str column not dict: %v", sb.SlabEncodings())
 	}
-	gs := sb.DecodedStrs()
+	gs := sb.DecodedStrs(nil)
 	for i := range sv {
 		if gs[i] != sv[i] {
 			t.Fatalf("str mismatch at %d: %q != %q", i, gs[i], sv[i])
@@ -167,7 +168,7 @@ func TestEncodeFloatRLEAndStrDict(t *testing.T) {
 	}
 	var sbuf []string
 	for s := 0; s < sb.NumSlabs(); s++ {
-		v := sb.Slab(s)
+		v := sb.Slab(nil, s)
 		if dict, codes, ok := v.DictStrs(); ok {
 			for i, c := range codes {
 				if dict[c] != sv[v.Start()+i] {
@@ -201,7 +202,7 @@ func TestEncodedMutationDecodesInPlace(t *testing.T) {
 		t.Fatal("append lost data")
 	}
 	for i := range vals {
-		if e.DecodedInts()[i] != vals[i] {
+		if e.DecodedInts(nil)[i] != vals[i] {
 			t.Fatalf("mutation decode mismatch at %d", i)
 		}
 	}
@@ -210,13 +211,13 @@ func TestEncodedMutationDecodesInPlace(t *testing.T) {
 	if err := e2.Replace(7, types.Int(-1)); err != nil {
 		t.Fatal(err)
 	}
-	if e2.Encoded() || e2.DecodedInts()[7] != -1 {
+	if e2.Encoded() || e2.DecodedInts(nil)[7] != -1 {
 		t.Fatal("replace on encoded BAT broken")
 	}
 
 	e3 := EncodeAuto(FromInts(append([]int64(nil), vals...)))
 	e3.Truncate(100)
-	if e3.Encoded() || e3.Len() != 100 || e3.DecodedInts()[99] != vals[99] {
+	if e3.Encoded() || e3.Len() != 100 || e3.DecodedInts(nil)[99] != vals[99] {
 		t.Fatal("truncate on encoded BAT broken")
 	}
 }
@@ -240,14 +241,14 @@ func TestEncodedFreezeCloneSlice(t *testing.T) {
 		t.Fatalf("slice len %d", s.Len())
 	}
 	for i := 0; i < s.Len(); i++ {
-		if s.DecodedInts()[i] != vals[50+i] {
+		if s.DecodedInts(nil)[i] != vals[50+i] {
 			t.Fatalf("slice mismatch at %d", i)
 		}
 	}
 	// Frozen copy and original share one decode cache; both must read the
 	// same values.
 	for i := range vals {
-		if f.DecodedInts()[i] != vals[i] || c.DecodedInts()[i] != vals[i] {
+		if f.DecodedInts(nil)[i] != vals[i] || c.DecodedInts(nil)[i] != vals[i] {
 			t.Fatalf("freeze/clone mismatch at %d", i)
 		}
 	}
@@ -319,7 +320,7 @@ func TestEncodedIORoundTrip(t *testing.T) {
 		if got.Len() != e.Len() || got.Kind() != e.Kind() {
 			t.Fatalf("%s: shape mismatch", name)
 		}
-		gv := got.DecodedInts()
+		gv := got.DecodedInts(nil)
 		for i := range vals {
 			if gv[i] != vals[i] {
 				t.Fatalf("%s: value mismatch at %d", name, i)
@@ -365,11 +366,11 @@ func TestTouchedBytesCharging(t *testing.T) {
 	if !enc.Encoded() {
 		t.Fatal("not encoded")
 	}
-	ResetTouchedBytes()
-	plain.Slab(0).Ints(nil)
-	plainTouched := ResetTouchedBytes()
-	enc.Slab(0).Ints(nil)
-	encTouched := ResetTouchedBytes()
+	plainJob, encJob := par.NewJob(0, 0), par.NewJob(0, 0)
+	plain.Slab(plainJob, 0).Ints(nil)
+	plainTouched := plainJob.Touched()
+	enc.Slab(encJob, 0).Ints(nil)
+	encTouched := encJob.Touched()
 	if plainTouched != int64(SlabRows)*8 {
 		t.Fatalf("plain touched %d", plainTouched)
 	}
@@ -381,7 +382,7 @@ func TestTouchedBytesCharging(t *testing.T) {
 func TestVoidSlabView(t *testing.T) {
 	b := NewVoid(100, SlabRows+10)
 	var buf []int64
-	v := b.Slab(1)
+	v := b.Slab(nil, 1)
 	got := v.Ints(buf)
 	if len(got) != 10 || got[0] != 100+int64(SlabRows) {
 		t.Fatalf("void slab view wrong: len %d first %d", len(got), got[0])

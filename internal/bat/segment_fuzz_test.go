@@ -113,7 +113,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		var fbuf []float64
 		var sbuf []string
 		for s := 0; s < b.NumSlabs(); s++ {
-			v := b.Slab(s)
+			v := b.Slab(nil, s)
 			switch b.Kind() {
 			case types.KindInt, types.KindOID:
 				_ = v.Ints(ibuf)

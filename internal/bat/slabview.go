@@ -1,8 +1,7 @@
 package bat
 
 import (
-	"sync/atomic"
-
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -16,18 +15,10 @@ import (
 // materialise their sequence on demand, so every kernel can treat any
 // column uniformly.
 //
-// The package also keeps a process-wide "bytes touched" counter: each
-// accessor charges the physical bytes a scan of that slab reads (plain
-// size when borrowing, encoded payload size when decoding or walking runs
-// or codes). Tests reset and read it to pin the compression win that
-// timings alone understate on memory-bound scans.
-
-var touchedBytes atomic.Int64
-
-func addTouched(n int64) { touchedBytes.Add(n) }
-
-// ResetTouchedBytes zeroes the counter and returns the prior value.
-func ResetTouchedBytes() int64 { return touchedBytes.Swap(0) }
+// Each accessor charges the physical bytes a scan of that slab reads
+// (plain size when borrowing, encoded payload size when decoding or
+// walking runs or codes) to the job of the kernel that asked (par.Job.
+// Touch); a nil job charges nothing.
 
 // NumSlabs returns the number of SlabRows-sized slabs covering the column.
 func (b *BAT) NumSlabs() int {
@@ -39,16 +30,18 @@ type SlabView struct {
 	b      *BAT
 	lo, hi int      // row range [lo,hi) in the column
 	es     *encSlab // nil when the column is plain (or void)
+	job    *par.Job // charged for the view's reads
 }
 
-// Slab returns the view of slab s (0 <= s < NumSlabs()).
-func (b *BAT) Slab(s int) SlabView {
+// Slab returns the view of slab s (0 <= s < NumSlabs()) whose reads are
+// charged to job.
+func (b *BAT) Slab(job *par.Job, s int) SlabView {
 	lo := s * SlabRows
 	hi := lo + SlabRows
 	if hi > b.count {
 		hi = b.count
 	}
-	v := SlabView{b: b, lo: lo, hi: hi}
+	v := SlabView{b: b, lo: lo, hi: hi, job: job}
 	if b.enc != nil {
 		v.es = &b.enc.slabs[s]
 	}
@@ -96,18 +89,18 @@ func (v SlabView) Ints(buf []int64) []int64 {
 		for i := 0; i < n; i++ {
 			buf[i] = base + int64(i)
 		}
-		addTouched(int64(n) * 8)
+		v.job.Touch(int64(n) * 8)
 		return buf
 	case v.es == nil:
-		addTouched(int64(n) * 8)
+		v.job.Touch(int64(n) * 8)
 		return v.b.ints[v.lo:v.hi]
 	case v.es.enc == EncPlain:
-		addTouched(v.es.bytes)
+		v.job.Touch(v.es.bytes)
 		return v.es.ints
 	default:
 		buf = growInts(buf, n)
 		v.es.decodeInts(buf)
-		addTouched(v.es.bytes)
+		v.job.Touch(v.es.bytes)
 		return buf
 	}
 }
@@ -117,15 +110,15 @@ func (v SlabView) Floats(buf []float64) []float64 {
 	n := v.hi - v.lo
 	switch {
 	case v.es == nil:
-		addTouched(int64(n) * 8)
+		v.job.Touch(int64(n) * 8)
 		return v.b.floats[v.lo:v.hi]
 	case v.es.enc == EncPlain:
-		addTouched(v.es.bytes)
+		v.job.Touch(v.es.bytes)
 		return v.es.floats
 	default:
 		buf = growFloats(buf, n)
 		v.es.decodeFloats(buf)
-		addTouched(v.es.bytes)
+		v.job.Touch(v.es.bytes)
 		return buf
 	}
 }
@@ -135,15 +128,15 @@ func (v SlabView) Strs(buf []string) []string {
 	n := v.hi - v.lo
 	switch {
 	case v.es == nil:
-		addTouched(plainStrBytes(v.b.strs[v.lo:v.hi]))
+		v.job.Touch(plainStrBytes(v.b.strs[v.lo:v.hi]))
 		return v.b.strs[v.lo:v.hi]
 	case v.es.enc == EncPlain:
-		addTouched(v.es.bytes)
+		v.job.Touch(v.es.bytes)
 		return v.es.strs
 	default:
 		buf = growStrs(buf, n)
 		v.es.decodeStrs(buf)
-		addTouched(v.es.bytes)
+		v.job.Touch(v.es.bytes)
 		return buf
 	}
 }
@@ -151,7 +144,7 @@ func (v SlabView) Strs(buf []string) []string {
 // Bools returns the slab's bool values (bool columns are never encoded).
 func (v SlabView) Bools() []bool {
 	n := v.hi - v.lo
-	addTouched(int64(n))
+	v.job.Touch(int64(n))
 	return v.b.bools[v.lo:v.hi]
 }
 
@@ -162,7 +155,7 @@ func (v SlabView) IntRuns() (vals []int64, lens []uint32, ok bool) {
 	if v.es == nil || v.es.enc != EncRLE || v.b.kind == types.KindFloat {
 		return nil, nil, false
 	}
-	addTouched(v.es.bytes)
+	v.job.Touch(v.es.bytes)
 	return v.es.ints, v.es.lens, true
 }
 
@@ -171,7 +164,7 @@ func (v SlabView) FloatRuns() (vals []float64, lens []uint32, ok bool) {
 	if v.es == nil || v.es.enc != EncRLE || v.b.kind != types.KindFloat {
 		return nil, nil, false
 	}
-	addTouched(v.es.bytes)
+	v.job.Touch(v.es.bytes)
 	return v.es.floats, v.es.lens, true
 }
 
@@ -181,7 +174,7 @@ func (v SlabView) DictInts() (dict []int64, codes []uint16, ok bool) {
 	if v.es == nil || v.es.enc != EncDict || v.b.kind == types.KindStr {
 		return nil, nil, false
 	}
-	addTouched(v.es.bytes)
+	v.job.Touch(v.es.bytes)
 	return v.es.ints, v.es.codes, true
 }
 
@@ -190,7 +183,7 @@ func (v SlabView) DictStrs() (dict []string, codes []uint16, ok bool) {
 	if v.es == nil || v.es.enc != EncDict || v.b.kind != types.KindStr {
 		return nil, nil, false
 	}
-	addTouched(v.es.bytes)
+	v.job.Touch(v.es.bytes)
 	return v.es.strs, v.es.codes, true
 }
 
@@ -201,39 +194,40 @@ func (v SlabView) DictStrs() (dict []string, codes []uint16, ok bool) {
 // into a cache shared by all readers of the column version.
 
 // DecodedInts returns the full int64 tail, decoding (once, cached) when
-// the column is encoded. The slice must be treated as read-only.
-func (b *BAT) DecodedInts() []int64 {
+// the column is encoded, and charges the read to job. The slice must be
+// treated as read-only.
+func (b *BAT) DecodedInts(job *par.Job) []int64 {
 	if b.enc != nil {
-		addTouched(b.enc.encodedBytes)
+		job.Touch(b.enc.encodedBytes)
 		return b.enc.decodeAll(b.kind).ints
 	}
-	addTouched(int64(len(b.ints)) * 8)
+	job.Touch(int64(len(b.ints)) * 8)
 	return b.ints
 }
 
 // DecodedFloats is DecodedInts for float columns.
-func (b *BAT) DecodedFloats() []float64 {
+func (b *BAT) DecodedFloats(job *par.Job) []float64 {
 	if b.enc != nil {
-		addTouched(b.enc.encodedBytes)
+		job.Touch(b.enc.encodedBytes)
 		return b.enc.decodeAll(b.kind).floats
 	}
-	addTouched(int64(len(b.floats)) * 8)
+	job.Touch(int64(len(b.floats)) * 8)
 	return b.floats
 }
 
 // DecodedBools returns the full bool tail (never encoded).
-func (b *BAT) DecodedBools() []bool {
-	addTouched(int64(len(b.bools)))
+func (b *BAT) DecodedBools(job *par.Job) []bool {
+	job.Touch(int64(len(b.bools)))
 	return b.bools
 }
 
 // DecodedStrs is DecodedInts for string columns.
-func (b *BAT) DecodedStrs() []string {
+func (b *BAT) DecodedStrs(job *par.Job) []string {
 	if b.enc != nil {
-		addTouched(b.enc.encodedBytes)
+		job.Touch(b.enc.encodedBytes)
 		return b.enc.decodeAll(b.kind).strs
 	}
-	addTouched(plainStrBytes(b.strs))
+	job.Touch(plainStrBytes(b.strs))
 	return b.strs
 }
 

@@ -506,7 +506,7 @@ func oracleRows(t *testing.T, db *DB, a *catalog.Array, s *ast.Insert, targets [
 		return insertSource(rel.NewBinder(db.cat), s, len(targets))
 	}
 	db.mu.RLock()
-	_, res, err := db.runRaw(context.Background(), nil, rel.NewBinder(db.cat), s.Query)
+	_, res, err := db.runRaw(&stmt{cat: db.cat}, rel.NewBinder(db.cat), s.Query)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -528,7 +528,7 @@ func checkArraySelect(t *testing.T, db *DB, q string) string {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	got, gerr := assembleResult(nil, prog, mctx)
+	got, gerr := assembleResult(&stmt{}, prog, mctx)
 	raw, err := rawResult(prog, mctx)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
@@ -720,7 +720,7 @@ func TestCoerceDifferential(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			hint = shape.Shape{{Name: "a", Start: 6, Step: -2, Stop: -4}, {Name: "b", Start: 0, Step: 1, Stop: 5}}
 		}
-		got, gerr := coerceToArray(nil, r, hint)
+		got, gerr := coerceToArray(&stmt{}, r, hint)
 		want, werr := oracleCoerce(r, hint)
 		if d := diffCoerce(r, got, gerr, want, werr); d != "" {
 			t.Fatalf("seed %d: %s", seed, d)
@@ -785,7 +785,7 @@ func TestCoerceHintDropsNullCoordinates(t *testing.T) {
 	d.SetNull(1, true)
 	r := &Result{Names: []string{"x", "v"}, Kinds: []types.Kind{types.KindInt, types.KindInt},
 		Dims: []bool{true, false}, Cols: []*bat.BAT{d, bat.FromInts([]int64{10, 20, 30})}}
-	out, err := coerceToArray(nil, r, shape.Shape{{Name: "x", Start: 0, Step: 1, Stop: 3}})
+	out, err := coerceToArray(&stmt{}, r, shape.Shape{{Name: "x", Start: 0, Step: 1, Stop: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

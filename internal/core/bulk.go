@@ -16,7 +16,7 @@ func (db *DB) BulkSetAttrInts(array, attr string, data []int64) error {
 	req, err := db.bulkSetAttrIntsLocked(array, attr, data)
 	if req != nil {
 		// Group commit: the batch is on the queue; wait for its fsync
-		// outside the writer lock (see execStmtCtx).
+		// outside the writer lock (see DB.exec).
 		if werr := <-req.done; werr != nil && err == nil {
 			err = werr
 		}
@@ -92,7 +92,7 @@ func (db *DB) ReadAttrInts(array, attr string) ([]int64, []bool, error) {
 	}
 	vals := make([]int64, b.Len())
 	valid := make([]bool, b.Len())
-	src := b.DecodedInts()
+	src := b.DecodedInts(nil)
 	for i := 0; i < b.Len(); i++ {
 		if !b.IsNull(i) {
 			vals[i] = src[i]

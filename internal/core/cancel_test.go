@@ -217,21 +217,21 @@ func TestDeadlineExceededMidQuery(t *testing.T) {
 func TestCancelBetweenStatements(t *testing.T) {
 	db := New()
 	ctx, cancel := context.WithCancel(context.Background())
-	db.hook = func(in *mal.Instr) {
-		// First interpreted instruction of the second statement pulls the
-		// plug; the already-committed CREATE/INSERT must survive.
-		cancel()
-	}
-
-	rs, err := db.session.ExecContext(ctx,
-		`CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT a FROM t; SELECT a FROM t`)
+	rs, err := execWith(db, `CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT a FROM t; SELECT a FROM t`, func() *stmt {
+		q := db.session.newStmt(ctx)
+		q.hook = func(in *mal.Instr) {
+			// The first interpreted instruction (the first SELECT's) pulls
+			// the plug; the already-committed CREATE/INSERT must survive.
+			cancel()
+		}
+		return q
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(rs) >= 4 {
 		t.Fatalf("cancelled batch returned %d results, want fewer than 4", len(rs))
 	}
-	db.hook = nil
 	r := db.MustQuery(`SELECT a FROM t`)
 	if r.NumRows() != 1 {
 		t.Fatalf("committed prefix lost: %d rows", r.NumRows())

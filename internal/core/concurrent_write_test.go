@@ -156,7 +156,9 @@ func TestConcurrentUpdatersFirstCommitterWins(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st := db.stage(context.Background(), db.newJob(), snap, stmt)
+			sq := db.session.newStmt(context.Background())
+			sq.cat = snap
+			st := db.stage(sq, stmt)
 			if st.err != nil {
 				errs[i] = st.err
 				return

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/shape"
 	"repro/internal/sql/ast"
@@ -226,8 +225,8 @@ func (db *DB) dropObject(name string, isArray bool) error {
 // overlapping cells keep their values, new cells receive the attribute
 // default (Fig. 1(f)). It is an array write with a new shape and no
 // cells.
-func (db *DB) alterDimension(job *par.Job, s *ast.AlterDimension) (*Result, error) {
-	a, ok := db.cat.Array(s.Array)
+func (db *DB) alterDimension(q *stmt, s *ast.AlterDimension) (*Result, error) {
+	a, ok := q.cat.Array(s.Array)
 	if !ok {
 		return nil, fmt.Errorf("at %s: no such array: %q", s.Pos, s.Array)
 	}
@@ -235,7 +234,7 @@ func (db *DB) alterDimension(job *par.Job, s *ast.AlterDimension) (*Result, erro
 	if !ok {
 		return nil, fmt.Errorf("at %s: array %q has no dimension %q", s.Pos, s.Array, s.Dim)
 	}
-	b := rel.NewBinder(db.cat)
+	b := rel.NewBinder(q.cat)
 	nd, err := db.evalDimRange(b, s.Range)
 	if err != nil {
 		return nil, fmt.Errorf("at %s: %v", s.Pos, err)
@@ -243,7 +242,7 @@ func (db *DB) alterDimension(job *par.Job, s *ast.AlterDimension) (*Result, erro
 	nd.Name = s.Dim
 	newShape := append(shape.Shape{}, a.Shape...)
 	newShape[k] = nd
-	if _, err := db.writeCells(job, a, &arrayWrite{shape: newShape}); err != nil {
+	if _, err := db.writeCells(q, a, &arrayWrite{shape: newShape}); err != nil {
 		return nil, err
 	}
 	if db.durable() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -38,12 +37,12 @@ func insertSource(b *rel.Binder, s *ast.Insert, wantCols int) ([][]types.Value, 
 	return rows, nil
 }
 
-// runRaw binds stmt through b, compiles it and runs it under ctx, and
-// returns its program with the result columns as they are: the query side
-// of an INSERT (positions matter, not the coerced shape) and the write
-// program of an UPDATE or DELETE.
-func (db *DB) runRaw(ctx context.Context, job *par.Job, b *rel.Binder, stmt ast.Statement) (*mal.Program, *Result, error) {
-	prog, mctx, err := db.run(ctx, job, b, stmt)
+// runRaw binds s through b, compiles it and runs it (run), and returns
+// its program with the result columns as they are: the query side of an
+// INSERT (positions matter, not the coerced shape) and the write program
+// of an UPDATE or DELETE.
+func (db *DB) runRaw(q *stmt, b *rel.Binder, s ast.Statement) (*mal.Program, *Result, error) {
+	prog, mctx, err := db.run(q, b, s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -53,8 +52,8 @@ func (db *DB) runRaw(ctx context.Context, job *par.Job, b *rel.Binder, stmt ast.
 
 // queryColumns runs the query side of an INSERT and checks it produces
 // one column per target.
-func (db *DB) queryColumns(ctx context.Context, job *par.Job, b *rel.Binder, s *ast.Insert, want int) (*Result, error) {
-	_, res, err := db.runRaw(ctx, job, b, s.Query)
+func (db *DB) queryColumns(q *stmt, b *rel.Binder, s *ast.Insert, want int) (*Result, error) {
+	_, res, err := db.runRaw(q, b, s.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -120,17 +119,17 @@ func tableColumns(job *par.Job, t *catalog.Table, mapping []int, src []*bat.BAT,
 // stageTableInsert turns a table INSERT's source — the query's result
 // columns, or the literal rows cast once into columns — into the table's
 // write set, reading the catalog through b and never mutating it.
-func (db *DB) stageTableInsert(ctx context.Context, job *par.Job, b *rel.Binder, t *catalog.Table, s *ast.Insert) ([]*bat.BAT, error) {
+func (db *DB) stageTableInsert(q *stmt, b *rel.Binder, t *catalog.Table, s *ast.Insert) ([]*bat.BAT, error) {
 	mapping, err := insertMapping(t, s)
 	if err != nil {
 		return nil, err
 	}
 	if s.Query != nil {
-		res, err := db.queryColumns(ctx, job, b, s, len(mapping))
+		res, err := db.queryColumns(q, b, s, len(mapping))
 		if err != nil {
 			return nil, err
 		}
-		return tableColumns(job, t, mapping, res.Cols, res.NumRows())
+		return tableColumns(q.job, t, mapping, res.Cols, res.NumRows())
 	}
 	rows, err := insertSource(b, s, len(mapping))
 	if err != nil {
@@ -143,7 +142,7 @@ func (db *DB) stageTableInsert(ctx context.Context, job *par.Job, b *rel.Binder,
 			return nil, fmt.Errorf("column %q: %v", c.Name, err)
 		}
 	}
-	return tableColumns(job, t, mapping, src, len(rows))
+	return tableColumns(q.job, t, mapping, src, len(rows))
 }
 
 // appendRows is the mutation of a table INSERT, shared with WAL replay:
@@ -298,14 +297,14 @@ type arrayWrite struct {
 // columns, or the literal rows cast once into columns — into its write
 // set (arrayWriteSet), reading the catalog through b and never mutating
 // it.
-func (db *DB) stageArrayInsert(ctx context.Context, job *par.Job, b *rel.Binder, a *catalog.Array, s *ast.Insert) (*arrayWrite, error) {
+func (db *DB) stageArrayInsert(q *stmt, b *rel.Binder, a *catalog.Array, s *ast.Insert) (*arrayWrite, error) {
 	targets, err := arrayTargets(a, s)
 	if err != nil {
 		return nil, err
 	}
 	var cols []*bat.BAT
 	if s.Query != nil {
-		res, err := db.queryColumns(ctx, job, b, s, len(targets))
+		res, err := db.queryColumns(q, b, s, len(targets))
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +318,7 @@ func (db *DB) stageArrayInsert(ctx context.Context, job *par.Job, b *rel.Binder,
 			return nil, err
 		}
 	}
-	return arrayWriteSet(job, a, targets, cols)
+	return arrayWriteSet(q.job, a, targets, cols)
 }
 
 // arrayWriteSet validates an array INSERT's source columns and turns
@@ -407,9 +406,9 @@ func coordInts(col *bat.BAT, dim string) ([]int64, error) {
 		if col.HasNulls() {
 			return nil, nullErr()
 		}
-		return col.Materialize().DecodedInts(), nil
+		return col.Materialize().DecodedInts(nil), nil
 	case types.KindFloat:
-		fs := col.DecodedFloats()
+		fs := col.DecodedFloats(nil)
 		out := make([]int64, len(fs))
 		for i, f := range fs {
 			if col.IsNull(i) {
@@ -437,8 +436,8 @@ func coordInts(col *bat.BAT, dim string) ([]int64, error) {
 // applyArrayWrite overwrites the cells an array INSERT's rows address
 // (§2) with its write set, validated whole before the array changes,
 // under the writer lock, and logs the effect.
-func (db *DB) applyArrayWrite(job *par.Job, a *catalog.Array, w *arrayWrite) (*Result, error) {
-	reshaped, err := db.writeCells(job, a, w)
+func (db *DB) applyArrayWrite(q *stmt, a *catalog.Array, w *arrayWrite) (*Result, error) {
+	reshaped, err := db.writeCells(q, a, w)
 	if err != nil {
 		return nil, err
 	}
@@ -455,11 +454,11 @@ func (db *DB) applyArrayWrite(job *par.Job, a *catalog.Array, w *arrayWrite) (*R
 // in-place, so any attribute column shared with a published snapshot is
 // cloned first (copy-on-write); concurrent readers keep their frozen
 // version.
-func (db *DB) writeCells(job *par.Job, a *catalog.Array, w *arrayWrite) (bool, error) {
+func (db *DB) writeCells(q *stmt, a *catalog.Array, w *arrayWrite) (bool, error) {
 	db.noteModifyArray(a)
 	reshaped := !a.Shape.Equal(w.shape)
 	if reshaped {
-		if err := reshapeArray(job, a, w.shape); err != nil {
+		if err := reshapeArray(q.job, a, w.shape); err != nil {
 			return false, err
 		}
 	}
@@ -564,12 +563,12 @@ type writePlan struct {
 }
 
 // planWrite binds an UPDATE or DELETE through b and runs its MAL program
-// under ctx: the ordinary scan and selection yield the positions, the SET
+// (run): the ordinary scan and selection yield the positions, the SET
 // values evaluate over the selected rows only. A value of another kind
 // than its target is cast here, so a failed cast fails the statement
 // before anything is written.
-func (db *DB) planWrite(ctx context.Context, job *par.Job, b *rel.Binder, stmt ast.Statement) (*writePlan, error) {
-	prog, res, err := db.runRaw(ctx, job, b, stmt)
+func (db *DB) planWrite(q *stmt, b *rel.Binder, s ast.Statement) (*writePlan, error) {
+	prog, res, err := db.runRaw(q, b, s)
 	if err != nil {
 		return nil, err
 	}
@@ -583,7 +582,7 @@ func (db *DB) planWrite(ctx context.Context, job *par.Job, b *rel.Binder, stmt a
 	for k, col := range res.Cols[1:] {
 		switch kind := w.TargetKind(k); {
 		case col.ValueKind() != kind:
-			if col, err = gdk.CastBAT(job, gdk.B(col), kind, nil); err != nil {
+			if col, err = gdk.CastBAT(q.job, gdk.B(col), kind, nil); err != nil {
 				return nil, fmt.Errorf("%s %q: %v", what, w.TargetName(k), err)
 			}
 		case slices.Contains(src, col) || slices.Contains(p.vals, col):
@@ -606,7 +605,7 @@ func positions(cand *bat.BAT) []int {
 		}
 		return out
 	}
-	for i, p := range cand.DecodedInts() {
+	for i, p := range cand.DecodedInts(nil) {
 		out[i] = int(p)
 	}
 	return out

@@ -119,12 +119,6 @@ type DB struct {
 	session *Session // default session used by the DB-level Exec/Query
 
 	pcache *parseCache // bounded LRU of parsed statements
-
-	// width and cutoff shape every statement's par.Job (0: GOMAXPROCS
-	// and par.DefaultMorselThreshold); hook, when non-nil, runs before
-	// each MAL instruction. Only tests set them, while no statement runs.
-	width, cutoff int
-	hook          func(*mal.Instr)
 }
 
 // DefaultCheckpointBytes is the WAL size past which a commit triggers an
@@ -359,11 +353,6 @@ func (db *DB) MustQuery(query string) *Result {
 	return r
 }
 
-// ExecStmt executes one parsed statement on the default session.
-func (db *DB) ExecStmt(stmt ast.Statement) (*Result, error) {
-	return db.execStmt(db.session, stmt)
-}
-
 // parse resolves a query text to parsed statements through the cache.
 func (db *DB) parse(query string) ([]ast.Statement, error) {
 	if stmts, ok := db.pcache.get(query); ok {
@@ -377,27 +366,34 @@ func (db *DB) parse(query string) ([]ast.Statement, error) {
 	return stmts, nil
 }
 
-// execStmt routes one statement for a session: reads execute lock-free
-// against the published snapshot unless the session holds the open
-// transaction (read-your-writes); everything else takes the writer lock.
-func (db *DB) execStmt(s *Session, stmt ast.Statement) (*Result, error) {
-	return db.execStmtCtx(context.Background(), s, stmt)
+// stmt is one statement's run state, built once per statement
+// (Session.newStmt): the only run-state argument of the functions that
+// execute it, from routing and staging down to the MAL run.
+type stmt struct {
+	job  *par.Job         // every kernel's: width, cutoff, cancellation, context
+	sess *Session         // the session that issued the statement
+	cat  *catalog.Catalog // what it reads (exec sets it): the snapshot, or the live catalog under the writer lock
+	hook func(*mal.Instr) // when non-nil, runs before every MAL instruction (tests)
 }
 
-// execStmtCtx is execStmt under a context, and the engine's panic
-// containment boundary: a panicking kernel (or interpreter bug) is
-// converted into an error instead of tearing down the process. The
-// recovery is sound because statement execution never leaves shared
-// state inconsistent at a panic point — reads run against an immutable
-// snapshot, and a write that panics mid-statement is in the same
-// position as a write that errors mid-statement (partial effects,
-// logged as applied), which the engine already tolerates. The writer
-// lock, when held, is released by its own defer during unwinding.
-func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (res *Result, err error) {
-	if cerr := ctx.Err(); cerr != nil {
+// exec runs one statement: the single entry of every statement. Reads
+// execute lock-free against the published snapshot unless the session
+// holds the open transaction (read-your-writes); everything else takes
+// the writer lock.
+//
+// exec is also the engine's panic containment boundary: a panicking
+// kernel (or interpreter bug) is converted into an error instead of
+// tearing down the process. The recovery is sound because statement
+// execution never leaves shared state inconsistent at a panic point —
+// reads run against an immutable snapshot, and a write that panics
+// mid-statement is in the same position as a write that errors
+// mid-statement (partial effects, logged as applied), which the engine
+// already tolerates. The writer lock, when held, is released by its own
+// defer during unwinding.
+func (db *DB) exec(q *stmt, s ast.Statement) (res *Result, err error) {
+	if cerr := q.job.Err(); cerr != nil {
 		return nil, cerr
 	}
-	job := db.newJob()
 	var st *stagedWrite
 	defer func() {
 		if r := recover(); r != nil {
@@ -406,14 +402,14 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 			err = fmt.Errorf("internal error: query execution panicked: %v", r)
 		}
 	}()
-	switch stmt.(type) {
+	switch s.(type) {
 	case *ast.Select, *ast.Explain:
 		db.mu.RLock()
-		inTxn := db.txn != nil && db.txnOwner == s
-		snap := db.view.Load()
+		inTxn := db.txn != nil && db.txnOwner == q.sess
+		q.cat = db.view.Load()
 		db.mu.RUnlock()
 		if !inTxn {
-			return db.execRead(ctx, job, snap, stmt)
+			return db.execRead(q, s)
 		}
 	case *ast.Insert, *ast.Update, *ast.Delete:
 		// Stage the statement against the published snapshot outside the
@@ -423,15 +419,15 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 		// every other session is refused there.
 		db.mu.RLock()
 		free := db.txn == nil
-		snap := db.view.Load()
+		q.cat = db.view.Load()
 		db.mu.RUnlock()
 		if free {
-			if st = db.stage(ctx, job, snap, stmt); ctx.Err() != nil {
-				return nil, ctx.Err()
+			if st = db.stage(q, s); q.job.Err() != nil {
+				return nil, q.job.Err()
 			}
 		}
 	}
-	r, req, msg, err := db.execWrite(ctx, job, s, stmt, st)
+	r, req, msg, err := db.execWrite(q, s, st)
 	// With group commit, the writer lock is already released: block here
 	// until the loop has fsynced the batch (or failed the whole group).
 	// Holding db.mu across this wait would serialise exactly the fsyncs
@@ -452,17 +448,19 @@ func (db *DB) execStmtCtx(ctx context.Context, s *Session, stmt ast.Statement) (
 // commit request (if any) the caller must wait on after the lock is
 // released, plus an optional message to wrap a durability error with
 // (COMMIT's "committed but not persisted" contract). st is a DML
-// statement's staging on a snapshot, nil when it has none.
-func (db *DB) execWrite(ctx context.Context, job *par.Job, s *Session, stmt ast.Statement, st *stagedWrite) (*Result, *commitReq, string, error) {
+// statement's staging on a snapshot, nil when it has none. From here on
+// the statement reads the live catalog.
+func (db *DB) execWrite(q *stmt, s ast.Statement, st *stagedWrite) (*Result, *commitReq, string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.txn != nil && db.txnOwner != s {
+	if db.txn != nil && db.txnOwner != q.sess {
 		return nil, nil, "", fmt.Errorf("another session holds an open transaction; writes are blocked until it commits or rolls back")
 	}
-	if werr := db.writeBlockedErr(); werr != nil && isWriteStmt(stmt) {
+	if werr := db.writeBlockedErr(); werr != nil && writesDisk(s) {
 		return nil, nil, "", werr
 	}
-	r, err := db.execLocked(ctx, job, s, stmt, st)
+	q.cat = db.cat
+	r, err := db.execLocked(q, s, st)
 	// Autocommit boundary: make the statement durable (one fsynced WAL
 	// batch; partial effects of a failed statement are logged exactly as
 	// applied) and publish it statement-atomically. Inside an explicit
@@ -474,7 +472,7 @@ func (db *DB) execWrite(ctx context.Context, job *par.Job, s *Session, stmt ast.
 		return r, nil, "", err
 	}
 	var msg string
-	if t, ok := stmt.(*ast.Txn); ok && t.Kind == ast.TxnCommit {
+	if t, ok := s.(*ast.Txn); ok && t.Kind == ast.TxnCommit {
 		msg = "transaction committed but not persisted"
 	}
 	req, berr := db.commitBoundaryLocked()
@@ -487,36 +485,45 @@ func (db *DB) execWrite(ctx context.Context, job *par.Job, s *Session, stmt ast.
 	return r, req, msg, err
 }
 
-// isWriteStmt reports whether a statement mutates the database.
-func isWriteStmt(stmt ast.Statement) bool {
-	switch stmt.(type) {
+// writesDisk reports whether a statement can write to the store, which a
+// read-only, degraded or closed database refuses. ROLLBACK writes
+// nothing: rolled-back work never reaches the log, so a degraded
+// database still lets a session end its transaction, and with it the
+// transaction that would keep Save from recovering.
+func writesDisk(s ast.Statement) bool {
+	switch s := s.(type) {
 	case *ast.Select, *ast.Explain:
 		return false
+	case *ast.Txn:
+		return s.Kind != ast.TxnRollback
 	}
 	return true
 }
 
-// execRead executes a read-only statement against an immutable snapshot.
-// It runs without any engine lock: the snapshot's storage is frozen.
-func (db *DB) execRead(ctx context.Context, job *par.Job, cat *catalog.Catalog, stmt ast.Statement) (*Result, error) {
-	switch s := stmt.(type) {
+// execRead executes a read-only statement against the immutable snapshot
+// q reads. It runs without any engine lock: the snapshot's storage is
+// frozen.
+func (db *DB) execRead(q *stmt, s ast.Statement) (*Result, error) {
+	switch s := s.(type) {
 	case *ast.Select:
-		return db.runSelect(ctx, job, cat, s)
+		return db.runSelect(q, s)
 	case *ast.Explain:
-		return db.explain(cat, s)
+		return db.explain(q.cat, s)
 	default:
-		return nil, fmt.Errorf("unsupported read statement %T", stmt)
+		return nil, fmt.Errorf("unsupported read statement %T", s)
 	}
 }
 
-func (db *DB) execLocked(ctx context.Context, job *par.Job, s *Session, stmt ast.Statement, staged *stagedWrite) (*Result, error) {
-	switch st := stmt.(type) {
+// execLocked executes a statement under the writer lock, against the live
+// catalog.
+func (db *DB) execLocked(q *stmt, s ast.Statement, staged *stagedWrite) (*Result, error) {
+	switch st := s.(type) {
 	case *ast.Select:
 		// A read inside the session's own transaction runs against the
 		// live catalog and may hand back the catalog's own columns:
 		// freeze them, so the transaction's later writes copy them
 		// instead of changing this result under its holder.
-		r, err := db.runSelect(ctx, job, db.cat, st)
+		r, err := db.runSelect(q, st)
 		if err != nil {
 			return nil, err
 		}
@@ -531,42 +538,39 @@ func (db *DB) execLocked(ctx context.Context, job *par.Job, s *Session, stmt ast
 	case *ast.Drop:
 		return db.drop(st)
 	case *ast.AlterDimension:
-		return db.alterDimension(job, st)
+		return db.alterDimension(q, st)
 	case *ast.Insert, *ast.Update, *ast.Delete:
-		return db.writeLocked(ctx, job, stmt, staged)
+		return db.writeLocked(q, s, staged)
 	case *ast.Txn:
-		return db.txnStmt(s, st)
+		return db.txnStmt(q.sess, st)
 	case *ast.Explain:
-		return db.explain(db.cat, st)
+		return db.explain(q.cat, st)
 	default:
-		return nil, fmt.Errorf("unsupported statement %T", stmt)
+		return nil, fmt.Errorf("unsupported statement %T", s)
 	}
 }
 
 // runSelect binds, optimizes, compiles and interprets a SELECT against the
-// given catalog (live for writers/transactions, a snapshot for readers).
-func (db *DB) runSelect(ctx context.Context, job *par.Job, cat *catalog.Catalog, sel *ast.Select) (*Result, error) {
-	prog, mctx, err := db.run(ctx, job, rel.NewBinder(cat), sel)
+// catalog q reads (live for writers/transactions, a snapshot for readers).
+func (db *DB) runSelect(q *stmt, sel *ast.Select) (*Result, error) {
+	prog, mctx, err := db.run(q, rel.NewBinder(q.cat), sel)
 	if err != nil {
 		return nil, err
 	}
-	return assembleResult(job, prog, mctx)
+	return assembleResult(q, prog, mctx)
 }
 
-// run binds stmt through b, compiles it and interprets the program under
-// ctx: the one compile-and-run of SELECTs and of the query sides and
-// write programs of DML (runRaw).
-func (db *DB) run(ctx context.Context, job *par.Job, b *rel.Binder, stmt ast.Statement) (*mal.Program, *mal.Ctx, error) {
-	prog, err := compile(b, stmt)
+// run binds s through b, compiles it and interprets the program on q's
+// job and hook: the one compile-and-run of SELECTs and of the query sides
+// and write programs of DML (runRaw).
+func (db *DB) run(q *stmt, b *rel.Binder, s ast.Statement) (*mal.Program, *mal.Ctx, error) {
+	prog, err := compile(b, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	mctx, err := mal.Run(ctx, prog, job, db.hook)
+	mctx, err := mal.Run(prog, mal.Env{Job: q.job, Hook: q.hook})
 	return prog, mctx, err
 }
-
-// newJob returns a fresh job for one statement at the DB's shape.
-func (db *DB) newJob() *par.Job { return par.NewJob(db.width, db.cutoff) }
 
 // bindPlan binds a SELECT, UPDATE or DELETE through b into its
 // optimized logical plan.

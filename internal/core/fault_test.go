@@ -221,3 +221,49 @@ func TestFaultOpenTxnNotDegrading(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFaultRollbackWhileDegraded: a transaction opened while another
+// session's autocommit write waits for its fsync is still rolled back
+// after that fsync fails and latches degraded mode. ROLLBACK writes
+// nothing to disk, so degraded mode does not refuse it; the rollback lets
+// Save run, and Save clears the latch so writes work again.
+func TestFaultRollbackWhileDegraded(t *testing.T) {
+	db, fs, _ := openFaulted(t, -1)
+	defer db.Close()
+	db.MustQuery(`CREATE TABLE t (a INT)`)
+
+	release := gateCommitLoop(db)
+	writeErr := make(chan error, 1)
+	go func() {
+		_, err := db.Query(`INSERT INTO t VALUES (1)`)
+		writeErr <- err
+	}()
+	waitQueueLen(t, db.commitQ, 1)
+	s := db.NewSession()
+	if _, err := s.Exec(`BEGIN`); err != nil {
+		t.Fatalf("BEGIN: %v", err)
+	}
+	fs.FailOn(vfs.OpSync, "wal.log", 1, errors.New("injected fsync failure"))
+	release()
+	if err := <-writeErr; !errors.Is(err, ErrDegraded) {
+		t.Fatalf("gated write = %v, want ErrDegraded", err)
+	}
+
+	if _, err := s.Exec(`ROLLBACK`); err != nil {
+		t.Fatalf("ROLLBACK while degraded: %v", err)
+	}
+	if s.InTransaction() {
+		t.Fatal("the session still holds its transaction after ROLLBACK")
+	}
+	for _, q := range []string{`BEGIN`, `COMMIT`} {
+		if _, err := s.Exec(q); !errors.Is(err, ErrDegraded) {
+			t.Fatalf("%s while degraded = %v, want ErrDegraded", q, err)
+		}
+	}
+	if err := db.Save(); err != nil {
+		t.Fatalf("Save after ROLLBACK: %v", err)
+	}
+	if _, err := db.Exec(`INSERT INTO t VALUES (2)`); err != nil {
+		t.Fatalf("write after recovery: %v", err)
+	}
+}

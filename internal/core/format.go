@@ -68,13 +68,13 @@ func (f *Formatter) formatCol(b *bat.BAT) fmtCol {
 	)
 	switch col.kind {
 	case types.KindOID, types.KindInt:
-		ints = b.DecodedInts()
+		ints = b.DecodedInts(nil)
 	case types.KindFloat:
-		col.floats = b.DecodedFloats()
+		col.floats = b.DecodedFloats(nil)
 	case types.KindBool:
-		bools = b.DecodedBools()
+		bools = b.DecodedBools(nil)
 	case types.KindStr:
-		strs = b.DecodedStrs()
+		strs = b.DecodedStrs(nil)
 	}
 	seq := int64(b.Seqbase())
 	for i := 0; i < f.rows; i++ {

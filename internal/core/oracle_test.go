@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/gdk"
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
@@ -1395,16 +1396,33 @@ func sameRows(got, want [][]types.Value, tol bool) error {
 }
 
 // oracleThreads are the kernel widths every statement runs at; the
-// lowered morsel cutoff (setWidth) makes the small inputs engage the pool.
+// lowered morsel cutoff (queryAt) makes the small inputs engage the pool.
 var oracleThreads = []int{1, 2, 8}
 
-// setWidth makes db's statements run at width with a 64-row morsel
-// cutoff, and returns a func that restores the previous shape. Call it
-// only while no statement runs on db.
-func setWidth(db *DB, width int) (restore func()) {
-	w, c := db.width, db.cutoff
-	db.width, db.cutoff = width, 64
-	return func() { db.width, db.cutoff = w, c }
+// execWith runs query's statements on db's default session as Exec
+// does, each on the run state shape returns.
+func execWith(db *DB, query string, shape func() *stmt) ([]*Result, error) {
+	stmts, err := db.parse(query)
+	if err != nil {
+		return nil, err
+	}
+	var out []*Result
+	for _, s := range stmts {
+		r, err := db.exec(shape(), s)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// queryAt runs one statement on db's default session on a job of the
+// given width with a 64-row morsel cutoff.
+func queryAt(db *DB, width int, sql string) (*Result, error) {
+	return only(execWith(db, sql, func() *stmt {
+		return &stmt{job: par.NewJob(width, 64), sess: db.session}
+	}))
 }
 
 // checkEngine runs sql through the full pipeline at every width in
@@ -1415,11 +1433,9 @@ func checkEngine(db *DB, sql string, want refAnswer, widths ...int) error {
 	if len(widths) == 0 {
 		widths = oracleThreads
 	}
-	defer setWidth(db, 1)()
 	var first [][]types.Value
 	for _, th := range widths {
-		setWidth(db, th)
-		res, err := db.Query(sql)
+		res, err := queryAt(db, th, sql)
 		if (err != nil) != (want.err != nil) {
 			return fmt.Errorf("threads=%d: engine error %v, reference error %v", th, err, want.err)
 		}
@@ -1494,8 +1510,6 @@ func TestOracleRandomSelect(t *testing.T) {
 // every statement with identical rows.
 func TestConcurrentDBsKeepTheirWidths(t *testing.T) {
 	narrow, wide := oracleDB(t), oracleDB(t)
-	setWidth(narrow, 1)
-	setWidth(wide, 8)
 	rels, err := oracleRels(narrow)
 	if err != nil {
 		t.Fatal(err)
@@ -1513,10 +1527,10 @@ func TestConcurrentDBsKeepTheirWidths(t *testing.T) {
 		rows [][]types.Value
 		err  error
 	}
-	run := func(db *DB) []answer {
+	run := func(db *DB, width int) []answer {
 		out := make([]answer, len(stmts))
 		for i, sql := range stmts {
-			res, err := db.Query(sql)
+			res, err := queryAt(db, width, sql)
 			out[i].err = err
 			if err == nil {
 				out[i].rows = resultRows(res)
@@ -1526,11 +1540,12 @@ func TestConcurrentDBsKeepTheirWidths(t *testing.T) {
 	}
 	var got [2][]answer
 	var wg sync.WaitGroup
+	widths := [2]int{1, 8}
 	for i, db := range []*DB{narrow, wide} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = run(db)
+			got[i] = run(db, widths[i])
 		}()
 	}
 	wg.Wait()

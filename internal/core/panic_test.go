@@ -1,12 +1,23 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/mal"
 )
+
+// queryHooked runs one statement on db's default session with hook run
+// before every MAL instruction.
+func queryHooked(db *DB, sql string, hook func(*mal.Instr)) (*Result, error) {
+	return only(execWith(db, sql, func() *stmt {
+		q := db.session.newStmt(context.Background())
+		q.hook = hook
+		return q
+	}))
+}
 
 // TestPanicContainedRead: a kernel panic inside a read query is answered
 // as an error, the published snapshot stays intact, and the next query
@@ -17,13 +28,11 @@ func TestPanicContainedRead(t *testing.T) {
 	db.MustQuery(`INSERT INTO t VALUES (1), (2), (3)`)
 	snapBefore := db.Snapshot()
 
-	db.hook = func(in *mal.Instr) {
+	_, err := queryHooked(db, `SELECT a FROM t WHERE a > 1`, func(in *mal.Instr) {
 		if in.Module == "algebra" {
 			panic("injected kernel panic")
 		}
-	}
-	_, err := db.Query(`SELECT a FROM t WHERE a > 1`)
-	db.hook = nil
+	})
 	if err == nil {
 		t.Fatal("panicking query must return an error")
 	}
@@ -51,12 +60,10 @@ func TestPanicContainedRead(t *testing.T) {
 func TestPanicContainedWrite(t *testing.T) {
 	db := New()
 	db.MustQuery(`CREATE TABLE t (a INT)`)
-	db.hook = func(in *mal.Instr) {
-		panic("injected write-path panic")
-	}
 	// INSERT ... SELECT runs MAL on the write path (under db.mu).
-	_, err := db.Query(`INSERT INTO t SELECT a FROM t`)
-	db.hook = nil
+	_, err := queryHooked(db, `INSERT INTO t SELECT a FROM t`, func(in *mal.Instr) {
+		panic("injected write-path panic")
+	})
 	if err == nil {
 		t.Fatal("panicking write must return an error")
 	}
@@ -82,13 +89,11 @@ func TestPanicContainedPersistent(t *testing.T) {
 	db.MustQuery(`CREATE TABLE t (a INT)`)
 	db.MustQuery(`INSERT INTO t VALUES (10), (20)`)
 
-	db.hook = func(in *mal.Instr) {
+	_, qerr := queryHooked(db, `SELECT COUNT(*) FROM t WHERE a > 5`, func(in *mal.Instr) {
 		if in.Module == "algebra" || in.Module == "aggr" {
 			panic("injected panic on persistent store")
 		}
-	}
-	_, qerr := db.Query(`SELECT COUNT(*) FROM t WHERE a > 5`)
-	db.hook = nil
+	})
 	if qerr == nil {
 		t.Fatal("panicking query must return an error")
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bat"
 	"repro/internal/gdk"
 	"repro/internal/mal"
-	"repro/internal/par"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -54,12 +53,12 @@ func (r *Result) Value(row, col int) types.Value { return r.Cols[col].Get(row) }
 
 // assembleResult converts an executed MAL program into a Result, applying
 // SciQL table→array coercion when the projection has dimensional items.
-func assembleResult(job *par.Job, prog *mal.Program, ctx *mal.Ctx) (*Result, error) {
+func assembleResult(q *stmt, prog *mal.Program, ctx *mal.Ctx) (*Result, error) {
 	res, err := rawResult(prog, ctx)
 	if err != nil || !slices.Contains(res.Dims, true) {
 		return res, err
 	}
-	return coerceToArray(job, res, prog.ShapeHint)
+	return coerceToArray(q, res, prog.ShapeHint)
 }
 
 // rawResult collects an executed program's result columns as they are,
@@ -91,7 +90,7 @@ func rawResult(prog *mal.Program, ctx *mal.Ctx) (*Result, error) {
 // query and the Life step over a whole array) the columns are the result
 // as they stand; otherwise each attribute is scattered once into a column
 // of holes.
-func coerceToArray(job *par.Job, r *Result, hint shape.Shape) (*Result, error) {
+func coerceToArray(q *stmt, r *Result, hint shape.Shape) (*Result, error) {
 	var dimIdx, attrIdx []int
 	for i, d := range r.Dims {
 		if d {
@@ -120,7 +119,7 @@ func coerceToArray(job *par.Job, r *Result, hint shape.Shape) (*Result, error) {
 			}
 			nulls = true
 		}
-		coords[k] = col.Materialize().DecodedInts()
+		coords[k] = col.Materialize().DecodedInts(q.job)
 		if !hinted {
 			sh[k] = spanDim(r.Names[ci], coords[k])
 		}
@@ -165,7 +164,7 @@ func coerceToArray(job *par.Job, r *Result, hint shape.Shape) (*Result, error) {
 		cell := r.Cols[ci].Materialize()
 		if !identity {
 			var err error
-			if cell, err = bat.Filler(job, sh.Cells(), types.NullUnknown(), r.Cols[ci].ValueKind()); err != nil {
+			if cell, err = bat.Filler(q.job, sh.Cells(), types.NullUnknown(), r.Cols[ci].ValueKind()); err != nil {
 				return nil, err
 			}
 			if err := cell.ReplaceAt(pos, r.Cols[ci]); err != nil {

@@ -3,23 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"repro/internal/sql/ast"
-	"repro/internal/sql/parser"
+	"repro/internal/par"
 )
 
 // Session is one client's handle on the database: it carries transaction
 // ownership (BEGIN binds the engine's single explicit transaction to the
-// session that issued it) and pins prepared statements. Sessions are cheap
-// and safe for concurrent use; the sciqld server gives every connection
-// its own. The DB-level Exec/Query run on a default session, so embedded
-// single-connection use never needs to create one.
+// session that issued it). Sessions are cheap and safe for concurrent
+// use; the sciqld server gives every connection its own. The DB-level
+// Exec/Query run on a default session, so embedded single-connection use
+// never needs to create one.
 type Session struct {
 	db *DB
-
-	prepMu sync.Mutex
-	prep   map[string]*Prepared
 }
 
 // NewSession returns a fresh session over the database.
@@ -43,19 +38,7 @@ func (s *Session) Exec(query string) ([]*Result, error) {
 // statement running at cancellation time returns ctx.Err(); its
 // already-committed predecessors in the batch stay committed.
 func (s *Session) ExecContext(ctx context.Context, query string) ([]*Result, error) {
-	stmts, err := s.db.parse(query)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, 0, len(stmts))
-	for _, st := range stmts {
-		r, err := s.db.execStmtCtx(ctx, s, st)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return s.run(ctx, query, false)
 }
 
 // Query executes exactly one statement and returns its result.
@@ -66,26 +49,44 @@ func (s *Session) Query(query string) (*Result, error) {
 // QueryContext is Query under a context (see ExecContext for the
 // cancellation semantics).
 func (s *Session) QueryContext(ctx context.Context, query string) (*Result, error) {
-	if stmts, ok := s.db.pcache.get(query); ok && len(stmts) == 1 {
-		return s.db.execStmtCtx(ctx, s, stmts[0])
-	}
-	stmt, err := parser.ParseOne(query)
+	return only(s.run(ctx, query, true))
+}
+
+// run parses query through the DB's statement cache and executes its
+// statements in order, each on its own run state (newStmt), stopping at
+// the first error; one requires exactly one statement. Every public Exec
+// and Query comes here.
+func (s *Session) run(ctx context.Context, query string, one bool) ([]*Result, error) {
+	stmts, err := s.db.parse(query)
 	if err != nil {
 		return nil, err
 	}
-	s.db.pcache.put(query, []ast.Statement{stmt})
-	return s.db.execStmtCtx(ctx, s, stmt)
+	if one && len(stmts) != 1 {
+		return nil, fmt.Errorf("expected exactly one statement, got %d", len(stmts))
+	}
+	out := make([]*Result, 0, len(stmts))
+	for _, st := range stmts {
+		r, err := s.db.exec(s.newStmt(ctx), st)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
 }
 
-// ExecStmt executes one parsed statement on this session.
-func (s *Session) ExecStmt(stmt ast.Statement) (*Result, error) {
-	return s.db.execStmt(s, stmt)
+// newStmt returns the run state of one statement the session issues
+// under ctx, at the default parallel shape.
+func (s *Session) newStmt(ctx context.Context) *stmt {
+	return &stmt{job: par.NewJob(0, 0).WithContext(ctx), sess: s}
 }
 
-// ExecStmtContext executes one parsed statement on this session under a
-// context.
-func (s *Session) ExecStmtContext(ctx context.Context, stmt ast.Statement) (*Result, error) {
-	return s.db.execStmtCtx(ctx, s, stmt)
+// only returns the result of a one-statement run.
+func only(rs []*Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // InTransaction reports whether this session holds the open transaction.
@@ -106,61 +107,5 @@ func (s *Session) Close() error {
 		s.db.discardWALPending()
 		s.db.publishLocked()
 	}
-	s.prepMu.Lock()
-	s.prep = nil
-	s.prepMu.Unlock()
 	return nil
-}
-
-// Prepared is a parsed statement batch pinned by a session: unlike entries
-// of the DB's bounded LRU parse cache it cannot be evicted, so hot
-// server-side statements keep a stable handle.
-type Prepared struct {
-	s     *Session
-	text  string
-	stmts []ast.Statement
-}
-
-// Prepare parses the batch once and pins it under the given name
-// (replacing any previous statement of that name).
-func (s *Session) Prepare(name, query string) (*Prepared, error) {
-	stmts, err := s.db.parse(query)
-	if err != nil {
-		return nil, err
-	}
-	p := &Prepared{s: s, text: query, stmts: stmts}
-	s.prepMu.Lock()
-	if s.prep == nil {
-		s.prep = map[string]*Prepared{}
-	}
-	s.prep[name] = p
-	s.prepMu.Unlock()
-	return p, nil
-}
-
-// Prepared returns the pinned statement of that name, if any.
-func (s *Session) Prepared(name string) (*Prepared, bool) {
-	s.prepMu.Lock()
-	defer s.prepMu.Unlock()
-	p, ok := s.prep[name]
-	return p, ok
-}
-
-// Text returns the original statement text.
-func (p *Prepared) Text() string { return p.text }
-
-// Exec executes the prepared batch on its session.
-func (p *Prepared) Exec() ([]*Result, error) {
-	if p.s == nil {
-		return nil, fmt.Errorf("prepared statement is detached")
-	}
-	out := make([]*Result, 0, len(p.stmts))
-	for _, st := range p.stmts {
-		r, err := p.s.db.execStmt(p.s, st)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

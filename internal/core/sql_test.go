@@ -756,13 +756,18 @@ func TestMinMaxFollowOrderBy(t *testing.T) {
 	} {
 		db.MustQuery(q)
 	}
-	defer setWidth(db, 0)()
 	for _, threads := range []int{1, 2, 8} {
-		setWidth(db, threads)
-		got := allRows(db.MustQuery(`SELECT g, MIN(v), MAX(v) FROM m GROUP BY g ORDER BY g`))
+		rows := func(q string) []string {
+			r, err := queryAt(db, threads, q)
+			if err != nil {
+				t.Fatalf("threads %d: %s: %v", threads, q, err)
+			}
+			return allRows(r)
+		}
+		got := rows(`SELECT g, MIN(v), MAX(v) FROM m GROUP BY g ORDER BY g`)
 		var want []string
 		for g := 0; g <= 4; g++ {
-			ordered := allRows(db.MustQuery(fmt.Sprintf(`SELECT v FROM m WHERE g = %d AND v IS NOT NULL ORDER BY v`, g)))
+			ordered := rows(fmt.Sprintf(`SELECT v FROM m WHERE g = %d AND v IS NOT NULL ORDER BY v`, g))
 			if len(ordered) == 0 {
 				want = append(want, fmt.Sprintf("%d|null|null", g))
 				continue
@@ -772,8 +777,8 @@ func TestMinMaxFollowOrderBy(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("threads %d: grouped MIN/MAX %v, want %v", threads, got, want)
 		}
-		ordered := allRows(db.MustQuery(`SELECT v FROM m WHERE v IS NOT NULL ORDER BY v`))
-		global := allRows(db.MustQuery(`SELECT MIN(v), MAX(v) FROM m`))
+		ordered := rows(`SELECT v FROM m WHERE v IS NOT NULL ORDER BY v`)
+		global := rows(`SELECT MIN(v), MAX(v) FROM m`)
 		if w := ordered[0] + "|" + ordered[len(ordered)-1]; global[0] != w {
 			t.Errorf("threads %d: MIN/MAX %s, want %s", threads, global[0], w)
 		}

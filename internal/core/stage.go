@@ -31,12 +31,10 @@ package core
 // name too.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/sql/ast"
 )
@@ -74,15 +72,15 @@ type stagedWrite struct {
 	err   error
 }
 
-// stage stages one INSERT, UPDATE or DELETE against cat. It runs without
-// the writer lock when cat is a published snapshot, under it when cat is
-// the live catalog.
-func (db *DB) stage(ctx context.Context, job *par.Job, cat *catalog.Catalog, stmt ast.Statement) *stagedWrite {
-	b := rel.NewBinder(cat)
-	apply, err := db.stageWith(ctx, job, b, stmt)
+// stage stages one INSERT, UPDATE or DELETE against the catalog q reads.
+// It runs without the writer lock when that is a published snapshot,
+// under it when it is the live catalog.
+func (db *DB) stage(q *stmt, s ast.Statement) *stagedWrite {
+	b := rel.NewBinder(q.cat)
+	apply, err := db.stageWith(q, b, s)
 	st := &stagedWrite{apply: apply, err: err}
 	for _, name := range b.Reads() {
-		st.reads = append(st.reads, markOf(cat, name))
+		st.reads = append(st.reads, markOf(q.cat, name))
 	}
 	return st
 }
@@ -90,13 +88,13 @@ func (db *DB) stage(ctx context.Context, job *par.Job, cat *catalog.Catalog, stm
 // stageWith stages stmt through b, whose lookups form the read set. The
 // returned mutation finds its target in the live catalog by name:
 // validation has proven it is the object staging read.
-func (db *DB) stageWith(ctx context.Context, job *par.Job, b *rel.Binder, stmt ast.Statement) (func(db *DB) (*Result, error), error) {
-	switch s := stmt.(type) {
+func (db *DB) stageWith(q *stmt, b *rel.Binder, s ast.Statement) (func(db *DB) (*Result, error), error) {
+	switch s := s.(type) {
 	case *ast.Insert:
 		t, a := b.Lookup(s.Table)
 		switch {
 		case t != nil:
-			cols, err := db.stageTableInsert(ctx, job, b, t, s)
+			cols, err := db.stageTableInsert(q, b, t, s)
 			if err != nil {
 				return nil, err
 			}
@@ -105,18 +103,18 @@ func (db *DB) stageWith(ctx context.Context, job *par.Job, b *rel.Binder, stmt a
 				return db.applyTableInsert(lt, cols)
 			}, nil
 		case a != nil:
-			w, err := db.stageArrayInsert(ctx, job, b, a, s)
+			w, err := db.stageArrayInsert(q, b, a, s)
 			if err != nil {
 				return nil, err
 			}
 			return func(db *DB) (*Result, error) {
 				la, _ := db.cat.Array(a.Name)
-				return db.applyArrayWrite(job, la, w)
+				return db.applyArrayWrite(q, la, w)
 			}, nil
 		}
 		return nil, fmt.Errorf("at %s: no such table or array: %q", s.Pos, s.Table)
 	case *ast.Update, *ast.Delete:
-		p, err := db.planWrite(ctx, job, b, s)
+		p, err := db.planWrite(q, b, s)
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +129,7 @@ func (db *DB) stageWith(ctx context.Context, job *par.Job, b *rel.Binder, stmt a
 			return db.applyArrayWritePlan(la, p)
 		}, nil
 	}
-	return nil, fmt.Errorf("unsupported write statement %T", stmt)
+	return nil, fmt.Errorf("unsupported write statement %T", s)
 }
 
 // validateLocked checks a read set against the live catalog: nil when
@@ -149,10 +147,10 @@ func (db *DB) validateLocked(reads []readMark) error {
 // writeLocked applies one DML statement under the writer lock. A write
 // staged on a snapshot (st) applies when its read set validates; one that
 // was not staged, or no longer validates, stages again against the live
-// catalog. Must be called under the writer lock.
-func (db *DB) writeLocked(ctx context.Context, job *par.Job, stmt ast.Statement, st *stagedWrite) (*Result, error) {
+// catalog, which q reads here. Must be called under the writer lock.
+func (db *DB) writeLocked(q *stmt, s ast.Statement, st *stagedWrite) (*Result, error) {
 	if st == nil || db.validateLocked(st.reads) != nil {
-		st = db.stage(ctx, job, db.cat, stmt)
+		st = db.stage(q, s)
 	}
 	if st.err != nil {
 		return nil, st.err

@@ -22,11 +22,11 @@ import (
 // its commit, as the router does.
 func applyStagedWrite(t *testing.T, db *DB, q string, st *stagedWrite) (*Result, error) {
 	t.Helper()
-	stmt, err := parser.ParseOne(q)
+	s, err := parser.ParseOne(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, req, _, err := db.execWrite(context.Background(), db.newJob(), db.session, stmt, st)
+	r, req, _, err := db.execWrite(db.session.newStmt(context.Background()), s, st)
 	if req != nil {
 		if werr := <-req.done; werr != nil && err == nil {
 			err = werr
@@ -38,11 +38,13 @@ func applyStagedWrite(t *testing.T, db *DB, q string, st *stagedWrite) (*Result,
 // stageOn stages q against cat.
 func stageOn(t *testing.T, db *DB, cat *catalog.Catalog, q string) *stagedWrite {
 	t.Helper()
-	stmt, err := parser.ParseOne(q)
+	s, err := parser.ParseOne(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db.stage(context.Background(), db.newJob(), cat, stmt)
+	sq := db.session.newStmt(context.Background())
+	sq.cat = cat
+	return db.stage(sq, s)
 }
 
 // validates reports the outcome of validating st against the live catalog.

@@ -748,6 +748,8 @@ func (db *DB) replayArrayWrite(op byte, d *recDec) error {
 		db.setAttr(a, w.attrs[0], w.vals[0])
 		return nil
 	}
-	_, err := db.writeCells(db.newJob(), a, w)
+	// Replay runs outside any statement: a run state without a job
+	// writes at the default parallel shape, never cancelled.
+	_, err := db.writeCells(&stmt{}, a, w)
 	return err
 }

@@ -60,11 +60,11 @@ func aggrPlan(job *par.Job, n, ngroups int) par.Plan {
 }
 
 // gidSlice normalises the group-id column to a plain int64 slice.
-func gidSlice(gids *bat.BAT) []int64 {
+func gidSlice(job *par.Job, gids *bat.BAT) []int64 {
 	if gids.Kind() == types.KindVoid {
-		return gids.Materialize().DecodedInts()
+		return gids.Materialize().DecodedInts(job)
 	}
-	return gids.DecodedInts()
+	return gids.DecodedInts(job)
 }
 
 // SubAggr computes a grouped aggregate (MAL aggr.sub*): vals and gids are
@@ -93,7 +93,7 @@ func SubAggr(job *par.Job, agg AggKind, vals, gids *bat.BAT, ngroups int, cand *
 		return nil, fmt.Errorf("gdk: aggregate inputs not aligned")
 	}
 	n := gids.Len()
-	gs := gidSlice(gids)
+	gs := gidSlice(job, gids)
 
 	// Sorted group ids (the product of run-detected grouping) cluster each
 	// group into one contiguous run: counts, and the aggregates of an
@@ -121,14 +121,14 @@ func SubAggr(job *par.Job, agg AggKind, vals, gids *bat.BAT, ngroups int, cand *
 	// intersections without decoding (see enc_aggr.go).
 	if sortedRuns && vals.Kind() != types.KindVoid && vals.Encoded() && !vals.HasNulls() &&
 		(vals.ValueKind() == types.KindInt || vals.ValueKind() == types.KindOID) {
-		if out, ok := encIntRunAggr(agg, vals, gs, ngroups); ok {
+		if out, ok := encIntRunAggr(job, agg, vals, gs, ngroups); ok {
 			return out, nil
 		}
 	}
 
 	switch vals.ValueKind() {
 	case types.KindInt, types.KindOID:
-		ints := intVals(vals)
+		ints := intVals(job, vals)
 		switch agg {
 		case AggSum, AggAvg:
 			// Integer addition associates: any chunking gives the same sums.
@@ -154,7 +154,7 @@ func SubAggr(job *par.Job, agg AggKind, vals, gids *bat.BAT, ngroups int, cand *
 			return minMaxGroups(aggrPlan(job, n, ngroups), agg, ints, vals, gs, ngroups, bat.FromInts)
 		}
 	case types.KindFloat:
-		fs := vals.DecodedFloats()
+		fs := vals.DecodedFloats(job)
 		switch agg {
 		case AggSum, AggAvg:
 			sums, counts, err := groupSums(par.Blocks(job, n, sumBlockRows), fs, vals, gs, ngroups)
@@ -176,7 +176,7 @@ func SubAggr(job *par.Job, agg AggKind, vals, gids *bat.BAT, ngroups int, cand *
 		}
 	case types.KindStr:
 		if agg == AggMin || agg == AggMax {
-			return minMaxGroups(aggrPlan(job, n, ngroups), agg, vals.DecodedStrs(), vals, gs, ngroups, bat.FromStrings)
+			return minMaxGroups(aggrPlan(job, n, ngroups), agg, vals.DecodedStrs(job), vals, gs, ngroups, bat.FromStrings)
 		}
 	}
 	return nil, fmt.Errorf("gdk: aggregate %s not defined on %s", agg, vals.ValueKind())

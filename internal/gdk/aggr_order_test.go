@@ -46,7 +46,7 @@ func TestFloatSumIndependentOfWidth(t *testing.T) {
 	// many-groups case leaves the per-block partial path.
 	n := 4*sumBlockRows + 1 + rng.Intn(sumBlockRows)
 	vals := mkFloats(rng, n)
-	fs := vals.DecodedFloats()
+	fs := vals.DecodedFloats(nil)
 	for i := range fs {
 		fs[i] *= math.Pow(10, float64(rng.Intn(12)-6)) // wide magnitudes: order shows
 	}
@@ -108,7 +108,7 @@ func TestFloatSumIndependentOfWidth(t *testing.T) {
 			}
 		}
 		for gname, g := range inputs {
-			refSum, refCount := refFloatSums(cvals.DecodedFloats(), cvals, gidSlice(g.GIDs), g.N)
+			refSum, refCount := refFloatSums(cvals.DecodedFloats(nil), cvals, gidSlice(nil, g.GIDs), g.N)
 			for _, agg := range []AggKind{AggSum, AggAvg} {
 				for _, c := range configs {
 					out, err := SubAggr(par.NewJob(c.threads, c.cutoff), agg, vals, g.GIDs, g.N, cand)
@@ -129,7 +129,7 @@ func checkCanonical(t *testing.T, label string, out *bat.BAT, agg AggKind, sums 
 	if out.Len() != len(sums) {
 		t.Fatalf("%s: %d groups, want %d", label, out.Len(), len(sums))
 	}
-	got := out.DecodedFloats()
+	got := out.DecodedFloats(nil)
 	for g, s := range sums {
 		if out.IsNull(g) != (counts[g] == 0) {
 			t.Fatalf("%s: group %d NULL is %v with %d rows", label, g, out.IsNull(g), counts[g])
@@ -191,7 +191,7 @@ func TestFloatMinMaxNaNIndependentOfWidth(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for g, x := range out.DecodedFloats() {
+				for g, x := range out.DecodedFloats(nil) {
 					if x != w[g] && !(math.IsNaN(x) && math.IsNaN(w[g])) {
 						t.Errorf("threads %d, %s gids: %s of group %d = %v, want %v", threads, name, agg, g, x, w[g])
 					}
@@ -212,7 +212,7 @@ func TestTileMinMaxNaN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, x := range out.DecodedFloats() {
+		for i, x := range out.DecodedFloats(nil) {
 			if x != w[i] && !(math.IsNaN(x) && math.IsNaN(w[i])) {
 				t.Errorf("%s of tile %d = %v, want %v", agg, i, x, w[i])
 			}

@@ -117,9 +117,9 @@ func CellFetch(job *par.Job, attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) (
 		}
 		switch c.Kind() {
 		case types.KindInt, types.KindOID:
-			coordInts[k] = c.DecodedInts()
+			coordInts[k] = c.DecodedInts(job)
 		case types.KindVoid:
-			coordInts[k] = c.Materialize().DecodedInts()
+			coordInts[k] = c.Materialize().DecodedInts(job)
 		default:
 			return nil, fmt.Errorf("gdk: cellfetch coordinate %d must be integer, got %s", k, c.Kind())
 		}
@@ -363,11 +363,11 @@ func tileAccumulate(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, of
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
 		sums := par.ZeroVec[int64](job, cells)
-		tileRuns(job, sh, offsetSets, accumulateRun(intVals(attr), nulls, sums, counts))
+		tileRuns(job, sh, offsetSets, accumulateRun(intVals(job, attr), nulls, sums, counts))
 		return finishAccumulate(job, agg, sums, nil, counts)
 	case types.KindFloat:
 		sums := par.ZeroVec[float64](job, cells)
-		tileRuns(job, sh, offsetSets, accumulateRun(attr.DecodedFloats(), nulls, sums, counts))
+		tileRuns(job, sh, offsetSets, accumulateRun(attr.DecodedFloats(job), nulls, sums, counts))
 		return finishAccumulate(job, agg, nil, sums, counts)
 	default:
 		if agg == AggCount || agg == AggCountAll {
@@ -385,11 +385,11 @@ func tileAccumulate(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, of
 }
 
 // intVals is the attribute as int64 values (a void column materialised).
-func intVals(attr *bat.BAT) []int64 {
+func intVals(job *par.Job, attr *bat.BAT) []int64 {
 	if attr.Kind() == types.KindVoid {
-		return attr.Materialize().DecodedInts()
+		return attr.Materialize().DecodedInts(job)
 	}
-	return attr.DecodedInts()
+	return attr.DecodedInts(job)
 }
 
 // accumulateRun adds the shifted run of src into sums and counts, skipping
@@ -479,11 +479,11 @@ func tileMinMax(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, offset
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
 		best := par.ZeroVec[int64](job, cells)
-		tileRuns(job, sh, offsetSets, minMaxRun(intVals(attr), nulls, best, seen, agg == AggMin))
+		tileRuns(job, sh, offsetSets, minMaxRun(intVals(job, attr), nulls, best, seen, agg == AggMin))
 		out = bat.FromInts(best)
 	case types.KindFloat:
 		best := par.ZeroVec[float64](job, cells)
-		tileRuns(job, sh, offsetSets, minMaxRun(attr.DecodedFloats(), nulls, best, seen, agg == AggMin))
+		tileRuns(job, sh, offsetSets, minMaxRun(attr.DecodedFloats(job), nulls, best, seen, agg == AggMin))
 		out = bat.FromFloats(best)
 	default:
 		return nil, fmt.Errorf("gdk: tiling aggregate %s not defined on %s", agg, attr.ValueKind())
@@ -559,19 +559,19 @@ func Shift(job *par.Job, attr *bat.BAT, sh shape.Shape, offs []int, cand *bat.BA
 	switch attr.ValueKind() {
 	case types.KindInt, types.KindOID:
 		var v []int64
-		v, nulls, err = shiftRows(job, intVals(attr), holes, dims, strides, delta, shift, cand, n)
+		v, nulls, err = shiftRows(job, intVals(job, attr), holes, dims, strides, delta, shift, cand, n)
 		out = bat.FromIntsOfKind(v, attr.ValueKind())
 	case types.KindFloat:
 		var v []float64
-		v, nulls, err = shiftRows(job, attr.DecodedFloats(), holes, dims, strides, delta, shift, cand, n)
+		v, nulls, err = shiftRows(job, attr.DecodedFloats(job), holes, dims, strides, delta, shift, cand, n)
 		out = bat.FromFloats(v)
 	case types.KindBool:
 		var v []bool
-		v, nulls, err = shiftRows(job, attr.DecodedBools(), holes, dims, strides, delta, shift, cand, n)
+		v, nulls, err = shiftRows(job, attr.DecodedBools(job), holes, dims, strides, delta, shift, cand, n)
 		out = bat.FromBools(v)
 	case types.KindStr:
 		var v []string
-		v, nulls, err = shiftRows(job, attr.DecodedStrs(), holes, dims, strides, delta, shift, cand, n)
+		v, nulls, err = shiftRows(job, attr.DecodedStrs(job), holes, dims, strides, delta, shift, cand, n)
 		out = bat.FromStrings(v)
 	default:
 		return nil, fmt.Errorf("gdk: cannot shift %s column", attr.ValueKind())
@@ -629,7 +629,7 @@ func shiftRows[T any](job *par.Job, vals []T, holes *bat.Bitmap, dims, strides, 
 		})
 		return out, nulls, nil
 	}
-	pos := cand.DecodedInts()
+	pos := cand.DecodedInts(job)
 	err := par.DoErr(job, n, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			p := int(pos[i])
@@ -680,7 +680,7 @@ func Reshape(job *par.Job, attr *bat.BAT, from, to shape.Shape, def types.Value)
 	}
 	coords := make([][]int64, len(dims))
 	for k, d := range dims {
-		coords[k] = d.DecodedInts()
+		coords[k] = d.DecodedInts(job)
 	}
 	pos, _ := CellPos(to, coords)
 	if err := out.ReplaceAt(pos, attr); err != nil {

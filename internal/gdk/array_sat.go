@@ -81,9 +81,9 @@ func TileAggSAT(job *par.Job, agg AggKind, attr *bat.BAT, sh shape.Shape, tile [
 	case agg == AggCount || agg == AggCountAll:
 		return bat.FromInts(counts), nil
 	case attr.ValueKind() == types.KindFloat:
-		return finishAccumulate(job, agg, nil, boxSums(g, attr.DecodedFloats(), holes), counts)
+		return finishAccumulate(job, agg, nil, boxSums(g, attr.DecodedFloats(job), holes), counts)
 	case attr.ValueKind() == types.KindInt || attr.ValueKind() == types.KindOID:
-		return finishAccumulate(job, agg, boxSums(g, intVals(attr), holes), nil, counts)
+		return finishAccumulate(job, agg, boxSums(g, intVals(job, attr), holes), nil, counts)
 	}
 	return nil, fmt.Errorf("gdk: SAT tiling aggregate %s not defined on %s", agg, attr.ValueKind())
 }

@@ -289,7 +289,7 @@ func TestCellPosMatchesShapePos(t *testing.T) {
 		}
 		series := make([][]int64, len(sh))
 		for k, d := range dims {
-			series[k] = d.DecodedInts()
+			series[k] = d.DecodedInts(nil)
 		}
 		if !CellsInOrder(sh, series) {
 			t.Fatalf("seed %d: the series of %v are not its cells in order", seed, sh)

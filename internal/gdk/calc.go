@@ -56,11 +56,11 @@ func Arith(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) 
 	}
 	n := l.Len()
 	if k == types.KindFloat {
-		lf, lm, ln, err := l.floats()
+		lf, lm, ln, err := l.floats(job)
 		if err != nil {
 			return nil, err
 		}
-		rf, rm, rn, err := r.floats()
+		rf, rm, rn, err := r.floats(job)
 		if err != nil {
 			return nil, err
 		}
@@ -114,11 +114,11 @@ func Arith(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		}
 		return withNulls(bat.FromFloats(out), nulls), nil
 	}
-	li, lm, ln, err := l.ints()
+	li, lm, ln, err := l.ints(job)
 	if err != nil {
 		return nil, err
 	}
-	ri, rm, rn, err := r.ints()
+	ri, rm, rn, err := r.ints(job)
 	if err != nil {
 		return nil, err
 	}
@@ -253,33 +253,33 @@ func Compare(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error
 	out := par.Vec[bool](job, n)
 	switch k {
 	case types.KindInt, types.KindOID:
-		li, lm, ln, err := l.ints()
+		li, lm, ln, err := l.ints(job)
 		if err != nil {
 			return nil, err
 		}
-		ri, rm, rn, err := r.ints()
+		ri, rm, rn, err := r.ints(job)
 		if err != nil {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
 		compareRows(job, o, li, lm, ri, rm, out)
 	case types.KindFloat:
-		lf, lm, ln, err := l.floats()
+		lf, lm, ln, err := l.floats(job)
 		if err != nil {
 			return nil, err
 		}
-		rf, rm, rn, err := r.floats()
+		rf, rm, rn, err := r.floats(job)
 		if err != nil {
 			return nil, err
 		}
 		nulls = orNulls(n, ln, rn)
 		compareRows(job, o, lf, lm, rf, rm, out)
 	case types.KindBool:
-		lb, lm, ln, err := l.boolsv()
+		lb, lm, ln, err := l.boolsv(job)
 		if err != nil {
 			return nil, err
 		}
-		rb, rm, rn, err := r.boolsv()
+		rb, rm, rn, err := r.boolsv(job)
 		if err != nil {
 			return nil, err
 		}
@@ -290,11 +290,11 @@ func Compare(job *par.Job, op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error
 			}
 		})
 	case types.KindStr:
-		ls, lm, ln, err := l.strsv()
+		ls, lm, ln, err := l.strsv(job)
 		if err != nil {
 			return nil, err
 		}
-		rs, rm, rn, err := r.strsv()
+		rs, rm, rn, err := r.strsv(job)
 		if err != nil {
 			return nil, err
 		}
@@ -371,11 +371,11 @@ func And(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
-	lb, lm, ln, err := l.boolsv()
+	lb, lm, ln, err := l.boolsv(job)
 	if err != nil {
 		return nil, err
 	}
-	rb, rm, rn, err := r.boolsv()
+	rb, rm, rn, err := r.boolsv(job)
 	if err != nil {
 		return nil, err
 	}
@@ -410,11 +410,11 @@ func Or(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
-	lb, lm, ln, err := l.boolsv()
+	lb, lm, ln, err := l.boolsv(job)
 	if err != nil {
 		return nil, err
 	}
-	rb, rm, rn, err := r.boolsv()
+	rb, rm, rn, err := r.boolsv(job)
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +443,7 @@ func Not(job *par.Job, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(job, cand, &x); err != nil {
 		return nil, err
 	}
-	xb, xm, xn, err := x.boolsv()
+	xb, xm, xn, err := x.boolsv(job)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +493,7 @@ func IfThenElse(job *par.Job, cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		return nil, err
 	}
 	n := cond.Len()
-	cb, cm, cn, err := cond.boolsv()
+	cb, cm, cn, err := cond.boolsv(job)
 	if err != nil {
 		return nil, err
 	}
@@ -521,12 +521,12 @@ func IfThenElse(job *par.Job, cond, a, b Opnd, cand *bat.BAT) (*bat.BAT, error) 
 // i comes from a where the condition cb[i&cm] is true and not NULL (cn),
 // from b otherwise, and is NULL when the picked branch is. mk wraps the
 // picked values in a column.
-func pickRows[T any](job *par.Job, n int, cb []bool, cm int, cn *bat.Bitmap, a, b func() ([]T, int, *bat.Bitmap, error), mk func([]T) *bat.BAT) (*bat.BAT, error) {
-	av, am, an, err := a()
+func pickRows[T any](job *par.Job, n int, cb []bool, cm int, cn *bat.Bitmap, a, b func(*par.Job) ([]T, int, *bat.Bitmap, error), mk func([]T) *bat.BAT) (*bat.BAT, error) {
+	av, am, an, err := a(job)
 	if err != nil {
 		return nil, err
 	}
-	bv, bm, bn, err := b()
+	bv, bm, bn, err := b(job)
 	if err != nil {
 		return nil, err
 	}
@@ -563,7 +563,7 @@ func UnaryNum(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 	switch op {
 	case "-", "abs":
 		if x.Kind() == types.KindFloat {
-			xf, xm, xn, err := x.floats()
+			xf, xm, xn, err := x.floats(job)
 			if err != nil {
 				return nil, err
 			}
@@ -579,7 +579,7 @@ func UnaryNum(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 			})
 			return withNulls(bat.FromFloats(out), xn.Clone()), nil
 		}
-		xi, xm, xn, err := x.ints()
+		xi, xm, xn, err := x.ints(job)
 		if err != nil {
 			return nil, err
 		}
@@ -595,7 +595,7 @@ func UnaryNum(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		})
 		return withNulls(bat.FromIntsOfKind(out, types.KindInt), xn.Clone()), nil
 	case "sqrt", "floor", "ceil", "exp", "log", "round":
-		xf, xm, xn, err := x.floats()
+		xf, xm, xn, err := x.floats(job)
 		if err != nil {
 			return nil, err
 		}
@@ -635,7 +635,7 @@ func UnaryNum(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		}
 		return withNulls(bat.FromFloats(out), xn.Clone()), nil
 	case "sign":
-		xf, xm, xn, err := x.floats()
+		xf, xm, xn, err := x.floats(job)
 		if err != nil {
 			return nil, err
 		}
@@ -668,11 +668,11 @@ func Power(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(job, cand, &l, &r); err != nil {
 		return nil, err
 	}
-	lf, lm, ln, err := l.floats()
+	lf, lm, ln, err := l.floats(job)
 	if err != nil {
 		return nil, err
 	}
-	rf, rm, rn, err := r.floats()
+	rf, rm, rn, err := r.floats(job)
 	if err != nil {
 		return nil, err
 	}
@@ -741,16 +741,16 @@ func castRows[T any](job *par.Job, x Opnd, k types.Kind, mk func([]T) *bat.BAT, 
 	n := x.Len()
 	switch from := x.Kind(); {
 	case (from == types.KindInt || from == types.KindOID) && fromInt != nil:
-		src, m, nulls, _ := x.ints()
+		src, m, nulls, _ := x.ints(job)
 		return castVec(job, n, src, m, nulls, mk, fromInt)
 	case from == types.KindFloat && fromFloat != nil:
-		src, m, nulls, _ := x.floats()
+		src, m, nulls, _ := x.floats(job)
 		return castVec(job, n, src, m, nulls, mk, fromFloat)
 	case from == types.KindBool && fromBool != nil:
-		src, m, nulls, _ := x.boolsv()
+		src, m, nulls, _ := x.boolsv(job)
 		return castVec(job, n, src, m, nulls, mk, fromBool)
 	case from == types.KindStr && fromStr != nil:
-		src, m, nulls, _ := x.strsv()
+		src, m, nulls, _ := x.strsv(job)
 		return castVec(job, n, src, m, nulls, mk, fromStr)
 	default:
 		return nil, fmt.Errorf("unsupported cast from %s to %s", from, k)
@@ -797,11 +797,11 @@ func Concat(job *par.Job, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 		return nil, err
 	}
 	n := l.Len()
-	ls, lm, ln, err := l.strsv()
+	ls, lm, ln, err := l.strsv(job)
 	if err != nil {
 		return nil, err
 	}
-	rs, rm, rn, err := r.strsv()
+	rs, rm, rn, err := r.strsv(job)
 	if err != nil {
 		return nil, err
 	}
@@ -820,7 +820,7 @@ func StrUnary(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 	if err := restrictTo(job, cand, &x); err != nil {
 		return nil, err
 	}
-	xs, xm, xn, err := x.strsv()
+	xs, xm, xn, err := x.strsv(job)
 	if err != nil {
 		return nil, err
 	}
@@ -858,15 +858,15 @@ func Substring(job *par.Job, x, start, length Opnd, cand *bat.BAT) (*bat.BAT, er
 		return nil, err
 	}
 	n := x.Len()
-	xs, xm, xn, err := x.strsv()
+	xs, xm, xn, err := x.strsv(job)
 	if err != nil {
 		return nil, err
 	}
-	si, sm, sn, err := start.ints()
+	si, sm, sn, err := start.ints(job)
 	if err != nil {
 		return nil, err
 	}
-	li, lm, lnn, err := length.ints()
+	li, lm, lnn, err := length.ints(job)
 	if err != nil {
 		return nil, err
 	}
@@ -904,11 +904,11 @@ func Like(job *par.Job, x, pattern Opnd, cand *bat.BAT) (*bat.BAT, error) {
 		return nil, err
 	}
 	n := x.Len()
-	xs, xm, xn, err := x.strsv()
+	xs, xm, xn, err := x.strsv(job)
 	if err != nil {
 		return nil, err
 	}
-	ps, pm, pn, err := pattern.strsv()
+	ps, pm, pn, err := pattern.strsv(job)
 	if err != nil {
 		return nil, err
 	}

@@ -96,14 +96,14 @@ func mapCand(job *par.Job, idx, cand *bat.BAT) (*bat.BAT, error) {
 // candSlice resolves a candidate list for position mapping: a void list
 // reads virtually as base+i (ints stays nil), an oid list through its
 // slice. Callers treat (nil, 0) as the identity mapping.
-func candSlice(cand *bat.BAT) (ints []int64, base int64) {
+func candSlice(job *par.Job, cand *bat.BAT) (ints []int64, base int64) {
 	if cand == nil {
 		return nil, 0
 	}
 	if cand.Kind() == types.KindVoid {
 		return nil, int64(cand.Seqbase())
 	}
-	return cand.DecodedInts(), 0
+	return cand.DecodedInts(job), 0
 }
 
 // checkCand validates the candidate-list argument kind.
@@ -140,7 +140,7 @@ func candInRange(cand *bat.BAT, n int) error {
 // intersecting with nil returns the other list. Two void runs intersect in
 // O(1) as a clipped virtual range. It is the merge primitive for candidate
 // lists produced by independently evaluated predicate branches.
-func AndCand(a, b *bat.BAT) *bat.BAT {
+func AndCand(job *par.Job, a, b *bat.BAT) *bat.BAT {
 	if a == nil {
 		return b
 	}
@@ -165,7 +165,7 @@ func AndCand(a, b *bat.BAT) *bat.BAT {
 			run, list = b, a
 		}
 		lo, hi := int64(run.Seqbase()), int64(run.Seqbase())+int64(run.Len())
-		ints := list.DecodedInts()
+		ints := list.DecodedInts(job)
 		s := sort.Search(len(ints), func(i int) bool { return ints[i] >= lo })
 		e := sort.Search(len(ints), func(i int) bool { return ints[i] >= hi })
 		if s >= e {
@@ -175,8 +175,8 @@ func AndCand(a, b *bat.BAT) *bat.BAT {
 		out.Sorted, out.Key = true, true
 		return out
 	}
-	ai, abase := candSlice(a)
-	bi, bbase := candSlice(b)
+	ai, abase := candSlice(job, a)
+	bi, bbase := candSlice(job, b)
 	na, nb := a.Len(), b.Len()
 	// Grow geometrically from a small seed (seedCap): a tiny intersection
 	// of two large lists must not pre-allocate half the input.
@@ -204,7 +204,7 @@ func AndCand(a, b *bat.BAT) *bat.BAT {
 // OrCand unions two candidate lists in one linear merge pass (sorted
 // unique output). nil means "all rows" and absorbs the other list. Two
 // void runs that overlap or touch union in O(1) as a virtual range.
-func OrCand(a, b *bat.BAT) *bat.BAT {
+func OrCand(job *par.Job, a, b *bat.BAT) *bat.BAT {
 	if a == nil || b == nil {
 		return nil
 	}
@@ -223,8 +223,8 @@ func OrCand(a, b *bat.BAT) *bat.BAT {
 			return bat.NewVoid(types.OID(lo), int(hi-lo))
 		}
 	}
-	ai, abase := candSlice(a)
-	bi, bbase := candSlice(b)
+	ai, abase := candSlice(job, a)
+	bi, bbase := candSlice(job, b)
 	na, nb := a.Len(), b.Len()
 	out := make([]int64, 0, na+nb)
 	i, j := 0, 0

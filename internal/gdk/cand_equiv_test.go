@@ -508,15 +508,15 @@ func TestCandMerge(t *testing.T) {
 		for v := range sb {
 			union[v] = true
 		}
-		checkSorted(fmt.Sprintf("and trial=%d", trial), AndCand(a, b), inter)
-		checkSorted(fmt.Sprintf("or trial=%d", trial), OrCand(a, b), union)
+		checkSorted(fmt.Sprintf("and trial=%d", trial), AndCand(nil, a, b), inter)
+		checkSorted(fmt.Sprintf("or trial=%d", trial), OrCand(nil, a, b), union)
 	}
 	// nil absorbs: nil = all rows.
 	some := bat.FromOIDs([]int64{1, 2, 3})
-	if AndCand(nil, some) != some || AndCand(some, nil) != some {
+	if AndCand(nil, nil, some) != some || AndCand(nil, some, nil) != some {
 		t.Error("AndCand with nil must return the other list")
 	}
-	if OrCand(nil, some) != nil || OrCand(some, nil) != nil {
+	if OrCand(nil, nil, some) != nil || OrCand(nil, some, nil) != nil {
 		t.Error("OrCand with nil must return nil (all rows)")
 	}
 }

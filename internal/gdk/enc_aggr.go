@@ -2,6 +2,7 @@ package gdk
 
 import (
 	"repro/internal/bat"
+	"repro/internal/par"
 )
 
 // Encoded-direct aggregation.
@@ -17,12 +18,12 @@ import (
 // encIntRunAggr computes sum/avg/min/max over sorted group ids for an
 // encoded NULL-free int column. ok is false for aggregates it does not
 // cover (callers fall back to the decoded run path).
-func encIntRunAggr(agg AggKind, vals *bat.BAT, gs []int64, ngroups int) (*bat.BAT, bool) {
+func encIntRunAggr(job *par.Job, agg AggKind, vals *bat.BAT, gs []int64, ngroups int) (*bat.BAT, bool) {
 	switch agg {
 	case AggSum, AggAvg:
 		sums := make([]int64, ngroups)
 		counts := make([]int64, ngroups)
-		encIntRunFold(vals, gs, func(g, v int64, cnt int) {
+		encIntRunFold(job, vals, gs, func(g, v int64, cnt int) {
 			sums[g] += v * int64(cnt)
 			counts[g] += int64(cnt)
 		})
@@ -43,7 +44,7 @@ func encIntRunAggr(agg AggKind, vals *bat.BAT, gs []int64, ngroups int) (*bat.BA
 	case AggMin, AggMax:
 		best := make([]int64, ngroups)
 		seen := make([]bool, ngroups)
-		encIntRunFold(vals, gs, func(g, v int64, cnt int) {
+		encIntRunFold(job, vals, gs, func(g, v int64, cnt int) {
 			if !seen[g] || (agg == AggMin && v < best[g]) || (agg == AggMax && v > best[g]) {
 				best[g] = v
 				seen[g] = true
@@ -60,10 +61,10 @@ func encIntRunAggr(agg AggKind, vals *bat.BAT, gs []int64, ngroups int) (*bat.BA
 // constant-(group, value) stretches: RLE slabs intersect their runs with
 // the group runs directly; other slabs decode into a reused scratch
 // buffer and emit row-wise.
-func encIntRunFold(vals *bat.BAT, gs []int64, emit func(g, v int64, cnt int)) {
+func encIntRunFold(job *par.Job, vals *bat.BAT, gs []int64, emit func(g, v int64, cnt int)) {
 	var scratch []int64
 	for s := 0; s < vals.NumSlabs(); s++ {
-		sv := vals.Slab(s)
+		sv := vals.Slab(job, s)
 		start := sv.Start()
 		if rv, lens, ok := sv.IntRuns(); ok {
 			p := start

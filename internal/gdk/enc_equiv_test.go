@@ -373,31 +373,31 @@ func TestEncKernelsTouchFewerBytes(t *testing.T) {
 	}
 	gids := encTwin(t, grp.GIDs, true)
 
-	touched := func(col *bat.BAT, fn func(*bat.BAT) error) int64 {
-		if err := fn(col); err != nil { // warm lazy builds (zonemaps, dict tables)
+	touched := func(col *bat.BAT, fn func(*par.Job, *bat.BAT) error) int64 {
+		if err := fn(nil, col); err != nil { // warm lazy builds (zonemaps, dict tables)
 			t.Fatal(err)
 		}
-		bat.ResetTouchedBytes()
-		if err := fn(col); err != nil {
+		job := par.NewJob(0, 0)
+		if err := fn(job, col); err != nil {
 			t.Fatal(err)
 		}
-		return bat.ResetTouchedBytes()
+		return job.Touched()
 	}
-	selectEq := func(v types.Value) func(*bat.BAT) error {
-		return func(c *bat.BAT) error {
-			_, err := ThetaSelect(nil, c, nil, v, "=")
+	selectEq := func(v types.Value) func(*par.Job, *bat.BAT) error {
+		return func(job *par.Job, c *bat.BAT) error {
+			_, err := ThetaSelect(job, c, nil, v, "=")
 			return err
 		}
 	}
 	for _, c := range []struct {
 		name  string
 		plain *bat.BAT
-		fn    func(*bat.BAT) error
+		fn    func(*par.Job, *bat.BAT) error
 	}{
 		{"rle select", runs, selectEq(types.Int(0))},
 		{"dict select", bat.FromStrings(labels), selectEq(types.Str("label-31"))},
-		{"rle grouped sum", runs, func(c *bat.BAT) error {
-			_, err := SubAggr(nil, AggSum, c, gids, grp.N, nil)
+		{"rle grouped sum", runs, func(job *par.Job, c *bat.BAT) error {
+			_, err := SubAggr(job, AggSum, c, gids, grp.N, nil)
 			return err
 		}},
 	} {

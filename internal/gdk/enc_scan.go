@@ -2,6 +2,7 @@ package gdk
 
 import (
 	"repro/internal/bat"
+	"repro/internal/par"
 )
 
 // Encoding-aware slab scanners for the zonemap skip-scan (stats.go).
@@ -24,7 +25,7 @@ import (
 
 // intSlabScanner returns the slab scan for integer interval membership
 // `(v >= lo && v <= hi) != negate` (thetaBounds' test, written for ints).
-func intSlabScanner(b *bat.BAT, lo, hi int64, negate bool) func(from, to int) (seg, bool) {
+func intSlabScanner(job *par.Job, b *bat.BAT, lo, hi int64, negate bool) func(from, to int) (seg, bool) {
 	var nulls *bat.Bitmap
 	if b.HasNulls() {
 		nulls = b.NullMask()
@@ -32,7 +33,7 @@ func intSlabScanner(b *bat.BAT, lo, hi int64, negate bool) func(from, to int) (s
 	var scratch []int64
 	var md []bool
 	return func(from, to int) (seg, bool) {
-		v := b.Slab(from / bat.SlabRows)
+		v := b.Slab(job, from/bat.SlabRows)
 		start := v.Start()
 		if nulls == nil {
 			if rv, lens, ok := v.IntRuns(); ok {
@@ -104,7 +105,7 @@ func intSlabScanner(b *bat.BAT, lo, hi int64, negate bool) func(from, to int) (s
 // floatSlabScanner is intSlabScanner for float columns, with thetaBounds'
 // test `(!(v < lo) && !(v > hi)) != negate`, under which NaN rows lie
 // inside every interval.
-func floatSlabScanner(b *bat.BAT, lo, hi float64, negate bool) func(from, to int) (seg, bool) {
+func floatSlabScanner(job *par.Job, b *bat.BAT, lo, hi float64, negate bool) func(from, to int) (seg, bool) {
 	ok := func(v float64) bool { return (!(v < lo) && !(v > hi)) != negate }
 	var nulls *bat.Bitmap
 	if b.HasNulls() {
@@ -112,7 +113,7 @@ func floatSlabScanner(b *bat.BAT, lo, hi float64, negate bool) func(from, to int
 	}
 	var scratch []float64
 	return func(from, to int) (seg, bool) {
-		v := b.Slab(from / bat.SlabRows)
+		v := b.Slab(job, from/bat.SlabRows)
 		start := v.Start()
 		if nulls == nil {
 			if rv, lens, rok := v.FloatRuns(); rok {

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -27,7 +28,7 @@ import (
 // constant is not a string, the op is unknown (the fallback owns the
 // error message), or the candidate list is materialised (output-
 // proportional already — the fallback's per-candidate probe wins).
-func encodedStrTheta(b, cand *bat.BAT, val types.Value, op string) (*bat.BAT, bool, error) {
+func encodedStrTheta(job *par.Job, b, cand *bat.BAT, val types.Value, op string) (*bat.BAT, bool, error) {
 	if b.Kind() != types.KindStr || !b.Encoded() || val.Kind() != types.KindStr {
 		return nil, false, nil
 	}
@@ -51,7 +52,7 @@ func encodedStrTheta(b, cand *bat.BAT, val types.Value, op string) (*bat.BAT, bo
 	var segs []seg
 	var md []bool
 	for s := wlo / bat.SlabRows; s < b.NumSlabs() && s*bat.SlabRows < whi; s++ {
-		v := b.Slab(s)
+		v := b.Slab(job, s)
 		start := v.Start()
 		from, to := start, start+v.Len()
 		if from < wlo {

@@ -69,11 +69,11 @@ func Group(job *par.Job, keys []*bat.BAT, cand *bat.BAT) (*GroupResult, error) {
 	// exploits).
 	if len(keys) == 1 && !keys[0].HasNulls() &&
 		(keys[0].Sorted || keys[0].SortedDesc) {
-		if res, ok := groupSortedRuns(keys[0]); ok {
+		if res, ok := groupSortedRuns(job, keys[0]); ok {
 			return res, nil
 		}
 	}
-	k := newRowKeys(keys)
+	k := newRowKeys(job, keys)
 	gids := make([]int64, n)
 	plan := par.NewPlan(job, n)
 
@@ -126,17 +126,17 @@ func groupResult(gids, extents []int64) *GroupResult {
 // bool (no typed comparison) and float, whose hash path keys on raw bits —
 // it puts -0.0 and 0.0 in different buckets where a value-equality run
 // would merge them, and bit-identity wins over the fast path.
-func groupSortedRuns(key *bat.BAT) (*GroupResult, bool) {
+func groupSortedRuns(job *par.Job, key *bat.BAT) (*GroupResult, bool) {
 	n := key.Len()
 	var same func(i int) bool // row i equals row i-1
 	switch key.Kind() {
 	case types.KindVoid:
 		same = func(int) bool { return false }
 	case types.KindInt, types.KindOID:
-		vals := key.DecodedInts()
+		vals := key.DecodedInts(job)
 		same = func(i int) bool { return vals[i] == vals[i-1] }
 	case types.KindStr:
-		vals := key.DecodedStrs()
+		vals := key.DecodedStrs(job)
 		same = func(i int) bool { return vals[i] == vals[i-1] }
 	default:
 		return nil, false

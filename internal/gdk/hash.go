@@ -51,22 +51,22 @@ type keyCol struct {
 	nulls *bat.BAT // the column itself when it holds a NULL, else nil
 }
 
-func newKeyCol(c *bat.BAT) keyCol {
+func newKeyCol(job *par.Job, c *bat.BAT) keyCol {
 	k := keyCol{}
 	if c.HasNulls() {
 		k.nulls = c
 	}
 	switch c.Kind() {
 	case types.KindInt, types.KindOID:
-		k.class, k.ints = keyInt, c.DecodedInts()
+		k.class, k.ints = keyInt, c.DecodedInts(job)
 	case types.KindVoid:
 		k.class, k.base = keyInt, int64(c.Seqbase())
 	case types.KindFloat:
-		k.class, k.flts = keyFloat, c.DecodedFloats()
+		k.class, k.flts = keyFloat, c.DecodedFloats(job)
 	case types.KindStr:
-		k.class, k.strs = keyStr, c.DecodedStrs()
+		k.class, k.strs = keyStr, c.DecodedStrs(job)
 	case types.KindBool:
-		k.class, k.bools = keyBool, c.DecodedBools()
+		k.class, k.bools = keyBool, c.DecodedBools(job)
 	}
 	return k
 }
@@ -129,10 +129,10 @@ type rowKeys struct {
 	ints  []int64 // the values of a lone NULL-free int key: the fast path
 }
 
-func newRowKeys(cols []*bat.BAT) *rowKeys {
+func newRowKeys(job *par.Job, cols []*bat.BAT) *rowKeys {
 	k := &rowKeys{cols: make([]keyCol, len(cols))}
 	for c, b := range cols {
-		k.cols[c] = newKeyCol(b)
+		k.cols[c] = newKeyCol(job, b)
 		k.nulls = k.nulls || k.cols[c].nulls != nil
 	}
 	if len(cols) == 1 && !k.nulls {

@@ -132,9 +132,9 @@ func MergeJoin(job *par.Job, l, r *bat.BAT) (lIdx, rIdx *bat.BAT, err error) {
 	}
 	var lout, rout []int64
 	if keyFamily(l.Kind()) == 1 {
-		lout, rout = mergeRuns(job, l.Len(), r.Len(), intAt(l), intAt(r))
+		lout, rout = mergeRuns(job, l.Len(), r.Len(), intAt(job, l), intAt(job, r))
 	} else {
-		lv, rv := l.DecodedStrs(), r.DecodedStrs()
+		lv, rv := l.DecodedStrs(job), r.DecodedStrs(job)
 		lout, rout = mergeRuns(job, l.Len(), r.Len(),
 			func(i int) string { return lv[i] }, func(i int) string { return rv[i] })
 	}
@@ -307,7 +307,7 @@ const joinSegPairs = 1 << 16
 func probeJoin(job *par.Job, lkeys, rkeys []*bat.BAT, outer bool) (*bat.BAT, *bat.BAT, error) {
 	// An inner join on a lone NULL-free int key on both sides takes the
 	// typed probe.
-	k, rk := newRowKeys(lkeys), newRowKeys(rkeys)
+	k, rk := newRowKeys(job, lkeys), newRowKeys(job, rkeys)
 	ints := !outer && k.ints != nil && rk.ints != nil
 	table := buildHashTable(job, rk, rkeys[0].Len(), ints)
 	if job.Canceled() {
@@ -413,7 +413,7 @@ func sortPairsByLeft(job *par.Job, l, r *bat.BAT, nl int) (*bat.BAT, *bat.BAT, e
 	if job.Canceled() {
 		return nil, nil, par.ErrCanceled
 	}
-	ls, rs := l.DecodedInts(), r.DecodedInts()
+	ls, rs := l.DecodedInts(job), r.DecodedInts(job)
 	start := make([]int64, nl+1)
 	for _, v := range ls {
 		start[v+1]++

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -93,13 +94,13 @@ func opndVec[T any](o Opnd, column func(*bat.BAT) ([]T, *bat.Bitmap, error), con
 // ints normalises the operand to an int64 slice, its index mask and its
 // null mask. OIDs and ints pass through; other kinds are an error
 // (callers promote first).
-func (o Opnd) ints() ([]int64, int, *bat.Bitmap, error) {
+func (o Opnd) ints(job *par.Job) ([]int64, int, *bat.Bitmap, error) {
 	return opndVec(o, func(b *bat.BAT) ([]int64, *bat.Bitmap, error) {
 		switch b.Kind() {
 		case types.KindInt, types.KindOID:
-			return b.DecodedInts(), b.NullMask(), nil
+			return b.DecodedInts(job), b.NullMask(), nil
 		case types.KindVoid:
-			return b.Materialize().DecodedInts(), nil, nil
+			return b.Materialize().DecodedInts(job), nil, nil
 		default:
 			return nil, nil, fmt.Errorf("gdk: expected integer column, got %s", b.Kind())
 		}
@@ -108,13 +109,13 @@ func (o Opnd) ints() ([]int64, int, *bat.Bitmap, error) {
 
 // floats normalises the operand to a float64 slice, its index mask and
 // its null mask, converting integer operands.
-func (o Opnd) floats() ([]float64, int, *bat.Bitmap, error) {
+func (o Opnd) floats(job *par.Job) ([]float64, int, *bat.Bitmap, error) {
 	return opndVec(o, func(b *bat.BAT) ([]float64, *bat.Bitmap, error) {
 		switch b.Kind() {
 		case types.KindFloat:
-			return b.DecodedFloats(), b.NullMask(), nil
+			return b.DecodedFloats(job), b.NullMask(), nil
 		case types.KindInt, types.KindOID:
-			src := b.DecodedInts()
+			src := b.DecodedInts(job)
 			out := make([]float64, len(src))
 			for i, v := range src {
 				out[i] = float64(v)
@@ -134,12 +135,12 @@ func (o Opnd) floats() ([]float64, int, *bat.Bitmap, error) {
 
 // boolsv normalises the operand to a bool slice, its index mask and its
 // null mask.
-func (o Opnd) boolsv() ([]bool, int, *bat.Bitmap, error) {
+func (o Opnd) boolsv(job *par.Job) ([]bool, int, *bat.Bitmap, error) {
 	return opndVec(o, func(b *bat.BAT) ([]bool, *bat.Bitmap, error) {
 		if b.Kind() != types.KindBool {
 			return nil, nil, fmt.Errorf("gdk: expected boolean column, got %s", b.Kind())
 		}
-		return b.DecodedBools(), b.NullMask(), nil
+		return b.DecodedBools(job), b.NullMask(), nil
 	}, func(v types.Value) (bool, error) {
 		if v.Kind() != types.KindBool {
 			return false, fmt.Errorf("gdk: expected boolean constant, got %s", v.Kind())
@@ -150,12 +151,12 @@ func (o Opnd) boolsv() ([]bool, int, *bat.Bitmap, error) {
 
 // strsv normalises the operand to a string slice, its index mask and its
 // null mask.
-func (o Opnd) strsv() ([]string, int, *bat.Bitmap, error) {
+func (o Opnd) strsv(job *par.Job) ([]string, int, *bat.Bitmap, error) {
 	return opndVec(o, func(b *bat.BAT) ([]string, *bat.Bitmap, error) {
 		if b.Kind() != types.KindStr {
 			return nil, nil, fmt.Errorf("gdk: expected string column, got %s", b.Kind())
 		}
-		return b.DecodedStrs(), b.NullMask(), nil
+		return b.DecodedStrs(job), b.NullMask(), nil
 	}, func(v types.Value) (string, error) {
 		if v.Kind() != types.KindStr {
 			return "", fmt.Errorf("gdk: expected string constant, got %s", v.Kind())

@@ -379,7 +379,7 @@ func TestParEquivTileSAT(t *testing.T) {
 // call), hashing and comparing rows must not allocate.
 func TestParEquivHashZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	k := newRowKeys([]*bat.BAT{mkInts(rng, 1024), mkFloats(rng, 1024), mkStrs(rng, 1024)})
+	k := newRowKeys(nil, []*bat.BAT{mkInts(rng, 1024), mkFloats(rng, 1024), mkStrs(rng, 1024)})
 	allocs := testing.AllocsPerRun(1000, func() {
 		k.hash(512)
 		k.hasNull(512)

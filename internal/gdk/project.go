@@ -45,22 +45,22 @@ func Project(job *par.Job, idx, b *bat.BAT) (*bat.BAT, error) {
 	var fill func(i, j int) // copy source row j to output row i (non-NULL)
 	switch b.Kind() {
 	case types.KindInt, types.KindOID:
-		src := b.DecodedInts()
+		src := b.DecodedInts(job)
 		dst := outVec[int64](job, n, mayNull)
 		out = bat.FromIntsOfKind(dst, b.ValueKind())
 		fill = func(i, j int) { dst[i] = src[j] }
 	case types.KindFloat:
-		src := b.DecodedFloats()
+		src := b.DecodedFloats(job)
 		dst := outVec[float64](job, n, mayNull)
 		out = bat.FromFloats(dst)
 		fill = func(i, j int) { dst[i] = src[j] }
 	case types.KindBool:
-		src := b.DecodedBools()
+		src := b.DecodedBools(job)
 		dst := outVec[bool](job, n, mayNull)
 		out = bat.FromBools(dst)
 		fill = func(i, j int) { dst[i] = src[j] }
 	case types.KindStr:
-		src := b.DecodedStrs()
+		src := b.DecodedStrs(job)
 		dst := make([]string, n)
 		out = bat.FromStrings(dst)
 		fill = func(i, j int) { dst[i] = src[j] }

@@ -60,8 +60,8 @@ func SelectBool(job *par.Job, cond, cand *bat.BAT) (*bat.BAT, error) {
 	if cand != nil && cand.Len() != cond.Len() {
 		return nil, fmt.Errorf("gdk: select condition not aligned with candidate list: %d vs %d", cond.Len(), cand.Len())
 	}
-	vals := cond.DecodedBools()
-	co, cbase := candSlice(cand)
+	vals := cond.DecodedBools(job)
+	co, cbase := candSlice(job, cand)
 	var out []int64
 	if cond.HasNulls() {
 		out = gatherOIDs(job, len(vals), func(lo, hi int, dst []int64) []int64 {
@@ -105,7 +105,7 @@ func ThetaSelect(job *par.Job, b *bat.BAT, cand *bat.BAT, val types.Value, op st
 	}
 	// Property fast paths: bound pruning, sorted binary search, zonemap
 	// skip-scan (see stats.go). Bit-identical to the scans below.
-	if fast, handled := statsThetaSelect(b, cand, val, op); handled {
+	if fast, handled := statsThetaSelect(job, b, cand, val, op); handled {
 		return fast, nil
 	}
 	switch b.ValueKind() {
@@ -115,24 +115,24 @@ func ThetaSelect(job *par.Job, b *bat.BAT, cand *bat.BAT, val types.Value, op st
 			return nil, err
 		}
 		lo, hi, neg := thetaBounds(o, w, math.MinInt64, math.MaxInt64)
-		return boundsSelect(job, intVals(b), b, cand, lo, hi, neg)
+		return boundsSelect(job, intVals(job, b), b, cand, lo, hi, neg)
 	case types.KindFloat:
 		w, err := val.AsFloat()
 		if err != nil {
 			return nil, err
 		}
 		lo, hi, neg := thetaBounds(o, w, math.Inf(-1), math.Inf(1))
-		return boundsSelect(job, b.DecodedFloats(), b, cand, lo, hi, neg)
+		return boundsSelect(job, b.DecodedFloats(job), b, cand, lo, hi, neg)
 	}
 	// Dictionary-encoded string slabs evaluate the predicate once per
 	// distinct value, then scan codes (see enc_select.go). Bit-identical
 	// to the scan below.
-	if fast, handled, err := encodedStrTheta(b, cand, val, op); err != nil {
+	if fast, handled, err := encodedStrTheta(job, b, cand, val, op); err != nil {
 		return nil, err
 	} else if handled {
 		return fast, nil
 	}
-	return testSelect(job, b, cand, thetaTest(b, val, o))
+	return testSelect(job, b, cand, thetaTest(job, b, val, o))
 }
 
 // thetaBounds rewrites `v op w` under the engine's three-way comparison,
@@ -170,7 +170,7 @@ func boundsSelect[T int64 | float64](job *par.Job, vals []T, b, cand *bat.BAT, l
 	if b.HasNulls() {
 		nulls = b.NullMask()
 	}
-	rows, base := candSlice(cand)
+	rows, base := candSlice(job, cand)
 	n := len(vals)
 	if cand != nil {
 		n = cand.Len()
@@ -228,13 +228,13 @@ func bit(b bool) uint8 {
 // thetaTest compiles the per-row predicate for a string, bool or other
 // non-numeric column b against val under o; int and float columns take
 // boundsSelect instead.
-func thetaTest(b *bat.BAT, val types.Value, o cmpOp) func(int) bool {
+func thetaTest(job *par.Job, b *bat.BAT, val types.Value, o cmpOp) func(int) bool {
 	if b.ValueKind() == types.KindStr {
 		// Value.Compare on a string column value is strings.Compare against
 		// val's string payload ("" for non-string vals), so this is
 		// bit-identical to the Get path below.
 		want := val.StrVal()
-		vals := b.DecodedStrs()
+		vals := b.DecodedStrs(job)
 		return func(i int) bool {
 			return o.ok(strings.Compare(vals[i], want))
 		}
@@ -247,7 +247,7 @@ func thetaTest(b *bat.BAT, val types.Value, o cmpOp) func(int) bool {
 // testSelect is the scan of ThetaSelect and RangeSelect over the other
 // kinds: the non-NULL candidate rows of b that satisfy test.
 func testSelect(job *par.Job, b, cand *bat.BAT, test func(int) bool) (*bat.BAT, error) {
-	rows, base := candSlice(cand)
+	rows, base := candSlice(job, cand)
 	n := b.Len()
 	if cand != nil {
 		n = cand.Len()
@@ -281,7 +281,7 @@ func RangeSelect(job *par.Job, b *bat.BAT, cand *bat.BAT, lo, hi types.Value) (*
 		return nil, err
 	}
 	// Property fast paths (see stats.go); bit-identical to the scans below.
-	if fast, handled := statsRangeSelect(b, cand, lo, hi); handled {
+	if fast, handled := statsRangeSelect(job, b, cand, lo, hi); handled {
 		return fast, nil
 	}
 	switch b.ValueKind() {
@@ -294,7 +294,7 @@ func RangeSelect(job *par.Job, b *bat.BAT, cand *bat.BAT, lo, hi types.Value) (*
 		if err != nil {
 			return nil, err
 		}
-		return boundsSelect(job, intVals(b), b, cand, l, h, false)
+		return boundsSelect(job, intVals(job, b), b, cand, l, h, false)
 	case types.KindFloat:
 		l, err := lo.AsFloat()
 		if err != nil {
@@ -304,9 +304,9 @@ func RangeSelect(job *par.Job, b *bat.BAT, cand *bat.BAT, lo, hi types.Value) (*
 		if err != nil {
 			return nil, err
 		}
-		return boundsSelect(job, b.DecodedFloats(), b, cand, l, h, false)
+		return boundsSelect(job, b.DecodedFloats(job), b, cand, l, h, false)
 	}
-	ge, le := thetaTest(b, lo, cmpGe), thetaTest(b, hi, cmpLe)
+	ge, le := thetaTest(job, b, lo, cmpGe), thetaTest(job, b, hi, cmpLe)
 	return testSelect(job, b, cand, func(i int) bool { return ge(i) && le(i) })
 }
 
@@ -335,7 +335,7 @@ func SelectNonNull(job *par.Job, b, cand *bat.BAT) (*bat.BAT, error) {
 			return dst
 		})
 	} else {
-		co, cbase := candSlice(cand)
+		co, cbase := candSlice(job, cand)
 		out = gatherOIDs(job, cand.Len(), func(lo, hi int, dst []int64) []int64 {
 			for c := lo; c < hi; c++ {
 				i := candAt(co, cbase, c)

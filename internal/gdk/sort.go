@@ -50,7 +50,7 @@ func OrderIdx(job *par.Job, keys []*bat.BAT, specs []SortSpec, limit int) (idx *
 	}
 	sks := make([]sortKey, len(keys))
 	for i, k := range keys {
-		sks[i] = sortKey{col: newKeyCol(k), desc: specs[i].Desc}
+		sks[i] = sortKey{col: newKeyCol(job, k), desc: specs[i].Desc}
 	}
 	if len(sks) == 1 && sks[0].col.class != keyStr {
 		order := sks[0].order(job, n, limit)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -135,10 +136,10 @@ func statsWant(b *bat.BAT, val types.Value) (wi int64, wf float64, isInt, ok boo
 
 // intAt returns an accessor for the integer interpretation of a void/int/
 // oid column (nil for other kinds).
-func intAt(b *bat.BAT) func(int) int64 {
+func intAt(job *par.Job, b *bat.BAT) func(int) int64 {
 	switch b.Kind() {
 	case types.KindInt, types.KindOID:
-		vals := b.DecodedInts()
+		vals := b.DecodedInts(job)
 		return func(i int) int64 { return vals[i] }
 	case types.KindVoid:
 		base := int64(b.Seqbase())
@@ -197,7 +198,7 @@ func sortedRangeRun[T int64 | float64](n int, at func(int) T, asc bool, lo, hi T
 
 // runCand turns the index run [lo, hi) into a candidate result clipped to
 // the candidate list.
-func runCand(lo, hi int, cand *bat.BAT) *bat.BAT {
+func runCand(job *par.Job, lo, hi int, cand *bat.BAT) *bat.BAT {
 	if hi <= lo {
 		return emptyCand()
 	}
@@ -205,7 +206,7 @@ func runCand(lo, hi int, cand *bat.BAT) *bat.BAT {
 	if cand == nil {
 		return run
 	}
-	return AndCand(run, cand)
+	return AndCand(job, run, cand)
 }
 
 // sortedDirection resolves the usable order claim of a column. When
@@ -399,7 +400,7 @@ func zonemapScan(zm *bat.Zonemap, wlo, whi int, classify func(s int) slabClass, 
 // statsThetaSelect is the fast-path front of ThetaSelect. handled reports
 // whether a result was produced; the caller falls back to the plain scan
 // otherwise.
-func statsThetaSelect(b, cand *bat.BAT, val types.Value, op string) (out *bat.BAT, handled bool) {
+func statsThetaSelect(job *par.Job, b, cand *bat.BAT, val types.Value, op string) (out *bat.BAT, handled bool) {
 	o, err := cmpOpOf(op)
 	if err != nil {
 		return nil, false
@@ -432,7 +433,7 @@ func statsThetaSelect(b, cand *bat.BAT, val types.Value, op string) (out *bat.BA
 		case class == slabNone:
 			return emptyCand(), true
 		case class == slabAll && !b.HasNulls():
-			return runCand(0, n, cand), true
+			return runCand(job, 0, n, cand), true
 		}
 	}
 
@@ -450,15 +451,15 @@ func statsThetaSelect(b, cand *bat.BAT, val types.Value, op string) (out *bat.BA
 			var lo, hi int
 			var rok bool
 			if isInt {
-				if at := intAt(b); at != nil {
+				if at := intAt(job, b); at != nil {
 					lo, hi, rok = sortedRun(n, at, asc, o, wi)
 				}
 			} else {
-				vals := b.DecodedFloats()
+				vals := b.DecodedFloats(job)
 				lo, hi, rok = sortedRun(n, func(i int) float64 { return vals[i] }, asc, o, wf)
 			}
 			if rok {
-				return runCand(lo, hi, cand), true
+				return runCand(job, lo, hi, cand), true
 			}
 		}
 	}
@@ -477,12 +478,12 @@ func statsThetaSelect(b, cand *bat.BAT, val types.Value, op string) (out *bat.BA
 		ilo, ihi, neg := thetaBounds(o, wi, math.MinInt64, math.MaxInt64)
 		res, zok = zonemapScan(zm, wlo, whi,
 			func(s int) slabClass { return classifyTheta(o, wi, zm.MinI[s], zm.MaxI[s]) },
-			intSlabScanner(b, ilo, ihi, neg))
+			intSlabScanner(job, b, ilo, ihi, neg))
 	} else {
 		flo, fhi, neg := thetaBounds(o, wf, math.Inf(-1), math.Inf(1))
 		res, zok = zonemapScan(zm, wlo, whi,
 			func(s int) slabClass { return classifyTheta(o, wf, zm.MinF[s], zm.MaxF[s]) },
-			floatSlabScanner(b, flo, fhi, neg))
+			floatSlabScanner(job, b, flo, fhi, neg))
 	}
 	if !zok {
 		return nil, false
@@ -492,7 +493,7 @@ func statsThetaSelect(b, cand *bat.BAT, val types.Value, op string) (out *bat.BA
 
 // statsRangeSelect is the fast-path front of RangeSelect (inclusive
 // BETWEEN bounds).
-func statsRangeSelect(b, cand *bat.BAT, lo, hi types.Value) (out *bat.BAT, handled bool) {
+func statsRangeSelect(job *par.Job, b, cand *bat.BAT, lo, hi types.Value) (out *bat.BAT, handled bool) {
 	li, lf, lInt, ok1 := statsWant(b, lo)
 	hiI, hiF, _, ok2 := statsWant(b, hi)
 	if !ok1 || !ok2 {
@@ -519,7 +520,7 @@ func statsRangeSelect(b, cand *bat.BAT, lo, hi types.Value) (out *bat.BAT, handl
 		case class == slabNone:
 			return emptyCand(), true
 		case class == slabAll && !b.HasNulls():
-			return runCand(0, n, cand), true
+			return runCand(job, 0, n, cand), true
 		}
 	}
 
@@ -532,14 +533,14 @@ func statsRangeSelect(b, cand *bat.BAT, lo, hi types.Value) (out *bat.BAT, handl
 	if !b.HasNulls() {
 		if asc, sok := sortedDirection(b, eligibleZM && denseWindow); sok {
 			if lInt {
-				if at := intAt(b); at != nil {
+				if at := intAt(job, b); at != nil {
 					s, e := sortedRangeRun(n, at, asc, li, hiI)
-					return runCand(s, e, cand), true
+					return runCand(job, s, e, cand), true
 				}
 			} else {
-				vals := b.DecodedFloats()
+				vals := b.DecodedFloats(job)
 				s, e := sortedRangeRun(n, func(i int) float64 { return vals[i] }, asc, lf, hiF)
-				return runCand(s, e, cand), true
+				return runCand(job, s, e, cand), true
 			}
 		}
 	}
@@ -556,11 +557,11 @@ func statsRangeSelect(b, cand *bat.BAT, lo, hi types.Value) (out *bat.BAT, handl
 	if lInt {
 		res, zok = zonemapScan(zm, wlo, whi,
 			func(s int) slabClass { return classifyRange(li, hiI, zm.MinI[s], zm.MaxI[s]) },
-			intSlabScanner(b, li, hiI, false))
+			intSlabScanner(job, b, li, hiI, false))
 	} else {
 		res, zok = zonemapScan(zm, wlo, whi,
 			func(s int) slabClass { return classifyRange(lf, hiF, zm.MinF[s], zm.MaxF[s]) },
-			floatSlabScanner(b, lf, hiF, false))
+			floatSlabScanner(job, b, lf, hiF, false))
 	}
 	if !zok {
 		return nil, false

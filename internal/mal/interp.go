@@ -459,9 +459,9 @@ func (c *Ctx) algebraCand(in *Instr) error {
 		return err
 	}
 	if in.Fn == "candand" {
-		c.Vars[in.Rets[0]] = gdk.AndCand(a, b)
+		c.Vars[in.Rets[0]] = gdk.AndCand(c.job, a, b)
 	} else {
-		c.Vars[in.Rets[0]] = gdk.OrCand(a, b)
+		c.Vars[in.Rets[0]] = gdk.OrCand(c.job, a, b)
 	}
 	return nil
 }

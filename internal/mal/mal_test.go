@@ -299,7 +299,7 @@ func TestRunRecyclesDeadIntermediates(t *testing.T) {
 	prog := compileQuery(t, cat, `SELECT [x], [y], ABS(v - img[x-1][y].v) + ABS(v - img[x][y-1].v) FROM img`)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ctx, err := Run(context.Background(), prog, par.NewJob(1, 0), nil)
+	ctx, err := Run(prog, Env{Job: par.NewJob(1, 0)})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync/atomic"
@@ -21,20 +22,24 @@ import (
 // workers one kernel call engages, the caller included) and its cutoff
 // (the row count below which a kernel stays serial). Both are set when
 // the job is made, so two queries running side by side can differ, and
-// nothing a concurrent query does changes a running query's plans.
+// nothing a concurrent query does changes a running query's plans. The
+// job carries the query's context too (WithContext), which the MAL
+// interpreter wires to the job's flag.
 
 // ErrCanceled is returned by Run/Do variants when the plan's Job was
 // cancelled. The MAL interpreter maps it back to the context error.
 var ErrCanceled = errors.New("par: execution canceled")
 
-// Job is one query's execution scope: its parallel shape, its
-// cancellation flag and, while a MAL program runs on it, that run's free
-// list (free.go).
+// Job is one query's execution scope: its parallel shape, its context
+// and cancellation flag, the bytes its column scans touched and, while a
+// MAL program runs on it, that run's free list (free.go).
 type Job struct {
+	ctx      context.Context
 	canceled atomic.Bool
 	workers  int
 	minRows  int
 	free     *Free
+	touched  atomic.Int64
 
 	// cancelAt, when positive, is the poll at which the job cancels
 	// itself (CancelAtPoll); polls counts the checks so far.
@@ -54,6 +59,35 @@ func NewJob(width, cutoff int) *Job {
 	}
 	return &Job{workers: width, minRows: cutoff}
 }
+
+// WithContext makes ctx the job's context and returns the job. Call it
+// before the job is handed to any kernel.
+func (j *Job) WithContext(ctx context.Context) *Job {
+	j.ctx = ctx
+	return j
+}
+
+// Context returns the job's context (Background when it has none).
+func (j *Job) Context() context.Context {
+	if j == nil || j.ctx == nil {
+		return context.Background()
+	}
+	return j.ctx
+}
+
+// Err returns the job's context error.
+func (j *Job) Err() error { return j.Context().Err() }
+
+// Touch charges n bytes of column scan traffic to the job (bat's
+// accessors call it); a nil job charges nothing.
+func (j *Job) Touch(n int64) {
+	if j != nil {
+		j.touched.Add(n)
+	}
+}
+
+// Touched returns the scan bytes charged to the job so far.
+func (j *Job) Touched() int64 { return j.touched.Load() }
 
 // width returns the job's parallel width; a nil job's is GOMAXPROCS.
 func (j *Job) width() int {

@@ -67,7 +67,7 @@ var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 5, BaseDelay: 25 * time.Millis
 
 // Client talks to one sciqld server. The zero session value runs every
 // batch on an ephemeral autocommit session; NewSession switches to a
-// named server-side session (transactions, prepared statements). A Client
+// named server-side session (transactions). A Client
 // is safe for concurrent use; concurrent queries on a *named* session
 // serialise server-side.
 type Client struct {

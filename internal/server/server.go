@@ -6,7 +6,7 @@
 // kinds on one socket.
 //
 // Every connection (and every named HTTP session) owns a core.Session, so
-// transactions and prepared statements are per-client while reads from all
+// transactions are per-client while reads from all
 // sessions execute in parallel against the engine's published snapshots.
 // A bounded worker pool admits statements: when all workers are busy new
 // statements queue, and beyond a depth limit the server sheds load with a
@@ -315,7 +315,7 @@ func (s *Server) queryCtx(parent context.Context) (context.Context, context.Canc
 type queryRequest struct {
 	Query string `json:"query"`
 	// Session pins the statement to a named session created via
-	// POST /session (transactions, prepared statements). Empty runs the
+	// POST /session (transactions). Empty runs the
 	// statement on an ephemeral autocommit session.
 	Session string `json:"session,omitempty"`
 }

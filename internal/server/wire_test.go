@@ -316,7 +316,7 @@ func finite(results []*core.Result) bool {
 			if col.Kind() != types.KindFloat {
 				continue
 			}
-			for i, v := range col.DecodedFloats() {
+			for i, v := range col.DecodedFloats(nil) {
 				if !col.IsNull(i) && (math.IsNaN(v) || math.IsInf(v, 0)) {
 					return false
 				}

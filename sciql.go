@@ -36,8 +36,11 @@ import (
 	"repro/internal/types"
 )
 
-// DB is a SciQL database handle. See core.DB for the full method set:
-// Exec, Query, MustQuery, Save, Close, Catalog.
+// DB is a SciQL database handle. Exec, ExecContext, Query, QueryContext
+// and MustQuery run statement text on its default session, NewSession
+// opens another session, and Save, Close, Catalog and Snapshot manage the
+// store; core.DB has the full method set (replication, bulk loads,
+// statistics).
 type DB = core.DB
 
 // Result is the outcome of a statement; array-valued results carry a
