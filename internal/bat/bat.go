@@ -12,6 +12,7 @@ package bat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/types"
@@ -598,11 +599,21 @@ func sameStorage(k, v types.Kind) bool {
 // may flip NULL bits (it keeps the original mask) without the frozen copy
 // observing anything. Both sides are marked shared: an in-place overwrite
 // of a visible row must go through Writable, which clones the data first.
+//
+// The copy's slices end at its row count, so an append to the copy
+// itself — a ROLLBACK installs frozen copies as live objects —
+// reallocates instead of writing into storage the original still shows.
+// An already-shared original is left untouched: it may be a published
+// BAT that readers are reading concurrently.
 func (b *BAT) Freeze() *BAT {
 	f := *b
+	f.ints, f.floats = slices.Clip(b.ints), slices.Clip(b.floats)
+	f.bools, f.strs = slices.Clip(b.bools), slices.Clip(b.strs)
 	f.nulls = b.nulls.Clone()
 	f.shared = true
-	b.shared = true
+	if !b.shared {
+		b.shared = true
+	}
 	// The frozen copy gets its own zonemap cache: it has a fixed row count
 	// while the original may keep appending, and sharing one cache would
 	// make the two sides rebuild it from each other's hands. The box is

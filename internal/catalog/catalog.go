@@ -25,7 +25,8 @@ type Column struct {
 }
 
 // Table is a relational table stored column-wise: one BAT per column plus a
-// deletion mask (deleted rows linger until vacuum).
+// deletion mask. Deleted rows keep their storage for the table's lifetime:
+// nothing compacts them, and checkpoints persist them with the mask.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -342,14 +343,13 @@ func (c *Catalog) ArrayNames() []string {
 // NewArray materialises a fresh array: dimension BATs via array.series and
 // attribute BATs via array.filler with each attribute's default (Fig. 3).
 func NewArray(name string, sh shape.Shape, attrs []Column, unbounded []bool) (*Array, error) {
-	for k, d := range sh {
+	for _, d := range sh {
 		if d.Step == 0 {
 			return nil, fmt.Errorf("dimension %q: step must be non-zero", d.Name)
 		}
 		if d.N() < 0 {
 			return nil, fmt.Errorf("dimension %q: empty range", d.Name)
 		}
-		_ = k
 	}
 	a := &Array{Name: normalize(name), Shape: sh, Attrs: attrs, Unbounded: unbounded}
 	if err := a.RebuildDims(); err != nil {

@@ -61,7 +61,7 @@ func (db *DB) bulkSetAttrIntsLocked(array, attr string, data []int64) (*commitRe
 // setAttr is the mutation of a bulk load, shared with WAL replay: col
 // replaces attribute ai outright.
 func (db *DB) setAttr(a *catalog.Array, ai int, col *bat.BAT) {
-	db.noteModifyArray(a)
+	db.modify(a.Name, &a.Mod)
 	a.AttrBats[ai] = col
 }
 

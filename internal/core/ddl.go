@@ -162,7 +162,7 @@ func (db *DB) addTable(t *catalog.Table) error {
 	if err := db.cat.AddTable(t); err != nil {
 		return err
 	}
-	db.noteCreate(t.Name)
+	db.touch(t.Name)
 	return nil
 }
 
@@ -172,7 +172,7 @@ func (db *DB) addArray(a *catalog.Array) error {
 	if err := db.cat.AddArray(a); err != nil {
 		return err
 	}
-	db.noteCreate(a.Name)
+	db.touch(a.Name)
 	return nil
 }
 
@@ -205,20 +205,15 @@ func (db *DB) drop(s *ast.Drop) (*Result, error) {
 // dropObject is the mutation of DROP TABLE / DROP ARRAY, shared with WAL
 // replay.
 func (db *DB) dropObject(name string, isArray bool) error {
+	drop := db.cat.DropTable
 	if isArray {
-		a, ok := db.cat.Array(name)
-		if !ok {
-			return fmt.Errorf("no such array: %q", name)
-		}
-		db.noteDropArray(a)
-		return db.cat.DropArray(name)
+		drop = db.cat.DropArray
 	}
-	t, ok := db.cat.Table(name)
-	if !ok {
-		return fmt.Errorf("no such table: %q", name)
+	if err := drop(name); err != nil {
+		return err
 	}
-	db.noteDropTable(t)
-	return db.cat.DropTable(name)
+	db.touch(name)
+	return nil
 }
 
 // alterDimension implements ALTER ARRAY a ALTER DIMENSION d SET RANGE:

@@ -150,7 +150,7 @@ func (db *DB) stageTableInsert(q *stmt, b *rel.Binder, t *catalog.Table, s *ast.
 // land beyond every published snapshot's frozen row count, so no
 // copy-on-write is needed.
 func (db *DB) appendRows(t *catalog.Table, cols []*bat.BAT) error {
-	db.noteModifyTable(t)
+	db.modify(t.Name, &t.Mod)
 	for i, col := range cols {
 		// INSERT INTO t SELECT ... FROM t staged against the live catalog
 		// (inside a transaction, or staged again after a conflict): append
@@ -455,7 +455,7 @@ func (db *DB) applyArrayWrite(q *stmt, a *catalog.Array, w *arrayWrite) (*Result
 // cloned first (copy-on-write); concurrent readers keep their frozen
 // version.
 func (db *DB) writeCells(q *stmt, a *catalog.Array, w *arrayWrite) (bool, error) {
-	db.noteModifyArray(a)
+	db.modify(a.Name, &a.Mod)
 	reshaped := !a.Shape.Equal(w.shape)
 	if reshaped {
 		if err := reshapeArray(q.job, a, w.shape); err != nil {
@@ -651,10 +651,12 @@ func setCols(w *rel.Write) []int {
 // UPDATE overwrites column sets[k] with vals[k] at pos.
 func (db *DB) writeTable(t *catalog.Table, del bool, pos, sets []int, vals []*bat.BAT) error {
 	if !del {
-		db.noteModifyTable(t)
+		db.modify(t.Name, &t.Mod)
 		return overwrite(t.Bats, sets, vals, pos)
 	}
-	db.noteDeleteTable(t)
+	// The segment files still match: only the manifest changes.
+	db.stampMod(&t.Mod)
+	db.touchMeta(t.Name)
 	if t.Deleted == nil {
 		t.Deleted = bat.NewBitmap(t.PhysRows())
 	}
@@ -669,7 +671,7 @@ func (db *DB) writeTable(t *catalog.Table, del bool, pos, sets []int, vals []*ba
 // statement creates holes") in place: Freeze deep-clones null masks, so
 // the flips never reach a published snapshot.
 func (db *DB) writeArray(a *catalog.Array, del bool, pos, sets []int, vals []*bat.BAT) error {
-	db.noteModifyArray(a)
+	db.modify(a.Name, &a.Mod)
 	if !del {
 		return overwrite(a.AttrBats, sets, vals, pos)
 	}

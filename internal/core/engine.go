@@ -113,8 +113,7 @@ type DB struct {
 	// under mu.
 	modSeq uint64
 
-	txn      *txn     // open explicit transaction, nil in autocommit
-	txnOwner *Session // session holding the open transaction
+	txn *txn // open explicit transaction, nil in autocommit
 
 	session *Session // default session used by the DB-level Exec/Query
 
@@ -188,14 +187,7 @@ func OpenDB(dir string, o OpenOptions) (*DB, error) {
 		return nil, err
 	}
 	// Publish the recovered state as the first snapshot.
-	for _, n := range db.cat.TableNames() {
-		db.dirty[n] = struct{}{}
-	}
-	for _, n := range db.cat.ArrayNames() {
-		db.dirty[n] = struct{}{}
-	}
-	db.view.Store(catalog.New())
-	db.publishLocked()
+	db.publishAllLocked()
 	// A recovered log past the threshold is folded immediately so the
 	// next open does not pay the same replay again. Read-only and
 	// replica opens never checkpoint (maybeCheckpointLocked refuses).
@@ -289,11 +281,7 @@ func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.txn != nil {
-		db.txn.rollback(db)
-		db.txn = nil
-		db.txnOwner = nil
-		db.discardWALPending()
-		db.publishLocked()
+		db.rollbackLocked()
 	}
 	if db.dir == "" {
 		return nil
@@ -405,7 +393,7 @@ func (db *DB) exec(q *stmt, s ast.Statement) (res *Result, err error) {
 	switch s.(type) {
 	case *ast.Select, *ast.Explain:
 		db.mu.RLock()
-		inTxn := db.txn != nil && db.txnOwner == q.sess
+		inTxn := db.inTxn(q.sess)
 		q.cat = db.view.Load()
 		db.mu.RUnlock()
 		if !inTxn {
@@ -453,7 +441,7 @@ func (db *DB) exec(q *stmt, s ast.Statement) (res *Result, err error) {
 func (db *DB) execWrite(q *stmt, s ast.Statement, st *stagedWrite) (*Result, *commitReq, string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.txn != nil && db.txnOwner != q.sess {
+	if db.txn != nil && !db.inTxn(q.sess) {
 		return nil, nil, "", fmt.Errorf("another session holds an open transaction; writes are blocked until it commits or rolls back")
 	}
 	if werr := db.writeBlockedErr(); werr != nil && writesDisk(s) {

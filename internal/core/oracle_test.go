@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/gdk"
 	"repro/internal/par"
@@ -501,7 +502,7 @@ func evalUn(x *rel.Un, get func(int) (types.Value, error)) (types.Value, error) 
 	case "lower":
 		return types.Str(strings.ToLower(v.StrVal())), nil
 	case "length":
-		return types.Int(int64(len(v.StrVal()))), nil
+		return types.Int(int64(utf8.RuneCountInString(v.StrVal()))), nil
 	}
 	return types.Value{}, fmt.Errorf("cannot evaluate unary %q", x.Op)
 }
@@ -522,7 +523,7 @@ func evalSubstr(x *rel.Substr, get func(int) (types.Value, error)) (types.Value,
 	if v.IsNull() || fromV.IsNull() || forV.IsNull() {
 		return types.Null(types.KindStr), nil
 	}
-	s := v.StrVal()
+	s := []rune(v.StrVal())
 	fi, err := fromV.AsInt()
 	if err != nil {
 		return types.Value{}, err
@@ -538,14 +539,11 @@ func evalSubstr(x *rel.Substr, get func(int) (types.Value, error)) (types.Value,
 	if from > len(s) {
 		from = len(s)
 	}
-	to := from + int(li)
-	if to < from {
-		to = from
+	to := len(s)
+	if int(li) < to-from {
+		to = from + max(int(li), 0)
 	}
-	if to > len(s) {
-		to = len(s)
-	}
-	return types.Str(s[from:to]), nil
+	return types.Str(string(s[from:to])), nil
 }
 
 // likeScalar matches the same greedy algorithm as the gdk Like kernel.
@@ -623,11 +621,13 @@ func refJoinLeaves(leaves []rel.Node, width int, preds []rel.Expr, budget int) (
 	at := make([][]rel.Expr, len(leaves))
 	for _, p := range preds {
 		last := 0
-		for c := range rel.ColsUsed(p) {
-			for last < len(ends)-1 && c >= ends[last] {
-				last++
+		rel.WalkExpr(p, func(x rel.Expr) {
+			if c, ok := x.(*rel.Col); ok {
+				for last < len(ends)-1 && c.Idx >= ends[last] {
+					last++
+				}
 			}
-		}
+		})
 		at[last] = append(at[last], p)
 	}
 	var out [][]types.Value

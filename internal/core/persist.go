@@ -578,8 +578,3 @@ func (db *DB) recoverWAL() error {
 	db.wal = l
 	return nil
 }
-
-// discardWALPending drops queued records (ROLLBACK, session abort).
-func (db *DB) discardWALPending() {
-	db.walPending = db.walPending[:0]
-}

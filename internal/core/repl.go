@@ -234,19 +234,9 @@ func (db *DB) InstallSnapshot(pos WALPos, files []SnapshotFile) error {
 	}
 	db.wal = l
 
-	// Publish the new state wholesale: a fresh snapshot built from the
-	// new catalog replaces the old one, dropping objects that no longer
+	// Publish the new state wholesale, dropping objects that no longer
 	// exist.
-	snap := catalog.New()
-	for _, n := range db.cat.TableNames() {
-		t, _ := db.cat.Table(n)
-		snap.ReplaceTable(t.Freeze())
-	}
-	for _, n := range db.cat.ArrayNames() {
-		a, _ := db.cat.Array(n)
-		snap.ReplaceArray(a.Freeze())
-	}
-	db.view.Store(snap)
+	db.publishAllLocked()
 	db.pcache.purge() // schema may have changed wholesale
 
 	// The store now mirrors a healthy primary checkpoint: any earlier

@@ -93,19 +93,15 @@ func only(rs []*Result, err error) (*Result, error) {
 func (s *Session) InTransaction() bool {
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
-	return s.db.txn != nil && s.db.txnOwner == s
+	return s.db.inTxn(s)
 }
 
 // Close releases the session, rolling back its open transaction if any.
 func (s *Session) Close() error {
 	s.db.mu.Lock()
 	defer s.db.mu.Unlock()
-	if s.db.txn != nil && s.db.txnOwner == s {
-		s.db.txn.rollback(s.db)
-		s.db.txn = nil
-		s.db.txnOwner = nil
-		s.db.discardWALPending()
-		s.db.publishLocked()
+	if s.db.inTxn(s) {
+		s.db.rollbackLocked()
 	}
 	return nil
 }

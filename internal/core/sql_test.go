@@ -231,29 +231,34 @@ func TestDistinct(t *testing.T) {
 func TestScalarFunctions(t *testing.T) {
 	db := New()
 	cases := map[string]string{
-		`SELECT ABS(-7)`:                               "7",
-		`SELECT ABS(-1.5)`:                             "1.5",
-		`SELECT SQRT(16)`:                              "4",
-		`SELECT FLOOR(2.7), CEIL(2.1)`:                 "2|3",
-		`SELECT 7 % 3, MOD(7, 3)`:                      "1|1",
-		`SELECT CAST(3.9 AS INT)`:                      "3",
-		`SELECT CAST('42' AS INT) + 1`:                 "43",
-		`SELECT COALESCE(NULL, NULL, 5)`:               "5",
-		`SELECT NULLIF(3, 3)`:                          "null",
-		`SELECT NULLIF(4, 3)`:                          "4",
-		`SELECT GREATEST(1, 9, 4), LEAST(5, 2)`:        "9|2",
-		`SELECT LENGTH('hello')`:                       "5",
-		`SELECT UPPER('abc') || LOWER('DEF')`:          "ABCdef",
-		`SELECT SUBSTRING('hello' FROM 2 FOR 3)`:       "ell",
-		`SELECT CASE WHEN 1 > 2 THEN 'a' ELSE 'b' END`: "b",
-		`SELECT 1 + 2 * 3`:                             "7",
-		`SELECT 10 / 4`:                                "2",
-		`SELECT 10.0 / 4`:                              "2.5",
-		`SELECT TRUE AND FALSE, TRUE OR FALSE`:         "false|true",
-		`SELECT 'it''s'`:                               "it's",
-		`SELECT ROUND(2.4), ROUND(2.5)`:                "2|3",
-		`SELECT POWER(2, 10)`:                          "1024",
-		`SELECT SIGN(-7), SIGN(0), SIGN(3.5)`:          "-1|0|1",
+		`SELECT ABS(-7)`:                                  "7",
+		`SELECT ABS(-1.5)`:                                "1.5",
+		`SELECT SQRT(16)`:                                 "4",
+		`SELECT FLOOR(2.7), CEIL(2.1)`:                    "2|3",
+		`SELECT 7 % 3, MOD(7, 3)`:                         "1|1",
+		`SELECT CAST(3.9 AS INT)`:                         "3",
+		`SELECT CAST('42' AS INT) + 1`:                    "43",
+		`SELECT COALESCE(NULL, NULL, 5)`:                  "5",
+		`SELECT NULLIF(3, 3)`:                             "null",
+		`SELECT NULLIF(4, 3)`:                             "4",
+		`SELECT GREATEST(1, 9, 4), LEAST(5, 2)`:           "9|2",
+		`SELECT LENGTH('hello')`:                          "5",
+		`SELECT UPPER('abc') || LOWER('DEF')`:             "ABCdef",
+		`SELECT SUBSTRING('hello' FROM 2 FOR 3)`:          "ell",
+		`SELECT LENGTH('héllo'), LENGTH('日本語')`:           "5|3",
+		`SELECT SUBSTRING('héllo', 2, 1)`:                 "é",
+		`SELECT SUBSTRING('héllo' FROM 2 FOR 3)`:          "éll",
+		`SELECT SUBSTRING('日本語', 3), SUBSTRING('日本語', 4)`: "語|",
+		`SELECT SUBSTRING('naïve', 3, 9)`:                 "ïve",
+		`SELECT CASE WHEN 1 > 2 THEN 'a' ELSE 'b' END`:    "b",
+		`SELECT 1 + 2 * 3`:                                "7",
+		`SELECT 10 / 4`:                                   "2",
+		`SELECT 10.0 / 4`:                                 "2.5",
+		`SELECT TRUE AND FALSE, TRUE OR FALSE`:            "false|true",
+		`SELECT 'it''s'`:                                  "it's",
+		`SELECT ROUND(2.4), ROUND(2.5)`:                   "2|3",
+		`SELECT POWER(2, 10)`:                             "1024",
+		`SELECT SIGN(-7), SIGN(0), SIGN(3.5)`:             "-1|0|1",
 	}
 	for q, want := range cases {
 		res, err := db.Query(q)

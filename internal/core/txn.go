@@ -2,58 +2,31 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
-	"repro/internal/bat"
-	"repro/internal/catalog"
-	"repro/internal/shape"
 	"repro/internal/sql/ast"
 )
 
-// txn is an explicit transaction's undo log. The engine runs under a
-// single-writer lock, so the log only needs to support rollback: before
-// the first mutation of an object inside the transaction, a deep snapshot
-// of its storage is taken; ROLLBACK restores the snapshots and reverses
-// DDL.
+// txn is an open explicit transaction. It keeps no copy of any storage:
+// while it is open nothing publishes (execWrite returns before the
+// autocommit boundary) and checkpoints are refused, so the published
+// snapshot db.view is the transaction's base and db.dirty names every
+// object the transaction touched. Rollback = re-adopt the snapshot: each
+// dirty name takes back a re-frozen copy of the snapshot's object, or is
+// removed when the snapshot has none (rollbackLocked).
 type txn struct {
-	created       []string
-	droppedTables map[string]*catalog.Table
-	droppedArrays map[string]*catalog.Array
-	tableSnaps    map[string]*tableSnap
-	arraySnaps    map[string]*arraySnap
+	owner *Session // the session that opened it
 
-	// freshDirty records every checkpoint-dirty upgrade this transaction
-	// caused (clean → dirty, or meta-dirty → data-dirty); ROLLBACK
-	// restores the prior marks in reverse so the next checkpoint does not
-	// rewrite segments that still match disk.
-	freshDirty []dirtyMark
+	// ckptDirty is the checkpoint-dirty map at BEGIN. ROLLBACK restores
+	// it: a rolled-back object again matches its on-disk state, so the
+	// next checkpoint need not rewrite it.
+	ckptDirty map[string]bool
 }
 
-// dirtyMark is the pre-transaction checkpoint-dirty state of one object.
-type dirtyMark struct {
-	name string
-	had  bool // present in ckptDirty at all
-	data bool // its previous data-dirty level
-}
-
-type tableSnap struct {
-	bats    []*bat.BAT
-	deleted *bat.Bitmap
-}
-
-type arraySnap struct {
-	shape     shape.Shape
-	attrBats  []*bat.BAT
-	dimBats   []*bat.BAT
-	unbounded []bool
-}
-
-func newTxn() *txn {
-	return &txn{
-		droppedTables: map[string]*catalog.Table{},
-		droppedArrays: map[string]*catalog.Array{},
-		tableSnaps:    map[string]*tableSnap{},
-		arraySnaps:    map[string]*arraySnap{},
-	}
+// inTxn reports whether sess holds the open transaction. Must be called
+// under the writer lock (shared or exclusive).
+func (db *DB) inTxn(sess *Session) bool {
+	return db.txn != nil && db.txn.owner == sess
 }
 
 // txnStmt implements START TRANSACTION / COMMIT / ROLLBACK for a session.
@@ -67,8 +40,7 @@ func (db *DB) txnStmt(sess *Session, s *ast.Txn) (*Result, error) {
 		if db.txn != nil {
 			return nil, fmt.Errorf("a transaction is already in progress")
 		}
-		db.txn = newTxn()
-		db.txnOwner = sess
+		db.txn = &txn{owner: sess, ckptDirty: maps.Clone(db.ckptDirty)}
 		return statusResult("transaction started"), nil
 	case ast.TxnCommit:
 		if db.txn == nil {
@@ -77,95 +49,28 @@ func (db *DB) txnStmt(sess *Session, s *ast.Txn) (*Result, error) {
 		// The statement boundary (execWrite) makes the transaction's
 		// records durable as one batch and publishes it.
 		db.txn = nil
-		db.txnOwner = nil
 		return statusResult("transaction committed"), nil
 	case ast.TxnRollback:
 		if db.txn == nil {
 			return nil, fmt.Errorf("no transaction in progress")
 		}
-		db.txn.rollback(db)
-		db.txn = nil
-		db.txnOwner = nil
-		// Rolled-back work never reaches the log.
-		db.discardWALPending()
-		// Re-publish the restored state: the undo log swapped fresh
-		// clones into the live catalog for every object the transaction
-		// touched.
-		db.publishLocked()
+		db.rollbackLocked()
 		return statusResult("transaction rolled back"), nil
 	default:
 		return nil, fmt.Errorf("unknown transaction statement")
 	}
 }
 
-func (t *txn) rollback(db *DB) {
-	// Remove objects created inside the transaction.
-	for _, name := range t.created {
-		if _, ok := db.cat.Table(name); ok {
-			_ = db.cat.DropTable(name)
-		}
-		if _, ok := db.cat.Array(name); ok {
-			_ = db.cat.DropArray(name)
-		}
-	}
-	// Restore dropped objects.
-	for _, tb := range t.droppedTables {
-		_ = db.cat.AddTable(tb)
-	}
-	for _, a := range t.droppedArrays {
-		_ = db.cat.AddArray(a)
-	}
-	// Restore modified storage in place.
-	for name, snap := range t.tableSnaps {
-		if tb, ok := db.cat.Table(name); ok {
-			tb.Bats = snap.bats
-			tb.Deleted = snap.deleted
-		}
-	}
-	for name, snap := range t.arraySnaps {
-		if a, ok := db.cat.Array(name); ok {
-			a.Shape = snap.shape
-			a.AttrBats = snap.attrBats
-			a.DimBats = snap.dimBats
-			a.Unbounded = snap.unbounded
-		}
-	}
-	// Everything is back to its pre-transaction state: restore the
-	// checkpoint-dirty marks the transaction upgraded (in reverse, so
-	// multi-step upgrades unwind to the original level).
-	for i := len(t.freshDirty) - 1; i >= 0; i-- {
-		m := t.freshDirty[i]
-		if m.had {
-			db.ckptDirty[m.name] = m.data
-		} else {
-			delete(db.ckptDirty, m.name)
-		}
-	}
-}
-
-// noteCreate records an object created inside the transaction. It also
-// marks the name dirty for snapshot publication.
-func (db *DB) noteCreate(name string) {
-	db.touch(name)
-	if db.txn != nil {
-		db.txn.created = append(db.txn.created, name)
-	}
-}
-
-// noteDropTable snapshots a table being dropped inside the transaction.
-func (db *DB) noteDropTable(t *catalog.Table) {
-	db.touch(t.Name)
-	if db.txn != nil {
-		db.txn.droppedTables[t.Name] = t
-	}
-}
-
-// noteDropArray snapshots an array being dropped inside the transaction.
-func (db *DB) noteDropArray(a *catalog.Array) {
-	db.touch(a.Name)
-	if db.txn != nil {
-		db.txn.droppedArrays[a.Name] = a
-	}
+// rollbackLocked ends the open transaction by re-adopting the published
+// snapshot: publication run in the opposite direction. Rolled-back work
+// never reaches the log, and the checkpoint-dirty marks go back to their
+// state at BEGIN. Must be called under the writer lock.
+func (db *DB) rollbackLocked() {
+	refreeze(db.cat, db.view.Load(), db.dirty)
+	clear(db.dirty)
+	db.walPending = db.walPending[:0]
+	db.ckptDirty = db.txn.ckptDirty
+	db.txn = nil
 }
 
 // stampMod assigns the next value of the database-wide modification
@@ -173,65 +78,19 @@ func (db *DB) noteDropArray(a *catalog.Array) {
 // rather than a per-object increment — makes Mod equality a proof of
 // content identity across object incarnations too: a DROP + CREATE
 // under the same name gets a fresh stamp that a write staged on a stale
-// snapshot of the old incarnation can never match (stage.go).
+// snapshot of the old incarnation can never match (stage.go). ROLLBACK
+// hands objects back their pre-transaction stamp together with their
+// pre-transaction content, which keeps the proof.
 func (db *DB) stampMod(mod *uint64) {
 	db.modSeq++
 	*mod = db.modSeq
 }
 
-// noteModifyTable snapshots a table before its first in-transaction write.
-// It also stamps the table's modification counter — always before the
-// mutation itself, so a write staged on a snapshot whose Mod still
-// matches the live one is guaranteed the content is unchanged too.
-func (db *DB) noteModifyTable(t *catalog.Table) {
-	db.stampMod(&t.Mod)
-	db.touch(t.Name)
-	db.snapTable(t)
-}
-
-// noteDeleteTable is noteModifyTable for DELETE, which only flips bits in
-// the deletion mask: the table must re-publish and re-manifest, but its
-// segment files still match and the next checkpoint need not rewrite them.
-func (db *DB) noteDeleteTable(t *catalog.Table) {
-	db.stampMod(&t.Mod)
-	db.touchMeta(t.Name)
-	db.snapTable(t)
-}
-
-func (db *DB) snapTable(t *catalog.Table) {
-	if db.txn == nil {
-		return
-	}
-	if _, done := db.txn.tableSnaps[t.Name]; done {
-		return
-	}
-	snap := &tableSnap{deleted: t.Deleted.Clone()}
-	for _, b := range t.Bats {
-		snap.bats = append(snap.bats, b.Clone())
-	}
-	db.txn.tableSnaps[t.Name] = snap
-}
-
-// noteModifyArray snapshots an array before its first in-transaction write.
-// Stamps the array's modification counter first; see noteModifyTable.
-func (db *DB) noteModifyArray(a *catalog.Array) {
-	db.stampMod(&a.Mod)
-	db.touch(a.Name)
-	if db.txn == nil {
-		return
-	}
-	if _, done := db.txn.arraySnaps[a.Name]; done {
-		return
-	}
-	snap := &arraySnap{
-		shape:     append(shape.Shape{}, a.Shape...),
-		unbounded: append([]bool{}, a.Unbounded...),
-	}
-	for _, b := range a.AttrBats {
-		snap.attrBats = append(snap.attrBats, b.Clone())
-	}
-	for _, b := range a.DimBats {
-		snap.dimBats = append(snap.dimBats, b.Clone())
-	}
-	db.txn.arraySnaps[a.Name] = snap
+// modify stamps an object's modification counter and marks it dirty —
+// always before the mutation itself, so a write staged on a snapshot
+// whose Mod still matches the live one is guaranteed the content is
+// unchanged too.
+func (db *DB) modify(name string, mod *uint64) {
+	db.stampMod(mod)
+	db.touch(name)
 }

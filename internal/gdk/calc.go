@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/bat"
 	"repro/internal/par"
@@ -842,7 +843,7 @@ func StrUnary(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 		out := par.Vec[int64](job, n)
 		par.Do(job, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = int64(len(xs[i&xm]))
+				out[i] = int64(charCount(xs[i&xm]))
 			}
 		})
 		return withNulls(bat.FromIntsOfKind(out, types.KindInt), xn.Clone()), nil
@@ -852,7 +853,8 @@ func StrUnary(job *par.Job, op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) 
 }
 
 // Substring implements SUBSTRING(s FROM start FOR length) with SQL's
-// 1-based start position.
+// 1-based start position. Positions and lengths count characters, as
+// LENGTH, LIKE and UPPER do.
 func Substring(job *par.Job, x, start, length Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(job, cand, &x, &start, &length); err != nil {
 		return nil, err
@@ -877,25 +879,52 @@ func Substring(job *par.Job, x, start, length Opnd, cand *bat.BAT) (*bat.BAT, er
 			if nulls.Get(i) {
 				continue
 			}
-			s := xs[i&xm]
-			from := int(si[i&sm]) - 1
-			if from < 0 {
-				from = 0
-			}
-			if from > len(s) {
-				from = len(s)
-			}
-			to := from + int(li[i&lm])
-			if to < from {
-				to = from
-			}
-			if to > len(s) {
-				to = len(s)
-			}
-			out[i] = s[from:to]
+			out[i] = substr(xs[i&xm], si[i&sm]-1, li[i&lm])
 		}
 	})
 	return withNulls(bat.FromStrings(out), nulls), nil
+}
+
+// charCount is the length of s in characters (UTF-8 code points; an
+// invalid byte counts as one).
+func charCount(s string) int {
+	if isASCII(s) {
+		return len(s)
+	}
+	return utf8.RuneCountInString(s)
+}
+
+// substr returns at most n characters of s starting at character from
+// (0-based), both clamped to s.
+func substr(s string, from, n int64) string {
+	from = max(from, 0)
+	to := from + max(min(n, math.MaxInt64-from), 0)
+	if isASCII(s) {
+		l := int64(len(s))
+		return s[min(from, l):min(to, l)]
+	}
+	lo, hi := len(s), len(s)
+	var c int64
+	for b := range s {
+		if c == from {
+			lo = b
+		}
+		if c == to {
+			hi = b
+			break
+		}
+		c++
+	}
+	return s[lo:hi]
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // Like evaluates the SQL LIKE predicate with % and _ wildcards.

@@ -18,8 +18,8 @@ import (
 //
 // Every kernel in this package follows one of two conventions:
 //
-//   - Value-column kernels (ThetaSelect, RangeSelect, SelectNonNull, the
-//     calculator kernels, Group, SubAggr, the joins) take base-aligned
+//   - Value-column kernels (ThetaSelect, RangeSelect, the calculator
+//     kernels, Group, SubAggr, the joins) take base-aligned
 //     columns plus a candidate list restricting which base rows
 //     participate. Selection kernels return base positions; vector kernels
 //     return candidate-aligned vectors (row i of the output corresponds to

@@ -276,7 +276,7 @@ func TestParEquivCalcCand(t *testing.T) {
 
 // TestParEquivSelectCand covers the selection kernels' candidate
 // conventions: SelectBool maps candidate-aligned conditions back to base
-// positions; SelectNonNull and RangeSelect restrict base columns.
+// positions; RangeSelect restricts base columns.
 func TestParEquivSelectCand(t *testing.T) {
 	const n = 20000
 	rng := rand.New(rand.NewSource(17))
@@ -304,23 +304,6 @@ func TestParEquivSelectCand(t *testing.T) {
 			t.Fatal(err)
 		}
 		batsEqual(t, label+" selectbool mapping", mapped, got)
-
-		runBoth(t, func(job *par.Job) *bat.BAT {
-			out, err := SelectNonNull(job, col, cand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}, func(s, p *bat.BAT) { batsEqual(t, label+" nonnull", s, p) })
-		nn, err := SelectNonNull(nil, col, cand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < nn.Len(); i++ {
-			if col.IsNull(int(nn.OidAt(i))) {
-				t.Fatalf("%s: nonnull selected a NULL row", label)
-			}
-		}
 
 		runBoth(t, func(job *par.Job) *bat.BAT {
 			out, err := RangeSelect(job, col, cand, types.Int(100), types.Int(700))

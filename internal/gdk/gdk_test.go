@@ -920,17 +920,6 @@ func TestSlabMatchesScanFilter(t *testing.T) {
 	}
 }
 
-func TestUnique(t *testing.T) {
-	col := bat.FromInts([]int64{1, 2, 1, 3, 2})
-	ext, err := Unique(nil, []*bat.BAT{col}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ext.Len() != 3 || ext.OidAt(0) != 0 || ext.OidAt(1) != 1 || ext.OidAt(2) != 3 {
-		t.Errorf("unique: %v", ext.Ints())
-	}
-}
-
 // TestKernelsHonourCancelledJob: a job that cancels itself in the middle
 // of a kernel's loop makes the kernel return par.ErrCanceled. The job is
 // one wide, so every plan is one serial chunk and only the kernel's own

@@ -259,14 +259,3 @@ func groupRange(job *par.Job, k *rowKeys, lo, hi int, gids []int64) *groupTable 
 	})
 	return t
 }
-
-// Unique returns the positions of the first occurrence of each distinct row
-// (used by SELECT DISTINCT), restricted to the candidate rows when cand is
-// non-nil.
-func Unique(job *par.Job, cols []*bat.BAT, cand *bat.BAT) (*bat.BAT, error) {
-	g, err := Group(job, cols, cand)
-	if err != nil {
-		return nil, err
-	}
-	return g.Extents, nil
-}

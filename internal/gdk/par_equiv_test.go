@@ -206,13 +206,6 @@ func TestParEquivSelections(t *testing.T) {
 			}
 			return out
 		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("range n=%d", n), s, p) })
-		runBoth(t, func(job *par.Job) *bat.BAT {
-			out, err := SelectNonNull(job, col, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}, func(s, p *bat.BAT) { batsEqual(t, fmt.Sprintf("nonnull n=%d", n), s, p) })
 		// Candidate-restricted scan through a prior selection.
 		cand, err := ThetaSelect(nil, col, nil, types.Int(20), "<")
 		if err != nil {

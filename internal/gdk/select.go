@@ -309,44 +309,3 @@ func RangeSelect(job *par.Job, b *bat.BAT, cand *bat.BAT, lo, hi types.Value) (*
 	ge, le := thetaTest(job, b, lo, cmpGe), thetaTest(job, b, hi, cmpLe)
 	return testSelect(job, b, cand, func(i int) bool { return ge(i) && le(i) })
 }
-
-// SelectNonNull returns the positions of non-NULL rows of the base-aligned
-// column b, restricted to the candidate positions when cand is non-nil
-// (same convention as ThetaSelect/RangeSelect).
-func SelectNonNull(job *par.Job, b, cand *bat.BAT) (*bat.BAT, error) {
-	if err := candInRange(cand, b.Len()); err != nil {
-		return nil, err
-	}
-	// NULL-free columns answer in O(1): every candidate row qualifies.
-	if !b.HasNulls() {
-		if cand != nil {
-			return cand, nil
-		}
-		return bat.NewVoid(0, b.Len()), nil
-	}
-	var out []int64
-	if cand == nil {
-		out = gatherOIDs(job, b.Len(), func(lo, hi int, dst []int64) []int64 {
-			for i := lo; i < hi; i++ {
-				if !b.IsNull(i) {
-					dst = append(dst, int64(i))
-				}
-			}
-			return dst
-		})
-	} else {
-		co, cbase := candSlice(job, cand)
-		out = gatherOIDs(job, cand.Len(), func(lo, hi int, dst []int64) []int64 {
-			for c := lo; c < hi; c++ {
-				i := candAt(co, cbase, c)
-				if !b.IsNull(int(i)) {
-					dst = append(dst, i)
-				}
-			}
-			return dst
-		})
-	}
-	ob := bat.FromOIDs(out)
-	ob.Sorted, ob.Key = true, true
-	return ob, nil
-}

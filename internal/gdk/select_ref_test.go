@@ -18,8 +18,7 @@ import (
 // code with stats.go. Over the refCol shapes this reaches every
 // statistics path: column-bound pruning, the sorted binary search (asc,
 // desc, and asc-lazy, whose order only the zonemap build discovers), the
-// zonemap skip-scan (clustered, past one 64K-row slab), SelectNonNull's
-// NULL-free answer, the merge join over sorted keys, and SubAggr over the
+// zonemap skip-scan (clustered, past one 64K-row slab), the merge join over sorted keys, and SubAggr over the
 // sorted group ids run grouping produces. TestTypedJoinMatchesReference
 // and TestTypedGroupMatchesReference cover merge join and run grouping
 // again over their random key shapes, which include the ordered ones.
@@ -257,22 +256,6 @@ func TestStatsEquivRangeSelect(t *testing.T) {
 					})
 				}
 			}
-		}
-	}
-}
-
-func TestStatsEquivSelectNonNull(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, kind := range []string{"int", "asc", "float", "str", "rle"} {
-		col := refCol(t, rng, kind, 4000)
-		vals := boxed(col)
-		for cname, cand := range candVariants(col.Len()) {
-			label := fmt.Sprintf("%s nulls=%v cand=%s", kind, col.HasNulls(), cname)
-			got, err := SelectNonNull(nil, col, cand)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			wantOIDs(t, label, got, refSelect(vals, candRows(cand, col.Len()), func(types.Value) bool { return true }))
 		}
 	}
 }

@@ -338,11 +338,6 @@ func TestTypedGroupMatchesReference(t *testing.T) {
 					}
 					wantOIDs(t, label+" gids", res.GIDs, wantG)
 					wantOIDs(t, label+" extents", res.Extents, wantE)
-					u, err := Unique(job, cols, cand)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					wantOIDs(t, label+" unique", u, wantE)
 				}
 			}
 		}

@@ -272,19 +272,17 @@ func TestOptimizerSATSelection(t *testing.T) {
 	}
 }
 
-func TestMapColsAndColsUsed(t *testing.T) {
+func TestMapCols(t *testing.T) {
 	e := &Bin{Op: "+",
 		L: &Col{Idx: 1, Info: ColInfo{Kind: types.KindInt}},
 		R: &Col{Idx: 3, Info: ColInfo{Kind: types.KindInt}},
 		K: types.KindInt}
-	used := ColsUsed(e)
-	if !used[1] || !used[3] || len(used) != 2 {
-		t.Errorf("used = %v", used)
+	shifted := MapCols(e, func(i int) int { return i - 1 }).(*Bin)
+	if l, r := shifted.L.(*Col).Idx, shifted.R.(*Col).Idx; l != 0 || r != 2 {
+		t.Errorf("shifted columns = %d, %d, want 0, 2", l, r)
 	}
-	shifted := MapCols(e, func(i int) int { return i - 1 })
-	used = ColsUsed(shifted)
-	if !used[0] || !used[2] {
-		t.Errorf("shifted = %v", used)
+	if e.L.(*Col).Idx != 1 || e.R.(*Col).Idx != 3 {
+		t.Errorf("MapCols changed its input: %s", e)
 	}
 }
 

@@ -195,14 +195,3 @@ func MapCols(e Expr, f func(int) int) Expr {
 		panic(fmt.Sprintf("rel: unknown expr %T", e))
 	}
 }
-
-// ColsUsed returns the set of column ordinals referenced by e.
-func ColsUsed(e Expr) map[int]bool {
-	out := make(map[int]bool)
-	WalkExpr(e, func(x Expr) {
-		if c, ok := x.(*Col); ok {
-			out[c.Idx] = true
-		}
-	})
-	return out
-}
