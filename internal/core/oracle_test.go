@@ -13,6 +13,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"repro/internal/bat"
 	"repro/internal/gdk"
 	"repro/internal/par"
 	"repro/internal/rel"
@@ -523,7 +524,16 @@ func evalSubstr(x *rel.Substr, get func(int) (types.Value, error)) (types.Value,
 	if v.IsNull() || fromV.IsNull() || forV.IsNull() {
 		return types.Null(types.KindStr), nil
 	}
-	s := []rune(v.StrVal())
+	// Byte offset of every character start, then the end: an invalid
+	// byte is one character and comes back unchanged.
+	str := v.StrVal()
+	var at []int
+	for i := 0; i < len(str); {
+		at = append(at, i)
+		_, w := utf8.DecodeRuneInString(str[i:])
+		i += w
+	}
+	at = append(at, len(str))
 	fi, err := fromV.AsInt()
 	if err != nil {
 		return types.Value{}, err
@@ -532,18 +542,13 @@ func evalSubstr(x *rel.Substr, get func(int) (types.Value, error)) (types.Value,
 	if err != nil {
 		return types.Value{}, err
 	}
-	from := int(fi) - 1
-	if from < 0 {
-		from = 0
-	}
-	if from > len(s) {
-		from = len(s)
-	}
-	to := len(s)
+	n := len(at) - 1
+	from := min(max(int(fi)-1, 0), n)
+	to := n
 	if int(li) < to-from {
 		to = from + max(int(li), 0)
 	}
-	return types.Str(string(s[from:to])), nil
+	return types.Str(str[at[from]:at[to]]), nil
 }
 
 // likeScalar matches the same greedy algorithm as the gdk Like kernel.
@@ -1738,6 +1743,31 @@ func TestFoldMatchesReference(t *testing.T) {
 			if got := res.Value(0, 0); renderExact(got) != renderExact(want) {
 				t.Errorf("%s: engine answers %s, reference %s", sql, renderExact(got), renderExact(want))
 			}
+		}
+	}
+}
+
+// TestSubstrInvalidByte: an invalid UTF-8 byte is one character and comes
+// back unchanged, from the kernels and from the reference alike. SQL text
+// cannot carry one (the lexer reads runes), so the kernels run directly.
+func TestSubstrInvalidByte(t *testing.T) {
+	const s = "a\xffé"
+	col := gdk.B(bat.FromStrings([]string{s}))
+	if n, err := gdk.StrUnary(nil, "length", col, nil); err != nil || n.Ints()[0] != 3 {
+		t.Errorf("LENGTH(%q) = %v, %v, want 3", s, n, err)
+	}
+	for _, c := range []struct {
+		from, n int64
+		want    string
+	}{{2, 1, "\xff"}, {2, 9, "\xffé"}, {3, 1, "é"}} {
+		got, err := gdk.Substring(nil, col, gdk.C(types.Int(c.from), 1), gdk.C(types.Int(c.n), 1), nil)
+		if err != nil || got.Strs()[0] != c.want {
+			t.Errorf("kernel SUBSTRING(%q, %d, %d) = %v, %v, want %q", s, c.from, c.n, got, err, c.want)
+		}
+		ref, err := evalSubstr(&rel.Substr{X: &rel.Const{Val: types.Str(s)},
+			From: &rel.Const{Val: types.Int(c.from)}, For: &rel.Const{Val: types.Int(c.n)}}, nil)
+		if err != nil || ref.StrVal() != c.want {
+			t.Errorf("reference SUBSTRING(%q, %d, %d) = %q, %v, want %q", s, c.from, c.n, ref.StrVal(), err, c.want)
 		}
 	}
 }

@@ -265,7 +265,12 @@ func (db *DB) checkpointLocked() error {
 	// error: latch read-only degraded mode so writes are refused instead
 	// of diverging further from the disk. A later successful checkpoint
 	// (Save, Close) or a reopen clears it.
-	if err := db.checkpointIOLocked(); err != nil {
+	err := db.checkpointIOLocked()
+	// The fold re-versioned and re-encoded the objects it wrote: publish
+	// them, so the snapshot a ROLLBACK re-adopts names the segments on
+	// disk and not the ones gcSegments deletes.
+	db.publishLocked()
+	if err != nil {
 		db.degradeLocked(fmt.Errorf("checkpoint: %v", err))
 		return err
 	}
@@ -303,6 +308,7 @@ func (db *DB) checkpointIOLocked() error {
 				db.ckptWritten += n
 			}
 			t.Version = newGen
+			db.dirty[name] = struct{}{}
 			continue
 		}
 		if a, ok := db.cat.Array(name); ok {
@@ -315,6 +321,7 @@ func (db *DB) checkpointIOLocked() error {
 				db.ckptWritten += n
 			}
 			a.Version = newGen
+			db.dirty[name] = struct{}{}
 		}
 		// Dropped objects simply vanish from the manifest.
 	}

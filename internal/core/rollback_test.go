@@ -181,6 +181,40 @@ func TestRollbackReadoptsSnapshot(t *testing.T) {
 			want:  []string{"1", "2"},
 		},
 		{
+			// A checkpoint re-versions and re-encodes the live objects
+			// and publishes them, so the snapshot a rollback re-adopts
+			// names the segments on disk. Nothing is written after the
+			// rollback: the closing checkpoint must keep those segments.
+			name:  "checkpoint, then insert rolled back",
+			setup: `CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2)`,
+			txn:   saveThen(`BEGIN; INSERT INTO t VALUES (3); ROLLBACK`),
+			probe: `SELECT a FROM t`,
+			want:  []string{"1", "2"},
+		},
+		{
+			name:  "checkpoint, then drop rolled back",
+			setup: `CREATE ARRAY m (x INT DIMENSION[0:1:3], v INT DEFAULT 4); UPDATE m SET v = x`,
+			txn:   saveThen(`BEGIN; UPDATE m SET v = 9; DROP ARRAY m; ROLLBACK`),
+			probe: `SELECT [x], v FROM m`,
+			want:  []string{"0|0", "1|1", "2|2"},
+		},
+		{
+			name:  "checkpoint, then DB.Close rolls back",
+			setup: `CREATE TABLE t (a INT); INSERT INTO t VALUES (1)`,
+			txn: func(t *testing.T, db *DB, reopen func() *DB) *DB {
+				if err := db.Save(); err != nil {
+					t.Fatal(err)
+				}
+				mustExec(t, db, `BEGIN; INSERT INTO t VALUES (6)`)
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return reopen()
+			},
+			probe: `SELECT a FROM t`,
+			want:  []string{"1"},
+		},
+		{
 			name:  "DB.Close rolls back",
 			setup: `CREATE TABLE t (a INT); INSERT INTO t VALUES (1)`,
 			txn: func(t *testing.T, db *DB, reopen func() *DB) *DB {
@@ -233,6 +267,16 @@ func execTxn(batch string) func(*testing.T, *DB, func() *DB) *DB {
 			t.Fatal("batch left the transaction open")
 		}
 		return db
+	}
+}
+
+// saveThen is execTxn after a checkpoint.
+func saveThen(batch string) func(*testing.T, *DB, func() *DB) *DB {
+	return func(t *testing.T, db *DB, reopen func() *DB) *DB {
+		if err := db.Save(); err != nil {
+			t.Fatal(err)
+		}
+		return execTxn(batch)(t, db, reopen)
 	}
 }
 

@@ -7,9 +7,10 @@ import "repro/internal/catalog"
 //
 // The live catalog (db.cat) is owned by the writer lock. Readers never
 // touch it: they execute against db.view, an immutable catalog published
-// after every autocommitted write statement and on COMMIT. Publication is
-// incremental — it clones the previous snapshot's maps and re-freezes only
-// the objects the statement actually dirtied. Freezing (catalog.Freeze /
+// after every autocommitted write statement, on COMMIT and after a
+// checkpoint (which re-versions and re-encodes what it folds).
+// Publication is incremental — it clones the previous snapshot's maps and
+// re-freezes only the objects the statement actually dirtied. Freezing (catalog.Freeze /
 // bat.Freeze) shares the backing data arrays with the live object but
 // fixes row counts, ends the frozen slices at that count and deep-clones
 // the NULL/deletion bitmaps, so:
